@@ -229,7 +229,6 @@ def _sim_config(study: _Study) -> SimConfig:
         step=float(keys.get("step_s", 0.005)),
         end=float(keys.get("end_s", 10.0)),
         integrator=str(keys.get("integrator", "rk4")),
-        network_interval=int(keys.get("network_interval", 1)),
     )
 
 

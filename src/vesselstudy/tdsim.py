@@ -2,8 +2,13 @@
 
 Machines follow the classical swing model (constant-flux EMF behind the
 transient reactance) with a first-order governor and a first-order voltage
-regulator; the network is re-solved quasi-statically every integration
-stage with constant-power loads and constant-PQ inverter injections.
+regulator.  At every integration stage the network is solved
+quasi-statically for the node voltages, with constant-power loads and
+constant-PQ inverter injections, by a fixed-point iteration on the
+inverted network matrix.  That matrix (branches, machine shunts and any
+bolted fault) changes only at a topology change, a fault application or a
+fault clearing, so it is assembled and inverted once per such epoch and
+reused by every stage in between (the alternating-solution scheme).
 Scripted events (load ramps, breaker switching, faults) are applied at
 their exact times by splitting integration steps, so results do not depend
 on how event times align with the step grid.
@@ -12,14 +17,15 @@ Battery-inverter controllers run once per recording step: the peak-shave
 mode caps watched generators at a power threshold by supplying the surplus,
 and the DP-failover mode latches the delayed pre-trip output of a lost
 generator.  A bisection search over fault clearing time gives the critical
-clearing time against a first-swing stability criterion.
+clearing time against a first-swing stability criterion; an unstable probe
+stops as soon as its verdict is known.
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -66,6 +72,7 @@ class EventSchedule:
 
     def validated(self, grid: GridModel) -> "EventSchedule":
         last = -math.inf
+        branch_ids = {br.id for br in grid.branches}
         for ev in self.events:
             if ev.time < last:
                 raise SimulationError("event times must be non-decreasing")
@@ -77,13 +84,9 @@ class EventSchedule:
             elif ev.action in ("breaker_open", "breaker_close"):
                 grid.breaker(ev.target)
             elif ev.action == "fault_apply":
-                if ev.target in {br.id for br in grid.branches}:
-                    pass
-                else:
+                if ev.target not in branch_ids:
                     grid.bus(ev.target)
-            elif ev.action == "fault_clear":
-                pass
-            else:
+            elif ev.action != "fault_clear":
                 raise SimulationError(f"unknown event action {ev.action!r}")
         return self
 
@@ -93,7 +96,6 @@ class SimConfig:
     step: float = 0.005
     end: float = 10.0
     integrator: str = "rk4"        # rk4 | trapezoidal
-    network_interval: int = 1      # network solve every n-th derivative eval
 
     def __post_init__(self):
         if self.step <= 0 or self.end <= self.step:
@@ -251,31 +253,53 @@ def dp_failover_setpoint(state: ControllerState, cfg: ControllerConfig,
 
 
 @dataclass
-class _Machine:
-    id: str
-    island: int
-    node: int
-    xdp: float          # pu on system base
-    two_h: float        # 2H, s (system base)
-    damping: float      # pu (system base)
-    omega_s: float      # rad/s
-    governor: GovernorParams | None
-    avr: AvrParams | None
-    pm_ref: float = 0.0
-    e_ref: float = 0.0
-    v_ref: float = 1.0
+class _Machines:
+    """The online machines as parameter arrays, one entry each, in id order."""
+
+    ids: list[str]
+    row: dict[str, int]
+    col: np.ndarray          # position among the run's machine channels
+    jxdp: np.ndarray         # j x'd, pu on system base
+    two_h: np.ndarray        # 2H, s (system base)
+    damping: np.ndarray      # pu (system base)
+    omega_s: np.ndarray      # rad/s
+    avr_gain: np.ndarray
+    avr_rate: np.ndarray     # 1/T of the voltage regulator, 0 without one
+    gov_droop: np.ndarray
+    gov_rate: np.ndarray     # 1/T of the governor, 0 without one
+    pm_ref: np.ndarray
+    e_ref: np.ndarray
+    v_ref: np.ndarray
 
 
 @dataclass
 class _Island:
+    """One energised AC island of the current topology.
+
+    `_build` sets the topology part; `_factor` sets the fault-epoch part
+    (`z`, `src`, `inc`), and every solve updates the warm start `v` and
+    the demand scale factors `lf` it used.
+    """
+
     nodes: list[frozenset[str]]
     node_of: dict[str, int]
     ybase: np.ndarray
-    frequency: float
-    loads: list[tuple[str, int, float, float]]      # id, node, p0 pu, q0 pu
-    draws: list[tuple[str, int, float, float]]      # converter fixed draws
-    inv_nodes: dict[str, int]
-    v: np.ndarray = field(default=None)
+    mach: np.ndarray         # machine rows in this island
+    mach_node: np.ndarray
+    load_ids: list[str]      # the first len(load_ids) demands are loads,
+    cons_ids: list[str]      # the rest constant converter draws
+    cons_s: np.ndarray       # demand at scale 1, pu
+    cons_node: np.ndarray
+    inv_ids: list[str]       # controller inverters connected here
+    inv_node: np.ndarray
+    v: np.ndarray
+    lf: np.ndarray = None
+    z: np.ndarray = None     # inverse of Y with shunts and fault, splice node last
+    src: np.ndarray = None   # z times the machine source admittances
+    inc: np.ndarray = None   # node incidence of the demands, then the inverters
+    bus_rows: np.ndarray = None   # channel rows of the island's buses
+    bus_node: np.ndarray = None
+    cons_rows: np.ndarray = None  # channel rows of its demands
 
 
 class _Engine:
@@ -285,6 +309,7 @@ class _Engine:
                  machine_controls=None):
         schedule.validated(grid)
         self.grid0 = grid
+        self.branches = {br.id: br for br in grid.branches}
         self.cfg = cfg
         self.controls = dict(machine_controls or {})
         self.dispatch = dispatch
@@ -299,120 +324,200 @@ class _Engine:
         for c in controllers:
             self.controllers.append(ControllerState(c))
             self.inv_setpoints[c.inverter] = (0.0, 0.0)
-        self.machines: dict[str, np.ndarray] = {}   # id -> [delta, dw, e, pm]
-        self.mach_params: dict[str, _Machine] = {}
-        self._eval_count = 0
-        self._cached_netsol = None
-        self._build(initial=True)
+        self._build(grid, initial=True)
+        # recorded channels are fixed by the initial topology
+        self.mach_ids = list(self.m.ids)
+        self.inv_ids = sorted(self.inv_setpoints)
+        self.bus_ids = sorted({b for isl in self.islands for b in isl.node_of})
+        self.cons_ids = sorted({c for isl in self.islands for c in isl.cons_ids})
+        self._index_channels()
 
     # -- model (re)construction ------------------------------------------
 
     def _current_grid(self) -> GridModel:
         return self.grid0.with_breaker_states(self.breaker_states)
 
-    def _build(self, initial: bool = False) -> None:
-        grid = self._current_grid()
+    def _build(self, grid: GridModel, initial: bool = False) -> None:
+        """Islands and machine arrays for a new topology, then `_factor`."""
         nets = build_ac_networks(grid)
-        islands: list[_Island] = []
-        keep: dict[str, np.ndarray] = {}
-        params: dict[str, _Machine] = {}
-
         if initial:
             sol = solve_ac_powerflow(grid, slack=self.slack,
                                      dispatch=self.dispatch,
                                      load_scale=self.base_scale)
-
+        islands: list[_Island] = []
+        placed = []     # (generator, island index, node, omega_s)
         for net in nets:
             gens = [g for g in grid.generators
                     if g.bus in net.node_of and grid.element_online(g.id)]
             if not gens:
                 continue
-            idx = len(islands)
-            loads, draws = [], []
+            cons = []   # (id, p0 pu, q0 pu, node)
+            load_ids = []
             for l in sorted(grid.loads, key=lambda x: x.id):
                 if l.bus in net.node_of and grid.element_online(l.id):
                     p, q = load_pq_kw(l, 1.0)
-                    loads.append((l.id, net.node_of[l.bus],
-                                  p / S_BASE_KVA, q / S_BASE_KVA))
-            inv_nodes = {}
+                    cons.append((l.id, p / S_BASE_KVA, q / S_BASE_KVA,
+                                 net.node_of[l.bus]))
+                    load_ids.append(l.id)
+            inv_ids, inv_node = [], []
             for c in sorted(grid.converters, key=lambda x: x.id):
                 ac_bus = grid.converter_ac_bus(c)
                 if ac_bus not in net.node_of or not grid.element_online(c.id):
                     continue
-                inv_nodes[c.id] = net.node_of[ac_bus]
-                if c.p_set_kw and c.id not in self.inv_setpoints:
-                    draws.append((c.id, net.node_of[ac_bus],
-                                  c.p_set_kw / S_BASE_KVA, 0.0))
-            island = _Island(
-                nodes=net.nodes, node_of=net.node_of, ybase=net.ybus,
-                frequency=net.frequency, loads=loads, draws=draws,
-                inv_nodes=inv_nodes,
-                v=np.ones(len(net.nodes), dtype=complex))
-            islands.append(island)
-
+                if c.id in self.inv_setpoints:
+                    inv_ids.append(c.id)
+                    inv_node.append(net.node_of[ac_bus])
+                elif c.p_set_kw:
+                    cons.append((c.id, c.p_set_kw / S_BASE_KVA, 0.0,
+                                 net.node_of[ac_bus]))
             omega_s = 2.0 * math.pi * net.frequency
-            for g in sorted(gens, key=lambda x: x.id):
-                d = g.dynamics
-                if d is None:
-                    raise SimulationError(f"{g.id}: dynamics required for tdsim")
-                ctl = self.controls.get(g.id, MachineControls())
-                m = _Machine(
-                    id=g.id, island=idx, node=net.node_of[g.bus],
-                    xdp=d.xd_t * S_BASE_KVA / g.rated_kva,
-                    two_h=2.0 * d.inertia_h * g.rated_kva / S_BASE_KVA,
-                    damping=d.damping * g.rated_kva / S_BASE_KVA,
-                    omega_s=omega_s,
-                    governor=ctl.governor, avr=ctl.avr)
-                params[g.id] = m
-                if g.id in self.machines:
-                    keep[g.id] = self.machines[g.id]
-                elif not initial:
+            placed += [(g, len(islands), net.node_of[g.bus], omega_s)
+                       for g in gens]
+            islands.append(_Island(
+                nodes=net.nodes, node_of=net.node_of, ybase=net.ybus,
+                mach=None, mach_node=None, load_ids=load_ids,  # set below
+                cons_ids=[c[0] for c in cons],
+                cons_s=np.array([complex(p, q) for _, p, q, _ in cons]),
+                cons_node=np.array([c[3] for c in cons], dtype=int),
+                inv_ids=inv_ids, inv_node=np.array(inv_node, dtype=int),
+                v=np.ones(len(net.nodes), dtype=complex)))
+
+        placed.sort(key=lambda r: r[0].id)
+        for k, isl in enumerate(islands):
+            rows = [r for r, p in enumerate(placed) if p[1] == k]
+            isl.mach = np.array(rows, dtype=int)
+            isl.mach_node = np.array([placed[r][2] for r in rows], dtype=int)
+
+        ids, xdp, two_h, damping, omega, ctls = [], [], [], [], [], []
+        states, refs = [], []
+        for g, _, _, omega_s in placed:
+            d = g.dynamics
+            if d is None:
+                raise SimulationError(f"{g.id}: dynamics required for tdsim")
+            ids.append(g.id)
+            xdp.append(d.xd_t * S_BASE_KVA / g.rated_kva)
+            two_h.append(2.0 * d.inertia_h * g.rated_kva / S_BASE_KVA)
+            damping.append(d.damping * g.rated_kva / S_BASE_KVA)
+            omega.append(omega_s)
+            ctls.append(self.controls.get(g.id, MachineControls()))
+            if not initial:
+                old = self.m.row.get(g.id)
+                if old is None:
                     raise SimulationError(
                         f"{g.id}: bringing a generator online mid-run is not "
                         "supported (no resynchronisation model)")
-                else:
-                    vb = sol.v_pu[g.bus] * np.exp(1j * sol.angle_rad[g.bus])
-                    p, q = sol.injections_kw[g.id]
-                    s = complex(p, q) / S_BASE_KVA
-                    i = np.conj(s / vb) if abs(vb) > 0 else 0.0
-                    e = vb + 1j * m.xdp * i
-                    keep[g.id] = np.array([
-                        float(np.angle(e)), 0.0, float(abs(e)), float(s.real)])
-                    m.e_ref = float(abs(e))
-                    m.v_ref = float(abs(vb))
-                    m.pm_ref = float(s.real)
-            if not initial:
-                for g in sorted(gens, key=lambda x: x.id):
-                    old = self.mach_params.get(g.id)
-                    if old is not None:
-                        params[g.id].pm_ref = old.pm_ref
-                        params[g.id].e_ref = old.e_ref
-                        params[g.id].v_ref = old.v_ref
+                states.append(self.x[old])
+                refs.append((self.m.pm_ref[old], self.m.e_ref[old],
+                             self.m.v_ref[old]))
+                continue
+            vb = sol.v_pu[g.bus] * np.exp(1j * sol.angle_rad[g.bus])
+            p, q = sol.injections_kw[g.id]
+            s = complex(p, q) / S_BASE_KVA
+            i = np.conj(s / vb) if abs(vb) > 0 else 0.0
+            e = vb + 1j * xdp[-1] * i
+            states.append((float(np.angle(e)), 0.0, float(abs(e)),
+                           float(s.real)))
+            refs.append((float(s.real), float(abs(e)), float(abs(vb))))
 
+        avr = [c.avr for c in ctls]
+        gov = [c.governor for c in ctls]
+        pm_ref, e_ref, v_ref = np.array(refs, dtype=float).reshape(-1, 3).T.copy()
+        self.m = _Machines(
+            ids=ids, row={mid: r for r, mid in enumerate(ids)}, col=None,
+            jxdp=1j * np.array(xdp), two_h=np.array(two_h),
+            damping=np.array(damping), omega_s=np.array(omega),
+            avr_gain=np.array([a.gain if a else 0.0 for a in avr]),
+            avr_rate=np.array([1.0 / a.time_constant if a else 0.0 for a in avr]),
+            gov_droop=np.array([g.droop if g else 1.0 for g in gov]),
+            gov_rate=np.array([1.0 / g.time_constant if g else 0.0 for g in gov]),
+            pm_ref=pm_ref, e_ref=e_ref, v_ref=v_ref)
+        self.x = np.array(states, dtype=float).reshape(-1, 4)
         self.islands = islands
-        self.machines = keep
-        self.mach_params = params
-        self.order = sorted(keep)
+        self._factor()
         if initial:
             # trim references so the initial state is an exact equilibrium
-            sol0 = self._solve_networks(self._pack(), 0.0)
-            for mid in self.order:
-                m = self.mach_params[mid]
-                pe, _, vt = sol0.machine_out[mid]
-                self.machines[mid][3] = pe
-                m.pm_ref = pe
-                m.v_ref = vt
+            pe, _, vt = self._solve(self.x, 0.0)
+            self.x[:, 3] = pe
+            self.m.pm_ref = pe.copy()
+            self.m.v_ref = vt
+        else:
+            self._index_channels()
 
-    # -- state vector handling -------------------------------------------
+    def _island_y(self, isl: _Island) -> np.ndarray:
+        """Y with machine shunts and any active fault; a mid-cable fault
+        adds its splice node last."""
+        n = len(isl.nodes)
+        fault_node = splice = None
+        if self.fault is not None and self.fault[0] == "bus":
+            fault_node = isl.node_of.get(self.fault[1])
+        elif self.fault is not None:
+            _, br, frac = self.fault
+            if br.from_bus in isl.node_of and br.to_bus in isl.node_of:
+                i, k = isl.node_of[br.from_bus], isl.node_of[br.to_bus]
+                if frac <= 1e-6:
+                    fault_node = i
+                elif frac >= 1 - 1e-6:
+                    fault_node = k
+                else:
+                    splice = (i, k, br, frac)
+        y = np.zeros((n + (splice is not None),) * 2, dtype=complex)
+        y[:n, :n] = isl.ybase
+        if splice is not None:
+            i, k, br, frac = splice
+            vbase = self.grid0.bus(br.from_bus).nominal_voltage
+            zb = vbase ** 2 / (S_BASE_KVA * 1e3)
+            z = complex(br.resistance_ohm, br.reactance_ohm) / zb
+            yfull = 1.0 / z
+            # remove the intact branch, insert the two segments
+            y[i, i] -= yfull; y[k, k] -= yfull
+            y[i, k] += yfull; y[k, i] += yfull
+            x = n
+            y1, y2 = 1.0 / (z * frac), 1.0 / (z * (1.0 - frac))
+            y[i, i] += y1; y[x, x] += y1 + y2 + FAULT_G
+            y[i, x] -= y1; y[x, i] -= y1
+            y[k, k] += y2
+            y[k, x] -= y2; y[x, k] -= y2
+        elif fault_node is not None:
+            y[fault_node, fault_node] += FAULT_G
+        np.add.at(y, (isl.mach_node, isl.mach_node), 1.0 / self.m.jxdp[isl.mach])
+        return y
 
-    def _pack(self) -> np.ndarray:
-        if not self.order:
-            return np.zeros(0)
-        return np.concatenate([self.machines[mid] for mid in self.order])
+    def _factor(self) -> None:
+        """Invert each island's network for the current topology and fault.
 
-    def _unpack(self, x: np.ndarray) -> None:
-        for k, mid in enumerate(self.order):
-            self.machines[mid] = x[4 * k:4 * k + 4].copy()
+        Called at every rebuild, fault application and clearing; the
+        solves of the epoch in between reuse the inverse.
+        """
+        n_mach = len(self.m.ids)
+        for isl in self.islands:
+            n = len(isl.nodes)
+            try:
+                isl.z = z = np.linalg.inv(self._island_y(isl))
+            except np.linalg.LinAlgError as exc:
+                raise NetworkSolveError(str(exc)) from None
+            size = len(z)
+            c = np.zeros((size, n_mach), dtype=complex)
+            c[isl.mach_node, isl.mach] = 1.0 / self.m.jxdp[isl.mach]
+            isl.src = z @ c
+            n_cons = len(isl.cons_ids)
+            isl.inc = np.zeros((size, n_cons + len(isl.inv_ids)))
+            isl.inc[isl.cons_node, np.arange(n_cons)] = 1.0
+            isl.inc[isl.inv_node, n_cons + np.arange(len(isl.inv_ids))] = 1.0
+            isl.v = np.concatenate((isl.v[:n], np.ones(size - n)))
+
+    def _index_channels(self) -> None:
+        """Channel rows of the current machines, buses and demands; ones
+        that were not energised when the run started go to a spare row."""
+        bus_row = {b: j for j, b in enumerate(self.bus_ids)}
+        cons_row = {c: j for j, c in enumerate(self.cons_ids)}
+        for isl in self.islands:
+            isl.bus_rows = np.array([bus_row.get(b, len(self.bus_ids))
+                                     for b in isl.node_of], dtype=int)
+            isl.bus_node = np.array(list(isl.node_of.values()), dtype=int)
+            isl.cons_rows = np.array([cons_row.get(c, len(self.cons_ids))
+                                      for c in isl.cons_ids], dtype=int)
+        col = {mid: j for j, mid in enumerate(self.mach_ids)}
+        self.m.col = np.array([col[mid] for mid in self.m.ids], dtype=int)
 
     # -- network solve -----------------------------------------------------
 
@@ -428,225 +533,121 @@ class _Engine:
             return s_from
         return s_from + (s_to - s_from) * (t - t0) / ramp
 
-    def _island_y(self, isl: _Island, iidx: int):
-        """Y with machine shunts and any active fault; extra fault node last."""
-        n = len(isl.nodes)
-        extra = 0
-        fault_node = None
-        y = None
-        if self.fault is not None:
-            kind = self.fault[0]
-            if kind == "bus":
-                bus = self.fault[1]
-                if bus in isl.node_of:
-                    fault_node = isl.node_of[bus]
-            else:
-                _, branch, frac = self.fault
-                br = next(b for b in self.grid0.branches if b.id == branch)
-                if br.from_bus in isl.node_of and br.to_bus in isl.node_of:
-                    if frac <= 1e-6:
-                        fault_node = isl.node_of[br.from_bus]
-                    elif frac >= 1 - 1e-6:
-                        fault_node = isl.node_of[br.to_bus]
-                    else:
-                        extra = 1
-        y = np.zeros((n + extra, n + extra), dtype=complex)
-        y[:n, :n] = isl.ybase
-        if extra:
-            _, branch, frac = self.fault
-            br = next(b for b in self.grid0.branches if b.id == branch)
-            i, k = isl.node_of[br.from_bus], isl.node_of[br.to_bus]
-            vbase = self.grid0.bus(br.from_bus).nominal_voltage
-            zb = vbase ** 2 / (S_BASE_KVA * 1e3)
-            z = complex(br.resistance_ohm, br.reactance_ohm) / zb
-            yfull = 1.0 / z
-            # remove the intact branch, insert the two segments
-            y[i, i] -= yfull; y[k, k] -= yfull
-            y[i, k] += yfull; y[k, i] += yfull
-            x = n
-            y1, y2 = 1.0 / (z * frac), 1.0 / (z * (1.0 - frac))
-            y[i, i] += y1; y[x, x] += y1 + y2 + FAULT_G
-            y[i, x] -= y1; y[x, i] -= y1
-            y[k, k] += y2
-            y[k, x] -= y2; y[x, k] -= y2
-            fault_node = None
-        elif fault_node is not None:
-            y[fault_node, fault_node] += FAULT_G
-        for mid in self.order:
-            m = self.mach_params[mid]
-            if m.island == iidx:
-                y[m.node, m.node] += 1.0 / (1j * m.xdp)
-        return y, extra
+    def _solve(self, x: np.ndarray, t: float):
+        """Quasi-static solve of every island at machine states `x`.
 
-    def _solve_networks(self, x: np.ndarray, t: float):
-        """Quasi-static solve of every island at machine states `x`."""
-        self._unpack(x)
-        out = _NetOut()
-        for iidx, isl in enumerate(self.islands):
-            y, extra = self._island_y(isl, iidx)
-            n = len(isl.nodes)
-            i_src = np.zeros(n + extra, dtype=complex)
-            for mid in self.order:
-                m = self.mach_params[mid]
-                if m.island != iidx:
-                    continue
-                delta, _, e_mag, _ = self.machines[mid]
-                i_src[m.node] += e_mag * np.exp(1j * delta) / (1j * m.xdp)
-            s_pq = np.zeros(n + extra, dtype=complex)
-            for lid, node, p0, q0 in isl.loads:
-                s_pq[node] -= complex(p0, q0) * self._load_factor(lid, t)
-            for cid, node, p0, q0 in isl.draws:
-                s_pq[node] -= complex(p0, q0)
-            for cid, (pkw, qkvar) in self.inv_setpoints.items():
-                if cid in isl.inv_nodes:
-                    s_pq[isl.inv_nodes[cid]] += complex(pkw, qkvar) / S_BASE_KVA
-
-            v = np.ones(n + extra, dtype=complex)
-            v[:n] = isl.v
-            for it in range(400):
-                vm = np.abs(v)
-                factor = np.minimum(1.0, (vm / V_FLOOR) ** 2)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    i_pq = np.where(vm > 1e-12,
-                                    np.conj(s_pq * factor / v), 0.0)
-                try:
-                    v_new = np.linalg.solve(y, i_src + i_pq)
-                except np.linalg.LinAlgError as exc:
-                    raise NetworkSolveError(str(exc)) from None
-                if not np.all(np.isfinite(v_new)):
+        Loads and converter draws are constant power above V_FLOOR and
+        constant impedance below it, so their current at node voltage v is
+        conj(s) v / max(|v|^2, V_FLOOR^2); with w = Z i_src and
+        M = Z diag(conj(s)) the node voltages are the fixed point of
+        v = w + M (v / max(|v|^2, V_FLOOR^2)), iterated from the island's
+        last voltages.  Returns the machines' electrical power, reactive
+        power and terminal voltage.
+        """
+        e = x[:, 2] * np.exp(1j * x[:, 0])
+        vb = np.empty(len(x), dtype=complex)
+        for isl in self.islands:
+            lf = np.ones(len(isl.cons_ids))
+            for j, lid in enumerate(isl.load_ids):
+                lf[j] = self._load_factor(lid, t)
+            isl.lf = lf
+            inj = -isl.cons_s * lf
+            if isl.inv_ids:
+                inj = np.concatenate((inj, [
+                    complex(*self.inv_setpoints[c]) / S_BASE_KVA
+                    for c in isl.inv_ids]))
+            m = isl.z * np.conj(isl.inc @ inj)
+            w = isl.src @ e
+            v = isl.v
+            v[len(isl.nodes):] = 1.0    # the splice node starts afresh
+            for _ in range(400):
+                v_new = w + m @ (v / np.maximum(np.abs(v) ** 2, V_FLOOR ** 2))
+                err = float(np.abs(v_new - v).max())
+                if not math.isfinite(err):
                     raise NetworkSolveError("network solve produced non-finite V")
-                err = float(np.max(np.abs(v_new - v))) if v.size else 0.0
                 v = v_new
                 if err <= 1e-10:
                     break
             else:
                 raise NetworkSolveError(
                     f"network fixed point not converged at t={t:.4f} s")
-            isl.v = v[:n].copy()
-
-            p_load_tot = 0.0
-            for lid, node, p0, q0 in isl.loads:
-                vm = abs(v[node])
-                factor = min(1.0, (vm / V_FLOOR) ** 2)
-                s = complex(p0, q0) * self._load_factor(lid, t) * factor
-                out.load_p[lid] = s.real * S_BASE_KVA
-                p_load_tot += s.real
-            for cid, node, p0, q0 in isl.draws:
-                vm = abs(v[node])
-                factor = min(1.0, (vm / V_FLOOR) ** 2)
-                out.load_p[cid] = p0 * factor * S_BASE_KVA
-                p_load_tot += p0 * factor
-            p_inv_tot = 0.0
-            for cid, (pkw, qkvar) in self.inv_setpoints.items():
-                if cid in isl.inv_nodes:
-                    p_inv_tot += pkw / S_BASE_KVA
-            p_gen_tot = 0.0
-            for mid in self.order:
-                m = self.mach_params[mid]
-                if m.island != iidx:
-                    continue
-                delta, _, e_mag, _ = self.machines[mid]
-                e = e_mag * np.exp(1j * delta)
-                vb = v[m.node]
-                i = (e - vb) / (1j * m.xdp)
-                # terminal power; P equals the internal electrical power
-                # because the transient reactance is lossless
-                s = vb * np.conj(i)
-                out.machine_out[mid] = (float(s.real), float(s.imag), float(abs(vb)))
-                p_gen_tot += float(s.real)
-            for group_idx, group in enumerate(isl.nodes):
-                for bus in group:
-                    out.bus_v[bus] = float(abs(v[group_idx]))
-            out.loss_kw += (p_gen_tot + p_inv_tot - p_load_tot) * S_BASE_KVA
-        return out
+            isl.v = v
+            vb[isl.mach] = v[isl.mach_node]
+        # terminal power; P equals the internal electrical power because
+        # the transient reactance is lossless
+        s = vb * np.conj((e - vb) / self.m.jxdp)
+        return s.real, s.imag, np.abs(vb)
 
     # -- derivatives -------------------------------------------------------
 
-    def _derivatives(self, x: np.ndarray, t: float, netsol=None) -> np.ndarray:
-        if netsol is None:
-            # the solve-interval knob trades accuracy for speed by holding
-            # the network solution over a few derivative evaluations
-            n = self.cfg.network_interval
-            if (n <= 1 or self._cached_netsol is None
-                    or self._eval_count % n == 0):
-                self._cached_netsol = self._solve_networks(x, t)
-            self._eval_count += 1
-            netsol = self._cached_netsol
-        dx = np.zeros_like(x)
-        for k, mid in enumerate(self.order):
-            m = self.mach_params[mid]
-            delta, dw, e_mag, pm = x[4 * k:4 * k + 4]
-            pe, _, vt = netsol.machine_out[mid]
-            dx[4 * k] = m.omega_s * dw
-            dx[4 * k + 1] = (pm - pe - m.damping * dw) / m.two_h
-            if m.avr is not None:
-                target = m.e_ref + m.avr.gain * (m.v_ref - vt)
-                dx[4 * k + 2] = (target - e_mag) / m.avr.time_constant
-            if m.governor is not None:
-                target = m.pm_ref - dw / m.governor.droop
-                dx[4 * k + 3] = (target - pm) / m.governor.time_constant
+    def _derivatives(self, x: np.ndarray, t: float) -> np.ndarray:
+        pe, _, vt = self._solve(x, t)
+        m = self.m
+        dw = x[:, 1]
+        dx = np.empty_like(x)
+        dx[:, 0] = m.omega_s * dw
+        dx[:, 1] = (x[:, 3] - pe - m.damping * dw) / m.two_h
+        dx[:, 2] = (m.e_ref + m.avr_gain * (m.v_ref - vt) - x[:, 2]) * m.avr_rate
+        dx[:, 3] = (m.pm_ref - dw / m.gov_droop - x[:, 3]) * m.gov_rate
         return dx
 
     def _step(self, x: np.ndarray, t: float, dt: float) -> np.ndarray:
         f = self._derivatives
+        k1 = f(x, t)
         if self.cfg.integrator == "trapezoidal":
-            k1 = f(x, t)
             k2 = f(x + dt * k1, t + dt)
             out = x + dt / 2.0 * (k1 + k2)
         else:
-            k1 = f(x, t)
             k2 = f(x + dt / 2.0 * k1, t + dt / 2.0)
             k3 = f(x + dt / 2.0 * k2, t + dt / 2.0)
             k4 = f(x + dt * k3, t + dt)
             out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.all(np.isfinite(out)):
+        if not np.isfinite(out).all():
             raise SimulationError(f"integration diverged at t={t:.4f} s")
-        for k in range(len(self.order)):
-            if abs(out[4 * k + 1]) > 2.0:
-                raise SimulationError(
-                    f"integration diverged: speed deviation beyond sanity "
-                    f"bound at t={t:.4f} s")
+        if (np.abs(out[:, 1]) > 2.0).any():
+            raise SimulationError(
+                f"integration diverged: speed deviation beyond sanity "
+                f"bound at t={t:.4f} s")
         return out
 
     # -- events ------------------------------------------------------------
 
     def _apply_event(self, ev: Event, t: float) -> None:
-        self._cached_netsol = None
         if ev.action == "load_step":
             current = self._load_factor(ev.target, t)
             self.ramps[ev.target] = (t, current, float(ev.scale), ev.ramp)
         elif ev.action in ("breaker_open", "breaker_close"):
-            closed = ev.action == "breaker_close"
-            self.breaker_states[ev.target] = closed
-            lost = self._lost_generators()
-            self._build()
+            self.breaker_states[ev.target] = ev.action == "breaker_close"
+            grid = self._current_grid()
+            lost = [mid for mid in self.m.ids if not grid.element_online(mid)]
+            self._build(grid)
             for gen_id in lost:
                 for ctl in self.controllers:
                     if ctl.cfg.mode == "dp_failover" and gen_id in ctl.cfg.watched:
                         self.inv_setpoints[ctl.cfg.inverter] = dp_failover_setpoint(
                             ctl, ctl.cfg, GeneratorLossEvent(gen_id, t))
                         ctl.setpoint = self.inv_setpoints[ctl.cfg.inverter]
-        elif ev.action == "fault_apply":
-            if ev.target in {br.id for br in self.grid0.branches}:
-                self.fault = ("branch", ev.target, ev.location or 0.0)
+        else:
+            if ev.action == "fault_clear":
+                self.fault = None
+            elif ev.target in self.branches:
+                self.fault = ("branch", self.branches[ev.target],
+                              ev.location or 0.0)
             else:
                 self.fault = ("bus", ev.target)
-        elif ev.action == "fault_clear":
-            self.fault = None
-
-    def _lost_generators(self) -> list[str]:
-        grid = self._current_grid()
-        return [mid for mid in self.order if not grid.element_online(mid)]
+            self._factor()
 
     # -- controllers ---------------------------------------------------------
 
-    def _update_controllers(self, t: float, netsol) -> None:
+    def _update_controllers(self, t: float, out) -> None:
+        pe, qe, _ = out
+        row = self.m.row
         for ctl in self.controllers:
             cfg = ctl.cfg
-            p_by = {g: netsol.machine_out[g][0] * S_BASE_KVA
-                    for g in cfg.watched if g in netsol.machine_out}
-            q_by = {g: netsol.machine_out[g][1] * S_BASE_KVA
-                    for g in cfg.watched if g in netsol.machine_out}
+            p_by = {g: float(pe[row[g]]) * S_BASE_KVA
+                    for g in cfg.watched if g in row}
+            q_by = {g: float(qe[row[g]]) * S_BASE_KVA
+                    for g in cfg.watched if g in row}
             ctl.record(t, p_by, q_by)
             if cfg.mode == "peak_shave":
                 inv_p, inv_q = ctl.setpoint
@@ -659,93 +660,86 @@ class _Engine:
 
     # -- main loop -------------------------------------------------------------
 
-    def run(self) -> TimeSeries:
+    def run(self, stop_spread_after: float | None = None) -> TimeSeries:
+        """Integrate to `cfg.end`, recording every step.
+
+        With `stop_spread_after`, stop at the first recording step at or
+        after that time where the rotor-angle spread reaches pi; the
+        series then ends there.
+        """
         cfg = self.cfg
         n_steps = int(round(cfg.end / cfg.step))
         t_rec = np.arange(n_steps + 1) * cfg.step
+        # machine quantities, inverter setpoints, then one spare row each
+        # for buses and demands energised only after the start
+        mach = np.zeros((5, len(self.mach_ids), n_steps + 1))
+        inv = np.zeros((2, len(self.inv_ids), n_steps + 1))
+        bus = np.zeros((len(self.bus_ids) + 1, n_steps + 1))
+        cons = np.zeros((len(self.cons_ids) + 1, n_steps + 1))
+        loss = np.zeros(n_steps + 1)
 
-        channels: dict[str, list[float]] = {}
-        mach_ids = list(self.order)
-        bus_ids = sorted({b for isl in self.islands for grp in isl.nodes
-                          for b in grp})
-        load_ids = sorted({lid for isl in self.islands
-                           for lid, *_ in isl.loads + isl.draws})
-        inv_ids = sorted(self.inv_setpoints)
-        for mid in mach_ids:
-            for q in ("p_kw", "q_kvar", "pm_kw", "delta_rad", "freq_hz"):
-                channels[f"{mid}.{q}"] = []
-        for cid in inv_ids:
-            channels[f"{cid}.p_kw"] = []
-            channels[f"{cid}.q_kvar"] = []
-        for b in bus_ids:
-            channels[f"{b}.v_pu"] = []
-        for lid in load_ids:
-            channels[f"{lid}.p_kw"] = []
-        channels["sys.p_loss_kw"] = []
+        def observe(k: int, t: float):
+            """Controllers, then the recording solve of step k."""
+            self._update_controllers(t, self._solve(self.x, t))
+            pe, qe, _ = self._solve(self.x, t)
+            x, m = self.x, self.m
+            mach[:, m.col, k] = (pe * S_BASE_KVA, qe * S_BASE_KVA,
+                                 x[:, 3] * S_BASE_KVA, x[:, 0],
+                                 m.omega_s / (2 * math.pi) * (1 + x[:, 1]))
+            for j, cid in enumerate(self.inv_ids):
+                inv[:, j, k] = self.inv_setpoints[cid]
+            p_loss = 0.0
+            for isl in self.islands:
+                vm = np.abs(isl.v[:len(isl.nodes)])
+                bus[isl.bus_rows, k] = vm[isl.bus_node]
+                factor = np.minimum(1.0, (vm[isl.cons_node] / V_FLOOR) ** 2)
+                p = isl.cons_s.real * isl.lf * factor
+                cons[isl.cons_rows, k] = p * S_BASE_KVA
+                p_inv = sum(self.inv_setpoints[c][0] / S_BASE_KVA
+                            for c in isl.inv_ids)
+                p_loss += (pe[isl.mach].sum() + p_inv - p.sum()) * S_BASE_KVA
+            loss[k] = p_loss
 
-        def record(netsol):
-            for mid in mach_ids:
-                if mid in netsol.machine_out:
-                    pe, qe, _ = netsol.machine_out[mid]
-                    delta, dw, e_mag, pm = self.machines[mid]
-                    m = self.mach_params[mid]
-                    f0 = m.omega_s / (2 * math.pi)
-                    vals = (pe * S_BASE_KVA, qe * S_BASE_KVA, pm * S_BASE_KVA,
-                            delta, f0 * (1 + dw))
-                else:
-                    vals = (0.0, 0.0, 0.0, 0.0, 0.0)
-                for q, v in zip(("p_kw", "q_kvar", "pm_kw", "delta_rad",
-                                 "freq_hz"), vals):
-                    channels[f"{mid}.{q}"].append(v)
-            for cid in inv_ids:
-                p, q = self.inv_setpoints.get(cid, (0.0, 0.0))
-                channels[f"{cid}.p_kw"].append(p)
-                channels[f"{cid}.q_kvar"].append(q)
-            for b in bus_ids:
-                channels[f"{b}.v_pu"].append(netsol.bus_v.get(b, 0.0))
-            for lid in load_ids:
-                channels[f"{lid}.p_kw"].append(netsol.load_p.get(lid, 0.0))
-            channels["sys.p_loss_kw"].append(netsol.loss_kw)
-
-        pending = list(self.events)
+        pending = deque(self.events)
         t = 0.0
-        x = self._pack()
-        netsol = self._solve_networks(x, t)
-        self._update_controllers(t, netsol)
-        netsol = self._solve_networks(x, t)
-        record(netsol)
-
+        observe(0, t)
+        last = n_steps
         for k in range(1, n_steps + 1):
             t_target = float(t_rec[k])
             while t < t_target - 1e-12:
                 t_next = t_target
                 while pending and pending[0].time <= t + 1e-12:
-                    self._apply_event(pending.pop(0), t)
-                    x = self._pack()
+                    self._apply_event(pending.popleft(), t)
                 if pending and pending[0].time < t_target - 1e-12:
                     t_next = pending[0].time
-                x = self._step(x, t, t_next - t)
-                self._unpack(x)
+                # k1 iterates from the recording solve's voltages
+                self.x = self._step(self.x, t, t_next - t)
                 t = t_next
             while pending and pending[0].time <= t + 1e-12:
-                self._apply_event(pending.pop(0), t)
-                x = self._pack()
-            netsol = self._solve_networks(x, t)
-            self._update_controllers(t, netsol)
-            netsol = self._solve_networks(x, t)
-            record(netsol)
+                self._apply_event(pending.popleft(), t)
+            observe(k, t)
+            if (stop_spread_after is not None and len(self.mach_ids) > 1
+                    and t_rec[k] >= stop_spread_after - 1e-9):
+                delta = mach[3, :, k]
+                if delta.max() - delta.min() >= math.pi:
+                    last = k
+                    break
 
-        return TimeSeries(
-            t=t_rec,
-            channels={k: np.asarray(v) for k, v in channels.items()})
-
-
-class _NetOut:
-    def __init__(self):
-        self.machine_out: dict[str, tuple[float, float, float]] = {}
-        self.bus_v: dict[str, float] = {}
-        self.load_p: dict[str, float] = {}
-        self.loss_kw: float = 0.0
+        n = last + 1
+        channels: dict[str, np.ndarray] = {}
+        for j, mid in enumerate(self.mach_ids):
+            for q, name in enumerate(("p_kw", "q_kvar", "pm_kw", "delta_rad",
+                                      "freq_hz")):
+                channels[f"{mid}.{name}"] = mach[q, j, :n]
+        for j, cid in enumerate(self.inv_ids):
+            channels[f"{cid}.p_kw"] = inv[0, j, :n]
+            channels[f"{cid}.q_kvar"] = inv[1, j, :n]
+        for j, b in enumerate(self.bus_ids):
+            channels[f"{b}.v_pu"] = bus[j, :n]
+        for j, lid in enumerate(self.cons_ids):
+            channels[f"{lid}.p_kw"] = cons[j, :n]
+        channels["sys.p_loss_kw"] = loss[:n]
+        return TimeSeries(t=t_rec[:n], channels=channels)
 
 
 def simulate(grid: GridModel, schedule: EventSchedule,
@@ -754,6 +748,7 @@ def simulate(grid: GridModel, schedule: EventSchedule,
              load_scale: dict[str, float] | None = None,
              slack: str | None = None,
              machine_controls: dict[str, MachineControls] | None = None,
+             *, _stop_spread_after: float | None = None,  # for find_cct
              ) -> TimeSeries:
     """Integrate the grid's AC islands through the scripted events.
 
@@ -764,7 +759,7 @@ def simulate(grid: GridModel, schedule: EventSchedule,
     """
     engine = _Engine(grid, schedule, controllers, cfg, dispatch, load_scale,
                      slack, machine_controls)
-    return engine.run()
+    return engine.run(_stop_spread_after)
 
 
 # ---------------------------------------------------------------------------
@@ -836,8 +831,11 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
         ))
         end = fault_start + t_clear + window
         probe_cfg = replace(base_cfg, end=end)
+        # an unstable probe ends once the spread reaches pi: its verdict
+        # cannot change after that
         ts = simulate(grid, events, (), probe_cfg, dispatch=dispatch,
-                      slack=slack, machine_controls=machine_controls)
+                      slack=slack, machine_controls=machine_controls,
+                      _stop_spread_after=fault_start + t_clear)
         return _max_angle_spread(ts, fault_start + t_clear) < math.pi
 
     transcript = []
