@@ -61,6 +61,10 @@ EXIT_STRICT = 4
 _NUMERIC_ERRORS = (ConvergenceError, IslandError, CapacityError,
                    SimulationError, BracketError)
 _INPUT_ERRORS = (GridParseError, GridError, OSError, KeyError, ValueError)
+_STUDY_KEYS = {   # declared keys of the study sections checked when read
+    "sim": {"step_s", "end_s", "integrator"},
+    "cct": {"machine", "loading", "location", "branch", "t_lo_s", "t_hi_s",
+            "tol_s", "step_s", "window_s", "governor", "avr"}}
 
 
 class _Study:
@@ -69,14 +73,15 @@ class _Study:
     def __init__(self, text: str = ""):
         self.sections: dict[str, dict[str, dict]] = {}
         if text:
-            for kind, sid, _, keys in read_sections(text):
+            for kind, sid, lineno, keys in read_sections(text):
+                unknown = sorted(set(keys) - _STUDY_KEYS.get(kind, set(keys)))
+                if unknown:
+                    raise GridParseError(f"[{kind}] unknown key(s): "
+                                         f"{', '.join(unknown)}", lineno)
                 self.sections.setdefault(kind, {})[sid] = keys
 
     def one(self, kind: str) -> dict:
-        entries = self.sections.get(kind, {})
-        if not entries:
-            return {}
-        return next(iter(entries.values()))
+        return next(iter(self.many(kind).values()), {})
 
     def many(self, kind: str) -> dict[str, dict]:
         return self.sections.get(kind, {})
@@ -96,11 +101,18 @@ def _load_study(path: str | None) -> _Study:
         return _Study(fh.read())
 
 
+def _flag(section: str, key: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"[{section}] {key} = {value!r}: not true or false")
+    return value
+
+
 def _apply_breaker_states(grid: GridModel, study: _Study) -> GridModel:
     states = study.one("breakers")
     if not states:
         return grid
-    return grid.with_breaker_states({k: bool(v) for k, v in states.items()})
+    return grid.with_breaker_states(
+        {k: _flag("breakers", k, v) for k, v in states.items()})
 
 
 def _emit(args, name: str, header, rows) -> None:
@@ -160,10 +172,11 @@ def _run_sc_ac(args, grid: GridModel, study: _Study) -> int:
     summ = fault_summary(grid, bus, sol)
     _emit(args, "summary.csv", *report.ac_summary_rows(summ))
     if args.format == "csv":
+        t_cells = report.format_column(next(iter(summ.traces.values())).t)
         for cid in sorted(summ.traces):
             report.write_artifact(
                 args.out, f"trace_{report.safe_name(cid)}.csv",
-                report.ac_trace_csv(summ.traces[cid]))
+                report.ac_trace_csv(summ.traces[cid], t_cells))
     print(f"fault at {bus}: Iac(T/2) = {summ.iac_half_cycle/1e3:.3f} kA, "
           f"idc(T/2) = {summ.idc_half_cycle/1e3:.3f} kA, "
           f"ip = {summ.ip/1e3:.3f} kA")
@@ -175,12 +188,13 @@ def _run_sc_dc(args, grid: GridModel, study: _Study) -> int:
     summ = dc_fault_summary(grid, bus)
     _emit(args, "summary.csv", *report.dc_summary_rows(summ))
     if args.format == "csv":
+        t_cells = report.format_column(summ.total.t)   # shared by every trace
         for cid in sorted(summ.traces):
             report.write_artifact(
                 args.out, f"trace_{report.safe_name(cid)}.csv",
-                report.dc_trace_csv(summ.traces[cid]))
-        report.write_artifact(args.out, "total.csv",
-                              report.dc_trace_csv(summ.total, total=True))
+                report.dc_trace_csv(summ.traces[cid], t_cells=t_cells))
+        report.write_artifact(args.out, "total.csv", report.dc_trace_csv(
+            summ.total, total=True, t_cells=t_cells))
     print(f"fault at {bus}: sustained {summ.sustained/1e3:.3f} kA, "
           f"peak {summ.peak/1e3:.3f} kA")
     return EXIT_OK
@@ -292,9 +306,9 @@ def _run_protect(args, grid: GridModel, study: _Study) -> int:
     summ = fault_summary(grid, fault_bus, sol)
     failed = {s.strip() for s in str(keys.get("failed_breakers", "")).split(",")
               if s.strip()}
-    events = sequence_of_operations(
-        grid, fault, summ, zsi_enabled=bool(keys.get("zsi", True)),
-        failed_breakers=failed)
+    zsi = _flag("protect", "zsi", keys.get("zsi", True))
+    events = sequence_of_operations(grid, fault, summ, zsi_enabled=zsi,
+                                    failed_breakers=failed)
     _emit(args, "trips.csv", *report.trip_rows(events))
     rep = selectivity_check(events, float(keys.get("cct_budget_s", 0.542)))
     report.write_artifact(args.out, "selectivity.txt",

@@ -19,28 +19,46 @@ from .sc_dc import DcFaultSummary, DcScTrace
 from .tdsim import CctResult, TimeSeries
 
 
+_BLOCK_CELLS = 1024   # cells per block: larger blocks measured higher peak RSS
+
+
 def fmt(value) -> str:
-    if isinstance(value, bool):
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     return str(value)
 
 
-def render_csv(header: list[str], rows: list[tuple]) -> str:
+def format_column(values) -> list[str]:
+    """Each cell as `fmt` writes it; a float array skips its per-cell checks."""
+    if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        return list(map(repr, values.tolist()))
+    return list(map(fmt, values))
+
+
+def _csv(header: list[str], columns: list) -> str:
+    """CSV of columns given as arrays, formatted about `_BLOCK_CELLS` cells
+    at a time, or as cells already formatted by `format_column`."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
+    step = max(1, _BLOCK_CELLS // max(1, len(columns)))
+    for i in range(0, max(map(len, columns), default=0), step):
+        block = [format_column(c[i:i + step]) if isinstance(c, np.ndarray)
+                 else c[i:i + step] for c in columns]
+        lines.append("\n".join(map(",".join, zip(*block, strict=True))))
     return "\n".join(lines) + "\n"
 
 
+def render_csv(header: list[str], rows: list[tuple]) -> str:
+    return _csv(header, [format_column(c) for c in zip(*rows)])
+
+
 def render_table(header: list[str], rows: list[tuple]) -> str:
-    cells = [header] + [[fmt(v) for v in row] for row in rows]
-    widths = [max(len(r[c]) for r in cells) for c in range(len(header))]
-    out = []
-    for r in cells:
-        out.append("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip())
-    return "\n".join(out) + "\n"
+    columns = [format_column(c) for c in zip(header, *rows)]
+    widths = [max(map(len, c)) for c in columns]
+    lines = ("  ".join(x.ljust(w) for x, w in zip(r, widths)).rstrip()
+             for r in zip(*columns))
+    return "\n".join(lines) + "\n"
 
 
 def write_artifact(out_dir: str, name: str, content: str) -> str:
@@ -48,7 +66,6 @@ def write_artifact(out_dir: str, name: str, content: str) -> str:
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, name)
     tmp = os.path.join(out_dir, f".{name}.tmp")
-    os.makedirs(os.path.dirname(tmp), exist_ok=True)
     with open(tmp, "w", newline="\n") as fh:
         fh.write(content)
     os.replace(tmp, path)
@@ -93,10 +110,11 @@ def ac_summary_rows(summary: FaultSummary) -> tuple[list[str], list[tuple]]:
     return header, rows
 
 
-def ac_trace_csv(trace) -> str:
-    header = ["t_s", "iac_a", "idc_a", "envelope_a"]
-    rows = list(zip(trace.t, trace.iac, trace.idc, trace.envelope))
-    return render_csv(header, rows)
+def ac_trace_csv(trace, t_cells: list[str] | None = None) -> str:
+    """`t_cells`: `format_column(trace.t)` when traces share one time grid."""
+    return _csv(["t_s", "iac_a", "idc_a", "envelope_a"],
+                [trace.t if t_cells is None else t_cells,
+                 trace.iac, trace.idc, trace.envelope])
 
 
 def dc_summary_rows(summary: DcFaultSummary) -> tuple[list[str], list[tuple]]:
@@ -111,17 +129,15 @@ def dc_summary_rows(summary: DcFaultSummary) -> tuple[list[str], list[tuple]]:
     return header, rows
 
 
-def dc_trace_csv(trace: DcScTrace, total: bool = False) -> str:
-    header = ["t_s", "i_total_a" if total else "i_a"]
-    return render_csv(header, list(zip(trace.t, trace.i)))
+def dc_trace_csv(trace: DcScTrace, total: bool = False,
+                 t_cells: list[str] | None = None) -> str:
+    return _csv(["t_s", "i_total_a" if total else "i_a"],
+                [trace.t if t_cells is None else t_cells, trace.i])
 
 
 def timeseries_csv(ts: TimeSeries) -> str:
     names = sorted(ts.channels)
-    header = ["t_s"] + names
-    cols = [ts.t] + [ts.channels[n] for n in names]
-    rows = list(zip(*cols))
-    return render_csv(header, rows)
+    return _csv(["t_s"] + names, [ts.t] + [ts.channels[n] for n in names])
 
 
 def trip_rows(events: list[TripEvent]) -> tuple[list[str], list[tuple]]:

@@ -12,7 +12,7 @@ breakers, with the peak composed at the first half cycle:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -68,16 +68,10 @@ class AcScTrace:
     tdc_source: str = "datasheet"
 
     def scaled(self, k: float) -> "AcScTrace":
-        return AcScTrace(
-            t=self.t, iac=self.iac * k, idc=self.idc * k,
-            envelope=self.envelope * k,
-            i_kd_st=self.i_kd_st * k, i_kd_t=self.i_kd_t * k,
-            i_kd=self.i_kd * k,
-            iac_half=self.iac_half * k, idc_half=self.idc_half * k,
-            frequency=self.frequency,
-            e_q0_st=self.e_q0_st, e_q0_t=self.e_q0_t,
-            ikd_source=self.ikd_source, tdc_source=self.tdc_source,
-        )
+        return replace(
+            self, iac=self.iac * k, idc=self.idc * k, envelope=self.envelope * k,
+            i_kd_st=self.i_kd_st * k, i_kd_t=self.i_kd_t * k, i_kd=self.i_kd * k,
+            iac_half=self.iac_half * k, idc_half=self.idc_half * k)
 
 
 @dataclass

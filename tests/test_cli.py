@@ -212,3 +212,35 @@ def test_repeated_runs_are_byte_identical(tmp_path):
             assert main(argv + ["--out", str(out)]) == 0
             hashes.append(_dir_hash(out))
         assert hashes[0] == hashes[1], argv[0]
+
+
+@pytest.mark.parametrize("kind, study_text, key", [
+    ("powerflow", "[breakers]\nCB_TIE_PS_MID = open\n", "CB_TIE_PS_MID"),
+    ("powerflow", "[breakers]\nCB_TIE_PS_MID = 0\n", "CB_TIE_PS_MID"),
+    ("protect", PROTECT_STUDY.format(zsi="off"), "zsi"),
+])
+def test_study_booleans_are_strict(tmp_path, capsys, kind, study_text, key):
+    study = tmp_path / "s.study"
+    study.write_text(study_text)
+    rc = main([kind, "--grid", "builtin:ac_vessel", "--study", str(study),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, study_text, key", [
+    ("tdsim", "[sim]\nstep_s = 0.02\nend_s = 0.1\nnetwork_interval = 4\n",
+     "network_interval"),
+    ("tdsim", "[sim]\nstep = 0.02\nend_s = 0.1\n", "step"),
+    ("cct", "[cct]\nmachine = DG#01\ntol = 0.01\n", "tol"),
+])
+def test_unknown_sim_and_cct_keys_are_input_errors(tmp_path, capsys, kind,
+                                                   study_text, key):
+    study = tmp_path / "s.study"
+    study.write_text(study_text)
+    rc = main([kind, "--grid", "builtin:ac_vessel", "--study", str(study),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"unknown key(s): {key}" in err
+    assert not (tmp_path / "o").exists()
