@@ -13,6 +13,7 @@ corresponding engine and writes the artifacts.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -61,10 +62,20 @@ EXIT_STRICT = 4
 _NUMERIC_ERRORS = (ConvergenceError, IslandError, CapacityError,
                    SimulationError, BracketError)
 _INPUT_ERRORS = (GridParseError, GridError, OSError, KeyError, ValueError)
-_STUDY_KEYS = {   # declared keys of the study sections checked when read
+# declared keys of the study sections checked when read; the id-keyed maps
+# (breakers, dispatch, load_scale) take any id
+_STUDY_KEYS = {
     "sim": {"step_s", "end_s", "integrator"},
     "cct": {"machine", "loading", "location", "branch", "t_lo_s", "t_hi_s",
-            "tol_s", "step_s", "window_s", "governor", "avr"}}
+            "tol_s", "step_s", "window_s", "governor", "avr"},
+    "protect": {"fault_element", "fault_bus", "failed_breakers", "zsi",
+                "cct_budget_s"},
+    "powerflow": {"slack", "tol", "max_iter"},
+    "study": {"bus"},
+    "event": {"time_s", "action", "target", "scale", "ramp_s", "location"},
+    "controller": {"mode", "inverter", "watched", "p_threshold_kw",
+                   "q_threshold_kvar", "p_rating_kw", "q_rating_kvar",
+                   "dp_delay_s"}}
 
 
 class _Study:
@@ -328,10 +339,11 @@ def _read_trace_csv(path: str) -> DcScTrace:
         if header[0] != "t_s" or len(header) < 2:
             raise ValueError(f"{path}: expected a trace CSV with a t_s column")
         t, i = [], []
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             parts = line.strip().split(",")
             if len(parts) < 2:
-                continue
+                raise ValueError(f"{path}: line {lineno}: expected a time and "
+                                 f"a current, got {line.strip()!r}")
             t.append(float(parts[0]))
             i.append(float(parts[1]))
     t_arr, i_arr = np.asarray(t), np.asarray(i)
@@ -371,6 +383,7 @@ _RUNNERS = {
 }
 
 
+@functools.cache   # built on the first main() call, then reused unchanged
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vessel-study",

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 AC = "ac"
 DC = "dc"
@@ -177,6 +178,13 @@ class FuseSpec:
     rated_current: float | None = None
 
 
+def _first_by_id(items) -> dict:
+    index = {}
+    for item in items:
+        index.setdefault(item.id, item)
+    return index
+
+
 @dataclass(frozen=True)
 class GridModel:
     name: str
@@ -190,12 +198,39 @@ class GridModel:
     fuses: tuple[FuseSpec, ...] = ()
 
     # ---- lookups -------------------------------------------------------
+    # The indexes are built on first use and cached in the instance
+    # __dict__; the model is frozen, so they never go stale.
+
+    @cached_property
+    def _index(self) -> dict[str, dict]:
+        """Per lookup kind, id -> the first item declared with that id."""
+        return {"bus": _first_by_id(self.buses),
+                "element": _first_by_id(self.elements()),
+                "generator": _first_by_id(self.generators),
+                "breaker": _first_by_id(self.breakers),
+                "load": _first_by_id(self.loads),
+                "converter": _first_by_id(self.converters)}
+
+    @cached_property
+    def _element_breakers(self) -> dict[str, BreakerSpec]:
+        # an endpoint maps to the first breaker whose other end is a bus
+        bus_ids = self.bus_ids()
+        index: dict[str, BreakerSpec] = {}
+        for b in self.breakers:
+            if b.to_element in bus_ids:
+                index.setdefault(b.from_element, b)
+            if b.from_element in bus_ids and b.to_element != b.from_element:
+                index.setdefault(b.to_element, b)
+        return index
+
+    def _lookup(self, kind: str, item_id: str):
+        try:
+            return self._index[kind][item_id]
+        except KeyError:
+            raise GridLookupError(f"unknown {kind} {item_id!r}") from None
 
     def bus(self, bus_id: str) -> Bus:
-        for b in self.buses:
-            if b.id == bus_id:
-                return b
-        raise GridLookupError(f"unknown bus {bus_id!r}")
+        return self._lookup("bus", bus_id)
 
     def bus_ids(self) -> set[str]:
         return {b.id for b in self.buses}
@@ -208,43 +243,23 @@ class GridModel:
         yield from self.loads
 
     def element(self, element_id: str):
-        for e in self.elements():
-            if e.id == element_id:
-                return e
-        raise GridLookupError(f"unknown element {element_id!r}")
+        return self._lookup("element", element_id)
 
     def generator(self, gen_id: str) -> GeneratorSpec:
-        for g in self.generators:
-            if g.id == gen_id:
-                return g
-        raise GridLookupError(f"unknown generator {gen_id!r}")
+        return self._lookup("generator", gen_id)
 
     def breaker(self, breaker_id: str) -> BreakerSpec:
-        for b in self.breakers:
-            if b.id == breaker_id:
-                return b
-        raise GridLookupError(f"unknown breaker {breaker_id!r}")
+        return self._lookup("breaker", breaker_id)
 
     def load(self, load_id: str) -> LoadSpec:
-        for l in self.loads:
-            if l.id == load_id:
-                return l
-        raise GridLookupError(f"unknown load {load_id!r}")
+        return self._lookup("load", load_id)
 
     def converter(self, conv_id: str) -> ConverterSpec:
-        for c in self.converters:
-            if c.id == conv_id:
-                return c
-        raise GridLookupError(f"unknown converter {conv_id!r}")
+        return self._lookup("converter", conv_id)
 
     def element_breaker(self, element_id: str) -> BreakerSpec | None:
         """The breaker connecting an element to its bus, if any."""
-        for b in self.breakers:
-            if element_id in (b.from_element, b.to_element):
-                other = b.to_element if b.from_element == element_id else b.from_element
-                if other in self.bus_ids():
-                    return b
-        return None
+        return self._element_breakers.get(element_id)
 
     def element_online(self, element_id: str) -> bool:
         b = self.element_breaker(element_id)
@@ -297,11 +312,12 @@ class GridModel:
 
     def with_breaker_states(self, states: dict[str, bool]) -> "GridModel":
         """Functional update: a copy with the given breakers set open/closed."""
-        unknown = set(states) - {b.id for b in self.breakers}
+        unknown = set(states) - self._index["breaker"].keys()
         if unknown:
             raise GridLookupError(f"unknown breakers {sorted(unknown)}")
         new = tuple(
-            replace(b, closed=states.get(b.id, b.closed)) for b in self.breakers
+            b if states.get(b.id, b.closed) == b.closed
+            else replace(b, closed=states[b.id]) for b in self.breakers
         )
         return replace(self, breakers=new)
 
@@ -334,6 +350,16 @@ def _rel_dev(actual: float, expected: float) -> float:
     return abs(actual - expected) / abs(expected)
 
 
+def _non_finite(spec, prefix: str = ""):
+    """(dotted field name, value) of every non-finite float in a spec."""
+    for name, val in vars(spec).items():
+        if isinstance(val, float):
+            if not math.isfinite(val):
+                yield prefix + name, val
+        elif hasattr(val, "__dataclass_fields__"):
+            yield from _non_finite(val, f"{prefix}{name}.")
+
+
 def validate(grid: GridModel) -> ValidationReport:
     """Check every type invariant; violations are data, not exceptions."""
     v: list[Violation] = []
@@ -342,6 +368,12 @@ def validate(grid: GridModel) -> ValidationReport:
     if not grid.buses:
         add(grid.name, "empty grid", "grid declares no buses")
         return ValidationReport(tuple(v))
+
+    for group in (grid.buses, grid.generators, grid.batteries, grid.converters,
+                  grid.loads, grid.branches, grid.breakers, grid.fuses):
+        for spec in group:
+            for name, val in _non_finite(spec):
+                add(spec.id, "non-finite", f"{name} = {val} is not finite")
 
     bus_ids = set()
     for b in grid.buses:

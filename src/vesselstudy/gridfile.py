@@ -2,8 +2,12 @@
 
 Sections are headed ``[kind id]``, followed by one ``key = value`` per line.
 Keys carry unit suffixes (``voltage_v``, ``rated_kva``, ``resistance_mohm``)
-so a file is unambiguous without a schema at hand; ``#`` starts a comment,
-booleans are ``true``/``false`` and ids match ``[A-Za-z0-9_#]+``.
+so a file is unambiguous without a schema at hand; booleans are
+``true``/``false`` and ids match ``[A-Za-z0-9_#]+``.  ``#`` starts a comment
+only at the start of a line or after whitespace, so ``bus = DG#01  # port``
+reads ``DG#01``.  A value is a number when ``float`` reads it; ``nan``,
+``inf`` and overflowing numbers, in any spelling, are a `GridParseError`
+naming the line.  Study files use the same format.
 
 The serializer emits keys sorted and floats with at least two decimals, so
 files diff cleanly and ``parse_grid(serialize_grid(g))`` reproduces ``g``.
@@ -11,6 +15,7 @@ files diff cleanly and ``parse_grid(serialize_grid(g))`` reproduces ``g``.
 
 from __future__ import annotations
 
+import math
 import re
 
 from .grid import (
@@ -33,6 +38,9 @@ from .grid import (
 
 _SECTION_RE = re.compile(r"^\[([a-z_]+)(?:\s+([A-Za-z0-9_#]+))?\]$")
 _ID_RE = re.compile(r"^[A-Za-z0-9_#]+$")
+# '#' opens a comment only at line start or after whitespace, so ids like
+# DG#01 survive inside values
+_COMMENT_RE = re.compile(r"(?<!\S)#")
 
 SECTION_KINDS = ("grid", "bus", "generator", "battery", "converter", "load",
                  "branch", "breaker", "fuse")
@@ -48,53 +56,50 @@ def read_sections(text: str) -> list[tuple[str, str, int, dict[str, object]]]:
     """Generic pass: (kind, id, header line no, {key: raw value})."""
     sections = []
     current: dict[str, object] | None = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw)
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            m = _COMMENT_RE.search(line)
+            if m:
+                line = line[:m.start()]
+        line = line.strip()
         if not line:
             continue
-        m = _SECTION_RE.match(line)
-        if m:
-            kind, sid = m.group(1), m.group(2) or ""
-            current = {}
-            sections.append((kind, sid, lineno, current))
-            continue
-        if "=" not in line:
+        if line[0] == "[":
+            m = _SECTION_RE.match(line)
+            if m:
+                current = {}
+                sections.append((m.group(1), m.group(2) or "", lineno, current))
+                continue
+        key, eq, value = line.partition("=")
+        if not eq:
             raise GridParseError(f"expected 'key = value', got {line!r}", lineno)
         if current is None:
             raise GridParseError("key before any section header", lineno)
-        key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
         if not key or not value:
             raise GridParseError(f"malformed 'key = value' line {line!r}", lineno)
-        current[key] = _convert(value)
+        current[key] = _convert(value, lineno)
     return sections
 
 
-def _strip_comment(raw: str) -> str:
-    # '#' opens a comment only at line start or after whitespace, so ids
-    # like DG#01 survive inside values.
-    if raw.lstrip().startswith("#"):
-        return ""
-    out = []
-    prev = " "
-    for ch in raw:
-        if ch == "#" and prev.isspace():
-            break
-        out.append(ch)
-        prev = ch
-    return "".join(out).strip()
-
-
-def _convert(value: str):
+def _convert(value: str, lineno: int):
     if value == "true":
         return True
     if value == "false":
         return False
+    if value[0].isalpha():
+        # the only words float() reads; any other word is a string
+        if value.lower() in ("nan", "inf", "infinity"):
+            raise GridParseError(f"non-finite number {value!r}", lineno)
+        return value
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         return value
+    if not math.isfinite(number):
+        raise GridParseError(f"non-finite number {value!r}", lineno)
+    return number
 
 
 def parse_grid(text: str) -> GridModel:

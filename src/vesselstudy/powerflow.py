@@ -144,6 +144,37 @@ def _island_sources(grid: GridModel, net: AcNetwork):
 # Newton-Raphson core
 
 
+def _jacobian(g, b, v, theta, p_calc, q_calc, select):
+    """Polar NR Jacobian [[dP/dtheta, dP/dV], [dQ/dtheta, dQ/dV]].
+
+    The four blocks are assembled over all n nodes, then `select` (an
+    `np.ix_` pair into the 2n stacked unknowns) keeps the theta of the
+    non-slack nodes and the V of the PQ nodes.  Every entry is evaluated
+    with the same operations, in the same order, as the per-entry formulas
+    (v_i v_k gs_ik off the diagonal, -q_i - b_ii v_i^2 on it, ...).
+    """
+    n = len(v)
+    th_ik = theta[:, None] - theta[None, :]
+    gc = g * np.cos(th_ik) + b * np.sin(th_ik)
+    gs = g * np.sin(th_ik) - b * np.cos(th_ik)
+    vi, vk = v[:, None], v[None, :]
+    # v_i^2 through the scalar power operator, as in the diagonal formulas:
+    # pow() can differ from v * v in the last bit
+    v2 = np.array([x ** 2 for x in v.tolist()])
+    gd, bd = np.diag(g), np.diag(b)
+    jac = np.empty((2 * n, 2 * n))
+    jac[:n, :n] = vi * vk * gs
+    jac[:n, n:] = vi * gc
+    jac[n:, :n] = -vi * vk * gc
+    jac[n:, n:] = vi * gs
+    d = np.arange(n)
+    jac[d, d] = -q_calc - bd * v2
+    jac[d, d + n] = p_calc / v + gd * v
+    jac[d + n, d] = p_calc - gd * v2
+    jac[d + n, d + n] = q_calc / v - bd * v
+    return jac[select]
+
+
 def _newton_raphson(ybus, s_spec, slack, pv, v_sched, tol, max_iter):
     """Polar NR on one island; returns (V complex, iterations, mismatch)."""
     n = ybus.shape[0]
@@ -152,15 +183,18 @@ def _newton_raphson(ybus, s_spec, slack, pv, v_sched, tol, max_iter):
     v = np.ones(n)
     for i, vs in v_sched.items():
         v[i] = vs
-    pq = [i for i in range(n) if i != slack and i not in pv]
-    nonslack = [i for i in range(n) if i != slack]
+    pq = np.array([i for i in range(n) if i != slack and i not in pv], dtype=int)
+    nonslack = np.array([i for i in range(n) if i != slack], dtype=int)
+    nns = len(nonslack)
+    unknowns = np.concatenate([nonslack, n + pq])
+    select = np.ix_(unknowns, unknowns)
 
     for it in range(max_iter + 1):
         vc = v * np.exp(1j * theta)
         s_calc = vc * np.conj(ybus @ vc)
-        dp = s_spec.real[nonslack] - s_calc.real[nonslack]
-        dq = s_spec.imag[pq] - s_calc.imag[pq]
-        mism = max([abs(x) for x in dp] + [abs(x) for x in dq], default=0.0)
+        mismatch = np.concatenate([s_spec.real[nonslack] - s_calc.real[nonslack],
+                                   s_spec.imag[pq] - s_calc.imag[pq]])
+        mism = np.abs(mismatch).max() if len(mismatch) else 0.0
         if mism <= tol:
             return vc, it, mism
         if it == max_iter:
@@ -168,32 +202,9 @@ def _newton_raphson(ybus, s_spec, slack, pv, v_sched, tol, max_iter):
                 f"power flow not converged after {max_iter} iterations "
                 f"(mismatch {mism:.3e} pu)")
 
-        p_calc, q_calc = s_calc.real, s_calc.imag
-        th_ik = theta[:, None] - theta[None, :]
-        gc = g * np.cos(th_ik) + b * np.sin(th_ik)
-        gs = g * np.sin(th_ik) - b * np.cos(th_ik)
-
-        npq, nns = len(pq), len(nonslack)
-        jac = np.zeros((nns + npq, nns + npq))
-        # dP/dtheta, dP/dV
-        for r, i in enumerate(nonslack):
-            for c, k in enumerate(nonslack):
-                jac[r, c] = (v[i] * v[k] * gs[i, k] if i != k
-                             else -q_calc[i] - b[i, i] * v[i] ** 2)
-            for c, k in enumerate(pq):
-                jac[r, nns + c] = (v[i] * gc[i, k] if i != k
-                                  else p_calc[i] / v[i] + g[i, i] * v[i])
-        # dQ/dtheta, dQ/dV
-        for r, i in enumerate(pq):
-            for c, k in enumerate(nonslack):
-                jac[nns + r, c] = (-v[i] * v[k] * gc[i, k] if i != k
-                                   else p_calc[i] - g[i, i] * v[i] ** 2)
-            for c, k in enumerate(pq):
-                jac[nns + r, nns + c] = (v[i] * gs[i, k] if i != k
-                                         else q_calc[i] / v[i] - b[i, i] * v[i])
-
+        jac = _jacobian(g, b, v, theta, s_calc.real, s_calc.imag, select)
         try:
-            dx = np.linalg.solve(jac, np.concatenate([dp, dq]))
+            dx = np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(f"singular Jacobian: {exc}") from None
         if not np.all(np.isfinite(dx)):

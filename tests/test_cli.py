@@ -244,3 +244,57 @@ def test_unknown_sim_and_cct_keys_are_input_errors(tmp_path, capsys, kind,
     err = capsys.readouterr().err
     assert f"unknown key(s): {key}" in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, study_text, key", [
+    ("protect", "[protect]\nfault_element = DG#01\ncct_budget = 0.2\n",
+     "cct_budget"),
+    ("powerflow", "[powerflow]\ntolerance = 1e-6\n", "tolerance"),
+    ("sc-ac", "[study]\nbus_id = AC_PS\n", "bus_id"),
+    ("tdsim", "[sim]\nstep_s = 0.02\nend_s = 0.1\n[event up]\ntime_s = 0.05\n"
+     "action = load_step\ntarget = LOAD440_PS\nscale = 1.1\nramp = 0.1\n",
+     "ramp"),
+    ("tdsim", "[sim]\nstep_s = 0.02\nend_s = 0.1\n[controller ps]\n"
+     "mode = peak_shave\ninverter = INV_PS\nwatched = DG#01\n"
+     "p_rating_kw = 1500\nq_rating_kvar = 1500\np_threshold = 1000\n",
+     "p_threshold"),
+])
+def test_unknown_study_keys_are_input_errors(tmp_path, capsys, kind,
+                                             study_text, key):
+    study = tmp_path / "s.study"
+    study.write_text(study_text)
+    rc = main([kind, "--grid", "builtin:ac_vessel", "--study", str(study),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"unknown key(s): {key}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_non_finite_inputs_are_input_errors(tmp_path, capsys):
+    text = serialize_grid(builtin_fixture("ac_vessel"))
+    bad = tmp_path / "nan.grid"
+    bad.write_text(text.replace("rated_kva = 2395.00", "rated_kva = nan", 1))
+    assert main(["powerflow", "--grid", str(bad),
+                 "--out", str(tmp_path / "a")]) == 2
+    assert "non-finite number 'nan'" in capsys.readouterr().err
+    study = tmp_path / "s.study"
+    study.write_text(PROTECT_STUDY.format(zsi="true").replace(
+        "cct_budget_s = 0.542", "cct_budget_s = inf"))
+    assert main(["protect", "--grid", "builtin:ac_vessel", "--study",
+                 str(study), "--out", str(tmp_path / "b")]) == 2
+    assert "non-finite number 'inf'" in capsys.readouterr().err
+
+
+def test_i2t_rejects_a_truncated_trace_row(tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["sc-dc", "--grid", "builtin:dc_vessel", "--bus", "DC_PS",
+          "--out", str(out)])
+    trace = out / "trace_BAT_PS.csv"
+    lines = trace.read_text().splitlines()
+    lines[50] = lines[50].split(",")[0]          # line 51: time cell only
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["i2t", "--trace", str(trace), "--fuse-i2t", "9350"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(trace) in err and "line 51" in err
