@@ -21,7 +21,7 @@ import numpy as np
 
 from . import fixtures, report
 from .grid import GridError, GridModel, validate
-from .gridfile import GridParseError, parse_grid, read_sections
+from .gridfile import GridParseError, flag, parse_grid, read_sections
 from .powerflow import (
     ConvergenceError,
     IslandError,
@@ -62,8 +62,7 @@ EXIT_STRICT = 4
 _NUMERIC_ERRORS = (ConvergenceError, IslandError, CapacityError,
                    SimulationError, BracketError)
 _INPUT_ERRORS = (GridParseError, GridError, OSError, KeyError, ValueError)
-# declared keys of the study sections checked when read; the id-keyed maps
-# (breakers, dispatch, load_scale) take any id
+# declared keys of the study sections, checked when read
 _STUDY_KEYS = {
     "sim": {"step_s", "end_s", "integrator"},
     "cct": {"machine", "loading", "location", "branch", "t_lo_s", "t_hi_s",
@@ -76,6 +75,9 @@ _STUDY_KEYS = {
     "controller": {"mode", "inverter", "watched", "p_threshold_kw",
                    "q_threshold_kvar", "p_rating_kw", "q_rating_kvar",
                    "dp_delay_s"}}
+# the id-keyed study sections: breaker -> true/false, generator -> kW,
+# load -> scale factor; their ids are checked against the grid
+_STUDY_MAPS = ("breakers", "dispatch", "load_scale")
 
 
 class _Study:
@@ -85,7 +87,10 @@ class _Study:
         self.sections: dict[str, dict[str, dict]] = {}
         if text:
             for kind, sid, lineno, keys in read_sections(text):
-                unknown = sorted(set(keys) - _STUDY_KEYS.get(kind, set(keys)))
+                if kind not in _STUDY_KEYS and kind not in _STUDY_MAPS:
+                    raise GridParseError(
+                        f"unknown study section kind {kind!r}", lineno)
+                unknown = sorted(keys.keys() - _STUDY_KEYS.get(kind, keys.keys()))
                 if unknown:
                     raise GridParseError(f"[{kind}] unknown key(s): "
                                          f"{', '.join(unknown)}", lineno)
@@ -112,18 +117,12 @@ def _load_study(path: str | None) -> _Study:
         return _Study(fh.read())
 
 
-def _flag(section: str, key: str, value) -> bool:
-    if not isinstance(value, bool):
-        raise ValueError(f"[{section}] {key} = {value!r}: not true or false")
-    return value
-
-
 def _apply_breaker_states(grid: GridModel, study: _Study) -> GridModel:
     states = study.one("breakers")
     if not states:
         return grid
     return grid.with_breaker_states(
-        {k: _flag("breakers", k, v) for k, v in states.items()})
+        {k: flag("[breakers]", k, v) for k, v in states.items()})
 
 
 def _emit(args, name: str, header, rows) -> None:
@@ -135,8 +134,19 @@ def _emit(args, name: str, header, rows) -> None:
     report.write_artifact(args.out, name, content)
 
 
-def _float_map(keys: dict) -> dict[str, float]:
-    return {k: float(v) for k, v in keys.items()}
+def _steady_state(grid: GridModel, study: _Study) -> dict:
+    """The study's slack, dispatch and load_scale as solver keywords; the
+    slack and dispatch ids must name generators, the load_scale ids loads."""
+    slack = study.one("powerflow").get("slack")
+    dispatch = {k: float(v) for k, v in study.one("dispatch").items()}
+    load_scale = {k: float(v) for k, v in study.one("load_scale").items()}
+    for gen_id in dispatch:
+        grid.generator(gen_id)
+    if slack is not None:
+        grid.generator(slack)
+    for load_id in load_scale:
+        grid.load(load_id)
+    return {"slack": slack, "dispatch": dispatch, "load_scale": load_scale}
 
 
 # ---- study runners ----------------------------------------------------------
@@ -144,6 +154,7 @@ def _float_map(keys: dict) -> dict[str, float]:
 
 def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
     pf = study.one("powerflow")
+    steady = _steady_state(grid, study)
     draws = None
     has_dc = any(b.kind == "dc" for b in grid.buses)
     if has_dc:
@@ -155,10 +166,8 @@ def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
         grid,
         tol=float(pf.get("tol", 1e-8)),
         max_iter=int(pf.get("max_iter", 20)),
-        slack=pf.get("slack"),
-        dispatch=_float_map(study.one("dispatch")),
-        load_scale=_float_map(study.one("load_scale")),
         converter_draws=draws,
+        **steady,
     )
     _emit(args, "buses.csv", *report.powerflow_rows(sol))
     print(f"powerflow converged in {sol.iterations} iterations, "
@@ -176,10 +185,7 @@ def _fault_bus(args, study: _Study) -> str:
 
 def _run_sc_ac(args, grid: GridModel, study: _Study) -> int:
     bus = _fault_bus(args, study)
-    pf = study.one("powerflow")
-    sol = solve_ac_powerflow(grid, slack=pf.get("slack"),
-                             dispatch=_float_map(study.one("dispatch")),
-                             load_scale=_float_map(study.one("load_scale")))
+    sol = solve_ac_powerflow(grid, **_steady_state(grid, study))
     summ = fault_summary(grid, bus, sol)
     _emit(args, "summary.csv", *report.ac_summary_rows(summ))
     if args.format == "csv":
@@ -258,13 +264,9 @@ def _sim_config(study: _Study) -> SimConfig:
 
 
 def _run_tdsim(args, grid: GridModel, study: _Study) -> int:
-    pf = study.one("powerflow")
-    ts = simulate(
-        grid, _events(study), _controllers(study), _sim_config(study),
-        dispatch=_float_map(study.one("dispatch")),
-        load_scale=_float_map(study.one("load_scale")),
-        slack=pf.get("slack"),
-    )
+    steady = _steady_state(grid, study)
+    ts = simulate(grid, _events(study), _controllers(study), _sim_config(study),
+                  **steady)
     report.write_artifact(args.out, "timeseries.csv", report.timeseries_csv(ts))
     print(f"simulated {ts.t[-1]:g} s, {len(ts.channels)} channels")
     return EXIT_OK
@@ -310,14 +312,11 @@ def _run_protect(args, grid: GridModel, study: _Study) -> int:
     else:
         fault = FaultLocation.at_bus(str(keys["fault_bus"]))
         fault_bus = fault.target
-    pf = study.one("powerflow")
-    sol = solve_ac_powerflow(grid, slack=pf.get("slack"),
-                             dispatch=_float_map(study.one("dispatch")),
-                             load_scale=_float_map(study.one("load_scale")))
+    sol = solve_ac_powerflow(grid, **_steady_state(grid, study))
     summ = fault_summary(grid, fault_bus, sol)
     failed = {s.strip() for s in str(keys.get("failed_breakers", "")).split(",")
               if s.strip()}
-    zsi = _flag("protect", "zsi", keys.get("zsi", True))
+    zsi = flag("[protect]", "zsi", keys.get("zsi", True))
     events = sequence_of_operations(grid, fault, summ, zsi_enabled=zsi,
                                     failed_breakers=failed)
     _emit(args, "trips.csv", *report.trip_rows(events))

@@ -49,13 +49,11 @@ def builtin_fixture(name: str) -> GridModel:
 
 
 def _tcc(rated_a: float, st_mult: float, lt_mult: float = 2.5,
-         lt_kind: str = "definite", lt_delay: float = 10.0,
-         directional: bool = False) -> TccCurve:
+         lt_kind: str = "definite", lt_delay: float = 10.0) -> TccCurve:
     return TccCurve(
         long_time=LongTimeElement(pickup=lt_mult * rated_a, kind=lt_kind,
                                   delay=lt_delay),
-        short_time=ShortTimeElement(pickup=st_mult * rated_a, delay=0.216,
-                                    directional=directional),
+        short_time=ShortTimeElement(pickup=st_mult * rated_a, delay=0.216),
         zsi_extended_delay=0.1,
     )
 
@@ -123,18 +121,18 @@ def _ac_vessel() -> GridModel:
     )
 
     def cb(bid, frm, to, rated_a, st_mult, lt_mult=2.5, lt_kind="definite",
-           lt_delay=10.0, directional=False):
+           lt_delay=10.0):
         return BreakerSpec(
-            id=bid, from_element=frm, to_element=to, directional=directional,
-            tcc=_tcc(rated_a, st_mult, lt_mult, lt_kind, lt_delay, directional),
+            id=bid, from_element=frm, to_element=to,
+            tcc=_tcc(rated_a, st_mult, lt_mult, lt_kind, lt_delay),
         )
 
     breakers = (
-        cb("CB_DG01", "DG#01", "AC_PS", 2004.0, 3.0, directional=True),
-        cb("CB_DG02", "DG#02", "AC_PS", 2688.0, 3.0, directional=True),
-        cb("CB_DG03", "DG#03", "AC_SB", 2688.0, 3.0, directional=True),
-        cb("CB_DG04", "DG#04", "AC_SB", 2004.0, 3.0, directional=True),
-        cb("CB_DG05", "DG#05", "AC_MID", 1433.0, 3.0, directional=True),
+        cb("CB_DG01", "DG#01", "AC_PS", 2004.0, 3.0),
+        cb("CB_DG02", "DG#02", "AC_PS", 2688.0, 3.0),
+        cb("CB_DG03", "DG#03", "AC_SB", 2688.0, 3.0),
+        cb("CB_DG04", "DG#04", "AC_SB", 2004.0, 3.0),
+        cb("CB_DG05", "DG#05", "AC_MID", 1433.0, 3.0),
         cb("CB_INV_PS", "INV_PS", "AC_PS", 1255.0, 4.0),
         cb("CB_INV_SB", "INV_SB", "AC_SB", 1255.0, 4.0),
         cb("CB_THR_BOW1", "THR_BOW1", "AC_PS", 984.0, 4.0),
@@ -147,12 +145,12 @@ def _ac_vessel() -> GridModel:
         cb("CB_LOAD440_PS", "LOAD440_PS", "LV_PS", 1574.6, 3.5),
         cb("CB_LOAD440_SB", "LOAD440_SB", "LV_SB", 1574.6, 3.5),
         # propulsion busbar section ties
-        BreakerSpec("CB_TIE_PS_MID", "AC_PS", "AC_MID", directional=True,
+        BreakerSpec("CB_TIE_PS_MID", "AC_PS", "AC_MID",
                     tcc=TccCurve(LongTimeElement(4000.0, "definite", 10.0),
-                                 ShortTimeElement(5000.0, 0.216, True), 0.1)),
-        BreakerSpec("CB_TIE_MID_SB", "AC_MID", "AC_SB", directional=True,
+                                 ShortTimeElement(5000.0, 0.216), 0.1)),
+        BreakerSpec("CB_TIE_MID_SB", "AC_MID", "AC_SB",
                     tcc=TccCurve(LongTimeElement(4000.0, "definite", 10.0),
-                                 ShortTimeElement(5000.0, 0.216, True), 0.1)),
+                                 ShortTimeElement(5000.0, 0.216), 0.1)),
     )
 
     return GridModel(
@@ -223,12 +221,9 @@ def _dc_vessel() -> GridModel:
     )
 
     breakers = (
-        BreakerSpec("CB_GEN1", "GEN#01", "GEN1_AC",
-                    tcc=_tcc(840.0, 3.0, directional=True), directional=True),
-        BreakerSpec("CB_GEN2", "GEN#02", "GEN2_AC",
-                    tcc=_tcc(840.0, 3.0, directional=True), directional=True),
-        BreakerSpec("CB_GEN3", "GEN#03", "GEN3_AC",
-                    tcc=_tcc(840.0, 3.0, directional=True), directional=True),
+        BreakerSpec("CB_GEN1", "GEN#01", "GEN1_AC", tcc=_tcc(840.0, 3.0)),
+        BreakerSpec("CB_GEN2", "GEN#02", "GEN2_AC", tcc=_tcc(840.0, 3.0)),
+        BreakerSpec("CB_GEN3", "GEN#03", "GEN3_AC", tcc=_tcc(840.0, 3.0)),
         # split-bus operation: port and starboard DC sections run separated
         BreakerSpec("CB_DCTIE", "DC_PS", "DC_SB", closed=False),
     )

@@ -148,7 +148,6 @@ class LongTimeElement:
 class ShortTimeElement:
     pickup: float                 # A
     delay: float = 0.216          # s
-    directional: bool = False
 
 
 @dataclass(frozen=True)
@@ -165,7 +164,6 @@ class BreakerSpec:
     id: str
     from_element: str             # element id or bus id
     to_element: str
-    directional: bool = False
     tcc: TccCurve | None = None
     closed: bool = True
 
@@ -176,6 +174,26 @@ class FuseSpec:
     element: str
     i2t_total_clearing: float     # A^2 s
     rated_current: float | None = None
+
+
+def connected_groups(ids, edges) -> list[frozenset[str]]:
+    """Connected components of `ids` joined by `edges`, in order of their
+    least id; an edge with an end outside `ids` joins nothing."""
+    parent = {i: i for i in ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        if a in parent and b in parent:
+            parent[find(a)] = find(b)
+    groups: dict[str, set[str]] = {}
+    for i in parent:
+        groups.setdefault(find(i), set()).add(i)
+    return sorted(map(frozenset, groups.values()), key=min)
 
 
 def _first_by_id(items) -> dict:
@@ -274,41 +292,24 @@ class GridModel:
 
     # ---- topology ------------------------------------------------------
 
-    def _bus_edges(self, kind: str) -> list[tuple[str, str]]:
-        ids = {b.id for b in self.buses if b.kind == kind}
-        edges = []
-        for br in self.branches:
-            if br.from_bus in ids and br.to_bus in ids:
-                edges.append((br.from_bus, br.to_bus))
-        for bk in self.breakers:
-            if bk.closed and bk.from_element in ids and bk.to_element in ids:
-                edges.append((bk.from_element, bk.to_element))
-        return edges
+    @cached_property
+    def _islands(self) -> dict[str, tuple[frozenset[str], ...]]:
+        """Per bus kind, the connected bus groups over cables and closed
+        breakers."""
+        edges = [(br.from_bus, br.to_bus) for br in self.branches] + [
+            (bk.from_element, bk.to_element) for bk in self.breakers if bk.closed]
+        ids: dict[str, list[str]] = {}
+        for b in self.buses:
+            ids.setdefault(b.kind, []).append(b.id)
+        return {kind: tuple(connected_groups(i, edges)) for kind, i in ids.items()}
 
-    def islands(self, kind: str) -> list[set[str]]:
+    def islands(self, kind: str) -> tuple[frozenset[str], ...]:
         """Connected bus groups of one kind, honouring open tie breakers."""
-        ids = [b.id for b in self.buses if b.kind == kind]
-        parent = {i: i for i in ids}
+        return self._islands.get(kind, ())
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for a, b in self._bus_edges(kind):
-            parent[find(a)] = find(b)
-        groups: dict[str, set[str]] = {}
-        for i in ids:
-            groups.setdefault(find(i), set()).add(i)
-        return sorted(groups.values(), key=lambda s: sorted(s)[0])
-
-    def island_of(self, bus_id: str) -> set[str]:
-        kind = self.bus(bus_id).kind
-        for isl in self.islands(kind):
-            if bus_id in isl:
-                return isl
-        raise GridLookupError(f"bus {bus_id!r} not in any island")
+    def island_of(self, bus_id: str) -> frozenset[str]:
+        return next(isl for isl in self.islands(self.bus(bus_id).kind)
+                    if bus_id in isl)
 
     def with_breaker_states(self, states: dict[str, bool]) -> "GridModel":
         """Functional update: a copy with the given breakers set open/closed."""

@@ -2,12 +2,15 @@
 
 Sections are headed ``[kind id]``, followed by one ``key = value`` per line.
 Keys carry unit suffixes (``voltage_v``, ``rated_kva``, ``resistance_mohm``)
-so a file is unambiguous without a schema at hand; booleans are
-``true``/``false`` and ids match ``[A-Za-z0-9_#]+``.  ``#`` starts a comment
-only at the start of a line or after whitespace, so ``bus = DG#01  # port``
-reads ``DG#01``.  A value is a number when ``float`` reads it; ``nan``,
-``inf`` and overflowing numbers, in any spelling, are a `GridParseError`
-naming the line.  Study files use the same format.
+so a file is unambiguous without a schema at hand.  Each section kind
+declares its keys: an unknown kind or an undeclared key is a
+`GridParseError` naming the header line, and the boolean keys (``closed``,
+``synthetic``, ``synthetic_dynamics``) read only ``true``/``false``.  Ids
+match ``[A-Za-z0-9_#]+``.  ``#`` starts a comment only at the start of a
+line or after whitespace, so ``bus = DG#01  # port`` reads ``DG#01``.  A
+value is a number when ``float`` reads it; ``nan``, ``inf`` and
+overflowing numbers, in any spelling, are a `GridParseError` naming the
+line.  Study files use the same format.
 
 The serializer emits keys sorted and floats with at least two decimals, so
 files diff cleanly and ``parse_grid(serialize_grid(g))`` reproduces ``g``.
@@ -42,14 +45,39 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_#]+$")
 # DG#01 survive inside values
 _COMMENT_RE = re.compile(r"(?<!\S)#")
 
-SECTION_KINDS = ("grid", "bus", "generator", "battery", "converter", "load",
-                 "branch", "breaker", "fuse")
+# the keys each section kind declares; any other key is a parse error
+_GRID_KEYS = {kind: set(keys.split()) for kind, keys in {
+    "grid": "name",
+    "bus": "kind voltage_v frequency_hz",
+    "generator": "bus rated_kva rated_kw voltage_v current_a frequency_hz pf rpm "
+                 "winding_resistance_mohm poles xd_pu xd_t_pu xd_st_pu td0_t_s "
+                 "td0_st_s td_t_s td_st_s tdc_s ikd_a inertia_h_s damping_pu "
+                 "synthetic_dynamics",
+    "battery": "bus capacity_kwh sc_peak_current_a sc_time_constant_s min_soc",
+    "converter": "bus kind rated_current_a rated_kw sc_factor ac_bus p_set_kw "
+                 "dclink_capacitance_uf dclink_resistance_mohm "
+                 "dclink_inductance_uh dclink_voltage_v",
+    "load": "bus rated_kva pf static_fraction motor_fraction "
+            "locked_rotor_multiplier xr_ratio",
+    "branch": "from to resistance_ohm reactance_ohm synthetic",
+    "breaker": "from to closed lt_pickup_a lt_kind lt_delay_s st_pickup_a "
+               "st_delay_s zsi_delay_s",
+    "fuse": "element i2t_total_clearing rated_current_a",
+}.items()}
+_BOOL_KEYS = {"closed", "synthetic", "synthetic_dynamics"}
 
 
 class GridParseError(GridError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
+
+
+def flag(where: str, key: str, value, line: int | None = None) -> bool:
+    """A boolean setting, which must read ``true`` or ``false``."""
+    if not isinstance(value, bool):
+        raise GridParseError(f"{where} {key} = {value!r}: not true or false", line)
+    return value
 
 
 def read_sections(text: str) -> list[tuple[str, str, int, dict[str, object]]]:
@@ -111,10 +139,17 @@ def parse_grid(text: str) -> GridModel:
         [], [], [], [], [], [], [], []
 
     for kind, sid, lineno, keys in sections:
-        if kind not in SECTION_KINDS:
+        if kind not in _GRID_KEYS:
             raise GridParseError(f"unknown section kind {kind!r}", lineno)
         if not sid and kind != "grid":
             raise GridParseError(f"[{kind}] section requires an id", lineno)
+        where = f"[{kind} {sid}]" if sid else f"[{kind}]"
+        unknown = sorted(keys.keys() - _GRID_KEYS[kind])
+        if unknown:
+            raise GridParseError(
+                f"{where} unknown key(s): {', '.join(unknown)}", lineno)
+        for key in _BOOL_KEYS & keys.keys():
+            flag(where, key, keys[key], lineno)
         try:
             if kind == "grid":
                 name = str(keys.get("name", sid or "grid"))
@@ -179,10 +214,6 @@ def _check_references(grid: GridModel) -> None:
 # ---- section builders -----------------------------------------------------
 
 
-def _opt(keys, key, default=None):
-    return keys[key] if key in keys else default
-
-
 def _build_bus(sid, keys) -> Bus:
     return Bus(
         id=sid,
@@ -211,9 +242,9 @@ def _build_dynamics(keys) -> GeneratorDynamicParams | None:
         xd=xd, xd_t=xd_t, xd_st=xd_st, td0_t=td0_t, td0_st=td0_st,
         tdc=(float(keys["tdc_s"]) if "tdc_s" in keys else None),
         ikd=(float(keys["ikd_a"]) if "ikd_a" in keys else None),
-        inertia_h=float(_opt(keys, "inertia_h_s", 1.0)),
-        damping=float(_opt(keys, "damping_pu", 0.0)),
-        synthetic=bool(_opt(keys, "synthetic_dynamics", False)),
+        inertia_h=float(keys.get("inertia_h_s", 1.0)),
+        damping=float(keys.get("damping_pu", 0.0)),
+        synthetic=keys.get("synthetic_dynamics", False),
     )
 
 
@@ -241,7 +272,7 @@ def _build_battery(sid, keys) -> BatterySource:
         capacity_kwh=float(keys["capacity_kwh"]),
         sc_peak_current=float(keys["sc_peak_current_a"]),
         sc_time_constant=float(keys["sc_time_constant_s"]),
-        min_soc=float(_opt(keys, "min_soc", 0.0)),
+        min_soc=float(keys.get("min_soc", 0.0)),
     )
 
 
@@ -260,9 +291,9 @@ def _build_converter(sid, keys) -> ConverterSpec:
         kind=str(keys["kind"]),
         rated_current=float(keys["rated_current_a"]),
         rated_kw=float(keys["rated_kw"]),
-        sc_contribution_factor=float(_opt(keys, "sc_factor", 1.5)),
+        sc_contribution_factor=float(keys.get("sc_factor", 1.5)),
         ac_bus=(str(keys["ac_bus"]) if "ac_bus" in keys else None),
-        p_set_kw=float(_opt(keys, "p_set_kw", 0.0)),
+        p_set_kw=float(keys.get("p_set_kw", 0.0)),
         dc_link=dc_link,
     )
 
@@ -275,7 +306,7 @@ def _build_load(sid, keys) -> LoadSpec:
         power_factor=float(keys["pf"]),
         static_fraction=float(keys["static_fraction"]),
         motor_fraction=float(keys["motor_fraction"]),
-        locked_rotor_multiplier=float(_opt(keys, "locked_rotor_multiplier", 6.25)),
+        locked_rotor_multiplier=float(keys.get("locked_rotor_multiplier", 6.25)),
         xr_ratio=(float(keys["xr_ratio"]) if "xr_ratio" in keys else None),
     )
 
@@ -287,7 +318,7 @@ def _build_branch(sid, keys) -> CableBranch:
         to_bus=str(keys["to"]),
         resistance_ohm=float(keys["resistance_ohm"]),
         reactance_ohm=float(keys["reactance_ohm"]),
-        synthetic=bool(_opt(keys, "synthetic", False)),
+        synthetic=keys.get("synthetic", False),
     )
 
 
@@ -297,23 +328,21 @@ def _build_breaker(sid, keys) -> BreakerSpec:
         tcc = TccCurve(
             long_time=LongTimeElement(
                 pickup=float(keys["lt_pickup_a"]),
-                kind=str(_opt(keys, "lt_kind", "definite")),
-                delay=float(_opt(keys, "lt_delay_s", 10.0)),
+                kind=str(keys.get("lt_kind", "definite")),
+                delay=float(keys.get("lt_delay_s", 10.0)),
             ),
             short_time=ShortTimeElement(
                 pickup=float(keys["st_pickup_a"]),
-                delay=float(_opt(keys, "st_delay_s", 0.216)),
-                directional=bool(_opt(keys, "st_directional", False)),
+                delay=float(keys.get("st_delay_s", 0.216)),
             ),
-            zsi_extended_delay=float(_opt(keys, "zsi_delay_s", 0.1)),
+            zsi_extended_delay=float(keys.get("zsi_delay_s", 0.1)),
         )
     return BreakerSpec(
         id=sid,
         from_element=str(keys["from"]),
         to_element=str(keys["to"]),
-        directional=bool(_opt(keys, "directional", False)),
         tcc=tcc,
-        closed=bool(_opt(keys, "closed", True)),
+        closed=keys.get("closed", True),
     )
 
 
@@ -416,7 +445,7 @@ def serialize_grid(grid: GridModel) -> str:
     for bk in grid.breakers:
         keys = {
             "from": bk.from_element, "to": bk.to_element,
-            "directional": bk.directional, "closed": bk.closed,
+            "closed": bk.closed,
         }
         if bk.tcc is not None:
             t = bk.tcc
@@ -425,7 +454,6 @@ def serialize_grid(grid: GridModel) -> str:
                 "lt_delay_s": t.long_time.delay,
                 "st_pickup_a": t.short_time.pickup,
                 "st_delay_s": t.short_time.delay,
-                "st_directional": t.short_time.directional,
                 "zsi_delay_s": t.zsi_extended_delay,
             })
         parts.append(_section("breaker", bk.id, keys))

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import AC, DC, ConverterSpec, GridError, GridModel
+from .grid import (AC, DC, CableBranch, ConverterSpec, GridError, GridModel,
+                   connected_groups)
 
 S_BASE_KVA = 1000.0
 
@@ -91,28 +92,21 @@ class AcNetwork:
     frequency: float
 
 
+def branch_z_pu(br: CableBranch, vbase: float) -> complex:
+    """Series impedance of a cable, per unit on the system base at `vbase`."""
+    zb = vbase ** 2 / (S_BASE_KVA * 1e3)
+    return complex(br.resistance_ohm / zb, br.reactance_ohm / zb)
+
+
 def build_ac_networks(grid: GridModel) -> list[AcNetwork]:
+    # buses joined by closed zero-impedance tie breakers form one supernode
+    ties = [(bk.from_element, bk.to_element) for bk in grid.breakers if bk.closed]
     nets = []
     for island in grid.islands(AC):
-        # merge buses joined by closed zero-impedance tie breakers
-        parent = {b: b for b in island}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for bk in grid.breakers:
-            if bk.closed and bk.from_element in parent and bk.to_element in parent:
-                parent[find(bk.from_element)] = find(bk.to_element)
-        groups: dict[str, set[str]] = {}
-        for b in island:
-            groups.setdefault(find(b), set()).add(b)
-        nodes = [frozenset(g) for g in sorted(groups.values(), key=lambda s: sorted(s)[0])]
+        nodes = connected_groups(island, ties)
         node_of = {b: i for i, g in enumerate(nodes) for b in g}
-        vbase = [grid.bus(sorted(g)[0]).nominal_voltage for g in nodes]
-        freq = grid.bus(sorted(island)[0]).frequency or 60.0
+        vbase = [grid.bus(min(g)).nominal_voltage for g in nodes]
+        freq = grid.bus(min(island)).frequency or 60.0
 
         n = len(nodes)
         y = np.zeros((n, n), dtype=complex)
@@ -121,8 +115,7 @@ def build_ac_networks(grid: GridModel) -> list[AcNetwork]:
                 i, k = node_of[br.from_bus], node_of[br.to_bus]
                 if i == k:
                     continue
-                zb = vbase[i] ** 2 / (S_BASE_KVA * 1e3)
-                yline = 1.0 / complex(br.resistance_ohm / zb, br.reactance_ohm / zb)
+                yline = 1.0 / branch_z_pu(br, vbase[i])
                 y[i, i] += yline
                 y[k, k] += yline
                 y[i, k] -= yline

@@ -11,7 +11,6 @@ clearing I^2t.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -90,44 +89,27 @@ class SelectivityReport:
     coordination_margin_s: float | None
 
 
-def trip_time(curve: TccCurve, current: float,
-              direction_matches: bool = True) -> float | None:
-    """Fastest element trip time, or None below pickup / wrong direction.
+def trip_time(curve: TccCurve, current: float) -> tuple[float, str] | None:
+    """Fastest element's trip time and name, or None below every pickup.
 
     Definite-time elements trip at their configured delay for any current
     above pickup; the inverse long-time characteristic is
-    ``t = TD / ((I/pickup)^2 - 1)``, with no trip at the pickup pole.
+    ``t = TD / ((I/pickup)^2 - 1)``, with no trip at the pickup pole.  The
+    element is ``"short_time"`` or ``"long_time"``; on a tie it is the
+    short-time element.
     """
     if current < 0:
         raise ValueError("current must be >= 0")
-    candidates = []
-    st = curve.short_time
-    if current > st.pickup and (not st.directional or direction_matches):
-        candidates.append((st.delay, "short_time"))
-    lt = curve.long_time
+    st, lt = curve.short_time, curve.long_time
+    best = (st.delay, "short_time") if current > st.pickup else None
     if current > lt.pickup:
-        if lt.kind == "definite":
-            candidates.append((lt.delay, "long_time"))
-        else:
+        t = lt.delay
+        if lt.kind != "definite":
             m = current / lt.pickup
-            candidates.append((lt.delay / (m * m - 1.0), "long_time"))
-    if not candidates:
-        return None
-    return float(min(t for t, _ in candidates))
-
-
-def _trip_cause(curve: TccCurve, current: float) -> str:
-    st = curve.short_time
-    best = (math.inf, "none")
-    if current > st.pickup:
-        best = (st.delay, "short_time")
-    lt = curve.long_time
-    if current > lt.pickup:
-        t = (lt.delay if lt.kind == "definite"
-             else lt.delay / ((current / lt.pickup) ** 2 - 1.0))
-        if t < best[0]:
+            t = lt.delay / (m * m - 1.0)
+        if best is None or t < best[0]:
             best = (t, "long_time")
-    return best[1]
+    return None if best is None else (float(best[0]), best[1])
 
 
 # ---------------------------------------------------------------------------
@@ -247,15 +229,14 @@ def build_breaker_graph(grid: GridModel, fault: FaultLocation,
                         flows=flows, paths=paths)
 
 
-def apply_zsi(graph: BreakerGraph, fault: FaultLocation | None = None) -> ZsiResult:
+def apply_zsi(graph: BreakerGraph) -> ZsiResult:
     """Lock every fault-carrying breaker that is not nearest the fault.
 
     The nearest breakers (seeing current toward the fault, adjacent to it)
     emit the lock; tie breakers on a path forward it outward, which the
-    propagation trace records hop by hop.  `fault` defaults to the location
-    the graph was built for.
+    propagation trace records hop by hop.  The fault is the one the graph
+    was built for.
     """
-    fault = fault or graph.fault
     nearest = frozenset(
         b for b, f in graph.flows.items() if f.adjacent_to_fault and f.current_a > 0)
     locked = frozenset(graph.flows) - nearest
@@ -288,15 +269,15 @@ def sequence_of_operations(grid: GridModel, fault: FaultLocation,
         bk = grid.breaker(breaker_id)
         if bk.tcc is None:
             continue
-        t = trip_time(bk.tcc, flow.current_a, direction_matches=True)
-        if t is None:
+        trip = trip_time(bk.tcc, flow.current_a)
+        if trip is None:
             continue
+        t, element = trip
         if breaker_id in locked:
             events.append(TripEvent(breaker_id, t + bk.tcc.zsi_extended_delay,
                                     "zsi_backup", True))
         else:
-            events.append(TripEvent(breaker_id, t,
-                                    _trip_cause(bk.tcc, flow.current_a), False))
+            events.append(TripEvent(breaker_id, t, element, False))
     if not events:
         raise NoDetectionError(
             f"no breaker detects the fault at {fault.target!r}")

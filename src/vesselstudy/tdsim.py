@@ -30,7 +30,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import GridError, GridModel
-from .powerflow import S_BASE_KVA, build_ac_networks, load_pq_kw, solve_ac_powerflow
+from .powerflow import (S_BASE_KVA, AcNetwork, branch_z_pu, build_ac_networks,
+                        load_pq_kw, solve_ac_powerflow)
 
 V_FLOOR = 0.3       # below this voltage, constant-power loads turn constant-Z
 FAULT_G = 1e6       # pu fault conductance for a bolted fault
@@ -281,9 +282,7 @@ class _Island:
     the demand scale factors `lf` it used.
     """
 
-    nodes: list[frozenset[str]]
-    node_of: dict[str, int]
-    ybase: np.ndarray
+    net: AcNetwork
     mach: np.ndarray         # machine rows in this island
     mach_node: np.ndarray
     load_ids: list[str]      # the first len(load_ids) demands are loads,
@@ -328,7 +327,7 @@ class _Engine:
         # recorded channels are fixed by the initial topology
         self.mach_ids = list(self.m.ids)
         self.inv_ids = sorted(self.inv_setpoints)
-        self.bus_ids = sorted({b for isl in self.islands for b in isl.node_of})
+        self.bus_ids = sorted({b for isl in self.islands for b in isl.net.node_of})
         self.cons_ids = sorted({c for isl in self.islands for c in isl.cons_ids})
         self._index_channels()
 
@@ -374,8 +373,7 @@ class _Engine:
             placed += [(g, len(islands), net.node_of[g.bus], omega_s)
                        for g in gens]
             islands.append(_Island(
-                nodes=net.nodes, node_of=net.node_of, ybase=net.ybus,
-                mach=None, mach_node=None, load_ids=load_ids,  # set below
+                net=net, mach=None, mach_node=None, load_ids=load_ids,  # set below
                 cons_ids=[c[0] for c in cons],
                 cons_s=np.array([complex(p, q) for _, p, q, _ in cons]),
                 cons_node=np.array([c[3] for c in cons], dtype=int),
@@ -446,14 +444,15 @@ class _Engine:
     def _island_y(self, isl: _Island) -> np.ndarray:
         """Y with machine shunts and any active fault; a mid-cable fault
         adds its splice node last."""
-        n = len(isl.nodes)
+        net = isl.net
+        n = len(net.nodes)
         fault_node = splice = None
         if self.fault is not None and self.fault[0] == "bus":
-            fault_node = isl.node_of.get(self.fault[1])
+            fault_node = net.node_of.get(self.fault[1])
         elif self.fault is not None:
             _, br, frac = self.fault
-            if br.from_bus in isl.node_of and br.to_bus in isl.node_of:
-                i, k = isl.node_of[br.from_bus], isl.node_of[br.to_bus]
+            if br.from_bus in net.node_of and br.to_bus in net.node_of:
+                i, k = net.node_of[br.from_bus], net.node_of[br.to_bus]
                 if frac <= 1e-6:
                     fault_node = i
                 elif frac >= 1 - 1e-6:
@@ -461,12 +460,11 @@ class _Engine:
                 else:
                     splice = (i, k, br, frac)
         y = np.zeros((n + (splice is not None),) * 2, dtype=complex)
-        y[:n, :n] = isl.ybase
+        y[:n, :n] = net.ybus
         if splice is not None:
             i, k, br, frac = splice
-            vbase = self.grid0.bus(br.from_bus).nominal_voltage
-            zb = vbase ** 2 / (S_BASE_KVA * 1e3)
-            z = complex(br.resistance_ohm, br.reactance_ohm) / zb
+            # the admittance build_ac_networks added for this branch
+            z = branch_z_pu(br, net.vbase[i])
             yfull = 1.0 / z
             # remove the intact branch, insert the two segments
             y[i, i] -= yfull; y[k, k] -= yfull
@@ -490,7 +488,7 @@ class _Engine:
         """
         n_mach = len(self.m.ids)
         for isl in self.islands:
-            n = len(isl.nodes)
+            n = len(isl.net.nodes)
             try:
                 isl.z = z = np.linalg.inv(self._island_y(isl))
             except np.linalg.LinAlgError as exc:
@@ -512,8 +510,8 @@ class _Engine:
         cons_row = {c: j for j, c in enumerate(self.cons_ids)}
         for isl in self.islands:
             isl.bus_rows = np.array([bus_row.get(b, len(self.bus_ids))
-                                     for b in isl.node_of], dtype=int)
-            isl.bus_node = np.array(list(isl.node_of.values()), dtype=int)
+                                     for b in isl.net.node_of], dtype=int)
+            isl.bus_node = np.array(list(isl.net.node_of.values()), dtype=int)
             isl.cons_rows = np.array([cons_row.get(c, len(self.cons_ids))
                                       for c in isl.cons_ids], dtype=int)
         col = {mid: j for j, mid in enumerate(self.mach_ids)}
@@ -559,7 +557,7 @@ class _Engine:
             m = isl.z * np.conj(isl.inc @ inj)
             w = isl.src @ e
             v = isl.v
-            v[len(isl.nodes):] = 1.0    # the splice node starts afresh
+            v[len(isl.net.nodes):] = 1.0    # the splice node starts afresh
             for _ in range(400):
                 v_new = w + m @ (v / np.maximum(np.abs(v) ** 2, V_FLOOR ** 2))
                 err = float(np.abs(v_new - v).max())
@@ -690,7 +688,7 @@ class _Engine:
                 inv[:, j, k] = self.inv_setpoints[cid]
             p_loss = 0.0
             for isl in self.islands:
-                vm = np.abs(isl.v[:len(isl.nodes)])
+                vm = np.abs(isl.v[:len(isl.net.nodes)])
                 bus[isl.bus_rows, k] = vm[isl.bus_node]
                 factor = np.minimum(1.0, (vm[isl.cons_node] / V_FLOOR) ** 2)
                 p = isl.cons_s.real * isl.lf * factor

@@ -298,3 +298,80 @@ def test_i2t_rejects_a_truncated_trace_row(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert str(trace) in err and "line 51" in err
+
+
+def _protect_study(tmp_path) -> str:
+    study = tmp_path / "p.study"
+    study.write_text(PROTECT_STUDY.format(zsi="true"))
+    return str(study)
+
+
+def _breaker_header_line(text: str, breaker: str) -> int:
+    return text.splitlines().index(f"[breaker {breaker}]") + 1
+
+
+@pytest.mark.parametrize("old, new, key", [
+    ("[breaker CB_DG01]\n", "[breaker CB_DG01]\nst_delay = 0.05\n", "st_delay"),
+    ("[breaker CB_DG01]\n", "[breaker CB_DG01]\ndirectional = true\n",
+     "directional"),
+    ("[breaker CB_DG01]\n", "[breaker CB_DG01]\nst_directional = true\n",
+     "st_directional"),
+])
+def test_undeclared_grid_keys_are_input_errors(tmp_path, capsys, old, new, key):
+    text = serialize_grid(builtin_fixture("ac_vessel"))
+    bad = tmp_path / "bad.grid"
+    bad.write_text(text.replace(old, new, 1))
+    rc = main(["protect", "--grid", str(bad), "--study", _protect_study(tmp_path),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    line = _breaker_header_line(text, "CB_DG01")
+    assert f"line {line}: [breaker CB_DG01] unknown key(s): {key}" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("value", ["open", "1", "yes"])
+def test_grid_booleans_are_strict(tmp_path, capsys, value):
+    text = serialize_grid(builtin_fixture("ac_vessel"))
+    old = "[breaker CB_TIE_PS_MID]\nclosed = true\n"
+    assert old in text
+    bad = tmp_path / "bad.grid"
+    bad.write_text(text.replace(old, old.replace("true", value)))
+    rc = main(["powerflow", "--grid", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    line = _breaker_header_line(text, "CB_TIE_PS_MID")
+    assert (f"line {line}: [breaker CB_TIE_PS_MID] closed = "
+            in capsys.readouterr().err)
+
+
+def test_misspelled_study_section_is_input_error(tmp_path, capsys):
+    study = tmp_path / "s.study"
+    study.write_text("[load_scal]\nLOAD440_PS = 400\n")
+    rc = main(["powerflow", "--grid", "builtin:ac_vessel", "--study",
+               str(study), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "line 1: unknown study section kind 'load_scal'" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("powerflow", []), ("sc-ac", ["--bus", "AC_PS"]), ("tdsim", []),
+    ("protect", []),
+])
+@pytest.mark.parametrize("section, bad_id", [
+    ("[load_scale]\nLOAD440_PX = 400\n", "LOAD440_PX"),
+    ("[dispatch]\nDG#99 = 5\n", "DG#99"),
+    ("[powerflow]\nslack = DG#77\n", "DG#77"),
+])
+def test_unknown_steady_state_ids_are_input_errors(tmp_path, capsys, kind,
+                                                   extra, section, bad_id):
+    study = tmp_path / "s.study"
+    body = {"tdsim": "[sim]\nstep_s = 0.02\nend_s = 0.1\n",
+            "protect": PROTECT_STUDY.format(zsi="true")}.get(kind, "")
+    study.write_text(body + section)
+    rc = main([kind, "--grid", "builtin:ac_vessel", "--study", str(study),
+               "--out", str(tmp_path / "o")] + extra)
+    assert rc == 2
+    assert repr(bad_id) in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -1,5 +1,7 @@
-"""The grid-file tokenizer, the GridModel id indexes and the power-flow
-Jacobian against the per-line, linear-scan and per-entry code they replace.
+"""The grid-file tokenizer, the GridModel id indexes and islands, the AC
+network assembly, the trip-curve evaluator and the power-flow Jacobian
+against the per-line, linear-scan, twice-derived and per-entry code they
+replace; and the grid-file round trip on generated grids.
 
 Each reference below is the earlier implementation, unchanged apart from
 its name and the parameters it needs to be called on its own: the fast
@@ -13,17 +15,32 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from vesselstudy import builtin_fixture, parse_grid, solve_ac_powerflow, validate
+from vesselstudy import (
+    builtin_fixture,
+    parse_grid,
+    serialize_grid,
+    solve_ac_powerflow,
+    trip_time,
+    validate,
+)
 from vesselstudy import powerflow
 from vesselstudy.grid import (
+    CONVERTER_KINDS,
     BatterySource,
     BreakerSpec,
     Bus,
+    CableBranch,
+    CapacitorBranch,
     ConverterSpec,
+    FuseSpec,
+    GeneratorDynamicParams,
     GeneratorSpec,
     GridLookupError,
     GridModel,
     LoadSpec,
+    LongTimeElement,
+    ShortTimeElement,
+    TccCurve,
 )
 from vesselstudy.gridfile import (
     _SECTION_RE,
@@ -34,7 +51,7 @@ from vesselstudy.gridfile import (
 from helpers import DP_ISLAND_OPEN, PS_ISLAND_OPEN, two_bus_grid
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 
 # ---- references ---------------------------------------------------------
@@ -114,6 +131,112 @@ def reference_with_breaker_states(grid, states):
         replace(b, closed=states.get(b.id, b.closed)) for b in grid.breakers
     )
     return replace(grid, breakers=new)
+
+
+def reference_islands(grid, kind):
+    ids = [b.id for b in grid.buses if b.kind == kind]
+    parent = {i: i for i in ids}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    id_set = set(ids)
+    edges = []
+    for br in grid.branches:
+        if br.from_bus in id_set and br.to_bus in id_set:
+            edges.append((br.from_bus, br.to_bus))
+    for bk in grid.breakers:
+        if bk.closed and bk.from_element in id_set and bk.to_element in id_set:
+            edges.append((bk.from_element, bk.to_element))
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    groups = {}
+    for i in ids:
+        groups.setdefault(find(i), set()).add(i)
+    return sorted(groups.values(), key=lambda s: sorted(s)[0])
+
+
+def reference_island_of(grid, bus_id):
+    kind = grid.bus(bus_id).kind
+    for isl in reference_islands(grid, kind):
+        if bus_id in isl:
+            return isl
+    raise GridLookupError(f"bus {bus_id!r} not in any island")
+
+
+def reference_build_ac_networks(grid):
+    nets = []
+    for island in reference_islands(grid, "ac"):
+        parent = {b: b for b in island}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for bk in grid.breakers:
+            if bk.closed and bk.from_element in parent and bk.to_element in parent:
+                parent[find(bk.from_element)] = find(bk.to_element)
+        groups = {}
+        for b in island:
+            groups.setdefault(find(b), set()).add(b)
+        nodes = [frozenset(g) for g in sorted(groups.values(), key=lambda s: sorted(s)[0])]
+        node_of = {b: i for i, g in enumerate(nodes) for b in g}
+        vbase = [grid.bus(sorted(g)[0]).nominal_voltage for g in nodes]
+        freq = grid.bus(sorted(island)[0]).frequency or 60.0
+
+        n = len(nodes)
+        y = np.zeros((n, n), dtype=complex)
+        for br in grid.branches:
+            if br.from_bus in node_of and br.to_bus in node_of:
+                i, k = node_of[br.from_bus], node_of[br.to_bus]
+                if i == k:
+                    continue
+                zb = vbase[i] ** 2 / (powerflow.S_BASE_KVA * 1e3)
+                yline = 1.0 / complex(br.resistance_ohm / zb, br.reactance_ohm / zb)
+                y[i, i] += yline
+                y[k, k] += yline
+                y[i, k] -= yline
+                y[k, i] -= yline
+        nets.append((nodes, node_of, y, vbase, freq))
+    return nets
+
+
+def reference_trip_time(curve, current):
+    if current < 0:
+        raise ValueError("current must be >= 0")
+    candidates = []
+    st = curve.short_time
+    if current > st.pickup:
+        candidates.append((st.delay, "short_time"))
+    lt = curve.long_time
+    if current > lt.pickup:
+        if lt.kind == "definite":
+            candidates.append((lt.delay, "long_time"))
+        else:
+            m = current / lt.pickup
+            candidates.append((lt.delay / (m * m - 1.0), "long_time"))
+    if not candidates:
+        return None
+    return float(min(t for t, _ in candidates))
+
+
+def reference_trip_cause(curve, current):
+    st = curve.short_time
+    best = (math.inf, "none")
+    if current > st.pickup:
+        best = (st.delay, "short_time")
+    lt = curve.long_time
+    if current > lt.pickup:
+        t = (lt.delay if lt.kind == "definite"
+             else lt.delay / ((current / lt.pickup) ** 2 - 1.0))
+        if t < best[0]:
+            best = (t, "long_time")
+    return best[1]
 
 
 def reference_jacobian(g, b, v, theta, p_calc, q_calc, nonslack, pq):
@@ -307,6 +430,143 @@ def test_with_breaker_states_matches_reference(grid, states):
     for old, b in zip(grid.breakers, new.breakers):
         # breakers whose state does not change are carried over as they are
         assert (b is old) == (b.closed == old.closed)
+
+
+# ---- islands and AC networks -------------------------------------------------
+
+
+@st.composite
+def networks(draw):
+    """`grids()` with AC and DC buses of two voltages and frequencies, and
+    cables between them, so islands, supernodes and Y all vary."""
+    grid = draw(grids())
+    buses = tuple(replace(b, kind=draw(st.sampled_from(["ac", "ac", "dc"])),
+                          nominal_voltage=draw(st.sampled_from([690.0, 440.0])),
+                          frequency=draw(st.sampled_from([60.0, 50.0, None])))
+                  for b in grid.buses)
+    impedance = st.floats(1e-4, 1.0)
+    branches = tuple(draw(st.lists(st.builds(
+        CableBranch, pool_ids, pool_ids, pool_ids, impedance, impedance),
+        max_size=5)))
+    return replace(grid, buses=buses, branches=branches)
+
+
+@settings(deadline=None, max_examples=300)
+@given(networks())
+def test_islands_and_networks_match_reference(grid):
+    for kind in ("ac", "dc", "xx"):
+        islands = grid.islands(kind)
+        assert all(type(isl) is frozenset for isl in islands)
+        assert [set(isl) for isl in islands] == reference_islands(grid, kind)
+    for bus_id in POOL + ["missing"]:
+        try:
+            expected = ("ok", reference_island_of(grid, bus_id))
+        except GridLookupError as exc:
+            expected = ("error", str(exc))
+        try:
+            got = ("ok", set(grid.island_of(bus_id)))
+        except GridLookupError as exc:
+            got = ("error", str(exc))
+        assert got == expected, bus_id
+    nets = powerflow.build_ac_networks(grid)
+    expected = reference_build_ac_networks(grid)
+    assert len(nets) == len(expected)
+    for net, (nodes, node_of, y, vbase, freq) in zip(nets, expected):
+        assert net.nodes == nodes
+        assert net.node_of == node_of
+        assert net.vbase == vbase
+        assert net.frequency == freq
+        assert np.array_equal(net.ybus, y)
+
+
+def test_fixture_networks_match_reference():
+    for grid in JACOBIAN_CASES.values():
+        for net, (nodes, node_of, y, vbase, freq) in zip(
+                powerflow.build_ac_networks(grid),
+                reference_build_ac_networks(grid), strict=True):
+            assert (net.nodes, net.node_of, net.vbase, net.frequency) == \
+                (nodes, node_of, vbase, freq)
+            assert np.array_equal(net.ybus, y)
+
+
+# ---- trip curves -------------------------------------------------------------
+
+delays = st.sampled_from([0.05, 0.1, 0.216, 1.0, 10.0]) | st.floats(1e-3, 100.0)
+pickups = st.sampled_from([1000.0, 2000.0, 5000.0]) | st.floats(1.0, 1e5)
+
+
+@settings(deadline=None, max_examples=500)
+@given(pickups, st.sampled_from(["definite", "inverse"]), delays, pickups,
+       delays, st.sampled_from([0.0, 999.0, 1000.0, 2000.0, 5000.0, 32000.0])
+       | st.floats(0.0, 1e6))
+@example(1000.0, "definite", 0.216, 5000.0, 0.216, 32000.0)   # a tie
+def test_trip_time_matches_reference(lt_pickup, lt_kind, lt_delay, st_pickup,
+                                     st_delay, current):
+    curve = TccCurve(LongTimeElement(lt_pickup, lt_kind, lt_delay),
+                     ShortTimeElement(st_pickup, st_delay))
+    t = reference_trip_time(curve, current)
+    expected = None if t is None else (t, reference_trip_cause(curve, current))
+    assert trip_time(curve, current) == expected
+
+
+# ---- round trip --------------------------------------------------------------
+
+numbers = st.floats(allow_nan=False, allow_infinity=False)
+optional = lambda s: st.none() | s  # noqa: E731
+# dc-link values are written in uF, mOhm, uH: keep the ones that come back
+scaled = lambda k, back: numbers.filter(lambda x: x * k * back == x)  # noqa: E731
+
+
+@st.composite
+def file_grids(draw):
+    """Grids whose references resolve, with every optional field drawn, so
+    the serializer writes every key it knows."""
+    bus_ids = draw(st.lists(pool_ids, min_size=1, max_size=4, unique=True))
+    on_bus = st.sampled_from(bus_ids)
+    buses = tuple(Bus(i, draw(st.sampled_from(["ac", "dc"])), draw(numbers),
+                      draw(optional(numbers))) for i in bus_ids)
+    dynamics = st.builds(
+        GeneratorDynamicParams, numbers, numbers, numbers, numbers, numbers,
+        optional(numbers), optional(numbers), numbers, numbers, st.booleans())
+    generators = draw(st.lists(st.builds(
+        GeneratorSpec, st.sampled_from(["G1", "G#2"]), on_bus, *[numbers] * 8,
+        optional(st.integers(-10**6, 10**6)), optional(dynamics)), max_size=2))
+    batteries = draw(st.lists(st.builds(
+        BatterySource, st.just("BAT"), on_bus, numbers, numbers, numbers,
+        numbers), max_size=1))
+    dc_link = st.builds(CapacitorBranch, scaled(1e6, 1e-6), scaled(1e3, 1e-3),
+                        scaled(1e6, 1e-6), numbers)
+    converters = draw(st.lists(st.builds(
+        ConverterSpec, st.sampled_from(["CV1", "CV2"]), on_bus,
+        st.sampled_from(CONVERTER_KINDS), numbers, numbers, numbers,
+        optional(on_bus), numbers, optional(dc_link)), max_size=2))
+    loads = draw(st.lists(st.builds(
+        LoadSpec, st.sampled_from(["L1", "L2"]), on_bus, *[numbers] * 5,
+        optional(numbers)), max_size=2))
+    branches = draw(st.lists(st.builds(
+        CableBranch, st.just("CBL"), on_bus, on_bus, numbers, numbers,
+        st.booleans()), max_size=2))
+    ends = st.sampled_from(bus_ids + [e.id for e in (
+        *generators, *batteries, *converters, *loads)])
+    tcc = st.builds(
+        TccCurve,
+        st.builds(LongTimeElement, numbers, st.sampled_from(["definite", "inverse"]),
+                  numbers),
+        st.builds(ShortTimeElement, numbers, numbers), numbers)
+    breakers = draw(st.lists(st.builds(
+        BreakerSpec, st.sampled_from(["CB1", "CB2"]), ends, ends, optional(tcc),
+        st.booleans()), max_size=3))
+    fuses = draw(st.lists(st.builds(
+        FuseSpec, st.just("F1"), ends, numbers, optional(numbers)), max_size=1))
+    return GridModel("g", buses, tuple(branches), tuple(generators),
+                     tuple(batteries), tuple(converters), tuple(loads),
+                     tuple(breakers), tuple(fuses))
+
+
+@settings(deadline=None, max_examples=150)
+@given(file_grids())
+def test_parse_serialize_round_trip(grid):
+    assert parse_grid(serialize_grid(grid)) == grid
 
 
 # ---- Jacobian ---------------------------------------------------------------

@@ -37,16 +37,18 @@ from helpers import ps_island
 
 
 def _curve(lt_pickup=1000.0, lt_kind="definite", lt_delay=10.0,
-           st_pickup=10000.0, st_delay=0.216, directional=False):
+           st_pickup=10000.0, st_delay=0.216):
     return TccCurve(
         long_time=LongTimeElement(lt_pickup, lt_kind, lt_delay),
-        short_time=ShortTimeElement(st_pickup, st_delay, directional),
+        short_time=ShortTimeElement(st_pickup, st_delay),
         zsi_extended_delay=0.1)
 
 
 class TestTripTime:
     def test_short_time_definite(self):
-        assert trip_time(_curve(), 32000.0) == pytest.approx(0.216)
+        t, element = trip_time(_curve(), 32000.0)
+        assert t == pytest.approx(0.216)
+        assert element == "short_time"
 
     def test_below_all_pickups(self):
         assert trip_time(_curve(), 500.0) is None
@@ -54,26 +56,23 @@ class TestTripTime:
     def test_inverse_long_time(self):
         curve = _curve(lt_pickup=1000.0, lt_kind="inverse", lt_delay=10.0,
                        st_pickup=1e9)
-        assert trip_time(curve, 2000.0) == pytest.approx(10.0 / 3.0)
+        t, element = trip_time(curve, 2000.0)
+        assert t == pytest.approx(10.0 / 3.0)
+        assert element == "long_time"
 
     def test_inverse_pole_at_pickup(self):
         curve = _curve(lt_kind="inverse", st_pickup=1e9)
         assert trip_time(curve, 1000.0) is None
 
-    def test_wrong_direction_blocks_short_time(self):
-        curve = _curve(st_pickup=5000.0, directional=True, lt_pickup=1e8)
-        assert trip_time(curve, 32000.0, direction_matches=False) is None
-        assert trip_time(curve, 32000.0, direction_matches=True) == 0.216
-
-    def test_long_time_still_trips_on_wrong_direction(self):
-        curve = _curve(st_pickup=5000.0, directional=True, lt_pickup=1000.0)
-        assert trip_time(curve, 32000.0, direction_matches=False) == 10.0
-
     def test_definite_time_flat_above_pickup(self):
         curve = _curve()
-        times = {trip_time(curve, i) for i in
+        trips = {trip_time(curve, i) for i in
                  np.linspace(10001.0, 1e6, 37)}
-        assert times == {0.216}
+        assert trips == {(0.216, "short_time")}
+
+    def test_tie_names_the_short_time_element(self):
+        curve = _curve(lt_delay=0.216)
+        assert trip_time(curve, 32000.0) == (0.216, "short_time")
 
     def test_negative_current_rejected(self):
         with pytest.raises(ValueError):
