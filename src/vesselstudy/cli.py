@@ -20,8 +20,9 @@ import sys
 import numpy as np
 
 from . import fixtures, report
-from .grid import GridError, GridModel, validate
-from .gridfile import GridParseError, flag, parse_grid, read_sections
+from .grid import FuseSpec, GridError, GridLookupError, GridModel, validate
+from .gridfile import (GridParseError, boolean, check_declared, convert,
+                       integer, parse_grid, read_sections)
 from .powerflow import (
     ConvergenceError,
     IslandError,
@@ -31,14 +32,12 @@ from .powerflow import (
 )
 from .protection import (
     FaultLocation,
-    NoDetectionError,
     fuse_i2t_clearing,
     selectivity_check,
     sequence_of_operations,
 )
-from .grid import FuseSpec
-from .sc_ac import NoContributorsError, ShortCircuitError, fault_summary
-from .sc_dc import DcFaultError, DcScTrace, dc_fault_summary
+from .sc_ac import fault_summary
+from .sc_dc import DcScTrace, dc_fault_summary
 from .tdsim import (
     AvrParams,
     BracketError,
@@ -61,46 +60,94 @@ EXIT_STRICT = 4
 
 _NUMERIC_ERRORS = (ConvergenceError, IslandError, CapacityError,
                    SimulationError, BracketError)
-_INPUT_ERRORS = (GridParseError, GridError, OSError, KeyError, ValueError)
-# declared keys of the study sections, checked when read
-_STUDY_KEYS = {
-    "sim": {"step_s", "end_s", "integrator"},
-    "cct": {"machine", "loading", "location", "branch", "t_lo_s", "t_hi_s",
-            "tol_s", "step_s", "window_s", "governor", "avr"},
-    "protect": {"fault_element", "fault_bus", "failed_breakers", "zsi",
-                "cct_budget_s"},
-    "powerflow": {"slack", "tol", "max_iter"},
-    "study": {"bus"},
-    "event": {"time_s", "action", "target", "scale", "ramp_s", "location"},
-    "controller": {"mode", "inverter", "watched", "p_threshold_kw",
-                   "q_threshold_kvar", "p_rating_kw", "q_rating_kvar",
-                   "dp_delay_s"}}
-# the id-keyed study sections: breaker -> true/false, generator -> kW,
-# load -> scale factor; their ids are checked against the grid
-_STUDY_MAPS = ("breakers", "dispatch", "load_scale")
+# every engine's own errors are GridErrors: those not numerical are input errors
+_INPUT_ERRORS = (GridError, OSError, ValueError)
+
+
+def _on_off(text: str) -> bool:
+    if text not in ("on", "off"):
+        raise ValueError("not on or off")
+    return text == "on"
+
+
+def _id_list(text: str) -> tuple[str, ...]:
+    return tuple(s.strip() for s in text.split(",") if s.strip())
+
+
+# each keyed study section: key -> (converter, default); a missing key
+# takes its default, and one whose default is ... is an input error
+_STUDY_SECTIONS = {
+    "sim": {"step_s": (float, 0.005), "end_s": (float, 10.0),
+            "integrator": (str, "rk4")},
+    "cct": {"machine": (str, ...), "loading": (float, 0.9),
+            "location": (float, 0.01), "branch": (str, None),
+            "t_lo_s": (float, 0.0), "t_hi_s": (float, 0.5),
+            "tol_s": (float, 1e-3), "step_s": (float, 0.002),
+            "window_s": (float, 3.0), "governor": (_on_off, True),
+            "avr": (_on_off, True)},
+    "protect": {"fault_element": (str, None), "fault_bus": (str, None),
+                "failed_breakers": (_id_list, ()), "zsi": (boolean, True),
+                "cct_budget_s": (float, 0.542)},
+    "powerflow": {"slack": (str, None), "tol": (float, 1e-8),
+                  "max_iter": (integer, 20)},
+    "study": {"bus": (str, None)},
+    "event": {"time_s": (float, ...), "action": (str, ...),
+              "target": (str, None), "scale": (float, None),
+              "ramp_s": (float, 0.0), "location": (float, None)},
+    "controller": {"mode": (str, ...), "inverter": (str, ...),
+                   "watched": (_id_list, ()), "p_threshold_kw": (float, 0.0),
+                   "q_threshold_kvar": (float, 0.0),
+                   "p_rating_kw": (float, ...), "q_rating_kvar": (float, ...),
+                   "dp_delay_s": (float, 0.1)}}
+# the id-keyed study sections and the converter of their values: breaker ->
+# true/false, generator -> kW, load -> scale factor; their ids are checked
+# against the grid
+_STUDY_MAPS = {"breakers": boolean, "dispatch": float, "load_scale": float}
 
 
 class _Study:
-    """Parsed study file: {section kind: {id: keys}}."""
+    """Parsed study file: {section kind: {id: {key: typed value}}}."""
 
     def __init__(self, text: str = ""):
         self.sections: dict[str, dict[str, dict]] = {}
-        if text:
-            for kind, sid, lineno, keys in read_sections(text):
-                if kind not in _STUDY_KEYS and kind not in _STUDY_MAPS:
-                    raise GridParseError(
-                        f"unknown study section kind {kind!r}", lineno)
-                unknown = sorted(keys.keys() - _STUDY_KEYS.get(kind, keys.keys()))
-                if unknown:
-                    raise GridParseError(f"[{kind}] unknown key(s): "
-                                         f"{', '.join(unknown)}", lineno)
-                self.sections.setdefault(kind, {})[sid] = keys
+        for kind, sid, line, keys in read_sections(text):
+            where = f"[{kind} {sid}]" if sid else f"[{kind}]"
+            if kind in _STUDY_MAPS:
+                values = {k: convert(where, line, k, v, _STUDY_MAPS[kind])
+                          for k, v in keys.items()}
+            elif kind in _STUDY_SECTIONS:
+                values = _section_values(_STUDY_SECTIONS[kind], keys, where,
+                                         line)
+            else:
+                raise GridParseError(
+                    f"unknown study section kind {kind!r}", line)
+            if sid in self.sections.setdefault(kind, {}):
+                raise GridParseError(f"{where} repeated", line)
+            self.sections[kind][sid] = values
 
     def one(self, kind: str) -> dict:
-        return next(iter(self.many(kind).values()), {})
+        """The first section of `kind`, or the defaults when there is none."""
+        for values in self.many(kind).values():
+            return values
+        return {k: default for k, (_, default)
+                in _STUDY_SECTIONS.get(kind, {}).items()
+                if default is not ...}
 
     def many(self, kind: str) -> dict[str, dict]:
         return self.sections.get(kind, {})
+
+
+def _section_values(table: dict, keys: dict, where: str, line: int) -> dict:
+    check_declared(where, line, keys, table.keys())
+    values = {}
+    for key, (conv, default) in table.items():
+        if key in keys:
+            values[key] = convert(where, line, key, keys[key], conv)
+        elif default is ...:
+            raise GridParseError(f"{where} missing required key {key!r}", line)
+        else:
+            values[key] = default
+    return values
 
 
 def _load_grid(spec: str) -> GridModel:
@@ -119,10 +166,7 @@ def _load_study(path: str | None) -> _Study:
 
 def _apply_breaker_states(grid: GridModel, study: _Study) -> GridModel:
     states = study.one("breakers")
-    if not states:
-        return grid
-    return grid.with_breaker_states(
-        {k: flag("[breakers]", k, v) for k, v in states.items()})
+    return grid.with_breaker_states(states) if states else grid
 
 
 def _emit(args, name: str, header, rows) -> None:
@@ -136,14 +180,17 @@ def _emit(args, name: str, header, rows) -> None:
 
 def _steady_state(grid: GridModel, study: _Study) -> dict:
     """The study's slack, dispatch and load_scale as solver keywords; the
-    slack and dispatch ids must name generators, the load_scale ids loads."""
-    slack = study.one("powerflow").get("slack")
-    dispatch = {k: float(v) for k, v in study.one("dispatch").items()}
-    load_scale = {k: float(v) for k, v in study.one("load_scale").items()}
+    slack and dispatch ids must name generators, the slack an online one,
+    and the load_scale ids loads."""
+    slack = study.one("powerflow")["slack"]
+    dispatch = study.one("dispatch")
+    load_scale = study.one("load_scale")
     for gen_id in dispatch:
         grid.generator(gen_id)
     if slack is not None:
         grid.generator(slack)
+        if not grid.element_online(slack):
+            raise GridLookupError(f"slack generator {slack!r} is offline")
     for load_id in load_scale:
         grid.load(load_id)
     return {"slack": slack, "dispatch": dispatch, "load_scale": load_scale}
@@ -164,8 +211,8 @@ def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
         _emit(args, "dcbalance.csv", *report.dc_balance_rows(bal))
     sol = solve_ac_powerflow(
         grid,
-        tol=float(pf.get("tol", 1e-8)),
-        max_iter=int(pf.get("max_iter", 20)),
+        tol=pf["tol"],
+        max_iter=pf["max_iter"],
         converter_draws=draws,
         **steady,
     )
@@ -177,10 +224,10 @@ def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
 
 
 def _fault_bus(args, study: _Study) -> str:
-    bus = args.bus or study.one("study").get("bus")
+    bus = args.bus or study.one("study")["bus"]
     if not bus:
         raise ValueError("a fault bus is required (--bus or [study] bus)")
-    return str(bus)
+    return bus
 
 
 def _run_sc_ac(args, grid: GridModel, study: _Study) -> int:
@@ -220,47 +267,34 @@ def _run_sc_dc(args, grid: GridModel, study: _Study) -> int:
 def _controllers(study: _Study) -> list[ControllerConfig]:
     out = []
     for cid, keys in sorted(study.many("controller").items()):
-        watched = tuple(str(keys.get("watched", "")).split(","))
-        watched = tuple(w.strip() for w in watched if w.strip())
-        mode = str(keys["mode"])
+        mode = keys["mode"]
         if mode == "peak_shave":
             out.append(ControllerConfig.peak_shave(
-                str(keys["inverter"]), watched,
-                float(keys.get("p_threshold_kw", 0.0)),
-                float(keys.get("q_threshold_kvar", 0.0)),
-                float(keys["p_rating_kw"]), float(keys["q_rating_kvar"])))
+                keys["inverter"], keys["watched"], keys["p_threshold_kw"],
+                keys["q_threshold_kvar"], keys["p_rating_kw"],
+                keys["q_rating_kvar"]))
         elif mode == "dp_failover":
             out.append(ControllerConfig.dp_failover(
-                str(keys["inverter"]), watched,
-                float(keys["p_rating_kw"]), float(keys["q_rating_kvar"]),
-                dp_delay=float(keys.get("dp_delay_s", 0.1))))
+                keys["inverter"], keys["watched"], keys["p_rating_kw"],
+                keys["q_rating_kvar"], dp_delay=keys["dp_delay_s"]))
         else:
             raise ValueError(f"controller {cid}: unknown mode {mode!r}")
     return out
 
 
 def _events(study: _Study) -> EventSchedule:
-    evs = []
-    for eid, keys in study.many("event").items():
-        evs.append(Event(
-            time=float(keys["time_s"]),
-            action=str(keys["action"]),
-            target=(str(keys["target"]) if "target" in keys else None),
-            scale=(float(keys["scale"]) if "scale" in keys else None),
-            ramp=float(keys.get("ramp_s", 0.0)),
-            location=(float(keys["location"]) if "location" in keys else None),
-        ))
+    evs = [Event(time=keys["time_s"], action=keys["action"],
+                 target=keys["target"], scale=keys["scale"],
+                 ramp=keys["ramp_s"], location=keys["location"])
+           for keys in study.many("event").values()]
     evs.sort(key=lambda e: e.time)
     return EventSchedule(tuple(evs))
 
 
 def _sim_config(study: _Study) -> SimConfig:
     keys = study.one("sim")
-    return SimConfig(
-        step=float(keys.get("step_s", 0.005)),
-        end=float(keys.get("end_s", 10.0)),
-        integrator=str(keys.get("integrator", "rk4")),
-    )
+    return SimConfig(step=keys["step_s"], end=keys["end_s"],
+                     integrator=keys["integrator"])
 
 
 def _run_tdsim(args, grid: GridModel, study: _Study) -> int:
@@ -273,54 +307,45 @@ def _run_tdsim(args, grid: GridModel, study: _Study) -> int:
 
 
 def _run_cct(args, grid: GridModel, study: _Study) -> int:
-    keys = study.one("cct")
-    if not keys:
+    if not study.many("cct"):
         raise ValueError("cct study requires a [cct] section")
+    keys = study.one("cct")
     controls = None
-    if keys.get("governor") == "off" or keys.get("avr") == "off":
-        gov = None if keys.get("governor") == "off" else GovernorParams()
-        avr = None if keys.get("avr") == "off" else AvrParams()
+    if not (keys["governor"] and keys["avr"]):
+        gov = GovernorParams() if keys["governor"] else None
+        avr = AvrParams() if keys["avr"] else None
         controls = {g.id: MachineControls(gov, avr) for g in grid.generators}
-    spec = CctFaultSpec(
-        machine=str(keys["machine"]),
-        loading=float(keys.get("loading", 0.9)),
-        location=float(keys.get("location", 0.01)),
-        branch=(str(keys["branch"]) if "branch" in keys else None),
-    )
+    spec = CctFaultSpec(machine=keys["machine"], loading=keys["loading"],
+                        location=keys["location"], branch=keys["branch"])
     result = find_cct(
-        grid, spec,
-        t_lo=float(keys.get("t_lo_s", 0.0)),
-        t_hi=float(keys.get("t_hi_s", 0.5)),
-        tol=float(keys.get("tol_s", 1e-3)),
-        cfg=SimConfig(step=float(keys.get("step_s", 0.002))),
-        machine_controls=controls,
-        window=float(keys.get("window_s", 3.0)),
-    )
+        grid, spec, t_lo=keys["t_lo_s"], t_hi=keys["t_hi_s"],
+        tol=keys["tol_s"], cfg=SimConfig(step=keys["step_s"]),
+        machine_controls=controls, window=keys["window_s"])
     _emit(args, "cct.csv", *report.cct_rows(result))
     print(f"cct_s = {report.fmt(result.cct)}")
     return EXIT_OK
 
 
 def _run_protect(args, grid: GridModel, study: _Study) -> int:
-    keys = study.one("protect")
-    if not keys:
+    if not study.many("protect"):
         raise ValueError("protect study requires a [protect] section")
-    if "fault_element" in keys:
-        fault = FaultLocation.at_element_terminal(str(keys["fault_element"]))
-        gen = grid.element(fault.target)
-        fault_bus = gen.bus
-    else:
-        fault = FaultLocation.at_bus(str(keys["fault_bus"]))
+    keys = study.one("protect")
+    if keys["fault_element"] is not None:
+        fault = FaultLocation.at_element_terminal(keys["fault_element"])
+        fault_bus = grid.element(fault.target).bus
+    elif keys["fault_bus"] is not None:
+        fault = FaultLocation.at_bus(keys["fault_bus"])
         fault_bus = fault.target
+    else:
+        raise ValueError("[protect] needs fault_element or fault_bus")
+    for breaker_id in keys["failed_breakers"]:
+        grid.breaker(breaker_id)
     sol = solve_ac_powerflow(grid, **_steady_state(grid, study))
     summ = fault_summary(grid, fault_bus, sol)
-    failed = {s.strip() for s in str(keys.get("failed_breakers", "")).split(",")
-              if s.strip()}
-    zsi = flag("[protect]", "zsi", keys.get("zsi", True))
-    events = sequence_of_operations(grid, fault, summ, zsi_enabled=zsi,
-                                    failed_breakers=failed)
+    events = sequence_of_operations(grid, fault, summ, zsi_enabled=keys["zsi"],
+                                    failed_breakers=set(keys["failed_breakers"]))
     _emit(args, "trips.csv", *report.trip_rows(events))
-    rep = selectivity_check(events, float(keys.get("cct_budget_s", 0.542)))
+    rep = selectivity_check(events, keys["cct_budget_s"])
     report.write_artifact(args.out, "selectivity.txt",
                           report.selectivity_text(rep))
     print(f"first trip {events[0].breaker_id} at "
@@ -430,10 +455,6 @@ def main(argv=None) -> int:
     except _NUMERIC_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (NoContributorsError, NoDetectionError, DcFaultError,
-            ShortCircuitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except _INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

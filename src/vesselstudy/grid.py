@@ -17,6 +17,7 @@ AC = "ac"
 DC = "dc"
 
 CONVERTER_KINDS = ("inverter", "charger", "dcdc", "grid_inverter")
+LONG_TIME_KINDS = ("definite", "inverse")
 
 
 class GridError(Exception):
@@ -140,7 +141,7 @@ class CableBranch:
 @dataclass(frozen=True)
 class LongTimeElement:
     pickup: float                 # A
-    kind: str = "definite"        # definite | inverse
+    kind: str = "definite"        # one of LONG_TIME_KINDS
     delay: float = 10.0           # s (definite delay, or time dial for inverse)
 
 
@@ -411,10 +412,12 @@ def validate(grid: GridModel) -> ValidationReport:
         if _rel_dev(g.rated_kw, g.rated_kva * g.power_factor) > 0.01:
             add(g.id, "kw/kva/pf mismatch",
                 f"rated_kw {g.rated_kw} vs kva*pf {g.rated_kva * g.power_factor:.1f}")
-        expect_i = g.rated_kva * 1e3 / (math.sqrt(3) * g.voltage)
-        if _rel_dev(g.rated_current, expect_i) > 0.01:
-            add(g.id, "current/kva/voltage mismatch",
-                f"rated_current {g.rated_current} vs kva/(sqrt3*V) {expect_i:.1f}")
+        if g.voltage:                           # zero is reported above
+            expect_i = g.rated_kva * 1e3 / (math.sqrt(3) * g.voltage)
+            if _rel_dev(g.rated_current, expect_i) > 0.01:
+                add(g.id, "current/kva/voltage mismatch",
+                    f"rated_current {g.rated_current} vs kva/(sqrt3*V) "
+                    f"{expect_i:.1f}")
         d = g.dynamics
         if d is not None:
             if not 0 < d.xd_st < d.xd_t < d.xd:
@@ -474,6 +477,8 @@ def validate(grid: GridModel) -> ValidationReport:
                 add(bk.id, "dangling reference", f"endpoint {end!r} not declared")
         if bk.tcc is not None:
             t = bk.tcc
+            if t.long_time.kind not in LONG_TIME_KINDS:
+                add(bk.id, "long-time kind", f"unknown kind {t.long_time.kind!r}")
             if t.short_time.pickup <= t.long_time.pickup:
                 add(bk.id, "pickup ordering",
                     "short-time pickup must exceed long-time pickup")
@@ -496,7 +501,7 @@ def validate(grid: GridModel) -> ValidationReport:
 
     # AC islands must not mix frequencies
     for isl in grid.islands(AC):
-        freqs = {grid.bus(b).frequency for b in isl}
+        freqs = {grid.bus(b).frequency for b in isl} - {None}
         if len(freqs) > 1:
             add(sorted(isl)[0], "island frequency",
                 f"island mixes frequencies {sorted(freqs)}")

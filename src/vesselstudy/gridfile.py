@@ -2,24 +2,28 @@
 
 Sections are headed ``[kind id]``, followed by one ``key = value`` per line.
 Keys carry unit suffixes (``voltage_v``, ``rated_kva``, ``resistance_mohm``)
-so a file is unambiguous without a schema at hand.  Each section kind
-declares its keys: an unknown kind or an undeclared key is a
-`GridParseError` naming the header line, and the boolean keys (``closed``,
-``synthetic``, ``synthetic_dynamics``) read only ``true``/``false``.  Ids
-match ``[A-Za-z0-9_#]+``.  ``#`` starts a comment only at the start of a
-line or after whitespace, so ``bus = DG#01  # port`` reads ``DG#01``.  A
-value is a number when ``float`` reads it; ``nan``, ``inf`` and
-overflowing numbers, in any spelling, are a `GridParseError` naming the
-line.  Study files use the same format.
+so a file is unambiguous without a schema at hand.  One table per section
+kind, `_SECTIONS`, names each key, the dataclass field it fills, its
+converter and any unit scale; parsing, the key checks and serialization all
+read it, and every default comes from the dataclass itself.  Values stay
+text until the table converts them, so ids keep their text exactly
+(``bus = 12`` names ``[bus 12]``).  Nested tables are all-or-nothing
+groups: the trip curve, the dynamics block and the DC link (``dclink_*``,
+in uF, mOhm and uH).  Every input error is a `GridParseError` naming the
+line; README.md lists the rules.
 
 The serializer emits keys sorted and floats with at least two decimals, so
 files diff cleanly and ``parse_grid(serialize_grid(g))`` reproduces ``g``.
+It omits fields that are None and the marker flags ``synthetic`` and
+``synthetic_dynamics`` when false.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from dataclasses import MISSING, fields
+from typing import Callable, NamedTuple
 
 from .grid import (
     BatterySource,
@@ -38,33 +42,13 @@ from .grid import (
     ShortTimeElement,
     TccCurve,
 )
+from .sc_ac import convert_time_constants
 
 _SECTION_RE = re.compile(r"^\[([a-z_]+)(?:\s+([A-Za-z0-9_#]+))?\]$")
 _ID_RE = re.compile(r"^[A-Za-z0-9_#]+$")
 # '#' opens a comment only at line start or after whitespace, so ids like
 # DG#01 survive inside values
 _COMMENT_RE = re.compile(r"(?<!\S)#")
-
-# the keys each section kind declares; any other key is a parse error
-_GRID_KEYS = {kind: set(keys.split()) for kind, keys in {
-    "grid": "name",
-    "bus": "kind voltage_v frequency_hz",
-    "generator": "bus rated_kva rated_kw voltage_v current_a frequency_hz pf rpm "
-                 "winding_resistance_mohm poles xd_pu xd_t_pu xd_st_pu td0_t_s "
-                 "td0_st_s td_t_s td_st_s tdc_s ikd_a inertia_h_s damping_pu "
-                 "synthetic_dynamics",
-    "battery": "bus capacity_kwh sc_peak_current_a sc_time_constant_s min_soc",
-    "converter": "bus kind rated_current_a rated_kw sc_factor ac_bus p_set_kw "
-                 "dclink_capacitance_uf dclink_resistance_mohm "
-                 "dclink_inductance_uh dclink_voltage_v",
-    "load": "bus rated_kva pf static_fraction motor_fraction "
-            "locked_rotor_multiplier xr_ratio",
-    "branch": "from to resistance_ohm reactance_ohm synthetic",
-    "breaker": "from to closed lt_pickup_a lt_kind lt_delay_s st_pickup_a "
-               "st_delay_s zsi_delay_s",
-    "fuse": "element i2t_total_clearing rated_current_a",
-}.items()}
-_BOOL_KEYS = {"closed", "synthetic", "synthetic_dynamics"}
 
 
 class GridParseError(GridError):
@@ -73,17 +57,15 @@ class GridParseError(GridError):
         super().__init__(f"line {line}: {message}" if line else message)
 
 
-def flag(where: str, key: str, value, line: int | None = None) -> bool:
-    """A boolean setting, which must read ``true`` or ``false``."""
-    if not isinstance(value, bool):
-        raise GridParseError(f"{where} {key} = {value!r}: not true or false", line)
-    return value
+# ---- tokenizer --------------------------------------------------------------
 
 
-def read_sections(text: str) -> list[tuple[str, str, int, dict[str, object]]]:
-    """Generic pass: (kind, id, header line no, {key: raw value})."""
+def read_sections(text: str) -> list[tuple[str, str, int, dict[str, str]]]:
+    """Generic pass: (kind, id, header line no, {key: value text}).  A value
+    that reads as a non-finite number is an error at its own line."""
     sections = []
-    current: dict[str, object] | None = None
+    current: dict[str, str] | None = None
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         if "#" in line:
             m = _COMMENT_RE.search(line)
@@ -95,7 +77,7 @@ def read_sections(text: str) -> list[tuple[str, str, int, dict[str, object]]]:
         if line[0] == "[":
             m = _SECTION_RE.match(line)
             if m:
-                current = {}
+                current, first_line = {}, {}
                 sections.append((m.group(1), m.group(2) or "", lineno, current))
                 continue
         key, eq, value = line.partition("=")
@@ -107,253 +89,267 @@ def read_sections(text: str) -> list[tuple[str, str, int, dict[str, object]]]:
         value = value.strip()
         if not key or not value:
             raise GridParseError(f"malformed 'key = value' line {line!r}", lineno)
-        current[key] = _convert(value, lineno)
+        if key in current:
+            raise GridParseError(
+                f"key {key!r} repeated from line {first_line[key]}", lineno)
+        if value[0].isalpha():
+            # the only words float() reads; any other word is text
+            finite = value.lower() not in ("nan", "inf", "infinity")
+        else:
+            try:
+                finite = math.isfinite(float(value))
+            except ValueError:
+                finite = True
+        if not finite:
+            raise GridParseError(f"non-finite number {value!r}", lineno)
+        current[key] = value
+        first_line[key] = lineno
     return sections
 
 
-def _convert(value: str, lineno: int):
-    if value == "true":
-        return True
-    if value == "false":
-        return False
-    if value[0].isalpha():
-        # the only words float() reads; any other word is a string
-        if value.lower() in ("nan", "inf", "infinity"):
-            raise GridParseError(f"non-finite number {value!r}", lineno)
-        return value
+# ---- converters: value text -> value, or a ValueError saying what it is not;
+# numbers are read by float itself
+
+
+def integer(text: str) -> int:
+    """An integral number (exact up to 2**53): ``4`` and ``4.0`` read 4,
+    ``4.5`` is an error."""
     try:
-        number = float(value)
+        value = float(text)
     except ValueError:
-        return value
-    if not math.isfinite(number):
-        raise GridParseError(f"non-finite number {value!r}", lineno)
-    return number
+        value = math.nan
+    if not value.is_integer():
+        raise ValueError("not an integer")
+    return int(value)
+
+
+def boolean(text: str) -> bool:
+    if text not in ("true", "false"):
+        raise ValueError("not true or false")
+    return text == "true"
+
+
+def convert(where: str, line: int, key: str, text: str, conv: Callable):
+    """`conv(text)`; a value it rejects is an error naming the key and line."""
+    try:
+        return conv(text)
+    except ValueError as exc:
+        reason = "not a number" if conv is float else exc
+        raise GridParseError(f"{where} {key} = {text!r}: {reason}", line) from None
+
+
+def check_declared(where: str, line: int, keys: dict, declared) -> None:
+    unknown = sorted(keys.keys() - declared)
+    if unknown:
+        raise GridParseError(f"{where} unknown key(s): {', '.join(unknown)}",
+                             line)
+
+
+# ---- section tables ---------------------------------------------------------
+
+
+class _Key(NamedTuple):
+    name: str                     # the file key
+    field: str                    # the dataclass field it fills
+    conv: Callable = float
+    scale: float | None = None    # field value = file value * scale
+
+
+class _Table:
+    """How one dataclass is written in a section.  `groups` fill
+    dataclass-typed fields from nested tables; one whose field defaults to
+    None is built when any of its keys is given.  `finish` may rewrite the
+    converted values before the required fields are checked."""
+
+    def __init__(self, cls, keys: list[_Key], groups=None, finish=None):
+        self.cls = cls
+        self.keys = keys
+        self.groups: dict[str, _Table] = groups or {}
+        self.finish = finish
+        self.defaults = {f.name: f.default for f in fields(cls)}
+        self.required = {k.field: k.name for k in keys
+                         if self.defaults.get(k.field) is MISSING}
+        self.names = {k.name for k in keys}.union(
+            *(g.names for g in self.groups.values()))
+
+
+def _open_circuit_constants(values: dict) -> None:
+    """Datasheet short-circuit constants (td_t_s, td_st_s) in place of the
+    open-circuit ones the model holds."""
+    quoted = [values.pop(f) for f in ("td_t", "td_st") if f in values]
+    if not quoted:
+        return
+    if len(quoted) < 2 or "td0_t" in values or "td0_st" in values:
+        raise ValueError("td_t_s and td_st_s go together, in place of "
+                         "td0_t_s and td0_st_s")
+    if {"xd", "xd_t", "xd_st"} <= values.keys():   # else the missing one is named
+        values["td0_t"], values["td0_st"] = convert_time_constants(
+            values["xd"], values["xd_t"], values["xd_st"], *quoted)
+
+
+_DYNAMICS = _Table(GeneratorDynamicParams, [
+    _Key("xd_pu", "xd"),
+    _Key("xd_t_pu", "xd_t"),
+    _Key("xd_st_pu", "xd_st"),
+    _Key("td0_t_s", "td0_t"),
+    _Key("td0_st_s", "td0_st"),
+    _Key("tdc_s", "tdc"),
+    _Key("ikd_a", "ikd"),
+    _Key("inertia_h_s", "inertia_h"),
+    _Key("damping_pu", "damping"),
+    _Key("synthetic_dynamics", "synthetic", boolean),
+    # read only: fields the class lacks, replaced by _open_circuit_constants
+    _Key("td_t_s", "td_t"),
+    _Key("td_st_s", "td_st"),
+], finish=_open_circuit_constants)
+
+_DC_LINK = _Table(CapacitorBranch, [
+    _Key("dclink_capacitance_uf", "capacitance", scale=1e-6),
+    _Key("dclink_resistance_mohm", "series_resistance", scale=1e-3),
+    _Key("dclink_inductance_uh", "series_inductance", scale=1e-6),
+    _Key("dclink_voltage_v", "initial_voltage"),
+])
+
+_TRIP_CURVE = _Table(TccCurve, [_Key("zsi_delay_s", "zsi_extended_delay")], {
+    "long_time": _Table(LongTimeElement, [
+        _Key("lt_pickup_a", "pickup"),
+        _Key("lt_kind", "kind", str),
+        _Key("lt_delay_s", "delay"),
+    ]),
+    "short_time": _Table(ShortTimeElement, [
+        _Key("st_pickup_a", "pickup"),
+        _Key("st_delay_s", "delay"),
+    ]),
+})
+
+# kind -> (GridModel field, table), in the order serialize_grid writes them
+_SECTIONS = {
+    "grid": (None, _Table(GridModel, [_Key("name", "name", str)])),
+    "bus": ("buses", _Table(Bus, [
+        _Key("kind", "kind", str),
+        _Key("voltage_v", "nominal_voltage"),
+        _Key("frequency_hz", "frequency"),
+    ])),
+    "generator": ("generators", _Table(GeneratorSpec, [
+        _Key("bus", "bus", str),
+        _Key("rated_kva", "rated_kva"),
+        _Key("rated_kw", "rated_kw"),
+        _Key("voltage_v", "voltage"),
+        _Key("current_a", "rated_current"),
+        _Key("frequency_hz", "frequency"),
+        _Key("pf", "power_factor"),
+        _Key("rpm", "speed_rpm"),
+        _Key("winding_resistance_mohm", "winding_resistance_mohm"),
+        _Key("poles", "poles", integer),
+    ], {"dynamics": _DYNAMICS})),
+    "battery": ("batteries", _Table(BatterySource, [
+        _Key("bus", "bus", str),
+        _Key("capacity_kwh", "capacity_kwh"),
+        _Key("sc_peak_current_a", "sc_peak_current"),
+        _Key("sc_time_constant_s", "sc_time_constant"),
+        _Key("min_soc", "min_soc"),
+    ])),
+    "converter": ("converters", _Table(ConverterSpec, [
+        _Key("bus", "bus", str),
+        _Key("kind", "kind", str),
+        _Key("rated_current_a", "rated_current"),
+        _Key("rated_kw", "rated_kw"),
+        _Key("sc_factor", "sc_contribution_factor"),
+        _Key("ac_bus", "ac_bus", str),
+        _Key("p_set_kw", "p_set_kw"),
+    ], {"dc_link": _DC_LINK})),
+    "load": ("loads", _Table(LoadSpec, [
+        _Key("bus", "bus", str),
+        _Key("rated_kva", "rated_kva"),
+        _Key("pf", "power_factor"),
+        _Key("static_fraction", "static_fraction"),
+        _Key("motor_fraction", "motor_fraction"),
+        _Key("locked_rotor_multiplier", "locked_rotor_multiplier"),
+        _Key("xr_ratio", "xr_ratio"),
+    ])),
+    "branch": ("branches", _Table(CableBranch, [
+        _Key("from", "from_bus", str),
+        _Key("to", "to_bus", str),
+        _Key("resistance_ohm", "resistance_ohm"),
+        _Key("reactance_ohm", "reactance_ohm"),
+        _Key("synthetic", "synthetic", boolean),
+    ])),
+    "breaker": ("breakers", _Table(BreakerSpec, [
+        _Key("from", "from_element", str),
+        _Key("to", "to_element", str),
+        _Key("closed", "closed", boolean),
+    ], {"tcc": _TRIP_CURVE})),
+    "fuse": ("fuses", _Table(FuseSpec, [
+        _Key("element", "element", str),
+        _Key("i2t_total_clearing", "i2t_total_clearing"),
+        _Key("rated_current_a", "rated_current"),
+    ])),
+}
+
+
+# ---- parsing ----------------------------------------------------------------
 
 
 def parse_grid(text: str) -> GridModel:
     """Parse a grid file into a GridModel, resolving all id references."""
-    sections = read_sections(text)
-
     name = "grid"
-    buses, branches, gens, bats, convs, loads, breakers, fuses = \
-        [], [], [], [], [], [], [], []
-
-    for kind, sid, lineno, keys in sections:
-        if kind not in _GRID_KEYS:
-            raise GridParseError(f"unknown section kind {kind!r}", lineno)
+    specs = {attr: [] for attr, _ in _SECTIONS.values() if attr}
+    for kind, sid, line, keys in read_sections(text):
+        if kind not in _SECTIONS:
+            raise GridParseError(f"unknown section kind {kind!r}", line)
         if not sid and kind != "grid":
-            raise GridParseError(f"[{kind}] section requires an id", lineno)
+            raise GridParseError(f"[{kind}] section requires an id", line)
+        attr, table = _SECTIONS[kind]
         where = f"[{kind} {sid}]" if sid else f"[{kind}]"
-        unknown = sorted(keys.keys() - _GRID_KEYS[kind])
-        if unknown:
-            raise GridParseError(
-                f"{where} unknown key(s): {', '.join(unknown)}", lineno)
-        for key in _BOOL_KEYS & keys.keys():
-            flag(where, key, keys[key], lineno)
-        try:
-            if kind == "grid":
-                name = str(keys.get("name", sid or "grid"))
-            elif kind == "bus":
-                buses.append(_build_bus(sid, keys))
-            elif kind == "generator":
-                gens.append(_build_generator(sid, keys))
-            elif kind == "battery":
-                bats.append(_build_battery(sid, keys))
-            elif kind == "converter":
-                convs.append(_build_converter(sid, keys))
-            elif kind == "load":
-                loads.append(_build_load(sid, keys))
-            elif kind == "branch":
-                branches.append(_build_branch(sid, keys))
-            elif kind == "breaker":
-                breakers.append(_build_breaker(sid, keys))
-            elif kind == "fuse":
-                fuses.append(_build_fuse(sid, keys))
-        except KeyError as exc:
-            raise GridParseError(
-                f"[{kind} {sid}] missing required key {exc.args[0]!r}", lineno
-            ) from None
-
-    grid = GridModel(
-        name=name,
-        buses=tuple(buses),
-        branches=tuple(branches),
-        generators=tuple(gens),
-        batteries=tuple(bats),
-        converters=tuple(convs),
-        loads=tuple(loads),
-        breakers=tuple(breakers),
-        fuses=tuple(fuses),
-    )
+        check_declared(where, line, keys, table.names)
+        if attr:
+            specs[attr].append(_build(table, keys, where, line, id=sid))
+        else:
+            name = keys.get("name", sid or "grid")
+    grid = GridModel(name, **{attr: tuple(s) for attr, s in specs.items()})
     _check_references(grid)
     return grid
 
 
+def _build(table: _Table, keys: dict, where: str, line: int, **values):
+    get = keys.get
+    try:
+        for name, field, conv, scale in table.keys:
+            text = get(name)
+            if text is not None:
+                value = conv(text)
+                values[field] = value if scale is None else value * scale
+    except ValueError:
+        convert(where, line, name, text, conv)     # raises, naming the key
+    for field, group in table.groups.items():
+        if table.defaults[field] is MISSING or not group.names.isdisjoint(keys):
+            values[field] = _build(group, keys, where, line)
+    if table.finish:
+        try:
+            table.finish(values)
+        except ValueError as exc:
+            raise GridParseError(f"{where} {exc}", line) from None
+    if not table.required.keys() <= values.keys():
+        name = next(n for f, n in table.required.items() if f not in values)
+        raise GridParseError(f"{where} missing required key {name!r}", line)
+    return table.cls(**values)
+
+
 def _check_references(grid: GridModel) -> None:
-    bus_ids = grid.bus_ids()
-    endpoints = bus_ids | {e.id for e in grid.elements()}
-    for e in grid.elements():
-        if e.bus not in bus_ids:
-            raise GridParseError(f"{e.id}: dangling reference to bus {e.bus!r}")
-    for c in grid.converters:
-        if c.ac_bus is not None and c.ac_bus not in bus_ids:
-            raise GridParseError(f"{c.id}: dangling reference to bus {c.ac_bus!r}")
-    for br in grid.branches:
-        for end in (br.from_bus, br.to_bus):
-            if end not in bus_ids:
-                raise GridParseError(f"{br.id}: dangling reference to bus {end!r}")
-    for bk in grid.breakers:
-        for end in (bk.from_element, bk.to_element):
-            if end not in endpoints:
-                raise GridParseError(f"{bk.id}: dangling reference to {end!r}")
-    for f in grid.fuses:
-        if f.element not in endpoints:
-            raise GridParseError(f"{f.id}: dangling reference to {f.element!r}")
-
-
-# ---- section builders -----------------------------------------------------
-
-
-def _build_bus(sid, keys) -> Bus:
-    return Bus(
-        id=sid,
-        kind=str(keys["kind"]),
-        nominal_voltage=float(keys["voltage_v"]),
-        frequency=(float(keys["frequency_hz"]) if "frequency_hz" in keys else None),
-    )
-
-
-def _build_dynamics(keys) -> GeneratorDynamicParams | None:
-    if "xd_pu" not in keys:
-        return None
-    xd = float(keys["xd_pu"])
-    xd_t = float(keys["xd_t_pu"])
-    xd_st = float(keys["xd_st_pu"])
-    if "td0_t_s" in keys:
-        td0_t, td0_st = float(keys["td0_t_s"]), float(keys["td0_st_s"])
-    else:
-        # datasheet quoted short-circuit constants; convert at load time
-        from .sc_ac import convert_time_constants
-
-        td0_t, td0_st = convert_time_constants(
-            xd, xd_t, xd_st, float(keys["td_t_s"]), float(keys["td_st_s"])
-        )
-    return GeneratorDynamicParams(
-        xd=xd, xd_t=xd_t, xd_st=xd_st, td0_t=td0_t, td0_st=td0_st,
-        tdc=(float(keys["tdc_s"]) if "tdc_s" in keys else None),
-        ikd=(float(keys["ikd_a"]) if "ikd_a" in keys else None),
-        inertia_h=float(keys.get("inertia_h_s", 1.0)),
-        damping=float(keys.get("damping_pu", 0.0)),
-        synthetic=keys.get("synthetic_dynamics", False),
-    )
-
-
-def _build_generator(sid, keys) -> GeneratorSpec:
-    return GeneratorSpec(
-        id=sid,
-        bus=str(keys["bus"]),
-        rated_kva=float(keys["rated_kva"]),
-        rated_kw=float(keys["rated_kw"]),
-        voltage=float(keys["voltage_v"]),
-        rated_current=float(keys["current_a"]),
-        frequency=float(keys["frequency_hz"]),
-        power_factor=float(keys["pf"]),
-        speed_rpm=float(keys["rpm"]),
-        winding_resistance_mohm=float(keys["winding_resistance_mohm"]),
-        poles=(int(keys["poles"]) if "poles" in keys else None),
-        dynamics=_build_dynamics(keys),
-    )
-
-
-def _build_battery(sid, keys) -> BatterySource:
-    return BatterySource(
-        id=sid,
-        bus=str(keys["bus"]),
-        capacity_kwh=float(keys["capacity_kwh"]),
-        sc_peak_current=float(keys["sc_peak_current_a"]),
-        sc_time_constant=float(keys["sc_time_constant_s"]),
-        min_soc=float(keys.get("min_soc", 0.0)),
-    )
-
-
-def _build_converter(sid, keys) -> ConverterSpec:
-    dc_link = None
-    if "dclink_capacitance_uf" in keys:
-        dc_link = CapacitorBranch(
-            capacitance=float(keys["dclink_capacitance_uf"]) * 1e-6,
-            series_resistance=float(keys["dclink_resistance_mohm"]) * 1e-3,
-            series_inductance=float(keys["dclink_inductance_uh"]) * 1e-6,
-            initial_voltage=float(keys["dclink_voltage_v"]),
-        )
-    return ConverterSpec(
-        id=sid,
-        bus=str(keys["bus"]),
-        kind=str(keys["kind"]),
-        rated_current=float(keys["rated_current_a"]),
-        rated_kw=float(keys["rated_kw"]),
-        sc_contribution_factor=float(keys.get("sc_factor", 1.5)),
-        ac_bus=(str(keys["ac_bus"]) if "ac_bus" in keys else None),
-        p_set_kw=float(keys.get("p_set_kw", 0.0)),
-        dc_link=dc_link,
-    )
-
-
-def _build_load(sid, keys) -> LoadSpec:
-    return LoadSpec(
-        id=sid,
-        bus=str(keys["bus"]),
-        rated_kva=float(keys["rated_kva"]),
-        power_factor=float(keys["pf"]),
-        static_fraction=float(keys["static_fraction"]),
-        motor_fraction=float(keys["motor_fraction"]),
-        locked_rotor_multiplier=float(keys.get("locked_rotor_multiplier", 6.25)),
-        xr_ratio=(float(keys["xr_ratio"]) if "xr_ratio" in keys else None),
-    )
-
-
-def _build_branch(sid, keys) -> CableBranch:
-    return CableBranch(
-        id=sid,
-        from_bus=str(keys["from"]),
-        to_bus=str(keys["to"]),
-        resistance_ohm=float(keys["resistance_ohm"]),
-        reactance_ohm=float(keys["reactance_ohm"]),
-        synthetic=keys.get("synthetic", False),
-    )
-
-
-def _build_breaker(sid, keys) -> BreakerSpec:
-    tcc = None
-    if "st_pickup_a" in keys:
-        tcc = TccCurve(
-            long_time=LongTimeElement(
-                pickup=float(keys["lt_pickup_a"]),
-                kind=str(keys.get("lt_kind", "definite")),
-                delay=float(keys.get("lt_delay_s", 10.0)),
-            ),
-            short_time=ShortTimeElement(
-                pickup=float(keys["st_pickup_a"]),
-                delay=float(keys.get("st_delay_s", 0.216)),
-            ),
-            zsi_extended_delay=float(keys.get("zsi_delay_s", 0.1)),
-        )
-    return BreakerSpec(
-        id=sid,
-        from_element=str(keys["from"]),
-        to_element=str(keys["to"]),
-        tcc=tcc,
-        closed=keys.get("closed", True),
-    )
-
-
-def _build_fuse(sid, keys) -> FuseSpec:
-    return FuseSpec(
-        id=sid,
-        element=str(keys["element"]),
-        i2t_total_clearing=float(keys["i2t_total_clearing"]),
-        rated_current=(float(keys["rated_current_a"])
-                       if "rated_current_a" in keys else None),
-    )
+    buses = grid.bus_ids()
+    endpoints = buses | {e.id for e in grid.elements()}
+    # (referrer, id, the ids it may name, what the message calls them)
+    refs = [(e.id, e.bus, buses, "bus ") for e in grid.elements()]
+    refs += [(c.id, c.ac_bus, buses, "bus ") for c in grid.converters
+             if c.ac_bus is not None]
+    refs += [(br.id, end, buses, "bus ") for br in grid.branches
+             for end in (br.from_bus, br.to_bus)]
+    refs += [(bk.id, end, endpoints, "") for bk in grid.breakers
+             for end in (bk.from_element, bk.to_element)]
+    refs += [(f.id, f.element, endpoints, "") for f in grid.fuses]
+    for referrer, ref, known, what in refs:
+        if ref not in known:
+            raise GridParseError(f"{referrer}: dangling reference to {what}{ref!r}")
 
 
 # ---- serialization ----------------------------------------------------------
@@ -371,97 +367,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _section(kind: str, sid: str, keys: dict) -> str:
-    lines = [f"[{kind} {sid}]"]
-    for key in sorted(keys):
-        if keys[key] is None:
+def _written(table: _Table, spec):
+    """(file key, value) of every field of `spec` its section spells out."""
+    for key in table.keys:
+        if key.field not in table.defaults:
+            continue                            # read only, see _DYNAMICS
+        value = getattr(spec, key.field)
+        if value is None or (value is False and table.defaults[key.field] is False):
             continue
-        lines.append(f"{key} = {_fmt(keys[key])}")
-    return "\n".join(lines)
+        if key.scale is not None:
+            value *= round(1 / key.scale)    # the exact inverse, 1e6 for 1e-6
+        yield key.name, value
+    for field, group in table.groups.items():
+        if getattr(spec, field) is not None:
+            yield from _written(group, getattr(spec, field))
 
 
 def serialize_grid(grid: GridModel) -> str:
     """Render a GridModel back to grid-file text."""
-    parts = [_section("grid", _safe_id(grid.name), {"name": grid.name})]
-    for b in grid.buses:
-        parts.append(_section("bus", b.id, {
-            "kind": b.kind, "voltage_v": b.nominal_voltage,
-            "frequency_hz": b.frequency,
-        }))
-    for g in grid.generators:
-        keys = {
-            "bus": g.bus, "rated_kva": g.rated_kva, "rated_kw": g.rated_kw,
-            "voltage_v": g.voltage, "current_a": g.rated_current,
-            "frequency_hz": g.frequency, "pf": g.power_factor,
-            "rpm": g.speed_rpm, "poles": g.poles,
-            "winding_resistance_mohm": g.winding_resistance_mohm,
-        }
-        if g.dynamics is not None:
-            d = g.dynamics
-            keys.update({
-                "xd_pu": d.xd, "xd_t_pu": d.xd_t, "xd_st_pu": d.xd_st,
-                "td0_t_s": d.td0_t, "td0_st_s": d.td0_st, "tdc_s": d.tdc,
-                "ikd_a": d.ikd, "inertia_h_s": d.inertia_h,
-                "damping_pu": d.damping,
-                "synthetic_dynamics": d.synthetic or None,
-            })
-        parts.append(_section("generator", g.id, keys))
-    for bat in grid.batteries:
-        parts.append(_section("battery", bat.id, {
-            "bus": bat.bus, "capacity_kwh": bat.capacity_kwh,
-            "sc_peak_current_a": bat.sc_peak_current,
-            "sc_time_constant_s": bat.sc_time_constant,
-            "min_soc": bat.min_soc,
-        }))
-    for c in grid.converters:
-        keys = {
-            "bus": c.bus, "kind": c.kind, "rated_current_a": c.rated_current,
-            "rated_kw": c.rated_kw, "sc_factor": c.sc_contribution_factor,
-            "ac_bus": c.ac_bus, "p_set_kw": c.p_set_kw,
-        }
-        if c.dc_link is not None:
-            keys.update({
-                "dclink_capacitance_uf": c.dc_link.capacitance * 1e6,
-                "dclink_resistance_mohm": c.dc_link.series_resistance * 1e3,
-                "dclink_inductance_uh": c.dc_link.series_inductance * 1e6,
-                "dclink_voltage_v": c.dc_link.initial_voltage,
-            })
-        parts.append(_section("converter", c.id, keys))
-    for l in grid.loads:
-        parts.append(_section("load", l.id, {
-            "bus": l.bus, "rated_kva": l.rated_kva, "pf": l.power_factor,
-            "static_fraction": l.static_fraction,
-            "motor_fraction": l.motor_fraction,
-            "locked_rotor_multiplier": l.locked_rotor_multiplier,
-            "xr_ratio": l.xr_ratio,
-        }))
-    for br in grid.branches:
-        parts.append(_section("branch", br.id, {
-            "from": br.from_bus, "to": br.to_bus,
-            "resistance_ohm": br.resistance_ohm,
-            "reactance_ohm": br.reactance_ohm,
-            "synthetic": br.synthetic or None,
-        }))
-    for bk in grid.breakers:
-        keys = {
-            "from": bk.from_element, "to": bk.to_element,
-            "closed": bk.closed,
-        }
-        if bk.tcc is not None:
-            t = bk.tcc
-            keys.update({
-                "lt_pickup_a": t.long_time.pickup, "lt_kind": t.long_time.kind,
-                "lt_delay_s": t.long_time.delay,
-                "st_pickup_a": t.short_time.pickup,
-                "st_delay_s": t.short_time.delay,
-                "zsi_delay_s": t.zsi_extended_delay,
-            })
-        parts.append(_section("breaker", bk.id, keys))
-    for f in grid.fuses:
-        parts.append(_section("fuse", f.id, {
-            "element": f.element, "i2t_total_clearing": f.i2t_total_clearing,
-            "rated_current_a": f.rated_current,
-        }))
+    parts = [f"[grid {_safe_id(grid.name)}]\nname = {grid.name}"]
+    for kind, (attr, table) in _SECTIONS.items():
+        for spec in getattr(grid, attr) if attr else ():
+            keys = dict(_written(table, spec))
+            parts.append("\n".join([f"[{kind} {spec.id}]"] + [
+                f"{key} = {_fmt(keys[key])}" for key in sorted(keys)]))
     return "\n\n".join(parts) + "\n"
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridError, GridModel
+from .grid import GridError, GridLookupError, GridModel
 from .powerflow import (S_BASE_KVA, AcNetwork, branch_z_pu, build_ac_networks,
                         load_pq_kw, solve_ac_powerflow)
 
@@ -57,14 +57,24 @@ class BracketError(SimulationError):
 # configuration and events
 
 
+EVENT_ACTIONS = ("load_step", "breaker_open", "breaker_close", "fault_apply",
+                 "fault_clear")
+
+
 @dataclass(frozen=True)
 class Event:
     time: float
-    action: str                    # load_step | breaker_open | breaker_close |
-    target: str | None = None      # fault_apply | fault_clear
+    action: str                    # one of EVENT_ACTIONS
+    target: str | None = None
     scale: float | None = None     # load_step target scale
     ramp: float = 0.0              # load_step ramp duration, s
     location: float | None = None  # fault position along a branch, 0..1
+
+    def __post_init__(self):
+        if self.action not in EVENT_ACTIONS:
+            raise ValueError(f"unknown event action {self.action!r}")
+        if self.action == "load_step" and self.scale is None:
+            raise ValueError(f"load_step {self.target}: scale required")
 
 
 @dataclass(frozen=True)
@@ -80,15 +90,11 @@ class EventSchedule:
             last = ev.time
             if ev.action == "load_step":
                 grid.load(ev.target)
-                if ev.scale is None:
-                    raise SimulationError(f"load_step {ev.target}: scale required")
             elif ev.action in ("breaker_open", "breaker_close"):
                 grid.breaker(ev.target)
             elif ev.action == "fault_apply":
                 if ev.target not in branch_ids:
                     grid.bus(ev.target)
-            elif ev.action != "fault_clear":
-                raise SimulationError(f"unknown event action {ev.action!r}")
         return self
 
 
@@ -321,6 +327,9 @@ class _Engine:
         self.inv_setpoints: dict[str, tuple[float, float]] = {}
         self.controllers = []
         for c in controllers:
+            grid.converter(c.inverter)          # both raise on unknown ids
+            for gen_id in c.watched:
+                grid.generator(gen_id)
             self.controllers.append(ControllerState(c))
             self.inv_setpoints[c.inverter] = (0.0, 0.0)
         self._build(grid, initial=True)
@@ -814,7 +823,9 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
                     f"{fault.machine}: specify the faulted branch "
                     f"({len(cands)} candidates)")
             branch_id = cands[0].id
-        br = next(b for b in grid.branches if b.id == branch_id)
+        br = next((b for b in grid.branches if b.id == branch_id), None)
+        if br is None:
+            raise GridLookupError(f"unknown branch {branch_id!r}")
         frac = fault.location if br.from_bus == gen.bus else 1.0 - fault.location
         target, location = branch_id, frac
 

@@ -214,10 +214,16 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         assert hashes[0] == hashes[1], argv[0]
 
 
+SHORT_CCT = "[cct]\nmachine = DG#01\nt_hi_s = 0.1\nwindow_s = 0.3\nstep_s = 0.01\n"
+
+
 @pytest.mark.parametrize("kind, study_text, key", [
     ("powerflow", "[breakers]\nCB_TIE_PS_MID = open\n", "CB_TIE_PS_MID"),
     ("powerflow", "[breakers]\nCB_TIE_PS_MID = 0\n", "CB_TIE_PS_MID"),
     ("protect", PROTECT_STUDY.format(zsi="off"), "zsi"),
+    # on/off switches: anything else used to leave the controller on
+    ("cct", SHORT_CCT + "governor = false\n", "governor = 'false': not on or off"),
+    ("cct", SHORT_CCT + "avr = of\n", "avr = 'of': not on or off"),
 ])
 def test_study_booleans_are_strict(tmp_path, capsys, kind, study_text, key):
     study = tmp_path / "s.study"
@@ -375,3 +381,74 @@ def test_unknown_steady_state_ids_are_input_errors(tmp_path, capsys, kind,
     assert rc == 2
     assert repr(bad_id) in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+TDSIM_HEAD = "[sim]\nstep_s = 0.02\nend_s = 0.1\n"
+CONTROLLER = ("[controller ps]\nmode = peak_shave\ninverter = INV_PS\n"
+              "watched = DG#01\np_rating_kw = 1500\nq_rating_kvar = 1500\n")
+
+
+@pytest.mark.parametrize("kind, grid_edit, study_text, message", [
+    ("powerflow", ("rated_kw = 1916.00", "rated_kw = abc"), "",
+     "[generator DG#01] rated_kw = 'abc': not a number"),
+    ("powerflow", ("rpm = 720.00", "rpm = 720.00\npoles = 4.5"), "",
+     "[generator DG#01] poles = '4.5': not an integer"),
+    ("powerflow", ("st_pickup_a = 5000.00\n", ""), "",
+     "missing required key 'st_pickup_a'"),
+    ("powerflow", ("xd_pu = 1.80\n", ""), "", "missing required key 'xd_pu'"),
+    ("powerflow", ("lt_kind = definite", "lt_kind = inverted"), "",
+     "long-time kind: unknown kind 'inverted'"),
+    ("powerflow", ("voltage_v = 690.00", "voltage_v = 690.00\nvoltage_v = 440"),
+     "", "'voltage_v' repeated from line"),
+    ("powerflow", None, "[powerflow]\nmax_iter = 2.7\n",
+     "[powerflow] max_iter = '2.7': not an integer"),
+    ("powerflow", None, "[powerflow]\ntol = 1e-6\ntol = 1e-7\n",
+     "'tol' repeated from line 2"),
+    ("powerflow", None, "[breakers]\nCB_DG01 = false\n[powerflow]\nslack = DG#01\n",
+     "slack generator 'DG#01' is offline"),
+    ("protect", None, PROTECT_STUDY.format(zsi="true") + "failed_breakers = CB_NOPE\n",
+     "unknown breaker 'CB_NOPE'"),
+    ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("mode = peak_shave\n", ""),
+     "[controller ps] missing required key 'mode'"),
+    ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("INV_PS", "NOPE"),
+     "unknown converter 'NOPE'"),
+    ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("DG#01", "DG#99"),
+     "unknown generator 'DG#99'"),
+    ("tdsim", None, TDSIM_HEAD + "[event up]\ntime_s = 0.05\naction = load_stp\n"
+     "target = LOAD440_PS\nscale = 1.1\n", "unknown event action 'load_stp'"),
+    ("tdsim", None, TDSIM_HEAD + "[event up]\ntime_s = 0.05\naction = load_step\n"
+     "target = LOAD440_PS\n", "load_step LOAD440_PS: scale required"),
+    # a second section of the same kind and id used to replace the first
+    ("tdsim", None, TDSIM_HEAD + "[event up]\ntime_s = 0.05\naction = fault_clear\n"
+     "[event up]\ntime_s = 0.08\naction = fault_clear\n", "line 7: [event up] repeated"),
+    ("tdsim", None, TDSIM_HEAD + "[sim]\nend_s = 0.2\n", "line 4: [sim] repeated"),
+    ("cct", None, SHORT_CCT.replace("window_s", "location = 0.5\nbranch = NOPE\n"
+                                    "window_s"), "unknown branch 'NOPE'"),
+])
+def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
+                                        study_text, message):
+    grid = "builtin:ac_vessel"
+    if grid_edit:
+        text = serialize_grid(builtin_fixture("ac_vessel"))
+        assert grid_edit[0] in text
+        grid = tmp_path / "bad.grid"
+        grid.write_text(text.replace(grid_edit[0], grid_edit[1], 1))
+    study = tmp_path / "s.study"
+    study.write_text(study_text)
+    rc = main([kind, "--grid", str(grid), "--study", str(study),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_numeric_ids_are_ids(tmp_path):
+    grid = builtin_fixture("dc_vessel")
+    text = serialize_grid(grid).replace("DC_PS", "12").replace("DC_SB", "007")
+    path = tmp_path / "numeric.grid"
+    path.write_text(text)
+    rc = main(["sc-dc", "--grid", str(path), "--bus", "12",
+               "--out", str(tmp_path / "o")])
+    assert rc == 0
+    total = _read_csv(tmp_path / "o" / "summary.csv")[-1]
+    assert float(total["sustained_a"]) == 16175.0

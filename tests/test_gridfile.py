@@ -1,12 +1,15 @@
-"""The grid-file tokenizer, the GridModel id indexes and islands, the AC
-network assembly, the trip-curve evaluator and the power-flow Jacobian
-against the per-line, linear-scan, twice-derived and per-entry code they
-replace; and the grid-file round trip on generated grids.
+"""The grid-file tokenizer, parser and serializer, the GridModel id
+indexes and islands, the AC network assembly, the trip-curve evaluator and
+the power-flow Jacobian against the per-line, per-kind, linear-scan,
+twice-derived and per-entry code they replace; the grid-file round trip on
+generated grids; and `validate` and the engines on generated grids.
 
 Each reference below is the earlier implementation, unchanged apart from
-its name and the parameters it needs to be called on its own: the fast
+its name and the parameters it needs to be called on its own: the new
 versions must give the same results, the same errors and the same line
-numbers, bit for bit.
+numbers, bit for bit.  The tokenizer reference follows the current
+contract (values stay text, a repeated key is an error); the parser
+reference reads valid files only, through the earlier typed values.
 """
 
 import math
@@ -16,10 +19,17 @@ import numpy as np
 import pytest
 
 from vesselstudy import (
+    FaultLocation,
+    GridError,
     builtin_fixture,
+    convert_time_constants,
+    dc_fault_summary,
+    fault_summary,
     parse_grid,
+    sequence_of_operations,
     serialize_grid,
     solve_ac_powerflow,
+    solve_dc_balance,
     trip_time,
     validate,
 )
@@ -45,6 +55,8 @@ from vesselstudy.grid import (
 from vesselstudy.gridfile import (
     _SECTION_RE,
     GridParseError,
+    _fmt,
+    _safe_id,
     read_sections,
 )
 
@@ -67,7 +79,7 @@ def reference_read_sections(text):
         m = _SECTION_RE.match(line)
         if m:
             kind, sid = m.group(1), m.group(2) or ""
-            current = {}
+            current, lines = {}, {}
             sections.append((kind, sid, lineno, current))
             continue
         if "=" not in line:
@@ -79,7 +91,11 @@ def reference_read_sections(text):
         value = value.strip()
         if not key or not value:
             raise GridParseError(f"malformed 'key = value' line {line!r}", lineno)
-        current[key] = reference_convert(value)
+        if key in current:
+            raise GridParseError(f"key {key!r} repeated from line {lines[key]}",
+                                 lineno)
+        current[key] = value
+        lines[key] = lineno
     return sections
 
 
@@ -105,6 +121,266 @@ def reference_convert(value):
         return float(value)
     except ValueError:
         return value
+
+
+def reference_build_bus(sid, keys):
+    return Bus(
+        id=sid,
+        kind=str(keys["kind"]),
+        nominal_voltage=float(keys["voltage_v"]),
+        frequency=(float(keys["frequency_hz"]) if "frequency_hz" in keys else None),
+    )
+
+
+def reference_build_dynamics(keys):
+    if "xd_pu" not in keys:
+        return None
+    xd = float(keys["xd_pu"])
+    xd_t = float(keys["xd_t_pu"])
+    xd_st = float(keys["xd_st_pu"])
+    if "td0_t_s" in keys:
+        td0_t, td0_st = float(keys["td0_t_s"]), float(keys["td0_st_s"])
+    else:
+        # datasheet quoted short-circuit constants; convert at load time
+        td0_t, td0_st = convert_time_constants(
+            xd, xd_t, xd_st, float(keys["td_t_s"]), float(keys["td_st_s"])
+        )
+    return GeneratorDynamicParams(
+        xd=xd, xd_t=xd_t, xd_st=xd_st, td0_t=td0_t, td0_st=td0_st,
+        tdc=(float(keys["tdc_s"]) if "tdc_s" in keys else None),
+        ikd=(float(keys["ikd_a"]) if "ikd_a" in keys else None),
+        inertia_h=float(keys.get("inertia_h_s", 1.0)),
+        damping=float(keys.get("damping_pu", 0.0)),
+        synthetic=keys.get("synthetic_dynamics", False),
+    )
+
+
+def reference_build_generator(sid, keys):
+    return GeneratorSpec(
+        id=sid,
+        bus=str(keys["bus"]),
+        rated_kva=float(keys["rated_kva"]),
+        rated_kw=float(keys["rated_kw"]),
+        voltage=float(keys["voltage_v"]),
+        rated_current=float(keys["current_a"]),
+        frequency=float(keys["frequency_hz"]),
+        power_factor=float(keys["pf"]),
+        speed_rpm=float(keys["rpm"]),
+        winding_resistance_mohm=float(keys["winding_resistance_mohm"]),
+        poles=(int(keys["poles"]) if "poles" in keys else None),
+        dynamics=reference_build_dynamics(keys),
+    )
+
+
+def reference_build_battery(sid, keys):
+    return BatterySource(
+        id=sid,
+        bus=str(keys["bus"]),
+        capacity_kwh=float(keys["capacity_kwh"]),
+        sc_peak_current=float(keys["sc_peak_current_a"]),
+        sc_time_constant=float(keys["sc_time_constant_s"]),
+        min_soc=float(keys.get("min_soc", 0.0)),
+    )
+
+
+def reference_build_converter(sid, keys):
+    dc_link = None
+    if "dclink_capacitance_uf" in keys:
+        dc_link = CapacitorBranch(
+            capacitance=float(keys["dclink_capacitance_uf"]) * 1e-6,
+            series_resistance=float(keys["dclink_resistance_mohm"]) * 1e-3,
+            series_inductance=float(keys["dclink_inductance_uh"]) * 1e-6,
+            initial_voltage=float(keys["dclink_voltage_v"]),
+        )
+    return ConverterSpec(
+        id=sid,
+        bus=str(keys["bus"]),
+        kind=str(keys["kind"]),
+        rated_current=float(keys["rated_current_a"]),
+        rated_kw=float(keys["rated_kw"]),
+        sc_contribution_factor=float(keys.get("sc_factor", 1.5)),
+        ac_bus=(str(keys["ac_bus"]) if "ac_bus" in keys else None),
+        p_set_kw=float(keys.get("p_set_kw", 0.0)),
+        dc_link=dc_link,
+    )
+
+
+def reference_build_load(sid, keys):
+    return LoadSpec(
+        id=sid,
+        bus=str(keys["bus"]),
+        rated_kva=float(keys["rated_kva"]),
+        power_factor=float(keys["pf"]),
+        static_fraction=float(keys["static_fraction"]),
+        motor_fraction=float(keys["motor_fraction"]),
+        locked_rotor_multiplier=float(keys.get("locked_rotor_multiplier", 6.25)),
+        xr_ratio=(float(keys["xr_ratio"]) if "xr_ratio" in keys else None),
+    )
+
+
+def reference_build_branch(sid, keys):
+    return CableBranch(
+        id=sid,
+        from_bus=str(keys["from"]),
+        to_bus=str(keys["to"]),
+        resistance_ohm=float(keys["resistance_ohm"]),
+        reactance_ohm=float(keys["reactance_ohm"]),
+        synthetic=keys.get("synthetic", False),
+    )
+
+
+def reference_build_breaker(sid, keys):
+    tcc = None
+    if "st_pickup_a" in keys:
+        tcc = TccCurve(
+            long_time=LongTimeElement(
+                pickup=float(keys["lt_pickup_a"]),
+                kind=str(keys.get("lt_kind", "definite")),
+                delay=float(keys.get("lt_delay_s", 10.0)),
+            ),
+            short_time=ShortTimeElement(
+                pickup=float(keys["st_pickup_a"]),
+                delay=float(keys.get("st_delay_s", 0.216)),
+            ),
+            zsi_extended_delay=float(keys.get("zsi_delay_s", 0.1)),
+        )
+    return BreakerSpec(
+        id=sid,
+        from_element=str(keys["from"]),
+        to_element=str(keys["to"]),
+        tcc=tcc,
+        closed=keys.get("closed", True),
+    )
+
+
+def reference_build_fuse(sid, keys):
+    return FuseSpec(
+        id=sid,
+        element=str(keys["element"]),
+        i2t_total_clearing=float(keys["i2t_total_clearing"]),
+        rated_current=(float(keys["rated_current_a"])
+                       if "rated_current_a" in keys else None),
+    )
+
+
+REFERENCE_BUILDERS = {
+    "bus": reference_build_bus, "generator": reference_build_generator,
+    "battery": reference_build_battery, "converter": reference_build_converter,
+    "load": reference_build_load, "branch": reference_build_branch,
+    "breaker": reference_build_breaker, "fuse": reference_build_fuse,
+}
+
+
+def reference_parse_grid(text):
+    """The earlier parse_grid on a valid file, with the earlier tokenizer's
+    typed values."""
+    name = "grid"
+    found = {kind: [] for kind in REFERENCE_BUILDERS}
+    for kind, sid, _, keys in reference_read_sections(text):
+        keys = {k: reference_convert(v) for k, v in keys.items()}
+        if kind == "grid":
+            name = str(keys.get("name", sid or "grid"))
+        else:
+            found[kind].append(REFERENCE_BUILDERS[kind](sid, keys))
+    return GridModel(
+        name=name, buses=tuple(found["bus"]), branches=tuple(found["branch"]),
+        generators=tuple(found["generator"]),
+        batteries=tuple(found["battery"]),
+        converters=tuple(found["converter"]), loads=tuple(found["load"]),
+        breakers=tuple(found["breaker"]), fuses=tuple(found["fuse"]))
+
+
+def reference_section(kind, sid, keys):
+    lines = [f"[{kind} {sid}]"]
+    for key in sorted(keys):
+        if keys[key] is None:
+            continue
+        lines.append(f"{key} = {_fmt(keys[key])}")
+    return "\n".join(lines)
+
+
+def reference_serialize_grid(grid):
+    parts = [reference_section("grid", _safe_id(grid.name), {"name": grid.name})]
+    for b in grid.buses:
+        parts.append(reference_section("bus", b.id, {
+            "kind": b.kind, "voltage_v": b.nominal_voltage,
+            "frequency_hz": b.frequency,
+        }))
+    for g in grid.generators:
+        keys = {
+            "bus": g.bus, "rated_kva": g.rated_kva, "rated_kw": g.rated_kw,
+            "voltage_v": g.voltage, "current_a": g.rated_current,
+            "frequency_hz": g.frequency, "pf": g.power_factor,
+            "rpm": g.speed_rpm, "poles": g.poles,
+            "winding_resistance_mohm": g.winding_resistance_mohm,
+        }
+        if g.dynamics is not None:
+            d = g.dynamics
+            keys.update({
+                "xd_pu": d.xd, "xd_t_pu": d.xd_t, "xd_st_pu": d.xd_st,
+                "td0_t_s": d.td0_t, "td0_st_s": d.td0_st, "tdc_s": d.tdc,
+                "ikd_a": d.ikd, "inertia_h_s": d.inertia_h,
+                "damping_pu": d.damping,
+                "synthetic_dynamics": d.synthetic or None,
+            })
+        parts.append(reference_section("generator", g.id, keys))
+    for bat in grid.batteries:
+        parts.append(reference_section("battery", bat.id, {
+            "bus": bat.bus, "capacity_kwh": bat.capacity_kwh,
+            "sc_peak_current_a": bat.sc_peak_current,
+            "sc_time_constant_s": bat.sc_time_constant,
+            "min_soc": bat.min_soc,
+        }))
+    for c in grid.converters:
+        keys = {
+            "bus": c.bus, "kind": c.kind, "rated_current_a": c.rated_current,
+            "rated_kw": c.rated_kw, "sc_factor": c.sc_contribution_factor,
+            "ac_bus": c.ac_bus, "p_set_kw": c.p_set_kw,
+        }
+        if c.dc_link is not None:
+            keys.update({
+                "dclink_capacitance_uf": c.dc_link.capacitance * 1e6,
+                "dclink_resistance_mohm": c.dc_link.series_resistance * 1e3,
+                "dclink_inductance_uh": c.dc_link.series_inductance * 1e6,
+                "dclink_voltage_v": c.dc_link.initial_voltage,
+            })
+        parts.append(reference_section("converter", c.id, keys))
+    for l in grid.loads:
+        parts.append(reference_section("load", l.id, {
+            "bus": l.bus, "rated_kva": l.rated_kva, "pf": l.power_factor,
+            "static_fraction": l.static_fraction,
+            "motor_fraction": l.motor_fraction,
+            "locked_rotor_multiplier": l.locked_rotor_multiplier,
+            "xr_ratio": l.xr_ratio,
+        }))
+    for br in grid.branches:
+        parts.append(reference_section("branch", br.id, {
+            "from": br.from_bus, "to": br.to_bus,
+            "resistance_ohm": br.resistance_ohm,
+            "reactance_ohm": br.reactance_ohm,
+            "synthetic": br.synthetic or None,
+        }))
+    for bk in grid.breakers:
+        keys = {
+            "from": bk.from_element, "to": bk.to_element,
+            "closed": bk.closed,
+        }
+        if bk.tcc is not None:
+            t = bk.tcc
+            keys.update({
+                "lt_pickup_a": t.long_time.pickup, "lt_kind": t.long_time.kind,
+                "lt_delay_s": t.long_time.delay,
+                "st_pickup_a": t.short_time.pickup,
+                "st_delay_s": t.short_time.delay,
+                "zsi_delay_s": t.zsi_extended_delay,
+            })
+        parts.append(reference_section("breaker", bk.id, keys))
+    for f in grid.fuses:
+        parts.append(reference_section("fuse", f.id, {
+            "element": f.element, "i2t_total_clearing": f.i2t_total_clearing,
+            "rated_current_a": f.rated_current,
+        }))
+    return "\n\n".join(parts) + "\n"
 
 
 def reference_find(items, item_id, kind):
@@ -294,7 +570,8 @@ values = st.one_of(
 
 @st.composite
 def lines(draw):
-    kind = draw(st.sampled_from(["blank", "comment", "header", "kv", "free"]))
+    kind = draw(st.sampled_from(["blank", "comment", "header", "kv", "kv",
+                                 "free"]))
     lead = draw(spaces)
     if kind == "blank":
         return lead
@@ -315,7 +592,9 @@ def lines(draw):
 
 @st.composite
 def grid_texts(draw):
-    body = draw(st.lists(lines(), max_size=12))
+    # a well-formed first header, most of the time, so that key lines parse
+    first = draw(st.sampled_from(["", "[bus B]", "[x_y DG#01]  # c"]))
+    body = [first] + draw(st.lists(lines(), max_size=12))
     breaks = draw(st.lists(st.sampled_from(BREAKS), min_size=len(body),
                            max_size=len(body)))
     return "".join(line + br for line, br in zip(body, breaks))
@@ -326,7 +605,7 @@ def outcome(read, text):
         sections = read(text)
     except GridParseError as exc:
         return ("error", exc.line, str(exc))
-    # type-tagged, because True == 1.0 would hide a changed conversion
+    # type-tagged, so a value that stops being text shows
     return ("ok", [(kind, sid, lineno, [(k, type(v), v) for k, v in keys.items()])
                    for kind, sid, lineno, keys in sections])
 
@@ -517,11 +796,15 @@ optional = lambda s: st.none() | s  # noqa: E731
 scaled = lambda k, back: numbers.filter(lambda x: x * k * back == x)  # noqa: E731
 
 
+# ids that read as numbers must keep their text: `bus = 12` names [bus 12]
+NUMERIC_IDS = ["12", "007", "1e3", "1_000"]
+
+
 @st.composite
-def file_grids(draw):
+def file_grids(draw, ids=pool_ids):
     """Grids whose references resolve, with every optional field drawn, so
     the serializer writes every key it knows."""
-    bus_ids = draw(st.lists(pool_ids, min_size=1, max_size=4, unique=True))
+    bus_ids = draw(st.lists(ids, min_size=1, max_size=4, unique=True))
     on_bus = st.sampled_from(bus_ids)
     buses = tuple(Bus(i, draw(st.sampled_from(["ac", "dc"])), draw(numbers),
                       draw(optional(numbers))) for i in bus_ids)
@@ -564,9 +847,89 @@ def file_grids(draw):
 
 
 @settings(deadline=None, max_examples=150)
-@given(file_grids())
+@given(file_grids(st.sampled_from(POOL + NUMERIC_IDS)))
 def test_parse_serialize_round_trip(grid):
     assert parse_grid(serialize_grid(grid)) == grid
+
+
+def _matches_reference(grid):
+    text = serialize_grid(grid)
+    assert text == reference_serialize_grid(grid)
+    assert parse_grid(text) == reference_parse_grid(text)
+
+
+@settings(deadline=None, max_examples=150)
+@given(file_grids())
+def test_parse_and_serialize_match_reference(grid):
+    _matches_reference(grid)
+
+
+@pytest.mark.parametrize("name", ["ac_vessel", "dc_vessel"])
+def test_fixture_files_match_reference(name):
+    _matches_reference(builtin_fixture(name))
+
+
+def test_datasheet_time_constants_match_reference():
+    text = serialize_grid(builtin_fixture("ac_vessel"))
+    quoted = text.replace("td0_t_s = 3.50", "td_t_s = 0.30").replace(
+        "td0_st_s = 0.04", "td_st_s = 0.02")
+    grid = parse_grid(quoted)
+    assert grid == reference_parse_grid(quoted)
+    d = grid.generator("DG#01").dynamics
+    assert (d.td0_t, d.td0_st) == convert_time_constants(
+        1.8, 0.28, 0.18, 0.30, 0.02)
+
+
+# ---- generated grids: validate and the engines ---------------------------------
+
+
+@settings(deadline=None, max_examples=200)
+@given(file_grids(st.sampled_from(POOL + NUMERIC_IDS)) | networks())
+@example(GridModel("g", buses=(Bus("A", "ac", 690.0, 60.0),), generators=(
+    GeneratorSpec("G", "A", 1.0, 1.0, 0.0, 1.0, 60.0, 1.0, 720.0, 1.0),)))
+@example(GridModel("g", buses=(Bus("A", "ac", 690.0, 60.0),
+                               Bus("B", "ac", 690.0, None)),
+                   branches=(CableBranch("C", "A", "B", 0.1, 0.1),)))
+def test_validate_never_raises(grid):
+    validate(grid)
+
+
+ENGINE_FIXTURES = {name: builtin_fixture(name)
+                   for name in ("ac_vessel", "dc_vessel")}
+
+
+@st.composite
+def operated_grids(draw):
+    """A built-in vessel with drawn breaker states and load scales, a bus
+    and an element terminal to fault."""
+    grid = ENGINE_FIXTURES[draw(st.sampled_from(sorted(ENGINE_FIXTURES)))]
+    states = {b.id: draw(st.booleans()) for b in grid.breakers}
+    scale = {l.id: draw(st.sampled_from([0.0, 0.5, 1.0, 1.5]))
+             for l in grid.loads}
+    bus = draw(st.sampled_from(grid.buses))
+    element = draw(st.sampled_from([g.id for g in grid.generators]))
+    return grid.with_breaker_states(states), scale, bus, element
+
+
+@settings(deadline=None, max_examples=60)
+@given(operated_grids())
+def test_engines_raise_only_grid_errors(case):
+    """On grids that pass validate, an engine fails with its own typed
+    error (all GridError subclasses), never an arbitrary exception."""
+    grid, scale, bus, element = case
+    assert validate(grid).ok()
+    for run in (lambda: solve_dc_balance(grid),
+                lambda: dc_fault_summary(grid, bus.id) if bus.kind == "dc"
+                else fault_summary(grid, bus.id, solve_ac_powerflow(
+                    grid, load_scale=scale)),
+                lambda: sequence_of_operations(
+                    grid, FaultLocation.at_element_terminal(element),
+                    fault_summary(grid, grid.element(element).bus,
+                                  solve_ac_powerflow(grid)), zsi_enabled=True)):
+        try:
+            run()
+        except GridError:
+            pass
 
 
 # ---- Jacobian ---------------------------------------------------------------

@@ -214,3 +214,95 @@ def test_islands_split_on_open_tie(ac_vessel):
     split = ac_vessel.with_breaker_states(
         {"CB_TIE_PS_MID": False, "CB_TIE_MID_SB": False}).islands("ac")
     assert len(split) == 3
+
+
+class TestFileRules:
+    """Each rule of the grid-file tables, on the serialized AC vessel."""
+
+    @staticmethod
+    def edited(old, new):
+        text = serialize_grid(builtin_fixture("ac_vessel"))
+        assert old in text
+        return text, text.replace(old, new, 1)
+
+    @staticmethod
+    def header_line(text, header):
+        return text.splitlines().index(header) + 1
+
+    def test_numeric_ids_keep_their_text(self):
+        text = ("[bus 12]\nkind = ac\nvoltage_v = 690\nfrequency_hz = 60\n"
+                "[load 007]\nbus = 12\nrated_kva = 10\npf = 0.9\n"
+                "static_fraction = 1\nmotor_fraction = 0\n")
+        grid = parse_grid(text)
+        assert grid.load("007").bus == "12"
+        assert parse_grid(serialize_grid(grid)) == grid
+
+    @pytest.mark.parametrize("value, poles", [("4", 4), ("4.0", 4), ("1_2", 12)])
+    def test_integer_keys_read_integral_values(self, value, poles):
+        grid = parse_grid(DC_GEN_SECTION.replace("poles = 4", f"poles = {value}"))
+        assert grid.generator("GEN#01").poles == poles
+
+    @pytest.mark.parametrize("value", ["4.5", "four", "true"])
+    def test_integer_keys_reject_other_values(self, value):
+        text = DC_GEN_SECTION.replace("poles = 4", f"poles = {value}")
+        with pytest.raises(GridParseError) as exc:
+            parse_grid(text)
+        assert exc.value.line == self.header_line(text, "[generator GEN#01]")
+        assert f"[generator GEN#01] poles = '{value}': not an integer" in \
+            str(exc.value)
+
+    def test_type_errors_name_key_and_header_line(self):
+        text, bad = self.edited("rated_kw = 1916.00", "rated_kw = abc")
+        with pytest.raises(GridParseError) as exc:
+            parse_grid(bad)
+        assert exc.value.line == self.header_line(text, "[generator DG#01]")
+        assert "[generator DG#01] rated_kw = 'abc': not a number" in \
+            str(exc.value)
+
+    @pytest.mark.parametrize("section, key", [
+        ("[breaker CB_DG01]", "st_pickup_a"),
+        ("[breaker CB_DG01]", "lt_pickup_a"),
+        ("[generator DG#01]", "xd_pu"),
+        ("[generator DG#01]", "td0_st_s"),
+    ])
+    def test_groups_are_all_or_nothing(self, section, key):
+        text = serialize_grid(builtin_fixture("ac_vessel"))
+        start = text.index(section)
+        line_start = text.index(f"\n{key} = ", start) + 1
+        bad = text[:line_start] + text[text.index("\n", line_start) + 1:]
+        with pytest.raises(GridParseError) as exc:
+            parse_grid(bad)
+        assert exc.value.line == self.header_line(text, section)
+        assert f"{section} missing required key {key!r}" in str(exc.value)
+
+    def test_a_lone_group_key_requires_the_group(self):
+        text = ("[bus D]\nkind = dc\nvoltage_v = 1000\n[converter C]\n"
+                "bus = D\nkind = inverter\nrated_current_a = 1\nrated_kw = 1\n"
+                "dclink_voltage_v = 1000\n")
+        with pytest.raises(GridParseError,
+                           match="line 4: .* 'dclink_capacitance_uf'"):
+            parse_grid(text)
+
+    def test_datasheet_constants_out_of_order_are_parse_errors(self):
+        _, bad = self.edited("td0_st_s = 0.04\ntd0_t_s = 3.50",
+                             "td_st_s = 0.04\ntd_t_s = 3.50")
+        bad = bad.replace("xd_pu = 1.80", "xd_pu = 0.10", 1)
+        with pytest.raises(GridParseError, match="need 0 < xd_st < xd_t < xd"):
+            parse_grid(bad)
+
+    def test_datasheet_constants_replace_the_open_circuit_pair(self):
+        _, bad = self.edited("td0_t_s = 3.50", "td0_t_s = 3.50\ntd_t_s = 0.3")
+        with pytest.raises(GridParseError, match="td_t_s and td_st_s go"):
+            parse_grid(bad)
+
+    def test_repeated_key_names_both_lines(self):
+        text = "[bus B]\nkind = ac\nvoltage_v = 690\n# again\nvoltage_v = 440\n"
+        with pytest.raises(GridParseError) as exc:
+            parse_grid(text)
+        assert exc.value.line == 5
+        assert "'voltage_v' repeated from line 3" in str(exc.value)
+
+    def test_unknown_long_time_kind_is_a_violation(self):
+        _, bad = self.edited("lt_kind = definite", "lt_kind = inverted")
+        found = [(v.element_id, v.rule) for v in validate(parse_grid(bad))]
+        assert found == [("CB_DG01", "long-time kind")]

@@ -101,10 +101,10 @@ class TestScheduleValidation:
         with pytest.raises(Exception):
             sched.validated(ac_vessel)
 
-    def test_unknown_action(self, ac_vessel):
-        sched = EventSchedule((Event(1.0, "explode", "AC_PS"),))
-        with pytest.raises(SimulationError):
-            sched.validated(ac_vessel)
+    def test_unknown_action(self):
+        # a bad action is bad input, like an unknown integrator
+        with pytest.raises(ValueError, match="unknown event action 'explode'"):
+            Event(1.0, "explode", "AC_PS")
 
 
 class TestEquilibrium:
