@@ -11,7 +11,7 @@ Run:  python demos/07_critical_clearing_time.py
 
 import math
 
-from vesselstudy import MachineControls, SimConfig, find_cct
+from vesselstudy import SimConfig, find_cct
 from vesselstudy.grid import Bus, CableBranch, GeneratorDynamicParams, GeneratorSpec, GridModel
 from vesselstudy.tdsim import CctFaultSpec
 
@@ -47,11 +47,10 @@ def equal_area(pm, h=3.5, xdp=0.3, xline=0.4, f=60.0):
 
 
 grid = smib()
-bare = {g.id: MachineControls(None, None) for g in grid.generators}
+bare = SimConfig(step=0.005, governor=False, avr=False)
 for loading in (0.90, 0.95):
     res = find_cct(grid, CctFaultSpec("G1", loading=loading, location=0.0),
-                   t_lo=0.0, t_hi=0.4, tol=1e-3, cfg=SimConfig(step=0.005),
-                   machine_controls=bare, window=2.0)
+                   t_lo=0.0, t_hi=0.4, tol=1e-3, cfg=bare, window=2.0)
     oracle = equal_area(loading * 0.9)
     print(f"loading {loading:.0%}: bisection CCT = {res.cct*1e3:.1f} ms "
           f"(interval {1e3*(res.interval[1]-res.interval[0]):.2f} ms, "

@@ -73,7 +73,6 @@ from .protection import (
     trip_time,
 )
 from .tdsim import (
-    AvrParams,
     CctFaultSpec,
     CctResult,
     ControllerConfig,
@@ -81,8 +80,6 @@ from .tdsim import (
     Event,
     EventSchedule,
     GeneratorLossEvent,
-    GovernorParams,
-    MachineControls,
     SimConfig,
     TimeSeries,
     dp_failover_setpoint,

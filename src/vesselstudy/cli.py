@@ -39,14 +39,11 @@ from .protection import (
 from .sc_ac import fault_summary
 from .sc_dc import DcScTrace, dc_fault_summary
 from .tdsim import (
-    AvrParams,
     BracketError,
     CctFaultSpec,
     ControllerConfig,
     Event,
     EventSchedule,
-    GovernorParams,
-    MachineControls,
     SimConfig,
     SimulationError,
     find_cct,
@@ -310,17 +307,13 @@ def _run_cct(args, grid: GridModel, study: _Study) -> int:
     if not study.many("cct"):
         raise ValueError("cct study requires a [cct] section")
     keys = study.one("cct")
-    controls = None
-    if not (keys["governor"] and keys["avr"]):
-        gov = GovernorParams() if keys["governor"] else None
-        avr = AvrParams() if keys["avr"] else None
-        controls = {g.id: MachineControls(gov, avr) for g in grid.generators}
     spec = CctFaultSpec(machine=keys["machine"], loading=keys["loading"],
                         location=keys["location"], branch=keys["branch"])
     result = find_cct(
         grid, spec, t_lo=keys["t_lo_s"], t_hi=keys["t_hi_s"],
-        tol=keys["tol_s"], cfg=SimConfig(step=keys["step_s"]),
-        machine_controls=controls, window=keys["window_s"])
+        tol=keys["tol_s"], window=keys["window_s"],
+        cfg=SimConfig(step=keys["step_s"], governor=keys["governor"],
+                      avr=keys["avr"]))
     _emit(args, "cct.csv", *report.cct_rows(result))
     print(f"cct_s = {report.fmt(result.cct)}")
     return EXIT_OK

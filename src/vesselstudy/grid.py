@@ -28,6 +28,10 @@ class GridLookupError(GridError):
     """Unknown element, bus or fixture name."""
 
 
+class MissingDynamicsError(GridError):
+    """A study needs a generator's dynamics block and the grid has none."""
+
+
 @dataclass(frozen=True)
 class Bus:
     id: str
@@ -352,6 +356,30 @@ def _rel_dev(actual: float, expected: float) -> float:
     return abs(actual - expected) / abs(expected)
 
 
+def dangling_references(grid: GridModel):
+    """(referrer id, what it names) for every reference to a bus or an
+    endpoint the grid does not declare."""
+    buses = grid.bus_ids()
+    for e in grid.elements():
+        if e.bus not in buses:
+            yield e.id, f"bus {e.bus!r}"
+    for c in grid.converters:
+        if c.ac_bus is not None and c.ac_bus not in buses:
+            yield c.id, f"ac bus {c.ac_bus!r}"
+    for br in grid.branches:
+        for end in (br.from_bus, br.to_bus):
+            if end not in buses:
+                yield br.id, f"bus {end!r}"
+    endpoints = buses | {e.id for e in grid.elements()}
+    for bk in grid.breakers:
+        for end in (bk.from_element, bk.to_element):
+            if end not in endpoints:
+                yield bk.id, f"endpoint {end!r}"
+    for f in grid.fuses:
+        if f.element not in endpoints:
+            yield f.id, f"element {f.element!r}"
+
+
 def _non_finite(spec, prefix: str = ""):
     """(dotted field name, value) of every non-finite float in a spec."""
     for name, val in vars(spec).items():
@@ -394,8 +422,8 @@ def validate(grid: GridModel) -> ValidationReport:
         if e.id in seen:
             add(e.id, "duplicate id", "id declared twice")
         seen.add(e.id)
-        if e.bus not in bus_ids:
-            add(e.id, "dangling reference", f"bus {e.bus!r} not declared")
+    for referrer, what in dangling_references(grid):
+        add(referrer, "dangling reference", f"{what} not declared")
 
     def bus_kind(bus_id):
         return grid.bus(bus_id).kind if bus_id in bus_ids else None
@@ -444,11 +472,8 @@ def validate(grid: GridModel) -> ValidationReport:
             add(c.id, "positive", "rated_current must be > 0")
         if c.sc_contribution_factor < 1:
             add(c.id, "sc factor", "sc_contribution_factor must be >= 1")
-        if c.ac_bus is not None:
-            if c.ac_bus not in bus_ids:
-                add(c.id, "dangling reference", f"ac bus {c.ac_bus!r} not declared")
-            elif bus_kind(c.ac_bus) != AC:
-                add(c.id, "bus kind", "ac_bus must reference an AC bus")
+        if c.ac_bus in bus_ids and bus_kind(c.ac_bus) != AC:
+            add(c.id, "bus kind", "ac_bus must reference an AC bus")
         if c.dc_link is not None:
             cap = c.dc_link
             for name, val in (("capacitance", cap.capacitance),
@@ -467,14 +492,10 @@ def validate(grid: GridModel) -> ValidationReport:
         if l.rated_kva <= 0:
             add(l.id, "positive", "rated_kva must be > 0")
 
-    endpoints = bus_ids | {e.id for e in grid.elements()}
     for bk in grid.breakers:
         if bk.id in seen:
             add(bk.id, "duplicate id", "id declared twice")
         seen.add(bk.id)
-        for end in (bk.from_element, bk.to_element):
-            if end not in endpoints:
-                add(bk.id, "dangling reference", f"endpoint {end!r} not declared")
         if bk.tcc is not None:
             t = bk.tcc
             if t.long_time.kind not in LONG_TIME_KINDS:
@@ -489,15 +510,8 @@ def validate(grid: GridModel) -> ValidationReport:
         if f.id in seen:
             add(f.id, "duplicate id", "id declared twice")
         seen.add(f.id)
-        if f.element not in endpoints:
-            add(f.id, "dangling reference", f"element {f.element!r} not declared")
         if f.i2t_total_clearing <= 0:
             add(f.id, "i2t", "i2t_total_clearing must be > 0")
-
-    for br in grid.branches:
-        for end in (br.from_bus, br.to_bus):
-            if end not in bus_ids:
-                add(br.id, "dangling reference", f"bus {end!r} not declared")
 
     # AC islands must not mix frequencies
     for isl in grid.islands(AC):

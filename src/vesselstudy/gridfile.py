@@ -41,6 +41,7 @@ from .grid import (
     LongTimeElement,
     ShortTimeElement,
     TccCurve,
+    dangling_references,
 )
 from .sc_ac import convert_time_constants
 
@@ -60,9 +61,21 @@ class GridParseError(GridError):
 # ---- tokenizer --------------------------------------------------------------
 
 
+def _non_finite(text: str) -> bool:
+    """Whether float() reads `text` as nan or an infinity."""
+    if text[0].isalpha():
+        # the only words float() reads; any other word is text
+        return text.lower() in ("nan", "inf", "infinity")
+    try:
+        return not math.isfinite(float(text))
+    except ValueError:
+        return False
+
+
 def read_sections(text: str) -> list[tuple[str, str, int, dict[str, str]]]:
     """Generic pass: (kind, id, header line no, {key: value text}).  A value
-    that reads as a non-finite number is an error at its own line."""
+    that reads as a non-finite number is an error at its own line, and so is
+    such an id, which no key could name."""
     sections = []
     current: dict[str, str] | None = None
     first_line: dict[str, int] = {}
@@ -77,8 +90,11 @@ def read_sections(text: str) -> list[tuple[str, str, int, dict[str, str]]]:
         if line[0] == "[":
             m = _SECTION_RE.match(line)
             if m:
+                sid = m.group(2) or ""
+                if sid and _non_finite(sid):
+                    raise GridParseError(f"non-finite number {sid!r} as id", lineno)
                 current, first_line = {}, {}
-                sections.append((m.group(1), m.group(2) or "", lineno, current))
+                sections.append((m.group(1), sid, lineno, current))
                 continue
         key, eq, value = line.partition("=")
         if not eq:
@@ -92,15 +108,7 @@ def read_sections(text: str) -> list[tuple[str, str, int, dict[str, str]]]:
         if key in current:
             raise GridParseError(
                 f"key {key!r} repeated from line {first_line[key]}", lineno)
-        if value[0].isalpha():
-            # the only words float() reads; any other word is text
-            finite = value.lower() not in ("nan", "inf", "infinity")
-        else:
-            try:
-                finite = math.isfinite(float(value))
-            except ValueError:
-                finite = True
-        if not finite:
+        if _non_finite(value):
             raise GridParseError(f"non-finite number {value!r}", lineno)
         current[key] = value
         first_line[key] = lineno
@@ -307,7 +315,8 @@ def parse_grid(text: str) -> GridModel:
         else:
             name = keys.get("name", sid or "grid")
     grid = GridModel(name, **{attr: tuple(s) for attr, s in specs.items()})
-    _check_references(grid)
+    for referrer, what in dangling_references(grid):
+        raise GridParseError(f"{referrer}: dangling reference to {what}")
     return grid
 
 
@@ -333,23 +342,6 @@ def _build(table: _Table, keys: dict, where: str, line: int, **values):
         name = next(n for f, n in table.required.items() if f not in values)
         raise GridParseError(f"{where} missing required key {name!r}", line)
     return table.cls(**values)
-
-
-def _check_references(grid: GridModel) -> None:
-    buses = grid.bus_ids()
-    endpoints = buses | {e.id for e in grid.elements()}
-    # (referrer, id, the ids it may name, what the message calls them)
-    refs = [(e.id, e.bus, buses, "bus ") for e in grid.elements()]
-    refs += [(c.id, c.ac_bus, buses, "bus ") for c in grid.converters
-             if c.ac_bus is not None]
-    refs += [(br.id, end, buses, "bus ") for br in grid.branches
-             for end in (br.from_bus, br.to_bus)]
-    refs += [(bk.id, end, endpoints, "") for bk in grid.breakers
-             for end in (bk.from_element, bk.to_element)]
-    refs += [(f.id, f.element, endpoints, "") for f in grid.fuses]
-    for referrer, ref, known, what in refs:
-        if ref not in known:
-            raise GridParseError(f"{referrer}: dangling reference to {what}{ref!r}")
 
 
 # ---- serialization ----------------------------------------------------------

@@ -56,7 +56,6 @@ class PowerflowSolution:
     bus_q_kvar: dict[str, float]
     iterations: int
     max_mismatch: float
-    online: frozenset[str]
     element_bus: dict[str, str]
     bus_nominal_v: dict[str, float]
     slack_elements: tuple[str, ...]
@@ -238,7 +237,6 @@ def solve_ac_powerflow(
     angle: dict[str, float] = {}
     injections: dict[str, tuple[float, float]] = {}
     slack_elements: list[str] = []
-    online: set[str] = set()
     total_iter = 0
     worst = 0.0
 
@@ -321,7 +319,6 @@ def solve_ac_powerflow(
         s_net = vc * np.conj(net.ybus @ vc) * S_BASE_KVA   # kW/kvar per node
         for eid, _, p, q in consumed:
             injections[eid] = (-p, -q)
-            online.add(eid)
         q_open: dict[int, float] = {}   # per-node reactive to assign to sources
         for i in range(n):
             q_open[i] = float(s_net[i].imag) + sum(
@@ -334,7 +331,6 @@ def solve_ac_powerflow(
                 co = [x for x in others if net.node_of[x.bus] == node]
                 share = g.rated_kva / sum(x.rated_kva for x in co)
                 injections[g.id] = (gen_p[g.id], q_open[node] * share)
-            online.add(g.id)
         slack_p = float(s_net[slack_node].real) + sum(
             p for _, node, p, _ in consumed if node == slack_node) - sum(
             gen_p[g.id] for g in others if net.node_of[g.bus] == slack_node)
@@ -342,7 +338,6 @@ def solve_ac_powerflow(
             injections[g.id][1] for g in others
             if net.node_of[g.bus] == slack_node)
         injections[slack_element] = (slack_p, slack_q)
-        online.add(slack_element)
 
     bus_p = {b.id: 0.0 for b in grid.buses}
     bus_q = {b.id: 0.0 for b in grid.buses}
@@ -365,7 +360,6 @@ def solve_ac_powerflow(
         bus_q_kvar=bus_q,
         iterations=total_iter,
         max_mismatch=worst,
-        online=frozenset(online),
         element_bus=el_bus,
         bus_nominal_v={b.id: b.nominal_voltage for b in grid.buses},
         slack_elements=tuple(slack_elements),
@@ -453,8 +447,6 @@ def prefault_operating_point(sol: PowerflowSolution, machine_id: str) -> Operati
     """Terminal voltage, current and power-factor angle of a solved machine."""
     if machine_id not in sol.injections_kw or machine_id not in sol.element_bus:
         raise PowerflowError(f"machine {machine_id!r} absent from solution")
-    if machine_id not in sol.online:
-        raise PowerflowError(f"machine {machine_id!r} offline in solution")
     bus = sol.element_bus[machine_id]
     u0 = sol.v_pu[bus] * sol.bus_nominal_v[bus]
     p, q = sol.injections_kw[machine_id]

@@ -16,18 +16,16 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import AC, ConverterSpec, GeneratorSpec, GridError, GridModel, LoadSpec
+from .grid import (AC, ConverterSpec, GeneratorSpec, GridError, GridModel,
+                   LoadSpec, MissingDynamicsError)
 from .powerflow import OperatingPoint, PowerflowSolution, prefault_operating_point
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+MOTOR_AC_DECAY = 0.04   # s; motor-group AC decay, not part of the load data
 
 
 class ShortCircuitError(GridError):
-    pass
-
-
-class MissingDynamicsError(ShortCircuitError):
     pass
 
 
@@ -188,14 +186,12 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
 
 def motor_group_sc_trace(load: LoadSpec, bus_voltage: float,
                          tgrid: np.ndarray | None = None,
-                         frequency: float = 60.0,
-                         ac_decay: float = 0.04) -> AcScTrace:
+                         frequency: float = 60.0) -> AcScTrace:
     """Single-exponential decrement of a lumped load's motor fraction.
 
     The initial symmetrical contribution is the locked-rotor multiple of the
-    motor-rated current; the DC component decays with Tdc = (X/R)/(2 pi f).
-    The AC decay constant is not part of the load data; `ac_decay` defaults
-    to 40 ms.
+    motor-rated current; the AC component decays with MOTOR_AC_DECAY and
+    the DC component with Tdc = (X/R)/(2 pi f).
     """
     if load.motor_fraction <= 0:
         raise ShortCircuitError(f"{load.id}: motor fraction is zero")
@@ -208,7 +204,7 @@ def motor_group_sc_trace(load: LoadSpec, bus_voltage: float,
     tdc = load.xr_ratio / (2 * math.pi * frequency)
 
     def iac(t):
-        return i_lr * np.exp(-t / ac_decay)
+        return i_lr * np.exp(-t / MOTOR_AC_DECAY)
 
     def idc(t):
         return SQRT2 * i_lr * np.exp(-t / tdc)
@@ -244,8 +240,8 @@ def vfd_contribution(conv: ConverterSpec, tgrid: np.ndarray | None = None,
         ikd_source="none", tdc_source="none")
 
 
-def fault_summary(grid: GridModel, bus_id: str, sol: PowerflowSolution,
-                  tgrid: np.ndarray | None = None) -> FaultSummary:
+def fault_summary(grid: GridModel, bus_id: str,
+                  sol: PowerflowSolution) -> FaultSummary:
     """Aggregate every contribution reachable through closed breakers.
 
     Contributor currents are referred to the fault bus by the ratio of
@@ -256,8 +252,7 @@ def fault_summary(grid: GridModel, bus_id: str, sol: PowerflowSolution,
     fault_bus = grid.bus(bus_id)
     if fault_bus.kind != AC:
         raise ShortCircuitError(f"{bus_id} is a DC bus; use the DC fault engine")
-    if tgrid is None:
-        tgrid = default_time_grid()
+    tgrid = default_time_grid()
     island = grid.island_of(bus_id)
     f = fault_bus.frequency or 60.0
     v_fault = fault_bus.nominal_voltage

@@ -134,14 +134,12 @@ def converter_sc_contribution(conv: ConverterSpec,
                      regime=CONSTANT, sustained=level)
 
 
-def dc_fault_summary(grid: GridModel, bus_id: str,
-                     tgrid: np.ndarray | None = None) -> DcFaultSummary:
+def dc_fault_summary(grid: GridModel, bus_id: str) -> DcFaultSummary:
     """Pointwise sum of every DC contribution on the faulted island."""
     bus = grid.bus(bus_id)
     if bus.kind != DC:
         raise DcFaultError(f"{bus_id} is an AC bus; use the AC fault engine")
-    if tgrid is None:
-        tgrid = default_time_grid()
+    tgrid = default_time_grid()
     island = grid.island_of(bus_id)
 
     traces: dict[str, DcScTrace] = {}

@@ -29,12 +29,17 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import GridError, GridLookupError, GridModel
+from .grid import GridError, GridLookupError, GridModel, MissingDynamicsError
 from .powerflow import (S_BASE_KVA, AcNetwork, branch_z_pu, build_ac_networks,
                         load_pq_kw, solve_ac_powerflow)
 
 V_FLOOR = 0.3       # below this voltage, constant-power loads turn constant-Z
 FAULT_G = 1e6       # pu fault conductance for a bolted fault
+GOV_DROOP = 0.05    # pu speed / pu power
+GOV_T = 0.5         # s, governor time constant
+AVR_GAIN = 20.0     # pu EMF / pu voltage error
+AVR_T = 0.5         # s, voltage-regulator time constant
+FAULT_START = 0.25  # s, fault application time of a CCT probe
 
 
 class SimulationError(GridError):
@@ -75,6 +80,12 @@ class Event:
             raise ValueError(f"unknown event action {self.action!r}")
         if self.action == "load_step" and self.scale is None:
             raise ValueError(f"load_step {self.target}: scale required")
+        _check_location(self.location)
+
+
+def _check_location(location: float | None) -> None:
+    if location is not None and not 0.0 <= location <= 1.0:
+        raise ValueError(f"fault location {location} outside [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -103,30 +114,14 @@ class SimConfig:
     step: float = 0.005
     end: float = 10.0
     integrator: str = "rk4"        # rk4 | trapezoidal
+    governor: bool = True          # every machine's droop governor
+    avr: bool = True               # every machine's voltage regulator
 
     def __post_init__(self):
         if self.step <= 0 or self.end <= self.step:
             raise ValueError("need step > 0 and end > step")
         if self.integrator not in ("rk4", "trapezoidal"):
             raise ValueError(f"unknown integrator {self.integrator!r}")
-
-
-@dataclass(frozen=True)
-class GovernorParams:
-    droop: float = 0.05            # pu speed / pu power
-    time_constant: float = 0.5     # s
-
-
-@dataclass(frozen=True)
-class AvrParams:
-    gain: float = 20.0             # pu EMF / pu voltage error
-    time_constant: float = 0.5     # s
-
-
-@dataclass(frozen=True)
-class MachineControls:
-    governor: GovernorParams | None = GovernorParams()
-    avr: AvrParams | None = AvrParams()
 
 
 @dataclass
@@ -147,8 +142,8 @@ class ControllerConfig:
     mode: str                            # peak_shave | dp_failover
     inverter: str                        # converter id injecting P/Q
     watched: tuple[str, ...]             # generator ids
-    p_threshold_kw: dict[str, float]     # per watched generator
-    q_threshold_kvar: dict[str, float]
+    p_threshold_kw: float                # per watched generator
+    q_threshold_kvar: float
     p_rating_kw: float
     q_rating_kvar: float
     dp_delay: float = 0.1
@@ -162,25 +157,14 @@ class ControllerConfig:
     @staticmethod
     def peak_shave(inverter, watched, p_threshold_kw, q_threshold_kvar,
                    p_rating_kw, q_rating_kvar) -> "ControllerConfig":
-        watched = tuple(watched) if not isinstance(watched, str) else (watched,)
-        return ControllerConfig(
-            "peak_shave", inverter, watched,
-            _per_gen(p_threshold_kw, watched), _per_gen(q_threshold_kvar, watched),
-            p_rating_kw, q_rating_kvar)
+        return ControllerConfig("peak_shave", inverter, watched, p_threshold_kw,
+                                q_threshold_kvar, p_rating_kw, q_rating_kvar)
 
     @staticmethod
     def dp_failover(inverter, watched, p_rating_kw, q_rating_kvar,
                     dp_delay=0.1) -> "ControllerConfig":
-        watched = tuple(watched) if not isinstance(watched, str) else (watched,)
-        zero = {g: 0.0 for g in watched}
-        return ControllerConfig("dp_failover", inverter, watched, zero, zero,
+        return ControllerConfig("dp_failover", inverter, watched, 0.0, 0.0,
                                 p_rating_kw, q_rating_kvar, dp_delay)
-
-
-def _per_gen(value, watched) -> dict[str, float]:
-    if isinstance(value, dict):
-        return dict(value)
-    return {g: float(value) for g in watched}
 
 
 @dataclass(frozen=True)
@@ -231,8 +215,8 @@ def peak_shave_setpoint(cfg: ControllerConfig, measured_p_kw: float,
     supplies); the setpoint is the excess over the threshold, clamped to
     the inverter rating.
     """
-    p_thr = sum(cfg.p_threshold_kw.values())
-    q_thr = sum(cfg.q_threshold_kvar.values())
+    p_thr = cfg.p_threshold_kw * len(cfg.watched)
+    q_thr = cfg.q_threshold_kvar * len(cfg.watched)
     return (clamp(measured_p_kw - p_thr, 0.0, cfg.p_rating_kw),
             clamp(measured_q_kvar - q_thr, 0.0, cfg.q_rating_kvar))
 
@@ -270,10 +254,6 @@ class _Machines:
     two_h: np.ndarray        # 2H, s (system base)
     damping: np.ndarray      # pu (system base)
     omega_s: np.ndarray      # rad/s
-    avr_gain: np.ndarray
-    avr_rate: np.ndarray     # 1/T of the voltage regulator, 0 without one
-    gov_droop: np.ndarray
-    gov_rate: np.ndarray     # 1/T of the governor, 0 without one
     pm_ref: np.ndarray
     e_ref: np.ndarray
     v_ref: np.ndarray
@@ -310,20 +290,18 @@ class _Island:
 class _Engine:
     def __init__(self, grid: GridModel, schedule: EventSchedule,
                  controllers, cfg: SimConfig,
-                 dispatch=None, load_scale=None, slack=None,
-                 machine_controls=None):
+                 dispatch=None, load_scale=None, slack=None):
         schedule.validated(grid)
         self.grid0 = grid
         self.branches = {br.id: br for br in grid.branches}
         self.cfg = cfg
-        self.controls = dict(machine_controls or {})
         self.dispatch = dispatch
         self.slack = slack
         self.base_scale = dict(load_scale or {})
         self.breaker_states = {b.id: b.closed for b in grid.breakers}
         self.ramps: dict[str, tuple[float, float, float, float]] = {}
         self.fault: tuple | None = None
-        self.events = sorted(schedule.events, key=lambda e: e.time)
+        self.events = schedule.events
         self.inv_setpoints: dict[str, tuple[float, float]] = {}
         self.controllers = []
         for c in controllers:
@@ -395,18 +373,17 @@ class _Engine:
             isl.mach = np.array(rows, dtype=int)
             isl.mach_node = np.array([placed[r][2] for r in rows], dtype=int)
 
-        ids, xdp, two_h, damping, omega, ctls = [], [], [], [], [], []
+        ids, xdp, two_h, damping, omega = [], [], [], [], []
         states, refs = [], []
         for g, _, _, omega_s in placed:
             d = g.dynamics
             if d is None:
-                raise SimulationError(f"{g.id}: dynamics required for tdsim")
+                raise MissingDynamicsError(f"{g.id}: no dynamics block")
             ids.append(g.id)
             xdp.append(d.xd_t * S_BASE_KVA / g.rated_kva)
             two_h.append(2.0 * d.inertia_h * g.rated_kva / S_BASE_KVA)
             damping.append(d.damping * g.rated_kva / S_BASE_KVA)
             omega.append(omega_s)
-            ctls.append(self.controls.get(g.id, MachineControls()))
             if not initial:
                 old = self.m.row.get(g.id)
                 if old is None:
@@ -426,17 +403,11 @@ class _Engine:
                            float(s.real)))
             refs.append((float(s.real), float(abs(e)), float(abs(vb))))
 
-        avr = [c.avr for c in ctls]
-        gov = [c.governor for c in ctls]
         pm_ref, e_ref, v_ref = np.array(refs, dtype=float).reshape(-1, 3).T.copy()
         self.m = _Machines(
             ids=ids, row={mid: r for r, mid in enumerate(ids)}, col=None,
             jxdp=1j * np.array(xdp), two_h=np.array(two_h),
             damping=np.array(damping), omega_s=np.array(omega),
-            avr_gain=np.array([a.gain if a else 0.0 for a in avr]),
-            avr_rate=np.array([1.0 / a.time_constant if a else 0.0 for a in avr]),
-            gov_droop=np.array([g.droop if g else 1.0 for g in gov]),
-            gov_rate=np.array([1.0 / g.time_constant if g else 0.0 for g in gov]),
             pm_ref=pm_ref, e_ref=e_ref, v_ref=v_ref)
         self.x = np.array(states, dtype=float).reshape(-1, 4)
         self.islands = islands
@@ -594,8 +565,10 @@ class _Engine:
         dx = np.empty_like(x)
         dx[:, 0] = m.omega_s * dw
         dx[:, 1] = (x[:, 3] - pe - m.damping * dw) / m.two_h
-        dx[:, 2] = (m.e_ref + m.avr_gain * (m.v_ref - vt) - x[:, 2]) * m.avr_rate
-        dx[:, 3] = (m.pm_ref - dw / m.gov_droop - x[:, 3]) * m.gov_rate
+        dx[:, 2] = ((m.e_ref + AVR_GAIN * (m.v_ref - vt) - x[:, 2]) / AVR_T
+                    if self.cfg.avr else 0.0)
+        dx[:, 3] = ((m.pm_ref - dw / GOV_DROOP - x[:, 3]) / GOV_T
+                    if self.cfg.governor else 0.0)
         return dx
 
     def _step(self, x: np.ndarray, t: float, dt: float) -> np.ndarray:
@@ -754,7 +727,6 @@ def simulate(grid: GridModel, schedule: EventSchedule,
              dispatch: dict[str, float] | None = None,
              load_scale: dict[str, float] | None = None,
              slack: str | None = None,
-             machine_controls: dict[str, MachineControls] | None = None,
              *, _stop_spread_after: float | None = None,  # for find_cct
              ) -> TimeSeries:
     """Integrate the grid's AC islands through the scripted events.
@@ -765,7 +737,7 @@ def simulate(grid: GridModel, schedule: EventSchedule,
     per load, and the system losses.
     """
     engine = _Engine(grid, schedule, controllers, cfg, dispatch, load_scale,
-                     slack, machine_controls)
+                     slack)
     return engine.run(_stop_spread_after)
 
 
@@ -779,6 +751,9 @@ class CctFaultSpec:
     loading: float = 0.9          # fraction of rated kW
     location: float = 0.01        # fraction along the cable from the machine
     branch: str | None = None     # required if the machine bus has >1 cable
+
+    def __post_init__(self):
+        _check_location(self.location)
 
 
 @dataclass(frozen=True)
@@ -799,16 +774,16 @@ def _max_angle_spread(ts: TimeSeries, after: float) -> float:
 
 
 def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
-             tol: float, cfg: SimConfig | None = None,
-             machine_controls: dict[str, MachineControls] | None = None,
-             fault_start: float = 0.25, window: float = 3.0,
-             slack: str | None = None) -> CctResult:
+             tol: float, cfg: SimConfig, window: float = 3.0) -> CctResult:
     """Bisect the fault clearing time against first-swing stability.
 
-    A probe is stable when the largest pairwise rotor-angle separation
-    stays below 180 degrees after the fault clears.  The bracket must
-    straddle the boundary: `t_lo` stable and `t_hi` unstable.
+    Each probe applies the fault at FAULT_START.  A probe is stable when
+    the largest pairwise rotor-angle separation stays below 180 degrees
+    after the fault clears.  The bracket must straddle the boundary:
+    `t_lo` stable and `t_hi` unstable.
     """
+    if tol <= 0 or t_hi <= t_lo:
+        raise ValueError("need tol > 0 and t_hi > t_lo")
     gen = grid.generator(fault.machine)
     dispatch = {fault.machine: fault.loading * gen.rated_kw}
 
@@ -829,23 +804,19 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
         frac = fault.location if br.from_bus == gen.bus else 1.0 - fault.location
         target, location = branch_id, frac
 
-    base_cfg = cfg or SimConfig(step=0.002)
-
     def stable(t_clear: float) -> bool:
         if t_clear <= 0:
             return True   # zero-duration fault: no disturbance
         events = EventSchedule((
-            Event(fault_start, "fault_apply", target, location=location),
-            Event(fault_start + t_clear, "fault_clear"),
+            Event(FAULT_START, "fault_apply", target, location=location),
+            Event(FAULT_START + t_clear, "fault_clear"),
         ))
-        end = fault_start + t_clear + window
-        probe_cfg = replace(base_cfg, end=end)
+        probe_cfg = replace(cfg, end=FAULT_START + t_clear + window)
         # an unstable probe ends once the spread reaches pi: its verdict
         # cannot change after that
         ts = simulate(grid, events, (), probe_cfg, dispatch=dispatch,
-                      slack=slack, machine_controls=machine_controls,
-                      _stop_spread_after=fault_start + t_clear)
-        return _max_angle_spread(ts, fault_start + t_clear) < math.pi
+                      _stop_spread_after=FAULT_START + t_clear)
+        return _max_angle_spread(ts, FAULT_START + t_clear) < math.pi
 
     transcript = []
     lo_ok = stable(t_lo)

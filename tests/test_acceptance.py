@@ -21,7 +21,6 @@ from vesselstudy import (
     EventSchedule,
     FaultLocation,
     GeneratorLossEvent,
-    MachineControls,
     SimConfig,
     battery_sc_trace,
     builtin_fixture,
@@ -205,13 +204,11 @@ def test_criterion_07_controller_properties(peak_shave_run, dp_run):
 
 def test_criterion_08_cct_machinery():
     grid = smib_grid()
-    controls = {"G1": MachineControls(None, None),
-                "IB": MachineControls(None, None)}
     results = {}
     for loading in (0.90, 0.95):
         res = find_cct(grid, CctFaultSpec("G1", loading=loading, location=0.0),
-                       0.0, 0.4, 1e-3, cfg=SimConfig(step=0.005),
-                       machine_controls=controls, window=2.0)
+                       0.0, 0.4, 1e-3, window=2.0,
+                       cfg=SimConfig(step=0.005, governor=False, avr=False))
         assert res.interval[1] - res.interval[0] <= 1e-3
         # stability is monotone in clearing time across the whole transcript
         stable_ts = [t for t, ok in res.transcript if ok]

@@ -384,6 +384,16 @@ def test_unknown_steady_state_ids_are_input_errors(tmp_path, capsys, kind,
 
 
 TDSIM_HEAD = "[sim]\nstep_s = 0.02\nend_s = 0.1\n"
+# DG#01's serialized keys from its first dynamics key to its last, and the
+# same span without the dynamics block
+DG01_SPAN = ("damping_pu = 2.00\nfrequency_hz = 60.00\ninertia_h_s = 1.20\n"
+             "pf = 0.80\nrated_kva = 2395.00\nrated_kw = 1916.00\nrpm = 720.00\n"
+             "synthetic_dynamics = true\ntd0_st_s = 0.04\ntd0_t_s = 3.50\n"
+             "tdc_s = 0.15\nvoltage_v = 690.00\nwinding_resistance_mohm = 1.02\n"
+             "xd_pu = 1.80\nxd_st_pu = 0.18\nxd_t_pu = 0.28\n")
+NO_DG01_DYNAMICS = (DG01_SPAN, "frequency_hz = 60.00\npf = 0.80\n"
+                    "rated_kva = 2395.00\nrated_kw = 1916.00\nrpm = 720.00\n"
+                    "voltage_v = 690.00\nwinding_resistance_mohm = 1.02\n")
 CONTROLLER = ("[controller ps]\nmode = peak_shave\ninverter = INV_PS\n"
               "watched = DG#01\np_rating_kw = 1500\nq_rating_kvar = 1500\n")
 
@@ -424,6 +434,20 @@ CONTROLLER = ("[controller ps]\nmode = peak_shave\ninverter = INV_PS\n"
     ("tdsim", None, TDSIM_HEAD + "[sim]\nend_s = 0.2\n", "line 4: [sim] repeated"),
     ("cct", None, SHORT_CCT.replace("window_s", "location = 0.5\nbranch = NOPE\n"
                                     "window_s"), "unknown branch 'NOPE'"),
+    # tol_s = 0 used to bisect forever once lo and hi were adjacent floats
+    ("cct", None, SHORT_CCT + "tol_s = 0\n", "need tol > 0 and t_hi > t_lo"),
+    ("cct", None, SHORT_CCT + "t_lo_s = 0.1\n", "need tol > 0 and t_hi > t_lo"),
+    # a fault location outside the cable used to fault its far end
+    ("tdsim", None, TDSIM_HEAD + "[event f]\ntime_s = 0.05\naction = fault_apply\n"
+     "target = FDR_LV_PS\nlocation = 7.5\n", "fault location 7.5 outside [0, 1]"),
+    ("cct", None, SHORT_CCT + "location = -0.5\n",
+     "fault location -0.5 outside [0, 1]"),
+    # a missing dynamics block used to be a numerical failure (exit 3)
+    ("tdsim", NO_DG01_DYNAMICS, TDSIM_HEAD, "DG#01: no dynamics block"),
+    ("cct", NO_DG01_DYNAMICS, SHORT_CCT, "DG#01: no dynamics block"),
+    ("sc-ac", NO_DG01_DYNAMICS, "[study]\nbus = AC_PS\n", "DG#01: no dynamics block"),
+    # such an id parsed, but no key could name it
+    ("powerflow", ("[bus AC_PS]", "[bus Inf]"), "", "non-finite number 'Inf' as id"),
 ])
 def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
                                         study_text, message):

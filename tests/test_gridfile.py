@@ -625,6 +625,14 @@ def test_non_finite_numbers_are_parse_errors(value):
     assert exc.value.line == 3
 
 
+@pytest.mark.parametrize("sid", ["nan", "NaN", "inf", "INF", "Infinity", "1e400"])
+def test_non_finite_ids_are_parse_errors(sid):
+    text = f"[bus B]\nkind = ac\nvoltage_v = 690\n\n[bus {sid}]\nkind = ac\n"
+    with pytest.raises(GridParseError, match="non-finite") as exc:
+        parse_grid(text)
+    assert exc.value.line == 5
+
+
 def test_words_near_non_finite_stay_strings():
     sections = read_sections("[x]\na = nano\nb = info\nc = Infinity2\n")
     assert sections[0][3] == {"a": "nano", "b": "info", "c": "Infinity2"}

@@ -8,7 +8,6 @@ from vesselstudy import (
     Event,
     EventSchedule,
     GeneratorLossEvent,
-    MachineControls,
     SimConfig,
     dp_failover_setpoint,
     find_cct,
@@ -26,6 +25,9 @@ from vesselstudy.tdsim import (
 )
 
 from helpers import dp_island, ps_island, smib_grid
+
+# the SMIB runs without governors and voltage regulators
+BARE_SMIB = SimConfig(step=0.005, governor=False, avr=False)
 
 
 def _peak_cfg(**kw):
@@ -244,12 +246,9 @@ def test_event_between_steps_is_applied_exactly(ac_vessel):
 
 def test_cct_bracket_must_straddle():
     grid = smib_grid()
-    controls = {"G1": MachineControls(None, None),
-                "IB": MachineControls(None, None)}
     with pytest.raises(BracketError):
         find_cct(grid, CctFaultSpec("G1", loading=0.9, location=0.0),
-                 0.0, 0.01, 0.005, SimConfig(step=0.005),
-                 machine_controls=controls, window=1.0)
+                 0.0, 0.01, 0.005, BARE_SMIB, window=1.0)
 
 
 @pytest.mark.xfail(strict=True, raises=NetworkSolveError,
@@ -266,19 +265,27 @@ def test_bus_fault_after_load_step_converges(ac_vessel):
     simulate(grid, sched, (), SimConfig(step=0.005, end=1.0))
 
 
-def _smib_controls():
-    return {"G1": MachineControls(None, None),
-            "IB": MachineControls(None, None)}
-
-
 def _probe(grid, t_clear, window=2.0, **kw):
     """One `find_cct` probe: bolted fault at the machine bus from 0.25 s."""
     sched = EventSchedule((Event(0.25, "fault_apply", "B_M"),
                            Event(0.25 + t_clear, "fault_clear")))
-    cfg = SimConfig(step=0.005, end=0.25 + t_clear + window)
-    return simulate(grid, sched, (), cfg,
-                    dispatch={"G1": 900.0},
-                    machine_controls=_smib_controls(), **kw)
+    cfg = dataclasses.replace(BARE_SMIB, end=0.25 + t_clear + window)
+    return simulate(grid, sched, (), cfg, dispatch={"G1": 900.0}, **kw)
+
+
+@pytest.mark.parametrize("governor", [True, False])
+def test_governor_switch(governor):
+    """Through a bolted fault the governor moves the mechanical power;
+    without it the mechanical power holds its pre-fault value."""
+    sched = EventSchedule((Event(0.25, "fault_apply", "B_M"),
+                           Event(0.35, "fault_clear")))
+    cfg = SimConfig(step=0.005, end=1.0, governor=governor)
+    pm = simulate(smib_grid(), sched, (), cfg, dispatch={"G1": 900.0})["G1.pm_kw"]
+    assert pm[0] == pytest.approx(900.0, rel=1e-6)
+    if governor:
+        assert np.ptp(pm) > 10.0
+    else:
+        assert np.all(pm == pm[0])
 
 
 def test_stopped_probe_is_prefix_of_full_run():
@@ -297,8 +304,8 @@ def test_stopped_probe_is_prefix_of_full_run():
 def test_cct_early_stop_keeps_transcript(monkeypatch):
     grid = smib_grid()
     spec = CctFaultSpec("G1", loading=0.9, location=0.0)
-    args = (grid, spec, 0.0, 0.4, 5e-3, SimConfig(step=0.005))
-    stopped = find_cct(*args, machine_controls=_smib_controls(), window=2.0)
+    args = (grid, spec, 0.0, 0.4, 5e-3, BARE_SMIB)
+    stopped = find_cct(*args, window=2.0)
 
     run_to_end = tdsim.simulate
 
@@ -306,7 +313,7 @@ def test_cct_early_stop_keeps_transcript(monkeypatch):
         return run_to_end(*a, **kw)
 
     monkeypatch.setattr(tdsim, "simulate", full_simulate)
-    full = find_cct(*args, machine_controls=_smib_controls(), window=2.0)
+    full = find_cct(*args, window=2.0)
     assert any(not ok for _, ok in full.transcript[2:])
     assert stopped == full
 
@@ -322,7 +329,6 @@ def test_cct_unstable_probe_stops_before_divergence():
     with pytest.raises(SimulationError, match="speed deviation"):
         _probe(grid, 0.2, window=3.0)
     res = find_cct(grid, CctFaultSpec("G1", loading=0.9, location=0.0),
-                   0.0, 0.2, 5e-3, SimConfig(step=0.005),
-                   machine_controls=_smib_controls(), window=3.0)
+                   0.0, 0.2, 5e-3, BARE_SMIB, window=3.0)
     assert res.transcript[1] == (0.2, False)
     assert res.interval[1] - res.interval[0] <= 5e-3
