@@ -17,8 +17,10 @@ Battery-inverter controllers run once per recording step: the peak-shave
 mode caps watched generators at a power threshold by supplying the surplus,
 and the DP-failover mode latches the delayed pre-trip output of a lost
 generator.  A bisection search over fault clearing time gives the critical
-clearing time against a first-swing stability criterion; an unstable probe
-stops as soon as its verdict is known.
+clearing time against a first-swing stability criterion.  Its probes share
+one engine: the pre-fault and fault-on trajectory is integrated once, and
+each probe branches from the last recorded step before its clearing; an
+unstable probe stops as soon as its verdict is known.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -285,6 +288,18 @@ class _Island:
     bus_rows: np.ndarray = None   # channel rows of the island's buses
     bus_node: np.ndarray = None
     cons_rows: np.ndarray = None  # channel rows of its demands
+
+
+class _Snapshot(NamedTuple):
+    """An engine's state after the recording solve of step k."""
+
+    engine: "_Engine"
+    k: int
+    t: float
+    x: np.ndarray
+    fault: tuple | None
+    islands: list            # (z, src, inc, warm-start v) of each island
+    rows: tuple              # column k of every recording array
 
 
 class _Engine:
@@ -640,12 +655,18 @@ class _Engine:
 
     # -- main loop -------------------------------------------------------------
 
-    def run(self, stop_spread_after: float | None = None) -> TimeSeries:
+    def run(self, stop_spread_after: float | None = None,
+            keep: list | None = None, start: _Snapshot | None = None,
+            ) -> TimeSeries:
         """Integrate to `cfg.end`, recording every step.
 
         With `stop_spread_after`, stop at the first recording step at or
         after that time where the rotor-angle spread reaches pi; the
-        series then ends there.
+        series then ends there.  `keep` holds snapshots of consecutive
+        steps; the run appends each later step it records while only its
+        last event pends.  From a `start` snapshot the series begins at its
+        step with that event pending: exact if the engine's topology and
+        the events before it are the snapshot's.
         """
         cfg = self.cfg
         n_steps = int(round(cfg.end / cfg.step))
@@ -680,24 +701,39 @@ class _Engine:
                 p_loss += (pe[isl.mach].sum() + p_inv - p.sum()) * S_BASE_KVA
             loss[k] = p_loss
 
-        pending = deque(self.events)
-        t = 0.0
-        observe(0, t)
+        recs = (mach, inv, bus, cons, loss)
+        pending = deque(self.events[-1:] if start else self.events)
+        if start is None:
+            k0, t = 0, 0.0
+            observe(0, t)
+        else:
+            k0, t, self.x, self.fault = start.k, start.t, start.x, start.fault
+            for isl, (z, src, inc, v) in zip(self.islands, start.islands):
+                isl.z, isl.src, isl.inc, isl.v = z, src, inc, v.copy()
+            for a, col in zip(recs, start.rows):
+                a[..., k0] = col
         last = n_steps
-        for k in range(1, n_steps + 1):
-            t_target = float(t_rec[k])
-            while t < t_target - 1e-12:
-                t_next = t_target
+        for k in range(k0, n_steps + 1):
+            if k > k0:
+                t_target = float(t_rec[k])
+                while t < t_target - 1e-12:
+                    t_next = t_target
+                    while pending and pending[0].time <= t + 1e-12:
+                        self._apply_event(pending.popleft(), t)
+                    if pending and pending[0].time < t_target - 1e-12:
+                        t_next = pending[0].time
+                    # k1 iterates from the recording solve's voltages
+                    self.x = self._step(self.x, t, t_next - t)
+                    t = t_next
                 while pending and pending[0].time <= t + 1e-12:
                     self._apply_event(pending.popleft(), t)
-                if pending and pending[0].time < t_target - 1e-12:
-                    t_next = pending[0].time
-                # k1 iterates from the recording solve's voltages
-                self.x = self._step(self.x, t, t_next - t)
-                t = t_next
-            while pending and pending[0].time <= t + 1e-12:
-                self._apply_event(pending.popleft(), t)
-            observe(k, t)
+                observe(k, t)
+            if (keep is not None and len(pending) == 1
+                    and (not keep or k == keep[-1].k + 1)):
+                keep.append(_Snapshot(
+                    self, k, t, self.x, self.fault,
+                    [(i.z, i.src, i.inc, i.v.copy()) for i in self.islands],
+                    tuple(a[..., k].copy() for a in recs)))
             if (stop_spread_after is not None and len(self.mach_ids) > 1
                     and t_rec[k] >= stop_spread_after - 1e-9):
                 delta = mach[3, :, k]
@@ -705,21 +741,21 @@ class _Engine:
                     last = k
                     break
 
-        n = last + 1
+        n = slice(k0, last + 1)
         channels: dict[str, np.ndarray] = {}
         for j, mid in enumerate(self.mach_ids):
             for q, name in enumerate(("p_kw", "q_kvar", "pm_kw", "delta_rad",
                                       "freq_hz")):
-                channels[f"{mid}.{name}"] = mach[q, j, :n]
+                channels[f"{mid}.{name}"] = mach[q, j, n]
         for j, cid in enumerate(self.inv_ids):
-            channels[f"{cid}.p_kw"] = inv[0, j, :n]
-            channels[f"{cid}.q_kvar"] = inv[1, j, :n]
+            channels[f"{cid}.p_kw"] = inv[0, j, n]
+            channels[f"{cid}.q_kvar"] = inv[1, j, n]
         for j, b in enumerate(self.bus_ids):
-            channels[f"{b}.v_pu"] = bus[j, :n]
+            channels[f"{b}.v_pu"] = bus[j, n]
         for j, lid in enumerate(self.cons_ids):
-            channels[f"{lid}.p_kw"] = cons[j, :n]
-        channels["sys.p_loss_kw"] = loss[:n]
-        return TimeSeries(t=t_rec[:n], channels=channels)
+            channels[f"{lid}.p_kw"] = cons[j, n]
+        channels["sys.p_loss_kw"] = loss[n]
+        return TimeSeries(t=t_rec[n], channels=channels)
 
 
 def simulate(grid: GridModel, schedule: EventSchedule,
@@ -728,17 +764,20 @@ def simulate(grid: GridModel, schedule: EventSchedule,
              load_scale: dict[str, float] | None = None,
              slack: str | None = None,
              *, _stop_spread_after: float | None = None,  # for find_cct
+             _keep: list | None = None, _start: _Snapshot | None = None,
              ) -> TimeSeries:
     """Integrate the grid's AC islands through the scripted events.
 
     Returns a TimeSeries on the uniform recording grid with one channel per
     machine quantity (``<gen>.p_kw``, ``.q_kvar``, ``.pm_kw``,
     ``.delta_rad``, ``.freq_hz``), per controller inverter, per bus voltage,
-    per load, and the system losses.
+    per load, and the system losses.  With `_start`, the snapshot's engine
+    runs on (see `_Engine.run`) and stands in for grid and options.
     """
-    engine = _Engine(grid, schedule, controllers, cfg, dispatch, load_scale,
-                     slack)
-    return engine.run(_stop_spread_after)
+    engine = _start.engine if _start else _Engine(
+        grid, schedule, controllers, cfg, dispatch, load_scale, slack)
+    engine.cfg, engine.events = cfg, schedule.events
+    return engine.run(_stop_spread_after, _keep, _start)
 
 
 # ---------------------------------------------------------------------------
@@ -763,14 +802,10 @@ class CctResult:
     transcript: tuple[tuple[float, bool], ...]
 
 
-def _max_angle_spread(ts: TimeSeries, after: float) -> float:
-    deltas = [ts.channels[name] for name in sorted(ts.channels)
-              if name.endswith(".delta_rad")]
-    if len(deltas) < 2:
-        return 0.0
-    sel = ts.t >= after - 1e-9
-    arr = np.vstack([d[sel] for d in deltas])
-    return float(np.max(arr.max(axis=0) - arr.min(axis=0)))
+def _branch_point(trunk: list[_Snapshot], t_end: float) -> _Snapshot | None:
+    """The last shared step a clearing at `t_end` does not reach; it
+    reaches a step within 1e-12 s, as `_Engine.run` applies events."""
+    return next((s for s in trunk[::-1] if t_end > s.t + 1e-12), None)
 
 
 def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
@@ -779,11 +814,13 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
 
     Each probe applies the fault at FAULT_START.  A probe is stable when
     the largest pairwise rotor-angle separation stays below 180 degrees
-    after the fault clears.  The bracket must straddle the boundary:
-    `t_lo` stable and `t_hi` unstable.
+    within `window` after the fault clears.  The bracket must straddle the
+    boundary: `t_lo` stable and `t_hi` unstable.
     """
     if tol <= 0 or t_hi <= t_lo:
         raise ValueError("need tol > 0 and t_hi > t_lo")
+    if window < cfg.step:
+        raise ValueError(f"need window_s >= step_s, got window_s = {window}")
     gen = grid.generator(fault.machine)
     dispatch = {fault.machine: fault.loading * gen.rated_kw}
 
@@ -804,25 +841,28 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
         frac = fault.location if br.from_bus == gen.bus else 1.0 - fault.location
         target, location = branch_id, frac
 
+    trunk: list[_Snapshot] = []   # the probes' shared fault-on steps
+
     def stable(t_clear: float) -> bool:
         if t_clear <= 0:
             return True   # zero-duration fault: no disturbance
+        t_end = FAULT_START + t_clear
         events = EventSchedule((
             Event(FAULT_START, "fault_apply", target, location=location),
-            Event(FAULT_START + t_clear, "fault_clear"),
+            Event(t_end, "fault_clear"),
         ))
-        probe_cfg = replace(cfg, end=FAULT_START + t_clear + window)
-        # an unstable probe ends once the spread reaches pi: its verdict
-        # cannot change after that
+        probe_cfg = replace(cfg, end=t_end + window)
+        # an unstable probe ends at the first step after the clearing where
+        # the spread reaches pi, so the spread of its last step is the verdict
         ts = simulate(grid, events, (), probe_cfg, dispatch=dispatch,
-                      _stop_spread_after=FAULT_START + t_clear)
-        return _max_angle_spread(ts, FAULT_START + t_clear) < math.pi
+                      _stop_spread_after=t_end, _keep=trunk,
+                      _start=_branch_point(trunk, t_end))
+        delta = [v[-1] for name, v in ts.channels.items()
+                 if name.endswith(".delta_rad")]
+        return max(delta) - min(delta) < math.pi
 
-    transcript = []
-    lo_ok = stable(t_lo)
-    transcript.append((t_lo, lo_ok))
-    hi_ok = stable(t_hi)
-    transcript.append((t_hi, hi_ok))
+    lo_ok, hi_ok = stable(t_lo), stable(t_hi)
+    transcript = [(t_lo, lo_ok), (t_hi, hi_ok)]
     if not lo_ok or hi_ok:
         raise BracketError(
             f"invalid bracket: stable({t_lo})={lo_ok}, stable({t_hi})={hi_ok}")

@@ -6,6 +6,7 @@ forms, fine-grid quadrature) and never call the code paths they check.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from vesselstudy.grid import (
     GridModel,
     LoadSpec,
 )
+from vesselstudy.tdsim import (CctFaultSpec, CctResult, Event, EventSchedule,
+                               simulate)
 
 # breakers that leave only the port-side section of the AC vessel energized
 PS_ISLAND_OPEN = (
@@ -120,3 +123,36 @@ def equal_area_cct(loading: float, h: float = 3.5, xdp: float = 0.3,
     dc = math.acos(math.sin(d0) * (dmax - d0) + math.cos(dmax))
     assert pmax * math.sin(d0) - pm < 1e-9
     return math.sqrt(4.0 * h * (dc - d0) / (2.0 * math.pi * f * pm))
+
+
+def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
+                  t_hi: float, tol: float, cfg, window: float) -> CctResult:
+    """`find_cct`'s bisection on smib_grid, every probe a plain `simulate`
+    from t = 0 over its whole window, judged by the largest rotor-angle
+    spread from the clearing on.  A `location` of 0 faults the machine
+    bus, any other one LINE at that fraction from it."""
+    gen = grid.generator(fault.machine)
+    dispatch = {fault.machine: fault.loading * gen.rated_kw}
+    apply = (Event(0.25, "fault_apply", gen.bus) if fault.location == 0 else
+             Event(0.25, "fault_apply", "LINE", location=fault.location))
+
+    def stable(t_clear: float) -> bool:
+        if t_clear <= 0:
+            return True
+        t_end = 0.25 + t_clear
+        sched = EventSchedule((apply, Event(t_end, "fault_clear")))
+        probe_cfg = dataclasses.replace(cfg, end=t_end + window)
+        ts = simulate(grid, sched, (), probe_cfg, dispatch=dispatch)
+        deltas = np.vstack([ts[name] for name in ts.channels
+                            if name.endswith(".delta_rad")])
+        spread = deltas.max(axis=0) - deltas.min(axis=0)
+        return spread[ts.t >= t_end - 1e-9].max() < math.pi
+
+    transcript = [(t_lo, stable(t_lo)), (t_hi, stable(t_hi))]
+    lo, hi = t_lo, t_hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        ok = stable(mid)
+        transcript.append((mid, ok))
+        lo, hi = (mid, hi) if ok else (lo, mid)
+    return CctResult(cct=lo, interval=(lo, hi), transcript=tuple(transcript))

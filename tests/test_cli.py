@@ -437,6 +437,12 @@ CONTROLLER = ("[controller ps]\nmode = peak_shave\ninverter = INV_PS\n"
     # tol_s = 0 used to bisect forever once lo and hi were adjacent floats
     ("cct", None, SHORT_CCT + "tol_s = 0\n", "need tol > 0 and t_hi > t_lo"),
     ("cct", None, SHORT_CCT + "t_lo_s = 0.1\n", "need tol > 0 and t_hi > t_lo"),
+    # a negative window used to fail in numpy with an empty reduction
+    ("cct", None, SHORT_CCT.replace("0.3", "-0.2"),
+     "need window_s >= step_s, got window_s = -0.2"),
+    # a window below half a step can end a probe before its clearing
+    ("cct", None, SHORT_CCT.replace("0.3", "0.004"),
+     "need window_s >= step_s, got window_s = 0.004"),
     # a fault location outside the cable used to fault its far end
     ("tdsim", None, TDSIM_HEAD + "[event f]\ntime_s = 0.05\naction = fault_apply\n"
      "target = FDR_LV_PS\nlocation = 7.5\n", "fault location 7.5 outside [0, 1]"),

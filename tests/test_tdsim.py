@@ -24,7 +24,7 @@ from vesselstudy.tdsim import (
     SimulationError,
 )
 
-from helpers import dp_island, ps_island, smib_grid
+from helpers import dp_island, ps_island, reference_cct, smib_grid
 
 # the SMIB runs without governors and voltage regulators
 BARE_SMIB = SimConfig(step=0.005, governor=False, avr=False)
@@ -265,10 +265,12 @@ def test_bus_fault_after_load_step_converges(ac_vessel):
     simulate(grid, sched, (), SimConfig(step=0.005, end=1.0))
 
 
-def _probe(grid, t_clear, window=2.0, **kw):
-    """One `find_cct` probe: bolted fault at the machine bus from 0.25 s."""
-    sched = EventSchedule((Event(0.25, "fault_apply", "B_M"),
-                           Event(0.25 + t_clear, "fault_clear")))
+def _probe(grid, t_clear, window=2.0, target="B_M", location=None, **kw):
+    """One `find_cct` probe: bolted fault at `target` (the machine bus by
+    default) from 0.25 s."""
+    sched = EventSchedule((
+        Event(0.25, "fault_apply", target, location=location),
+        Event(0.25 + t_clear, "fault_clear")))
     cfg = dataclasses.replace(BARE_SMIB, end=0.25 + t_clear + window)
     return simulate(grid, sched, (), cfg, dispatch={"G1": 900.0}, **kw)
 
@@ -301,21 +303,51 @@ def test_stopped_probe_is_prefix_of_full_run():
     assert abs(spread[-1]) >= np.pi > abs(spread[-2])
 
 
-def test_cct_early_stop_keeps_transcript(monkeypatch):
+@pytest.mark.parametrize("target, location", [("B_M", None), ("LINE", 0.5)])
+def test_branched_probe_matches_run_from_start(target, location):
+    """A probe branched from the shared trajectory is bit-identical, from
+    its branch step on, to the same probe run from t = 0."""
+    grid = smib_grid()
+    fault = dict(target=target, location=location)
+    trunk = []
+    _probe(grid, 0.05, _keep=trunk, **fault)
+    # a later probe extends the trunk up to its own clearing
+    _probe(grid, 0.4, _keep=trunk, _start=trunk[-1], **fault)
+    # the fault is on from step 50 (0.25 s); 0.65 s is step 130
+    assert [s.k for s in trunk] == list(range(50, 130))
+    # inside a step; on a step (0.35 s lands just below step 70 and 0.42 s
+    # just above step 84, and a clearing within 1e-12 s of a step is
+    # applied at it); shorter than one step; t_hi itself
+    for t_clear, k in ((0.1234, 74), (0.1, 69), (0.17, 83), (0.001, 50),
+                       (0.4, 129)):
+        start = tdsim._branch_point(trunk, 0.25 + t_clear)
+        assert start.k == k
+        full = _probe(grid, t_clear, **fault)
+        branched = _probe(grid, t_clear, _start=start, **fault)
+        np.testing.assert_array_equal(branched.t, full.t[k:])
+        assert branched.channels.keys() == full.channels.keys()
+        for name, values in full.channels.items():
+            np.testing.assert_array_equal(branched[name], values[k:],
+                                          err_msg=f"{t_clear}: {name}")
+
+
+def test_cct_early_stop_keeps_transcript():
+    """Branched, early-stopped probes give the search of full probes."""
     grid = smib_grid()
     spec = CctFaultSpec("G1", loading=0.9, location=0.0)
-    args = (grid, spec, 0.0, 0.4, 5e-3, BARE_SMIB)
-    stopped = find_cct(*args, window=2.0)
+    res = find_cct(grid, spec, 0.0, 0.4, 5e-3, BARE_SMIB, window=2.0)
+    ref = reference_cct(grid, spec, 0.0, 0.4, 5e-3, BARE_SMIB, 2.0)
+    assert any(not ok for _, ok in ref.transcript[2:])
+    assert res == ref
 
-    run_to_end = tdsim.simulate
 
-    def full_simulate(*a, _stop_spread_after=None, **kw):
-        return run_to_end(*a, **kw)
-
-    monkeypatch.setattr(tdsim, "simulate", full_simulate)
-    full = find_cct(*args, window=2.0)
-    assert any(not ok for _, ok in full.transcript[2:])
-    assert stopped == full
+def test_cct_trunk_grows_from_a_stable_lower_bracket():
+    """With t_lo > 0 the first probe's trunk stops at its clearing and the
+    t_hi probe extends it; the search still matches full probes."""
+    grid = smib_grid()
+    spec = CctFaultSpec("G1", loading=0.8, location=0.3, branch="LINE")
+    res = find_cct(grid, spec, 0.05, 0.4, 5e-3, BARE_SMIB, window=1.0)
+    assert res == reference_cct(grid, spec, 0.05, 0.4, 5e-3, BARE_SMIB, 1.0)
 
 
 def test_cct_unstable_probe_stops_before_divergence():
