@@ -227,17 +227,54 @@ def _fault_bus(args, study: _Study) -> str:
     return bus
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and bool(
+        (a.view(f"u{a.itemsize}") == b.view(f"u{b.itemsize}")).all())
+
+
+def _write_traces(out: str, traces: dict, fields: tuple[str, ...],
+                  render) -> None:
+    """Write `render(trace)` to trace_<id>.csv for every contributor.
+
+    `fields` names the arrays `render` reads from a trace; contributors
+    whose `fields` are bitwise equal (twin machines) share one rendering.
+    Bits, not values: 0.0 == -0.0, but the two are written differently.
+    Two ids that map to one file name are an input error, raised before
+    any trace is written.
+    """
+    owner: dict[str, str] = {}   # file name -> contributor id
+    for cid in sorted(traces):
+        name = f"trace_{report.safe_name(cid)}.csv"
+        if name in owner:
+            raise ValueError(f"contributors {owner[name]!r} and {cid!r} "
+                             f"would both be written to {name}")
+        owner[name] = cid
+    groups: list[tuple[object, list[str]]] = []   # (trace, its files)
+    for name, cid in owner.items():
+        tr = traces[cid]
+        for rep, names in groups:
+            if all(_same_bits(getattr(tr, f), getattr(rep, f))
+                   for f in fields):
+                names.append(name)
+                break
+        else:
+            groups.append((tr, [name]))
+    for rep, names in groups:
+        text = render(rep)
+        for name in names:
+            report.write_artifact(out, name, text)
+        del text   # released before the next group is rendered
+
+
 def _run_sc_ac(args, grid: GridModel, study: _Study) -> int:
     bus = _fault_bus(args, study)
     sol = solve_ac_powerflow(grid, **_steady_state(grid, study))
     summ = fault_summary(grid, bus, sol)
-    _emit(args, "summary.csv", *report.ac_summary_rows(summ))
     if args.format == "csv":
         t_cells = report.format_column(next(iter(summ.traces.values())).t)
-        for cid in sorted(summ.traces):
-            report.write_artifact(
-                args.out, f"trace_{report.safe_name(cid)}.csv",
-                report.ac_trace_csv(summ.traces[cid], t_cells))
+        _write_traces(args.out, summ.traces, ("iac", "idc", "envelope"),
+                      lambda tr: report.ac_trace_csv(tr, t_cells))
+    _emit(args, "summary.csv", *report.ac_summary_rows(summ))
     print(f"fault at {bus}: Iac(T/2) = {summ.iac_half_cycle/1e3:.3f} kA, "
           f"idc(T/2) = {summ.idc_half_cycle/1e3:.3f} kA, "
           f"ip = {summ.ip/1e3:.3f} kA")
@@ -247,15 +284,13 @@ def _run_sc_ac(args, grid: GridModel, study: _Study) -> int:
 def _run_sc_dc(args, grid: GridModel, study: _Study) -> int:
     bus = _fault_bus(args, study)
     summ = dc_fault_summary(grid, bus)
-    _emit(args, "summary.csv", *report.dc_summary_rows(summ))
     if args.format == "csv":
         t_cells = report.format_column(summ.total.t)   # shared by every trace
-        for cid in sorted(summ.traces):
-            report.write_artifact(
-                args.out, f"trace_{report.safe_name(cid)}.csv",
-                report.dc_trace_csv(summ.traces[cid], t_cells=t_cells))
+        _write_traces(args.out, summ.traces, ("i",),
+                      lambda tr: report.dc_trace_csv(tr, t_cells=t_cells))
         report.write_artifact(args.out, "total.csv", report.dc_trace_csv(
             summ.total, total=True, t_cells=t_cells))
+    _emit(args, "summary.csv", *report.dc_summary_rows(summ))
     print(f"fault at {bus}: sustained {summ.sustained/1e3:.3f} kA, "
           f"peak {summ.peak/1e3:.3f} kA")
     return EXIT_OK
@@ -364,6 +399,10 @@ def _read_trace_csv(path: str) -> DcScTrace:
             t.append(float(parts[0]))
             i.append(float(parts[1]))
     t_arr, i_arr = np.asarray(t), np.asarray(i)
+    bad = np.flatnonzero(~(np.isfinite(t_arr) & np.isfinite(i_arr)))
+    if len(bad):
+        raise ValueError(f"{path}: line {bad[0] + 2}: non-finite time or "
+                         f"current ({t[bad[0]]!r}, {i[bad[0]]!r})")
     k = int(np.argmax(np.abs(i_arr))) if len(i_arr) else 0
     return DcScTrace(t=t_arr, i=i_arr,
                      peak_current=float(abs(i_arr[k])) if len(i_arr) else 0.0,

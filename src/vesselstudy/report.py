@@ -31,8 +31,15 @@ def fmt(value) -> str:
 
 
 def format_column(values) -> list[str]:
-    """Each cell as `fmt` writes it; a float array skips its per-cell checks."""
+    """Each cell as `fmt` writes it; a float array skips its per-cell checks,
+    and one whose elements all share a bit pattern is formatted once."""
     if isinstance(values, np.ndarray) and values.dtype.kind == "f":
+        if len(values) > 1 and values.itemsize <= 8:
+            # bits, not values: 0.0 == -0.0 and nan != nan, but repr tells
+            # the zeros apart and writes every nan alike
+            bits = values.view(f"u{values.itemsize}")
+            if bits[-1] == bits[0] and (bits == bits[0]).all():
+                return [repr(values[0].item())] * len(values)
         return list(map(repr, values.tolist()))
     return list(map(fmt, values))
 

@@ -306,6 +306,51 @@ def test_i2t_rejects_a_truncated_trace_row(tmp_path, capsys):
     assert str(trace) in err and "line 51" in err
 
 
+@pytest.mark.parametrize("column, value", [
+    (1, "nan"), (1, "inf"), (1, "-inf"), (0, "nan"), (0, "inf")])
+def test_i2t_rejects_a_non_finite_trace_value(tmp_path, capsys, column, value):
+    """A nan current beside 5000 A samples read NOT_CLEARED and an inf one
+    cleared at 0.0, both with exit 0."""
+    out = tmp_path / "out"
+    main(["sc-dc", "--grid", "builtin:dc_vessel", "--bus", "DC_PS",
+          "--out", str(out)])
+    trace = out / "trace_BAT_PS.csv"
+    lines = trace.read_text().splitlines()
+    cells = lines[50].split(",")
+    cells[column] = value                        # line 51
+    lines[50] = ",".join(cells)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["i2t", "--trace", str(trace), "--fuse-i2t", "9350"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(trace) in err and "line 51" in err and "non-finite" in err
+
+
+@pytest.mark.parametrize("kind, fixture, section, twin, bus", [
+    ("sc-ac", "ac_vessel", "load", "LOAD440", "AC_PS"),
+    ("sc-dc", "dc_vessel", "battery", "BAT", "DC_PS"),
+])
+def test_trace_file_name_collision_is_input_error(tmp_path, capsys, kind,
+                                                  fixture, section, twin, bus):
+    """`#` and `_` both map to `_` in a trace file name, so `<twin>#PS` and
+    `<twin>_PS` would write one file and one trace would be lost."""
+    text = serialize_grid(builtin_fixture(fixture))
+    start = text.index(f"[{section} {twin}_PS]")
+    block = text[start:text.index("\n\n", start) + 2]
+    grid = tmp_path / "g.grid"
+    grid.write_text(text + "\n" + block.replace(f"{twin}_PS]", f"{twin}#PS]"))
+    out = tmp_path / "out"
+    rc = main([kind, "--grid", str(grid), "--bus", bus, "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"'{twin}#PS'" in err and f"'{twin}_PS'" in err
+    assert not out.exists() or not any(out.iterdir())
+    # text format writes no trace files, so the ids do not collide
+    assert main([kind, "--grid", str(grid), "--bus", bus, "--out", str(out),
+                 "--format", "text"]) == 0
+
+
 def _protect_study(tmp_path) -> str:
     study = tmp_path / "p.study"
     study.write_text(PROTECT_STUDY.format(zsi="true"))

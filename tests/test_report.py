@@ -138,3 +138,41 @@ def test_shared_time_column_must_match_length():
     trace = SimpleNamespace(t=np.arange(3.0), i=np.ones(3))
     with pytest.raises(ValueError):
         report.dc_trace_csv(trace, t_cells=["0.0", "1.0"])
+
+
+@pytest.mark.parametrize("values", [
+    np.zeros(300),                                  # constant
+    np.full(300, -0.0),                             # constant -0.0
+    np.full(300, math.nan),
+    np.array([], dtype=np.float64),
+    np.array([], dtype=np.float32),
+    np.array([2.5]),
+    np.full(300, 0.1, dtype=np.float32),
+    np.full(300, 0.1, dtype=">f8"),                 # non-native byte order
+    np.r_[-0.0, np.zeros(299)],                     # first element differs
+    np.r_[np.zeros(299), -0.0],                     # last element differs
+    np.r_[np.zeros(150), -0.0, np.zeros(149)],      # only an inner one
+    np.r_[1.0, np.ones(298), np.nextafter(1.0, 2.0)],
+    np.r_[math.nan, np.ones(299)],
+    np.arange(600.0)[::2],                          # strided view
+], ids=lambda v: f"{v.dtype}-{len(v)}")
+def test_format_column_matches_repr(values):
+    assert report.format_column(values) == list(map(repr, values.tolist()))
+
+
+@st.composite
+def near_constant(draw):
+    """A constant block, or one with a single different element anywhere."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    elements = floats64 if dtype is np.float64 else floats32
+    values = np.full(draw(st.integers(0, 40)), draw(elements), dtype=dtype)
+    k = draw(st.integers(0, 40))
+    if k < len(values):
+        values[k] = draw(elements)
+    return values
+
+
+@settings(deadline=None)
+@given(near_constant())
+def test_format_column_near_constant(values):
+    assert report.format_column(values) == list(map(repr, values.tolist()))

@@ -1,6 +1,7 @@
 """Summarise perfbench result records into one committed BENCH_<pr>.json.
 
     python3 tools/bench_summary.py --pr 8 --seeds 1-5
+    python3 tools/bench_summary.py --pr 9 --seeds 1-5 --trace 1
     python3 tools/bench_summary.py --pr 7 --seeds 1-5 \
         --results ../parent/.perfbench/results
 
@@ -8,11 +9,13 @@ Reads `<results>/<workload>-seed<N>-trace<T>.json`, as written by
 `perfbench/run.py`, for every workload declared in BENCHMARK.json and
 every listed seed.  For each workload it writes the median and quartiles
 (over the seeds) of the declared end-to-end metrics, with every run's
-value, and the `correct`/`attempted`/`failed` totals; next to them it
+value, and the `correct`/`attempted`/`failed` totals.  From `--trace 1`
+records it adds, under `per_layer`, the same statistics of every declared
+per-layer metric (traced layer times and work counters).  Next to them it
 keeps the environment record of the runs (host, Python, numpy, threads
-and the `src_sha256` of the sources measured).  A missing record,
-or records of different sources, is an error (exit 2).  Uses the standard
-library only.
+and the `src_sha256` of the sources measured).  A missing record, a
+missing metric, or records of different sources, is an error (exit 2).
+Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ def quartiles(values: list[float]) -> dict:
     return {"median": med, "q1": q1, "q3": q3}
 
 
+def _medians(declared: list[dict], values: list[dict]) -> dict:
+    """Median, quartiles and every run's value of each declared metric."""
+    return {m["name"]: {"unit": m["unit"], "better": m["better"],
+                        **quartiles([v[m["name"]] for v in values]),
+                        "runs": [v[m["name"]] for v in values]}
+            for m in declared}
+
+
 def summarise(results: Path, seeds: list[int], trace: int, pr: str,
               benchmark: dict) -> dict:
     metrics = benchmark["end_to_end"]
@@ -77,14 +88,13 @@ def summarise(results: Path, seeds: list[int], trace: int, pr: str,
             "correct": all(r["result"]["correct"] for r in runs),
             "attempted": sum(r["result"]["attempted"] for r in runs),
             "failed": sum(r["result"]["failed"] for r in runs),
-            "metrics": {
-                m["name"]: {"unit": m["unit"], "better": m["better"],
-                            **quartiles([r["end_to_end"][m["name"]]
-                                         for r in runs]),
-                            "runs": [r["end_to_end"][m["name"]]
-                                     for r in runs]}
-                for m in metrics},
+            "metrics": _medians(metrics, [r["end_to_end"] for r in runs]),
         }
+        if trace:
+            workloads[name]["per_layer"] = _medians(
+                benchmark["per_layer"],
+                [{k: m["value"] for k, m in r["per_layer"].items()}
+                 for r in runs])
     return {"pr": pr, "seeds": seeds, "trace": trace, "environment": env,
             "src_sha256": env["src_sha256"], "workloads": workloads}
 
