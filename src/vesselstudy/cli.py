@@ -403,6 +403,10 @@ def _read_trace_csv(path: str) -> DcScTrace:
     if len(bad):
         raise ValueError(f"{path}: line {bad[0] + 2}: non-finite time or "
                          f"current ({t[bad[0]]!r}, {i[bad[0]]!r})")
+    back = np.flatnonzero(np.diff(t_arr) < 0)
+    if len(back):
+        raise ValueError(f"{path}: line {back[0] + 3}: time {t[back[0] + 1]!r} "
+                         f"before the previous row's {t[back[0]]!r}")
     k = int(np.argmax(np.abs(i_arr))) if len(i_arr) else 0
     return DcScTrace(t=t_arr, i=i_arr,
                      peak_current=float(abs(i_arr[k])) if len(i_arr) else 0.0,

@@ -8,19 +8,24 @@ constant-PQ inverter injections, by a fixed-point iteration on the
 inverted network matrix.  That matrix (branches, machine shunts and any
 bolted fault) changes only at a topology change, a fault application or a
 fault clearing, so it is assembled and inverted once per such epoch and
-reused by every stage in between (the alternating-solution scheme).
+reused by every stage in between (the alternating-solution scheme).  An
+island without demands (no load, converter draw or controller inverter)
+is linear: its voltages are v = Z i_src directly, with no iteration.
 Scripted events (load ramps, breaker switching, faults) are applied at
 their exact times by splitting integration steps, so results do not depend
 on how event times align with the step grid.
 
-Battery-inverter controllers run once per recording step: the peak-shave
-mode caps watched generators at a power threshold by supplying the surplus,
-and the DP-failover mode latches the delayed pre-trip output of a lost
-generator.  A bisection search over fault clearing time gives the critical
-clearing time against a first-swing stability criterion.  Its probes share
-one engine: the pre-fault and fault-on trajectory is integrated once, and
-each probe branches from the last recorded step before its clearing; an
-unstable probe stops as soon as its verdict is known.
+Battery-inverter controllers run once per recording step, before its
+recording solve: the peak-shave mode caps watched generators at a power
+threshold by supplying the surplus, and the DP-failover mode latches the
+delayed pre-trip output of a lost generator.  A run without controllers
+whose islands are all linear solves each recording step once, since
+nothing can change the network between the two solves.  A bisection
+search over fault clearing time gives the critical clearing time against
+a first-swing stability criterion.  Its probes share one engine: the
+pre-fault and fault-on trajectory is integrated once, and each probe
+branches from the last recorded step before its clearing; an unstable
+probe stops as soon as its verdict is known.
 """
 
 from __future__ import annotations
@@ -83,6 +88,9 @@ class Event:
             raise ValueError(f"unknown event action {self.action!r}")
         if self.action == "load_step" and self.scale is None:
             raise ValueError(f"load_step {self.target}: scale required")
+        if self.ramp < 0:
+            raise ValueError(f"{self.action} {self.target}: ramp_s must be "
+                             f">= 0, got {self.ramp}")
         _check_location(self.location)
 
 
@@ -288,6 +296,11 @@ class _Island:
     bus_rows: np.ndarray = None   # channel rows of the island's buses
     bus_node: np.ndarray = None
     cons_rows: np.ndarray = None  # channel rows of its demands
+
+    @property
+    def linear(self) -> bool:
+        """No demand columns: v = Z i_src, whatever the load scales."""
+        return self.inc.shape[1] == 0
 
 
 class _Snapshot(NamedTuple):
@@ -534,12 +547,20 @@ class _Engine:
         conj(s) v / max(|v|^2, V_FLOOR^2); with w = Z i_src and
         M = Z diag(conj(s)) the node voltages are the fixed point of
         v = w + M (v / max(|v|^2, V_FLOOR^2)), iterated from the island's
-        last voltages.  Returns the machines' electrical power, reactive
-        power and terminal voltage.
+        last voltages.  A linear island has no M: its voltages are w,
+        with no iteration and no warm start.  Returns the machines'
+        electrical power, reactive power and terminal voltage.
         """
         e = x[:, 2] * np.exp(1j * x[:, 0])
         vb = np.empty(len(x), dtype=complex)
         for isl in self.islands:
+            if isl.linear:
+                v = isl.src @ e
+                if not np.isfinite(v).all():
+                    raise NetworkSolveError("network solve produced non-finite V")
+                isl.lf, isl.v = np.ones(0), v
+                vb[isl.mach] = v[isl.mach_node]
+                continue
             lf = np.ones(len(isl.cons_ids))
             for j, lid in enumerate(isl.load_ids):
                 lf[j] = self._load_factor(lid, t)
@@ -680,9 +701,13 @@ class _Engine:
         loss = np.zeros(n_steps + 1)
 
         def observe(k: int, t: float):
-            """Controllers, then the recording solve of step k."""
-            self._update_controllers(t, self._solve(self.x, t))
-            pe, qe, _ = self._solve(self.x, t)
+            """Controllers, then the recording solve of step k.  Without
+            controllers a linear network's first solve is that solve."""
+            out = self._solve(self.x, t)
+            if self.controllers or not all(i.linear for i in self.islands):
+                self._update_controllers(t, out)
+                out = self._solve(self.x, t)
+            pe, qe, _ = out
             x, m = self.x, self.m
             mach[:, m.col, k] = (pe * S_BASE_KVA, qe * S_BASE_KVA,
                                  x[:, 3] * S_BASE_KVA, x[:, 0],

@@ -19,8 +19,9 @@ from vesselstudy.grid import (
     GridModel,
     LoadSpec,
 )
-from vesselstudy.tdsim import (CctFaultSpec, CctResult, Event, EventSchedule,
-                               simulate)
+from vesselstudy.powerflow import S_BASE_KVA
+from vesselstudy.tdsim import (V_FLOOR, CctFaultSpec, CctResult, Event,
+                               EventSchedule, NetworkSolveError, simulate)
 
 # breakers that leave only the port-side section of the AC vessel energized
 PS_ISLAND_OPEN = (
@@ -156,3 +157,39 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
         transcript.append((mid, ok))
         lo, hi = (mid, hi) if ok else (lo, mid)
     return CctResult(cct=lo, interval=(lo, hi), transcript=tuple(transcript))
+
+
+def reference_solve(engine, x: np.ndarray, t: float):
+    """`_Engine._solve` before linear islands were solved in closed form:
+    every island, with or without demands, takes the fixed point."""
+    e = x[:, 2] * np.exp(1j * x[:, 0])
+    vb = np.empty(len(x), dtype=complex)
+    for isl in engine.islands:
+        lf = np.ones(len(isl.cons_ids))
+        for j, lid in enumerate(isl.load_ids):
+            lf[j] = engine._load_factor(lid, t)
+        isl.lf = lf
+        inj = -isl.cons_s * lf
+        if isl.inv_ids:
+            inj = np.concatenate((inj, [
+                complex(*engine.inv_setpoints[c]) / S_BASE_KVA
+                for c in isl.inv_ids]))
+        m = isl.z * np.conj(isl.inc @ inj)
+        w = isl.src @ e
+        v = isl.v
+        v[len(isl.net.nodes):] = 1.0
+        for _ in range(400):
+            v_new = w + m @ (v / np.maximum(np.abs(v) ** 2, V_FLOOR ** 2))
+            err = float(np.abs(v_new - v).max())
+            if not math.isfinite(err):
+                raise NetworkSolveError("network solve produced non-finite V")
+            v = v_new
+            if err <= 1e-10:
+                break
+        else:
+            raise NetworkSolveError(
+                f"network fixed point not converged at t={t:.4f} s")
+        isl.v = v
+        vb[isl.mach] = v[isl.mach_node]
+    s = vb * np.conj((e - vb) / engine.m.jxdp)
+    return s.real, s.imag, np.abs(vb)

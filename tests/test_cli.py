@@ -327,6 +327,24 @@ def test_i2t_rejects_a_non_finite_trace_value(tmp_path, capsys, column, value):
     assert str(trace) in err and "line 51" in err and "non-finite" in err
 
 
+def test_i2t_rejects_a_time_column_that_goes_backwards(tmp_path, capsys):
+    """The trace in reverse row order read NOT_CLEARED with exit 0; a
+    repeated time is still accepted."""
+    out = tmp_path / "out"
+    main(["sc-dc", "--grid", "builtin:dc_vessel", "--bus", "DC_PS",
+          "--out", str(out)])
+    trace = out / "trace_BAT_PS.csv"
+    header, *rows = trace.read_text().splitlines()
+    trace.write_text("\n".join([header] + rows[::-1]) + "\n")
+    capsys.readouterr()
+    rc = main(["i2t", "--trace", str(trace), "--fuse-i2t", "9350"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(trace) in err and "line 3" in err
+    trace.write_text("\n".join([header] + rows[:50] + rows[49:]) + "\n")
+    assert main(["i2t", "--trace", str(trace), "--fuse-i2t", "9350"]) == 0
+
+
 @pytest.mark.parametrize("kind, fixture, section, twin, bus", [
     ("sc-ac", "ac_vessel", "load", "LOAD440", "AC_PS"),
     ("sc-dc", "dc_vessel", "battery", "BAT", "DC_PS"),
@@ -473,6 +491,10 @@ CONTROLLER = ("[controller ps]\nmode = peak_shave\ninverter = INV_PS\n"
      "target = LOAD440_PS\nscale = 1.1\n", "unknown event action 'load_stp'"),
     ("tdsim", None, TDSIM_HEAD + "[event up]\ntime_s = 0.05\naction = load_step\n"
      "target = LOAD440_PS\n", "load_step LOAD440_PS: scale required"),
+    # a negative ramp used to run as a step
+    ("tdsim", None, TDSIM_HEAD + "[event up]\ntime_s = 0.05\naction = load_step\n"
+     "target = LOAD440_PS\nscale = 1.1\nramp_s = -0.2\n",
+     "load_step LOAD440_PS: ramp_s must be >= 0, got -0.2"),
     # a second section of the same kind and id used to replace the first
     ("tdsim", None, TDSIM_HEAD + "[event up]\ntime_s = 0.05\naction = fault_clear\n"
      "[event up]\ntime_s = 0.08\naction = fault_clear\n", "line 7: [event up] repeated"),

@@ -9,6 +9,7 @@ from vesselstudy import (
     EventSchedule,
     GeneratorLossEvent,
     SimConfig,
+    builtin_fixture,
     dp_failover_setpoint,
     find_cct,
     peak_shave_setpoint,
@@ -24,7 +25,10 @@ from vesselstudy.tdsim import (
     SimulationError,
 )
 
-from helpers import dp_island, ps_island, reference_cct, smib_grid
+from vesselstudy.grid import Bus, ConverterSpec, LoadSpec
+
+from helpers import (dp_island, ps_island, reference_cct, single_gen_grid,
+                     smib_grid)
 
 # the SMIB runs without governors and voltage regulators
 BARE_SMIB = SimConfig(step=0.005, governor=False, avr=False)
@@ -364,3 +368,73 @@ def test_cct_unstable_probe_stops_before_divergence():
                    0.0, 0.2, 5e-3, BARE_SMIB, window=3.0)
     assert res.transcript[1] == (0.2, False)
     assert res.interval[1] - res.interval[0] <= 5e-3
+
+
+@pytest.mark.parametrize("x_col, value", [(0, np.nan), (2, np.inf)])
+def test_linear_island_with_non_finite_source_raises(x_col, value):
+    """The closed form keeps the fixed point's finiteness check."""
+    eng = tdsim._Engine(smib_grid(), EventSchedule(()), (), BARE_SMIB,
+                        dispatch={"G1": 900.0})
+    assert all(isl.linear for isl in eng.islands)
+    x = eng.x.copy()
+    x[0, x_col] = value
+    with pytest.raises(NetworkSolveError, match="non-finite V"), \
+            np.errstate(invalid="ignore"):
+        eng._solve(x, 0.0)
+
+
+def _smib_plus(**extra):
+    grid = smib_grid()
+    return dataclasses.replace(grid, **{k: getattr(grid, k) + v
+                                        for k, v in extra.items()})
+
+
+# a second island: single_gen_grid's machine and its load, renamed
+_LOADED = single_gen_grid(load_kw=300.0, load_kvar=100.0)
+_SECOND_ISLAND = dict(
+    buses=(Bus("B2", "ac", 690.0, 60.0),),
+    generators=(dataclasses.replace(_LOADED.generators[0], id="G2", bus="B2"),),
+    loads=(dataclasses.replace(_LOADED.loads[0], bus="B2"),))
+# an inverter on a DC bus is in no AC island
+_DC_INVERTER = dict(buses=(Bus("DCB", "dc", 900.0),),
+                    converters=(ConverterSpec("INV", "DCB", "inverter", 100.0,
+                                              70.0),))
+_SMIB_SHAVE = ControllerConfig.peak_shave("INV", ("G1",), 500.0, 500.0,
+                                          70.0, 70.0)
+
+
+@pytest.mark.parametrize("grid, controllers, load_scale, per_step", [
+    # linear islands only, no controller: the first solve is the recording one
+    (smib_grid(), (), None, 1),
+    # a load at scale 0 is a demand all the same
+    (_smib_plus(loads=(LoadSpec("LM", "B_M", 100.0, 0.9, 1.0, 0.0),)), (),
+     {"LM": 0.0}, 2),
+    # one island with demands among linear ones
+    (_smib_plus(**_SECOND_ISLAND), (), None, 2),
+    # a controller, even one whose inverter no island holds
+    (_smib_plus(**_DC_INVERTER), (_SMIB_SHAVE,), None, 2),
+    (ps_island(builtin_fixture("ac_vessel")), (), None, 2),
+    (ps_island(builtin_fixture("ac_vessel")), (_peak_cfg(),), None, 2),
+], ids=["smib", "zero-load", "two-islands", "controller", "ps", "ps-shave"])
+def test_recording_solves_per_step(monkeypatch, grid, controllers, load_scale,
+                                   per_step):
+    """A recording step solves once only when no controller runs and every
+    island is linear; otherwise the controllers' solve and the recording
+    solve stay two."""
+    calls = {"solve": 0, "deriv": 0}
+    solve, deriv = tdsim._Engine._solve, tdsim._Engine._derivatives
+
+    def counted(name, fn):
+        def wrapper(self, x, t):
+            calls[name] += 1
+            return fn(self, x, t)
+        return wrapper
+
+    monkeypatch.setattr(tdsim._Engine, "_solve", counted("solve", solve))
+    monkeypatch.setattr(tdsim._Engine, "_derivatives", counted("deriv", deriv))
+    sched = EventSchedule((Event(0.03, "fault_apply", grid.buses[0].id),
+                           Event(0.05, "fault_clear")))
+    ts = simulate(grid, sched, controllers, SimConfig(step=0.01, end=0.1),
+                  load_scale=load_scale)
+    # one trimming solve when the engine is built, one per derivative
+    assert calls["solve"] - calls["deriv"] - 1 == per_step * len(ts.t)
