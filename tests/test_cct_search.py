@@ -1,26 +1,136 @@
-"""The CCT search against a reference bisection of full probes."""
+"""The CCT search against a reference bisection of full probes, and the
+probes that may end early with a stable verdict."""
+
+import dataclasses
+import math
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from vesselstudy import SimConfig, find_cct  # noqa: E402
+from vesselstudy import SimConfig, find_cct, tdsim  # noqa: E402
+from vesselstudy.grid import Bus, CableBranch  # noqa: E402
 from vesselstudy.tdsim import CctFaultSpec  # noqa: E402
 
 from helpers import reference_cct, smib_grid  # noqa: E402
 
 BARE_SMIB = SimConfig(step=0.005, governor=False, avr=False)
+ZBASE = 690.0 ** 2 / 1e6
+
+
+def two_machine_grid(h_ratio=None, r_pu=0.0, d_per_h=0.0, d_ib=None,
+                     ib_id="IB"):
+    """smib_grid with a line resistance of `r_pu` and damping D = `d_per_h` H
+    on both machines (equal D/2H).  With `h_ratio` the stiff source becomes
+    a finite machine whose inertia is that multiple of G1's; `d_ib`
+    overrides the source's damping.  An `ib_id` that sorts before G1 puts
+    the source first, so G1 swings towards -pi relative to it."""
+    grid = smib_grid()
+    g1, ib = grid.generators
+    h1 = g1.dynamics.inertia_h
+    h_ib = (ib.dynamics.inertia_h if h_ratio is None
+            else h_ratio * h1 * g1.rated_kva / ib.rated_kva)
+    g1 = dataclasses.replace(g1, dynamics=dataclasses.replace(
+        g1.dynamics, damping=d_per_h * h1))
+    ib = dataclasses.replace(ib, dynamics=dataclasses.replace(
+        ib.dynamics, inertia_h=h_ib,
+        damping=d_per_h * h_ib if d_ib is None else d_ib), id=ib_id)
+    line = dataclasses.replace(grid.branches[0], resistance_ohm=r_pu * ZBASE)
+    return dataclasses.replace(grid, generators=(g1, ib), branches=(line,))
 
 
 @settings(deadline=None, max_examples=6)
 @given(st.floats(0.7, 1.0),
-       st.just(0.0) | st.floats(0.2, 0.8))
-def test_search_matches_reference_bisection(loading, location):
-    """Probes branched from one shared trajectory and stopped at their
-    verdict give the same CctResult as probes run from t = 0 over the
-    whole window, for a bus fault or a line fault."""
-    grid = smib_grid()
+       st.just(0.0) | st.floats(0.2, 0.8),
+       st.none() | st.floats(0.5, 50.0),
+       st.just(0.0) | st.floats(0.0, 0.1),
+       st.just(0.0) | st.floats(0.0, 1.0))
+def test_search_matches_reference_bisection(loading, location, h_ratio, r_pu,
+                                            d_per_h):
+    """Probes branched from one shared trajectory, stopped at their
+    verdict, and stopped stable once the energy certificate holds, give the
+    same CctResult as probes run from t = 0 over the whole window: for a
+    bus or a line fault, a stiff source or a finite second machine listed
+    before or after G1, lossy lines and equal D/2H damping, down to
+    clearing times within 1e-4 s of the CCT."""
     spec = CctFaultSpec("G1", loading=loading, location=location)
-    res = find_cct(grid, spec, 0.0, 0.4, 5e-3, BARE_SMIB, window=1.0)
-    assert res == reference_cct(grid, spec, 0.0, 0.4, 5e-3, BARE_SMIB, 1.0)
+    for ib_id in ("IB", "A_SOURCE"):
+        grid = two_machine_grid(h_ratio, r_pu, d_per_h, ib_id=ib_id)
+        res = find_cct(grid, spec, 0.0, 0.4, 1e-4, BARE_SMIB, window=1.0)
+        assert res.interval[1] - res.interval[0] <= 1e-4
+        assert res == reference_cct(grid, spec, 0.0, 0.4, 1e-4, BARE_SMIB,
+                                    1.0)
+
+
+def _probe_runs(monkeypatch, grid, cfg, window=1.0, location=0.0):
+    """Search G1's CCT; return (clearing time, last recorded time, stable)
+    of every probe."""
+    runs = []
+    run = tdsim._Engine.run
+
+    def recorded(self, stop_spread_after=None, keep=None, start=None):
+        ts = run(self, stop_spread_after, keep, start)
+        deltas = [v[-1] for name, v in ts.channels.items()
+                  if name.endswith(".delta_rad")]
+        runs.append((stop_spread_after, float(ts.t[-1]),
+                     max(deltas) - min(deltas) < math.pi))
+        return ts
+
+    monkeypatch.setattr(tdsim._Engine, "run", recorded)
+    spec = CctFaultSpec("G1", loading=0.9, location=location)
+    find_cct(grid, spec, 0.0, 0.4, 0.02, cfg, window=window)
+    assert any(stable for *_, stable in runs)
+    return runs
+
+
+def _three_machines():
+    grid = smib_grid()
+    g2 = dataclasses.replace(grid.generators[0], id="G2", bus="B_2")
+    line = CableBranch("LINE2", "B_2", "B_INF", 0.0, 0.5 * ZBASE)
+    return dataclasses.replace(
+        grid, buses=grid.buses + (Bus("B_2", "ac", 690.0, 60.0),),
+        generators=grid.generators + (g2,), branches=grid.branches + (line,))
+
+
+@pytest.mark.parametrize("grid, cfg", [
+    (_three_machines(), BARE_SMIB),
+    (smib_grid(), dataclasses.replace(BARE_SMIB, governor=True)),
+    (smib_grid(), dataclasses.replace(BARE_SMIB, avr=True)),
+    (two_machine_grid(d_per_h=1.0, d_ib=0.0), BARE_SMIB),
+    (smib_grid(), dataclasses.replace(BARE_SMIB, integrator="trapezoidal")),
+], ids=["three-machines", "governor", "avr", "unequal-damping",
+        "trapezoidal"])
+def test_ineligible_stable_probes_run_the_whole_window(monkeypatch, grid, cfg):
+    """Without the two-machine energy certificate a stable probe still
+    integrates every step of its window."""
+    for t_end, last, stable in _probe_runs(monkeypatch, grid, cfg):
+        if stable:
+            assert last >= t_end + 1.0 - cfg.step, t_end
+
+
+@pytest.mark.parametrize("grid, location", [
+    (smib_grid(), 0.0),
+    (smib_grid(), 0.5),
+    (two_machine_grid(h_ratio=2.0, r_pu=0.05, d_per_h=0.5), 0.3),
+])
+def test_eligible_stable_probes_end_after_clearing(monkeypatch, grid,
+                                                   location):
+    """On a lone two-machine linear island a stable probe ends within a
+    few steps after its clearing."""
+    for t_end, last, stable in _probe_runs(monkeypatch, grid, BARE_SMIB,
+                                           location=location):
+        if stable:
+            assert t_end - 1e-9 <= last <= t_end + 3 * BARE_SMIB.step, t_end
+
+
+def test_certificate_bounds_the_speed_over_the_time_left():
+    """The same state is certified for a 2 s remainder but not for a far
+    longer one, over which the centre-of-inertia speed bound of a lossy
+    island could pass the sanity bound."""
+    grid = two_machine_grid(h_ratio=2.0, r_pu=0.05)
+    eng = tdsim._Engine(grid, tdsim.EventSchedule(()), (), BARE_SMIB,
+                        dispatch={"G1": 810.0})
+    certify = eng._swing_certificate()
+    assert certify(eng.x, 2.0)
+    assert not certify(eng.x, 1e9)

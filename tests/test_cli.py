@@ -504,6 +504,12 @@ CONTROLLER = ("[controller ps]\nmode = peak_shave\ninverter = INV_PS\n"
     # tol_s = 0 used to bisect forever once lo and hi were adjacent floats
     ("cct", None, SHORT_CCT + "tol_s = 0\n", "need tol > 0 and t_hi > t_lo"),
     ("cct", None, SHORT_CCT + "t_lo_s = 0.1\n", "need tol > 0 and t_hi > t_lo"),
+    # a negative t_lo_s used to count as a stable clearing time
+    ("cct", None, SHORT_CCT + "t_lo_s = -0.1\n",
+     "need t_lo_s >= 0, got t_lo_s = -0.1"),
+    # a negative loading used to simulate a motoring machine
+    ("cct", None, SHORT_CCT + "loading = -0.5\n",
+     "need loading > 0, got loading = -0.5"),
     # a negative window used to fail in numpy with an empty reduction
     ("cct", None, SHORT_CCT.replace("0.3", "-0.2"),
      "need window_s >= step_s, got window_s = -0.2"),

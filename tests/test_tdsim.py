@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -378,9 +379,22 @@ def test_linear_island_with_non_finite_source_raises(x_col, value):
     assert all(isl.linear for isl in eng.islands)
     x = eng.x.copy()
     x[0, x_col] = value
-    with pytest.raises(NetworkSolveError, match="non-finite V"), \
-            np.errstate(invalid="ignore"):
+    with pytest.raises(NetworkSolveError, match="non-finite V"):
         eng._solve(x, 0.0)
+
+
+@pytest.mark.parametrize("x_col, value", [(0, np.nan), (2, np.inf)])
+def test_island_with_demands_and_non_finite_source_raises(x_col, value):
+    """The fixed point rejects a non-finite EMF before numpy can warn."""
+    eng = tdsim._Engine(single_gen_grid(load_kw=300.0, load_kvar=100.0),
+                        EventSchedule(()), (), BARE_SMIB)
+    assert not any(isl.linear for isl in eng.islands)
+    x = eng.x.copy()
+    x[0, x_col] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NetworkSolveError, match="non-finite V"):
+            eng._solve(x, 0.0)
 
 
 def _smib_plus(**extra):
