@@ -25,14 +25,11 @@ search over fault clearing time gives the critical clearing time against
 a first-swing stability criterion.  Its probes share one engine: the
 pre-fault and fault-on trajectory is integrated once, and each probe
 branches from the last recorded step before its clearing; an unstable
-probe stops as soon as its verdict is known.  A stable probe stops at the
-first recording step after its clearing where the energy function of a
-two-machine island bounds its swing (Kundur 1994, ch. 13; Pai 1989): a
-lone linear island of two machines, integrated by RK4 without
-controllers, governor or AVR and with zero or equal D/2H, whose potential
-energy has barriers above its energy plus a margin eps for the
-integrator's drift on both sides of the relative angle within +-pi, and
-whose speeds stay bounded over the time left.  Every other probe
+probe stops as soon as its verdict is known.  On a lone two-machine
+island that qualifies (see `_Engine._swing_certificate`) a stable probe
+stops at the first recording step after its clearing where the energy
+function proves its swing stays bounded (Kundur 1994, ch. 13; Pai 1989),
+with the verdict of a full-window probe; every other probe
 integrates its whole window.
 """
 
@@ -688,30 +685,36 @@ class _Engine:
         """A test that holds only when the rotor-angle spread provably
         stays below pi for the rest of the run.
 
-        Only a lone linear island of exactly two machines qualifies, run
-        by RK4 without controllers, governor or AVR, with zero or equal
-        D/2H; for anything else the test never holds.  The relative
-        angle d = d1 - d2 then obeys d'' = f(d) - (D/2H) d' with
-        f(d) = a + b cos d + c sin d, from the reduced admittance
-        Y = diag(1/jx'd) (I - S), S the machine nodes' voltage per EMF
-        (lossy lines included).  Its energy W = (ws (dw1 - dw2))^2 / 2
+        Only a lone linear island of exactly two machines with positive
+        inertia qualifies, run by RK4 without controllers, governor or
+        AVR, with zero or equal non-negative D/2H; for anything else the
+        test never holds.  The relative angle d = d1 - d2 then obeys
+        d'' = f(d) - (D/2H) d' with f(d) = a + b cos d + c sin d, from the
+        reduced admittance Y = diag(1/jx'd) (I - S), S the machine nodes'
+        voltage per EMF (lossy lines included).  Its energy W = (ws (dw1 - dw2))^2 / 2
         + U(d), U = -(a d + b sin d - c cos d), never grows, so the
         swing cannot pass a point where U > W + eps.  The test holds when
         such a barrier lies on each side of d within [-pi, pi] and when
         closed-form bounds on the relative and the centre-of-inertia
         speed keep every |dw| below half the sanity bound of `_step`.
-        With k = |a| + |b| + |c|, eps = pi k max(1e-4, (k h^2)^2) for the
-        step h: RK4's energy error does not grow over the window and
-        scales with h^4; on the SMIB grid, with a lossy line or a finite
-        second machine, it stayed below 1e-3 of eps for h up to 50 ms and
-        windows up to 10 s.  The trapezoidal rule's error grows with every
-        step, so its runs never qualify.
+        Negative damping would feed both W and the centre-of-inertia
+        speed, and a negative inertia would void the speed bounds, so
+        neither qualifies.  With k = |a| + |b| + |c|,
+        eps = pi k max(1e-4, (k h^2)^2) for the step h, since RK4's energy
+        error scales with h^4.  That margin rests on measurement, not on
+        proof: on the SMIB grid, lossless or lossy, with the stiff source
+        or a finite second machine, loading 0.7 to 1.0, bus or mid-line
+        faults, steps of 2 to 50 ms and windows of 2 to 60 s, the largest
+        rise of W after clearing of any stable probe stayed below 1e-3 of
+        eps and did not grow with the window.  The trapezoidal rule's
+        error grows with every step, so its runs never qualify.
         """
         cfg, m = self.cfg, self.m
         if (self.controllers or cfg.governor or cfg.avr
                 or cfg.integrator != "rk4" or len(self.islands) != 1
                 or len(self.mach_ids) != 2 or len(m.ids) != 2
-                or not self.islands[0].linear
+                or not self.islands[0].linear or (m.two_h <= 0).any()
+                or (m.damping < 0).any()
                 or m.damping[0] * m.two_h[1] != m.damping[1] * m.two_h[0]):
             return lambda x, t_left: False
         # the island's machine rows are 0 and 1, in that order
@@ -724,9 +727,10 @@ class _Engine:
                   - (pm[1] - e[1] ** 2 * g[1, 1]) / two_h[1])
         b = -ws * e[0] * e[1] * (g[0, 1] / two_h[0] - g[1, 0] / two_h[1])
         c = -ws * e[0] * e[1] * (bb[0, 1] / two_h[0] + bb[1, 0] / two_h[1])
+        a, b, c = float(a), float(b), float(c)
 
         def u(d):
-            return -(a * d + b * np.sin(d) - c * np.cos(d))
+            return -(a * d + b * math.sin(d) - c * math.cos(d))
 
         # U's extrema on [-pi, pi]: the ends and the roots of f
         crit = [-math.pi, math.pi]
@@ -736,28 +740,29 @@ class _Engine:
             crit += [p for p in (phi + s * half + n * 2.0 * math.pi
                                  for s in (-1, 1) for n in (-1, 0, 1))
                      if -math.pi < p < math.pi]
-        crit = np.array(crit)
-        u_crit = u(crit)
+        u_crit = [(p, u(p)) for p in crit]
+        u_min = min(v for _, v in u_crit)
         k = abs(a) + abs(b) + abs(c)
         eps = math.pi * k * max(1e-4, (k * cfg.step ** 2) ** 2)
         # |sum Pm - sum Pe(d)|, the centre-of-inertia speed's drive
-        p_coi = (abs(pm.sum() - e[0] ** 2 * g[0, 0] - e[1] ** 2 * g[1, 1])
-                 + e[0] * e[1] * math.hypot(g[0, 1] + g[1, 0],
-                                            bb[0, 1] - bb[1, 0]))
-        m_sum = float(two_h.sum())
+        p_coi = float(abs(pm.sum() - e[0] ** 2 * g[0, 0] - e[1] ** 2 * g[1, 1])
+                      + e[0] * e[1] * math.hypot(g[0, 1] + g[1, 0],
+                                                 bb[0, 1] - bb[1, 0]))
+        h0, h1 = float(two_h[0]), float(two_h[1])
+        m_sum = h0 + h1
 
         def bounded(x: np.ndarray, t_left: float) -> bool:
-            d = float(x[0, 0] - x[1, 0])
-            dw = x[:, 1]
+            (d0, w0, *_), (d1, w1, *_) = x.tolist()
+            d = d0 - d1
             if not -math.pi < d < math.pi:
                 return False
-            top = 0.5 * (ws * (dw[0] - dw[1])) ** 2 + u(d) + eps
-            if (u_crit[crit >= d].max() <= top
-                    or u_crit[crit <= d].max() <= top):
+            top = 0.5 * (ws * (w0 - w1)) ** 2 + u(d) + eps
+            if (max(v for p, v in u_crit if p >= d) <= top
+                    or max(v for p, v in u_crit if p <= d) <= top):
                 return False
-            rel = math.sqrt(2.0 * (top - u_crit.min())) / ws
-            coi = abs(two_h @ dw) / m_sum + t_left * p_coi / m_sum
-            return coi + two_h.max() / m_sum * rel <= 1.0
+            rel = math.sqrt(2.0 * (top - u_min)) / ws
+            coi = (abs(h0 * w0 + h1 * w1) + t_left * p_coi) / m_sum
+            return coi + max(h0, h1) / m_sum * rel <= 1.0
 
         return bounded
 
@@ -937,14 +942,9 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
     the largest pairwise rotor-angle separation stays below 180 degrees
     within `window` after the fault clears.  The bracket must straddle the
     boundary: `t_lo` >= 0 stable and `t_hi` unstable.  An unstable probe
-    ends at the step its spread reaches 180 degrees.  On a lone linear
-    two-machine island (RK4, no governor or AVR, zero or equal D/2H) a
-    stable probe ends at the first step after its clearing where the
-    energy function proves the swing stays bounded for the rest of the
-    window, with a margin eps = pi k max(1e-4, (k h^2)^2) for the
-    integrator's drift, k = |a| + |b| + |c| from the swing equation
-    (`_Engine._swing_certificate`); any other probe runs its whole window.
-    The verdicts, and so the result, are those of full-window probes.
+    ends at the step its spread reaches 180 degrees.  On a lone
+    two-machine island that qualifies (see `_Engine._swing_certificate`)
+    a stable probe may end early, with the verdict of a full-window probe.
     """
     if tol <= 0 or t_hi <= t_lo:
         raise ValueError("need tol > 0 and t_hi > t_lo")

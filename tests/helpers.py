@@ -21,7 +21,8 @@ from vesselstudy.grid import (
 )
 from vesselstudy.powerflow import S_BASE_KVA
 from vesselstudy.tdsim import (V_FLOOR, CctFaultSpec, CctResult, Event,
-                               EventSchedule, NetworkSolveError, simulate)
+                               EventSchedule, NetworkSolveError,
+                               SimulationError, simulate)
 
 # breakers that leave only the port-side section of the AC vessel energized
 PS_ISLAND_OPEN = (
@@ -130,8 +131,10 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
                   t_hi: float, tol: float, cfg, window: float) -> CctResult:
     """`find_cct`'s bisection on smib_grid, every probe a plain `simulate`
     from t = 0 over its whole window, judged by the largest rotor-angle
-    spread from the clearing on.  A `location` of 0 faults the machine
-    bus, any other one LINE at that fraction from it."""
+    spread from the clearing on.  A probe whose run raises
+    `SimulationError` is unstable: a pole slip held for many seconds
+    drives the speed past `_step`'s sanity bound.  A `location` of 0
+    faults the machine bus, any other one LINE at that fraction from it."""
     gen = grid.generator(fault.machine)
     dispatch = {fault.machine: fault.loading * gen.rated_kw}
     apply = (Event(0.25, "fault_apply", gen.bus) if fault.location == 0 else
@@ -143,7 +146,10 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
         t_end = 0.25 + t_clear
         sched = EventSchedule((apply, Event(t_end, "fault_clear")))
         probe_cfg = dataclasses.replace(cfg, end=t_end + window)
-        ts = simulate(grid, sched, (), probe_cfg, dispatch=dispatch)
+        try:
+            ts = simulate(grid, sched, (), probe_cfg, dispatch=dispatch)
+        except SimulationError:
+            return False
         deltas = np.vstack([ts[name] for name in ts.channels
                             if name.endswith(".delta_rad")])
         spread = deltas.max(axis=0) - deltas.min(axis=0)

@@ -45,15 +45,15 @@ def two_machine_grid(h_ratio=None, r_pu=0.0, d_per_h=0.0, d_ib=None,
        st.just(0.0) | st.floats(0.2, 0.8),
        st.none() | st.floats(0.5, 50.0),
        st.just(0.0) | st.floats(0.0, 0.1),
-       st.just(0.0) | st.floats(0.0, 1.0))
+       st.just(0.0) | st.floats(-1.0, 1.0))
 def test_search_matches_reference_bisection(loading, location, h_ratio, r_pu,
                                             d_per_h):
     """Probes branched from one shared trajectory, stopped at their
     verdict, and stopped stable once the energy certificate holds, give the
     same CctResult as probes run from t = 0 over the whole window: for a
     bus or a line fault, a stiff source or a finite second machine listed
-    before or after G1, lossy lines and equal D/2H damping, down to
-    clearing times within 1e-4 s of the CCT."""
+    before or after G1, lossy lines and equal D/2H damping of either sign,
+    down to clearing times within 1e-4 s of the CCT."""
     spec = CctFaultSpec("G1", loading=loading, location=location)
     for ib_id in ("IB", "A_SOURCE"):
         grid = two_machine_grid(h_ratio, r_pu, d_per_h, ib_id=ib_id)
@@ -98,9 +98,10 @@ def _three_machines():
     (smib_grid(), dataclasses.replace(BARE_SMIB, governor=True)),
     (smib_grid(), dataclasses.replace(BARE_SMIB, avr=True)),
     (two_machine_grid(d_per_h=1.0, d_ib=0.0), BARE_SMIB),
+    (two_machine_grid(h_ratio=2.0, d_per_h=-0.5), BARE_SMIB),
     (smib_grid(), dataclasses.replace(BARE_SMIB, integrator="trapezoidal")),
 ], ids=["three-machines", "governor", "avr", "unequal-damping",
-        "trapezoidal"])
+        "negative-damping", "trapezoidal"])
 def test_ineligible_stable_probes_run_the_whole_window(monkeypatch, grid, cfg):
     """Without the two-machine energy certificate a stable probe still
     integrates every step of its window."""
@@ -124,6 +125,23 @@ def test_eligible_stable_probes_end_after_clearing(monkeypatch, grid,
             assert t_end - 1e-9 <= last <= t_end + 3 * BARE_SMIB.step, t_end
 
 
+@pytest.mark.parametrize("grid, step", [
+    (smib_grid(), 0.05),
+    (two_machine_grid(h_ratio=2.0, r_pu=0.05), 0.02),
+], ids=["smib-50ms", "lossy-finite-20ms"])
+def test_long_window_search_matches_reference(monkeypatch, grid, step):
+    """Over a 20 s window at a coarse step, where an energy drift that
+    grew with the window would show, probes that end early still give the
+    CctResult of full-window probes."""
+    cfg = dataclasses.replace(BARE_SMIB, step=step)
+    runs = _probe_runs(monkeypatch, grid, cfg, window=20.0, location=0.5)
+    assert any(stable and last < t_end + 20.0 - step
+               for t_end, last, stable in runs)
+    spec = CctFaultSpec("G1", loading=0.9, location=0.5)
+    assert (find_cct(grid, spec, 0.0, 0.4, 0.02, cfg, window=20.0)
+            == reference_cct(grid, spec, 0.0, 0.4, 0.02, cfg, 20.0))
+
+
 def test_certificate_bounds_the_speed_over_the_time_left():
     """The same state is certified for a 2 s remainder but not for a far
     longer one, over which the centre-of-inertia speed bound of a lossy
@@ -134,3 +152,16 @@ def test_certificate_bounds_the_speed_over_the_time_left():
     certify = eng._swing_certificate()
     assert certify(eng.x, 2.0)
     assert not certify(eng.x, 1e9)
+
+
+@pytest.mark.parametrize("grid, certified", [
+    (two_machine_grid(h_ratio=2.0, d_per_h=0.5), True),
+    (two_machine_grid(h_ratio=2.0, d_per_h=-0.5), False),
+    (two_machine_grid(h_ratio=-2.0), False),
+], ids=["positive-damping", "negative-damping", "negative-inertia"])
+def test_certificate_needs_a_swing_that_cannot_gain_energy(grid, certified):
+    """Negative damping feeds the swing and a negative inertia voids the
+    speed bounds, so neither steady state is certified."""
+    eng = tdsim._Engine(grid, tdsim.EventSchedule(()), (), BARE_SMIB,
+                        dispatch={"G1": 810.0})
+    assert eng._swing_certificate()(eng.x, 2.0) == certified
