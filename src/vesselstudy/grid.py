@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
+from typing import NamedTuple
 
 AC = "ac"
 DC = "dc"
@@ -103,10 +104,10 @@ class ConverterSpec:
     """Power-electronic converter.
 
     `bus` is the primary connection; two-port converters (chargers, grid
-    inverters, battery inverters) name the far side in `ac_bus`.  The AC
-    coupling used by AC fault studies is `ac_bus` when set, otherwise `bus`
-    if that bus is AC.  `p_set_kw` is the steady-state power drawn through
-    the converter (drive loading), used as dispatch by the study engines.
+    inverters, battery inverters) name the far side in `ac_bus`.  It couples
+    to an AC island at `ac_bus` when set, otherwise at `bus` if that bus is
+    AC.  `p_set_kw` is the steady-state power it draws from that island
+    (drive loading); a grid inverter feeds the island and draws nothing.
     """
 
     id: str
@@ -199,6 +200,15 @@ def connected_groups(ids, edges) -> list[frozenset[str]]:
     for i in parent:
         groups.setdefault(find(i), set()).add(i)
     return sorted(map(frozenset, groups.values()), key=min)
+
+
+class IslandElements(NamedTuple):
+    """The online elements coupled to one island, each in declaration order."""
+
+    generators: tuple[GeneratorSpec, ...]
+    batteries: tuple[BatterySource, ...]
+    loads: tuple[LoadSpec, ...]
+    converters: tuple[ConverterSpec, ...]
 
 
 def _first_by_id(items) -> dict:
@@ -294,6 +304,21 @@ class GridModel:
         if self.bus(conv.bus).kind == AC:
             return conv.bus
         return None
+
+    def online_elements(self, buses) -> IslandElements:
+        """The online elements coupled to `buses`, one island's buses (all
+        of one kind).  A converter couples to AC buses through
+        `converter_ac_bus` and to DC buses through `bus`."""
+        ac = bool(buses) and self.bus(next(iter(buses))).kind == AC
+
+        def coupled(items, bus_of=lambda e: e.bus):
+            return tuple(e for e in items
+                         if bus_of(e) in buses and self.element_online(e.id))
+
+        return IslandElements(
+            coupled(self.generators), coupled(self.batteries), coupled(self.loads),
+            coupled(self.converters, self.converter_ac_bus) if ac
+            else coupled(self.converters))
 
     # ---- topology ------------------------------------------------------
 
@@ -454,6 +479,10 @@ def validate(grid: GridModel) -> ValidationReport:
             for name, val in (("td0_t", d.td0_t), ("td0_st", d.td0_st), ("tdc", d.tdc)):
                 if val is not None and val <= 0:
                     add(g.id, "time constant", f"{name} must be > 0")
+            if d.inertia_h <= 0:
+                add(g.id, "inertia", f"inertia_h_s {d.inertia_h} must be > 0")
+            if d.damping < 0:
+                add(g.id, "damping", f"damping_pu {d.damping} must be >= 0")
 
     for bat in grid.batteries:
         if bus_kind(bat.bus) == AC:

@@ -76,6 +76,17 @@ def load_pq_kw(load, scale: float = 1.0) -> tuple[float, float]:
     return p, q
 
 
+def converter_draw_kw(conv: ConverterSpec, draws=None) -> tuple[float, float]:
+    """(P kW, Q kvar) a converter draws from the AC island it couples to.
+
+    A grid inverter feeds its AC island and draws nothing from it; any
+    other converter draws its set-point, or its entry in `draws`.
+    """
+    if conv.kind == "grid_inverter":
+        return 0.0, 0.0
+    return (draws or {}).get(conv.id, (conv.p_set_kw, 0.0))
+
+
 # ---------------------------------------------------------------------------
 # AC network assembly
 
@@ -123,15 +134,6 @@ def build_ac_networks(grid: GridModel) -> list[AcNetwork]:
     return nets
 
 
-def _island_sources(grid: GridModel, net: AcNetwork):
-    gens = [g for g in grid.generators
-            if g.bus in net.node_of and grid.element_online(g.id)]
-    ginvs = [c for c in grid.converters
-             if c.kind == "grid_inverter" and grid.element_online(c.id)
-             and grid.converter_ac_bus(c) in net.node_of]
-    return gens, ginvs
-
-
 # ---------------------------------------------------------------------------
 # Newton-Raphson core
 
@@ -167,14 +169,13 @@ def _jacobian(g, b, v, theta, p_calc, q_calc, select):
     return jac[select]
 
 
-def _newton_raphson(ybus, s_spec, slack, pv, v_sched, tol, max_iter):
-    """Polar NR on one island; returns (V complex, iterations, mismatch)."""
+def _newton_raphson(ybus, s_spec, slack, pv, tol, max_iter):
+    """Polar NR on one island from a flat start (every scheduled voltage is
+    1 pu); returns (V complex, iterations, mismatch)."""
     n = ybus.shape[0]
     g, b = ybus.real, ybus.imag
     theta = np.zeros(n)
     v = np.ones(n)
-    for i, vs in v_sched.items():
-        v[i] = vs
     pq = np.array([i for i in range(n) if i != slack and i not in pv], dtype=int)
     nonslack = np.array([i for i in range(n) if i != slack], dtype=int)
     nns = len(nonslack)
@@ -241,14 +242,11 @@ def solve_ac_powerflow(
     worst = 0.0
 
     for net in build_ac_networks(grid):
-        gens, ginvs = _island_sources(grid, net)
-        island_loads = [l for l in grid.loads
-                        if l.bus in net.node_of and grid.element_online(l.id)]
-        island_draw_convs = [
-            c for c in grid.converters
-            if grid.converter_ac_bus(c) in net.node_of and c.kind != "grid_inverter"
-            and grid.element_online(c.id)
-        ]
+        on = grid.online_elements(net.node_of)
+        gens = on.generators
+        ginvs = [c for c in on.converters if c.kind == "grid_inverter"]
+        draws = [(c, pq) for c in on.converters
+                 if (pq := converter_draw_kw(c, converter_draws)) != (0.0, 0.0)]
 
         if gens:
             if slack is not None and any(g.id == slack for g in gens):
@@ -261,10 +259,7 @@ def solve_ac_powerflow(
             ginv = max(ginvs, key=lambda c: (c.rated_current, c.id))
             slack_element = ginv.id
             slack_node = net.node_of[grid.converter_ac_bus(ginv)]
-            slack_gen = None
-        elif not island_loads and not any(
-                converter_draws.get(c.id, (c.p_set_kw, 0.0)) != (0.0, 0.0)
-                for c in island_draw_convs):
+        elif not on.loads and not draws:
             # fully de-energized island: record zero voltage, nothing to solve
             for group in net.nodes:
                 for bus_id in group:
@@ -281,13 +276,11 @@ def solve_ac_powerflow(
         n = len(net.nodes)
         s_spec = np.zeros(n, dtype=complex)
         consumed: list[tuple[str, int, float, float]] = []
-        for l in island_loads:
+        for l in on.loads:
             p, q = load_pq_kw(l, load_scale.get(l.id, 1.0))
             consumed.append((l.id, net.node_of[l.bus], p, q))
-        for c in island_draw_convs:
-            p, q = converter_draws.get(c.id, (c.p_set_kw, 0.0))
-            if p or q:
-                consumed.append((c.id, net.node_of[grid.converter_ac_bus(c)], p, q))
+        consumed += [(c.id, net.node_of[grid.converter_ac_bus(c)], *pq)
+                     for c, pq in draws]
         for _, node, p, q in consumed:
             s_spec[node] -= complex(p, q) / S_BASE_KVA
 
@@ -302,11 +295,8 @@ def solve_ac_powerflow(
             s_spec[net.node_of[g.bus]] += gen_p[g.id] / S_BASE_KVA
 
         pv_nodes = {net.node_of[g.bus] for g in others} - {slack_node}
-        v_sched = {i: 1.0 for i in pv_nodes}
-        v_sched[slack_node] = 1.0
-
         vc, iters, mism = _newton_raphson(
-            net.ybus, s_spec, slack_node, pv_nodes, v_sched, tol, max_iter)
+            net.ybus, s_spec, slack_node, pv_nodes, tol, max_iter)
         total_iter = max(total_iter, iters)
         worst = max(worst, mism)
 
@@ -334,10 +324,8 @@ def solve_ac_powerflow(
         slack_p = float(s_net[slack_node].real) + sum(
             p for _, node, p, _ in consumed if node == slack_node) - sum(
             gen_p[g.id] for g in others if net.node_of[g.bus] == slack_node)
-        slack_q = q_open[slack_node] - sum(
-            injections[g.id][1] for g in others
-            if net.node_of[g.bus] == slack_node)
-        injections[slack_element] = (slack_p, slack_q)
+        # other machines at the slack node take no Q (above)
+        injections[slack_element] = (slack_p, q_open[slack_node])
 
     bus_p = {b.id: 0.0 for b in grid.buses}
     bus_q = {b.id: 0.0 for b in grid.buses}
@@ -380,21 +368,18 @@ def solve_dc_balance(grid: GridModel, efficiency: float = 0.97) -> DcBalanceSolu
     losses = 0.0
 
     for island in grid.islands(DC):
+        on = grid.online_elements(island)
         demand = 0.0
-        for l in grid.loads:
-            if l.bus in island and grid.element_online(l.id):
-                p, _ = load_pq_kw(l)
-                sinks[l.id] = p
-                demand += p
-        for c in grid.converters:
-            if c.bus not in island or not grid.element_online(c.id):
-                continue
+        chargers = []
+        for l in on.loads:
+            p, _ = load_pq_kw(l)
+            sinks[l.id] = p
+            demand += p
+        for c in on.converters:
             if c.kind == "grid_inverter":
-                ac_bus = grid.converter_ac_bus(c)
-                served = sum(
-                    load_pq_kw(l)[0] for l in grid.loads
-                    if grid.element_online(l.id)
-                    and l.bus in grid.island_of(ac_bus))
+                ac_island = grid.island_of(grid.converter_ac_bus(c))
+                served = sum(load_pq_kw(l)[0]
+                             for l in grid.online_elements(ac_island).loads)
                 draw = served / efficiency
                 transfers[c.id] = draw
                 sinks.setdefault(f"{c.id}:ac", served)
@@ -406,18 +391,11 @@ def solve_dc_balance(grid: GridModel, efficiency: float = 0.97) -> DcBalanceSolu
                 sinks[f"{c.id}:load"] = c.p_set_kw
                 losses += draw - c.p_set_kw
                 demand += draw
-
-        chargers = []
-        for c in grid.converters:
-            if c.kind != "charger" or c.bus not in island:
-                continue
-            if not grid.element_online(c.id):
-                continue
-            gen = next((g for g in grid.generators if g.bus == c.ac_bus), None)
-            if gen is None or not grid.element_online(gen.id):
-                continue
-            cap = min(c.rated_kw, gen.rated_kw) * efficiency
-            chargers.append((c, gen, cap))
+            elif c.kind == "charger":
+                gen = next((g for g in grid.generators if g.bus == c.ac_bus), None)
+                if gen is not None and grid.element_online(gen.id):
+                    cap = min(c.rated_kw, gen.rated_kw) * efficiency
+                    chargers.append((c, gen, cap))
 
         if demand == 0 and not chargers:
             continue

@@ -253,28 +253,26 @@ def fault_summary(grid: GridModel, bus_id: str,
     if fault_bus.kind != AC:
         raise ShortCircuitError(f"{bus_id} is a DC bus; use the DC fault engine")
     tgrid = default_time_grid()
-    island = grid.island_of(bus_id)
+    on = grid.online_elements(grid.island_of(bus_id))
     f = fault_bus.frequency or 60.0
     v_fault = fault_bus.nominal_voltage
 
     traces: dict[str, AcScTrace] = {}
 
-    for g in grid.generators:
-        if g.bus in island and grid.element_online(g.id):
-            op = prefault_operating_point(sol, g.id)
-            tr = machine_sc_trace(g, op, tgrid, f)
-            traces[g.id] = tr.scaled(grid.bus(g.bus).nominal_voltage / v_fault)
-    for l in grid.loads:
-        if l.bus in island and grid.element_online(l.id) and l.motor_fraction > 0:
+    for g in on.generators:
+        op = prefault_operating_point(sol, g.id)
+        tr = machine_sc_trace(g, op, tgrid, f)
+        traces[g.id] = tr.scaled(grid.bus(g.bus).nominal_voltage / v_fault)
+    for l in on.loads:
+        if l.motor_fraction > 0:
             v_bus = grid.bus(l.bus).nominal_voltage
             tr = motor_group_sc_trace(l, v_bus, tgrid, f)
             traces[l.id] = tr.scaled(v_bus / v_fault)
-    for c in grid.converters:
-        ac_bus = grid.converter_ac_bus(c)
-        if (ac_bus in island and grid.element_online(c.id)
-                and c.kind in ("inverter", "grid_inverter")):
+    for c in on.converters:
+        if c.kind in ("inverter", "grid_inverter"):
             tr = vfd_contribution(c, tgrid, f)
-            traces[c.id] = tr.scaled(grid.bus(ac_bus).nominal_voltage / v_fault)
+            v_conv = grid.bus(grid.converter_ac_bus(c)).nominal_voltage
+            traces[c.id] = tr.scaled(v_conv / v_fault)
 
     if not traces:
         raise NoContributorsError(f"no contributors reachable from {bus_id}")

@@ -140,17 +140,15 @@ def dc_fault_summary(grid: GridModel, bus_id: str) -> DcFaultSummary:
     if bus.kind != DC:
         raise DcFaultError(f"{bus_id} is an AC bus; use the AC fault engine")
     tgrid = default_time_grid()
-    island = grid.island_of(bus_id)
+    on = grid.online_elements(grid.island_of(bus_id))
 
     traces: dict[str, DcScTrace] = {}
-    for bat in grid.batteries:
-        if bat.bus in island and grid.element_online(bat.id):
-            traces[bat.id] = battery_sc_trace(bat, tgrid)
-    for conv in grid.converters:
-        if conv.bus in island and grid.element_online(conv.id):
-            traces[conv.id] = converter_sc_contribution(conv, tgrid)
-            if conv.dc_link is not None:
-                traces[f"{conv.id}:dclink"] = capacitor_sc_trace(conv.dc_link, tgrid)
+    for bat in on.batteries:
+        traces[bat.id] = battery_sc_trace(bat, tgrid)
+    for conv in on.converters:
+        traces[conv.id] = converter_sc_contribution(conv, tgrid)
+        if conv.dc_link is not None:
+            traces[f"{conv.id}:dclink"] = capacitor_sc_trace(conv.dc_link, tgrid)
 
     if not traces:
         raise DcFaultError(f"no contributors reachable from {bus_id}")

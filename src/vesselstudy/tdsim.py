@@ -44,7 +44,7 @@ import numpy as np
 
 from .grid import GridError, GridLookupError, GridModel, MissingDynamicsError
 from .powerflow import (S_BASE_KVA, AcNetwork, branch_z_pu, build_ac_networks,
-                        load_pq_kw, solve_ac_powerflow)
+                        converter_draw_kw, load_pq_kw, solve_ac_powerflow)
 
 V_FLOOR = 0.3       # below this voltage, constant-power loads turn constant-Z
 FAULT_G = 1e6       # pu fault conductance for a bolted fault
@@ -366,32 +366,28 @@ class _Engine:
         islands: list[_Island] = []
         placed = []     # (generator, island index, node, omega_s)
         for net in nets:
-            gens = [g for g in grid.generators
-                    if g.bus in net.node_of and grid.element_online(g.id)]
-            if not gens:
+            on = grid.online_elements(net.node_of)
+            if not on.generators:
                 continue
             cons = []   # (id, p0 pu, q0 pu, node)
             load_ids = []
-            for l in sorted(grid.loads, key=lambda x: x.id):
-                if l.bus in net.node_of and grid.element_online(l.id):
-                    p, q = load_pq_kw(l, 1.0)
-                    cons.append((l.id, p / S_BASE_KVA, q / S_BASE_KVA,
-                                 net.node_of[l.bus]))
-                    load_ids.append(l.id)
+            for l in sorted(on.loads, key=lambda x: x.id):
+                p, q = load_pq_kw(l, 1.0)
+                cons.append((l.id, p / S_BASE_KVA, q / S_BASE_KVA,
+                             net.node_of[l.bus]))
+                load_ids.append(l.id)
             inv_ids, inv_node = [], []
-            for c in sorted(grid.converters, key=lambda x: x.id):
-                ac_bus = grid.converter_ac_bus(c)
-                if ac_bus not in net.node_of or not grid.element_online(c.id):
-                    continue
+            for c in sorted(on.converters, key=lambda x: x.id):
+                node = net.node_of[grid.converter_ac_bus(c)]
+                p, q = converter_draw_kw(c)
                 if c.id in self.inv_setpoints:
                     inv_ids.append(c.id)
-                    inv_node.append(net.node_of[ac_bus])
-                elif c.p_set_kw:
-                    cons.append((c.id, c.p_set_kw / S_BASE_KVA, 0.0,
-                                 net.node_of[ac_bus]))
+                    inv_node.append(node)
+                elif p or q:
+                    cons.append((c.id, p / S_BASE_KVA, q / S_BASE_KVA, node))
             omega_s = 2.0 * math.pi * net.frequency
             placed += [(g, len(islands), net.node_of[g.bus], omega_s)
-                       for g in gens]
+                       for g in on.generators]
             islands.append(_Island(
                 net=net, mach=None, mach_node=None, load_ids=load_ids,  # set below
                 cons_ids=[c[0] for c in cons],
@@ -990,7 +986,7 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
                       _start=_branch_point(trunk, t_end))
         delta = [v[-1] for name, v in ts.channels.items()
                  if name.endswith(".delta_rad")]
-        return max(delta) - min(delta) < math.pi
+        return bool(max(delta) - min(delta) < math.pi)
 
     lo_ok, hi_ok = stable(t_lo), stable(t_hi)
     transcript = [(t_lo, lo_ok), (t_hi, hi_ok)]

@@ -525,6 +525,11 @@ CONTROLLER = ("[controller ps]\nmode = peak_shave\ninverter = INV_PS\n"
     ("tdsim", NO_DG01_DYNAMICS, TDSIM_HEAD, "DG#01: no dynamics block"),
     ("cct", NO_DG01_DYNAMICS, SHORT_CCT, "DG#01: no dynamics block"),
     ("sc-ac", NO_DG01_DYNAMICS, "[study]\nbus = AC_PS\n", "DG#01: no dynamics block"),
+    # a machine that feeds its own swing, or has no rotor, used to validate
+    ("tdsim", ("damping_pu = 2.00", "damping_pu = -5.00"), TDSIM_HEAD,
+     "damping: damping_pu -5.0 must be >= 0"),
+    ("cct", ("inertia_h_s = 1.20", "inertia_h_s = 0.00"), SHORT_CCT,
+     "inertia: inertia_h_s 0.0 must be > 0"),
     # such an id parsed, but no key could name it
     ("powerflow", ("[bus AC_PS]", "[bus Inf]"), "", "non-finite number 'Inf' as id"),
 ])

@@ -346,6 +346,15 @@ def test_cct_early_stop_keeps_transcript():
     assert res == ref
 
 
+def test_cct_verdicts_are_plain_bools():
+    """Simulated probes give `bool` verdicts like the zero-clearing one, so
+    a transcript prints as ((0.0, True), (0.4, False), ...)."""
+    spec = CctFaultSpec("G1", loading=0.9, location=0.0)
+    res = find_cct(smib_grid(), spec, 0.0, 0.4, 5e-3, BARE_SMIB, window=2.0)
+    assert {ok for _, ok in res.transcript} == {True, False}
+    assert all(type(ok) is bool for _, ok in res.transcript)
+
+
 def test_cct_trunk_grows_from_a_stable_lower_bracket():
     """With t_lo > 0 the first probe's trunk stops at its clearing and the
     t_hi probe extends it; the search still matches full probes."""
