@@ -29,8 +29,9 @@ vessel = builtin_fixture("ac_vessel")
 
 # --- peak shaving ---------------------------------------------------------
 grid = vessel.with_breaker_states({b: False for b in OPEN_FOR_PS})
-shaver = ControllerConfig.peak_shave(
-    "INV_PS", ("DG#01",), p_threshold_kw=1500.0, q_threshold_kvar=1000.0,
+shaver = ControllerConfig(
+    mode="peak_shave", inverter="INV_PS", watched=("DG#01",),
+    p_threshold_kw=1500.0, q_threshold_kvar=1000.0,
     p_rating_kw=1500.0, q_rating_kvar=1500.0)
 ramp = EventSchedule((
     Event(5.0, "load_step", "LOAD440_PS", scale=1.45, ramp=2.0),
@@ -48,7 +49,9 @@ grid2 = vessel.with_breaker_states(
 grid2 = dataclasses.replace(grid2, converters=tuple(
     dataclasses.replace(c, p_set_kw=1000.0) if c.id == "THR_BOW1" else c
     for c in grid2.converters))
-failover = ControllerConfig.dp_failover("INV_PS", ("DG#02",), 1500.0, 1500.0)
+failover = ControllerConfig(mode="dp_failover", inverter="INV_PS",
+                            watched=("DG#02",), p_rating_kw=1500.0,
+                            q_rating_kvar=1500.0)
 trip = EventSchedule((Event(2.0, "breaker_open", "CB_DG02"),))
 ts2 = simulate(grid2, trip, (failover,), SimConfig(step=0.01, end=8.0),
                dispatch={"DG#01": 1200.0})

@@ -79,10 +79,8 @@ from .tdsim import (
     ControllerState,
     Event,
     EventSchedule,
-    GeneratorLossEvent,
     SimConfig,
     TimeSeries,
-    dp_failover_setpoint,
     find_cct,
     peak_shave_setpoint,
     simulate,

@@ -72,16 +72,18 @@ def _id_list(text: str) -> tuple[str, ...]:
 
 
 # each keyed study section: key -> (converter, default); a missing key
-# takes its default, and one whose default is ... is an input error
+# takes its default, and one whose default is ... is an input error.  A
+# key that maps to a library field takes that field's default.
 _STUDY_SECTIONS = {
-    "sim": {"step_s": (float, 0.005), "end_s": (float, 10.0),
-            "integrator": (str, "rk4")},
-    "cct": {"machine": (str, ...), "loading": (float, 0.9),
-            "location": (float, 0.01), "branch": (str, None),
+    "sim": {"step_s": (float, SimConfig.step), "end_s": (float, SimConfig.end),
+            "integrator": (str, SimConfig.integrator)},
+    "cct": {"machine": (str, ...), "loading": (float, CctFaultSpec.loading),
+            "location": (float, CctFaultSpec.location),
+            "branch": (str, CctFaultSpec.branch),
             "t_lo_s": (float, 0.0), "t_hi_s": (float, 0.5),
             "tol_s": (float, 1e-3), "step_s": (float, 0.002),
-            "window_s": (float, 3.0), "governor": (_on_off, True),
-            "avr": (_on_off, True)},
+            "window_s": (float, 3.0), "governor": (_on_off, SimConfig.governor),
+            "avr": (_on_off, SimConfig.avr)},
     "protect": {"fault_element": (str, None), "fault_bus": (str, None),
                 "failed_breakers": (_id_list, ()), "zsi": (boolean, True),
                 "cct_budget_s": (float, 0.542)},
@@ -89,13 +91,16 @@ _STUDY_SECTIONS = {
                   "max_iter": (integer, 20)},
     "study": {"bus": (str, None)},
     "event": {"time_s": (float, ...), "action": (str, ...),
-              "target": (str, None), "scale": (float, None),
-              "ramp_s": (float, 0.0), "location": (float, None)},
+              "target": (str, Event.target), "scale": (float, Event.scale),
+              "ramp_s": (float, Event.ramp),
+              "location": (float, Event.location)},
     "controller": {"mode": (str, ...), "inverter": (str, ...),
-                   "watched": (_id_list, ()), "p_threshold_kw": (float, 0.0),
-                   "q_threshold_kvar": (float, 0.0),
+                   "watched": (_id_list, ControllerConfig.watched),
+                   "p_threshold_kw": (float, ControllerConfig.p_threshold_kw),
+                   "q_threshold_kvar": (float,
+                                        ControllerConfig.q_threshold_kvar),
                    "p_rating_kw": (float, ...), "q_rating_kvar": (float, ...),
-                   "dp_delay_s": (float, 0.1)}}
+                   "dp_delay_s": (float, ControllerConfig.dp_delay)}}
 # the id-keyed study sections and the converter of their values: breaker ->
 # true/false, generator -> kW, load -> scale factor; their ids are checked
 # against the grid
@@ -297,21 +302,10 @@ def _run_sc_dc(args, grid: GridModel, study: _Study) -> int:
 
 
 def _controllers(study: _Study) -> list[ControllerConfig]:
-    out = []
-    for cid, keys in sorted(study.many("controller").items()):
-        mode = keys["mode"]
-        if mode == "peak_shave":
-            out.append(ControllerConfig.peak_shave(
-                keys["inverter"], keys["watched"], keys["p_threshold_kw"],
-                keys["q_threshold_kvar"], keys["p_rating_kw"],
-                keys["q_rating_kvar"]))
-        elif mode == "dp_failover":
-            out.append(ControllerConfig.dp_failover(
-                keys["inverter"], keys["watched"], keys["p_rating_kw"],
-                keys["q_rating_kvar"], dp_delay=keys["dp_delay_s"]))
-        else:
-            raise ValueError(f"controller {cid}: unknown mode {mode!r}")
-    return out
+    # every [controller] key but dp_delay_s names its ControllerConfig field
+    return [ControllerConfig(dp_delay=keys["dp_delay_s"], **{
+                k: v for k, v in keys.items() if k != "dp_delay_s"})
+            for _, keys in sorted(study.many("controller").items())]
 
 
 def _events(study: _Study) -> EventSchedule:
@@ -398,6 +392,8 @@ def _read_trace_csv(path: str) -> DcScTrace:
                                  f"a current, got {line.strip()!r}")
             t.append(float(parts[0]))
             i.append(float(parts[1]))
+    if not t:
+        raise ValueError(f"{path}: no rows after the header")
     t_arr, i_arr = np.asarray(t), np.asarray(i)
     bad = np.flatnonzero(~(np.isfinite(t_arr) & np.isfinite(i_arr)))
     if len(bad):
@@ -407,11 +403,9 @@ def _read_trace_csv(path: str) -> DcScTrace:
     if len(back):
         raise ValueError(f"{path}: line {back[0] + 3}: time {t[back[0] + 1]!r} "
                          f"before the previous row's {t[back[0]]!r}")
-    k = int(np.argmax(np.abs(i_arr))) if len(i_arr) else 0
-    return DcScTrace(t=t_arr, i=i_arr,
-                     peak_current=float(abs(i_arr[k])) if len(i_arr) else 0.0,
-                     time_to_peak=float(t_arr[k]) if len(t_arr) else 0.0,
-                     regime="file")
+    k = int(np.argmax(np.abs(i_arr)))
+    return DcScTrace(t=t_arr, i=i_arr, peak_current=float(abs(i_arr[k])),
+                     time_to_peak=float(t_arr[k]), regime="file")
 
 
 def _run_i2t(args, grid, study: _Study) -> int:

@@ -503,6 +503,9 @@ def validate(grid: GridModel) -> ValidationReport:
             add(c.id, "sc factor", "sc_contribution_factor must be >= 1")
         if c.ac_bus in bus_ids and bus_kind(c.ac_bus) != AC:
             add(c.id, "bus kind", "ac_bus must reference an AC bus")
+        if (c.kind == "grid_inverter" and c.ac_bus is None
+                and bus_kind(c.bus) == DC):
+            add(c.id, "ac bus", "a grid_inverter on a DC bus needs an ac_bus")
         if c.dc_link is not None:
             cap = c.dc_link
             for name, val in (("capacitance", cap.capacitance),

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import (AC, DC, CableBranch, ConverterSpec, GridError, GridModel,
-                   connected_groups)
+                   IslandElements, connected_groups)
 
 S_BASE_KVA = 1000.0
 
@@ -85,6 +85,19 @@ def converter_draw_kw(conv: ConverterSpec, draws=None) -> tuple[float, float]:
     if conv.kind == "grid_inverter":
         return 0.0, 0.0
     return (draws or {}).get(conv.id, (conv.p_set_kw, 0.0))
+
+
+def island_slack(on: IslandElements, slack: str | None = None):
+    """The source that balances an AC island with online elements `on`:
+    the generator `slack` if online there, else the largest online
+    generator, else the grid inverter of the largest rated current, else
+    None.  The power flow and the DC balance both ask it, so a grid
+    inverter carries its island's load only when it is the slack."""
+    if on.generators:
+        return next((g for g in on.generators if g.id == slack), None) or max(
+            on.generators, key=lambda g: (g.rated_kva, g.id))
+    return max((c for c in on.converters if c.kind == "grid_inverter"),
+               key=lambda c: (c.rated_current, c.id), default=None)
 
 
 # ---------------------------------------------------------------------------
@@ -244,21 +257,15 @@ def solve_ac_powerflow(
     for net in build_ac_networks(grid):
         on = grid.online_elements(net.node_of)
         gens = on.generators
-        ginvs = [c for c in on.converters if c.kind == "grid_inverter"]
         draws = [(c, pq) for c in on.converters
                  if (pq := converter_draw_kw(c, converter_draws)) != (0.0, 0.0)]
 
-        if gens:
-            if slack is not None and any(g.id == slack for g in gens):
-                slack_gen = next(g for g in gens if g.id == slack)
-            else:
-                slack_gen = max(gens, key=lambda g: (g.rated_kva, g.id))
-            slack_element = slack_gen.id
-            slack_node = net.node_of[slack_gen.bus]
-        elif ginvs:
-            ginv = max(ginvs, key=lambda c: (c.rated_current, c.id))
-            slack_element = ginv.id
-            slack_node = net.node_of[grid.converter_ac_bus(ginv)]
+        source = island_slack(on, slack)
+        if source is not None:
+            slack_element = source.id
+            slack_node = net.node_of[grid.converter_ac_bus(source)
+                                     if isinstance(source, ConverterSpec)
+                                     else source.bus]
         elif not on.loads and not draws:
             # fully de-energized island: record zero voltage, nothing to solve
             for group in net.nodes:
@@ -359,8 +366,10 @@ def solve_dc_balance(grid: GridModel, efficiency: float = 0.97) -> DcBalanceSolu
 
     Converter losses are a fixed per-stage efficiency; chargers share the
     island demand in proportion to their capability, which is capped by the
-    feeding generator's rating.  The DC network itself (cable drops, droop)
-    is not modelled: this is an algebraic balance, not a voltage solve.
+    feeding generator's rating.  A grid inverter draws its AC island's
+    online load only when it is that island's `island_slack`.  The DC
+    network itself (cable drops, droop) is not modelled: this is an
+    algebraic balance, not a voltage solve.
     """
     transfers: dict[str, float] = {}
     source_out: dict[str, float] = {}
@@ -377,9 +386,11 @@ def solve_dc_balance(grid: GridModel, efficiency: float = 0.97) -> DcBalanceSolu
             demand += p
         for c in on.converters:
             if c.kind == "grid_inverter":
-                ac_island = grid.island_of(grid.converter_ac_bus(c))
-                served = sum(load_pq_kw(l)[0]
-                             for l in grid.online_elements(ac_island).loads)
+                ac_on = grid.online_elements(
+                    grid.island_of(grid.converter_ac_bus(c)))
+                if island_slack(ac_on).id != c.id:
+                    continue    # a generator or another inverter is the slack
+                served = sum(load_pq_kw(l)[0] for l in ac_on.loads)
                 draw = served / efficiency
                 transfers[c.id] = draw
                 sinks.setdefault(f"{c.id}:ac", served)

@@ -153,49 +153,40 @@ class TimeSeries:
 # controllers
 
 
-@dataclass(frozen=True)
+CONTROLLER_MODES = ("peak_shave", "dp_failover")
+
+
+@dataclass(frozen=True, kw_only=True)
 class ControllerConfig:
-    mode: str                            # peak_shave | dp_failover
+    """One battery-inverter controller, the only one on its inverter;
+    each mode ignores the other mode's keys."""
+
+    mode: str                            # one of CONTROLLER_MODES
     inverter: str                        # converter id injecting P/Q
-    watched: tuple[str, ...]             # generator ids
-    p_threshold_kw: float                # per watched generator
-    q_threshold_kvar: float
     p_rating_kw: float
     q_rating_kvar: float
-    dp_delay: float = 0.1
+    watched: tuple[str, ...] = ()        # generator ids
+    p_threshold_kw: float = 0.0          # peak_shave, per watched generator
+    q_threshold_kvar: float = 0.0
+    dp_delay: float = 0.1                # dp_failover, s
 
     def __post_init__(self):
+        if self.mode not in CONTROLLER_MODES:
+            raise ValueError(f"controller on {self.inverter}: unknown mode "
+                             f"{self.mode!r}")
         if self.p_rating_kw <= 0 or self.q_rating_kvar <= 0:
             raise ValueError("inverter ratings must be > 0")
         if self.dp_delay <= 0:
             raise ValueError("dp_delay must be > 0")
 
-    @staticmethod
-    def peak_shave(inverter, watched, p_threshold_kw, q_threshold_kvar,
-                   p_rating_kw, q_rating_kvar) -> "ControllerConfig":
-        return ControllerConfig("peak_shave", inverter, watched, p_threshold_kw,
-                                q_threshold_kvar, p_rating_kw, q_rating_kvar)
-
-    @staticmethod
-    def dp_failover(inverter, watched, p_rating_kw, q_rating_kvar,
-                    dp_delay=0.1) -> "ControllerConfig":
-        return ControllerConfig("dp_failover", inverter, watched, 0.0, 0.0,
-                                p_rating_kw, q_rating_kvar, dp_delay)
-
-
-@dataclass(frozen=True)
-class GeneratorLossEvent:
-    generator: str
-    time: float
-
 
 class ControllerState:
-    """Measurement history and latch of one battery-inverter controller."""
+    """A controller's setpoint, its inverter's only one, and for DP
+    failover the watched generators' output history."""
 
     def __init__(self, cfg: ControllerConfig):
         self.cfg = cfg
         self.buffer: deque[tuple[float, dict[str, float], dict[str, float]]] = deque()
-        self.latched: tuple[float, float] | None = None
         self.setpoint: tuple[float, float] = (0.0, 0.0)
 
     def record(self, t: float, p_by_gen: dict[str, float],
@@ -217,6 +208,17 @@ class ControllerState:
                 f"controller buffer not warm: no sample at or before t={t:.3f} s")
         return best
 
+    def generator_lost(self, gen: str, t: float) -> None:
+        """On the loss of a watched generator at `t`, a DP-failover
+        controller holds from then on the generator's (P, Q) `dp_delay`
+        earlier, clamped to the ratings."""
+        cfg = self.cfg
+        if cfg.mode != "dp_failover" or gen not in cfg.watched:
+            return
+        p, q = self.delayed_sample(t - cfg.dp_delay, gen)
+        self.setpoint = (clamp(p, 0.0, cfg.p_rating_kw),
+                         clamp(q, 0.0, cfg.q_rating_kvar))
+
 
 def clamp(value: float, lo: float, hi: float) -> float:
     return max(lo, min(hi, value))
@@ -235,24 +237,6 @@ def peak_shave_setpoint(cfg: ControllerConfig, measured_p_kw: float,
     q_thr = cfg.q_threshold_kvar * len(cfg.watched)
     return (clamp(measured_p_kw - p_thr, 0.0, cfg.p_rating_kw),
             clamp(measured_q_kvar - q_thr, 0.0, cfg.q_rating_kvar))
-
-
-def dp_failover_setpoint(state: ControllerState, cfg: ControllerConfig,
-                         event: GeneratorLossEvent | None = None,
-                         ) -> tuple[float, float]:
-    """Latch the delayed pre-trip output of a lost generator, else hold.
-
-    On a loss event the (P, Q) sampled `dp_delay` before the event is
-    latched, clamped to the inverter rating; the latch holds until reset.
-    Without an event and without a latch the inverter idles at zero.
-    """
-    if event is not None:
-        if event.generator not in cfg.watched:
-            return state.setpoint
-        p, q = state.delayed_sample(event.time - cfg.dp_delay, event.generator)
-        state.latched = (clamp(p, 0.0, cfg.p_rating_kw),
-                         clamp(q, 0.0, cfg.q_rating_kvar))
-    return state.latched if state.latched is not None else (0.0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -335,18 +319,18 @@ class _Engine:
         self.ramps: dict[str, tuple[float, float, float, float]] = {}
         self.fault: tuple | None = None
         self.events = schedule.events
-        self.inv_setpoints: dict[str, tuple[float, float]] = {}
-        self.controllers = []
+        self.controllers: dict[str, ControllerState] = {}   # by inverter
         for c in controllers:
             grid.converter(c.inverter)          # both raise on unknown ids
             for gen_id in c.watched:
                 grid.generator(gen_id)
-            self.controllers.append(ControllerState(c))
-            self.inv_setpoints[c.inverter] = (0.0, 0.0)
+            if c.inverter in self.controllers:
+                raise ValueError(f"two controllers on inverter {c.inverter!r}")
+            self.controllers[c.inverter] = ControllerState(c)
         self._build(grid, initial=True)
         # recorded channels are fixed by the initial topology
         self.mach_ids = list(self.m.ids)
-        self.inv_ids = sorted(self.inv_setpoints)
+        self.inv_ids = sorted(self.controllers)
         self.bus_ids = sorted({b for isl in self.islands for b in isl.net.node_of})
         self.cons_ids = sorted({c for isl in self.islands for c in isl.cons_ids})
         self._index_channels()
@@ -380,7 +364,7 @@ class _Engine:
             for c in sorted(on.converters, key=lambda x: x.id):
                 node = net.node_of[grid.converter_ac_bus(c)]
                 p, q = converter_draw_kw(c)
-                if c.id in self.inv_setpoints:
+                if c.id in self.controllers:
                     inv_ids.append(c.id)
                     inv_node.append(node)
                 elif p or q:
@@ -569,7 +553,7 @@ class _Engine:
             inj = -isl.cons_s * lf
             if isl.inv_ids:
                 inj = np.concatenate((inj, [
-                    complex(*self.inv_setpoints[c]) / S_BASE_KVA
+                    complex(*self.controllers[c].setpoint) / S_BASE_KVA
                     for c in isl.inv_ids]))
             m = isl.z * np.conj(isl.inc @ inj)
             w = isl.src @ e
@@ -639,11 +623,8 @@ class _Engine:
             lost = [mid for mid in self.m.ids if not grid.element_online(mid)]
             self._build(grid)
             for gen_id in lost:
-                for ctl in self.controllers:
-                    if ctl.cfg.mode == "dp_failover" and gen_id in ctl.cfg.watched:
-                        self.inv_setpoints[ctl.cfg.inverter] = dp_failover_setpoint(
-                            ctl, ctl.cfg, GeneratorLossEvent(gen_id, t))
-                        ctl.setpoint = self.inv_setpoints[ctl.cfg.inverter]
+                for ctl in self.controllers.values():
+                    ctl.generator_lost(gen_id, t)
         else:
             if ev.action == "fault_clear":
                 self.fault = None
@@ -659,21 +640,19 @@ class _Engine:
     def _update_controllers(self, t: float, out) -> None:
         pe, qe, _ = out
         row = self.m.row
-        for ctl in self.controllers:
+        for ctl in self.controllers.values():
             cfg = ctl.cfg
             p_by = {g: float(pe[row[g]]) * S_BASE_KVA
                     for g in cfg.watched if g in row}
             q_by = {g: float(qe[row[g]]) * S_BASE_KVA
                     for g in cfg.watched if g in row}
-            ctl.record(t, p_by, q_by)
-            if cfg.mode == "peak_shave":
+            if cfg.mode == "dp_failover":
+                ctl.record(t, p_by, q_by)
+            else:
                 inv_p, inv_q = ctl.setpoint
                 gross_p = sum(p_by.values()) + inv_p
                 gross_q = sum(q_by.values()) + inv_q
                 ctl.setpoint = peak_shave_setpoint(cfg, gross_p, gross_q)
-            else:
-                ctl.setpoint = dp_failover_setpoint(ctl, cfg, None)
-            self.inv_setpoints[cfg.inverter] = ctl.setpoint
 
     # -- early stable verdict ----------------------------------------------------
 
@@ -802,7 +781,7 @@ class _Engine:
                                  x[:, 3] * S_BASE_KVA, x[:, 0],
                                  m.omega_s / (2 * math.pi) * (1 + x[:, 1]))
             for j, cid in enumerate(self.inv_ids):
-                inv[:, j, k] = self.inv_setpoints[cid]
+                inv[:, j, k] = self.controllers[cid].setpoint
             p_loss = 0.0
             for isl in self.islands:
                 vm = np.abs(isl.v[:len(isl.net.nodes)])
@@ -810,7 +789,7 @@ class _Engine:
                 factor = np.minimum(1.0, (vm[isl.cons_node] / V_FLOOR) ** 2)
                 p = isl.cons_s.real * isl.lf * factor
                 cons[isl.cons_rows, k] = p * S_BASE_KVA
-                p_inv = sum(self.inv_setpoints[c][0] / S_BASE_KVA
+                p_inv = sum(self.controllers[c].setpoint[0] / S_BASE_KVA
                             for c in isl.inv_ids)
                 p_loss += (pe[isl.mach].sum() + p_inv - p.sum()) * S_BASE_KVA
             loss[k] = p_loss

@@ -178,7 +178,7 @@ def reference_solve(engine, x: np.ndarray, t: float):
         inj = -isl.cons_s * lf
         if isl.inv_ids:
             inj = np.concatenate((inj, [
-                complex(*engine.inv_setpoints[c]) / S_BASE_KVA
+                complex(*engine.controllers[c].setpoint) / S_BASE_KVA
                 for c in isl.inv_ids]))
         m = isl.z * np.conj(isl.inc @ inj)
         w = isl.src @ e

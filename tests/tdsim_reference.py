@@ -37,9 +37,13 @@ DECIMATE = 4
 def _scenarios():
     full = builtin_fixture("ac_vessel")
     ps = ps_island(full)
-    peak = ControllerConfig.peak_shave("INV_PS", ("DG#01",), 1500.0, 1000.0,
-                                       1500.0, 1500.0)
-    dp = ControllerConfig.dp_failover("INV_SB", ("DG#04",), 1500.0, 1500.0)
+    peak = ControllerConfig(mode="peak_shave", inverter="INV_PS",
+                            watched=("DG#01",), p_threshold_kw=1500.0,
+                            q_threshold_kvar=1000.0, p_rating_kw=1500.0,
+                            q_rating_kvar=1500.0)
+    dp = ControllerConfig(mode="dp_failover", inverter="INV_SB",
+                          watched=("DG#04",), p_rating_kw=1500.0,
+                          q_rating_kvar=1500.0)
     return {
         "load_ramp": (ps, (
             Event(0.3, "load_step", "LOAD440_PS", scale=1.25, ramp=0.4),

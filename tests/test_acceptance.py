@@ -20,14 +20,12 @@ from vesselstudy import (
     Event,
     EventSchedule,
     FaultLocation,
-    GeneratorLossEvent,
     SimConfig,
     battery_sc_trace,
     builtin_fixture,
     capacitor_sc_trace,
     converter_sc_contribution,
     dc_fault_summary,
-    dp_failover_setpoint,
     fault_summary,
     find_cct,
     fuse_i2t_clearing,
@@ -150,8 +148,10 @@ def test_criterion_06_protection_timing():
 @pytest.fixture(scope="module")
 def peak_shave_run():
     grid = ps_island(builtin_fixture("ac_vessel"))
-    ctl = ControllerConfig.peak_shave("INV_PS", ("DG#01",), 1500.0, 1000.0,
-                                      1500.0, 1500.0)
+    ctl = ControllerConfig(mode="peak_shave", inverter="INV_PS",
+                           watched=("DG#01",), p_threshold_kw=1500.0,
+                           q_threshold_kvar=1000.0, p_rating_kw=1500.0,
+                           q_rating_kvar=1500.0)
     sched = EventSchedule((
         Event(1.0, "load_step", "LOAD440_PS", scale=1.45, ramp=2.0),
         Event(5.0, "load_step", "LOAD440_PS", scale=1.0, ramp=2.0),
@@ -168,7 +168,9 @@ def dp_run():
         dataclasses.replace(c, p_set_kw=1000.0) if c.id == "THR_BOW1" else c
         for c in grid.converters)
     grid = dataclasses.replace(grid, converters=convs)
-    ctl = ControllerConfig.dp_failover("INV_PS", ("DG#02",), 1500.0, 1500.0)
+    ctl = ControllerConfig(mode="dp_failover", inverter="INV_PS",
+                           watched=("DG#02",), p_rating_kw=1500.0,
+                           q_rating_kvar=1500.0)
     sched = EventSchedule((Event(2.0, "breaker_open", "CB_DG02"),))
     ts = simulate(grid, sched, (ctl,), SimConfig(step=0.01, end=7.5),
                   dispatch={"DG#01": 1200.0})
@@ -188,11 +190,13 @@ def test_criterion_07_controller_properties(peak_shave_run, dp_run):
     assert post_inv[0] == pytest.approx(min(pre2, 1500.0), rel=1e-6)
     assert np.all(post_inv == post_inv[0])
     # the clamp itself, on a delayed sample exceeding the rating
-    cfg = ControllerConfig.dp_failover("INV", ("G",), 1500.0, 1500.0)
-    st = ControllerState(cfg)
+    st = ControllerState(ControllerConfig(
+        mode="dp_failover", inverter="INV", watched=("G",), p_rating_kw=1500.0,
+        q_rating_kvar=1500.0))
     for k in range(30):
         st.record(0.05 * k, {"G": 2000.0}, {"G": 0.0})
-    assert dp_failover_setpoint(st, cfg, GeneratorLossEvent("G", 1.0))[0] == 1500.0
+    st.generator_lost("G", 1.0)
+    assert st.setpoint[0] == 1500.0
 
     pre1 = dp["DG#01.p_kw"][dp.t < 2.0][-1]
     tail = dp["DG#01.p_kw"][dp.t >= 7.0]   # event + 5 s

@@ -345,6 +345,30 @@ def test_i2t_rejects_a_time_column_that_goes_backwards(tmp_path, capsys):
     assert main(["i2t", "--trace", str(trace), "--fuse-i2t", "9350"]) == 0
 
 
+def test_i2t_rejects_a_trace_without_rows(tmp_path, capsys):
+    """A header with no rows used to crash in let_through."""
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_s,i_a\n")
+    rc = main(["i2t", "--trace", str(trace), "--fuse-i2t", "9350"])
+    assert rc == 2
+    assert f"{trace}: no rows after the header" in capsys.readouterr().err
+
+
+def test_grid_inverter_without_ac_bus_is_a_violation(tmp_path, capsys):
+    """On a DC bus with no ac_bus it used to fail as 'unknown bus None'."""
+    text = serialize_grid(builtin_fixture("dc_vessel"))
+    edited = text.replace("[converter GINV_PS]\nac_bus = LV_PS\n",
+                          "[converter GINV_PS]\n")
+    assert edited != text
+    grid = tmp_path / "g.grid"
+    grid.write_text(edited)
+    rc = main(["powerflow", "--grid", str(grid), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert ("error: GINV_PS: ac bus: a grid_inverter on a DC bus needs an "
+            "ac_bus") in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("kind, fixture, section, twin, bus", [
     ("sc-ac", "ac_vessel", "load", "LOAD440", "AC_PS"),
     ("sc-dc", "dc_vessel", "battery", "BAT", "DC_PS"),
@@ -459,6 +483,8 @@ NO_DG01_DYNAMICS = (DG01_SPAN, "frequency_hz = 60.00\npf = 0.80\n"
                     "voltage_v = 690.00\nwinding_resistance_mohm = 1.02\n")
 CONTROLLER = ("[controller ps]\nmode = peak_shave\ninverter = INV_PS\n"
               "watched = DG#01\np_rating_kw = 1500\nq_rating_kvar = 1500\n")
+DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
+                 "watched = DG#02\np_rating_kw = 1500\nq_rating_kvar = 1500\n")
 
 
 @pytest.mark.parametrize("kind, grid_edit, study_text, message", [
@@ -485,6 +511,15 @@ CONTROLLER = ("[controller ps]\nmode = peak_shave\ninverter = INV_PS\n"
      "[controller ps] missing required key 'mode'"),
     ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("INV_PS", "NOPE"),
      "unknown converter 'NOPE'"),
+    # a misspelled mode used to leave the inverter idle
+    ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("peak_shave", "peak_shaving"),
+     "unknown mode 'peak_shaving'"),
+    # a second controller on one inverter used to overwrite the first's
+    # setpoint, in either order ([controller dp] runs before [controller ps])
+    ("tdsim", None, TDSIM_HEAD + CONTROLLER + DP_CONTROLLER.format("dp"),
+     "two controllers on inverter 'INV_PS'"),
+    ("tdsim", None, TDSIM_HEAD + CONTROLLER + DP_CONTROLLER.format("z"),
+     "two controllers on inverter 'INV_PS'"),
     ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("DG#01", "DG#99"),
      "unknown generator 'DG#99'"),
     ("tdsim", None, TDSIM_HEAD + "[event up]\ntime_s = 0.05\naction = load_stp\n"

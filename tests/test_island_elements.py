@@ -9,9 +9,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from vesselstudy import (EventSchedule, SimConfig, builtin_fixture,  # noqa: E402
-                         simulate, solve_ac_powerflow)
+                         simulate, solve_ac_powerflow, solve_dc_balance)
 from vesselstudy.grid import BreakerSpec, Bus, ConverterSpec  # noqa: E402
-from vesselstudy.powerflow import IslandError  # noqa: E402
+from vesselstudy.powerflow import CapacityError, IslandError  # noqa: E402
 
 from helpers import single_gen_grid  # noqa: E402
 
@@ -57,6 +57,21 @@ def test_grid_inverter_is_not_a_draw():
     assert sol.injections_kw["G1"][0] == pytest.approx(500.0, abs=1e-6)
     assert ts["G1.p_kw"][0] == pytest.approx(500.0, abs=1e-6)
     assert "GI.p_kw" not in ts.channels
+
+
+def test_dc_balance_follows_the_power_flow_slack():
+    """G1 is B1's slack, so GI carries none of its load: the DC balance
+    used to draw all 515.5 kW through GI and raise CapacityError."""
+    grid = GRIDS["grid_inverter"]
+    assert solve_ac_powerflow(grid).slack_elements == ("G1",)
+    bal = solve_dc_balance(grid)
+    assert "GI" not in bal.transfers_kw
+    assert bal.residual_kw == 0.0
+    # without G1, GI is the slack and draws B1's load over the efficiency
+    no_gen = dataclasses.replace(grid, generators=())
+    assert solve_ac_powerflow(no_gen).slack_elements == ("GI",)
+    with pytest.raises(CapacityError, match="load 515.5 kW"):
+        solve_dc_balance(no_gen)
 
 
 @st.composite

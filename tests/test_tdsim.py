@@ -8,10 +8,8 @@ from vesselstudy import (
     ControllerConfig,
     Event,
     EventSchedule,
-    GeneratorLossEvent,
     SimConfig,
     builtin_fixture,
-    dp_failover_setpoint,
     find_cct,
     peak_shave_setpoint,
     simulate,
@@ -36,11 +34,17 @@ BARE_SMIB = SimConfig(step=0.005, governor=False, avr=False)
 
 
 def _peak_cfg(**kw):
-    args = dict(inverter="INV_PS", watched=("DG#01",), p_threshold_kw=1500.0,
-                q_threshold_kvar=1000.0, p_rating_kw=1500.0,
-                q_rating_kvar=1500.0)
+    args = dict(mode="peak_shave", inverter="INV_PS", watched=("DG#01",),
+                p_threshold_kw=1500.0, q_threshold_kvar=1000.0,
+                p_rating_kw=1500.0, q_rating_kvar=1500.0)
     args.update(kw)
-    return ControllerConfig.peak_shave(**args)
+    return ControllerConfig(**args)
+
+
+def _dp_cfg():
+    return ControllerConfig(mode="dp_failover", inverter="INV_PS",
+                            watched=("DG#02",), p_rating_kw=1500.0,
+                            q_rating_kvar=1500.0)
 
 
 class TestPeakShaveSetpoint:
@@ -66,34 +70,56 @@ class TestDpFailoverSetpoint:
         return state
 
     def test_latch_clamped_to_rating(self):
-        cfg = ControllerConfig.dp_failover("INV_PS", ("DG#02",), 1500.0, 1500.0)
-        state = self._warm_state(cfg, p=2000.0)
-        out = dp_failover_setpoint(state, cfg, GeneratorLossEvent("DG#02", 1.0))
-        assert out == (1500.0, 100.0)
+        state = self._warm_state(_dp_cfg(), p=2000.0)
+        state.generator_lost("DG#02", 1.0)
+        assert state.setpoint == (1500.0, 100.0)
 
     def test_latch_passthrough_below_rating(self):
-        cfg = ControllerConfig.dp_failover("INV_PS", ("DG#02",), 1500.0, 1500.0)
-        state = self._warm_state(cfg, p=800.0)
-        out = dp_failover_setpoint(state, cfg, GeneratorLossEvent("DG#02", 1.0))
-        assert out == (800.0, 100.0)
+        state = self._warm_state(_dp_cfg(), p=800.0)
+        state.generator_lost("DG#02", 1.0)
+        assert state.setpoint == (800.0, 100.0)
 
     def test_idle_without_event(self):
-        cfg = ControllerConfig.dp_failover("INV_PS", ("DG#02",), 1500.0, 1500.0)
-        state = ControllerState(cfg)
-        assert dp_failover_setpoint(state, cfg, None) == (0.0, 0.0)
+        assert ControllerState(_dp_cfg()).setpoint == (0.0, 0.0)
 
     def test_latch_holds_after_event(self):
-        cfg = ControllerConfig.dp_failover("INV_PS", ("DG#02",), 1500.0, 1500.0)
-        state = self._warm_state(cfg, p=900.0)
-        dp_failover_setpoint(state, cfg, GeneratorLossEvent("DG#02", 1.0))
-        assert dp_failover_setpoint(state, cfg, None) == (900.0, 100.0)
+        state = self._warm_state(_dp_cfg(), p=900.0)
+        state.generator_lost("DG#02", 1.0)
+        state.record(1.5, {"DG#02": 0.0}, {"DG#02": 0.0})
+        assert state.setpoint == (900.0, 100.0)
+
+    def test_unwatched_loss_ignored(self):
+        state = self._warm_state(_dp_cfg(), p=900.0)
+        state.generator_lost("DG#01", 1.0)
+        assert state.setpoint == (0.0, 0.0)
 
     def test_cold_buffer_rejected(self):
-        cfg = ControllerConfig.dp_failover("INV_PS", ("DG#02",), 1500.0, 1500.0)
-        state = ControllerState(cfg)
+        state = ControllerState(_dp_cfg())
         state.record(0.95, {"DG#02": 1.0}, {"DG#02": 0.0})
         with pytest.raises(ControllerError):
-            dp_failover_setpoint(state, cfg, GeneratorLossEvent("DG#02", 1.0))
+            state.generator_lost("DG#02", 1.0)
+
+
+class TestControllerConfig:
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown mode 'peak_shaving'"):
+            _peak_cfg(mode="peak_shaving")
+
+    def test_defaults(self):
+        cfg = ControllerConfig(mode="dp_failover", inverter="INV_PS",
+                               p_rating_kw=1.0, q_rating_kvar=1.0)
+        assert (cfg.watched, cfg.p_threshold_kw, cfg.q_threshold_kvar,
+                cfg.dp_delay) == ((), 0.0, 0.0, 0.1)
+
+    @pytest.mark.parametrize("first_mode", ["peak_shave", "dp_failover"])
+    def test_one_controller_per_inverter(self, ac_vessel, first_mode):
+        pair = (_peak_cfg(), _dp_cfg())
+        if first_mode == "dp_failover":
+            pair = pair[::-1]
+        with pytest.raises(ValueError, match="two controllers on inverter "
+                                             "'INV_PS'"):
+            simulate(ps_island(ac_vessel), EventSchedule(), pair,
+                     SimConfig(step=0.02, end=0.1))
 
 
 class TestScheduleValidation:
@@ -156,7 +182,7 @@ def dp_run(ac_vessel):
         dataclasses.replace(c, p_set_kw=1000.0) if c.id == "THR_BOW1" else c
         for c in grid.converters)
     grid = dataclasses.replace(grid, converters=convs)
-    ctl = ControllerConfig.dp_failover("INV_PS", ("DG#02",), 1500.0, 1500.0)
+    ctl = _dp_cfg()
     sched = EventSchedule((Event(2.0, "breaker_open", "CB_DG02"),))
     return simulate(grid, sched, (ctl,), SimConfig(step=0.01, end=7.5),
                     dispatch={"DG#01": 1200.0})
@@ -422,8 +448,10 @@ _SECOND_ISLAND = dict(
 _DC_INVERTER = dict(buses=(Bus("DCB", "dc", 900.0),),
                     converters=(ConverterSpec("INV", "DCB", "inverter", 100.0,
                                               70.0),))
-_SMIB_SHAVE = ControllerConfig.peak_shave("INV", ("G1",), 500.0, 500.0,
-                                          70.0, 70.0)
+_SMIB_SHAVE = ControllerConfig(mode="peak_shave", inverter="INV",
+                               watched=("G1",), p_threshold_kw=500.0,
+                               q_threshold_kvar=500.0, p_rating_kw=70.0,
+                               q_rating_kvar=70.0)
 
 
 @pytest.mark.parametrize("grid, controllers, load_scale, per_step", [
