@@ -367,7 +367,8 @@ def solve_dc_balance(grid: GridModel, efficiency: float = 0.97) -> DcBalanceSolu
     Converter losses are a fixed per-stage efficiency; chargers share the
     island demand in proportion to their capability, which is capped by the
     feeding generator's rating.  A grid inverter draws its AC island's
-    online load only when it is that island's `island_slack`.  The DC
+    online loads and converter draws only when it is that island's
+    `island_slack`.  The DC
     network itself (cable drops, droop) is not modelled: this is an
     algebraic balance, not a voltage solve.
     """
@@ -390,7 +391,8 @@ def solve_dc_balance(grid: GridModel, efficiency: float = 0.97) -> DcBalanceSolu
                     grid.island_of(grid.converter_ac_bus(c)))
                 if island_slack(ac_on).id != c.id:
                     continue    # a generator or another inverter is the slack
-                served = sum(load_pq_kw(l)[0] for l in ac_on.loads)
+                served = sum(load_pq_kw(l)[0] for l in ac_on.loads) + sum(
+                    converter_draw_kw(o)[0] for o in ac_on.converters)
                 draw = served / efficiency
                 transfers[c.id] = draw
                 sinks.setdefault(f"{c.id}:ac", served)

@@ -25,12 +25,15 @@ search over fault clearing time gives the critical clearing time against
 a first-swing stability criterion.  Its probes share one engine: the
 pre-fault and fault-on trajectory is integrated once, and each probe
 branches from the last recorded step before its clearing; an unstable
-probe stops as soon as its verdict is known.  On a lone two-machine
-island that qualifies (see `_Engine._swing_certificate`) a stable probe
-stops at the first recording step after its clearing where the energy
-function proves its swing stays bounded (Kundur 1994, ch. 13; Pai 1989),
-with the verdict of a full-window probe; every other probe
-integrates its whole window.
+probe stops as soon as its spread reaches pi.  On a lone two-machine
+island that qualifies (see `_Engine._swing_certificate`) a probe stops
+at the first recording step after its clearing where the energy function
+proves its verdict (Kundur 1994, ch. 13; Pai 1989): stable when a
+potential-energy barrier on each side keeps the spread below pi,
+unstable when no barrier on its way lets the spread reach pi at a
+recording step inside the window, before any speed could pass the
+sanity bound.  Either verdict is that of a full-window probe; every
+other probe integrates its whole window, or until its spread reaches pi.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ GOV_T = 0.5         # s, governor time constant
 AVR_GAIN = 20.0     # pu EMF / pu voltage error
 AVR_T = 0.5         # s, voltage-regulator time constant
 FAULT_START = 0.25  # s, fault application time of a CCT probe
+SWING_SLIP = 1.0    # rad past pi that an unstable verdict's path runs
+SWING_PIECES = 32   # pieces of its time-to-pi bound
 
 
 class SimulationError(GridError):
@@ -104,6 +109,12 @@ def _check_location(location: float | None) -> None:
         raise ValueError(f"fault location {location} outside [0, 1]")
 
 
+def _check_finite(**values: float) -> None:
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"need a finite {name}, got {name} = {value}")
+
+
 @dataclass(frozen=True)
 class EventSchedule:
     events: tuple[Event, ...] = ()
@@ -134,6 +145,7 @@ class SimConfig:
     avr: bool = True               # every machine's voltage regulator
 
     def __post_init__(self):
+        _check_finite(step=self.step, end=self.end)
         if self.step <= 0 or self.end <= self.step:
             raise ValueError("need step > 0 and end > step")
         if self.integrator not in ("rk4", "trapezoidal"):
@@ -144,6 +156,7 @@ class SimConfig:
 class TimeSeries:
     t: np.ndarray
     channels: dict[str, np.ndarray]
+    stable: bool | None = None   # a CCT probe's verdict, None for other runs
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.channels[name]
@@ -654,34 +667,55 @@ class _Engine:
                 gross_q = sum(q_by.values()) + inv_q
                 ctl.setpoint = peak_shave_setpoint(cfg, gross_p, gross_q)
 
-    # -- early stable verdict ----------------------------------------------------
+    # -- early verdicts ----------------------------------------------------------
 
     def _swing_certificate(self):
-        """A test that holds only when the rotor-angle spread provably
-        stays below pi for the rest of the run.
+        """A verdict `(x, t_left) -> True | False | None` on the first
+        swing of the rest of the run: True when the rotor-angle spread
+        provably stays below pi, False when it provably reaches pi at a
+        recording step within `t_left`, None when only integrating on
+        can tell.
 
         Only a lone linear island of exactly two machines with positive
         inertia qualifies, run by RK4 without controllers, governor or
-        AVR, with zero or equal non-negative D/2H; for anything else the
-        test never holds.  The relative angle d = d1 - d2 then obeys
-        d'' = f(d) - (D/2H) d' with f(d) = a + b cos d + c sin d, from the
-        reduced admittance Y = diag(1/jx'd) (I - S), S the machine nodes'
-        voltage per EMF (lossy lines included).  Its energy W = (ws (dw1 - dw2))^2 / 2
-        + U(d), U = -(a d + b sin d - c cos d), never grows, so the
-        swing cannot pass a point where U > W + eps.  The test holds when
-        such a barrier lies on each side of d within [-pi, pi] and when
+        AVR, with zero or equal non-negative D/2H = lam; for anything
+        else the verdict is always None.  The relative angle d = d1 - d2
+        then obeys d'' = f(d) - lam d' with f(d) = a + b cos d + c sin d,
+        from the reduced admittance Y = diag(1/jx'd) (I - S), S the
+        machine nodes' voltage per EMF (lossy lines included).  Its
+        energy W = v^2 / 2 + U(d), v = d' = ws (dw1 - dw2) and
+        U = -(a d + b sin d - c cos d), never grows, so the swing cannot
+        pass a point where U > W + eps.
+
+        Stable: such a barrier lies on each side of d within [-pi, pi].
+        Unstable: U stays below a floor on the path from d in the
+        direction of v (so v != 0) through +-pi to +-(pi + SWING_SLIP).
+        The path is cut into SWING_PIECES pieces up to +-pi, one beyond,
+        and at the roots of f, so U is monotonic on each piece; there
+        |v| <= sqrt(2 (W + eps - min U)), and the floor is
+        W - eps less lam times the integral of that speed bound up to the
+        piece's end, all that the damping can take from W on the way.  So
+        v keeps its sign to the end of the path, v^2 / 2 >= floor - U,
+        and that least speed bounds the time to reach +-pi, which must be
+        at most `t_left` less one step.  With step v_max < SWING_SLIP, v_max
+        the largest speed bound, the first recording step after the
+        crossing still reads a spread >= pi.  Either verdict also needs
         closed-form bounds on the relative and the centre-of-inertia
-        speed keep every |dw| below half the sanity bound of `_step`.
-        Negative damping would feed both W and the centre-of-inertia
-        speed, and a negative inertia would void the speed bounds, so
-        neither qualifies.  With k = |a| + |b| + |c|,
-        eps = pi k max(1e-4, (k h^2)^2) for the step h, since RK4's energy
-        error scales with h^4.  That margin rests on measurement, not on
-        proof: on the SMIB grid, lossless or lossy, with the stiff source
-        or a finite second machine, loading 0.7 to 1.0, bus or mid-line
-        faults, steps of 2 to 50 ms and windows of 2 to 60 s, the largest
-        rise of W after clearing of any stable probe stayed below 1e-3 of
-        eps and did not grow with the window.  The trapezoidal rule's
+        speed to keep every |dw| below half the sanity bound of `_step`
+        (over `t_left`, or up to that recording step), so a full run
+        would not stop on an error first.  Negative damping would feed
+        both W and the centre-of-inertia speed, and a negative inertia
+        would void the speed bounds, so neither qualifies.
+
+        With k = |a| + |b| + |c|, eps = pi k max(1e-4, (k h^2)^2) for the
+        step h, since RK4's energy error scales with h^4.  That margin
+        rests on measurement, not on proof: on the SMIB grid, lossless or
+        lossy, with the stiff source or a finite second machine, loading
+        0.7 to 1.0, bus or mid-line faults, steps of 2 to 50 ms and
+        windows of 2 to 60 s, the largest rise of W after clearing of any
+        stable probe stayed below 1e-3 of eps and did not grow with the
+        window, and from clearing to the pi crossing of any unstable
+        probe W changed by at most 6.4e-4 of eps.  The trapezoidal rule's
         error grows with every step, so its runs never qualify.
         """
         cfg, m = self.cfg, self.m
@@ -691,7 +725,7 @@ class _Engine:
                 or not self.islands[0].linear or (m.two_h <= 0).any()
                 or (m.damping < 0).any()
                 or m.damping[0] * m.two_h[1] != m.damping[1] * m.two_h[0]):
-            return lambda x, t_left: False
+            return lambda x, t_left: None
         # the island's machine rows are 0 and 1, in that order
         isl = self.islands[0]
         y = (np.eye(2) - isl.src[isl.mach_node]) / m.jxdp[:, None]
@@ -707,39 +741,78 @@ class _Engine:
         def u(d):
             return -(a * d + b * math.sin(d) - c * math.cos(d))
 
-        # U's extrema on [-pi, pi]: the ends and the roots of f
-        crit = [-math.pi, math.pi]
+        # the roots of f on the longest path, |d| < pi + SWING_SLIP
+        roots = []
         amp = math.hypot(b, c)
         if amp > 0 and abs(a) <= amp:
             phi, half = math.atan2(c, b), math.acos(-a / amp)
-            crit += [p for p in (phi + s * half + n * 2.0 * math.pi
+            roots = [p for p in (phi + s * half + n * 2.0 * math.pi
                                  for s in (-1, 1) for n in (-1, 0, 1))
-                     if -math.pi < p < math.pi]
-        u_crit = [(p, u(p)) for p in crit]
-        u_min = min(v for _, v in u_crit)
+                     if abs(p) < math.pi + SWING_SLIP]
+
+        def u_span(p: float, q: float) -> tuple[float, float]:
+            """U's least and largest value on [p, q]: at an end or at a
+            root of f between."""
+            vals = [u(p), u(q)] + [u(r) for r in roots if p < r < q]
+            return min(vals), max(vals)
+
+        u_min = u_span(-math.pi, math.pi)[0]
         k = abs(a) + abs(b) + abs(c)
         eps = math.pi * k * max(1e-4, (k * cfg.step ** 2) ** 2)
+        lam = float(m.damping[0] / m.two_h[0])
         # |sum Pm - sum Pe(d)|, the centre-of-inertia speed's drive
         p_coi = float(abs(pm.sum() - e[0] ** 2 * g[0, 0] - e[1] ** 2 * g[1, 1])
                       + e[0] * e[1] * math.hypot(g[0, 1] + g[1, 0],
                                                  bb[0, 1] - bb[1, 0]))
         h0, h1 = float(two_h[0]), float(two_h[1])
         m_sum = h0 + h1
+        step = cfg.step
 
-        def bounded(x: np.ndarray, t_left: float) -> bool:
+        def verdict(x: np.ndarray, t_left: float) -> bool | None:
             (d0, w0, *_), (d1, w1, *_) = x.tolist()
-            d = d0 - d1
+            d, v = d0 - d1, ws * (w0 - w1)
             if not -math.pi < d < math.pi:
-                return False
-            top = 0.5 * (ws * (w0 - w1)) ** 2 + u(d) + eps
-            if (max(v for p, v in u_crit if p >= d) <= top
-                    or max(v for p, v in u_crit if p <= d) <= top):
-                return False
-            rel = math.sqrt(2.0 * (top - u_min)) / ws
-            coi = (abs(h0 * w0 + h1 * w1) + t_left * p_coi) / m_sum
-            return coi + max(h0, h1) / m_sum * rel <= 1.0
+                return None
+            energy = 0.5 * v ** 2 + u(d)
+            top = energy + eps
 
-        return bounded
+            def speeds_within(rel: float, t: float) -> bool:
+                """Relative speeds up to `rel` and the centre-of-inertia
+                drive over `t` keep every |dw| within half the sanity
+                bound."""
+                coi = (abs(h0 * w0 + h1 * w1) + t * p_coi) / m_sum
+                return coi + max(h0, h1) / m_sum * rel <= 1.0
+
+            if u_span(-math.pi, d)[1] > top and u_span(d, math.pi)[1] > top:
+                rel = math.sqrt(2.0 * (top - u_min)) / ws
+                return True if speeds_within(rel, t_left) else None
+            # the path's piece ends, in the direction of travel
+            s = math.copysign(1.0, v)
+            ends = sorted([d + (s * math.pi - d) * j / SWING_PIECES
+                           for j in range(1, SWING_PIECES)]
+                          + [r for r in roots if s * r > s * d]
+                          + [s * math.pi, s * (math.pi + SWING_SLIP)],
+                          reverse=s < 0)
+            loss = t_cross = v_max = 0.0
+            p, u_p = d, u(d)
+            for q in ends:
+                u_q = u(q)
+                v_hi = math.sqrt(2.0 * (top - min(u_p, u_q)))
+                v_max = max(v_max, v_hi)
+                loss += lam * v_hi * abs(q - p)
+                gap = energy - eps - loss - max(u_p, u_q)
+                if gap <= 0.0:
+                    return None
+                if s * q <= math.pi:
+                    t_cross += abs(q - p) / math.sqrt(2.0 * gap)
+                    if t_cross > t_left - step:
+                        return None
+                p, u_p = q, u_q
+            if step * v_max >= SWING_SLIP:
+                return None
+            return False if speeds_within(v_max / ws, t_cross + step) else None
+
+        return verdict
 
     # -- main loop -------------------------------------------------------------
 
@@ -750,12 +823,13 @@ class _Engine:
 
         With `stop_spread_after`, stop at the first recording step at or
         after that time where the rotor-angle spread reaches pi, or where,
-        with no event pending, `_swing_certificate` proves it never will;
-        the series then ends there.  `keep` holds snapshots of consecutive
-        steps; the run appends each later step it records while only its
-        last event pends.  From a `start` snapshot the series begins at its
-        step with that event pending: exact if the engine's topology and
-        the events before it are the snapshot's.
+        with no event pending, `_swing_certificate` proves whether it will
+        before the end; the series then ends there, and its `stable` is
+        the verdict that stopped it, True if none did.  `keep` holds
+        snapshots of consecutive steps; the run appends each later step it
+        records while only its last event pends.  From a `start` snapshot
+        the series begins at its step with that event pending: exact if
+        the engine's topology and the events before it are the snapshot's.
         """
         cfg = self.cfg
         n_steps = int(round(cfg.end / cfg.step))
@@ -807,6 +881,7 @@ class _Engine:
                 a[..., k0] = col
         last = n_steps
         certify = None      # built once no event pends
+        stable = None if stop_spread_after is None else True
         for k in range(k0, n_steps + 1):
             if k > k0:
                 t_target = float(t_rec[k])
@@ -832,12 +907,13 @@ class _Engine:
                     and t_rec[k] >= stop_spread_after - 1e-9):
                 delta = mach[3, :, k]
                 if delta.max() - delta.min() >= math.pi:
-                    last = k
+                    stable, last = False, k
                     break
                 if not pending:
                     certify = certify or self._swing_certificate()
-                    if certify(self.x, cfg.end - t):
-                        last = k
+                    proven = certify(self.x, t_rec[-1] - t)
+                    if proven is not None:
+                        stable, last = proven, k
                         break
 
         n = slice(k0, last + 1)
@@ -854,7 +930,7 @@ class _Engine:
         for j, lid in enumerate(self.cons_ids):
             channels[f"{lid}.p_kw"] = cons[j, n]
         channels["sys.p_loss_kw"] = loss[n]
-        return TimeSeries(t=t_rec[n], channels=channels)
+        return TimeSeries(t=t_rec[n], channels=channels, stable=stable)
 
 
 def simulate(grid: GridModel, schedule: EventSchedule,
@@ -892,6 +968,7 @@ class CctFaultSpec:
 
     def __post_init__(self):
         _check_location(self.location)
+        _check_finite(loading=self.loading)
         if not self.loading > 0:
             raise ValueError(f"need loading > 0, got loading = {self.loading}")
 
@@ -916,11 +993,15 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
     Each probe applies the fault at FAULT_START.  A probe is stable when
     the largest pairwise rotor-angle separation stays below 180 degrees
     within `window` after the fault clears.  The bracket must straddle the
-    boundary: `t_lo` >= 0 stable and `t_hi` unstable.  An unstable probe
-    ends at the step its spread reaches 180 degrees.  On a lone
-    two-machine island that qualifies (see `_Engine._swing_certificate`)
-    a stable probe may end early, with the verdict of a full-window probe.
+    boundary: `t_lo` >= 0 stable and `t_hi` unstable; every argument must
+    be finite.  An unstable probe ends at the step its spread reaches 180
+    degrees.  On a lone two-machine island that qualifies (see
+    `_Engine._swing_certificate`) a probe may end at its clearing, stable
+    or unstable, once the energy function proves how its first swing
+    ends; the verdict, which the engine returns, is that of a full-window
+    probe.
     """
+    _check_finite(t_lo=t_lo, t_hi=t_hi, tol=tol, window=window)
     if tol <= 0 or t_hi <= t_lo:
         raise ValueError("need tol > 0 and t_hi > t_lo")
     if t_lo < 0:
@@ -958,14 +1039,9 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
             Event(t_end, "fault_clear"),
         ))
         probe_cfg = replace(cfg, end=t_end + window)
-        # an unstable probe ends at the first step after the clearing where
-        # the spread reaches pi, so the spread of its last step is the verdict
-        ts = simulate(grid, events, (), probe_cfg, dispatch=dispatch,
-                      _stop_spread_after=t_end, _keep=trunk,
-                      _start=_branch_point(trunk, t_end))
-        delta = [v[-1] for name, v in ts.channels.items()
-                 if name.endswith(".delta_rad")]
-        return bool(max(delta) - min(delta) < math.pi)
+        return simulate(grid, events, (), probe_cfg, dispatch=dispatch,
+                        _stop_spread_after=t_end, _keep=trunk,
+                        _start=_branch_point(trunk, t_end)).stable
 
     lo_ok, hi_ok = stable(t_lo), stable(t_hi)
     transcript = [(t_lo, lo_ok), (t_hi, hi_ok)]

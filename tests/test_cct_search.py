@@ -1,9 +1,10 @@
 """The CCT search against a reference bisection of full probes, and the
-probes that may end early with a stable verdict."""
+probes that may end early with a stable or an unstable verdict."""
 
 import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -64,8 +65,9 @@ def test_search_matches_reference_bisection(loading, location, h_ratio, r_pu,
 
 
 def _probe_runs(monkeypatch, grid, cfg, window=1.0, location=0.0):
-    """Search G1's CCT; return (clearing time, last recorded time, stable)
-    of every probe."""
+    """Search G1's CCT; return (clearing time, last recorded time, the
+    engine's verdict, rotor-angle spread at the last step) of every
+    probe."""
     runs = []
     run = tdsim._Engine.run
 
@@ -73,14 +75,15 @@ def _probe_runs(monkeypatch, grid, cfg, window=1.0, location=0.0):
         ts = run(self, stop_spread_after, keep, start)
         deltas = [v[-1] for name, v in ts.channels.items()
                   if name.endswith(".delta_rad")]
-        runs.append((stop_spread_after, float(ts.t[-1]),
-                     max(deltas) - min(deltas) < math.pi))
+        runs.append((stop_spread_after, float(ts.t[-1]), ts.stable,
+                     max(deltas) - min(deltas)))
         return ts
 
     monkeypatch.setattr(tdsim._Engine, "run", recorded)
     spec = CctFaultSpec("G1", loading=0.9, location=location)
     find_cct(grid, spec, 0.0, 0.4, 0.02, cfg, window=window)
-    assert any(stable for *_, stable in runs)
+    assert any(stable for _, _, stable, _ in runs)
+    assert any(not stable for _, _, stable, _ in runs)
     return runs
 
 
@@ -104,25 +107,45 @@ def _three_machines():
         "negative-damping", "trapezoidal"])
 def test_ineligible_stable_probes_run_the_whole_window(monkeypatch, grid, cfg):
     """Without the two-machine energy certificate a stable probe still
-    integrates every step of its window."""
-    for t_end, last, stable in _probe_runs(monkeypatch, grid, cfg):
+    integrates every step of its window, and an unstable one runs until
+    its spread reaches pi."""
+    for t_end, last, stable, spread in _probe_runs(monkeypatch, grid, cfg):
         if stable:
             assert last >= t_end + 1.0 - cfg.step, t_end
+        else:
+            assert spread >= math.pi, t_end
 
 
-@pytest.mark.parametrize("grid, location", [
+ELIGIBLE = pytest.mark.parametrize("grid, location", [
     (smib_grid(), 0.0),
     (smib_grid(), 0.5),
     (two_machine_grid(h_ratio=2.0, r_pu=0.05, d_per_h=0.5), 0.3),
 ])
+
+
+@ELIGIBLE
 def test_eligible_stable_probes_end_after_clearing(monkeypatch, grid,
                                                    location):
     """On a lone two-machine linear island a stable probe ends within a
     few steps after its clearing."""
-    for t_end, last, stable in _probe_runs(monkeypatch, grid, BARE_SMIB,
-                                           location=location):
+    for t_end, last, stable, _ in _probe_runs(monkeypatch, grid, BARE_SMIB,
+                                              location=location):
         if stable:
             assert t_end - 1e-9 <= last <= t_end + 3 * BARE_SMIB.step, t_end
+
+
+@ELIGIBLE
+def test_eligible_unstable_probes_end_after_clearing(monkeypatch, grid,
+                                                     location):
+    """On a lone two-machine linear island an unstable probe, too, ends
+    within a few steps after its clearing, if need be before its spread
+    reaches pi."""
+    unstable = [(t_end, last, spread) for t_end, last, stable, spread
+                in _probe_runs(monkeypatch, grid, BARE_SMIB,
+                               location=location) if not stable]
+    for t_end, last, _ in unstable:
+        assert t_end - 1e-9 <= last <= t_end + 3 * BARE_SMIB.step, t_end
+    assert any(spread < math.pi for *_, spread in unstable)
 
 
 @pytest.mark.parametrize("grid, step", [
@@ -136,7 +159,7 @@ def test_long_window_search_matches_reference(monkeypatch, grid, step):
     cfg = dataclasses.replace(BARE_SMIB, step=step)
     runs = _probe_runs(monkeypatch, grid, cfg, window=20.0, location=0.5)
     assert any(stable and last < t_end + 20.0 - step
-               for t_end, last, stable in runs)
+               for t_end, last, stable, _ in runs)
     spec = CctFaultSpec("G1", loading=0.9, location=0.5)
     assert (find_cct(grid, spec, 0.0, 0.4, 0.02, cfg, window=20.0)
             == reference_cct(grid, spec, 0.0, 0.4, 0.02, cfg, 20.0))
@@ -150,18 +173,91 @@ def test_certificate_bounds_the_speed_over_the_time_left():
     eng = tdsim._Engine(grid, tdsim.EventSchedule(()), (), BARE_SMIB,
                         dispatch={"G1": 810.0})
     certify = eng._swing_certificate()
-    assert certify(eng.x, 2.0)
-    assert not certify(eng.x, 1e9)
+    assert certify(eng.x, 2.0) is True
+    assert certify(eng.x, 1e9) is None
 
 
 @pytest.mark.parametrize("grid, certified", [
     (two_machine_grid(h_ratio=2.0, d_per_h=0.5), True),
-    (two_machine_grid(h_ratio=2.0, d_per_h=-0.5), False),
-    (two_machine_grid(h_ratio=-2.0), False),
+    (two_machine_grid(h_ratio=2.0, d_per_h=-0.5), None),
+    (two_machine_grid(h_ratio=-2.0), None),
 ], ids=["positive-damping", "negative-damping", "negative-inertia"])
 def test_certificate_needs_a_swing_that_cannot_gain_energy(grid, certified):
     """Negative damping feeds the swing and a negative inertia voids the
-    speed bounds, so neither steady state is certified."""
+    speed bounds, so neither steady state gets a verdict."""
     eng = tdsim._Engine(grid, tdsim.EventSchedule(()), (), BARE_SMIB,
                         dispatch={"G1": 810.0})
-    assert eng._swing_certificate()(eng.x, 2.0) == certified
+    assert eng._swing_certificate()(eng.x, 2.0) is certified
+
+
+def _g1_speed_state(eng, dw, coi=0.0, angle=None):
+    """The engine's equilibrium with G1 at speed deviation `dw` relative
+    to the second machine, whose own is `coi`, and with `angle` the
+    rotor angle of G1 relative to it."""
+    x = eng.x.copy()
+    x[:, 1] = (dw + coi, coi)
+    if angle is not None:
+        x[0, 0] = x[1, 0] + angle
+    return x
+
+
+def _least_unstable_speed(certify, eng, t_left, angle=None):
+    """Bisect G1's least speed deviation certified unstable."""
+    lo, hi = 0.0, 0.1
+    assert certify(_g1_speed_state(eng, lo, angle=angle), t_left) is not False
+    assert certify(_g1_speed_state(eng, hi, angle=angle), t_left) is False
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if certify(_g1_speed_state(eng, mid, angle=angle), t_left) is False:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("t_left", [2.0, 1e3])
+@pytest.mark.parametrize("grid, angle", [
+    (smib_grid(), None),
+    (smib_grid(), -0.113),
+    (two_machine_grid(h_ratio=2.0, r_pu=0.05, d_per_h=0.5), None),
+], ids=["smib", "smib-behind", "lossy-finite-damped"])
+def test_least_unstable_state_reaches_pi_in_time(grid, angle, t_left):
+    """The slowest swing certified unstable, run in full (10 s), reaches
+    pi within the time it was certified for: the certificate charges the
+    swing the potential of the whole path, its peak at the saddle too
+    (from -0.113 rad the saddle lies halfway along a piece of the path),
+    and what damping takes."""
+    eng = tdsim._Engine(grid, tdsim.EventSchedule(()), (), BARE_SMIB,
+                        dispatch={"G1": 810.0})
+    certify = eng._swing_certificate()
+    eng.x = _g1_speed_state(
+        eng, _least_unstable_speed(certify, eng, t_left, angle), angle=angle)
+    ts = eng.run()
+    spread = np.abs(ts["G1.delta_rad"] - ts[f"{eng.mach_ids[1]}.delta_rad"])
+    assert spread[ts.t <= t_left].max() >= math.pi
+
+
+def test_fast_swing_at_a_coarse_step_gets_no_verdict():
+    """At 50 ms a swing of 30 rad/s can pass pi and more between two
+    recording steps, so it is not certified unstable; at 5 ms it is."""
+    for step, verdict in ((0.05, None), (0.005, False)):
+        cfg = dataclasses.replace(BARE_SMIB, step=step)
+        eng = tdsim._Engine(smib_grid(), tdsim.EventSchedule(()), (), cfg,
+                            dispatch={"G1": 810.0})
+        x = _g1_speed_state(eng, 30.0 / (2 * math.pi * 60.0))
+        assert eng._swing_certificate()(x, 2.0) is verdict
+
+
+def test_near_critical_state_needs_time_and_speed_margins():
+    """Just past the critical energy the swing creeps over the saddle, so
+    a state is certified unstable only when its time bound fits in the
+    time left, and only when the speed bounds keep every |dw| clear of
+    the sanity bound up to the crossing."""
+    eng = tdsim._Engine(smib_grid(), tdsim.EventSchedule(()), (), BARE_SMIB,
+                        dispatch={"G1": 810.0})
+    certify = eng._swing_certificate()
+    hi = _least_unstable_speed(certify, eng, 1e3)
+    assert certify(_g1_speed_state(eng, hi), 2.0) is None
+    assert certify(_g1_speed_state(eng, 1.2 * hi), 2.0) is False
+    # the stiff source's speed is the centre of inertia's
+    assert certify(_g1_speed_state(eng, 1.2 * hi, coi=0.99), 2.0) is None

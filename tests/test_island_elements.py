@@ -74,6 +74,19 @@ def test_dc_balance_follows_the_power_flow_slack():
         solve_dc_balance(no_gen)
 
 
+def test_slack_grid_inverter_serves_the_island_converter_draws():
+    """The power flow has the slack GI supply B1's 500 kW load and a
+    100 kW drive; the DC balance draws both through GI."""
+    grid = GRIDS["grid_inverter"]
+    drive = ConverterSpec("D1", "B1", "inverter", 200.0, 150.0, p_set_kw=100.0)
+    no_gen = dataclasses.replace(grid, generators=(),
+                                 converters=grid.converters + (drive,))
+    sol = solve_ac_powerflow(no_gen)
+    assert sol.injections_kw["GI"][0] == pytest.approx(600.0, rel=1e-6)
+    with pytest.raises(CapacityError, match=f"load {600 / 0.97:.1f} kW"):
+        solve_dc_balance(no_gen)
+
+
 @st.composite
 def switched_grids(draw):
     grid = GRIDS[draw(st.sampled_from(sorted(GRIDS)))]

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -282,6 +283,31 @@ def test_cct_bracket_must_straddle():
                  0.0, 0.01, 0.005, BARE_SMIB, window=1.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["step", "end"])
+def test_sim_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=f"need a finite {name}"):
+        dataclasses.replace(BARE_SMIB, **{name: value})
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_cct_fault_spec_rejects_non_finite_loading(value):
+    with pytest.raises(ValueError, match="need a finite loading"):
+        CctFaultSpec("G1", loading=value)
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["t_lo", "t_hi", "tol", "window"])
+def test_find_cct_rejects_non_finite(name, value):
+    """Unchecked, a NaN tolerance would end the search at once with
+    cct = 0, and an infinite window would overflow."""
+    args = dict(t_lo=0.0, t_hi=0.4, tol=5e-3, window=1.0)
+    args[name] = value
+    with pytest.raises(ValueError, match=f"need a finite {name}"):
+        find_cct(smib_grid(), CctFaultSpec("G1", loading=0.9, location=0.0),
+                 cfg=BARE_SMIB, **args)
+
+
 @pytest.mark.xfail(strict=True, raises=NetworkSolveError,
                    reason="known defect: behind a bolted fault the LV bus "
                           "sits below V_FLOOR and the load-as-injection "
@@ -322,16 +348,19 @@ def test_governor_switch(governor):
 
 
 def test_stopped_probe_is_prefix_of_full_run():
+    """A probe stopped at its unstable verdict is a prefix of the full
+    run, whose spread reaches pi after the stop."""
     grid = smib_grid()
     full = _probe(grid, 0.3)
     stopped = _probe(grid, 0.3, _stop_spread_after=0.55)
     n = len(stopped.t)
     assert n < len(full.t)
+    assert stopped.stable is False and full.stable is None
     np.testing.assert_array_equal(stopped.t, full.t[:n])
     for name, values in stopped.channels.items():
         np.testing.assert_array_equal(values, full[name][:n], err_msg=name)
-    spread = stopped["G1.delta_rad"] - stopped["IB.delta_rad"]
-    assert abs(spread[-1]) >= np.pi > abs(spread[-2])
+    spread = np.abs(full["G1.delta_rad"] - full["IB.delta_rad"])
+    assert spread[:n].max() < np.pi <= spread.max()
 
 
 @pytest.mark.parametrize("target, location", [("B_M", None), ("LINE", 0.5)])
