@@ -58,6 +58,7 @@ AVR_T = 0.5         # s, voltage-regulator time constant
 FAULT_START = 0.25  # s, fault application time of a CCT probe
 SWING_SLIP = 1.0    # rad past pi that an unstable verdict's path runs
 SWING_PIECES = 32   # pieces of its time-to-pi bound
+MACHINE_CHANNELS = ("p_kw", "q_kvar", "pm_kw", "delta_rad", "freq_hz")
 
 
 class SimulationError(GridError):
@@ -101,6 +102,9 @@ class Event:
         if self.ramp < 0:
             raise ValueError(f"{self.action} {self.target}: ramp_s must be "
                              f">= 0, got {self.ramp}")
+        if self.location is not None and self.action != "fault_apply":
+            raise ValueError(f"{self.action}: location applies only to "
+                             "fault_apply")
         _check_location(self.location)
 
 
@@ -130,9 +134,11 @@ class EventSchedule:
                 grid.load(ev.target)
             elif ev.action in ("breaker_open", "breaker_close"):
                 grid.breaker(ev.target)
-            elif ev.action == "fault_apply":
-                if ev.target not in branch_ids:
-                    grid.bus(ev.target)
+            elif ev.action == "fault_apply" and ev.target not in branch_ids:
+                grid.bus(ev.target)
+                if ev.location is not None:
+                    raise ValueError(f"fault_apply {ev.target}: location "
+                                     "applies only to a cable")
         return self
 
 
@@ -262,7 +268,6 @@ class _Machines:
 
     ids: list[str]
     row: dict[str, int]
-    col: np.ndarray          # position among the run's machine channels
     jxdp: np.ndarray         # j x'd, pu on system base
     two_h: np.ndarray        # 2H, s (system base)
     damping: np.ndarray      # pu (system base)
@@ -295,9 +300,9 @@ class _Island:
     z: np.ndarray = None     # inverse of Y with shunts and fault, splice node last
     src: np.ndarray = None   # z times the machine source admittances
     inc: np.ndarray = None   # node incidence of the demands, then the inverters
-    bus_rows: np.ndarray = None   # channel rows of the island's buses
+    bus_rows: np.ndarray = None   # recording rows of the island's buses
     bus_node: np.ndarray = None
-    cons_rows: np.ndarray = None  # channel rows of its demands
+    cons_rows: np.ndarray = None  # recording rows of its demands
 
     @property
     def linear(self) -> bool:
@@ -312,9 +317,9 @@ class _Snapshot(NamedTuple):
     k: int
     t: float
     x: np.ndarray
-    fault: tuple | None
+    fault: Event | None
     islands: list            # (z, src, inc, warm-start v) of each island
-    rows: tuple              # column k of every recording array
+    col: np.ndarray          # column k of the recording table
 
 
 class _Engine:
@@ -330,7 +335,7 @@ class _Engine:
         self.base_scale = dict(load_scale or {})
         self.breaker_states = {b.id: b.closed for b in grid.breakers}
         self.ramps: dict[str, tuple[float, float, float, float]] = {}
-        self.fault: tuple | None = None
+        self.fault: Event | None = None     # the fault_apply in force
         self.events = schedule.events
         self.controllers: dict[str, ControllerState] = {}   # by inverter
         for c in controllers:
@@ -341,11 +346,17 @@ class _Engine:
                 raise ValueError(f"two controllers on inverter {c.inverter!r}")
             self.controllers[c.inverter] = ControllerState(c)
         self._build(grid, initial=True)
-        # recorded channels are fixed by the initial topology
+        # the recorded channels and their rows, fixed by the initial topology
         self.mach_ids = list(self.m.ids)
         self.inv_ids = sorted(self.controllers)
-        self.bus_ids = sorted({b for isl in self.islands for b in isl.net.node_of})
-        self.cons_ids = sorted({c for isl in self.islands for c in isl.cons_ids})
+        names = [f"{i}.{q}" for i in self.mach_ids for q in MACHINE_CHANNELS]
+        names += [f"{i}.{q}" for i in self.inv_ids for q in ("p_kw", "q_kvar")]
+        names += [f"{b}.v_pu" for b in sorted(
+            {b for isl in self.islands for b in isl.net.node_of})]
+        names += [f"{c}.p_kw" for c in sorted(
+            {c for isl in self.islands for c in isl.cons_ids})]
+        names.append("sys.p_loss_kw")
+        self.channels = {name: j for j, name in enumerate(names)}
         self._index_channels()
 
     # -- model (re)construction ------------------------------------------
@@ -431,7 +442,7 @@ class _Engine:
 
         pm_ref, e_ref, v_ref = np.array(refs, dtype=float).reshape(-1, 3).T.copy()
         self.m = _Machines(
-            ids=ids, row={mid: r for r, mid in enumerate(ids)}, col=None,
+            ids=ids, row={mid: r for r, mid in enumerate(ids)},
             jxdp=1j * np.array(xdp), two_h=np.array(two_h),
             damping=np.array(damping), omega_s=np.array(omega),
             pm_ref=pm_ref, e_ref=e_ref, v_ref=v_ref)
@@ -452,11 +463,10 @@ class _Engine:
         adds its splice node last."""
         net = isl.net
         n = len(net.nodes)
-        fault_node = splice = None
-        if self.fault is not None and self.fault[0] == "bus":
-            fault_node = net.node_of.get(self.fault[1])
-        elif self.fault is not None:
-            _, br, frac = self.fault
+        fault, fault_node, splice = self.fault, None, False
+        br = fault and self.branches.get(fault.target)
+        if br is not None:
+            frac = fault.location or 0.0
             if br.from_bus in net.node_of and br.to_bus in net.node_of:
                 i, k = net.node_of[br.from_bus], net.node_of[br.to_bus]
                 if frac <= 1e-6:
@@ -464,11 +474,12 @@ class _Engine:
                 elif frac >= 1 - 1e-6:
                     fault_node = k
                 else:
-                    splice = (i, k, br, frac)
-        y = np.zeros((n + (splice is not None),) * 2, dtype=complex)
+                    splice = True
+        elif fault is not None:
+            fault_node = net.node_of.get(fault.target)
+        y = np.zeros((n + splice,) * 2, dtype=complex)
         y[:n, :n] = net.ybus
-        if splice is not None:
-            i, k, br, frac = splice
+        if splice:
             # the admittance build_ac_networks added for this branch
             z = branch_z_pu(br, net.vbase[i])
             yfull = 1.0 / z
@@ -510,18 +521,17 @@ class _Engine:
             isl.v = np.concatenate((isl.v[:n], np.ones(size - n)))
 
     def _index_channels(self) -> None:
-        """Channel rows of the current machines, buses and demands; ones
-        that were not energised when the run started go to a spare row."""
-        bus_row = {b: j for j, b in enumerate(self.bus_ids)}
-        cons_row = {c: j for j, c in enumerate(self.cons_ids)}
+        """Recording rows of the current machines, buses and demands; ones
+        not energised when the run started go to the spare, last, row."""
+        row, spare = self.channels, len(self.channels)
         for isl in self.islands:
-            isl.bus_rows = np.array([bus_row.get(b, len(self.bus_ids))
+            isl.bus_rows = np.array([row.get(f"{b}.v_pu", spare)
                                      for b in isl.net.node_of], dtype=int)
             isl.bus_node = np.array(list(isl.net.node_of.values()), dtype=int)
-            isl.cons_rows = np.array([cons_row.get(c, len(self.cons_ids))
+            isl.cons_rows = np.array([row.get(f"{c}.p_kw", spare)
                                       for c in isl.cons_ids], dtype=int)
-        col = {mid: j for j, mid in enumerate(self.mach_ids)}
-        self.m.col = np.array([col[mid] for mid in self.m.ids], dtype=int)
+        self.mach_rows = np.array([[row[f"{i}.{q}"] for i in self.m.ids]
+                                   for q in MACHINE_CHANNELS], dtype=int)
 
     # -- network solve -----------------------------------------------------
 
@@ -639,13 +649,7 @@ class _Engine:
                 for ctl in self.controllers.values():
                     ctl.generator_lost(gen_id, t)
         else:
-            if ev.action == "fault_clear":
-                self.fault = None
-            elif ev.target in self.branches:
-                self.fault = ("branch", self.branches[ev.target],
-                              ev.location or 0.0)
-            else:
-                self.fault = ("bus", ev.target)
+            self.fault = ev if ev.action == "fault_apply" else None
             self._factor()
 
     # -- controllers ---------------------------------------------------------
@@ -816,16 +820,16 @@ class _Engine:
 
     # -- main loop -------------------------------------------------------------
 
-    def run(self, stop_spread_after: float | None = None,
-            keep: list | None = None, start: _Snapshot | None = None,
-            ) -> TimeSeries:
+    def run(self, trunk: list | None = None,
+            start: _Snapshot | None = None) -> TimeSeries:
         """Integrate to `cfg.end`, recording every step.
 
-        With `stop_spread_after`, stop at the first recording step at or
-        after that time where the rotor-angle spread reaches pi, or where,
-        with no event pending, `_swing_certificate` proves whether it will
-        before the end; the series then ends there, and its `stable` is
-        the verdict that stopped it, True if none did.  `keep` holds
+        With a `trunk` the run is a CCT probe whose last event is its
+        clearing: it stops at the first recording step at or after that
+        event where the rotor-angle spread reaches pi, or where, with no
+        event pending, `_swing_certificate` proves whether it will before
+        the end; the series then ends there, and its `stable` is the
+        verdict that stopped it, True if none did.  `trunk` holds
         snapshots of consecutive steps; the run appends each later step it
         records while only its last event pends.  From a `start` snapshot
         the series begins at its step with that event pending: exact if
@@ -834,13 +838,11 @@ class _Engine:
         cfg = self.cfg
         n_steps = int(round(cfg.end / cfg.step))
         t_rec = np.arange(n_steps + 1) * cfg.step
-        # machine quantities, inverter setpoints, then one spare row each
-        # for buses and demands energised only after the start
-        mach = np.zeros((5, len(self.mach_ids), n_steps + 1))
-        inv = np.zeros((2, len(self.inv_ids), n_steps + 1))
-        bus = np.zeros((len(self.bus_ids) + 1, n_steps + 1))
-        cons = np.zeros((len(self.cons_ids) + 1, n_steps + 1))
-        loss = np.zeros(n_steps + 1)
+        rec = np.zeros((len(self.channels) + 1, n_steps + 1))
+        row = self.channels
+        inv_rows = [row[f"{c}.{q}"] for c in self.inv_ids
+                    for q in ("p_kw", "q_kvar")]
+        delta_rows = [row[f"{i}.delta_rad"] for i in self.mach_ids]
 
         def observe(k: int, t: float):
             """Controllers, then the recording solve of step k.  Without
@@ -851,24 +853,23 @@ class _Engine:
                 out = self._solve(self.x, t)
             pe, qe, _ = out
             x, m = self.x, self.m
-            mach[:, m.col, k] = (pe * S_BASE_KVA, qe * S_BASE_KVA,
-                                 x[:, 3] * S_BASE_KVA, x[:, 0],
-                                 m.omega_s / (2 * math.pi) * (1 + x[:, 1]))
-            for j, cid in enumerate(self.inv_ids):
-                inv[:, j, k] = self.controllers[cid].setpoint
+            rec[self.mach_rows, k] = (pe * S_BASE_KVA, qe * S_BASE_KVA,
+                                      x[:, 3] * S_BASE_KVA, x[:, 0],
+                                      m.omega_s / (2 * math.pi) * (1 + x[:, 1]))
+            rec[inv_rows, k] = [v for c in self.inv_ids
+                                for v in self.controllers[c].setpoint]
             p_loss = 0.0
             for isl in self.islands:
                 vm = np.abs(isl.v[:len(isl.net.nodes)])
-                bus[isl.bus_rows, k] = vm[isl.bus_node]
+                rec[isl.bus_rows, k] = vm[isl.bus_node]
                 factor = np.minimum(1.0, (vm[isl.cons_node] / V_FLOOR) ** 2)
                 p = isl.cons_s.real * isl.lf * factor
-                cons[isl.cons_rows, k] = p * S_BASE_KVA
+                rec[isl.cons_rows, k] = p * S_BASE_KVA
                 p_inv = sum(self.controllers[c].setpoint[0] / S_BASE_KVA
                             for c in isl.inv_ids)
                 p_loss += (pe[isl.mach].sum() + p_inv - p.sum()) * S_BASE_KVA
-            loss[k] = p_loss
+            rec[row["sys.p_loss_kw"], k] = p_loss
 
-        recs = (mach, inv, bus, cons, loss)
         pending = deque(self.events[-1:] if start else self.events)
         if start is None:
             k0, t = 0, 0.0
@@ -877,11 +878,10 @@ class _Engine:
             k0, t, self.x, self.fault = start.k, start.t, start.x, start.fault
             for isl, (z, src, inc, v) in zip(self.islands, start.islands):
                 isl.z, isl.src, isl.inc, isl.v = z, src, inc, v.copy()
-            for a, col in zip(recs, start.rows):
-                a[..., k0] = col
+            rec[:, k0] = start.col
         last = n_steps
         certify = None      # built once no event pends
-        stable = None if stop_spread_after is None else True
+        stable = None if trunk is None else True
         for k in range(k0, n_steps + 1):
             if k > k0:
                 t_target = float(t_rec[k])
@@ -897,15 +897,15 @@ class _Engine:
                 while pending and pending[0].time <= t + 1e-12:
                     self._apply_event(pending.popleft(), t)
                 observe(k, t)
-            if (keep is not None and len(pending) == 1
-                    and (not keep or k == keep[-1].k + 1)):
-                keep.append(_Snapshot(
+            if trunk is None:
+                continue
+            if len(pending) == 1 and (not trunk or k == trunk[-1].k + 1):
+                trunk.append(_Snapshot(
                     self, k, t, self.x, self.fault,
                     [(i.z, i.src, i.inc, i.v.copy()) for i in self.islands],
-                    tuple(a[..., k].copy() for a in recs)))
-            if (stop_spread_after is not None and len(self.mach_ids) > 1
-                    and t_rec[k] >= stop_spread_after - 1e-9):
-                delta = mach[3, :, k]
+                    rec[:, k].copy()))
+            if len(self.mach_ids) > 1 and t_rec[k] >= self.events[-1].time - 1e-9:
+                delta = rec[delta_rows, k]
                 if delta.max() - delta.min() >= math.pi:
                     stable, last = False, k
                     break
@@ -917,20 +917,8 @@ class _Engine:
                         break
 
         n = slice(k0, last + 1)
-        channels: dict[str, np.ndarray] = {}
-        for j, mid in enumerate(self.mach_ids):
-            for q, name in enumerate(("p_kw", "q_kvar", "pm_kw", "delta_rad",
-                                      "freq_hz")):
-                channels[f"{mid}.{name}"] = mach[q, j, n]
-        for j, cid in enumerate(self.inv_ids):
-            channels[f"{cid}.p_kw"] = inv[0, j, n]
-            channels[f"{cid}.q_kvar"] = inv[1, j, n]
-        for j, b in enumerate(self.bus_ids):
-            channels[f"{b}.v_pu"] = bus[j, n]
-        for j, lid in enumerate(self.cons_ids):
-            channels[f"{lid}.p_kw"] = cons[j, n]
-        channels["sys.p_loss_kw"] = loss[n]
-        return TimeSeries(t=t_rec[n], channels=channels, stable=stable)
+        return TimeSeries(t=t_rec[n], stable=stable, channels={
+            name: rec[j, n] for name, j in row.items()})
 
 
 def simulate(grid: GridModel, schedule: EventSchedule,
@@ -938,21 +926,23 @@ def simulate(grid: GridModel, schedule: EventSchedule,
              dispatch: dict[str, float] | None = None,
              load_scale: dict[str, float] | None = None,
              slack: str | None = None,
-             *, _stop_spread_after: float | None = None,  # for find_cct
-             _keep: list | None = None, _start: _Snapshot | None = None,
+             *, _trunk: list | None = None,   # for find_cct
              ) -> TimeSeries:
     """Integrate the grid's AC islands through the scripted events.
 
     Returns a TimeSeries on the uniform recording grid with one channel per
     machine quantity (``<gen>.p_kw``, ``.q_kvar``, ``.pm_kw``,
     ``.delta_rad``, ``.freq_hz``), per controller inverter, per bus voltage,
-    per load, and the system losses.  With `_start`, the snapshot's engine
-    runs on (see `_Engine.run`) and stands in for grid and options.
+    per load, and the system losses.  With `_trunk` the run is a CCT probe
+    (see `_Engine.run`) that branches from the trunk's last step before
+    its clearing, whose engine stands in for grid and options.
     """
-    engine = _start.engine if _start else _Engine(
+    start = None if _trunk is None else _branch_point(
+        _trunk, schedule.events[-1].time)
+    engine = start.engine if start else _Engine(
         grid, schedule, controllers, cfg, dispatch, load_scale, slack)
     engine.cfg, engine.events = cfg, schedule.events
-    return engine.run(_stop_spread_after, _keep, _start)
+    return engine.run(_trunk, start)
 
 
 # ---------------------------------------------------------------------------
@@ -964,7 +954,7 @@ class CctFaultSpec:
     machine: str
     loading: float = 0.9          # fraction of rated kW
     location: float = 0.01        # fraction along the cable from the machine
-    branch: str | None = None     # required if the machine bus has >1 cable
+    branch: str | None = None     # a cable at the machine bus; required if >1
 
     def __post_init__(self):
         _check_location(self.location)
@@ -1011,22 +1001,21 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
     gen = grid.generator(fault.machine)
     dispatch = {fault.machine: fault.loading * gen.rated_kw}
 
+    cables = [b for b in grid.branches if gen.bus in (b.from_bus, b.to_bus)]
+    if fault.branch is not None:
+        if not any(b.id == fault.branch for b in grid.branches):
+            raise GridLookupError(f"unknown branch {fault.branch!r}")
+        cables = [b for b in cables if b.id == fault.branch]
+    if len(cables) != 1 and (fault.branch is not None or fault.location > 1e-9):
+        named = "" if fault.branch is None else f" named {fault.branch!r}"
+        raise ValueError(f"{fault.machine}: need one cable at {gen.bus}"
+                         f"{named} to fault, found {len(cables)}")
     if fault.location <= 1e-9:
         target, location = gen.bus, None
     else:
-        branch_id = fault.branch
-        if branch_id is None:
-            cands = [b for b in grid.branches if gen.bus in (b.from_bus, b.to_bus)]
-            if len(cands) != 1:
-                raise SimulationError(
-                    f"{fault.machine}: specify the faulted branch "
-                    f"({len(cands)} candidates)")
-            branch_id = cands[0].id
-        br = next((b for b in grid.branches if b.id == branch_id), None)
-        if br is None:
-            raise GridLookupError(f"unknown branch {branch_id!r}")
+        br = cables[0]
         frac = fault.location if br.from_bus == gen.bus else 1.0 - fault.location
-        target, location = branch_id, frac
+        target, location = br.id, frac
 
     trunk: list[_Snapshot] = []   # the probes' shared fault-on steps
 
@@ -1040,8 +1029,7 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
         ))
         probe_cfg = replace(cfg, end=t_end + window)
         return simulate(grid, events, (), probe_cfg, dispatch=dispatch,
-                        _stop_spread_after=t_end, _keep=trunk,
-                        _start=_branch_point(trunk, t_end)).stable
+                        _trunk=trunk).stable
 
     lo_ok, hi_ok = stable(t_lo), stable(t_hi)
     transcript = [(t_lo, lo_ok), (t_hi, hi_ok)]

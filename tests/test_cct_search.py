@@ -71,11 +71,11 @@ def _probe_runs(monkeypatch, grid, cfg, window=1.0, location=0.0):
     runs = []
     run = tdsim._Engine.run
 
-    def recorded(self, stop_spread_after=None, keep=None, start=None):
-        ts = run(self, stop_spread_after, keep, start)
+    def recorded(self, trunk=None, start=None):
+        ts = run(self, trunk, start)
         deltas = [v[-1] for name, v in ts.channels.items()
                   if name.endswith(".delta_rad")]
-        runs.append((stop_spread_after, float(ts.t[-1]), ts.stable,
+        runs.append((self.events[-1].time, float(ts.t[-1]), ts.stable,
                      max(deltas) - min(deltas)))
         return ts
 

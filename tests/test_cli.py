@@ -129,15 +129,19 @@ def test_i2t_subcommand(tmp_path, capsys):
     assert float(line.split("=")[1]) == pytest.approx(1.94017e-4, rel=0.005)
 
 
-def test_protect_strict_exit_code(tmp_path):
+@pytest.mark.parametrize("fault", [None, "fault_bus = AC_PS"])
+def test_protect_strict_exit_code(tmp_path, fault):
+    study = PROTECT_STUDY
+    if fault is not None:
+        study = study.replace("fault_element = DG#01", fault)
     ok = tmp_path / "ok.study"
-    ok.write_text(PROTECT_STUDY.format(zsi="true"))
+    ok.write_text(study.format(zsi="true"))
     assert main(["protect", "--grid", "builtin:ac_vessel", "--study", str(ok),
                  "--out", str(tmp_path / "a"), "--strict"]) == 0
     # without lock signals every detecting breaker opens together: the study
     # is not selective, which --strict reports as exit 4
     bad = tmp_path / "bad.study"
-    bad.write_text(PROTECT_STUDY.format(zsi="false"))
+    bad.write_text(study.format(zsi="false"))
     assert main(["protect", "--grid", "builtin:ac_vessel", "--study", str(bad),
                  "--out", str(tmp_path / "b"), "--strict"]) == 4
     assert main(["protect", "--grid", "builtin:ac_vessel", "--study", str(bad),
@@ -481,6 +485,9 @@ DG01_SPAN = ("damping_pu = 2.00\nfrequency_hz = 60.00\ninertia_h_s = 1.20\n"
 NO_DG01_DYNAMICS = (DG01_SPAN, "frequency_hz = 60.00\npf = 0.80\n"
                     "rated_kva = 2395.00\nrated_kw = 1916.00\nrpm = 720.00\n"
                     "voltage_v = 690.00\nwinding_resistance_mohm = 1.02\n")
+SECOND_PS_CABLE = ("[branch FDR_LV_SB]", "[branch FDR_LV_PS2]\nfrom = AC_PS\n"
+                   "reactance_ohm = 0.03\nresistance_ohm = 0.005\nto = LV_PS\n\n"
+                   "[branch FDR_LV_SB]")
 CONTROLLER = ("[controller ps]\nmode = peak_shave\ninverter = INV_PS\n"
               "watched = DG#01\np_rating_kw = 1500\nq_rating_kvar = 1500\n")
 DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
@@ -567,6 +574,24 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
      "inertia: inertia_h_s 0.0 must be > 0"),
     # such an id parsed, but no key could name it
     ("powerflow", ("[bus AC_PS]", "[bus Inf]"), "", "non-finite number 'Inf' as id"),
+    # a cable away from the machine's bus used to be faulted, its location
+    # measured from its own from-bus
+    ("cct", None, SHORT_CCT + "location = 0.5\nbranch = FDR_LV_SB\n",
+     "DG#01: need one cable at AC_PS named 'FDR_LV_SB' to fault, found 0"),
+    # and a bus fault used to ignore its branch, known or not
+    ("cct", None, SHORT_CCT + "location = 0\nbranch = NOPE\n",
+     "unknown branch 'NOPE'"),
+    ("cct", None, SHORT_CCT + "location = 0\nbranch = FDR_LV_SB\n",
+     "DG#01: need one cable at AC_PS named 'FDR_LV_SB' to fault, found 0"),
+    # two cables at the machine's bus and none named used to be exit 3
+    ("cct", SECOND_PS_CABLE, SHORT_CCT + "location = 0.5\n",
+     "DG#01: need one cable at AC_PS to fault, found 2"),
+    # a location on a bus fault, or on any other event, used to be ignored
+    ("tdsim", None, TDSIM_HEAD + "[event f]\ntime_s = 0.05\naction = fault_apply\n"
+     "target = AC_PS\nlocation = 0.5\n",
+     "fault_apply AC_PS: location applies only to a cable"),
+    ("tdsim", None, TDSIM_HEAD + "[event c]\ntime_s = 0.05\naction = fault_clear\n"
+     "location = 0.5\n", "fault_clear: location applies only to fault_apply"),
 ])
 def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
                                         study_text, message):

@@ -7,7 +7,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from vesselstudy import SimConfig, tdsim  # noqa: E402
-from vesselstudy.tdsim import EventSchedule  # noqa: E402
+from vesselstudy.tdsim import Event, EventSchedule  # noqa: E402
 
 from helpers import reference_solve, smib_grid  # noqa: E402
 
@@ -20,8 +20,10 @@ def bits(a: np.ndarray) -> np.ndarray:
 
 
 faults = (st.just(None)
-          | st.tuples(st.just("bus"), st.sampled_from(["B_M", "B_INF"]))
-          | st.tuples(st.just("branch"), st.floats(0.0, 1.0)))
+          | st.builds(Event, st.just(0.25), st.just("fault_apply"),
+                      st.sampled_from(["B_M", "B_INF"]))
+          | st.builds(Event, st.just(0.25), st.just("fault_apply"),
+                      st.just("LINE"), location=st.floats(0.0, 1.0)))
 
 
 @settings(deadline=None, max_examples=200)
@@ -39,8 +41,6 @@ def test_smib_closed_form_matches_fixed_point(loading, fault, delta, speed,
     warm start and fault, a line fault at a splice node included."""
     eng = tdsim._Engine(smib_grid(), EventSchedule(()), (), BARE_SMIB,
                         dispatch={"G1": loading * 900.0})
-    if fault is not None and fault[0] == "branch":
-        fault = ("branch", eng.branches["LINE"], fault[1])
     eng.fault = fault
     eng._factor()
     (isl,) = eng.islands

@@ -104,12 +104,22 @@ class TestDcBalance:
         served = sol.loads_kw["GINV_SB:ac"]
         assert sol.transfers_kw["CH#02"] == pytest.approx(served / 0.97 ** 2 / 2)
 
-    def test_hand_arithmetic_split(self):
-        # two equal chargers, 600 kW of load, 0.97 per stage: 600/0.97/2 each
-        grid = _dc_pair_grid(load_kw=600.0)
+    @pytest.mark.parametrize("drive, each", [
+        (None, 309.27835051546393),
+        ("inverter", (500.0 + 100.0 / 0.97) / 0.97 / 2),
+        ("dcdc", (500.0 + 100.0 / 0.97) / 0.97 / 2)])
+    def test_hand_arithmetic_split(self, drive, each):
+        # two equal chargers, 600 kW of load, 0.97 per stage: 600/0.97/2
+        # each; a 100 kW drive on the DC bus in place of 100 kW of the load
+        # draws 100/0.97 through its own stage
+        grid = _dc_pair_grid(load_kw=600.0 if drive is None else 500.0,
+                             drive=drive)
         sol = solve_dc_balance(grid, efficiency=0.97)
-        assert sol.transfers_kw["CH_A"] == pytest.approx(309.27835051546393)
-        assert sol.transfers_kw["CH_B"] == pytest.approx(309.27835051546393)
+        assert sol.transfers_kw["CH_A"] == pytest.approx(each)
+        assert sol.transfers_kw["CH_B"] == pytest.approx(each)
+        if drive is not None:
+            assert sol.transfers_kw["DRIVE"] == pytest.approx(100.0 / 0.97)
+            assert sol.loads_kw["DRIVE:load"] == 100.0
 
     def test_overload_raises_capacity_error(self):
         grid = _dc_pair_grid(load_kw=2000.0, single=True)
@@ -121,7 +131,8 @@ class TestDcBalance:
         assert sol.residual_kw == pytest.approx(0.0, abs=1e-9)
 
 
-def _dc_pair_grid(load_kw: float, single: bool = False) -> GridModel:
+def _dc_pair_grid(load_kw: float, single: bool = False,
+                  drive: str | None = None) -> GridModel:
     buses = (
         Bus("DCB", "dc", 650.0),
         Bus("GA", "ac", 400.0, 50.0),
@@ -136,6 +147,9 @@ def _dc_pair_grid(load_kw: float, single: bool = False) -> GridModel:
     if not single:
         convs.append(ConverterSpec("CH_B", "DCB", "charger", 850.0, 552.5,
                                    ac_bus="GB"))
+    if drive is not None:   # a 100 kW inverter or dcdc drive
+        convs.append(ConverterSpec("DRIVE", "DCB", drive, 150.0, 100.0,
+                                   p_set_kw=100.0))
     loads = (LoadSpec("DCLOAD", "DCB", load_kw, 1.0, 1.0, 0.0),)
     return GridModel("pair", buses=buses, generators=gens,
                      converters=tuple(convs), loads=loads)

@@ -136,6 +136,18 @@ class TestMachineTrace:
         # the machine-formula asymptote: E'q0 / Xd
         assert tr.i_kd == pytest.approx((690.0 / SQRT3) / 0.132757, rel=1e-9)
 
+    def test_tdc_estimated_when_absent(self):
+        from dataclasses import replace
+        d = self.gen.dynamics
+        gen = replace(self.gen, dynamics=replace(d, tdc=None))
+        tr = machine_sc_trace(gen, self.op)
+        assert tr.tdc_source == "estimated"
+        # T_dc = X''d / (2 pi f Ra), Ra = 1 mohm
+        tdc = 0.03 / (2 * math.pi * 60.0 * 1e-3)
+        i_st = (690.0 / SQRT3) / 0.03
+        assert tr.idc_half == pytest.approx(
+            SQRT2 * i_st * math.exp(-(1 / 120.0) / tdc), rel=1e-3)
+
     def test_monotone_decay_property(self):
         rng = np.random.RandomState(11)
         tgrid = default_time_grid()

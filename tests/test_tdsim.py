@@ -322,14 +322,18 @@ def test_bus_fault_after_load_step_converges(ac_vessel):
     simulate(grid, sched, (), SimConfig(step=0.005, end=1.0))
 
 
+def _probe_events(t_clear, target="B_M", location=None):
+    return EventSchedule((
+        Event(0.25, "fault_apply", target, location=location),
+        Event(0.25 + t_clear, "fault_clear")))
+
+
 def _probe(grid, t_clear, window=2.0, target="B_M", location=None, **kw):
     """One `find_cct` probe: bolted fault at `target` (the machine bus by
     default) from 0.25 s."""
-    sched = EventSchedule((
-        Event(0.25, "fault_apply", target, location=location),
-        Event(0.25 + t_clear, "fault_clear")))
     cfg = dataclasses.replace(BARE_SMIB, end=0.25 + t_clear + window)
-    return simulate(grid, sched, (), cfg, dispatch={"G1": 900.0}, **kw)
+    return simulate(grid, _probe_events(t_clear, target, location), (), cfg,
+                    dispatch={"G1": 900.0}, **kw)
 
 
 @pytest.mark.parametrize("governor", [True, False])
@@ -352,7 +356,7 @@ def test_stopped_probe_is_prefix_of_full_run():
     run, whose spread reaches pi after the stop."""
     grid = smib_grid()
     full = _probe(grid, 0.3)
-    stopped = _probe(grid, 0.3, _stop_spread_after=0.55)
+    stopped = _probe(grid, 0.3, _trunk=[])
     n = len(stopped.t)
     assert n < len(full.t)
     assert stopped.stable is False and full.stable is None
@@ -370,9 +374,10 @@ def test_branched_probe_matches_run_from_start(target, location):
     grid = smib_grid()
     fault = dict(target=target, location=location)
     trunk = []
-    _probe(grid, 0.05, _keep=trunk, **fault)
-    # a later probe extends the trunk up to its own clearing
-    _probe(grid, 0.4, _keep=trunk, _start=trunk[-1], **fault)
+    _probe(grid, 0.05, _trunk=trunk, **fault)
+    # a later probe branches from the trunk's last step and extends it up
+    # to its own clearing
+    _probe(grid, 0.4, _trunk=trunk, **fault)
     # the fault is on from step 50 (0.25 s); 0.65 s is step 130
     assert [s.k for s in trunk] == list(range(50, 130))
     # inside a step; on a step (0.35 s lands just below step 70 and 0.42 s
@@ -383,12 +388,28 @@ def test_branched_probe_matches_run_from_start(target, location):
         start = tdsim._branch_point(trunk, 0.25 + t_clear)
         assert start.k == k
         full = _probe(grid, t_clear, **fault)
-        branched = _probe(grid, t_clear, _start=start, **fault)
+        # the whole window on from the branch step, with no stop rule
+        eng = start.engine
+        eng.cfg = dataclasses.replace(BARE_SMIB, end=0.25 + t_clear + 2.0)
+        eng.events = _probe_events(t_clear, **fault).events
+        branched = eng.run(start=start)
         np.testing.assert_array_equal(branched.t, full.t[k:])
         assert branched.channels.keys() == full.channels.keys()
         for name, values in full.channels.items():
             np.testing.assert_array_equal(branched[name], values[k:],
                                           err_msg=f"{t_clear}: {name}")
+
+
+@pytest.mark.parametrize("location, bus", [(0.0, "B_M"), (1.0, "B_INF")])
+def test_cable_fault_at_an_end_faults_its_bus(location, bus):
+    """A fault at location 0 or 1 along a cable is bit for bit the bolted
+    fault of the bus at that end: no splice node."""
+    grid = smib_grid()
+    at_end = _probe(grid, 0.1, target="LINE", location=location)
+    at_bus = _probe(grid, 0.1, target=bus)
+    assert at_end.channels.keys() == at_bus.channels.keys()
+    for name, values in at_bus.channels.items():
+        np.testing.assert_array_equal(at_end[name], values, err_msg=name)
 
 
 def test_cct_early_stop_keeps_transcript():
