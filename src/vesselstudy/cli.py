@@ -7,7 +7,9 @@ Study kinds: powerflow, sc-ac, sc-dc, tdsim, cct, protect, i2t.  The CLI is
 a thin shell over the library: it loads the grid and study files, calls the
 corresponding engine and writes the artifacts.  Exit codes: 0 success,
 2 input error, 3 numerical failure, 4 negative study result under
-``--strict``.
+``--strict``.  A `NumericalError` is 3, any other `GridError` or an
+unreadable file 2; any other exception is a bug, shown with its traceback
+(exit 1).
 """
 
 from __future__ import annotations
@@ -20,16 +22,11 @@ import sys
 import numpy as np
 
 from . import fixtures, report
-from .grid import FuseSpec, GridError, GridLookupError, GridModel, validate
+from .grid import (FuseSpec, GridError, GridLookupError, GridModel, InputError,
+                   NumericalError, validate)
 from .gridfile import (GridParseError, boolean, check_declared, convert,
                        integer, parse_grid, read_sections)
-from .powerflow import (
-    ConvergenceError,
-    IslandError,
-    CapacityError,
-    solve_ac_powerflow,
-    solve_dc_balance,
-)
+from .powerflow import solve_ac_powerflow, solve_dc_balance
 from .protection import (
     FaultLocation,
     fuse_i2t_clearing,
@@ -39,13 +36,11 @@ from .protection import (
 from .sc_ac import fault_summary
 from .sc_dc import DcScTrace, dc_fault_summary
 from .tdsim import (
-    BracketError,
     CctFaultSpec,
     ControllerConfig,
     Event,
     EventSchedule,
     SimConfig,
-    SimulationError,
     find_cct,
     simulate,
 )
@@ -55,15 +50,10 @@ EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_STRICT = 4
 
-_NUMERIC_ERRORS = (ConvergenceError, IslandError, CapacityError,
-                   SimulationError, BracketError)
-# every engine's own errors are GridErrors: those not numerical are input errors
-_INPUT_ERRORS = (GridError, OSError, ValueError)
-
 
 def _on_off(text: str) -> bool:
     if text not in ("on", "off"):
-        raise ValueError("not on or off")
+        raise InputError("not on or off")
     return text == "on"
 
 
@@ -152,18 +142,22 @@ def _section_values(table: dict, keys: dict, where: str, line: int) -> dict:
     return values
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not a text file: {exc.reason}") from None
+
+
 def _load_grid(spec: str) -> GridModel:
     if spec.startswith("builtin:"):
         return fixtures.builtin_fixture(spec.split(":", 1)[1])
-    with open(spec) as fh:
-        return parse_grid(fh.read())
+    return parse_grid(_read_text(spec))
 
 
 def _load_study(path: str | None) -> _Study:
-    if path is None:
-        return _Study()
-    with open(path) as fh:
-        return _Study(fh.read())
+    return _Study() if path is None else _Study(_read_text(path))
 
 
 def _apply_breaker_states(grid: GridModel, study: _Study) -> GridModel:
@@ -204,13 +198,11 @@ def _steady_state(grid: GridModel, study: _Study) -> dict:
 def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
     pf = study.one("powerflow")
     steady = _steady_state(grid, study)
-    draws = None
-    has_dc = any(b.kind == "dc" for b in grid.buses)
-    if has_dc:
+    bal = draws = None
+    if any(b.kind == "dc" for b in grid.buses):
         bal = solve_dc_balance(grid)
         draws = {cid: (p, 0.0) for cid, p in bal.transfers_kw.items()
                  if grid.converter(cid).kind == "charger"}
-        _emit(args, "dcbalance.csv", *report.dc_balance_rows(bal))
     sol = solve_ac_powerflow(
         grid,
         tol=pf["tol"],
@@ -218,6 +210,8 @@ def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
         converter_draws=draws,
         **steady,
     )
+    if bal is not None:   # written once both solves have passed
+        _emit(args, "dcbalance.csv", *report.dc_balance_rows(bal))
     _emit(args, "buses.csv", *report.powerflow_rows(sol))
     print(f"powerflow converged in {sol.iterations} iterations, "
           f"max mismatch {report.fmt(sol.max_mismatch)} pu, "
@@ -228,7 +222,7 @@ def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
 def _fault_bus(args, study: _Study) -> str:
     bus = args.bus or study.one("study")["bus"]
     if not bus:
-        raise ValueError("a fault bus is required (--bus or [study] bus)")
+        raise InputError("a fault bus is required (--bus or [study] bus)")
     return bus
 
 
@@ -251,7 +245,7 @@ def _write_traces(out: str, traces: dict, fields: tuple[str, ...],
     for cid in sorted(traces):
         name = f"trace_{report.safe_name(cid)}.csv"
         if name in owner:
-            raise ValueError(f"contributors {owner[name]!r} and {cid!r} "
+            raise InputError(f"contributors {owner[name]!r} and {cid!r} "
                              f"would both be written to {name}")
         owner[name] = cid
     groups: list[tuple[object, list[str]]] = []   # (trace, its files)
@@ -334,7 +328,7 @@ def _run_tdsim(args, grid: GridModel, study: _Study) -> int:
 
 def _run_cct(args, grid: GridModel, study: _Study) -> int:
     if not study.many("cct"):
-        raise ValueError("cct study requires a [cct] section")
+        raise InputError("cct study requires a [cct] section")
     keys = study.one("cct")
     spec = CctFaultSpec(machine=keys["machine"], loading=keys["loading"],
                         location=keys["location"], branch=keys["branch"])
@@ -350,7 +344,7 @@ def _run_cct(args, grid: GridModel, study: _Study) -> int:
 
 def _run_protect(args, grid: GridModel, study: _Study) -> int:
     if not study.many("protect"):
-        raise ValueError("protect study requires a [protect] section")
+        raise InputError("protect study requires a [protect] section")
     keys = study.one("protect")
     if keys["fault_element"] is not None:
         fault = FaultLocation.at_element_terminal(keys["fault_element"])
@@ -359,7 +353,7 @@ def _run_protect(args, grid: GridModel, study: _Study) -> int:
         fault = FaultLocation.at_bus(keys["fault_bus"])
         fault_bus = fault.target
     else:
-        raise ValueError("[protect] needs fault_element or fault_bus")
+        raise InputError("[protect] needs fault_element or fault_bus")
     for breaker_id in keys["failed_breakers"]:
         grid.breaker(breaker_id)
     sol = solve_ac_powerflow(grid, **_steady_state(grid, study))
@@ -380,28 +374,29 @@ def _run_protect(args, grid: GridModel, study: _Study) -> int:
 
 
 def _read_trace_csv(path: str) -> DcScTrace:
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        if header[0] != "t_s" or len(header) < 2:
-            raise ValueError(f"{path}: expected a trace CSV with a t_s column")
-        t, i = [], []
-        for lineno, line in enumerate(fh, start=2):
-            parts = line.strip().split(",")
-            if len(parts) < 2:
-                raise ValueError(f"{path}: line {lineno}: expected a time and "
-                                 f"a current, got {line.strip()!r}")
+    header, *rows = _read_text(path).splitlines() or [""]
+    header = header.strip().split(",")
+    if header[0] != "t_s" or len(header) < 2:
+        raise InputError(f"{path}: expected a trace CSV with a t_s column")
+    t, i = [], []
+    for lineno, line in enumerate(rows, start=2):
+        parts = line.strip().split(",")
+        try:
             t.append(float(parts[0]))
             i.append(float(parts[1]))
+        except (IndexError, ValueError):
+            raise InputError(f"{path}: line {lineno}: expected a time and "
+                             f"a current, got {line.strip()!r}") from None
     if not t:
-        raise ValueError(f"{path}: no rows after the header")
+        raise InputError(f"{path}: no rows after the header")
     t_arr, i_arr = np.asarray(t), np.asarray(i)
     bad = np.flatnonzero(~(np.isfinite(t_arr) & np.isfinite(i_arr)))
     if len(bad):
-        raise ValueError(f"{path}: line {bad[0] + 2}: non-finite time or "
+        raise InputError(f"{path}: line {bad[0] + 2}: non-finite time or "
                          f"current ({t[bad[0]]!r}, {i[bad[0]]!r})")
     back = np.flatnonzero(np.diff(t_arr) < 0)
     if len(back):
-        raise ValueError(f"{path}: line {back[0] + 3}: time {t[back[0] + 1]!r} "
+        raise InputError(f"{path}: line {back[0] + 3}: time {t[back[0] + 1]!r} "
                          f"before the previous row's {t[back[0]]!r}")
     k = int(np.argmax(np.abs(i_arr)))
     return DcScTrace(t=t_arr, i=i_arr, peak_current=float(abs(i_arr[k])),
@@ -410,7 +405,7 @@ def _read_trace_csv(path: str) -> DcScTrace:
 
 def _run_i2t(args, grid, study: _Study) -> int:
     if not args.trace or args.fuse_i2t is None:
-        raise ValueError("i2t requires --trace and --fuse-i2t")
+        raise InputError("i2t requires --trace and --fuse-i2t")
     trace = _read_trace_csv(args.trace)
     fuse = FuseSpec("fuse", "trace", float(args.fuse_i2t))
     t_clear = fuse_i2t_clearing(trace, fuse)
@@ -482,10 +477,10 @@ def main(argv=None) -> int:
             study = _load_study(args.study)
             grid = _apply_breaker_states(grid, study)
         return _RUNNERS[args.kind](args, grid, study)
-    except _NUMERIC_ERRORS as exc:
+    except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except _INPUT_ERRORS as exc:
+    except (GridError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

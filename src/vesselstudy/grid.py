@@ -25,11 +25,19 @@ class GridError(Exception):
     """Base class for grid model errors."""
 
 
-class GridLookupError(GridError):
+class InputError(GridError, ValueError):
+    """An input the toolkit refuses: a bad value, key, id or argument."""
+
+
+class NumericalError(GridError):
+    """A valid input on which an engine's numerical method failed."""
+
+
+class GridLookupError(InputError):
     """Unknown element, bus or fixture name."""
 
 
-class MissingDynamicsError(GridError):
+class MissingDynamicsError(InputError):
     """A study needs a generator's dynamics block and the grid has none."""
 
 

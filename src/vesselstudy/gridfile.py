@@ -35,8 +35,8 @@ from .grid import (
     FuseSpec,
     GeneratorDynamicParams,
     GeneratorSpec,
-    GridError,
     GridModel,
+    InputError,
     LoadSpec,
     LongTimeElement,
     ShortTimeElement,
@@ -52,7 +52,7 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_#]+$")
 _COMMENT_RE = re.compile(r"(?<!\S)#")
 
 
-class GridParseError(GridError):
+class GridParseError(InputError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         super().__init__(f"line {line}: {message}" if line else message)
@@ -127,13 +127,13 @@ def integer(text: str) -> int:
     except ValueError:
         value = math.nan
     if not value.is_integer():
-        raise ValueError("not an integer")
+        raise InputError("not an integer")
     return int(value)
 
 
 def boolean(text: str) -> bool:
     if text not in ("true", "false"):
-        raise ValueError("not true or false")
+        raise InputError("not true or false")
     return text == "true"
 
 
@@ -188,7 +188,7 @@ def _open_circuit_constants(values: dict) -> None:
     if not quoted:
         return
     if len(quoted) < 2 or "td0_t" in values or "td0_st" in values:
-        raise ValueError("td_t_s and td_st_s go together, in place of "
+        raise InputError("td_t_s and td_st_s go together, in place of "
                          "td0_t_s and td0_st_s")
     if {"xd", "xd_t", "xd_st"} <= values.keys():   # else the missing one is named
         values["td0_t"], values["td0_st"] = convert_time_constants(

@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (AC, DC, CableBranch, ConverterSpec, GridError, GridModel,
-                   IslandElements, connected_groups)
+from .grid import (AC, DC, CableBranch, ConverterSpec, GridModel,
+                   InputError, IslandElements, NumericalError,
+                   connected_groups)
 
 S_BASE_KVA = 1000.0
 
 
-class PowerflowError(GridError):
+class PowerflowError(NumericalError):
     """Base class for steady-state solve failures."""
 
 
@@ -243,6 +244,8 @@ def solve_ac_powerflow(
     island load shared in proportion to machine rating).  `load_scale` and
     `converter_draws` adjust the consumed powers for scenario studies.
     """
+    if max_iter < 0:
+        raise InputError(f"need max_iter >= 0, got max_iter = {max_iter}")
     dispatch = dict(dispatch or {})
     load_scale = dict(load_scale or {})
     converter_draws = dict(converter_draws or {})

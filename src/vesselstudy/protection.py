@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FuseSpec, GridError, GridModel, TccCurve
+from .grid import FuseSpec, GridError, GridModel, InputError, TccCurve
 from .sc_ac import FaultSummary
 from .sc_dc import DcScTrace
 
@@ -99,7 +99,7 @@ def trip_time(curve: TccCurve, current: float) -> tuple[float, str] | None:
     short-time element.
     """
     if current < 0:
-        raise ValueError("current must be >= 0")
+        raise InputError("current must be >= 0")
     st, lt = curve.short_time, curve.long_time
     best = (st.delay, "short_time") if current > st.pickup else None
     if current > lt.pickup:

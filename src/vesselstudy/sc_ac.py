@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (AC, ConverterSpec, GeneratorSpec, GridError, GridModel,
-                   LoadSpec, MissingDynamicsError)
+                   InputError, LoadSpec, MissingDynamicsError)
 from .powerflow import OperatingPoint, PowerflowSolution, prefault_operating_point
 
 SQRT2 = math.sqrt(2.0)
@@ -88,7 +88,7 @@ def convert_time_constants(xd: float, xd_t: float, xd_st: float,
     """Short-circuit time constants -> open-circuit (datasheet conversion)."""
     _check_reactances(xd, xd_t, xd_st)
     if td_t <= 0 or td_st <= 0:
-        raise ValueError("time constants must be > 0")
+        raise InputError("time constants must be > 0")
     return td_t * xd / xd_t, td_st * xd_t / xd_st
 
 
@@ -97,13 +97,13 @@ def short_circuit_time_constants(xd: float, xd_t: float, xd_st: float,
     """Open-circuit time constants -> short-circuit (reciprocal mapping)."""
     _check_reactances(xd, xd_t, xd_st)
     if td0_t <= 0 or td0_st <= 0:
-        raise ValueError("time constants must be > 0")
+        raise InputError("time constants must be > 0")
     return td0_t * xd_t / xd, td0_st * xd_st / xd_t
 
 
 def _check_reactances(xd, xd_t, xd_st):
     if not 0 < xd_st < xd_t < xd:
-        raise ValueError(f"need 0 < xd_st < xd_t < xd, got {xd_st}, {xd_t}, {xd}")
+        raise InputError(f"need 0 < xd_st < xd_t < xd, got {xd_st}, {xd_t}, {xd}")
 
 
 def _compose(t, iac, idc, half_t, iac_half_fn, idc_half_fn, **kw) -> AcScTrace:

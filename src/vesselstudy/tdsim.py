@@ -45,9 +45,11 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import GridError, GridLookupError, GridModel, MissingDynamicsError
+from .grid import (GridLookupError, GridModel, InputError, MissingDynamicsError,
+                   NumericalError)
 from .powerflow import (S_BASE_KVA, AcNetwork, branch_z_pu, build_ac_networks,
-                        converter_draw_kw, load_pq_kw, solve_ac_powerflow)
+                        converter_draw_kw, island_slack, load_pq_kw,
+                        solve_ac_powerflow)
 
 V_FLOOR = 0.3       # below this voltage, constant-power loads turn constant-Z
 FAULT_G = 1e6       # pu fault conductance for a bolted fault
@@ -61,7 +63,7 @@ SWING_PIECES = 32   # pieces of its time-to-pi bound
 MACHINE_CHANNELS = ("p_kw", "q_kvar", "pm_kw", "delta_rad", "freq_hz")
 
 
-class SimulationError(GridError):
+class SimulationError(NumericalError):
     pass
 
 
@@ -81,42 +83,53 @@ class BracketError(SimulationError):
 # configuration and events
 
 
-EVENT_ACTIONS = ("load_step", "breaker_open", "breaker_close", "fault_apply",
-                 "fault_clear")
+# each event action -> the optional fields it reads; setting another (not
+# None, and for ramp not 0) is an input error
+EVENT_FIELDS = {
+    "load_step": ("target", "scale", "ramp"),
+    "breaker_open": ("target",),
+    "breaker_close": ("target",),
+    "fault_apply": ("target", "location"),
+    "fault_clear": (),
+}
 
 
 @dataclass(frozen=True)
 class Event:
     time: float
-    action: str                    # one of EVENT_ACTIONS
+    action: str                    # a key of EVENT_FIELDS
     target: str | None = None
     scale: float | None = None     # load_step target scale
     ramp: float = 0.0              # load_step ramp duration, s
     location: float | None = None  # fault position along a branch, 0..1
 
     def __post_init__(self):
-        if self.action not in EVENT_ACTIONS:
-            raise ValueError(f"unknown event action {self.action!r}")
+        if self.action not in EVENT_FIELDS:
+            raise InputError(f"unknown event action {self.action!r}")
+        given = {"target": self.target, "scale": self.scale,
+                 "ramp": self.ramp or None, "location": self.location}
+        for name, value in given.items():
+            if value is not None and name not in EVENT_FIELDS[self.action]:
+                readers = [a for a, f in EVENT_FIELDS.items() if name in f]
+                raise InputError(f"{self.action}: {name} applies only to "
+                                 f"{', '.join(readers)}")
         if self.action == "load_step" and self.scale is None:
-            raise ValueError(f"load_step {self.target}: scale required")
+            raise InputError(f"load_step {self.target}: scale required")
         if self.ramp < 0:
-            raise ValueError(f"{self.action} {self.target}: ramp_s must be "
+            raise InputError(f"{self.action} {self.target}: ramp_s must be "
                              f">= 0, got {self.ramp}")
-        if self.location is not None and self.action != "fault_apply":
-            raise ValueError(f"{self.action}: location applies only to "
-                             "fault_apply")
         _check_location(self.location)
 
 
 def _check_location(location: float | None) -> None:
     if location is not None and not 0.0 <= location <= 1.0:
-        raise ValueError(f"fault location {location} outside [0, 1]")
+        raise InputError(f"fault location {location} outside [0, 1]")
 
 
 def _check_finite(**values: float) -> None:
     for name, value in values.items():
         if not math.isfinite(value):
-            raise ValueError(f"need a finite {name}, got {name} = {value}")
+            raise InputError(f"need a finite {name}, got {name} = {value}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +141,8 @@ class EventSchedule:
         branch_ids = {br.id for br in grid.branches}
         for ev in self.events:
             if ev.time < last:
-                raise SimulationError("event times must be non-decreasing")
+                raise InputError(f"event times must be non-decreasing: "
+                                 f"{ev.action} at {ev.time} after {last}")
             last = ev.time
             if ev.action == "load_step":
                 grid.load(ev.target)
@@ -137,7 +151,7 @@ class EventSchedule:
             elif ev.action == "fault_apply" and ev.target not in branch_ids:
                 grid.bus(ev.target)
                 if ev.location is not None:
-                    raise ValueError(f"fault_apply {ev.target}: location "
+                    raise InputError(f"fault_apply {ev.target}: location "
                                      "applies only to a cable")
         return self
 
@@ -153,9 +167,9 @@ class SimConfig:
     def __post_init__(self):
         _check_finite(step=self.step, end=self.end)
         if self.step <= 0 or self.end <= self.step:
-            raise ValueError("need step > 0 and end > step")
+            raise InputError("need step > 0 and end > step")
         if self.integrator not in ("rk4", "trapezoidal"):
-            raise ValueError(f"unknown integrator {self.integrator!r}")
+            raise InputError(f"unknown integrator {self.integrator!r}")
 
 
 @dataclass
@@ -191,12 +205,12 @@ class ControllerConfig:
 
     def __post_init__(self):
         if self.mode not in CONTROLLER_MODES:
-            raise ValueError(f"controller on {self.inverter}: unknown mode "
+            raise InputError(f"controller on {self.inverter}: unknown mode "
                              f"{self.mode!r}")
         if self.p_rating_kw <= 0 or self.q_rating_kvar <= 0:
-            raise ValueError("inverter ratings must be > 0")
+            raise InputError("inverter ratings must be > 0")
         if self.dp_delay <= 0:
-            raise ValueError("dp_delay must be > 0")
+            raise InputError("dp_delay must be > 0")
 
 
 class ControllerState:
@@ -343,7 +357,7 @@ class _Engine:
             for gen_id in c.watched:
                 grid.generator(gen_id)
             if c.inverter in self.controllers:
-                raise ValueError(f"two controllers on inverter {c.inverter!r}")
+                raise InputError(f"two controllers on inverter {c.inverter!r}")
             self.controllers[c.inverter] = ControllerState(c)
         self._build(grid, initial=True)
         # the recorded channels and their rows, fixed by the initial topology
@@ -960,7 +974,7 @@ class CctFaultSpec:
         _check_location(self.location)
         _check_finite(loading=self.loading)
         if not self.loading > 0:
-            raise ValueError(f"need loading > 0, got loading = {self.loading}")
+            raise InputError(f"need loading > 0, got loading = {self.loading}")
 
 
 @dataclass(frozen=True)
@@ -980,7 +994,10 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
              tol: float, cfg: SimConfig, window: float = 3.0) -> CctResult:
     """Bisect the fault clearing time against first-swing stability.
 
-    Each probe applies the fault at FAULT_START.  A probe is stable when
+    The machine must be online; it runs at `loading` times its rated kW,
+    and the power flow's slack is the largest other online generator of
+    its island, by `island_slack`'s rule.  Each probe applies the fault
+    at FAULT_START.  A probe is stable when
     the largest pairwise rotor-angle separation stays below 180 degrees
     within `window` after the fault clears.  The bracket must straddle the
     boundary: `t_lo` >= 0 stable and `t_hi` unstable; every argument must
@@ -993,12 +1010,20 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
     """
     _check_finite(t_lo=t_lo, t_hi=t_hi, tol=tol, window=window)
     if tol <= 0 or t_hi <= t_lo:
-        raise ValueError("need tol > 0 and t_hi > t_lo")
+        raise InputError("need tol > 0 and t_hi > t_lo")
     if t_lo < 0:
-        raise ValueError(f"need t_lo_s >= 0, got t_lo_s = {t_lo}")
+        raise InputError(f"need t_lo_s >= 0, got t_lo_s = {t_lo}")
     if window < cfg.step:
-        raise ValueError(f"need window_s >= step_s, got window_s = {window}")
+        raise InputError(f"need window_s >= step_s, got window_s = {window}")
     gen = grid.generator(fault.machine)
+    if not grid.element_online(fault.machine):
+        raise InputError(f"cct machine {fault.machine!r} is offline")
+    on = grid.online_elements(grid.island_of(gen.bus))
+    others = tuple(g for g in on.generators if g.id != fault.machine)
+    if not others:
+        raise InputError(f"cct machine {fault.machine!r}: no other online "
+                         "generator in its island to act as slack")
+    slack = island_slack(on._replace(generators=others)).id
     dispatch = {fault.machine: fault.loading * gen.rated_kw}
 
     cables = [b for b in grid.branches if gen.bus in (b.from_bus, b.to_bus)]
@@ -1008,7 +1033,7 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
         cables = [b for b in cables if b.id == fault.branch]
     if len(cables) != 1 and (fault.branch is not None or fault.location > 1e-9):
         named = "" if fault.branch is None else f" named {fault.branch!r}"
-        raise ValueError(f"{fault.machine}: need one cable at {gen.bus}"
+        raise InputError(f"{fault.machine}: need one cable at {gen.bus}"
                          f"{named} to fault, found {len(cables)}")
     if fault.location <= 1e-9:
         target, location = gen.bus, None
@@ -1029,7 +1054,7 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
         ))
         probe_cfg = replace(cfg, end=t_end + window)
         return simulate(grid, events, (), probe_cfg, dispatch=dispatch,
-                        _trunk=trunk).stable
+                        slack=slack, _trunk=trunk).stable
 
     lo_ok, hi_ok = stable(t_lo), stable(t_hi)
     transcript = [(t_lo, lo_ok), (t_hi, hi_ok)]

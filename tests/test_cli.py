@@ -68,6 +68,16 @@ def test_missing_grid_file_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_binary_grid_file_is_input_error(tmp_path, capsys):
+    """Its decoding error used to pass as an input error without naming
+    the file."""
+    bad = tmp_path / "bad.grid"
+    bad.write_bytes(b"\xff\xfe[bus B1]\n")
+    rc = main(["powerflow", "--grid", str(bad), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"error: {bad}: not a text file" in capsys.readouterr().err
+
+
 def test_invalid_grid_is_input_error(tmp_path):
     bad = tmp_path / "bad.grid"
     bad.write_text("[bus B1]\nkind = ac\nvoltage_v = 690\nfrequency_hz = 47\n")
@@ -331,6 +341,25 @@ def test_i2t_rejects_a_non_finite_trace_value(tmp_path, capsys, column, value):
     assert str(trace) in err and "line 51" in err and "non-finite" in err
 
 
+@pytest.mark.parametrize("column", [0, 1])
+def test_i2t_rejects_a_non_numeric_trace_value(tmp_path, capsys, column):
+    """The error used to be float()'s, naming neither file nor line."""
+    out = tmp_path / "out"
+    main(["sc-dc", "--grid", "builtin:dc_vessel", "--bus", "DC_PS",
+          "--out", str(out)])
+    trace = out / "trace_BAT_PS.csv"
+    lines = trace.read_text().splitlines()
+    cells = lines[50].split(",")
+    cells[column] = "abc"                        # line 51
+    lines[50] = ",".join(cells)
+    trace.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    rc = main(["i2t", "--trace", str(trace), "--fuse-i2t", "9350"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {trace}: line 51: expected a time and a current" in err
+
+
 def test_i2t_rejects_a_time_column_that_goes_backwards(tmp_path, capsys):
     """The trace in reverse row order read NOT_CLEARED with exit 0; a
     repeated time is still accepted."""
@@ -592,6 +621,28 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
      "fault_apply AC_PS: location applies only to a cable"),
     ("tdsim", None, TDSIM_HEAD + "[event c]\ntime_s = 0.05\naction = fault_clear\n"
      "location = 0.5\n", "fault_clear: location applies only to fault_apply"),
+    # so were the other keys an action does not read
+    ("tdsim", None, TDSIM_HEAD + "[event c]\ntime_s = 0.05\naction = fault_clear\n"
+     "scale = 2\n", "fault_clear: scale applies only to load_step"),
+    ("tdsim", None, TDSIM_HEAD + "[event c]\ntime_s = 0.05\naction = fault_clear\n"
+     "ramp_s = 0.5\n", "fault_clear: ramp applies only to load_step"),
+    ("tdsim", None, TDSIM_HEAD + "[event c]\ntime_s = 0.05\naction = fault_clear\n"
+     "target = AC_PS\n", "fault_clear: target applies only to load_step, "
+     "breaker_open, breaker_close, fault_apply"),
+    ("tdsim", None, TDSIM_HEAD + "[event o]\ntime_s = 0.05\naction = breaker_open\n"
+     "target = CB_DG02\nscale = 0.5\n", "breaker_open: scale applies only to "
+     "load_step"),
+    # an offline machine used to read stable at both bracket ends: exit 3
+    ("cct", None, "[breakers]\nCB_DG01 = false\n" + SHORT_CCT,
+     "cct machine 'DG#01' is offline"),
+    # a machine alone in its island used to be the power flow's slack, and
+    # its loading was ignored
+    ("cct", None, "[breakers]\n" + "".join(f"{b} = false\n"
+                                           for b in PS_ISLAND_OPEN) + SHORT_CCT,
+     "cct machine 'DG#01': no other online generator in its island"),
+    # a negative iteration limit used to crash the solver with a traceback
+    ("powerflow", None, "[powerflow]\nmax_iter = -1\n",
+     "need max_iter >= 0, got max_iter = -1"),
 ])
 def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
                                         study_text, message):

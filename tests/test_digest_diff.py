@@ -62,3 +62,43 @@ def test_unreadable_record_is_exit_2(tmp_path, capsys):
     assert digest_diff.main([str(tmp_path / "missing.json"),
                              str(tmp_path / "missing.json")]) == 2
     assert digest_diff.main([]) == 2
+
+
+def _regressions(tmp_path, capsys, new):
+    rc, lines = _run(tmp_path, capsys, new)
+    assert rc == 1 and lines     # every change shows without the mode
+    paths = [str(tmp_path / "old.json"), str(tmp_path / "new.json")]
+    rc = digest_diff.main(["--regressions"] + paths)
+    return rc, capsys.readouterr().out.splitlines()
+
+
+def test_regressions_ignore_a_mended_study_and_new_studies(tmp_path, capsys):
+    """A study that failed in the parent may change, and a study only the
+    change ran is no regression."""
+    new = copy.deepcopy(RECORD)
+    new["studies"][1].update(rc=0, ok=True, digest="dd")
+    new["studies"].append({"sid": "r1.c0.0", "rc": 0, "ok": True,
+                           "digest": "ee", "ms": 1.0})
+    new["result"].update(failed=0, attempted=4)
+    assert _regressions(tmp_path, capsys, new) == (0, [])
+
+
+def test_regressions_list_changed_ok_studies_and_more_failures(tmp_path,
+                                                              capsys):
+    new = copy.deepcopy(RECORD)
+    new["studies"][0]["digest"] = "cc"
+    new["studies"][2].update(rc=3, ok=False)
+    del new["studies"][2]["digest"]
+    new["result"].update(failed=2, correct=False)
+    assert _regressions(tmp_path, capsys, new) == (1, [
+        "r0.c0.0: digest aa -> cc",
+        "r0.c1.0: rc 0 -> 3",
+        "r0.c1.0: digest bb -> None",
+        "failed: 1 -> 2",
+    ])
+
+
+def test_regressions_list_an_ok_study_that_did_not_run(tmp_path, capsys):
+    new = copy.deepcopy(RECORD)
+    del new["studies"][0]
+    assert _regressions(tmp_path, capsys, new) == (1, ["r0.c0.0: only in old"])

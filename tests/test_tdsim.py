@@ -25,7 +25,7 @@ from vesselstudy.tdsim import (
     SimulationError,
 )
 
-from vesselstudy.grid import Bus, ConverterSpec, LoadSpec
+from vesselstudy.grid import Bus, ConverterSpec, InputError, LoadSpec
 
 from helpers import (dp_island, ps_island, reference_cct, single_gen_grid,
                      smib_grid)
@@ -127,7 +127,7 @@ class TestScheduleValidation:
     def test_times_must_be_sorted(self, ac_vessel):
         sched = EventSchedule((Event(2.0, "fault_clear"),
                                Event(1.0, "fault_clear")))
-        with pytest.raises(SimulationError):
+        with pytest.raises(InputError, match="fault_clear at 1.0 after 2.0"):
             sched.validated(ac_vessel)
 
     def test_unknown_load(self, ac_vessel):
@@ -454,6 +454,29 @@ def test_cct_unstable_probe_stops_before_divergence():
                    0.0, 0.2, 5e-3, BARE_SMIB, window=3.0)
     assert res.transcript[1] == (0.2, False)
     assert res.interval[1] - res.interval[0] <= 5e-3
+
+
+def test_cct_loading_holds_on_the_default_slack_machine(monkeypatch,
+                                                        ac_vessel):
+    """DG#03, the AC vessel's largest machine, is its power flow's default
+    slack.  Its probes used to take the island balance whatever the
+    loading, bitwise the same at 0.5 and 1.0; the slack is now the largest
+    other machine of its island."""
+    probes = []
+
+    def recording(*args, **kwargs):
+        probes.append(simulate(*args, **kwargs))
+        return probes[-1]
+
+    monkeypatch.setattr(tdsim, "simulate", recording)
+    for loading in (0.5, 1.0):
+        # t_lo = 0 needs no probe and the tolerance ends the search at t_hi
+        find_cct(ac_vessel, CctFaultSpec("DG#03", loading=loading,
+                                         location=0.0),
+                 0.0, 0.4, 0.5, SimConfig(step=0.02), window=1.0)
+    rated = ac_vessel.generator("DG#03").rated_kw
+    assert [p["DG#03.p_kw"][0] for p in probes] == [
+        pytest.approx(0.5 * rated), pytest.approx(rated)]
 
 
 @pytest.mark.parametrize("x_col, value", [(0, np.nan), (2, np.inf)])

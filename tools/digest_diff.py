@@ -1,14 +1,19 @@
 """Compare the studies of two perfbench result records.
 
-    python3 tools/digest_diff.py OLD.json NEW.json
+    python3 tools/digest_diff.py [--regressions] OLD.json NEW.json
 
 Each argument is a `.perfbench/results/<workload>-seed<N>-trace<T>.json`
 record written by `perfbench/run.py`.  Prints every study id (`sid`)
 whose exit code (`rc`) or artifact digest differs between the two, or
 that only one record ran, and every change in the `attempted`, `failed`
 and `correct` totals.  Exits 0 when the two agree on all of these, 1 on
-any difference, 2 when a record cannot be read.  Uses the standard
-library only.
+any difference, 2 when a record cannot be read.
+
+With `--regressions` (OLD from the parent commit, NEW from the change)
+it prints and fails on two things only: a study that was `ok` in OLD
+and changed its `rc` or digest (or did not run in NEW), and a rise in
+`failed`.  A study that failed in OLD may change, for instance by being
+mended.  Uses the standard library only.
 """
 
 from __future__ import annotations
@@ -39,13 +44,30 @@ def differences(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def regressions(old: dict, new: dict) -> list[str]:
+    """The lines of `differences` about studies that were ok in `old`
+    (each such line starts with the study's sid), and one for a rise in
+    `failed`."""
+    ok = {s["sid"] for s in old["studies"] if s["ok"]}
+    lines = [line for line in differences(old, new)
+             if line.split(": ", 1)[0] in ok]
+    if new["result"]["failed"] > old["result"]["failed"]:
+        lines.append(f"failed: {old['result']['failed']} -> "
+                     f"{new['result']['failed']}")
+    return lines
+
+
 def main(argv: list[str]) -> int:
+    compare = differences
+    if argv[:1] == ["--regressions"]:
+        compare, argv = regressions, argv[1:]
     if len(argv) != 2:
-        print("usage: digest_diff.py OLD.json NEW.json", file=sys.stderr)
+        print("usage: digest_diff.py [--regressions] OLD.json NEW.json",
+              file=sys.stderr)
         return 2
     try:
         old, new = (json.loads(Path(path).read_text()) for path in argv)
-        lines = differences(old, new)
+        lines = compare(old, new)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc!r}", file=sys.stderr)
         return 2
