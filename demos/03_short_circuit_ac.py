@@ -18,19 +18,21 @@ from vesselstudy import (
     vfd_contribution,
 )
 from vesselstudy.report import ac_summary_rows, ac_trace_csv, render_table, write_artifact
+from vesselstudy.sc_ac import default_time_grid
 
 grid = builtin_fixture("ac_vessel")
 sol = solve_ac_powerflow(grid)
+tgrid = default_time_grid()   # 0-1 s, as the bus-fault engine samples
 
 # Crane lumped load: 80 % motor at pf 0.75 behind a 6.25x locked-rotor start.
 crane = grid.load("CRANE_PS")
-motor = motor_group_sc_trace(crane, 690.0, frequency=60.0)
+motor = motor_group_sc_trace(crane, 690.0, tgrid, 60.0)
 print(f"crane motor group: I''M = {motor.i_kd_st:.0f} A, "
       f"Iac(T/2) = {motor.iac_half:.0f} A")
 
 # Drives contribute at their current-limiter setting (150 % by default).
 drive = grid.converter("THR_PROP_PS")
-print(f"{drive.id}: constant {vfd_contribution(drive).iac_half:.0f} A")
+print(f"{drive.id}: constant {vfd_contribution(drive, tgrid, 60.0).iac_half:.0f} A")
 
 # Aggregate everything feeding a port-side main bus fault.
 summ = fault_summary(grid, "AC_PS", sol)

@@ -19,15 +19,18 @@ from vesselstudy import (
 )
 from vesselstudy.grid import CapacitorBranch, FuseSpec
 from vesselstudy.report import dc_trace_csv, write_artifact
+from vesselstudy.sc_dc import default_time_grid
+
+TGRID = default_time_grid()   # 0-5 ms at 0.5 us, as the bus-fault engine
 
 link = CapacitorBranch(capacitance=2400e-6, series_resistance=54.7e-3,
                        series_inductance=5.5e-6, initial_voltage=650.0)
-cap = capacitor_sc_trace(link)
+cap = capacitor_sc_trace(link, TGRID)
 print(f"converter DC link: {cap.regime}, peak {cap.peak_current:.0f} A "
       f"at {cap.time_to_peak*1e3:.3f} ms")
 
 grid = builtin_fixture("dc_vessel")
-bat = battery_sc_trace(grid.batteries[0])
+bat = battery_sc_trace(grid.batteries[0], TGRID)
 print(f"battery: rises to {bat.sustained:.0f} A "
       f"(t = tau gives {0.6321*bat.sustained:.0f} A)")
 
@@ -41,12 +44,12 @@ for cid, tr in sorted(summ.traces.items()):
 # published crossing; see the package README for the derivation note.
 fig6 = capacitor_sc_trace(CapacitorBranch(
     capacitance=2400e-6, series_resistance=54.7e-3, series_inductance=5.5e-6,
-    initial_voltage=659.67))
+    initial_voltage=659.67), TGRID)
 fuse = FuseSpec("170M1790", "link", 9350.0)
 t_clear = fuse_i2t_clearing(fig6, fuse)
 print(f"\nfuse {fuse.id}: clears the link discharge at {t_clear*1e3:.3f} ms")
 print("the same fuse on the battery trace:",
-      f"{fuse_i2t_clearing(battery_sc_trace(grid.batteries[0]), fuse)*1e3:.3f} ms")
+      f"{fuse_i2t_clearing(bat, fuse)*1e3:.3f} ms")
 
 if len(sys.argv) > 1:
     out = sys.argv[1]

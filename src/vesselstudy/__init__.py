@@ -26,8 +26,10 @@ from .grid import (
     GeneratorSpec,
     GridError,
     GridModel,
+    InputError,
     LoadSpec,
     LongTimeElement,
+    NumericalError,
     ShortTimeElement,
     TccCurve,
     ValidationReport,

@@ -7,9 +7,9 @@ Study kinds: powerflow, sc-ac, sc-dc, tdsim, cct, protect, i2t.  The CLI is
 a thin shell over the library: it loads the grid and study files, calls the
 corresponding engine and writes the artifacts.  Exit codes: 0 success,
 2 input error, 3 numerical failure, 4 negative study result under
-``--strict``.  A `NumericalError` is 3, any other `GridError` or an
-unreadable file 2; any other exception is a bug, shown with its traceback
-(exit 1).
+``--strict``.  A `NumericalError` is 3, an `InputError` or an unreadable
+file 2; any other exception is a bug, shown with its traceback (exit 1).
+The engines, not the CLI, check the ids a study names.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import sys
 import numpy as np
 
 from . import fixtures, report
-from .grid import (FuseSpec, GridError, GridLookupError, GridModel, InputError,
-                   NumericalError, validate)
+from .grid import FuseSpec, GridModel, InputError, NumericalError, validate
 from .gridfile import (GridParseError, boolean, check_declared, convert,
                        integer, parse_grid, read_sections)
 from .powerflow import solve_ac_powerflow, solve_dc_balance
@@ -92,8 +91,8 @@ _STUDY_SECTIONS = {
                    "p_rating_kw": (float, ...), "q_rating_kvar": (float, ...),
                    "dp_delay_s": (float, ControllerConfig.dp_delay)}}
 # the id-keyed study sections and the converter of their values: breaker ->
-# true/false, generator -> kW, load -> scale factor; their ids are checked
-# against the grid
+# true/false, generator -> kW, load -> scale factor; the engines check
+# their ids against the grid
 _STUDY_MAPS = {"breakers": boolean, "dispatch": float, "load_scale": float}
 
 
@@ -174,22 +173,11 @@ def _emit(args, name: str, header, rows) -> None:
     report.write_artifact(args.out, name, content)
 
 
-def _steady_state(grid: GridModel, study: _Study) -> dict:
-    """The study's slack, dispatch and load_scale as solver keywords; the
-    slack and dispatch ids must name generators, the slack an online one,
-    and the load_scale ids loads."""
-    slack = study.one("powerflow")["slack"]
-    dispatch = study.one("dispatch")
-    load_scale = study.one("load_scale")
-    for gen_id in dispatch:
-        grid.generator(gen_id)
-    if slack is not None:
-        grid.generator(slack)
-        if not grid.element_online(slack):
-            raise GridLookupError(f"slack generator {slack!r} is offline")
-    for load_id in load_scale:
-        grid.load(load_id)
-    return {"slack": slack, "dispatch": dispatch, "load_scale": load_scale}
+def _steady_state(study: _Study) -> dict:
+    """The study's slack, dispatch and load_scale as solver keywords."""
+    return {"slack": study.one("powerflow")["slack"],
+            "dispatch": study.one("dispatch"),
+            "load_scale": study.one("load_scale")}
 
 
 # ---- study runners ----------------------------------------------------------
@@ -197,7 +185,6 @@ def _steady_state(grid: GridModel, study: _Study) -> dict:
 
 def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
     pf = study.one("powerflow")
-    steady = _steady_state(grid, study)
     bal = draws = None
     if any(b.kind == "dc" for b in grid.buses):
         bal = solve_dc_balance(grid)
@@ -208,7 +195,7 @@ def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
         tol=pf["tol"],
         max_iter=pf["max_iter"],
         converter_draws=draws,
-        **steady,
+        **_steady_state(study),
     )
     if bal is not None:   # written once both solves have passed
         _emit(args, "dcbalance.csv", *report.dc_balance_rows(bal))
@@ -267,7 +254,7 @@ def _write_traces(out: str, traces: dict, fields: tuple[str, ...],
 
 def _run_sc_ac(args, grid: GridModel, study: _Study) -> int:
     bus = _fault_bus(args, study)
-    sol = solve_ac_powerflow(grid, **_steady_state(grid, study))
+    sol = solve_ac_powerflow(grid, **_steady_state(study))
     summ = fault_summary(grid, bus, sol)
     if args.format == "csv":
         t_cells = report.format_column(next(iter(summ.traces.values())).t)
@@ -318,9 +305,8 @@ def _sim_config(study: _Study) -> SimConfig:
 
 
 def _run_tdsim(args, grid: GridModel, study: _Study) -> int:
-    steady = _steady_state(grid, study)
     ts = simulate(grid, _events(study), _controllers(study), _sim_config(study),
-                  **steady)
+                  **_steady_state(study))
     report.write_artifact(args.out, "timeseries.csv", report.timeseries_csv(ts))
     print(f"simulated {ts.t[-1]:g} s, {len(ts.channels)} channels")
     return EXIT_OK
@@ -354,9 +340,7 @@ def _run_protect(args, grid: GridModel, study: _Study) -> int:
         fault_bus = fault.target
     else:
         raise InputError("[protect] needs fault_element or fault_bus")
-    for breaker_id in keys["failed_breakers"]:
-        grid.breaker(breaker_id)
-    sol = solve_ac_powerflow(grid, **_steady_state(grid, study))
+    sol = solve_ac_powerflow(grid, **_steady_state(study))
     summ = fault_summary(grid, fault_bus, sol)
     events = sequence_of_operations(grid, fault, summ, zsi_enabled=keys["zsi"],
                                     failed_breakers=set(keys["failed_breakers"]))
@@ -480,7 +464,7 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (GridError, OSError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

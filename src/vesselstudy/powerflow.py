@@ -220,7 +220,6 @@ def _newton_raphson(ybus, s_spec, slack, pv, tol, max_iter):
         v[pq] += dx[nns:]
         if np.any(v <= 0) or np.any(v > 10):
             raise ConvergenceError("diverged: voltage left (0, 10] pu")
-    raise AssertionError("unreachable")
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +242,21 @@ def solve_ac_powerflow(
     islands).  `dispatch` sets non-slack generator P in kW (default:
     island load shared in proportion to machine rating).  `load_scale` and
     `converter_draws` adjust the consumed powers for scenario studies.
+    The `dispatch` and `slack` ids must name generators, the slack an
+    online one, and the `load_scale` ids loads.
     """
     if max_iter < 0:
         raise InputError(f"need max_iter >= 0, got max_iter = {max_iter}")
+    if not tol >= 0:
+        raise InputError(f"need tol >= 0, got tol = {tol}")
+    for gen_id in dispatch or ():
+        grid.generator(gen_id)
+    if slack is not None:
+        grid.generator(slack)
+        if not grid.element_online(slack):
+            raise InputError(f"slack generator {slack!r} is offline")
+    for load_id in load_scale or ():
+        grid.load(load_id)
     dispatch = dict(dispatch or {})
     load_scale = dict(load_scale or {})
     converter_draws = dict(converter_draws or {})

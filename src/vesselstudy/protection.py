@@ -16,12 +16,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FuseSpec, GridError, GridModel, InputError, TccCurve
+from .grid import FuseSpec, GridModel, InputError, TccCurve
 from .sc_ac import FaultSummary
 from .sc_dc import DcScTrace
 
 
-class ProtectionError(GridError):
+class ProtectionError(InputError):
     pass
 
 
@@ -258,7 +258,10 @@ def sequence_of_operations(grid: GridModel, fault: FaultLocation,
                            summary: FaultSummary, zsi_enabled: bool = True,
                            failed_breakers: frozenset[str] | set[str] = frozenset(),
                            ) -> list[TripEvent]:
-    """Ordered breaker trips for one fault, with or without lock signals."""
+    """Ordered breaker trips for one fault, with or without lock signals;
+    every failed breaker must be one of the grid's."""
+    for breaker_id in sorted(failed_breakers):
+        grid.breaker(breaker_id)
     graph = build_breaker_graph(grid, fault, summary)
     locked = apply_zsi(graph).locked if zsi_enabled else frozenset()
 

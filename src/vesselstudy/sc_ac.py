@@ -16,8 +16,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import (AC, ConverterSpec, GeneratorSpec, GridError, GridModel,
-                   InputError, LoadSpec, MissingDynamicsError)
+from .grid import (AC, ConverterSpec, GeneratorSpec, GridModel, InputError,
+                   LoadSpec, MissingDynamicsError)
 from .powerflow import OperatingPoint, PowerflowSolution, prefault_operating_point
 
 SQRT2 = math.sqrt(2.0)
@@ -25,7 +25,7 @@ SQRT3 = math.sqrt(3.0)
 MOTOR_AC_DECAY = 0.04   # s; motor-group AC decay, not part of the load data
 
 
-class ShortCircuitError(GridError):
+class ShortCircuitError(InputError):
     pass
 
 
@@ -114,8 +114,7 @@ def _compose(t, iac, idc, half_t, iac_half_fn, idc_half_fn, **kw) -> AcScTrace:
 
 
 def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
-                     tgrid: np.ndarray | None = None,
-                     frequency: float | None = None) -> AcScTrace:
+                     tgrid: np.ndarray, frequency: float) -> AcScTrace:
     """Decrement curve of one synchronous machine feeding a terminal fault.
 
     Per-unit reactances are converted to ohms on the machine base.  The
@@ -130,15 +129,13 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
 
     with the short-circuit constants T'd = T'd0 X'd/Xd, T''d = T''d0 X''d/X'd.
     A datasheet Ikd is preferred; otherwise Ikd = E'q0/Xd is used and the
-    trace labelled "estimated".
+    trace labelled "estimated".  The trace is sampled on `tgrid` at the
+    faulted network's `frequency`.
     """
     d = gen.dynamics
     if d is None:
         raise MissingDynamicsError(f"{gen.id}: no dynamics block")
     _check_reactances(d.xd, d.xd_t, d.xd_st)
-    if tgrid is None:
-        tgrid = default_time_grid()
-    f = frequency if frequency is not None else gen.frequency
 
     zbase = gen.voltage ** 2 / (gen.rated_kva * 1e3)
     xd, xd_t, xd_st = d.xd * zbase, d.xd_t * zbase, d.xd_st * zbase
@@ -163,7 +160,7 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
         tdc, tdc_source = d.tdc, "datasheet"
     else:
         ra = gen.winding_resistance_mohm * 1e-3
-        tdc, tdc_source = xd_st / (2 * math.pi * f * ra), "estimated"
+        tdc, tdc_source = xd_st / (2 * math.pi * frequency * ra), "estimated"
     if not i_st >= i_t >= ikd:
         raise ShortCircuitError(
             f"{gen.id}: decrement ordering violated "
@@ -176,17 +173,16 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
     def idc(t):
         return SQRT2 * (i_st - op.i0 * sin_phi) * np.exp(-t / tdc)
 
-    half = 1.0 / (2.0 * f)
+    half = 1.0 / (2.0 * frequency)
     return _compose(
         tgrid, iac(tgrid), idc(tgrid), half, iac, idc,
-        i_kd_st=i_st, i_kd_t=i_t, i_kd=ikd, frequency=f,
+        i_kd_st=i_st, i_kd_t=i_t, i_kd=ikd, frequency=frequency,
         e_q0_st=e_st, e_q0_t=e_t,
         ikd_source=ikd_source, tdc_source=tdc_source)
 
 
 def motor_group_sc_trace(load: LoadSpec, bus_voltage: float,
-                         tgrid: np.ndarray | None = None,
-                         frequency: float = 60.0) -> AcScTrace:
+                         tgrid: np.ndarray, frequency: float) -> AcScTrace:
     """Single-exponential decrement of a lumped load's motor fraction.
 
     The initial symmetrical contribution is the locked-rotor multiple of the
@@ -197,8 +193,6 @@ def motor_group_sc_trace(load: LoadSpec, bus_voltage: float,
         raise ShortCircuitError(f"{load.id}: motor fraction is zero")
     if load.xr_ratio is None:
         raise ShortCircuitError(f"{load.id}: xr_ratio required for DC component")
-    if tgrid is None:
-        tgrid = default_time_grid()
     i_rated = load.motor_fraction * load.rated_kva * 1e3 / (SQRT3 * bus_voltage)
     i_lr = load.locked_rotor_multiplier * i_rated
     tdc = load.xr_ratio / (2 * math.pi * frequency)
@@ -216,14 +210,12 @@ def motor_group_sc_trace(load: LoadSpec, bus_voltage: float,
         ikd_source="none", tdc_source="xr_ratio")
 
 
-def vfd_contribution(conv: ConverterSpec, tgrid: np.ndarray | None = None,
-                     frequency: float = 60.0) -> AcScTrace:
+def vfd_contribution(conv: ConverterSpec, tgrid: np.ndarray,
+                     frequency: float) -> AcScTrace:
     """Constant limiter-bound contribution of an AC-coupled drive/inverter."""
     if conv.kind not in ("inverter", "grid_inverter"):
         raise ShortCircuitError(
             f"{conv.id}: {conv.kind} is not an AC-coupled drive/inverter")
-    if tgrid is None:
-        tgrid = default_time_grid()
     level = conv.sc_contribution_factor * conv.rated_current
 
     def iac(t):

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import BatterySource, CapacitorBranch, ConverterSpec, DC, GridError, GridModel
+from .grid import BatterySource, CapacitorBranch, ConverterSpec, DC, GridModel, InputError
 
 UNDERDAMPED = "underdamped"
 CRITICAL = "critical"
@@ -25,7 +25,7 @@ AGGREGATE = "aggregate"
 _CRITICAL_RTOL = 1e-9
 
 
-class DcFaultError(GridError):
+class DcFaultError(InputError):
     pass
 
 
@@ -59,8 +59,7 @@ class DcFaultSummary:
         return self.total.peak_current
 
 
-def capacitor_sc_trace(cap: CapacitorBranch,
-                       tgrid: np.ndarray | None = None) -> DcScTrace:
+def capacitor_sc_trace(cap: CapacitorBranch, tgrid: np.ndarray) -> DcScTrace:
     """Exact discharge of a charged series-RLC branch into a bolted fault.
 
     With delta = R/(2L) and w0^2 = 1/(LC) the regimes are:
@@ -74,8 +73,6 @@ def capacitor_sc_trace(cap: CapacitorBranch,
     rings through zero, so it is signed; all stored energy still ends up in
     the series resistance.
     """
-    if tgrid is None:
-        tgrid = default_time_grid()
     ec, L = cap.initial_voltage, cap.series_inductance
     delta = cap.series_resistance / (2.0 * L)
     w0sq = 1.0 / (L * cap.capacitance)
@@ -103,8 +100,7 @@ def capacitor_sc_trace(cap: CapacitorBranch,
                      regime=regime, sustained=0.0)
 
 
-def battery_sc_trace(bat: BatterySource,
-                     tgrid: np.ndarray | None = None) -> DcScTrace:
+def battery_sc_trace(bat: BatterySource, tgrid: np.ndarray) -> DcScTrace:
     """Exponential rise to the datasheet short-circuit current.
 
     The level is taken SoC-independent down to `min_soc`; the internal
@@ -112,8 +108,6 @@ def battery_sc_trace(bat: BatterySource,
     """
     if bat.sc_peak_current is None or bat.sc_time_constant is None:
         raise DcFaultError(f"{bat.id}: missing datasheet short-circuit data")
-    if tgrid is None:
-        tgrid = default_time_grid()
     i = bat.sc_peak_current * (1.0 - np.exp(-tgrid / bat.sc_time_constant))
     return DcScTrace(t=tgrid, i=i, peak_current=float(i[-1]),
                      time_to_peak=float(tgrid[-1]), regime=EXPONENTIAL_RISE,
@@ -121,10 +115,8 @@ def battery_sc_trace(bat: BatterySource,
 
 
 def converter_sc_contribution(conv: ConverterSpec,
-                              tgrid: np.ndarray | None = None) -> DcScTrace:
+                              tgrid: np.ndarray) -> DcScTrace:
     """Chargers feed their limiter level; inverter-family converters feed 0."""
-    if tgrid is None:
-        tgrid = default_time_grid()
     if conv.kind == "charger":
         level = conv.sc_contribution_factor * conv.rated_current
     else:

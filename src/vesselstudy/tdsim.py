@@ -71,10 +71,6 @@ class NetworkSolveError(SimulationError):
     pass
 
 
-class ControllerError(SimulationError):
-    pass
-
-
 class BracketError(SimulationError):
     """Both CCT bracket ends stable, or both unstable."""
 
@@ -229,26 +225,22 @@ class ControllerState:
         while len(self.buffer) > 2 and self.buffer[1][0] < horizon:
             self.buffer.popleft()
 
-    def delayed_sample(self, t: float, gen: str) -> tuple[float, float]:
-        best = None
-        for ts, p, q in self.buffer:
-            if ts <= t:
-                best = (p.get(gen, 0.0), q.get(gen, 0.0))
-            else:
-                break
-        if best is None:
-            raise ControllerError(
-                f"controller buffer not warm: no sample at or before t={t:.3f} s")
-        return best
-
     def generator_lost(self, gen: str, t: float) -> None:
         """On the loss of a watched generator at `t`, a DP-failover
         controller holds from then on the generator's (P, Q) `dp_delay`
-        earlier, clamped to the ratings."""
+        earlier, clamped to the ratings; a loss before a sample that
+        early was recorded is an input error."""
         cfg = self.cfg
         if cfg.mode != "dp_failover" or gen not in cfg.watched:
             return
-        p, q = self.delayed_sample(t - cfg.dp_delay, gen)
+        earlier = [(p.get(gen, 0.0), q.get(gen, 0.0))
+                   for ts, p, q in self.buffer if ts <= t - cfg.dp_delay]
+        if not earlier:
+            raise InputError(
+                f"dp_failover controller on {cfg.inverter}: {gen} lost at "
+                f"t={t:.3f} s, before dp_delay_s = {cfg.dp_delay:g} of its "
+                "output was recorded")
+        p, q = earlier[-1]
         self.setpoint = (clamp(p, 0.0, cfg.p_rating_kw),
                          clamp(q, 0.0, cfg.q_rating_kvar))
 
@@ -438,7 +430,7 @@ class _Engine:
             if not initial:
                 old = self.m.row.get(g.id)
                 if old is None:
-                    raise SimulationError(
+                    raise InputError(
                         f"{g.id}: bringing a generator online mid-run is not "
                         "supported (no resynchronisation model)")
                 states.append(self.x[old])

@@ -37,11 +37,13 @@ from vesselstudy import (
 )
 from vesselstudy.cli import main as cli_main
 from vesselstudy.grid import CapacitorBranch, ConverterSpec, FuseSpec
+from vesselstudy.sc_dc import default_time_grid
 from vesselstudy.tdsim import CctFaultSpec, ControllerState
 
 from helpers import dp_island, equal_area_cct, ps_island, smib_grid
 
 SQRT2 = math.sqrt(2.0)
+TGRID = default_time_grid()   # the sc-dc engine's
 
 FIG6_RLC = dict(capacitance=2400e-6, series_resistance=54.7e-3,
                 series_inductance=5.5e-6)
@@ -61,11 +63,13 @@ def test_criterion_01_capacitor_discharge():
     t0 = time.perf_counter()
     tp_values = []
     for ec in (650.0, 1300.0):
-        tr = capacitor_sc_trace(CapacitorBranch(initial_voltage=ec, **FIG6_RLC))
+        tr = capacitor_sc_trace(CapacitorBranch(initial_voltage=ec,
+                                                **FIG6_RLC), TGRID)
         tp_values.append(tr.time_to_peak)
     assert tp_values[0] == tp_values[1]            # EC-independent
     assert tp_values[0] == pytest.approx(0.134e-3, rel=0.02)
-    tr650 = capacitor_sc_trace(CapacitorBranch(initial_voltage=650.0, **FIG6_RLC))
+    tr650 = capacitor_sc_trace(CapacitorBranch(initial_voltage=650.0,
+                                               **FIG6_RLC), TGRID)
     assert tr650.peak_current == pytest.approx(6950.0, rel=0.02)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
@@ -77,7 +81,7 @@ def test_criterion_02_fuse_clearing():
     t0 = time.perf_counter()
     assert EC_FIG6 == pytest.approx(650.0, rel=0.02)
     trace = capacitor_sc_trace(CapacitorBranch(initial_voltage=EC_FIG6,
-                                               **FIG6_RLC))
+                                               **FIG6_RLC), TGRID)
     t_clear = fuse_i2t_clearing(trace, FuseSpec("170M1790", "CAP", 9350.0))
     assert t_clear == pytest.approx(0.351e-3, rel=0.03)
     elapsed = time.perf_counter() - t0
@@ -112,10 +116,10 @@ def test_criterion_04_dc_aggregation():
 def test_criterion_05_charger_contribution_rule():
     charger = ConverterSpec("CH", "DCB", "charger", 850.0, 552.5,
                             sc_contribution_factor=1.5)
-    tr = converter_sc_contribution(charger)
+    tr = converter_sc_contribution(charger, TGRID)
     assert tr.sustained == 1275.0
     inverter = ConverterSpec("INV", "DCB", "inverter", 1150.0, 550.0)
-    assert converter_sc_contribution(inverter).sustained == 0.0
+    assert converter_sc_contribution(inverter, TGRID).sustained == 0.0
     _ok(5, "850 A charger at 1.5 -> 1275 A; inverter -> 0 A")
 
 

@@ -643,6 +643,19 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
     # a negative iteration limit used to crash the solver with a traceback
     ("powerflow", None, "[powerflow]\nmax_iter = -1\n",
      "need max_iter >= 0, got max_iter = -1"),
+    # a negative tolerance used to run every iteration: exit 3
+    ("powerflow", None, "[powerflow]\ntol = -1e-8\n",
+     "need tol >= 0, got tol = -1e-08"),
+    # so did closing a generator's breaker mid-run
+    ("tdsim", None, TDSIM_HEAD + "[breakers]\nCB_DG01 = false\n[event c]\n"
+     "time_s = 0.05\naction = breaker_close\ntarget = CB_DG01\n",
+     "DG#01: bringing a generator online mid-run is not supported"),
+    # and a DP-failover trip before dp_delay_s of output was recorded
+    ("tdsim", None, TDSIM_HEAD + DP_CONTROLLER.format("dp").replace(
+        "DG#02", "DG#01") + "dp_delay_s = 0.1\n[event o]\ntime_s = 0.05\n"
+     "action = breaker_open\ntarget = CB_DG01\n",
+     "dp_failover controller on INV_PS: DG#01 lost at t=0.050 s, before "
+     "dp_delay_s = 0.1"),
 ])
 def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
                                         study_text, message):

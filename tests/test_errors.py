@@ -1,10 +1,10 @@
 """Which error class a failure raises decides the CLI's exit code: an
-`InputError` (or any other non-numerical `GridError`) is 2, a
-`NumericalError` is 3, and anything else is an internal error that keeps
-its traceback."""
+`InputError` is 2, a `NumericalError` is 3, and anything else is an
+internal error that keeps its traceback."""
 
 import ast
 import contextlib
+import importlib
 import io
 import math
 import tempfile
@@ -15,11 +15,15 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+import vesselstudy  # noqa: E402
 from vesselstudy import builtin_fixture, serialize_grid  # noqa: E402
 from vesselstudy.cli import main  # noqa: E402
 from vesselstudy.grid import GridError, InputError, NumericalError  # noqa: E402
 from vesselstudy.gridfile import GridParseError  # noqa: E402
 from vesselstudy.powerflow import PowerflowError  # noqa: E402
+from vesselstudy.protection import ProtectionError  # noqa: E402
+from vesselstudy.sc_ac import ShortCircuitError  # noqa: E402
+from vesselstudy.sc_dc import DcFaultError  # noqa: E402
 from vesselstudy.tdsim import BracketError, SimulationError  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vesselstudy"
@@ -27,15 +31,22 @@ ENGINES = {"powerflow", "sc_ac", "sc_dc", "tdsim", "protection"}
 
 
 def test_src_raises_no_bare_value_error():
-    raised = []
+    """Every class a `raise` in src/ names is an InputError or a
+    NumericalError, so the class alone decides the exit code."""
+    stray, checked = [], 0
     for path in sorted(SRC.glob("*.py")):
+        module = importlib.import_module(f"vesselstudy.{path.stem}")
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Raise) and node.exc is not None:
+                checked += 1
                 exc = (node.exc.func if isinstance(node.exc, ast.Call)
                        else node.exc)
-                if isinstance(exc, ast.Name) and exc.id == "ValueError":
-                    raised.append(f"{path.name}:{node.lineno}")
-    assert raised == []
+                cls = (getattr(module, exc.id, None)
+                       if isinstance(exc, ast.Name) else None)
+                if not (isinstance(cls, type) and issubclass(
+                        cls, (InputError, NumericalError))):
+                    stray.append(f"{path.name}:{node.lineno}")
+    assert checked and stray == []
 
 
 def test_cli_imports_no_engine_error_class():
@@ -47,17 +58,22 @@ def test_cli_imports_no_engine_error_class():
 
 
 def test_two_base_classes():
+    assert vesselstudy.InputError is InputError
+    assert vesselstudy.NumericalError is NumericalError
     assert issubclass(InputError, GridError) and issubclass(InputError,
                                                             ValueError)
-    assert issubclass(GridParseError, InputError)
+    for cls in (GridParseError, ShortCircuitError, DcFaultError,
+                ProtectionError):
+        assert issubclass(cls, InputError)
+        assert not issubclass(cls, NumericalError)
     for cls in (PowerflowError, SimulationError, BracketError):
         assert issubclass(cls, NumericalError)
         assert not issubclass(cls, InputError)
 
 
 def test_an_internal_error_keeps_its_traceback(tmp_path, monkeypatch):
-    """An exception that is no GridError is a bug: main() does not turn it
-    into an input error's exit code."""
+    """An exception that is neither an InputError nor a NumericalError is
+    a bug: main() does not turn it into an input error's exit code."""
     def broken(*_args, **_kwargs):
         raise ValueError("an engine bug")
 

@@ -13,6 +13,7 @@ from vesselstudy.grid import (
     ConverterSpec,
     GeneratorSpec,
     GridModel,
+    InputError,
     LoadSpec,
 )
 from vesselstudy.powerflow import CapacityError, ConvergenceError, PowerflowError
@@ -87,6 +88,27 @@ def test_dead_islands_report_zero_voltage(ac_vessel):
 def test_dispatch_override(ac_vessel):
     sol = solve_ac_powerflow(ac_vessel, dispatch={"DG#01": 1200.0})
     assert sol.injections_kw["DG#01"][0] == pytest.approx(1200.0)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"dispatch": {"NOPE": 100.0}}, "unknown generator 'NOPE'"),
+    ({"dispatch": {"LOAD440_PS": 100.0}}, "unknown generator 'LOAD440_PS'"),
+    ({"load_scale": {"NOPE2": 3.0}}, "unknown load 'NOPE2'"),
+    ({"slack": "NOPE3"}, "unknown generator 'NOPE3'"),
+    ({"tol": -1e-8}, "need tol >= 0, got tol = -1e-08"),
+    ({"tol": math.nan}, "need tol >= 0, got tol = nan"),
+])
+def test_refuses_bad_study_values(ac_vessel, kwargs, message):
+    """Each id the solve is given must name an element of its kind, and
+    the tolerance must be >= 0: the library refuses what the CLI does."""
+    with pytest.raises(InputError, match=message):
+        solve_ac_powerflow(ac_vessel, **kwargs)
+
+
+def test_refuses_an_offline_slack(ac_vessel):
+    grid = ac_vessel.with_breaker_states({"CB_DG01": False})
+    with pytest.raises(InputError, match="slack generator 'DG#01' is offline"):
+        solve_ac_powerflow(grid, slack="DG#01")
 
 
 class TestDcBalance:

@@ -21,6 +21,7 @@ from vesselstudy.grid import (
     BatterySource,
     CapacitorBranch,
     FuseSpec,
+    InputError,
     LongTimeElement,
     ShortTimeElement,
     TccCurve,
@@ -31,9 +32,11 @@ from vesselstudy.protection import (
     TraceTooShortError,
     TripEvent,
 )
-from vesselstudy.sc_dc import DcScTrace
+from vesselstudy.sc_dc import DcScTrace, default_time_grid
 
 from helpers import ps_island
+
+TGRID = default_time_grid()
 
 
 def _curve(lt_pickup=1000.0, lt_kind="definite", lt_delay=10.0,
@@ -156,6 +159,12 @@ class TestSequenceOfOperations:
         assert all(e.breaker_id != "CB_DG01" for e in events)
         assert all(math.isfinite(e.time_s) for e in events)
 
+    def test_unknown_failed_breaker_rejected(self, gen_terminal_fault):
+        grid, fault, summ = gen_terminal_fault
+        with pytest.raises(InputError, match="unknown breaker 'CB_NOPE'"):
+            sequence_of_operations(grid, fault, summ,
+                                   failed_breakers={"CB_DG01", "CB_NOPE"})
+
     def test_undetectable_fault(self, ac_vessel):
         sol = solve_ac_powerflow(ac_vessel)
         summ = fault_summary(ac_vessel, "AC_PS", sol)
@@ -205,13 +214,13 @@ BATTERY_CLEAR_S = 1.9401742320702907e-4
 class TestFuseClearing:
     def test_battery_trace_against_closed_form(self):
         bat = BatterySource("BAT", "DCB", 750.0, 14900.0, 0.16e-3)
-        trace = battery_sc_trace(bat)
+        trace = battery_sc_trace(bat, TGRID)
         fuse = FuseSpec("F", "BAT", 9350.0)
         t = fuse_i2t_clearing(trace, fuse)
         assert t == pytest.approx(BATTERY_CLEAR_S, rel=0.005)
 
     def test_rating_above_available_energy_never_clears(self):
-        trace = capacitor_sc_trace(FIG6)
+        trace = capacitor_sc_trace(FIG6, TGRID)
         fuse = FuseSpec("F", "CAP", 1e6)
         assert fuse_i2t_clearing(trace, fuse) is None
 
@@ -223,13 +232,13 @@ class TestFuseClearing:
             fuse_i2t_clearing(trace, FuseSpec("F", "CH", 9350.0))
 
     def test_let_through_monotone(self):
-        trace = capacitor_sc_trace(FIG6)
+        trace = capacitor_sc_trace(FIG6, TGRID)
         e = let_through(trace)
         assert np.all(np.diff(e) >= 0.0)
 
     def test_clearing_time_monotone_in_scale(self):
         bat = BatterySource("BAT", "DCB", 750.0, 14900.0, 0.16e-3)
-        trace = battery_sc_trace(bat)
+        trace = battery_sc_trace(bat, TGRID)
         fuse = FuseSpec("F", "BAT", 9350.0)
         t1 = fuse_i2t_clearing(trace, fuse)
         scaled = DcScTrace(t=trace.t, i=trace.i * 1.5,

@@ -30,6 +30,7 @@ from helpers import ps_island
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
+TGRID = default_time_grid()
 
 
 class TestTimeConstantConversion:
@@ -96,7 +97,7 @@ class TestMachineTrace:
         return iac, idc
 
     def test_half_cycle_values(self):
-        tr = machine_sc_trace(self.gen, self.op)
+        tr = machine_sc_trace(self.gen, self.op, TGRID, 60.0)
         iac_oracle, idc_oracle = self._oracle_half_cycle()
         assert iac_oracle == pytest.approx(11387.0, rel=1e-4)
         assert idc_oracle == pytest.approx(15248.0, rel=1e-4)
@@ -104,34 +105,34 @@ class TestMachineTrace:
         assert tr.idc_half == pytest.approx(idc_oracle, rel=1e-3)
 
     def test_no_load_emf_identity(self):
-        tr = machine_sc_trace(self.gen, self.op)
+        tr = machine_sc_trace(self.gen, self.op, TGRID, 60.0)
         assert tr.e_q0_st == pytest.approx(690.0 / SQRT3, rel=1e-12)
         assert tr.e_q0_t == pytest.approx(690.0 / SQRT3, rel=1e-12)
 
     def test_asymptote_is_steady_state_current(self):
         tgrid = np.array([0.0, 10.0, 50.0])
-        tr = machine_sc_trace(self.gen, self.op, tgrid=tgrid)
+        tr = machine_sc_trace(self.gen, self.op, tgrid, 60.0)
         assert tr.iac[-1] == pytest.approx(3000.0, rel=1e-9)
 
     def test_envelope_composition(self):
-        tr = machine_sc_trace(self.gen, self.op)
+        tr = machine_sc_trace(self.gen, self.op, TGRID, 60.0)
         assert np.allclose(tr.envelope, SQRT2 * tr.iac + tr.idc)
 
     def test_component_ordering_stored(self):
-        tr = machine_sc_trace(self.gen, self.op)
+        tr = machine_sc_trace(self.gen, self.op, TGRID, 60.0)
         assert tr.i_kd_st >= tr.i_kd_t >= tr.i_kd
 
     def test_missing_dynamics(self):
         from dataclasses import replace
         gen = replace(self.gen, dynamics=None)
         with pytest.raises(MissingDynamicsError):
-            machine_sc_trace(gen, self.op)
+            machine_sc_trace(gen, self.op, TGRID, 60.0)
 
     def test_ikd_estimated_when_absent(self):
         from dataclasses import replace
         d = self.gen.dynamics
         gen = replace(self.gen, dynamics=replace(d, ikd=None))
-        tr = machine_sc_trace(gen, self.op)
+        tr = machine_sc_trace(gen, self.op, TGRID, 60.0)
         assert tr.ikd_source == "estimated"
         # the machine-formula asymptote: E'q0 / Xd
         assert tr.i_kd == pytest.approx((690.0 / SQRT3) / 0.132757, rel=1e-9)
@@ -140,7 +141,7 @@ class TestMachineTrace:
         from dataclasses import replace
         d = self.gen.dynamics
         gen = replace(self.gen, dynamics=replace(d, tdc=None))
-        tr = machine_sc_trace(gen, self.op)
+        tr = machine_sc_trace(gen, self.op, TGRID, 60.0)
         assert tr.tdc_source == "estimated"
         # T_dc = X''d / (2 pi f Ra), Ra = 1 mohm
         tdc = 0.03 / (2 * math.pi * 60.0 * 1e-3)
@@ -160,7 +161,7 @@ class TestMachineTrace:
                                  rng.uniform(0.02, 0.2), None)
             i0 = rng.uniform(0.0, 2000.0)
             op = OperatingPoint(690.0, i0, rng.uniform(0.0, 1.2))
-            tr = machine_sc_trace(gen, op, tgrid=tgrid)
+            tr = machine_sc_trace(gen, op, tgrid, 60.0)
             assert np.all(np.diff(tr.iac) <= 1e-9)
             assert np.all(np.diff(tr.idc) < 0.0)
             assert np.all(tr.iac >= 0) and np.all(tr.idc >= 0)
@@ -172,27 +173,27 @@ class TestMotorGroup:
                               xr_ratio=10.0)
 
     def test_motor_rated_current(self):
-        tr = motor_group_sc_trace(self.crane, 690.0)
+        tr = motor_group_sc_trace(self.crane, 690.0, TGRID, 60.0)
         i_rated = 0.80 * 746.7e3 / (SQRT3 * 690.0)
         assert i_rated == pytest.approx(499.9, rel=1e-3)
         assert tr.i_kd_st == pytest.approx(6.25 * i_rated)
 
     def test_locked_rotor_initial_value(self):
-        tr = motor_group_sc_trace(self.crane, 690.0)
+        tr = motor_group_sc_trace(self.crane, 690.0, TGRID, 60.0)
         assert tr.iac[0] == pytest.approx(3124.0, rel=1e-3)
 
     def test_zero_motor_fraction_rejected(self):
         static = LoadSpec("L", "B", 100.0, 0.9, 1.0, 0.0)
         with pytest.raises(ShortCircuitError):
-            motor_group_sc_trace(static, 690.0)
+            motor_group_sc_trace(static, 690.0, TGRID, 60.0)
 
     def test_missing_xr_rejected(self):
         load = LoadSpec("L", "B", 100.0, 0.9, 0.2, 0.8)
         with pytest.raises(ShortCircuitError, match="xr_ratio"):
-            motor_group_sc_trace(load, 690.0)
+            motor_group_sc_trace(load, 690.0, TGRID, 60.0)
 
     def test_dc_time_constant_from_xr(self):
-        tr = motor_group_sc_trace(self.crane, 690.0, frequency=60.0)
+        tr = motor_group_sc_trace(self.crane, 690.0, TGRID, 60.0)
         tdc = 10.0 / (2 * math.pi * 60.0)
         expect = SQRT2 * tr.i_kd_st * math.exp(-(1 / 120.0) / tdc)
         assert tr.idc_half == pytest.approx(expect, rel=1e-12)
@@ -201,23 +202,23 @@ class TestMotorGroup:
 class TestVfd:
     def test_drive_contribution(self):
         conv = ConverterSpec("D", "B", "inverter", 1150.0, 550.0)
-        tr = vfd_contribution(conv)
+        tr = vfd_contribution(conv, TGRID, 60.0)
         assert np.all(tr.iac == 1725.0)
         assert np.all(tr.idc == 0.0)
 
     def test_identity_factor(self):
         conv = ConverterSpec("D", "B", "inverter", 1150.0, 550.0,
                              sc_contribution_factor=1.0)
-        assert vfd_contribution(conv).iac_half == 1150.0
+        assert vfd_contribution(conv, TGRID, 60.0).iac_half == 1150.0
 
     def test_grid_inverter(self):
         conv = ConverterSpec("GI", "B", "grid_inverter", 2060.0, 600.0)
-        assert vfd_contribution(conv).iac_half == pytest.approx(3090.0)
+        assert vfd_contribution(conv, TGRID, 60.0).iac_half == pytest.approx(3090.0)
 
     def test_charger_is_not_ac_coupled(self):
         conv = ConverterSpec("CH", "B", "charger", 850.0, 552.5)
         with pytest.raises(ShortCircuitError):
-            vfd_contribution(conv)
+            vfd_contribution(conv, TGRID, 60.0)
 
 
 class TestFaultSummary:
@@ -253,7 +254,7 @@ class TestFaultSummary:
         sol = solve_ac_powerflow(ac_vessel)
         summ = fault_summary(ac_vessel, "AC_PS", sol)
         own = motor_group_sc_trace(ac_vessel.load("LOAD440_PS"), 440.0,
-                                   frequency=60.0)
+                                   TGRID, 60.0)
         assert summ.traces["LOAD440_PS"].iac_half == pytest.approx(
             own.iac_half * 440.0 / 690.0)
 

@@ -16,7 +16,9 @@ from vesselstudy.grid import (
     ConverterSpec,
     GridModel,
 )
-from vesselstudy.sc_dc import DcFaultError
+from vesselstudy.sc_dc import DcFaultError, default_time_grid
+
+TGRID = default_time_grid()
 
 # reference converter DC-link branch: 2400 uF, 54.7 mohm, 5.5 uH; the
 # published time to peak is 0.134 ms and ip/EC = 10.69 A/V
@@ -27,26 +29,26 @@ FIG6_BRANCH = dict(capacitance=2400e-6, series_resistance=54.7e-3,
 class TestCapacitor:
     def test_time_to_peak_matches_published_value(self):
         cap = CapacitorBranch(initial_voltage=650.0, **FIG6_BRANCH)
-        tr = capacitor_sc_trace(cap)
+        tr = capacitor_sc_trace(cap, TGRID)
         assert tr.regime == "underdamped"
         assert tr.time_to_peak == pytest.approx(0.134e-3, rel=0.02)
 
     def test_time_to_peak_is_voltage_independent(self):
-        tps = [capacitor_sc_trace(
-            CapacitorBranch(initial_voltage=ec, **FIG6_BRANCH)).time_to_peak
+        tps = [capacitor_sc_trace(CapacitorBranch(
+            initial_voltage=ec, **FIG6_BRANCH), TGRID).time_to_peak
             for ec in (100.0, 650.0, 1300.0)]
         assert tps[0] == tps[1] == tps[2]
 
     def test_peak_at_backsolved_voltage(self):
         # EC back-solved before the build: ip/EC = 10.69 A/V on this branch
         cap = CapacitorBranch(initial_voltage=650.0, **FIG6_BRANCH)
-        tr = capacitor_sc_trace(cap)
+        tr = capacitor_sc_trace(cap, TGRID)
         assert tr.peak_current == pytest.approx(6950.0, rel=0.01)
         assert tr.peak_current / 650.0 == pytest.approx(10.69, rel=1e-3)
 
     def test_zero_initial_voltage_means_zero_current(self):
         cap = CapacitorBranch(initial_voltage=0.0, **FIG6_BRANCH)
-        tr = capacitor_sc_trace(cap)
+        tr = capacitor_sc_trace(cap, TGRID)
         assert np.all(tr.i == 0.0)
         assert tr.peak_current == 0.0
 
@@ -58,19 +60,20 @@ class TestCapacitor:
                 series_resistance=rng.uniform(1e-3, 0.5),
                 series_inductance=rng.uniform(1e-6, 1e-4))
             k = rng.uniform(1.5, 4.0)
-            a = capacitor_sc_trace(CapacitorBranch(initial_voltage=100.0, **branch))
+            a = capacitor_sc_trace(
+                CapacitorBranch(initial_voltage=100.0, **branch), TGRID)
             b = capacitor_sc_trace(
-                CapacitorBranch(initial_voltage=100.0 * k, **branch))
+                CapacitorBranch(initial_voltage=100.0 * k, **branch), TGRID)
             assert b.peak_current == pytest.approx(k * a.peak_current, rel=1e-12)
             assert b.time_to_peak == a.time_to_peak
 
     def test_overdamped_and_critical_regimes(self):
         # R large: overdamped; R = 2*sqrt(L/C): critically damped
         c, l = 2400e-6, 5.5e-6
-        over = capacitor_sc_trace(CapacitorBranch(c, 1.0, l, 650.0))
+        over = capacitor_sc_trace(CapacitorBranch(c, 1.0, l, 650.0), TGRID)
         assert over.regime == "overdamped"
         r_crit = 2.0 * math.sqrt(l / c)
-        crit = capacitor_sc_trace(CapacitorBranch(c, r_crit, l, 650.0))
+        crit = capacitor_sc_trace(CapacitorBranch(c, r_crit, l, 650.0), TGRID)
         assert crit.regime == "critical"
 
     def test_regime_boundary_continuity(self):
@@ -97,7 +100,7 @@ class TestCapacitor:
 
     def test_current_nonnegative_through_first_peak(self):
         cap = CapacitorBranch(initial_voltage=650.0, **FIG6_BRANCH)
-        tr = capacitor_sc_trace(cap)
+        tr = capacitor_sc_trace(cap, TGRID)
         sel = tr.t <= 2.0 * tr.time_to_peak
         assert np.all(tr.i[sel] >= 0.0)
 
@@ -113,7 +116,7 @@ class TestBattery:
         assert tr.sustained == 14900.0
 
     def test_starts_from_zero(self):
-        tr = battery_sc_trace(self.bat)
+        tr = battery_sc_trace(self.bat, TGRID)
         assert tr.i[0] == 0.0
 
     def test_value_at_one_time_constant(self):
@@ -127,7 +130,7 @@ class TestBattery:
         for _ in range(20):
             bat = BatterySource("B", "D", 100.0, rng.uniform(1e3, 3e4),
                                 rng.uniform(5e-5, 5e-3), 0.2)
-            tr = battery_sc_trace(bat)
+            tr = battery_sc_trace(bat, TGRID)
             assert np.all(np.diff(tr.i) > 0.0)
             assert np.all(tr.i < bat.sc_peak_current)
 
@@ -135,18 +138,18 @@ class TestBattery:
 class TestConverterContribution:
     def test_charger_level(self):
         conv = ConverterSpec("CH", "DCB", "charger", 850.0, 552.5)
-        tr = converter_sc_contribution(conv)
+        tr = converter_sc_contribution(conv, TGRID)
         assert tr.sustained == 1275.0
         assert np.all(tr.i == 1275.0)
 
     def test_charger_identity_factor(self):
         conv = ConverterSpec("CH", "DCB", "charger", 850.0, 552.5,
                              sc_contribution_factor=1.0)
-        assert converter_sc_contribution(conv).sustained == 850.0
+        assert converter_sc_contribution(conv, TGRID).sustained == 850.0
 
     def test_inverter_contributes_nothing(self):
         conv = ConverterSpec("INV", "DCB", "inverter", 1150.0, 550.0)
-        tr = converter_sc_contribution(conv)
+        tr = converter_sc_contribution(conv, TGRID)
         assert np.all(tr.i == 0.0)
         assert tr.sustained == 0.0
 
@@ -169,7 +172,7 @@ class TestDcFaultSummary:
             "bat", buses=(Bus("DCB", "dc", 650.0),),
             batteries=(BatterySource("BAT", "DCB", 100.0, 14900.0, 0.16e-3),))
         summ = dc_fault_summary(grid, "DCB")
-        alone = battery_sc_trace(grid.batteries[0])
+        alone = battery_sc_trace(grid.batteries[0], TGRID)
         assert np.array_equal(summ.total.i, alone.i)
 
     def test_aggregate_peak_bounds(self, dc_vessel):

@@ -20,7 +20,6 @@ from vesselstudy.tdsim import (
     BracketError,
     CctFaultSpec,
     ControllerState,
-    ControllerError,
     NetworkSolveError,
     SimulationError,
 )
@@ -97,7 +96,9 @@ class TestDpFailoverSetpoint:
     def test_cold_buffer_rejected(self):
         state = ControllerState(_dp_cfg())
         state.record(0.95, {"DG#02": 1.0}, {"DG#02": 0.0})
-        with pytest.raises(ControllerError):
+        with pytest.raises(InputError, match="dp_failover controller on "
+                           "INV_PS: DG#02 lost at t=1.000 s, before "
+                           "dp_delay_s = 0.1"):
             state.generator_lost("DG#02", 1.0)
 
 
@@ -139,6 +140,13 @@ class TestScheduleValidation:
         # a bad action is bad input, like an unknown integrator
         with pytest.raises(ValueError, match="unknown event action 'explode'"):
             Event(1.0, "explode", "AC_PS")
+
+
+def test_unknown_dispatch_id_rejected(ac_vessel):
+    """The run's one power flow checks the ids it is given."""
+    with pytest.raises(InputError, match="unknown generator 'NOPE'"):
+        simulate(ac_vessel, EventSchedule(), (), SimConfig(step=0.02, end=0.1),
+                 dispatch={"NOPE": 100.0})
 
 
 class TestEquilibrium:
