@@ -1,22 +1,26 @@
 """The `vessel-study` command line.
 
     vessel-study <kind> --grid <path|builtin:name> [--study <path>]
-                 --out <dir> [--format csv|text] [--strict]
+                 [--bus <id>] --out <dir> [--format csv|text] [--strict]
+    vessel-study i2t --trace <csv> --fuse-i2t <A^2 s> [--out <dir>]
 
-Study kinds: powerflow, sc-ac, sc-dc, tdsim, cct, protect, i2t.  The CLI is
-a thin shell over the library: it loads the grid and study files, calls the
-corresponding engine and writes the artifacts.  Exit codes: 0 success,
-2 input error, 3 numerical failure, 4 negative study result under
-``--strict``.  A `NumericalError` is 3, an `InputError` or an unreadable
-file 2; any other exception is a bug, shown with its traceback (exit 1).
-The engines, not the CLI, check the ids a study names.
+Study kinds: powerflow, sc-ac, sc-dc, tdsim, cct, protect, i2t; `--bus` is
+the fault bus of sc-ac and sc-dc.  The CLI is a thin shell over the library:
+it loads the grid and study files, applies the study's breaker states,
+validates that topology, calls the corresponding engine and writes the
+artifacts.  A study file holds only sections its kind reads (`_RUNNERS`);
+only `[event <id>]` and `[controller <id>]` take ids, and appear any number
+of times; any other section appears at most once.
+Exit codes: 0 success, 2 input error, 3 numerical failure, 4 negative study
+result under ``--strict``.  A `NumericalError` is 3, an `InputError` or an
+unreadable file 2; any other exception is a bug, shown with its traceback
+(exit 1).  The engines, not the CLI, check the ids a study names.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 import numpy as np
@@ -60,10 +64,14 @@ def _id_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-# each keyed study section: key -> (converter, default); a missing key
-# takes its default, and one whose default is ... is an input error.  A
-# key that maps to a library field takes that field's default.
+# each study section kind: for a keyed section, key -> (converter, default),
+# where a missing key takes its default and one whose default is ... is an
+# input error, and a key that maps to a library field takes that field's
+# default; for an id-keyed section, the converter of its values (breaker ->
+# true/false, generator -> kW, load -> scale factor), whose ids the engines
+# check against the grid
 _STUDY_SECTIONS = {
+    "breakers": boolean, "dispatch": float, "load_scale": float,
     "sim": {"step_s": (float, SimConfig.step), "end_s": (float, SimConfig.end),
             "integrator": (str, SimConfig.integrator)},
     "cct": {"machine": (str, ...), "loading": (float, CctFaultSpec.loading),
@@ -78,7 +86,6 @@ _STUDY_SECTIONS = {
                 "cct_budget_s": (float, 0.542)},
     "powerflow": {"slack": (str, None), "tol": (float, 1e-8),
                   "max_iter": (integer, 20)},
-    "study": {"bus": (str, None)},
     "event": {"time_s": (float, ...), "action": (str, ...),
               "target": (str, Event.target), "scale": (float, Event.scale),
               "ramp_s": (float, Event.ramp),
@@ -90,45 +97,54 @@ _STUDY_SECTIONS = {
                                         ControllerConfig.q_threshold_kvar),
                    "p_rating_kw": (float, ...), "q_rating_kvar": (float, ...),
                    "dp_delay_s": (float, ControllerConfig.dp_delay)}}
-# the id-keyed study sections and the converter of their values: breaker ->
-# true/false, generator -> kW, load -> scale factor; the engines check
-# their ids against the grid
-_STUDY_MAPS = {"breakers": boolean, "dispatch": float, "load_scale": float}
+# the kinds that take an id and may appear any number of times; every other
+# kind takes none and may appear once
+_WITH_ID = ("event", "controller")
 
 
 class _Study:
-    """Parsed study file: {section kind: {id: {key: typed value}}}."""
+    """Parsed study file: {section kind: {id: {key: typed value}}}, of the
+    kinds the study kind reads (`_RUNNERS`); any other section is an input
+    error."""
 
-    def __init__(self, text: str = ""):
+    def __init__(self, text: str, study_kind: str):
+        reads = _RUNNERS[study_kind][1]
         self.sections: dict[str, dict[str, dict]] = {}
         for kind, sid, line, keys in read_sections(text):
             where = f"[{kind} {sid}]" if sid else f"[{kind}]"
-            if kind in _STUDY_MAPS:
-                values = {k: convert(where, line, k, v, _STUDY_MAPS[kind])
-                          for k, v in keys.items()}
-            elif kind in _STUDY_SECTIONS:
-                values = _section_values(_STUDY_SECTIONS[kind], keys, where,
-                                         line)
-            else:
+            table = _STUDY_SECTIONS.get(kind)
+            if table is None:
                 raise GridParseError(
                     f"unknown study section kind {kind!r}", line)
+            if kind not in reads:
+                raise GridParseError(
+                    f"{where} is not read by a {study_kind} study", line)
+            if bool(sid) != (kind in _WITH_ID):
+                raise GridParseError(f"{where} needs an id" if not sid
+                                     else f"{where} takes no id", line)
+            values = _section_values(table, keys, where, line)
             if sid in self.sections.setdefault(kind, {}):
                 raise GridParseError(f"{where} repeated", line)
             self.sections[kind][sid] = values
 
-    def one(self, kind: str) -> dict:
-        """The first section of `kind`, or the defaults when there is none."""
-        for values in self.many(kind).values():
-            return values
-        return {k: default for k, (_, default)
-                in _STUDY_SECTIONS.get(kind, {}).items()
-                if default is not ...}
+    def one(self, kind: str, required: bool = False) -> dict:
+        """The section of `kind`, a kind without ids, or its defaults when
+        there is none and the study does not require one."""
+        if "" in self.sections.get(kind, {}):
+            return self.sections[kind][""]
+        if required:
+            raise InputError(f"{kind} study requires a [{kind}] section")
+        return _section_values(_STUDY_SECTIONS[kind], {}, f"[{kind}]", None)
 
     def many(self, kind: str) -> dict[str, dict]:
         return self.sections.get(kind, {})
 
 
-def _section_values(table: dict, keys: dict, where: str, line: int) -> dict:
+def _section_values(table, keys: dict, where: str, line: int | None) -> dict:
+    """{key: typed value} of one section; `table` is its key table or, for
+    an id-keyed section, the converter of every value."""
+    if callable(table):
+        return {k: convert(where, line, k, v, table) for k, v in keys.items()}
     check_declared(where, line, keys, table.keys())
     values = {}
     for key, (conv, default) in table.items():
@@ -155,15 +171,6 @@ def _load_grid(spec: str) -> GridModel:
     return parse_grid(_read_text(spec))
 
 
-def _load_study(path: str | None) -> _Study:
-    return _Study() if path is None else _Study(_read_text(path))
-
-
-def _apply_breaker_states(grid: GridModel, study: _Study) -> GridModel:
-    states = study.one("breakers")
-    return grid.with_breaker_states(states) if states else grid
-
-
 def _emit(args, name: str, header, rows) -> None:
     if args.format == "text":
         content = report.render_table(header, rows)
@@ -174,9 +181,8 @@ def _emit(args, name: str, header, rows) -> None:
 
 
 def _steady_state(study: _Study) -> dict:
-    """The study's slack, dispatch and load_scale as solver keywords."""
-    return {"slack": study.one("powerflow")["slack"],
-            "dispatch": study.one("dispatch"),
+    """The study's [powerflow] keys, dispatch and load_scale, as keywords."""
+    return {**study.one("powerflow"), "dispatch": study.one("dispatch"),
             "load_scale": study.one("load_scale")}
 
 
@@ -184,19 +190,13 @@ def _steady_state(study: _Study) -> dict:
 
 
 def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
-    pf = study.one("powerflow")
     bal = draws = None
     if any(b.kind == "dc" for b in grid.buses):
         bal = solve_dc_balance(grid)
         draws = {cid: (p, 0.0) for cid, p in bal.transfers_kw.items()
                  if grid.converter(cid).kind == "charger"}
-    sol = solve_ac_powerflow(
-        grid,
-        tol=pf["tol"],
-        max_iter=pf["max_iter"],
-        converter_draws=draws,
-        **_steady_state(study),
-    )
+    sol = solve_ac_powerflow(grid, converter_draws=draws,
+                             **_steady_state(study))
     if bal is not None:   # written once both solves have passed
         _emit(args, "dcbalance.csv", *report.dc_balance_rows(bal))
     _emit(args, "buses.csv", *report.powerflow_rows(sol))
@@ -204,13 +204,6 @@ def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
           f"max mismatch {report.fmt(sol.max_mismatch)} pu, "
           f"slack {', '.join(sol.slack_elements)}")
     return EXIT_OK
-
-
-def _fault_bus(args, study: _Study) -> str:
-    bus = args.bus or study.one("study")["bus"]
-    if not bus:
-        raise InputError("a fault bus is required (--bus or [study] bus)")
-    return bus
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -253,23 +246,21 @@ def _write_traces(out: str, traces: dict, fields: tuple[str, ...],
 
 
 def _run_sc_ac(args, grid: GridModel, study: _Study) -> int:
-    bus = _fault_bus(args, study)
     sol = solve_ac_powerflow(grid, **_steady_state(study))
-    summ = fault_summary(grid, bus, sol)
+    summ = fault_summary(grid, args.bus, sol)
     if args.format == "csv":
         t_cells = report.format_column(next(iter(summ.traces.values())).t)
         _write_traces(args.out, summ.traces, ("iac", "idc", "envelope"),
                       lambda tr: report.ac_trace_csv(tr, t_cells))
     _emit(args, "summary.csv", *report.ac_summary_rows(summ))
-    print(f"fault at {bus}: Iac(T/2) = {summ.iac_half_cycle/1e3:.3f} kA, "
+    print(f"fault at {args.bus}: Iac(T/2) = {summ.iac_half_cycle/1e3:.3f} kA, "
           f"idc(T/2) = {summ.idc_half_cycle/1e3:.3f} kA, "
           f"ip = {summ.ip/1e3:.3f} kA")
     return EXIT_OK
 
 
 def _run_sc_dc(args, grid: GridModel, study: _Study) -> int:
-    bus = _fault_bus(args, study)
-    summ = dc_fault_summary(grid, bus)
+    summ = dc_fault_summary(grid, args.bus)
     if args.format == "csv":
         t_cells = report.format_column(summ.total.t)   # shared by every trace
         _write_traces(args.out, summ.traces, ("i",),
@@ -277,7 +268,7 @@ def _run_sc_dc(args, grid: GridModel, study: _Study) -> int:
         report.write_artifact(args.out, "total.csv", report.dc_trace_csv(
             summ.total, total=True, t_cells=t_cells))
     _emit(args, "summary.csv", *report.dc_summary_rows(summ))
-    print(f"fault at {bus}: sustained {summ.sustained/1e3:.3f} kA, "
+    print(f"fault at {args.bus}: sustained {summ.sustained/1e3:.3f} kA, "
           f"peak {summ.peak/1e3:.3f} kA")
     return EXIT_OK
 
@@ -305,17 +296,17 @@ def _sim_config(study: _Study) -> SimConfig:
 
 
 def _run_tdsim(args, grid: GridModel, study: _Study) -> int:
+    steady = _steady_state(study)
+    del steady["tol"], steady["max_iter"]   # simulate has no such knobs
     ts = simulate(grid, _events(study), _controllers(study), _sim_config(study),
-                  **_steady_state(study))
+                  **steady)
     report.write_artifact(args.out, "timeseries.csv", report.timeseries_csv(ts))
     print(f"simulated {ts.t[-1]:g} s, {len(ts.channels)} channels")
     return EXIT_OK
 
 
 def _run_cct(args, grid: GridModel, study: _Study) -> int:
-    if not study.many("cct"):
-        raise InputError("cct study requires a [cct] section")
-    keys = study.one("cct")
+    keys = study.one("cct", required=True)
     spec = CctFaultSpec(machine=keys["machine"], loading=keys["loading"],
                         location=keys["location"], branch=keys["branch"])
     result = find_cct(
@@ -329,9 +320,7 @@ def _run_cct(args, grid: GridModel, study: _Study) -> int:
 
 
 def _run_protect(args, grid: GridModel, study: _Study) -> int:
-    if not study.many("protect"):
-        raise InputError("protect study requires a [protect] section")
-    keys = study.one("protect")
+    keys = study.one("protect", required=True)
     if keys["fault_element"] is not None:
         fault = FaultLocation.at_element_terminal(keys["fault_element"])
         fault_bus = grid.element(fault.target).bus
@@ -387,7 +376,7 @@ def _read_trace_csv(path: str) -> DcScTrace:
                      time_to_peak=float(t_arr[k]), regime="file")
 
 
-def _run_i2t(args, grid, study: _Study) -> int:
+def _run_i2t(args, grid, study) -> int:   # reads neither
     if not args.trace or args.fuse_i2t is None:
         raise InputError("i2t requires --trace and --fuse-i2t")
     trace = _read_trace_csv(args.trace)
@@ -405,14 +394,16 @@ def _run_i2t(args, grid, study: _Study) -> int:
     return EXIT_OK
 
 
+# study kind -> (its runner, the study section kinds it reads)
+_STEADY = ("breakers", "dispatch", "load_scale", "powerflow")
 _RUNNERS = {
-    "powerflow": _run_powerflow,
-    "sc-ac": _run_sc_ac,
-    "sc-dc": _run_sc_dc,
-    "tdsim": _run_tdsim,
-    "cct": _run_cct,
-    "protect": _run_protect,
-    "i2t": _run_i2t,
+    "powerflow": (_run_powerflow, _STEADY),
+    "sc-ac": (_run_sc_ac, _STEADY),
+    "sc-dc": (_run_sc_dc, ("breakers",)),
+    "tdsim": (_run_tdsim, _STEADY + ("sim", "event", "controller")),
+    "cct": (_run_cct, ("breakers", "cct")),
+    "protect": (_run_protect, _STEADY + ("protect",)),
+    "i2t": (_run_i2t, ()),
 }
 
 
@@ -427,12 +418,13 @@ def _build_parser() -> argparse.ArgumentParser:
         if kind != "i2t":
             p.add_argument("--grid", required=True,
                            help="grid file path or builtin:<name>")
-        p.add_argument("--study", default=None, help="study config file")
-        p.add_argument("--out", default=None, help="output directory")
+            p.add_argument("--study", default=None, help="study config file")
+        p.add_argument("--out", required=kind != "i2t",
+                       help="output directory")
         p.add_argument("--format", choices=("csv", "text"), default="csv")
         p.add_argument("--strict", action="store_true")
         if kind in ("sc-ac", "sc-dc"):
-            p.add_argument("--bus", default=None, help="fault bus id")
+            p.add_argument("--bus", required=True, help="fault bus id")
         if kind == "i2t":
             p.add_argument("--trace", default=None, help="trace CSV file")
             p.add_argument("--fuse-i2t", default=None, type=float,
@@ -442,25 +434,24 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    args.out = os.environ.get("VESSEL_STUDY_OUT", args.out)
-    if args.out is None and args.kind != "i2t":
-        print("error: an output directory is required (--out or "
-              "VESSEL_STUDY_OUT)", file=sys.stderr)
-        return EXIT_INPUT
     try:
-        if args.kind == "i2t":
-            grid, study = None, _load_study(args.study)
-        else:
+        grid = study = None   # i2t reads a trace, not a grid or a study
+        if args.kind != "i2t":
             grid = _load_grid(args.grid)
+            study = _Study("" if args.study is None
+                           else _read_text(args.study), args.kind)
+            # the breaker states apply first: the topology studied is the
+            # one validated
+            states = study.one("breakers")
+            if states:
+                grid = grid.with_breaker_states(states)
             bad = validate(grid)
             if not bad.ok():
                 for v in bad:
                     print(f"error: {v.element_id}: {v.rule}: {v.message}",
                           file=sys.stderr)
                 return EXIT_INPUT
-            study = _load_study(args.study)
-            grid = _apply_breaker_states(grid, study)
-        return _RUNNERS[args.kind](args, grid, study)
+        return _RUNNERS[args.kind][0](args, grid, study)
     except NumericalError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

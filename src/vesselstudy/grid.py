@@ -423,6 +423,15 @@ def _non_finite(spec, prefix: str = ""):
             yield from _non_finite(val, f"{prefix}{name}.")
 
 
+def island_frequency(grid: GridModel, island) -> float:
+    """The frequency set on an AC island's buses, 60 Hz when none is; an
+    island that mixes frequencies is an input error."""
+    freqs = sorted({grid.bus(b).frequency for b in island} - {None})
+    if len(freqs) > 1:
+        raise InputError(f"island at {min(island)} mixes frequencies {freqs}")
+    return freqs[0] if freqs else 60.0
+
+
 def validate(grid: GridModel) -> ValidationReport:
     """Check every type invariant; violations are data, not exceptions."""
     v: list[Violation] = []
@@ -553,11 +562,10 @@ def validate(grid: GridModel) -> ValidationReport:
         if f.i2t_total_clearing <= 0:
             add(f.id, "i2t", "i2t_total_clearing must be > 0")
 
-    # AC islands must not mix frequencies
     for isl in grid.islands(AC):
-        freqs = {grid.bus(b).frequency for b in isl} - {None}
-        if len(freqs) > 1:
-            add(sorted(isl)[0], "island frequency",
-                f"island mixes frequencies {sorted(freqs)}")
+        try:
+            island_frequency(grid, isl)
+        except InputError as exc:
+            add(min(isl), "island frequency", str(exc))
 
     return ValidationReport(tuple(v))

@@ -18,7 +18,7 @@ import numpy as np
 
 from .grid import (AC, DC, CableBranch, ConverterSpec, GridModel,
                    InputError, IslandElements, NumericalError,
-                   connected_groups)
+                   connected_groups, island_frequency)
 
 S_BASE_KVA = 1000.0
 
@@ -130,7 +130,7 @@ def build_ac_networks(grid: GridModel) -> list[AcNetwork]:
         nodes = connected_groups(island, ties)
         node_of = {b: i for i, g in enumerate(nodes) for b in g}
         vbase = [grid.bus(min(g)).nominal_voltage for g in nodes]
-        freq = grid.bus(min(island)).frequency or 60.0
+        freq = island_frequency(grid, island)
 
         n = len(nodes)
         y = np.zeros((n, n), dtype=complex)

@@ -135,7 +135,8 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
     d = gen.dynamics
     if d is None:
         raise MissingDynamicsError(f"{gen.id}: no dynamics block")
-    _check_reactances(d.xd, d.xd_t, d.xd_st)
+    td_t, td_st = short_circuit_time_constants(d.xd, d.xd_t, d.xd_st,
+                                               d.td0_t, d.td0_st)
 
     zbase = gen.voltage ** 2 / (gen.rated_kva * 1e3)
     xd, xd_t, xd_st = d.xd * zbase, d.xd_t * zbase, d.xd_st * zbase
@@ -152,10 +153,6 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
     else:
         ikd, ikd_source = e_t / xd, "estimated"
 
-    td_t = d.td0_t * d.xd_t / d.xd
-    td_st = d.td0_st * d.xd_st / d.xd_t
-    if td_t <= 0 or td_st <= 0:
-        raise ShortCircuitError(f"{gen.id}: non-positive converted time constant")
     if d.tdc is not None and d.tdc > 0:
         tdc, tdc_source = d.tdc, "datasheet"
     else:

@@ -43,6 +43,15 @@ def dp_island(grid):
     return grid.with_breaker_states({b: False for b in DP_ISLAND_OPEN})
 
 
+def split_frequency_grid(grid: GridModel) -> GridModel:
+    """The AC vessel with its starboard section (AC_SB, LV_SB) at 50 Hz and
+    the AC_MID-AC_SB tie open, so each island has one frequency."""
+    buses = tuple(dataclasses.replace(b, frequency=50.0)
+                  if b.id in ("AC_SB", "LV_SB") else b for b in grid.buses)
+    return dataclasses.replace(grid, buses=buses).with_breaker_states(
+        {"CB_TIE_MID_SB": False})
+
+
 def single_gen_grid(load_kw: float = 0.0, load_kvar: float = 0.0) -> GridModel:
     """One DG#01-class machine feeding a local lumped load."""
     bus = Bus("B1", "ac", 690.0, 60.0)

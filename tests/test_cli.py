@@ -11,7 +11,7 @@ from vesselstudy import (
 )
 from vesselstudy.cli import main
 
-from helpers import PS_ISLAND_OPEN
+from helpers import PS_ISLAND_OPEN, split_frequency_grid
 
 PEAK_STUDY = """
 [breakers]
@@ -38,6 +38,7 @@ p_rating_kw = 1500
 q_rating_kvar = 1500
 """.format(breakers="\n".join(f"{b} = false" for b in PS_ISLAND_OPEN))
 
+TDSIM_HEAD = "[sim]\nstep_s = 0.02\nend_s = 0.1\n"
 PROTECT_STUDY = """
 [protect]
 fault_element = DG#01
@@ -184,16 +185,6 @@ def test_sc_ac_summary_schema(tmp_path):
     assert header == "contributor,ikd_st_a,ikd_t_a,ikd_a,iac_half_a,idc_half_a,ip_a"
 
 
-def test_env_var_overrides_out(tmp_path, monkeypatch):
-    target = tmp_path / "env_out"
-    monkeypatch.setenv("VESSEL_STUDY_OUT", str(target))
-    rc = main(["powerflow", "--grid", "builtin:ac_vessel",
-               "--out", str(tmp_path / "ignored")])
-    assert rc == 0
-    assert (target / "buses.csv").exists()
-    assert not (tmp_path / "ignored").exists()
-
-
 def test_grid_file_path_accepted(tmp_path):
     path = tmp_path / "vessel.grid"
     path.write_text(serialize_grid(builtin_fixture("ac_vessel")))
@@ -270,7 +261,7 @@ def test_unknown_sim_and_cct_keys_are_input_errors(tmp_path, capsys, kind,
     ("protect", "[protect]\nfault_element = DG#01\ncct_budget = 0.2\n",
      "cct_budget"),
     ("powerflow", "[powerflow]\ntolerance = 1e-6\n", "tolerance"),
-    ("sc-ac", "[study]\nbus_id = AC_PS\n", "bus_id"),
+    ("sc-ac --bus AC_PS", "[powerflow]\nbus_id = AC_PS\n", "bus_id"),
     ("tdsim", "[sim]\nstep_s = 0.02\nend_s = 0.1\n[event up]\ntime_s = 0.05\n"
      "action = load_step\ntarget = LOAD440_PS\nscale = 1.1\nramp = 0.1\n",
      "ramp"),
@@ -283,7 +274,7 @@ def test_unknown_study_keys_are_input_errors(tmp_path, capsys, kind,
                                              study_text, key):
     study = tmp_path / "s.study"
     study.write_text(study_text)
-    rc = main([kind, "--grid", "builtin:ac_vessel", "--study", str(study),
+    rc = main([*kind.split(), "--grid", "builtin:ac_vessel", "--study", str(study),
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"unknown key(s): {key}" in capsys.readouterr().err
@@ -481,6 +472,88 @@ def test_misspelled_study_section_is_input_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+# the study sections each study kind reads, 23 (kind, section) pairs; any
+# other of the 9 section kinds is refused
+STEADY = {"breakers", "dispatch", "load_scale", "powerflow"}
+READS = {"powerflow": STEADY, "sc-ac": STEADY, "protect": STEADY | {"protect"},
+         "tdsim": STEADY | {"sim", "event", "controller"},
+         "sc-dc": {"breakers"}, "cct": {"breakers", "cct"}}
+HEADERS = {kind: f"[{kind}]" for kind in set().union(*READS.values())}
+HEADERS.update(event="[event a]", controller="[controller c]")
+# the grid and the extra argv of each study kind
+RUNS = {kind: ("builtin:ac_vessel", []) for kind in READS}
+RUNS.update({"sc-ac": ("builtin:ac_vessel", ["--bus", "AC_PS"]),
+             "sc-dc": ("builtin:dc_vessel", ["--bus", "DC_PS"])})
+
+
+@pytest.mark.parametrize("kind, section", [
+    (kind, section) for kind in sorted(READS) for section in sorted(HEADERS)
+    if section not in READS[kind]])
+def test_a_section_the_study_does_not_read_is_refused(tmp_path, capsys, kind,
+                                                      section):
+    """Such a section used to parse and be dropped without a word."""
+    study = tmp_path / "s.study"
+    study.write_text(f"[breakers]\n{HEADERS[section]}\n")
+    grid, extra = RUNS[kind]
+    rc = main([kind, "--grid", grid, "--study", str(study),
+               "--out", str(tmp_path / "o")] + extra)
+    assert rc == 2
+    assert (f"line 2: {HEADERS[section]} is not read by a {kind} study"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["sc-ac", "protect"])
+def test_fault_studies_honour_the_powerflow_section(tmp_path, kind):
+    """sc-ac and protect used to read only its slack."""
+    study = tmp_path / "s.study"
+    study.write_text("[powerflow]\nmax_iter = 0\n"
+                     + PROTECT_STUDY.format(zsi="true") * (kind == "protect"))
+    extra = ["--bus", "AC_PS"] if kind == "sc-ac" else []
+    rc = main([kind, "--grid", "builtin:ac_vessel", "--study", str(study),
+               "--out", str(tmp_path / "o")] + extra)
+    assert rc == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["i2t", "--trace", "t.csv", "--fuse-i2t", "9350", "--study", "s.study"],
+    ["sc-ac", "--grid", "builtin:ac_vessel", "--out", "o"],
+    ["sc-dc", "--grid", "builtin:dc_vessel", "--out", "o"],
+    ["powerflow", "--grid", "builtin:ac_vessel"],
+])
+def test_one_spelling_per_input(argv, capsys):
+    """i2t read no study, a fault bus could come from [study] bus and the
+    output directory from VESSEL_STUDY_OUT."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("study_text", [
+    # the grid used to be validated before the study closed the tie
+    "[breakers]\nCB_TIE_MID_SB = true\n",
+    # and closing it mid-run used to pull the 50 Hz island to 60 Hz
+    TDSIM_HEAD + "[event c]\ntime_s = 0.05\naction = breaker_close\n"
+    "target = CB_TIE_MID_SB\n",
+])
+def test_joining_islands_of_two_frequencies_is_an_input_error(
+        tmp_path, capsys, study_text):
+    grid = tmp_path / "split.grid"
+    grid.write_text(serialize_grid(split_frequency_grid(
+        builtin_fixture("ac_vessel"))))
+    study = tmp_path / "s.study"
+    study.write_text(study_text)
+    kind = "tdsim" if "[sim]" in study_text else "powerflow"
+    assert main([kind, "--grid", str(grid), "--out", str(tmp_path / "a")]) == 0
+    rc = main([kind, "--grid", str(grid), "--study", str(study),
+               "--out", str(tmp_path / "b")])
+    assert rc == 2
+    assert ("island at AC_MID mixes frequencies [50.0, 60.0]"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "b").exists()
+
+
 @pytest.mark.parametrize("kind, extra", [
     ("powerflow", []), ("sc-ac", ["--bus", "AC_PS"]), ("tdsim", []),
     ("protect", []),
@@ -503,7 +576,6 @@ def test_unknown_steady_state_ids_are_input_errors(tmp_path, capsys, kind,
     assert not (tmp_path / "o").exists()
 
 
-TDSIM_HEAD = "[sim]\nstep_s = 0.02\nend_s = 0.1\n"
 # DG#01's serialized keys from its first dynamics key to its last, and the
 # same span without the dynamics block
 DG01_SPAN = ("damping_pu = 2.00\nfrequency_hz = 60.00\ninertia_h_s = 1.20\n"
@@ -570,6 +642,15 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
     ("tdsim", None, TDSIM_HEAD + "[event up]\ntime_s = 0.05\naction = fault_clear\n"
      "[event up]\ntime_s = 0.08\naction = fault_clear\n", "line 7: [event up] repeated"),
     ("tdsim", None, TDSIM_HEAD + "[sim]\nend_s = 0.2\n", "line 4: [sim] repeated"),
+    # and a second section of a kind without ids was dropped
+    ("powerflow", None, "[dispatch]\nDG#01 = 1200\n[dispatch extra]\n"
+     "DG#02 = 900\n", "line 3: [dispatch extra] takes no id"),
+    ("powerflow", None, "[powerflow]\n[powerflow two]\nmax_iter = 0\n",
+     "line 2: [powerflow two] takes no id"),
+    ("tdsim", None, TDSIM_HEAD + "[event]\ntime_s = 0.05\naction = fault_clear\n",
+     "line 4: [event] needs an id"),
+    ("tdsim", None, TDSIM_HEAD + "[controller]\nmode = peak_shave\n",
+     "line 4: [controller] needs an id"),
     ("cct", None, SHORT_CCT.replace("window_s", "location = 0.5\nbranch = NOPE\n"
                                     "window_s"), "unknown branch 'NOPE'"),
     # tol_s = 0 used to bisect forever once lo and hi were adjacent floats
@@ -595,7 +676,7 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
     # a missing dynamics block used to be a numerical failure (exit 3)
     ("tdsim", NO_DG01_DYNAMICS, TDSIM_HEAD, "DG#01: no dynamics block"),
     ("cct", NO_DG01_DYNAMICS, SHORT_CCT, "DG#01: no dynamics block"),
-    ("sc-ac", NO_DG01_DYNAMICS, "[study]\nbus = AC_PS\n", "DG#01: no dynamics block"),
+    ("sc-ac --bus AC_PS", NO_DG01_DYNAMICS, "", "DG#01: no dynamics block"),
     # a machine that feeds its own swing, or has no rotor, used to validate
     ("tdsim", ("damping_pu = 2.00", "damping_pu = -5.00"), TDSIM_HEAD,
      "damping: damping_pu -5.0 must be >= 0"),
@@ -667,7 +748,7 @@ def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
         grid.write_text(text.replace(grid_edit[0], grid_edit[1], 1))
     study = tmp_path / "s.study"
     study.write_text(study_text)
-    rc = main([kind, "--grid", str(grid), "--study", str(study),
+    rc = main([*kind.split(), "--grid", str(grid), "--study", str(study),
                "--out", str(tmp_path / "o")])
     assert rc == 2
     assert message in capsys.readouterr().err

@@ -91,15 +91,17 @@ TRACE = "t_s,i_a\n" + "".join(
     f"{k * 1e-4!r},{5000.0 * (1.0 - math.exp(-k * 0.1))!r}\n"
     for k in range(40))
 
-# name -> (kind, grid text, study text, extra argv); the study files are
-# small and every run is short
+# name -> (kind, grid text, study text, extra argv); i2t reads a trace and
+# no grid or study; the study files are small and every run is short
 BASES = {
     "powerflow": ("powerflow", AC_GRID,
      "[powerflow]\ntol = 1e-8\nmax_iter = 20\n[dispatch]\nDG#01 = 1200\n"
      "[load_scale]\nLOAD440_PS = 1.1\n", []),
     "dc balance": ("powerflow", DC_GRID, "[breakers]\nCB_DCTIE = false\n", []),
-    "sc-ac": ("sc-ac", AC_GRID, "[study]\nbus = AC_PS\n", ["--format", "text"]),
-    "sc-dc": ("sc-dc", DC_GRID, "[study]\nbus = DC_PS\n", ["--format", "text"]),
+    "sc-ac": ("sc-ac", AC_GRID, "[load_scale]\nLOAD440_PS = 1.1\n",
+              ["--bus", "AC_PS", "--format", "text"]),
+    "sc-dc": ("sc-dc", DC_GRID, "[breakers]\nCB_DCTIE = false\n",
+              ["--bus", "DC_PS", "--format", "text"]),
     "protect": ("protect", AC_GRID,
      "[protect]\nfault_element = DG#01\nzsi = true\ncct_budget_s = 0.542\n"
      "failed_breakers = CB_DG01\n", []),
@@ -115,7 +117,7 @@ BASES = {
      "[cct]\nmachine = DG#01\nloading = 0.9\nlocation = 0\nt_lo_s = 0\n"
      "t_hi_s = 0.4\ntol_s = 0.1\nwindow_s = 0.5\nstep_s = 0.02\n"
      "governor = on\navr = on\n", []),
-    "i2t": ("i2t", None, "", ["--fuse-i2t", "5000"]),
+    "i2t": ("i2t", None, None, ["--fuse-i2t", "5000"]),
 }
 # keys whose value sets how long a run goes on: made out of range, they make
 # a valid study that runs for hours, not a defect
@@ -157,8 +159,7 @@ def _run(base: str, tmp: str, edit=None) -> tuple[int, list[str]]:
     """main() on BASES[base], its files written to `tmp` after `edit`
     changed their {option: text}; the exit code and the stderr lines."""
     kind, grid, study, extra = BASES[base]
-    files = {"grid": grid, "study": study} if grid else {"trace": TRACE,
-                                                         "study": study}
+    files = {"grid": grid, "study": study} if grid else {"trace": TRACE}
     if edit:
         edit(files)
     argv = [kind] + extra + ["--out", f"{tmp}/o"]

@@ -13,6 +13,7 @@ reference reads valid files only, through the earlier typed values.
 """
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -47,6 +48,7 @@ from vesselstudy.grid import (
     GeneratorSpec,
     GridLookupError,
     GridModel,
+    InputError,
     LoadSpec,
     LongTimeElement,
     ShortTimeElement,
@@ -463,7 +465,11 @@ def reference_build_ac_networks(grid):
         nodes = [frozenset(g) for g in sorted(groups.values(), key=lambda s: sorted(s)[0])]
         node_of = {b: i for i, g in enumerate(nodes) for b in g}
         vbase = [grid.bus(sorted(g)[0]).nominal_voltage for g in nodes]
-        freq = grid.bus(sorted(island)[0]).frequency or 60.0
+        freqs = sorted({grid.bus(b).frequency for b in island} - {None})
+        if len(freqs) > 1:
+            raise ValueError(f"island at {sorted(island)[0]} mixes "
+                             f"frequencies {freqs}")
+        freq = freqs[0] if freqs else 60.0
 
         n = len(nodes)
         y = np.zeros((n, n), dtype=complex)
@@ -755,8 +761,13 @@ def test_islands_and_networks_match_reference(grid):
         except GridLookupError as exc:
             got = ("error", str(exc))
         assert got == expected, bus_id
+    try:
+        expected = reference_build_ac_networks(grid)
+    except ValueError as exc:
+        with pytest.raises(InputError, match=re.escape(str(exc))):
+            powerflow.build_ac_networks(grid)
+        return
     nets = powerflow.build_ac_networks(grid)
-    expected = reference_build_ac_networks(grid)
     assert len(nets) == len(expected)
     for net, (nodes, node_of, y, vbase, freq) in zip(nets, expected):
         assert net.nodes == nodes

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,10 +16,12 @@ from vesselstudy.grid import (
     GridModel,
     InputError,
     LoadSpec,
+    validate,
 )
 from vesselstudy.powerflow import CapacityError, ConvergenceError, PowerflowError
 
-from helpers import gauss_seidel_two_bus, ps_island, single_gen_grid, two_bus_grid
+from helpers import (gauss_seidel_two_bus, ps_island, single_gen_grid,
+                     split_frequency_grid, two_bus_grid)
 
 # frozen before the build from an independent Gauss-Seidel iteration of the
 # two-bus case (line z = 0.01 + j0.10 pu, load 1.0 + j0.5 pu)
@@ -109,6 +112,19 @@ def test_refuses_an_offline_slack(ac_vessel):
     grid = ac_vessel.with_breaker_states({"CB_DG01": False})
     with pytest.raises(InputError, match="slack generator 'DG#01' is offline"):
         solve_ac_powerflow(grid, slack="DG#01")
+
+
+def test_refuses_an_island_that_mixes_frequencies(ac_vessel):
+    """Closing the tie used to run the joined island at AC_MID's 60 Hz."""
+    grid = split_frequency_grid(ac_vessel)
+    assert validate(grid).ok()
+    solve_ac_powerflow(grid)
+    joined = grid.with_breaker_states({"CB_TIE_MID_SB": True})
+    message = "island at AC_MID mixes frequencies [50.0, 60.0]"
+    assert [(v.element_id, v.rule, v.message) for v in validate(joined)] == [
+        ("AC_MID", "island frequency", message)]
+    with pytest.raises(InputError, match=re.escape(message)):
+        solve_ac_powerflow(joined)
 
 
 class TestDcBalance:
