@@ -3,10 +3,14 @@
     vessel-study <kind> --grid <path|builtin:name> [--study <path>]
                  [--bus <id>] --out <dir> [--format csv|text] [--strict]
     vessel-study i2t --trace <csv> --fuse-i2t <A^2 s> [--out <dir>]
+                 [--format csv|text] [--strict]
 
 Study kinds: powerflow, sc-ac, sc-dc, tdsim, cct, protect, i2t; `--bus` is
-the fault bus of sc-ac and sc-dc.  The CLI is a thin shell over the library:
-it loads the grid and study files, applies the study's breaker states,
+the fault bus of sc-ac and sc-dc.  Every kind but tdsim, whose
+timeseries.csv has no text form, takes `--format`; only protect and i2t,
+the kinds with a verdict to fail, take `--strict`; a kind refuses a flag
+it does not take (exit 2).  The CLI is a thin shell over the library: it
+loads the grid and study files, applies the study's breaker states,
 validates that topology, calls the corresponding engine and writes the
 artifacts.  A study file holds only sections its kind reads (`_RUNNERS`);
 only `[event <id>]` and `[controller <id>]` take ids, and appear any number
@@ -72,8 +76,7 @@ def _id_list(text: str) -> tuple[str, ...]:
 # check against the grid
 _STUDY_SECTIONS = {
     "breakers": boolean, "dispatch": float, "load_scale": float,
-    "sim": {"step_s": (float, SimConfig.step), "end_s": (float, SimConfig.end),
-            "integrator": (str, SimConfig.integrator)},
+    "sim": {"step_s": (float, SimConfig.step), "end_s": (float, SimConfig.end)},
     "cct": {"machine": (str, ...), "loading": (float, CctFaultSpec.loading),
             "location": (float, CctFaultSpec.location),
             "branch": (str, CctFaultSpec.branch),
@@ -289,17 +292,11 @@ def _events(study: _Study) -> EventSchedule:
     return EventSchedule(tuple(evs))
 
 
-def _sim_config(study: _Study) -> SimConfig:
-    keys = study.one("sim")
-    return SimConfig(step=keys["step_s"], end=keys["end_s"],
-                     integrator=keys["integrator"])
-
-
 def _run_tdsim(args, grid: GridModel, study: _Study) -> int:
-    steady = _steady_state(study)
-    del steady["tol"], steady["max_iter"]   # simulate has no such knobs
-    ts = simulate(grid, _events(study), _controllers(study), _sim_config(study),
-                  **steady)
+    keys = study.one("sim")
+    ts = simulate(grid, _events(study), _controllers(study),
+                  SimConfig(step=keys["step_s"], end=keys["end_s"]),
+                  **_steady_state(study))
     report.write_artifact(args.out, "timeseries.csv", report.timeseries_csv(ts))
     print(f"simulated {ts.t[-1]:g} s, {len(ts.channels)} channels")
     return EXIT_OK
@@ -321,14 +318,15 @@ def _run_cct(args, grid: GridModel, study: _Study) -> int:
 
 def _run_protect(args, grid: GridModel, study: _Study) -> int:
     keys = study.one("protect", required=True)
+    if (keys["fault_element"] is None) == (keys["fault_bus"] is None):
+        raise InputError(
+            "[protect] needs exactly one of fault_element and fault_bus")
     if keys["fault_element"] is not None:
         fault = FaultLocation.at_element_terminal(keys["fault_element"])
         fault_bus = grid.element(fault.target).bus
-    elif keys["fault_bus"] is not None:
+    else:
         fault = FaultLocation.at_bus(keys["fault_bus"])
         fault_bus = fault.target
-    else:
-        raise InputError("[protect] needs fault_element or fault_bus")
     sol = solve_ac_powerflow(grid, **_steady_state(study))
     summ = fault_summary(grid, fault_bus, sol)
     events = sequence_of_operations(grid, fault, summ, zsi_enabled=keys["zsi"],
@@ -421,8 +419,10 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--study", default=None, help="study config file")
         p.add_argument("--out", required=kind != "i2t",
                        help="output directory")
-        p.add_argument("--format", choices=("csv", "text"), default="csv")
-        p.add_argument("--strict", action="store_true")
+        if kind != "tdsim":
+            p.add_argument("--format", choices=("csv", "text"), default="csv")
+        if kind in ("protect", "i2t"):
+            p.add_argument("--strict", action="store_true")
         if kind in ("sc-ac", "sc-dc"):
             p.add_argument("--bus", required=True, help="fault bus id")
         if kind == "i2t":

@@ -21,6 +21,7 @@ from .grid import (AC, DC, CableBranch, ConverterSpec, GridModel,
                    connected_groups, island_frequency)
 
 S_BASE_KVA = 1000.0
+DC_EFFICIENCY = 0.97   # per converter stage, in the DC balance
 
 
 class PowerflowError(NumericalError):
@@ -375,16 +376,15 @@ def solve_ac_powerflow(
     )
 
 
-def solve_dc_balance(grid: GridModel, efficiency: float = 0.97) -> DcBalanceSolution:
+def solve_dc_balance(grid: GridModel) -> DcBalanceSolution:
     """Restore the DC-side power balance of every DC island.
 
-    Converter losses are a fixed per-stage efficiency; chargers share the
-    island demand in proportion to their capability, which is capped by the
-    feeding generator's rating.  A grid inverter draws its AC island's
-    online loads and converter draws only when it is that island's
-    `island_slack`.  The DC
-    network itself (cable drops, droop) is not modelled: this is an
-    algebraic balance, not a voltage solve.
+    Converter losses are the fixed per-stage `DC_EFFICIENCY`; chargers
+    share the island demand in proportion to their capability, which is
+    capped by the feeding generator's rating.  A grid inverter draws its AC
+    island's online loads and converter draws only when it is that island's
+    `island_slack`.  The DC network itself (cable drops, droop) is not
+    modelled: this is an algebraic balance, not a voltage solve.
     """
     transfers: dict[str, float] = {}
     source_out: dict[str, float] = {}
@@ -407,13 +407,13 @@ def solve_dc_balance(grid: GridModel, efficiency: float = 0.97) -> DcBalanceSolu
                     continue    # a generator or another inverter is the slack
                 served = sum(load_pq_kw(l)[0] for l in ac_on.loads) + sum(
                     converter_draw_kw(o)[0] for o in ac_on.converters)
-                draw = served / efficiency
+                draw = served / DC_EFFICIENCY
                 transfers[c.id] = draw
                 sinks.setdefault(f"{c.id}:ac", served)
                 losses += draw - served
                 demand += draw
             elif c.kind in ("inverter", "dcdc") and c.p_set_kw:
-                draw = c.p_set_kw / efficiency
+                draw = c.p_set_kw / DC_EFFICIENCY
                 transfers[c.id] = draw
                 sinks[f"{c.id}:load"] = c.p_set_kw
                 losses += draw - c.p_set_kw
@@ -421,7 +421,7 @@ def solve_dc_balance(grid: GridModel, efficiency: float = 0.97) -> DcBalanceSolu
             elif c.kind == "charger":
                 gen = next((g for g in grid.generators if g.bus == c.ac_bus), None)
                 if gen is not None and grid.element_online(gen.id):
-                    cap = min(c.rated_kw, gen.rated_kw) * efficiency
+                    cap = min(c.rated_kw, gen.rated_kw) * DC_EFFICIENCY
                     chargers.append((c, gen, cap))
 
         if demand == 0 and not chargers:
@@ -433,7 +433,7 @@ def solve_dc_balance(grid: GridModel, efficiency: float = 0.97) -> DcBalanceSolu
                 f"online source capability {total_cap:.1f} kW")
         for c, gen, cap in chargers:
             share = demand * cap / total_cap if total_cap else 0.0
-            xfer = share / efficiency
+            xfer = share / DC_EFFICIENCY
             transfers[c.id] = xfer
             source_out[gen.id] = source_out.get(gen.id, 0.0) + xfer
             losses += xfer - share

@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (AC, ConverterSpec, GeneratorSpec, GridModel, InputError,
-                   LoadSpec, MissingDynamicsError)
+                   LoadSpec, MissingDynamicsError, island_frequency)
 from .powerflow import OperatingPoint, PowerflowSolution, prefault_operating_point
 
 SQRT2 = math.sqrt(2.0)
@@ -242,8 +242,9 @@ def fault_summary(grid: GridModel, bus_id: str,
     if fault_bus.kind != AC:
         raise ShortCircuitError(f"{bus_id} is a DC bus; use the DC fault engine")
     tgrid = default_time_grid()
-    on = grid.online_elements(grid.island_of(bus_id))
-    f = fault_bus.frequency or 60.0
+    island = grid.island_of(bus_id)
+    on = grid.online_elements(island)
+    f = island_frequency(grid, island)
     v_fault = fault_bus.nominal_voltage
 
     traces: dict[str, AcScTrace] = {}

@@ -156,7 +156,6 @@ class EventSchedule:
 class SimConfig:
     step: float = 0.005
     end: float = 10.0
-    integrator: str = "rk4"        # rk4 | trapezoidal
     governor: bool = True          # every machine's droop governor
     avr: bool = True               # every machine's voltage regulator
 
@@ -164,8 +163,6 @@ class SimConfig:
         _check_finite(step=self.step, end=self.end)
         if self.step <= 0 or self.end <= self.step:
             raise InputError("need step > 0 and end > step")
-        if self.integrator not in ("rk4", "trapezoidal"):
-            raise InputError(f"unknown integrator {self.integrator!r}")
 
 
 @dataclass
@@ -330,15 +327,13 @@ class _Snapshot(NamedTuple):
 
 class _Engine:
     def __init__(self, grid: GridModel, schedule: EventSchedule,
-                 controllers, cfg: SimConfig,
-                 dispatch=None, load_scale=None, slack=None):
+                 controllers, cfg: SimConfig, **steady):
+        """`steady`: the keywords of the initial power flow."""
         schedule.validated(grid)
         self.grid0 = grid
         self.branches = {br.id: br for br in grid.branches}
         self.cfg = cfg
-        self.dispatch = dispatch
-        self.slack = slack
-        self.base_scale = dict(load_scale or {})
+        self.base_scale = dict(steady.get("load_scale") or {})
         self.breaker_states = {b.id: b.closed for b in grid.breakers}
         self.ramps: dict[str, tuple[float, float, float, float]] = {}
         self.fault: Event | None = None     # the fault_apply in force
@@ -351,7 +346,7 @@ class _Engine:
             if c.inverter in self.controllers:
                 raise InputError(f"two controllers on inverter {c.inverter!r}")
             self.controllers[c.inverter] = ControllerState(c)
-        self._build(grid, initial=True)
+        self._build(grid, solve_ac_powerflow(grid, **steady))
         # the recorded channels and their rows, fixed by the initial topology
         self.mach_ids = list(self.m.ids)
         self.inv_ids = sorted(self.controllers)
@@ -370,13 +365,11 @@ class _Engine:
     def _current_grid(self) -> GridModel:
         return self.grid0.with_breaker_states(self.breaker_states)
 
-    def _build(self, grid: GridModel, initial: bool = False) -> None:
-        """Islands and machine arrays for a new topology, then `_factor`."""
+    def _build(self, grid: GridModel, sol=None) -> None:
+        """Islands and machine arrays for a new topology, then `_factor`;
+        the first build starts the machines from the power flow `sol`."""
+        initial = sol is not None
         nets = build_ac_networks(grid)
-        if initial:
-            sol = solve_ac_powerflow(grid, slack=self.slack,
-                                     dispatch=self.dispatch,
-                                     load_scale=self.base_scale)
         islands: list[_Island] = []
         placed = []     # (generator, island index, node, omega_s)
         for net in nets:
@@ -624,14 +617,10 @@ class _Engine:
     def _step(self, x: np.ndarray, t: float, dt: float) -> np.ndarray:
         f = self._derivatives
         k1 = f(x, t)
-        if self.cfg.integrator == "trapezoidal":
-            k2 = f(x + dt * k1, t + dt)
-            out = x + dt / 2.0 * (k1 + k2)
-        else:
-            k2 = f(x + dt / 2.0 * k1, t + dt / 2.0)
-            k3 = f(x + dt / 2.0 * k2, t + dt / 2.0)
-            k4 = f(x + dt * k3, t + dt)
-            out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+        k2 = f(x + dt / 2.0 * k1, t + dt / 2.0)
+        k3 = f(x + dt / 2.0 * k2, t + dt / 2.0)
+        k4 = f(x + dt * k3, t + dt)
+        out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(out).all():
             raise SimulationError(f"integration diverged at t={t:.4f} s")
         if (np.abs(out[:, 1]) > 2.0).any():
@@ -687,9 +676,9 @@ class _Engine:
         can tell.
 
         Only a lone linear island of exactly two machines with positive
-        inertia qualifies, run by RK4 without controllers, governor or
-        AVR, with zero or equal non-negative D/2H = lam; for anything
-        else the verdict is always None.  The relative angle d = d1 - d2
+        inertia qualifies, run without controllers, governor or AVR, with
+        zero or equal non-negative D/2H = lam; for anything else the
+        verdict is always None.  The relative angle d = d1 - d2
         then obeys d'' = f(d) - lam d' with f(d) = a + b cos d + c sin d,
         from the reduced admittance Y = diag(1/jx'd) (I - S), S the
         machine nodes' voltage per EMF (lossy lines included).  Its
@@ -725,12 +714,11 @@ class _Engine:
         windows of 2 to 60 s, the largest rise of W after clearing of any
         stable probe stayed below 1e-3 of eps and did not grow with the
         window, and from clearing to the pi crossing of any unstable
-        probe W changed by at most 6.4e-4 of eps.  The trapezoidal rule's
-        error grows with every step, so its runs never qualify.
+        probe W changed by at most 6.4e-4 of eps.
         """
         cfg, m = self.cfg, self.m
         if (self.controllers or cfg.governor or cfg.avr
-                or cfg.integrator != "rk4" or len(self.islands) != 1
+                or len(self.islands) != 1
                 or len(self.mach_ids) != 2 or len(m.ids) != 2
                 or not self.islands[0].linear or (m.two_h <= 0).any()
                 or (m.damping < 0).any()
@@ -932,6 +920,8 @@ def simulate(grid: GridModel, schedule: EventSchedule,
              dispatch: dict[str, float] | None = None,
              load_scale: dict[str, float] | None = None,
              slack: str | None = None,
+             tol: float = 1e-8,
+             max_iter: int = 20,
              *, _trunk: list | None = None,   # for find_cct
              ) -> TimeSeries:
     """Integrate the grid's AC islands through the scripted events.
@@ -939,14 +929,17 @@ def simulate(grid: GridModel, schedule: EventSchedule,
     Returns a TimeSeries on the uniform recording grid with one channel per
     machine quantity (``<gen>.p_kw``, ``.q_kvar``, ``.pm_kw``,
     ``.delta_rad``, ``.freq_hz``), per controller inverter, per bus voltage,
-    per load, and the system losses.  With `_trunk` the run is a CCT probe
+    per load, and the system losses.  The machines start from the power
+    flow that `dispatch`, `load_scale`, `slack`, `tol` and `max_iter` set
+    (see `solve_ac_powerflow`).  With `_trunk` the run is a CCT probe
     (see `_Engine.run`) that branches from the trunk's last step before
     its clearing, whose engine stands in for grid and options.
     """
     start = None if _trunk is None else _branch_point(
         _trunk, schedule.events[-1].time)
     engine = start.engine if start else _Engine(
-        grid, schedule, controllers, cfg, dispatch, load_scale, slack)
+        grid, schedule, controllers, cfg, dispatch=dispatch,
+        load_scale=load_scale, slack=slack, tol=tol, max_iter=max_iter)
     engine.cfg, engine.events = cfg, schedule.events
     return engine.run(_trunk, start)
 

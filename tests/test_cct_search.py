@@ -102,9 +102,8 @@ def _three_machines():
     (smib_grid(), dataclasses.replace(BARE_SMIB, avr=True)),
     (two_machine_grid(d_per_h=1.0, d_ib=0.0), BARE_SMIB),
     (two_machine_grid(h_ratio=2.0, d_per_h=-0.5), BARE_SMIB),
-    (smib_grid(), dataclasses.replace(BARE_SMIB, integrator="trapezoidal")),
 ], ids=["three-machines", "governor", "avr", "unequal-damping",
-        "negative-damping", "trapezoidal"])
+        "negative-damping"])
 def test_ineligible_stable_probes_run_the_whole_window(monkeypatch, grid, cfg):
     """Without the two-machine energy certificate a stable probe still
     integrates every step of its window, and an unstable one runs until

@@ -243,6 +243,8 @@ def test_study_booleans_are_strict(tmp_path, capsys, kind, study_text, key):
     ("tdsim", "[sim]\nstep_s = 0.02\nend_s = 0.1\nnetwork_interval = 4\n",
      "network_interval"),
     ("tdsim", "[sim]\nstep = 0.02\nend_s = 0.1\n", "step"),
+    # RK4 is the one integrator, so [sim] has no integrator key
+    ("tdsim", TDSIM_HEAD + "integrator = rk4\n", "integrator"),
     ("cct", "[cct]\nmachine = DG#01\ntol = 0.01\n", "tol"),
 ])
 def test_unknown_sim_and_cct_keys_are_input_errors(tmp_path, capsys, kind,
@@ -503,12 +505,14 @@ def test_a_section_the_study_does_not_read_is_refused(tmp_path, capsys, kind,
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("kind", ["sc-ac", "protect"])
+@pytest.mark.parametrize("kind", ["sc-ac", "protect", "tdsim"])
 def test_fault_studies_honour_the_powerflow_section(tmp_path, kind):
-    """sc-ac and protect used to read only its slack."""
+    """sc-ac and protect used to read only its slack, and tdsim dropped its
+    tol and max_iter."""
     study = tmp_path / "s.study"
     study.write_text("[powerflow]\nmax_iter = 0\n"
-                     + PROTECT_STUDY.format(zsi="true") * (kind == "protect"))
+                     + PROTECT_STUDY.format(zsi="true") * (kind == "protect")
+                     + TDSIM_HEAD * (kind == "tdsim"))
     extra = ["--bus", "AC_PS"] if kind == "sc-ac" else []
     rc = main([kind, "--grid", "builtin:ac_vessel", "--study", str(study),
                "--out", str(tmp_path / "o")] + extra)
@@ -528,6 +532,25 @@ def test_one_spelling_per_input(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, flag", [
+    *[(kind, "--strict") for kind in
+      ("powerflow", "sc-ac", "sc-dc", "tdsim", "cct")],
+    ("tdsim", "--format text"),
+])
+def test_a_flag_the_study_kind_ignores_is_refused(tmp_path, capsys, kind,
+                                                  flag):
+    """Only protect and i2t have a verdict --strict can fail, and tdsim
+    wrote its CSV whatever --format said; each used to exit 0."""
+    grid = "builtin:dc_vessel" if kind == "sc-dc" else "builtin:ac_vessel"
+    extra = {"sc-ac": ["--bus", "AC_PS"], "sc-dc": ["--bus", "DC_PS"]}
+    with pytest.raises(SystemExit) as exc:
+        main([kind, "--grid", grid, "--out", str(tmp_path / "o"),
+              *extra.get(kind, []), *flag.split()])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("study_text", [
@@ -615,6 +638,11 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
      "slack generator 'DG#01' is offline"),
     ("protect", None, PROTECT_STUDY.format(zsi="true") + "failed_breakers = CB_NOPE\n",
      "unknown breaker 'CB_NOPE'"),
+    # a fault_bus beside a fault_element used to be dropped
+    ("protect", None, PROTECT_STUDY.format(zsi="true") + "fault_bus = AC_SB\n",
+     "[protect] needs exactly one of fault_element and fault_bus"),
+    ("protect", None, "[protect]\nzsi = true\n",
+     "[protect] needs exactly one of fault_element and fault_bus"),
     ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("mode = peak_shave\n", ""),
      "[controller ps] missing required key 'mode'"),
     ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("INV_PS", "NOPE"),

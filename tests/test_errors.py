@@ -106,7 +106,7 @@ BASES = {
      "[protect]\nfault_element = DG#01\nzsi = true\ncct_budget_s = 0.542\n"
      "failed_breakers = CB_DG01\n", []),
     "tdsim": ("tdsim", AC_GRID,
-     "[sim]\nstep_s = 0.02\nend_s = 0.1\nintegrator = rk4\n"
+     "[sim]\nstep_s = 0.02\nend_s = 0.1\n"
      "[event up]\ntime_s = 0.03\naction = load_step\ntarget = LOAD440_PS\n"
      "scale = 1.1\nramp_s = 0.02\n"
      "[event f]\ntime_s = 0.05\naction = fault_apply\ntarget = FDR_LV_PS\n"

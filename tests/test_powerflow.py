@@ -128,16 +128,17 @@ def test_refuses_an_island_that_mixes_frequencies(ac_vessel):
 
 
 class TestDcBalance:
-    def test_single_charger_unity_efficiency(self, dc_vessel):
-        sol = solve_dc_balance(dc_vessel, efficiency=1.0)
+    def test_single_charger_two_stages(self, dc_vessel):
+        sol = solve_dc_balance(dc_vessel)
         # port island: one charger serves the 400 kVA pf 0.85 board = 340 kW
-        assert sol.transfers_kw["CH#01"] == pytest.approx(340.0)
+        # through two conversion stages
+        assert sol.transfers_kw["CH#01"] == pytest.approx(340.0 / 0.97 ** 2)
         assert sol.residual_kw == pytest.approx(0.0, abs=1e-9)
 
     def test_equal_chargers_share_equally(self, dc_vessel):
         # starboard island: two identical chargers behind identical machines;
         # the 400 V board load passes two conversion stages
-        sol = solve_dc_balance(dc_vessel, efficiency=0.97)
+        sol = solve_dc_balance(dc_vessel)
         assert sol.transfers_kw["CH#02"] == sol.transfers_kw["CH#03"]
         served = sol.loads_kw["GINV_SB:ac"]
         assert sol.transfers_kw["CH#02"] == pytest.approx(served / 0.97 ** 2 / 2)
@@ -152,7 +153,7 @@ class TestDcBalance:
         # draws 100/0.97 through its own stage
         grid = _dc_pair_grid(load_kw=600.0 if drive is None else 500.0,
                              drive=drive)
-        sol = solve_dc_balance(grid, efficiency=0.97)
+        sol = solve_dc_balance(grid)
         assert sol.transfers_kw["CH_A"] == pytest.approx(each)
         assert sol.transfers_kw["CH_B"] == pytest.approx(each)
         if drive is not None:

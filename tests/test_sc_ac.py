@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -26,7 +27,7 @@ from vesselstudy.sc_ac import (
     default_time_grid,
 )
 
-from helpers import ps_island
+from helpers import ps_island, split_frequency_grid
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
@@ -249,6 +250,17 @@ class TestFaultSummary:
         sol = solve_ac_powerflow(ac_vessel)
         summ = fault_summary(ac_vessel, "AC_PS", sol)
         assert summ.period == pytest.approx(1 / 60.0)
+
+    def test_a_bus_without_frequency_takes_its_islands(self, ac_vessel):
+        """The fault bus used to run at 60 Hz, whatever its island's
+        frequency."""
+        grid = split_frequency_grid(ac_vessel)
+        grid = dataclasses.replace(grid, buses=tuple(
+            dataclasses.replace(b, frequency=None) if b.id == "LV_SB" else b
+            for b in grid.buses))
+        summ = fault_summary(grid, "LV_SB", solve_ac_powerflow(grid))
+        assert summ.frequency == 50.0
+        assert summ.period == 1 / 50.0
 
     def test_voltage_referral_of_lv_motor_group(self, ac_vessel):
         sol = solve_ac_powerflow(ac_vessel)

@@ -137,7 +137,7 @@ class TestScheduleValidation:
             sched.validated(ac_vessel)
 
     def test_unknown_action(self):
-        # a bad action is bad input, like an unknown integrator
+        # a bad action is bad input
         with pytest.raises(ValueError, match="unknown event action 'explode'"):
             Event(1.0, "explode", "AC_PS")
 
@@ -150,11 +150,10 @@ def test_unknown_dispatch_id_rejected(ac_vessel):
 
 
 class TestEquilibrium:
-    @pytest.mark.parametrize("integrator", ["rk4", "trapezoidal"])
-    def test_no_events_stays_flat(self, ac_vessel, integrator):
+    def test_no_events_stays_flat(self, ac_vessel):
         grid = ps_island(ac_vessel)
         ts = simulate(grid, EventSchedule(()), (),
-                      SimConfig(step=0.02, end=10.0, integrator=integrator))
+                      SimConfig(step=0.02, end=10.0))
         for name in ("DG#01.p_kw", "DG#01.q_kvar", "AC_PS.v_pu",
                      "DG#01.freq_hz"):
             arr = ts[name]
