@@ -1,15 +1,18 @@
 """The `vessel-study` command line.
 
     vessel-study <kind> --grid <path|builtin:name> [--study <path>]
-                 [--bus <id>] --out <dir> [--format csv|text] [--strict]
-    vessel-study i2t --trace <csv> --fuse-i2t <A^2 s> [--out <dir>]
+                 [--bus <id>] --out <dir> [--format csv|text]
+    vessel-study tdsim --grid <path|builtin:name> [--study <path>] --out <dir>
+    vessel-study protect --grid <path|builtin:name> [--study <path>] --out <dir>
                  [--format csv|text] [--strict]
+    vessel-study i2t --trace <csv> --fuse-i2t <A^2 s>
+                 [--out <dir> [--format csv|text]] [--strict]
 
 Study kinds: powerflow, sc-ac, sc-dc, tdsim, cct, protect, i2t; `--bus` is
 the fault bus of sc-ac and sc-dc.  Every kind but tdsim, whose
-timeseries.csv has no text form, takes `--format`; only protect and i2t,
-the kinds with a verdict to fail, take `--strict`; a kind refuses a flag
-it does not take (exit 2).  The CLI is a thin shell over the library: it
+timeseries.csv has no text form, takes `--format` (i2t only with `--out`,
+the artifact it formats); only protect and i2t, the kinds with a verdict
+to fail, take `--strict`; a kind refuses a flag it does not take (exit 2).  The CLI is a thin shell over the library: it
 loads the grid and study files, applies the study's breaker states,
 validates that topology, calls the corresponding engine and writes the
 artifacts.  A study file holds only sections its kind reads (`_RUNNERS`);
@@ -71,7 +74,7 @@ def _id_list(text: str) -> tuple[str, ...]:
 # each study section kind: for a keyed section, key -> (converter, default),
 # where a missing key takes its default and one whose default is ... is an
 # input error, and a key that maps to a library field takes that field's
-# default; for an id-keyed section, the converter of its values (breaker ->
+# default ([powerflow]: a missing key is not passed, see `_steady_state`); for an id-keyed section, the converter of its values (breaker ->
 # true/false, generator -> kW, load -> scale factor), whose ids the engines
 # check against the grid
 _STUDY_SECTIONS = {
@@ -87,8 +90,8 @@ _STUDY_SECTIONS = {
     "protect": {"fault_element": (str, None), "fault_bus": (str, None),
                 "failed_breakers": (_id_list, ()), "zsi": (boolean, True),
                 "cct_budget_s": (float, 0.542)},
-    "powerflow": {"slack": (str, None), "tol": (float, 1e-8),
-                  "max_iter": (integer, 20)},
+    "powerflow": {"slack": (str, None), "tol": (float, None),
+                  "max_iter": (integer, None)},
     "event": {"time_s": (float, ...), "action": (str, ...),
               "target": (str, Event.target), "scale": (float, Event.scale),
               "ramp_s": (float, Event.ramp),
@@ -184,8 +187,11 @@ def _emit(args, name: str, header, rows) -> None:
 
 
 def _steady_state(study: _Study) -> dict:
-    """The study's [powerflow] keys, dispatch and load_scale, as keywords."""
-    return {**study.one("powerflow"), "dispatch": study.one("dispatch"),
+    """The study's [powerflow] keys, dispatch and load_scale, as keywords;
+    a [powerflow] key the study leaves out keeps `solve_ac_powerflow`'s
+    default."""
+    given = {k: v for k, v in study.one("powerflow").items() if v is not None}
+    return {**given, "dispatch": study.one("dispatch"),
             "load_scale": study.one("load_scale")}
 
 
@@ -377,6 +383,9 @@ def _read_trace_csv(path: str) -> DcScTrace:
 def _run_i2t(args, grid, study) -> int:   # reads neither
     if not args.trace or args.fuse_i2t is None:
         raise InputError("i2t requires --trace and --fuse-i2t")
+    if args.format and not args.out:
+        raise InputError("i2t --format formats the --out artifact; "
+                         "give --out")
     trace = _read_trace_csv(args.trace)
     fuse = FuseSpec("fuse", "trace", float(args.fuse_i2t))
     t_clear = fuse_i2t_clearing(trace, fuse)
@@ -420,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=kind != "i2t",
                        help="output directory")
         if kind != "tdsim":
-            p.add_argument("--format", choices=("csv", "text"), default="csv")
+            p.add_argument("--format", choices=("csv", "text"),
+                           default=None if kind == "i2t" else "csv")
         if kind in ("protect", "i2t"):
             p.add_argument("--strict", action="store_true")
         if kind in ("sc-ac", "sc-dc"):

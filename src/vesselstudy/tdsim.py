@@ -917,29 +917,23 @@ class _Engine:
 
 def simulate(grid: GridModel, schedule: EventSchedule,
              controllers=(), cfg: SimConfig = SimConfig(),
-             dispatch: dict[str, float] | None = None,
-             load_scale: dict[str, float] | None = None,
-             slack: str | None = None,
-             tol: float = 1e-8,
-             max_iter: int = 20,
              *, _trunk: list | None = None,   # for find_cct
-             ) -> TimeSeries:
+             **steady) -> TimeSeries:
     """Integrate the grid's AC islands through the scripted events.
 
     Returns a TimeSeries on the uniform recording grid with one channel per
     machine quantity (``<gen>.p_kw``, ``.q_kvar``, ``.pm_kw``,
     ``.delta_rad``, ``.freq_hz``), per controller inverter, per bus voltage,
     per load, and the system losses.  The machines start from the power
-    flow that `dispatch`, `load_scale`, `slack`, `tol` and `max_iter` set
-    (see `solve_ac_powerflow`).  With `_trunk` the run is a CCT probe
+    flow that the keywords `steady` of `solve_ac_powerflow` set, such as
+    `dispatch`, `load_scale` and `slack`.  With `_trunk` the run is a CCT probe
     (see `_Engine.run`) that branches from the trunk's last step before
     its clearing, whose engine stands in for grid and options.
     """
     start = None if _trunk is None else _branch_point(
         _trunk, schedule.events[-1].time)
     engine = start.engine if start else _Engine(
-        grid, schedule, controllers, cfg, dispatch=dispatch,
-        load_scale=load_scale, slack=slack, tol=tol, max_iter=max_iter)
+        grid, schedule, controllers, cfg, **steady)
     engine.cfg, engine.events = cfg, schedule.events
     return engine.run(_trunk, start)
 

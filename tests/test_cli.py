@@ -553,6 +553,25 @@ def test_a_flag_the_study_kind_ignores_is_refused(tmp_path, capsys, kind,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "text"])
+def test_i2t_format_without_out_is_refused(tmp_path, capsys, fmt):
+    """--format formats the i2t.csv artifact; with no --out it used to
+    change nothing and exit 0."""
+    out = tmp_path / "out"
+    main(["sc-dc", "--grid", "builtin:dc_vessel", "--bus", "DC_PS",
+          "--out", str(out)])
+    capsys.readouterr()
+    trace = str(out / "trace_BAT_PS.csv")
+    rc = main(["i2t", "--trace", trace, "--fuse-i2t", "9350",
+               "--format", fmt])
+    assert rc == 2
+    assert "i2t --format formats the --out artifact" in capsys.readouterr().err
+    rc = main(["i2t", "--trace", trace, "--fuse-i2t", "9350",
+               "--format", fmt, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert (tmp_path / "o" / f"i2t.{'txt' if fmt == 'text' else 'csv'}").exists()
+
+
 @pytest.mark.parametrize("study_text", [
     # the grid used to be validated before the study closed the tie
     "[breakers]\nCB_TIE_MID_SB = true\n",
