@@ -20,7 +20,10 @@ recording solve: the peak-shave mode caps watched generators at a power
 threshold by supplying the surplus, and the DP-failover mode latches the
 delayed pre-trip output of a lost generator.  A run without controllers
 whose islands are all linear solves each recording step once, since
-nothing can change the network between the two solves.  A bisection
+nothing can change the network between the two solves; once an event-free
+step there leaves the state bitwise unchanged at zero derivatives, the
+event-free steps after it copy its recording without integrating, since
+nothing they compute reads the time.  A bisection
 search over fault clearing time gives the critical clearing time against
 a first-swing stability criterion.  Its probes share one engine: the
 pre-fault and fault-on trajectory is integrated once, and each probe
@@ -717,10 +720,10 @@ class _Engine:
         probe W changed by at most 6.4e-4 of eps.
         """
         cfg, m = self.cfg, self.m
-        if (self.controllers or cfg.governor or cfg.avr
+        if (not self._autonomous() or cfg.governor or cfg.avr
                 or len(self.islands) != 1
                 or len(self.mach_ids) != 2 or len(m.ids) != 2
-                or not self.islands[0].linear or (m.two_h <= 0).any()
+                or (m.two_h <= 0).any()
                 or (m.damping < 0).any()
                 or m.damping[0] * m.two_h[1] != m.damping[1] * m.two_h[0]):
             return lambda x, t_left: None
@@ -814,9 +817,19 @@ class _Engine:
 
     # -- main loop -------------------------------------------------------------
 
+    def _autonomous(self) -> bool:
+        """No controllers and only linear islands: a step and a recording
+        solve read nothing but the state, not even the time."""
+        return not self.controllers and all(i.linear for i in self.islands)
+
     def run(self, trunk: list | None = None,
             start: _Snapshot | None = None) -> TimeSeries:
         """Integrate to `cfg.end`, recording every step.
+
+        While the run has no controllers and only linear islands, a step
+        with no event inside it or at its end, after one whose RK4 result
+        was bitwise its start at zero derivatives, keeps the state and
+        copies the previous recording column.
 
         With a `trunk` the run is a CCT probe whose last event is its
         clearing: it stops at the first recording step at or after that
@@ -842,7 +855,7 @@ class _Engine:
             """Controllers, then the recording solve of step k.  Without
             controllers a linear network's first solve is that solve."""
             out = self._solve(self.x, t)
-            if self.controllers or not all(i.linear for i in self.islands):
+            if not autonomous:
                 self._update_controllers(t, out)
                 out = self._solve(self.x, t)
             pe, qe, _ = out
@@ -865,6 +878,7 @@ class _Engine:
             rec[row["sys.p_loss_kw"], k] = p_loss
 
         pending = deque(self.events[-1:] if start else self.events)
+        autonomous = self._autonomous()
         if start is None:
             k0, t = 0, 0.0
             observe(0, t)
@@ -876,21 +890,37 @@ class _Engine:
         last = n_steps
         certify = None      # built once no event pends
         stable = None if trunk is None else True
+        still = False       # a plain step left the state at rest
         for k in range(k0, n_steps + 1):
             if k > k0:
                 t_target = float(t_rec[k])
-                while t < t_target - 1e-12:
-                    t_next = t_target
+                # plain: no event is applied inside the step or at its end
+                plain = not (pending and pending[0].time <= t_target + 1e-12)
+                if still and plain:
+                    # the step would repeat its bits, and so would the
+                    # recording solve
+                    t = t_target
+                    rec[:, k] = rec[:, k - 1]
+                else:
+                    x0 = self.x
+                    while t < t_target - 1e-12:
+                        t_next = t_target
+                        while pending and pending[0].time <= t + 1e-12:
+                            self._apply_event(pending.popleft(), t)
+                        if pending and pending[0].time < t_target - 1e-12:
+                            t_next = pending[0].time
+                        # k1 iterates from the recording solve's voltages
+                        self.x = self._step(self.x, t, t_next - t)
+                        t = t_next
                     while pending and pending[0].time <= t + 1e-12:
                         self._apply_event(pending.popleft(), t)
-                    if pending and pending[0].time < t_target - 1e-12:
-                        t_next = pending[0].time
-                    # k1 iterates from the recording solve's voltages
-                    self.x = self._step(self.x, t, t_next - t)
-                    t = t_next
-                while pending and pending[0].time <= t + 1e-12:
-                    self._apply_event(pending.popleft(), t)
-                observe(k, t)
+                    if not plain:
+                        autonomous = self._autonomous()
+                    # zero derivatives keep the state for every step length
+                    still = (plain and autonomous
+                             and self.x.tobytes() == x0.tobytes()
+                             and not self._derivatives(self.x, t).any())
+                    observe(k, t)
             if trunk is None:
                 continue
             if len(pending) == 1 and (not trunk or k == trunk[-1].k + 1):
@@ -980,12 +1010,14 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
     the largest pairwise rotor-angle separation stays below 180 degrees
     within `window` after the fault clears.  The bracket must straddle the
     boundary: `t_lo` >= 0 stable and `t_hi` unstable; every argument must
-    be finite.  An unstable probe ends at the step its spread reaches 180
-    degrees.  On a lone two-machine island that qualifies (see
-    `_Engine._swing_certificate`) a probe may end at its clearing, stable
-    or unstable, once the energy function proves how its first swing
-    ends; the verdict, which the engine returns, is that of a full-window
-    probe.
+    be finite.  Each probe runs to its clearing plus `window`, so `cfg`
+    gives the step, governor and AVR, and an `end` other than SimConfig's
+    default is an input error.  An unstable probe ends at the step its
+    spread reaches 180 degrees.  On a lone two-machine island that
+    qualifies (see `_Engine._swing_certificate`) a probe may end at its
+    clearing, stable or unstable, once the energy function proves how its
+    first swing ends; the verdict, which the engine returns, is that of a
+    full-window probe.
     """
     _check_finite(t_lo=t_lo, t_hi=t_hi, tol=tol, window=window)
     if tol <= 0 or t_hi <= t_lo:
@@ -994,6 +1026,10 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
         raise InputError(f"need t_lo_s >= 0, got t_lo_s = {t_lo}")
     if window < cfg.step:
         raise InputError(f"need window_s >= step_s, got window_s = {window}")
+    if cfg.end != SimConfig.end:
+        raise InputError(f"find_cct ends each probe at its clearing plus "
+                         f"window; leave end at {SimConfig.end:g}, got "
+                         f"end = {cfg.end:g}")
     gen = grid.generator(fault.machine)
     if not grid.element_online(fault.machine):
         raise InputError(f"cct machine {fault.machine!r} is offline")

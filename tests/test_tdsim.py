@@ -25,6 +25,7 @@ from vesselstudy.tdsim import (
 )
 
 from vesselstudy.grid import Bus, ConverterSpec, InputError, LoadSpec
+from vesselstudy.powerflow import S_BASE_KVA
 
 from helpers import (dp_island, ps_island, reference_cct, single_gen_grid,
                      smib_grid)
@@ -315,6 +316,16 @@ def test_find_cct_rejects_non_finite(name, value):
                  cfg=BARE_SMIB, **args)
 
 
+@pytest.mark.parametrize("end", [0.02, 500.0])
+def test_find_cct_refuses_an_end(end):
+    """Each probe runs to its clearing plus the window, so an `end` would
+    change no CCT."""
+    cfg = dataclasses.replace(BARE_SMIB, end=end)
+    with pytest.raises(InputError, match=f"got end = {end:g}"):
+        find_cct(smib_grid(), CctFaultSpec("G1", loading=0.9, location=0.0),
+                 0.0, 0.4, 0.01, cfg, window=2.0)
+
+
 @pytest.mark.xfail(strict=True, raises=NetworkSolveError,
                    reason="known defect: behind a bolted fault the LV bus "
                           "sits below V_FLOOR and the load-as-injection "
@@ -534,21 +545,23 @@ _SMIB_SHAVE = ControllerConfig(mode="peak_shave", inverter="INV",
                                q_rating_kvar=70.0)
 
 
-@pytest.mark.parametrize("grid, controllers, load_scale, per_step", [
-    # linear islands only, no controller: the first solve is the recording one
-    (smib_grid(), (), None, 1),
+@pytest.mark.parametrize("grid, controllers, load_scale, t_fault, per_step", [
+    # linear islands only, no controller: the first solve is the recording
+    # one; the fault applied inside the first step keeps every step moving,
+    # so none is repeated without a solve
+    (smib_grid(), (), None, 0.005, 1),
     # a load at scale 0 is a demand all the same
     (_smib_plus(loads=(LoadSpec("LM", "B_M", 100.0, 0.9, 1.0, 0.0),)), (),
-     {"LM": 0.0}, 2),
+     {"LM": 0.0}, 0.03, 2),
     # one island with demands among linear ones
-    (_smib_plus(**_SECOND_ISLAND), (), None, 2),
+    (_smib_plus(**_SECOND_ISLAND), (), None, 0.03, 2),
     # a controller, even one whose inverter no island holds
-    (_smib_plus(**_DC_INVERTER), (_SMIB_SHAVE,), None, 2),
-    (ps_island(builtin_fixture("ac_vessel")), (), None, 2),
-    (ps_island(builtin_fixture("ac_vessel")), (_peak_cfg(),), None, 2),
+    (_smib_plus(**_DC_INVERTER), (_SMIB_SHAVE,), None, 0.03, 2),
+    (ps_island(builtin_fixture("ac_vessel")), (), None, 0.03, 2),
+    (ps_island(builtin_fixture("ac_vessel")), (_peak_cfg(),), None, 0.03, 2),
 ], ids=["smib", "zero-load", "two-islands", "controller", "ps", "ps-shave"])
 def test_recording_solves_per_step(monkeypatch, grid, controllers, load_scale,
-                                   per_step):
+                                   t_fault, per_step):
     """A recording step solves once only when no controller runs and every
     island is linear; otherwise the controllers' solve and the recording
     solve stay two."""
@@ -563,9 +576,130 @@ def test_recording_solves_per_step(monkeypatch, grid, controllers, load_scale,
 
     monkeypatch.setattr(tdsim._Engine, "_solve", counted("solve", solve))
     monkeypatch.setattr(tdsim._Engine, "_derivatives", counted("deriv", deriv))
-    sched = EventSchedule((Event(0.03, "fault_apply", grid.buses[0].id),
-                           Event(0.05, "fault_clear")))
+    sched = EventSchedule((Event(t_fault, "fault_apply", grid.buses[0].id),
+                           Event(t_fault + 0.02, "fault_clear")))
     ts = simulate(grid, sched, controllers, SimConfig(step=0.01, end=0.1),
                   load_scale=load_scale)
     # one trimming solve when the engine is built, one per derivative
     assert calls["solve"] - calls["deriv"] - 1 == per_step * len(ts.t)
+
+
+def _every_step(grid, events, cfg, **steady):
+    """`simulate`'s machine and bus channels, from an `_Engine` that calls
+    `_step` on every step (split at the event times, as `run` splits it),
+    `_apply_event` at those times, and `_solve` to record each step."""
+    eng = tdsim._Engine(grid, EventSchedule(events), (), cfg, **steady)
+    t_rec = np.arange(round(cfg.end / cfg.step) + 1) * cfg.step
+    pending = list(events)
+    rec = {}
+
+    def record(t):
+        pe, qe, _ = eng._solve(eng.x, t)
+        x, m = eng.x, eng.m
+        for q, col in zip(tdsim.MACHINE_CHANNELS, (
+                pe * S_BASE_KVA, qe * S_BASE_KVA, x[:, 3] * S_BASE_KVA,
+                x[:, 0], m.omega_s / (2 * math.pi) * (1 + x[:, 1]))):
+            for r, mid in enumerate(m.ids):
+                rec.setdefault(f"{mid}.{q}", []).append(col[r])
+        for isl in eng.islands:
+            vm = np.abs(isl.v[:len(isl.net.nodes)])
+            for bus, node in isl.net.node_of.items():
+                rec.setdefault(f"{bus}.v_pu", []).append(vm[node])
+
+    t = 0.0
+    record(t)
+    for t_target in t_rec[1:].tolist():
+        while t < t_target - 1e-12:
+            while pending and pending[0].time <= t + 1e-12:
+                eng._apply_event(pending.pop(0), t)
+            t_next = t_target
+            if pending and pending[0].time < t_target - 1e-12:
+                t_next = pending[0].time
+            eng.x = eng._step(eng.x, t, t_next - t)
+            t = t_next
+        while pending and pending[0].time <= t + 1e-12:
+            eng._apply_event(pending.pop(0), t)
+        record(t)
+    return {name: np.array(values) for name, values in rec.items()}
+
+
+def _count_steps(monkeypatch):
+    calls = []
+    step = tdsim._Engine._step
+
+    def counted(self, x, t, dt):
+        calls.append(t)
+        return step(self, x, t, dt)
+
+    monkeypatch.setattr(tdsim._Engine, "_step", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfg", [BARE_SMIB, SimConfig(step=0.005)],
+                         ids=["bare", "governor-avr"])
+def test_still_steps_match_an_every_step_reference(monkeypatch, cfg):
+    """SMIB at rest up to a fault applied inside a step, its clearing, and
+    a quiet tail: the steps `run` repeats without integrating give the
+    bits of integrating every step."""
+    events = (Event(0.1234, "fault_apply", "B_M"),
+              Event(0.2234, "fault_clear"))
+    cfg = dataclasses.replace(cfg, end=0.5)
+    ref = _every_step(smib_grid(), events, cfg, dispatch={"G1": 900.0})
+    calls = _count_steps(monkeypatch)
+    ts = simulate(smib_grid(), EventSchedule(events), (), cfg,
+                  dispatch={"G1": 900.0})
+    # 100 steps, the fault and its clearing each split one in two, and
+    # steps 2 to 24 repeat the first one
+    assert len(ts.t) == 101
+    assert len(calls) == 100 + 2 - 23
+    assert set(ref) == {name for name in ts.channels
+                        if not name.endswith("_loss_kw")}
+    for name, values in ref.items():
+        np.testing.assert_array_equal(ts[name], values, err_msg=name)
+
+
+def test_find_cct_integrates_no_pre_fault_step_twice(monkeypatch):
+    """The trunk's first pre-fault step finds the trimmed equilibrium; the
+    other 48 before the fault repeat it.  Integrating every step would
+    make this search 144 steps."""
+    calls = _count_steps(monkeypatch)
+    find_cct(smib_grid(), CctFaultSpec("G1", loading=0.9, location=0.0),
+             0.0, 0.4, 1e-3, BARE_SMIB, window=2.0)
+    assert len(calls) == 96
+
+
+@pytest.mark.parametrize("grid, controllers, load_scale, integrated", [
+    (smib_grid(), (), None, 1),
+    # an island with demands (here at scale 0) warm-starts its sweeps
+    (_smib_plus(loads=(LoadSpec("LM", "B_M", 100.0, 0.9, 1.0, 0.0),)), (),
+     {"LM": 0.0}, 10),
+    (_smib_plus(**_SECOND_ISLAND), (), None, 10),
+    # a controller may move its setpoint at a recording step
+    (_smib_plus(**_DC_INVERTER), (_SMIB_SHAVE,), None, 10),
+], ids=["smib", "zero-load", "two-islands", "controller"])
+def test_only_autonomous_runs_repeat_steps(monkeypatch, grid, controllers,
+                                           load_scale, integrated):
+    """With no event, a run without controllers whose islands are all
+    linear integrates its first step only; any other integrates all ten."""
+    calls = _count_steps(monkeypatch)
+    ts = simulate(grid, EventSchedule(()), controllers,
+                  SimConfig(step=0.01, end=0.1), load_scale=load_scale)
+    assert len(ts.t) == 11
+    assert len(calls) == integrated
+
+
+def test_only_zero_derivatives_repeat_a_step(monkeypatch):
+    """Steps start at k * step, so their lengths differ in the last bits,
+    and a state whose tiny derivatives round away at one length might not
+    at another.  Such a state is integrated at every step, though none
+    moves it."""
+    cfg = dataclasses.replace(BARE_SMIB, end=0.05)
+    eng = tdsim._Engine(smib_grid(), EventSchedule(()), (), cfg,
+                        dispatch={"G1": 900.0})
+    eng.x[:, 1] = 1e-300
+    x0 = eng.x.copy()
+    calls = _count_steps(monkeypatch)
+    eng.run()
+    assert eng.x.tobytes() == x0.tobytes()
+    assert eng._derivatives(eng.x, 0.0).any()
+    assert len(calls) == 10
