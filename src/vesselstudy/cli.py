@@ -381,13 +381,11 @@ def _read_trace_csv(path: str) -> DcScTrace:
 
 
 def _run_i2t(args, grid, study) -> int:   # reads neither
-    if not args.trace or args.fuse_i2t is None:
-        raise InputError("i2t requires --trace and --fuse-i2t")
     if args.format and not args.out:
         raise InputError("i2t --format formats the --out artifact; "
                          "give --out")
     trace = _read_trace_csv(args.trace)
-    fuse = FuseSpec("fuse", "trace", float(args.fuse_i2t))
+    fuse = FuseSpec("fuse", "trace", args.fuse_i2t)
     t_clear = fuse_i2t_clearing(trace, fuse)
     if args.out:
         _emit(args, "i2t.csv",
@@ -436,8 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
         if kind in ("sc-ac", "sc-dc"):
             p.add_argument("--bus", required=True, help="fault bus id")
         if kind == "i2t":
-            p.add_argument("--trace", default=None, help="trace CSV file")
-            p.add_argument("--fuse-i2t", default=None, type=float,
+            p.add_argument("--trace", required=True, help="trace CSV file")
+            p.add_argument("--fuse-i2t", required=True, type=float,
                            help="fuse total clearing I^2t, A^2 s")
     return parser
 

@@ -87,9 +87,9 @@ def _ac_vessel() -> GridModel:
     )
 
     batteries = (
-        # 1500 kWh packs; short-circuit data synthetic (no datasheet published)
-        BatterySource("BAT_PS", "BATDC_PS", 1500.0, 12000.0, 0.2e-3, 0.20),
-        BatterySource("BAT_SB", "BATDC_SB", 1500.0, 12000.0, 0.2e-3, 0.20),
+        # short-circuit data synthetic (no datasheet published)
+        BatterySource("BAT_PS", "BATDC_PS", 12000.0, 0.2e-3),
+        BatterySource("BAT_SB", "BATDC_SB", 12000.0, 0.2e-3),
     )
 
     converters = (
@@ -108,11 +108,11 @@ def _ac_vessel() -> GridModel:
 
     loads = (
         # cranes: 746.7 kVA cumulative, 20 % static / 80 % motor at pf 0.75
-        LoadSpec("CRANE_PS", "AC_PS", 373.35, 0.75, 0.20, 0.80, xr_ratio=10.0),
-        LoadSpec("CRANE_SB", "AC_SB", 373.35, 0.75, 0.20, 0.80, xr_ratio=10.0),
+        LoadSpec("CRANE_PS", "AC_PS", 373.35, 0.75, 0.80, xr_ratio=10.0),
+        LoadSpec("CRANE_SB", "AC_SB", 373.35, 0.75, 0.80, xr_ratio=10.0),
         # 440 V generation loads, 65 % static / 35 % motor at pf 0.90
-        LoadSpec("LOAD440_PS", "LV_PS", 1200.0, 0.90, 0.65, 0.35, xr_ratio=8.0),
-        LoadSpec("LOAD440_SB", "LV_SB", 1200.0, 0.90, 0.65, 0.35, xr_ratio=8.0),
+        LoadSpec("LOAD440_PS", "LV_PS", 1200.0, 0.90, 0.35, xr_ratio=8.0),
+        LoadSpec("LOAD440_SB", "LV_SB", 1200.0, 0.90, 0.35, xr_ratio=8.0),
     )
 
     branches = (
@@ -181,7 +181,7 @@ def _dc_vessel() -> GridModel:
         return GeneratorSpec(
             id=gid, bus=bus, rated_kva=582.0, rated_kw=465.6, voltage=400.0,
             rated_current=840.0, frequency=50.0, power_factor=0.80,
-            speed_rpm=1500.0, poles=4, winding_resistance_mohm=3.4,
+            speed_rpm=1500.0, winding_resistance_mohm=3.4,
             dynamics=GeneratorDynamicParams(**_DC_DYNAMICS),
         )
 
@@ -189,9 +189,9 @@ def _dc_vessel() -> GridModel:
                   gen("GEN#03", "GEN3_AC"))
 
     batteries = (
-        # datasheet: 14.9 kA short-circuit current, L/R 0.16 ms; SoC floor 25 %
-        BatterySource("BAT_PS", "DC_PS", 750.0, 14900.0, 0.16e-3, 0.25),
-        BatterySource("BAT_SB", "DC_SB", 750.0, 14900.0, 0.16e-3, 0.25),
+        # datasheet: 14.9 kA short-circuit current, L/R 0.16 ms
+        BatterySource("BAT_PS", "DC_PS", 14900.0, 0.16e-3),
+        BatterySource("BAT_SB", "DC_SB", 14900.0, 0.16e-3),
     )
 
     converters = (
@@ -216,8 +216,8 @@ def _dc_vessel() -> GridModel:
     )
 
     loads = (
-        LoadSpec("LOAD400_PS", "LV_PS", 400.0, 0.85, 0.65, 0.35, xr_ratio=8.0),
-        LoadSpec("LOAD400_SB", "LV_SB", 400.0, 0.85, 0.65, 0.35, xr_ratio=8.0),
+        LoadSpec("LOAD400_PS", "LV_PS", 400.0, 0.85, 0.35, xr_ratio=8.0),
+        LoadSpec("LOAD400_SB", "LV_SB", 400.0, 0.85, 0.35, xr_ratio=8.0),
     )
 
     breakers = (

@@ -83,7 +83,6 @@ class GeneratorSpec:
     power_factor: float
     speed_rpm: float
     winding_resistance_mohm: float
-    poles: int | None = None
     dynamics: GeneratorDynamicParams | None = None
 
 
@@ -91,10 +90,8 @@ class GeneratorSpec:
 class BatterySource:
     id: str
     bus: str
-    capacity_kwh: float
     sc_peak_current: float        # A, datasheet short-circuit current
     sc_time_constant: float       # s, datasheet L/R
-    min_soc: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -135,8 +132,7 @@ class LoadSpec:
     bus: str
     rated_kva: float
     power_factor: float
-    static_fraction: float
-    motor_fraction: float
+    motor_fraction: float         # the rest is static
     locked_rotor_multiplier: float = 6.25
     xr_ratio: float | None = None
 
@@ -187,7 +183,6 @@ class FuseSpec:
     id: str
     element: str
     i2t_total_clearing: float     # A^2 s
-    rated_current: float | None = None
 
 
 def connected_groups(ids, edges) -> list[frozenset[str]]:
@@ -473,6 +468,10 @@ def validate(grid: GridModel) -> ValidationReport:
     for g in grid.generators:
         if bus_kind(g.bus) == DC:
             add(g.id, "bus kind", "generator placed on a DC bus")
+        elif bus_kind(g.bus) == AC and g.frequency != grid.bus(g.bus).frequency:
+            add(g.id, "frequency",
+                f"frequency {g.frequency} Hz differs from bus {g.bus} "
+                f"at {grid.bus(g.bus).frequency} Hz")
         for name, val in (("rated_kva", g.rated_kva), ("rated_kw", g.rated_kw),
                           ("voltage", g.voltage), ("rated_current", g.rated_current)):
             if val <= 0:
@@ -508,8 +507,6 @@ def validate(grid: GridModel) -> ValidationReport:
             add(bat.id, "positive", "sc_peak_current must be > 0")
         if bat.sc_time_constant <= 0:
             add(bat.id, "positive", "sc_time_constant must be > 0")
-        if not 0 <= bat.min_soc < 1:
-            add(bat.id, "min soc", f"min_soc {bat.min_soc} outside [0, 1)")
 
     for c in grid.converters:
         if c.kind not in CONVERTER_KINDS:
@@ -533,9 +530,9 @@ def validate(grid: GridModel) -> ValidationReport:
                     add(c.id, "dc link", f"{name} must be > 0")
 
     for l in grid.loads:
-        if abs(l.static_fraction + l.motor_fraction - 1.0) > 1e-9:
-            add(l.id, "fraction split",
-                f"static {l.static_fraction} + motor {l.motor_fraction} != 1")
+        if not 0 <= l.motor_fraction <= 1:
+            add(l.id, "motor fraction",
+                f"motor_fraction {l.motor_fraction} outside [0, 1]")
         if not 0 < l.power_factor <= 1:
             add(l.id, "power factor", f"pf {l.power_factor} outside (0, 1]")
         if l.rated_kva <= 0:

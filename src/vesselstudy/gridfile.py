@@ -248,14 +248,11 @@ _SECTIONS = {
         _Key("pf", "power_factor"),
         _Key("rpm", "speed_rpm"),
         _Key("winding_resistance_mohm", "winding_resistance_mohm"),
-        _Key("poles", "poles", integer),
     ], {"dynamics": _DYNAMICS})),
     "battery": ("batteries", _Table(BatterySource, [
         _Key("bus", "bus", str),
-        _Key("capacity_kwh", "capacity_kwh"),
         _Key("sc_peak_current_a", "sc_peak_current"),
         _Key("sc_time_constant_s", "sc_time_constant"),
-        _Key("min_soc", "min_soc"),
     ])),
     "converter": ("converters", _Table(ConverterSpec, [
         _Key("bus", "bus", str),
@@ -270,7 +267,6 @@ _SECTIONS = {
         _Key("bus", "bus", str),
         _Key("rated_kva", "rated_kva"),
         _Key("pf", "power_factor"),
-        _Key("static_fraction", "static_fraction"),
         _Key("motor_fraction", "motor_fraction"),
         _Key("locked_rotor_multiplier", "locked_rotor_multiplier"),
         _Key("xr_ratio", "xr_ratio"),
@@ -290,7 +286,6 @@ _SECTIONS = {
     "fuse": ("fuses", _Table(FuseSpec, [
         _Key("element", "element", str),
         _Key("i2t_total_clearing", "i2t_total_clearing"),
-        _Key("rated_current_a", "rated_current"),
     ])),
 }
 

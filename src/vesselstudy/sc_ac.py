@@ -76,7 +76,6 @@ class AcScTrace:
 class FaultSummary:
     bus: str
     frequency: float
-    period: float
     traces: dict[str, AcScTrace]
     iac_half_cycle: float
     idc_half_cycle: float
@@ -272,7 +271,6 @@ def fault_summary(grid: GridModel, bus_id: str,
     return FaultSummary(
         bus=bus_id,
         frequency=f,
-        period=1.0 / f,
         traces=traces,
         iac_half_cycle=iac_half,
         idc_half_cycle=idc_half,

@@ -103,8 +103,8 @@ def capacitor_sc_trace(cap: CapacitorBranch, tgrid: np.ndarray) -> DcScTrace:
 def battery_sc_trace(bat: BatterySource, tgrid: np.ndarray) -> DcScTrace:
     """Exponential rise to the datasheet short-circuit current.
 
-    The level is taken SoC-independent down to `min_soc`; the internal
-    resistance only grows appreciably below that floor.
+    There is no state-of-charge model: the level is the datasheet's at any
+    state of charge.
     """
     if bat.sc_peak_current is None or bat.sc_time_constant is None:
         raise DcFaultError(f"{bat.id}: missing datasheet short-circuit data")

@@ -44,12 +44,16 @@ def dp_island(grid):
 
 
 def split_frequency_grid(grid: GridModel) -> GridModel:
-    """The AC vessel with its starboard section (AC_SB, LV_SB) at 50 Hz and
-    the AC_MID-AC_SB tie open, so each island has one frequency."""
+    """The AC vessel with its starboard section (AC_SB, LV_SB) and the
+    machines on it at 50 Hz, and the AC_MID-AC_SB tie open, so each island
+    has one frequency."""
+    starboard = ("AC_SB", "LV_SB")
     buses = tuple(dataclasses.replace(b, frequency=50.0)
-                  if b.id in ("AC_SB", "LV_SB") else b for b in grid.buses)
-    return dataclasses.replace(grid, buses=buses).with_breaker_states(
-        {"CB_TIE_MID_SB": False})
+                  if b.id in starboard else b for b in grid.buses)
+    gens = tuple(dataclasses.replace(g, frequency=50.0)
+                 if g.bus in starboard else g for g in grid.generators)
+    return dataclasses.replace(grid, buses=buses, generators=gens
+                               ).with_breaker_states({"CB_TIE_MID_SB": False})
 
 
 def single_gen_grid(load_kw: float = 0.0, load_kvar: float = 0.0) -> GridModel:
@@ -63,7 +67,7 @@ def single_gen_grid(load_kw: float = 0.0, load_kvar: float = 0.0) -> GridModel:
     loads = ()
     if load_kw or load_kvar:
         s = math.hypot(load_kw, load_kvar)
-        loads = (LoadSpec("L1", "B1", s, load_kw / s, 1.0, 0.0),)
+        loads = (LoadSpec("L1", "B1", s, load_kw / s, 0.0),)
     return GridModel("single", buses=(bus,), generators=(gen,), loads=loads)
 
 
@@ -75,7 +79,7 @@ def two_bus_grid(load_p_pu: float, load_q_pu: float) -> GridModel:
         "G1", "B1", 5000.0, 4000.0, 690.0, 4183.7, 60.0, 0.80, 720.0, 1.0)
     line = CableBranch("L12", "B1", "B2", 0.01 * zbase, 0.10 * zbase)
     s = math.hypot(load_p_pu, load_q_pu) * 1e3
-    load = LoadSpec("LD", "B2", s, load_p_pu * 1e3 / s, 1.0, 0.0)
+    load = LoadSpec("LD", "B2", s, load_p_pu * 1e3 / s, 0.0)
     return GridModel("twobus", buses=buses, generators=(gen,),
                      branches=(line,), loads=(load,))
 

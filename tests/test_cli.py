@@ -534,6 +534,17 @@ def test_one_spelling_per_input(argv, capsys):
     assert "usage:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--trace", "--fuse-i2t"])
+def test_i2t_requires_its_trace_and_rating(capsys, flag):
+    argv = ["i2t", "--trace", "t.csv", "--fuse-i2t", "9350"]
+    del argv[argv.index(flag):argv.index(flag) + 2]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert (f"the following arguments are required: {flag}"
+            in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("kind, flag", [
     *[(kind, "--strict") for kind in
       ("powerflow", "sc-ac", "sc-dc", "tdsim", "cct")],
@@ -640,8 +651,25 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
 @pytest.mark.parametrize("kind, grid_edit, study_text, message", [
     ("powerflow", ("rated_kw = 1916.00", "rated_kw = abc"), "",
      "[generator DG#01] rated_kw = 'abc': not a number"),
-    ("powerflow", ("rpm = 720.00", "rpm = 720.00\npoles = 4.5"), "",
-     "[generator DG#01] poles = '4.5': not an integer"),
+    # keys of fields no study read used to be parsed and ignored
+    ("powerflow", ("rpm = 720.00", "rpm = 720.00\npoles = 4"), "",
+     "[generator DG#01] unknown key(s): poles"),
+    ("powerflow", ("[battery BAT_PS]", "[battery BAT_PS]\ncapacity_kwh = 1500"),
+     "", "[battery BAT_PS] unknown key(s): capacity_kwh"),
+    ("powerflow", ("[battery BAT_PS]", "[battery BAT_PS]\nmin_soc = 0.2"), "",
+     "[battery BAT_PS] unknown key(s): min_soc"),
+    ("powerflow", ("[load CRANE_PS]", "[load CRANE_PS]\nstatic_fraction = 0.2"),
+     "", "[load CRANE_PS] unknown key(s): static_fraction"),
+    ("powerflow", ("[branch FDR_LV_PS]", "[fuse F]\nelement = BAT_PS\n"
+                   "i2t_total_clearing = 9350\nrated_current_a = 400\n\n"
+                   "[branch FDR_LV_PS]"),
+     "", "[fuse F] unknown key(s): rated_current_a"),
+    ("powerflow", ("motor_fraction = 0.80", "motor_fraction = 1.20"), "",
+     "CRANE_PS: motor fraction: motor_fraction 1.2 outside [0, 1]"),
+    # a 50 Hz machine on a 60 Hz bus used to run at 60 Hz
+    ("powerflow", ("damping_pu = 2.00\nfrequency_hz = 60.00",
+                   "damping_pu = 2.00\nfrequency_hz = 50.00"), "",
+     "DG#01: frequency: frequency 50.0 Hz differs from bus AC_PS at 60.0 Hz"),
     ("powerflow", ("st_pickup_a = 5000.00\n", ""), "",
      "missing required key 'st_pickup_a'"),
     ("powerflow", ("xd_pu = 1.80\n", ""), "", "missing required key 'xd_pu'"),

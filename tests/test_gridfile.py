@@ -169,7 +169,6 @@ def reference_build_generator(sid, keys):
         power_factor=float(keys["pf"]),
         speed_rpm=float(keys["rpm"]),
         winding_resistance_mohm=float(keys["winding_resistance_mohm"]),
-        poles=(int(keys["poles"]) if "poles" in keys else None),
         dynamics=reference_build_dynamics(keys),
     )
 
@@ -178,10 +177,8 @@ def reference_build_battery(sid, keys):
     return BatterySource(
         id=sid,
         bus=str(keys["bus"]),
-        capacity_kwh=float(keys["capacity_kwh"]),
         sc_peak_current=float(keys["sc_peak_current_a"]),
         sc_time_constant=float(keys["sc_time_constant_s"]),
-        min_soc=float(keys.get("min_soc", 0.0)),
     )
 
 
@@ -213,7 +210,6 @@ def reference_build_load(sid, keys):
         bus=str(keys["bus"]),
         rated_kva=float(keys["rated_kva"]),
         power_factor=float(keys["pf"]),
-        static_fraction=float(keys["static_fraction"]),
         motor_fraction=float(keys["motor_fraction"]),
         locked_rotor_multiplier=float(keys.get("locked_rotor_multiplier", 6.25)),
         xr_ratio=(float(keys["xr_ratio"]) if "xr_ratio" in keys else None),
@@ -260,8 +256,6 @@ def reference_build_fuse(sid, keys):
         id=sid,
         element=str(keys["element"]),
         i2t_total_clearing=float(keys["i2t_total_clearing"]),
-        rated_current=(float(keys["rated_current_a"])
-                       if "rated_current_a" in keys else None),
     )
 
 
@@ -313,7 +307,7 @@ def reference_serialize_grid(grid):
             "bus": g.bus, "rated_kva": g.rated_kva, "rated_kw": g.rated_kw,
             "voltage_v": g.voltage, "current_a": g.rated_current,
             "frequency_hz": g.frequency, "pf": g.power_factor,
-            "rpm": g.speed_rpm, "poles": g.poles,
+            "rpm": g.speed_rpm,
             "winding_resistance_mohm": g.winding_resistance_mohm,
         }
         if g.dynamics is not None:
@@ -328,10 +322,9 @@ def reference_serialize_grid(grid):
         parts.append(reference_section("generator", g.id, keys))
     for bat in grid.batteries:
         parts.append(reference_section("battery", bat.id, {
-            "bus": bat.bus, "capacity_kwh": bat.capacity_kwh,
+            "bus": bat.bus,
             "sc_peak_current_a": bat.sc_peak_current,
             "sc_time_constant_s": bat.sc_time_constant,
-            "min_soc": bat.min_soc,
         }))
     for c in grid.converters:
         keys = {
@@ -350,7 +343,6 @@ def reference_serialize_grid(grid):
     for l in grid.loads:
         parts.append(reference_section("load", l.id, {
             "bus": l.bus, "rated_kva": l.rated_kva, "pf": l.power_factor,
-            "static_fraction": l.static_fraction,
             "motor_fraction": l.motor_fraction,
             "locked_rotor_multiplier": l.locked_rotor_multiplier,
             "xr_ratio": l.xr_ratio,
@@ -380,7 +372,6 @@ def reference_serialize_grid(grid):
     for f in grid.fuses:
         parts.append(reference_section("fuse", f.id, {
             "element": f.element, "i2t_total_clearing": f.i2t_total_clearing,
-            "rated_current_a": f.rated_current,
         }))
     return "\n\n".join(parts) + "\n"
 
@@ -677,9 +668,9 @@ def grids(draw):
                     for i in draw(st.lists(pool_ids, max_size=4))),
         generators=many(lambda i, bus: GeneratorSpec(
             i, bus, 1.0, 1.0, 690.0, 1.0, 60.0, 1.0, 720.0, 1.0)),
-        batteries=many(lambda i, bus: BatterySource(i, bus, 1.0, 1.0, 1.0)),
+        batteries=many(lambda i, bus: BatterySource(i, bus, 1.0, 1.0)),
         converters=many(lambda i, bus: ConverterSpec(i, bus, "inverter", 1.0, 1.0)),
-        loads=many(lambda i, bus: LoadSpec(i, bus, 1.0, 1.0, 1.0, 0.0)),
+        loads=many(lambda i, bus: LoadSpec(i, bus, 1.0, 1.0, 0.0)),
         breakers=tuple(draw(st.lists(st.builds(
             lambda i, a, b, closed: BreakerSpec(i, a, b, closed=closed),
             pool_ids, pool_ids, pool_ids, st.booleans()), max_size=6))),
@@ -832,10 +823,9 @@ def file_grids(draw, ids=pool_ids):
         optional(numbers), optional(numbers), numbers, numbers, st.booleans())
     generators = draw(st.lists(st.builds(
         GeneratorSpec, st.sampled_from(["G1", "G#2"]), on_bus, *[numbers] * 8,
-        optional(st.integers(-10**6, 10**6)), optional(dynamics)), max_size=2))
+        optional(dynamics)), max_size=2))
     batteries = draw(st.lists(st.builds(
-        BatterySource, st.just("BAT"), on_bus, numbers, numbers, numbers,
-        numbers), max_size=1))
+        BatterySource, st.just("BAT"), on_bus, numbers, numbers), max_size=1))
     dc_link = st.builds(CapacitorBranch, scaled(1e6, 1e-6), scaled(1e3, 1e-3),
                         scaled(1e6, 1e-6), numbers)
     converters = draw(st.lists(st.builds(
@@ -843,7 +833,7 @@ def file_grids(draw, ids=pool_ids):
         st.sampled_from(CONVERTER_KINDS), numbers, numbers, numbers,
         optional(on_bus), numbers, optional(dc_link)), max_size=2))
     loads = draw(st.lists(st.builds(
-        LoadSpec, st.sampled_from(["L1", "L2"]), on_bus, *[numbers] * 5,
+        LoadSpec, st.sampled_from(["L1", "L2"]), on_bus, *[numbers] * 4,
         optional(numbers)), max_size=2))
     branches = draw(st.lists(st.builds(
         CableBranch, st.just("CBL"), on_bus, on_bus, numbers, numbers,
@@ -859,7 +849,7 @@ def file_grids(draw, ids=pool_ids):
         BreakerSpec, st.sampled_from(["CB1", "CB2"]), ends, ends, optional(tcc),
         st.booleans()), max_size=3))
     fuses = draw(st.lists(st.builds(
-        FuseSpec, st.just("F1"), ends, numbers, optional(numbers)), max_size=1))
+        FuseSpec, st.just("F1"), ends, numbers), max_size=1))
     return GridModel("g", buses, tuple(branches), tuple(generators),
                      tuple(batteries), tuple(converters), tuple(loads),
                      tuple(breakers), tuple(fuses))

@@ -189,7 +189,7 @@ def _dc_pair_grid(load_kw: float, single: bool = False,
     if drive is not None:   # a 100 kW inverter or dcdc drive
         convs.append(ConverterSpec("DRIVE", "DCB", drive, 150.0, 100.0,
                                    p_set_kw=100.0))
-    loads = (LoadSpec("DCLOAD", "DCB", load_kw, 1.0, 1.0, 0.0),)
+    loads = (LoadSpec("DCLOAD", "DCB", load_kw, 1.0, 0.0),)
     return GridModel("pair", buses=buses, generators=gens,
                      converters=tuple(convs), loads=loads)
 

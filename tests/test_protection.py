@@ -213,7 +213,7 @@ BATTERY_CLEAR_S = 1.9401742320702907e-4
 
 class TestFuseClearing:
     def test_battery_trace_against_closed_form(self):
-        bat = BatterySource("BAT", "DCB", 750.0, 14900.0, 0.16e-3)
+        bat = BatterySource("BAT", "DCB", 14900.0, 0.16e-3)
         trace = battery_sc_trace(bat, TGRID)
         fuse = FuseSpec("F", "BAT", 9350.0)
         t = fuse_i2t_clearing(trace, fuse)
@@ -237,7 +237,7 @@ class TestFuseClearing:
         assert np.all(np.diff(e) >= 0.0)
 
     def test_clearing_time_monotone_in_scale(self):
-        bat = BatterySource("BAT", "DCB", 750.0, 14900.0, 0.16e-3)
+        bat = BatterySource("BAT", "DCB", 14900.0, 0.16e-3)
         trace = battery_sc_trace(bat, TGRID)
         fuse = FuseSpec("F", "BAT", 9350.0)
         t1 = fuse_i2t_clearing(trace, fuse)

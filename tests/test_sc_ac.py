@@ -170,7 +170,7 @@ class TestMachineTrace:
 
 class TestMotorGroup:
     def setup_method(self):
-        self.crane = LoadSpec("CRANE", "B", 746.7, 0.75, 0.20, 0.80,
+        self.crane = LoadSpec("CRANE", "B", 746.7, 0.75, 0.80,
                               xr_ratio=10.0)
 
     def test_motor_rated_current(self):
@@ -184,12 +184,12 @@ class TestMotorGroup:
         assert tr.iac[0] == pytest.approx(3124.0, rel=1e-3)
 
     def test_zero_motor_fraction_rejected(self):
-        static = LoadSpec("L", "B", 100.0, 0.9, 1.0, 0.0)
+        static = LoadSpec("L", "B", 100.0, 0.9, 0.0)
         with pytest.raises(ShortCircuitError):
             motor_group_sc_trace(static, 690.0, TGRID, 60.0)
 
     def test_missing_xr_rejected(self):
-        load = LoadSpec("L", "B", 100.0, 0.9, 0.2, 0.8)
+        load = LoadSpec("L", "B", 100.0, 0.9, 0.8)
         with pytest.raises(ShortCircuitError, match="xr_ratio"):
             motor_group_sc_trace(load, 690.0, TGRID, 60.0)
 
@@ -249,7 +249,7 @@ class TestFaultSummary:
     def test_half_cycle_at_sixty_hertz(self, ac_vessel):
         sol = solve_ac_powerflow(ac_vessel)
         summ = fault_summary(ac_vessel, "AC_PS", sol)
-        assert summ.period == pytest.approx(1 / 60.0)
+        assert summ.frequency == 60.0
 
     def test_a_bus_without_frequency_takes_its_islands(self, ac_vessel):
         """The fault bus used to run at 60 Hz, whatever its island's
@@ -260,7 +260,6 @@ class TestFaultSummary:
             for b in grid.buses))
         summ = fault_summary(grid, "LV_SB", solve_ac_powerflow(grid))
         assert summ.frequency == 50.0
-        assert summ.period == 1 / 50.0
 
     def test_voltage_referral_of_lv_motor_group(self, ac_vessel):
         sol = solve_ac_powerflow(ac_vessel)

@@ -107,7 +107,7 @@ class TestCapacitor:
 
 class TestBattery:
     def setup_method(self):
-        self.bat = BatterySource("BAT", "DCB", 750.0, 14900.0, 0.16e-3, 0.25)
+        self.bat = BatterySource("BAT", "DCB", 14900.0, 0.16e-3)
 
     def test_asymptote(self):
         tgrid = np.linspace(0.0, 0.05, 5001)
@@ -128,8 +128,8 @@ class TestBattery:
     def test_strictly_increasing_and_bounded(self):
         rng = np.random.RandomState(5)
         for _ in range(20):
-            bat = BatterySource("B", "D", 100.0, rng.uniform(1e3, 3e4),
-                                rng.uniform(5e-5, 5e-3), 0.2)
+            bat = BatterySource("B", "D", rng.uniform(1e3, 3e4),
+                                rng.uniform(5e-5, 5e-3))
             tr = battery_sc_trace(bat, TGRID)
             assert np.all(np.diff(tr.i) > 0.0)
             assert np.all(tr.i < bat.sc_peak_current)
@@ -170,7 +170,7 @@ class TestDcFaultSummary:
     def test_battery_only_equals_battery_trace(self):
         grid = GridModel(
             "bat", buses=(Bus("DCB", "dc", 650.0),),
-            batteries=(BatterySource("BAT", "DCB", 100.0, 14900.0, 0.16e-3),))
+            batteries=(BatterySource("BAT", "DCB", 14900.0, 0.16e-3),))
         summ = dc_fault_summary(grid, "DCB")
         alone = battery_sc_trace(grid.batteries[0], TGRID)
         assert np.array_equal(summ.total.i, alone.i)

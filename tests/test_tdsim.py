@@ -551,7 +551,7 @@ _SMIB_SHAVE = ControllerConfig(mode="peak_shave", inverter="INV",
     # so none is repeated without a solve
     (smib_grid(), (), None, 0.005, 1),
     # a load at scale 0 is a demand all the same
-    (_smib_plus(loads=(LoadSpec("LM", "B_M", 100.0, 0.9, 1.0, 0.0),)), (),
+    (_smib_plus(loads=(LoadSpec("LM", "B_M", 100.0, 0.9, 0.0),)), (),
      {"LM": 0.0}, 0.03, 2),
     # one island with demands among linear ones
     (_smib_plus(**_SECOND_ISLAND), (), None, 0.03, 2),
@@ -671,7 +671,7 @@ def test_find_cct_integrates_no_pre_fault_step_twice(monkeypatch):
 @pytest.mark.parametrize("grid, controllers, load_scale, integrated", [
     (smib_grid(), (), None, 1),
     # an island with demands (here at scale 0) warm-starts its sweeps
-    (_smib_plus(loads=(LoadSpec("LM", "B_M", 100.0, 0.9, 1.0, 0.0),)), (),
+    (_smib_plus(loads=(LoadSpec("LM", "B_M", 100.0, 0.9, 0.0),)), (),
      {"LM": 0.0}, 10),
     (_smib_plus(**_SECOND_ISLAND), (), None, 10),
     # a controller may move its setpoint at a recording step
