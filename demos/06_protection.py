@@ -9,7 +9,6 @@ Run:  python demos/06_protection.py
 """
 
 from vesselstudy import (
-    FaultLocation,
     apply_zsi,
     build_breaker_graph,
     builtin_fixture,
@@ -22,9 +21,8 @@ from vesselstudy import (
 grid = builtin_fixture("ac_vessel")
 sol = solve_ac_powerflow(grid)
 summ = fault_summary(grid, "AC_PS", sol)
-fault = FaultLocation.at_element_terminal("DG#01")
 
-graph = build_breaker_graph(grid, fault, summ)
+graph = build_breaker_graph(grid, summ, fault_element="DG#01")
 print("fault between DG#01 and its breaker; per-breaker fault current:")
 for bid, flow in sorted(graph.flows.items()):
     tag = "  <- nearest" if flow.adjacent_to_fault else ""
@@ -36,7 +34,8 @@ for emitter, locked in zsi.trace[:5]:
     print(f"  {emitter} -> {locked}")
 
 for enabled in (False, True):
-    events = sequence_of_operations(grid, fault, summ, zsi_enabled=enabled)
+    events = sequence_of_operations(grid, summ, fault_element="DG#01",
+                                    zsi_enabled=enabled)
     rep = selectivity_check(events, cct_budget=0.542)
     label = "with ZSI" if enabled else "no ZSI"
     print(f"\n{label}: first {events[0].breaker_id} at "

@@ -63,7 +63,6 @@ from .sc_dc import (
     dc_fault_summary,
 )
 from .protection import (
-    FaultLocation,
     SelectivityReport,
     TripEvent,
     apply_zsi,

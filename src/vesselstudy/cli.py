@@ -37,12 +37,8 @@ from .grid import FuseSpec, GridModel, InputError, NumericalError, validate
 from .gridfile import (GridParseError, boolean, check_declared, convert,
                        integer, parse_grid, read_sections)
 from .powerflow import solve_ac_powerflow, solve_dc_balance
-from .protection import (
-    FaultLocation,
-    fuse_i2t_clearing,
-    selectivity_check,
-    sequence_of_operations,
-)
+from .protection import (fuse_i2t_clearing, selectivity_check,
+                         sequence_of_operations)
 from .sc_ac import fault_summary
 from .sc_dc import DcScTrace, dc_fault_summary
 from .tdsim import (
@@ -327,15 +323,13 @@ def _run_protect(args, grid: GridModel, study: _Study) -> int:
     if (keys["fault_element"] is None) == (keys["fault_bus"] is None):
         raise InputError(
             "[protect] needs exactly one of fault_element and fault_bus")
+    fault_bus = keys["fault_bus"]
     if keys["fault_element"] is not None:
-        fault = FaultLocation.at_element_terminal(keys["fault_element"])
-        fault_bus = grid.element(fault.target).bus
-    else:
-        fault = FaultLocation.at_bus(keys["fault_bus"])
-        fault_bus = fault.target
+        fault_bus = grid.element(keys["fault_element"]).bus
     sol = solve_ac_powerflow(grid, **_steady_state(study))
     summ = fault_summary(grid, fault_bus, sol)
-    events = sequence_of_operations(grid, fault, summ, zsi_enabled=keys["zsi"],
+    events = sequence_of_operations(grid, summ, keys["fault_element"],
+                                    zsi_enabled=keys["zsi"],
                                     failed_breakers=set(keys["failed_breakers"]))
     _emit(args, "trips.csv", *report.trip_rows(events))
     rep = selectivity_check(events, keys["cct_budget_s"])

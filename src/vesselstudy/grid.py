@@ -436,17 +436,20 @@ def validate(grid: GridModel) -> ValidationReport:
         add(grid.name, "empty grid", "grid declares no buses")
         return ValidationReport(tuple(v))
 
+    # ids share one namespace: an event target names a bus, branch, load or
+    # breaker by its id alone
+    seen: set[str] = set()
     for group in (grid.buses, grid.generators, grid.batteries, grid.converters,
                   grid.loads, grid.branches, grid.breakers, grid.fuses):
         for spec in group:
+            if spec.id in seen:
+                add(spec.id, "duplicate id", "id declared twice")
+            seen.add(spec.id)
             for name, val in _non_finite(spec):
                 add(spec.id, "non-finite", f"{name} = {val} is not finite")
 
-    bus_ids = set()
+    bus_ids = grid.bus_ids()
     for b in grid.buses:
-        if b.id in bus_ids:
-            add(b.id, "duplicate id", "bus id declared twice")
-        bus_ids.add(b.id)
         if b.nominal_voltage <= 0:
             add(b.id, "voltage", f"nominal voltage {b.nominal_voltage} not > 0")
         if b.kind == AC and b.frequency not in (50.0, 60.0):
@@ -454,11 +457,6 @@ def validate(grid: GridModel) -> ValidationReport:
         if b.kind not in (AC, DC):
             add(b.id, "bus kind", f"unknown bus kind {b.kind!r}")
 
-    seen = set(bus_ids)
-    for e in grid.elements():
-        if e.id in seen:
-            add(e.id, "duplicate id", "id declared twice")
-        seen.add(e.id)
     for referrer, what in dangling_references(grid):
         add(referrer, "dangling reference", f"{what} not declared")
 
@@ -539,9 +537,6 @@ def validate(grid: GridModel) -> ValidationReport:
             add(l.id, "positive", "rated_kva must be > 0")
 
     for bk in grid.breakers:
-        if bk.id in seen:
-            add(bk.id, "duplicate id", "id declared twice")
-        seen.add(bk.id)
         if bk.tcc is not None:
             t = bk.tcc
             if t.long_time.kind not in LONG_TIME_KINDS:
@@ -553,9 +548,6 @@ def validate(grid: GridModel) -> ValidationReport:
                 add(bk.id, "delay", "element delays must be > 0")
 
     for f in grid.fuses:
-        if f.id in seen:
-            add(f.id, "duplicate id", "id declared twice")
-        seen.add(f.id)
         if f.i2t_total_clearing <= 0:
             add(f.id, "i2t", "i2t_total_clearing must be > 0")
 

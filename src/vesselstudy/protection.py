@@ -1,6 +1,8 @@
 """Protective-device coordination.
 
-Breaker trip times come from parameterized long-time/short-time curves with
+A coordination study takes its fault from an AC fault summary: on the
+summary's bus, or at the terminal of an element on that bus.  Breaker trip
+times come from parameterized long-time/short-time curves with
 no instantaneous element; selectivity relies on zone-selective interlocking
 instead: the breakers nearest a fault emit lock signals that push every
 other fault-carrying breaker onto its extended delay, while the backup
@@ -34,22 +36,6 @@ class TraceTooShortError(ProtectionError):
 
 
 @dataclass(frozen=True)
-class FaultLocation:
-    """Either on a bus, or on the stub between an element and its breaker."""
-
-    kind: str       # "bus" | "element_terminal"
-    target: str
-
-    @staticmethod
-    def at_bus(bus_id: str) -> "FaultLocation":
-        return FaultLocation("bus", bus_id)
-
-    @staticmethod
-    def at_element_terminal(element_id: str) -> "FaultLocation":
-        return FaultLocation("element_terminal", element_id)
-
-
-@dataclass(frozen=True)
 class TripEvent:
     breaker_id: str
     time_s: float
@@ -67,8 +53,6 @@ class BreakerFlow:
 
 @dataclass
 class BreakerGraph:
-    fault: FaultLocation
-    fault_node: str
     flows: dict[str, BreakerFlow]
     paths: dict[str, tuple[str, ...]]   # contributor -> breakers walked to fault
 
@@ -166,23 +150,28 @@ def _breaker_voltage(grid: GridModel, breaker_id: str) -> float:
     return grid.bus(grid.element(bk.from_element).bus).nominal_voltage
 
 
-def build_breaker_graph(grid: GridModel, fault: FaultLocation,
-                        summary: FaultSummary) -> BreakerGraph:
-    """Trace each contribution from its source to the fault location.
+def build_breaker_graph(grid: GridModel, summary: FaultSummary,
+                        fault_element: str | None = None) -> BreakerGraph:
+    """Trace each contribution from its source to the fault.
 
-    Contributor magnitudes are the half-cycle AC values from the fault
-    summary (already referred to the fault bus); the current through each
-    breaker is re-referred to that breaker's voltage level.
+    The fault is on the summary's bus or, with `fault_element`, on the stub
+    between that element and its breaker; the element must sit on the
+    summary's bus.  Contributor magnitudes are the half-cycle AC values
+    from the fault summary (already referred to the fault bus); the current
+    through each breaker is re-referred to that breaker's voltage level.
     """
+    v_fault = grid.bus(summary.bus).nominal_voltage
+    target = fault_node = summary.bus
+    if fault_element is not None:
+        on_bus = grid.element(fault_element).bus
+        if on_bus != summary.bus:
+            raise ProtectionError(
+                f"fault element {fault_element!r} sits on bus {on_bus!r}, "
+                f"not on the fault summary's bus {summary.bus!r}")
+        target, fault_node = fault_element, _stub(fault_element)
     adj = _connectivity(grid)
-    if fault.kind == "bus":
-        fault_node = fault.target
-        grid.bus(fault.target)
-    else:
-        fault_node = _stub(fault.target)
-        grid.element(fault.target)
     if fault_node not in adj:
-        raise ProtectionError(f"fault location {fault.target!r} unreachable")
+        raise ProtectionError(f"fault location {target!r} unreachable")
 
     # BFS tree rooted at the fault: parent pointers give each path.
     # Stub nodes are terminal (no transit through elements).
@@ -197,12 +186,11 @@ def build_breaker_graph(grid: GridModel, fault: FaultLocation,
                 parent[nb] = (node, breaker)
                 dq.append(nb)
 
-    v_fault = grid.bus(summary.bus).nominal_voltage
     flows: dict[str, BreakerFlow] = {}
     paths: dict[str, tuple[str, ...]] = {}
     for contributor, trace in summary.traces.items():
         node = _stub(contributor)
-        if fault.kind == "element_terminal" and contributor == fault.target:
+        if contributor == fault_element:
             paths[contributor] = ()
             continue   # feeds the stub directly, crosses no breaker
         if node not in parent:
@@ -223,10 +211,9 @@ def build_breaker_graph(grid: GridModel, fault: FaultLocation,
 
     for flow in flows.values():
         bk = grid.breaker(flow.breaker_id)
-        flow.adjacent_to_fault = fault.target in (bk.from_element, bk.to_element)
+        flow.adjacent_to_fault = target in (bk.from_element, bk.to_element)
 
-    return BreakerGraph(fault=fault, fault_node=fault_node,
-                        flows=flows, paths=paths)
+    return BreakerGraph(flows=flows, paths=paths)
 
 
 def apply_zsi(graph: BreakerGraph) -> ZsiResult:
@@ -254,15 +241,17 @@ def apply_zsi(graph: BreakerGraph) -> ZsiResult:
     return ZsiResult(nearest=nearest, locked=locked, trace=tuple(hops))
 
 
-def sequence_of_operations(grid: GridModel, fault: FaultLocation,
-                           summary: FaultSummary, zsi_enabled: bool = True,
+def sequence_of_operations(grid: GridModel, summary: FaultSummary,
+                           fault_element: str | None = None,
+                           zsi_enabled: bool = True,
                            failed_breakers: frozenset[str] | set[str] = frozenset(),
                            ) -> list[TripEvent]:
-    """Ordered breaker trips for one fault, with or without lock signals;
-    every failed breaker must be one of the grid's."""
+    """Ordered breaker trips for the summary's fault, at its bus or at
+    `fault_element`'s terminal (see `build_breaker_graph`), with or without
+    lock signals; every failed breaker must be one of the grid's."""
     for breaker_id in sorted(failed_breakers):
         grid.breaker(breaker_id)
-    graph = build_breaker_graph(grid, fault, summary)
+    graph = build_breaker_graph(grid, summary, fault_element)
     locked = apply_zsi(graph).locked if zsi_enabled else frozenset()
 
     events = []
@@ -283,7 +272,8 @@ def sequence_of_operations(grid: GridModel, fault: FaultLocation,
             events.append(TripEvent(breaker_id, t, element, False))
     if not events:
         raise NoDetectionError(
-            f"no breaker detects the fault at {fault.target!r}")
+            f"no breaker detects the fault at "
+            f"{fault_element or summary.bus!r}")
     return sorted(events, key=lambda e: (e.time_s, e.breaker_id))
 
 

@@ -60,8 +60,6 @@ class AcScTrace:
     iac_half: float                # Iac(T/2)
     idc_half: float                # idc(T/2)
     frequency: float
-    e_q0_st: float | None = None   # E''q0, V line-to-neutral
-    e_q0_t: float | None = None    # E'q0
     ikd_source: str = "datasheet"  # datasheet | estimated | none
     tdc_source: str = "datasheet"
 
@@ -173,7 +171,6 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
     return _compose(
         tgrid, iac(tgrid), idc(tgrid), half, iac, idc,
         i_kd_st=i_st, i_kd_t=i_t, i_kd=ikd, frequency=frequency,
-        e_q0_st=e_st, e_q0_t=e_t,
         ikd_source=ikd_source, tdc_source=tdc_source)
 
 

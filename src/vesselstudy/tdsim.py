@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -82,8 +82,8 @@ class BracketError(SimulationError):
 # configuration and events
 
 
-# each event action -> the optional fields it reads; setting another (not
-# None, and for ramp not 0) is an input error
+# each event action -> the optional fields it reads; setting another (giving
+# it a value other than its default) is an input error, see `_refuse_unread`
 EVENT_FIELDS = {
     "load_step": ("target", "scale", "ramp"),
     "breaker_open": ("target",),
@@ -91,6 +91,17 @@ EVENT_FIELDS = {
     "fault_apply": ("target", "location"),
     "fault_clear": (),
 }
+
+
+def _refuse_unread(spec, kind: str,
+                   readers: dict[str, tuple[str, ...]]) -> None:
+    """Raise InputError for a field of `spec` that some kind of `readers`
+    reads, but not `kind`, and that differs from its default."""
+    for f in fields(spec):
+        owners = [k for k, names in readers.items() if f.name in names]
+        if owners and kind not in owners and getattr(spec, f.name) != f.default:
+            raise InputError(f"{kind}: {f.name} applies only to "
+                             f"{', '.join(owners)}")
 
 
 @dataclass(frozen=True)
@@ -105,13 +116,7 @@ class Event:
     def __post_init__(self):
         if self.action not in EVENT_FIELDS:
             raise InputError(f"unknown event action {self.action!r}")
-        given = {"target": self.target, "scale": self.scale,
-                 "ramp": self.ramp or None, "location": self.location}
-        for name, value in given.items():
-            if value is not None and name not in EVENT_FIELDS[self.action]:
-                readers = [a for a, f in EVENT_FIELDS.items() if name in f]
-                raise InputError(f"{self.action}: {name} applies only to "
-                                 f"{', '.join(readers)}")
+        _refuse_unread(self, self.action, EVENT_FIELDS)
         if self.action == "load_step" and self.scale is None:
             raise InputError(f"load_step {self.target}: scale required")
         if self.ramp < 0:
@@ -182,15 +187,19 @@ class TimeSeries:
 # controllers
 
 
-CONTROLLER_MODES = ("peak_shave", "dp_failover")
+# each controller mode -> the optional fields it reads; setting another is
+# an input error, as for events
+CONTROLLER_FIELDS = {
+    "peak_shave": ("watched", "p_threshold_kw", "q_threshold_kvar"),
+    "dp_failover": ("watched", "dp_delay"),
+}
 
 
 @dataclass(frozen=True, kw_only=True)
 class ControllerConfig:
-    """One battery-inverter controller, the only one on its inverter;
-    each mode ignores the other mode's keys."""
+    """One battery-inverter controller, the only one on its inverter."""
 
-    mode: str                            # one of CONTROLLER_MODES
+    mode: str                            # a key of CONTROLLER_FIELDS
     inverter: str                        # converter id injecting P/Q
     p_rating_kw: float
     q_rating_kvar: float
@@ -200,9 +209,10 @@ class ControllerConfig:
     dp_delay: float = 0.1                # dp_failover, s
 
     def __post_init__(self):
-        if self.mode not in CONTROLLER_MODES:
+        if self.mode not in CONTROLLER_FIELDS:
             raise InputError(f"controller on {self.inverter}: unknown mode "
                              f"{self.mode!r}")
+        _refuse_unread(self, self.mode, CONTROLLER_FIELDS)
         if self.p_rating_kw <= 0 or self.q_rating_kvar <= 0:
             raise InputError("inverter ratings must be > 0")
         if self.dp_delay <= 0:

@@ -19,7 +19,6 @@ from vesselstudy import (
     ControllerConfig,
     Event,
     EventSchedule,
-    FaultLocation,
     SimConfig,
     battery_sc_trace,
     builtin_fixture,
@@ -127,20 +126,19 @@ def test_criterion_06_protection_timing():
     grid = builtin_fixture("ac_vessel")
     sol = solve_ac_powerflow(grid)
     summ = fault_summary(grid, "AC_PS", sol)
-    fault = FaultLocation.at_element_terminal("DG#01")
 
-    plain = sequence_of_operations(grid, fault, summ, zsi_enabled=False)
+    plain = sequence_of_operations(grid, summ, "DG#01", zsi_enabled=False)
     assert {e.time_s for e in plain} == {0.216}
     assert 0.216 < CCT_BUDGET_S
 
-    zsi = sequence_of_operations(grid, fault, summ, zsi_enabled=True)
+    zsi = sequence_of_operations(grid, summ, "DG#01", zsi_enabled=True)
     nearest = zsi[0]
     assert nearest.breaker_id == "CB_DG01" and not nearest.locked
     assert all(e.time_s > nearest.time_s for e in zsi[1:])
     rep = selectivity_check(zsi, CCT_BUDGET_S)
     assert rep.selective and rep.cleared_within_cct
 
-    backup = sequence_of_operations(grid, fault, summ, zsi_enabled=True,
+    backup = sequence_of_operations(grid, summ, "DG#01", zsi_enabled=True,
                                     failed_breakers={"CB_DG01"})
     assert backup and all(math.isfinite(e.time_s) for e in backup)
     assert all(e.time_s <= CCT_BUDGET_S for e in backup)

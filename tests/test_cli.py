@@ -771,6 +771,10 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
     # two cables at the machine's bus and none named used to be exit 3
     ("cct", SECOND_PS_CABLE, SHORT_CCT + "location = 0.5\n",
      "DG#01: need one cable at AC_PS to fault, found 2"),
+    # a repeated [branch FDR_LV_PS] used to run, and tdsim kept the last one
+    ("powerflow", ("[branch FDR_LV_SB]", SECOND_PS_CABLE[1].replace(
+        "FDR_LV_PS2", "FDR_LV_PS")), "",
+     "error: FDR_LV_PS: duplicate id: id declared twice"),
     # a location on a bus fault, or on any other event, used to be ignored
     ("tdsim", None, TDSIM_HEAD + "[event f]\ntime_s = 0.05\naction = fault_apply\n"
      "target = AC_PS\nlocation = 0.5\n",
@@ -806,6 +810,12 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
     ("tdsim", None, TDSIM_HEAD + "[breakers]\nCB_DG01 = false\n[event c]\n"
      "time_s = 0.05\naction = breaker_close\ntarget = CB_DG01\n",
      "DG#01: bringing a generator online mid-run is not supported"),
+    # a key of the other controller mode used to be accepted and ignored
+    ("tdsim", None, TDSIM_HEAD + DP_CONTROLLER.format("dp")
+     + "p_threshold_kw = 1200\n",
+     "dp_failover: p_threshold_kw applies only to peak_shave"),
+    ("tdsim", None, TDSIM_HEAD + CONTROLLER + "dp_delay_s = 0.2\n",
+     "peak_shave: dp_delay applies only to dp_failover"),
     # and a DP-failover trip before dp_delay_s of output was recorded
     ("tdsim", None, TDSIM_HEAD + DP_CONTROLLER.format("dp").replace(
         "DG#02", "DG#01") + "dp_delay_s = 0.1\n[event o]\ntime_s = 0.05\n"

@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from vesselstudy import (
-    FaultLocation,
     GridError,
     builtin_fixture,
     convert_time_constants,
@@ -932,9 +931,9 @@ def test_engines_raise_only_grid_errors(case):
                 else fault_summary(grid, bus.id, solve_ac_powerflow(
                     grid, load_scale=scale)),
                 lambda: sequence_of_operations(
-                    grid, FaultLocation.at_element_terminal(element),
-                    fault_summary(grid, grid.element(element).bus,
-                                  solve_ac_powerflow(grid)), zsi_enabled=True)):
+                    grid, fault_summary(grid, grid.element(element).bus,
+                                        solve_ac_powerflow(grid)),
+                    element, zsi_enabled=True)):
         try:
             run()
         except GridError:

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from vesselstudy import (
-    FaultLocation,
     apply_zsi,
     battery_sc_trace,
     build_breaker_graph,
@@ -86,25 +85,25 @@ class TestTripTime:
 def gen_terminal_fault(ac_vessel):
     sol = solve_ac_powerflow(ac_vessel)
     summ = fault_summary(ac_vessel, "AC_PS", sol)
-    return ac_vessel, FaultLocation.at_element_terminal("DG#01"), summ
+    return ac_vessel, summ
 
 
 class TestZsi:
     def test_nearest_is_the_generator_breaker(self, gen_terminal_fault):
-        grid, fault, summ = gen_terminal_fault
-        zsi = apply_zsi(build_breaker_graph(grid, fault, summ))
+        grid, summ = gen_terminal_fault
+        zsi = apply_zsi(build_breaker_graph(grid, summ, "DG#01"))
         assert zsi.nearest == {"CB_DG01"}
 
     def test_all_other_carriers_locked(self, gen_terminal_fault):
-        grid, fault, summ = gen_terminal_fault
-        graph = build_breaker_graph(grid, fault, summ)
+        grid, summ = gen_terminal_fault
+        graph = build_breaker_graph(grid, summ, "DG#01")
         zsi = apply_zsi(graph)
         assert zsi.locked == set(graph.flows) - {"CB_DG01"}
         assert "CB_TIE_PS_MID" in zsi.locked
 
     def test_ties_forward_the_lock(self, gen_terminal_fault):
-        grid, fault, summ = gen_terminal_fault
-        zsi = apply_zsi(build_breaker_graph(grid, fault, summ))
+        grid, summ = gen_terminal_fault
+        zsi = apply_zsi(build_breaker_graph(grid, summ, "DG#01"))
         hops = set(zsi.trace)
         # the PS-mid tie receives and passes the signal onward
         assert ("CB_DG01", "CB_TIE_PS_MID") in hops
@@ -112,8 +111,8 @@ class TestZsi:
         assert ("CB_TIE_MID_SB", "CB_DG03") in hops
 
     def test_breaker_current_direction(self, gen_terminal_fault):
-        grid, fault, summ = gen_terminal_fault
-        graph = build_breaker_graph(grid, fault, summ)
+        grid, summ = gen_terminal_fault
+        graph = build_breaker_graph(grid, summ, "DG#01")
         # the faulted generator's breaker sees current toward the generator
         assert graph.flows["CB_DG01"].toward == "stub:DG#01"
         # and it carries every other contribution, not its own machine's
@@ -127,22 +126,21 @@ class TestZsi:
             "CB_LOAD440_PS"))
         sol = solve_ac_powerflow(grid)
         summ = fault_summary(grid, "AC_PS", sol)
-        fault = FaultLocation.at_element_terminal("DG#01")
-        zsi = apply_zsi(build_breaker_graph(grid, fault, summ))
+        zsi = apply_zsi(build_breaker_graph(grid, summ, "DG#01"))
         assert zsi.locked == frozenset()
 
 
 class TestSequenceOfOperations:
     def test_without_zsi_everyone_trips_at_216ms(self, gen_terminal_fault):
-        grid, fault, summ = gen_terminal_fault
-        events = sequence_of_operations(grid, fault, summ, zsi_enabled=False)
+        grid, summ = gen_terminal_fault
+        events = sequence_of_operations(grid, summ, "DG#01", zsi_enabled=False)
         assert len(events) >= 5
         assert {e.time_s for e in events} == {0.216}
         assert all(e.cause == "short_time" for e in events)
 
     def test_with_zsi_nearest_first(self, gen_terminal_fault):
-        grid, fault, summ = gen_terminal_fault
-        events = sequence_of_operations(grid, fault, summ, zsi_enabled=True)
+        grid, summ = gen_terminal_fault
+        events = sequence_of_operations(grid, summ, "DG#01", zsi_enabled=True)
         assert events[0].breaker_id == "CB_DG01"
         assert events[0].time_s == pytest.approx(0.216)
         assert not events[0].locked
@@ -152,17 +150,17 @@ class TestSequenceOfOperations:
         assert max(e.time_s for e in events) < 0.542
 
     def test_backups_survive_nearest_failure(self, gen_terminal_fault):
-        grid, fault, summ = gen_terminal_fault
-        events = sequence_of_operations(grid, fault, summ, zsi_enabled=True,
+        grid, summ = gen_terminal_fault
+        events = sequence_of_operations(grid, summ, "DG#01", zsi_enabled=True,
                                         failed_breakers={"CB_DG01"})
         assert events
         assert all(e.breaker_id != "CB_DG01" for e in events)
         assert all(math.isfinite(e.time_s) for e in events)
 
     def test_unknown_failed_breaker_rejected(self, gen_terminal_fault):
-        grid, fault, summ = gen_terminal_fault
+        grid, summ = gen_terminal_fault
         with pytest.raises(InputError, match="unknown breaker 'CB_NOPE'"):
-            sequence_of_operations(grid, fault, summ,
+            sequence_of_operations(grid, summ, "DG#01",
                                    failed_breakers={"CB_DG01", "CB_NOPE"})
 
     def test_undetectable_fault(self, ac_vessel):
@@ -171,9 +169,17 @@ class TestSequenceOfOperations:
         # scale every contribution below every pickup
         for tr in summ.traces.values():
             tr.iac_half *= 1e-4
-        fault = FaultLocation.at_element_terminal("DG#01")
         with pytest.raises(NoDetectionError):
-            sequence_of_operations(ac_vessel, fault, summ)
+            sequence_of_operations(ac_vessel, summ, "DG#01")
+
+    def test_fault_element_off_the_summary_bus_rejected(self, gen_terminal_fault):
+        # DG#04 sits on AC_SB; against the AC_PS summary its terminal fault
+        # used to return a full trip list, CB_DG04 first at 0.216 s
+        grid, summ = gen_terminal_fault
+        with pytest.raises(ProtectionError, match="fault element 'DG#04' "
+                           "sits on bus 'AC_SB', not on the fault summary's "
+                           "bus 'AC_PS'"):
+            sequence_of_operations(grid, summ, fault_element="DG#04")
 
 
 class TestSelectivity:

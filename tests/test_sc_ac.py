@@ -107,8 +107,9 @@ class TestMachineTrace:
 
     def test_no_load_emf_identity(self):
         tr = machine_sc_trace(self.gen, self.op, TGRID, 60.0)
-        assert tr.e_q0_st == pytest.approx(690.0 / SQRT3, rel=1e-12)
-        assert tr.e_q0_t == pytest.approx(690.0 / SQRT3, rel=1e-12)
+        # I''kd = E''q0 / X''d and I'kd = E'q0 / X'd, with both EMFs at U0
+        assert tr.i_kd_st == pytest.approx(690.0 / SQRT3 / 0.03, rel=1e-12)
+        assert tr.i_kd_t == pytest.approx(690.0 / SQRT3 / 0.05, rel=1e-12)
 
     def test_asymptote_is_steady_state_current(self):
         tgrid = np.array([0.0, 10.0, 50.0])

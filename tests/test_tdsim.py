@@ -114,6 +114,18 @@ class TestControllerConfig:
         assert (cfg.watched, cfg.p_threshold_kw, cfg.q_threshold_kvar,
                 cfg.dp_delay) == ((), 0.0, 0.0, 0.1)
 
+    @pytest.mark.parametrize("mode, key, value, reader", [
+        ("dp_failover", "p_threshold_kw", 1500.0, "peak_shave"),
+        ("dp_failover", "q_threshold_kvar", 1000.0, "peak_shave"),
+        ("peak_shave", "dp_delay", 0.2, "dp_failover"),
+    ])
+    def test_a_key_of_the_other_mode_is_refused(self, mode, key, value, reader):
+        # such a key used to be accepted and ignored
+        with pytest.raises(InputError, match=f"^{mode}: {key} applies only "
+                           f"to {reader}$"):
+            ControllerConfig(mode=mode, inverter="INV_PS", p_rating_kw=1500.0,
+                             q_rating_kvar=1500.0, **{key: value})
+
     @pytest.mark.parametrize("first_mode", ["peak_shave", "dp_failover"])
     def test_one_controller_per_inverter(self, ac_vessel, first_mode):
         pair = (_peak_cfg(), _dp_cfg())
