@@ -18,7 +18,7 @@ for bus in sorted(sol.v_pu):
     print(f"  {bus:10s} {sol.v_pu[bus]:.5f} pu  {sol.angle_rad[bus]:+.5f} rad")
 
 # The machine terminal state feeds the short-circuit engine.
-op = prefault_operating_point(sol, "DG#01")
+op = prefault_operating_point(ac, sol, "DG#01")
 print(f"\nDG#01 pre-fault: U0 = {op.u0:.1f} V, I0 = {op.i0:.1f} A, "
       f"phi0 = {op.phi0:.4f} rad")
 

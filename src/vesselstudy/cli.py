@@ -33,7 +33,7 @@ import sys
 import numpy as np
 
 from . import fixtures, report
-from .grid import FuseSpec, GridModel, InputError, NumericalError, validate
+from .grid import GridModel, InputError, NumericalError, validate
 from .gridfile import (GridParseError, boolean, check_declared, convert,
                        integer, parse_grid, read_sections)
 from .powerflow import solve_ac_powerflow, solve_dc_balance
@@ -379,11 +379,10 @@ def _run_i2t(args, grid, study) -> int:   # reads neither
         raise InputError("i2t --format formats the --out artifact; "
                          "give --out")
     trace = _read_trace_csv(args.trace)
-    fuse = FuseSpec("fuse", "trace", args.fuse_i2t)
-    t_clear = fuse_i2t_clearing(trace, fuse)
+    t_clear = fuse_i2t_clearing(trace, args.fuse_i2t)
     if args.out:
         _emit(args, "i2t.csv",
-              *report.fuse_rows([("fuse", fuse.i2t_total_clearing, t_clear)]))
+              *report.fuse_rows([("fuse", args.fuse_i2t, t_clear)]))
     if t_clear is None:
         print("t_clear_s = NOT_CLEARED")
         if args.strict:

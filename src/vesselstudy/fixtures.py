@@ -48,11 +48,10 @@ def builtin_fixture(name: str) -> GridModel:
     raise GridLookupError(f"unknown fixture {name!r} (have {FIXTURE_NAMES})")
 
 
-def _tcc(rated_a: float, st_mult: float, lt_mult: float = 2.5,
-         lt_kind: str = "definite", lt_delay: float = 10.0) -> TccCurve:
+def _tcc(rated_a: float, st_mult: float) -> TccCurve:
     return TccCurve(
-        long_time=LongTimeElement(pickup=lt_mult * rated_a, kind=lt_kind,
-                                  delay=lt_delay),
+        long_time=LongTimeElement(pickup=2.5 * rated_a, kind="definite",
+                                  delay=10.0),
         short_time=ShortTimeElement(pickup=st_mult * rated_a, delay=0.216),
         zsi_extended_delay=0.1,
     )
@@ -120,12 +119,9 @@ def _ac_vessel() -> GridModel:
         CableBranch("FDR_LV_SB", "AC_SB", "LV_SB", 0.005, 0.030, synthetic=True),
     )
 
-    def cb(bid, frm, to, rated_a, st_mult, lt_mult=2.5, lt_kind="definite",
-           lt_delay=10.0):
-        return BreakerSpec(
-            id=bid, from_element=frm, to_element=to,
-            tcc=_tcc(rated_a, st_mult, lt_mult, lt_kind, lt_delay),
-        )
+    def cb(bid, frm, to, rated_a, st_mult):
+        return BreakerSpec(id=bid, from_element=frm, to_element=to,
+                           tcc=_tcc(rated_a, st_mult))
 
     breakers = (
         cb("CB_DG01", "DG#01", "AC_PS", 2004.0, 3.0),

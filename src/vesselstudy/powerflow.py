@@ -5,8 +5,10 @@ AC islands are solved with a dense Newton-Raphson load flow (per-unit on a
 zero-impedance tie breakers are merged into supernodes before the solve.
 DC islands get an algebraic power-balance restoration: generator-side
 chargers pick up the island load plus fixed converter losses, shared in
-proportion to their capability.  The solved machine terminal conditions
-feed the short-circuit decrement engine.
+proportion to their capability.  A solution keeps what the solve
+computes; `prefault_operating_point` takes a machine's bus and nominal
+voltage from the grid to give the short-circuit decrement engine its
+pre-fault terminal state.
 """
 
 from __future__ import annotations
@@ -58,8 +60,6 @@ class PowerflowSolution:
     bus_q_kvar: dict[str, float]
     iterations: int
     max_mismatch: float
-    element_bus: dict[str, str]
-    bus_nominal_v: dict[str, float]
     slack_elements: tuple[str, ...]
 
 
@@ -351,9 +351,7 @@ def solve_ac_powerflow(
 
     bus_p = {b.id: 0.0 for b in grid.buses}
     bus_q = {b.id: 0.0 for b in grid.buses}
-    el_bus = {}
     for e in grid.elements():
-        el_bus[e.id] = e.bus
         if e.id in injections:
             p, q = injections[e.id]
             at = e.bus
@@ -370,8 +368,6 @@ def solve_ac_powerflow(
         bus_q_kvar=bus_q,
         iterations=total_iter,
         max_mismatch=worst,
-        element_bus=el_bus,
-        bus_nominal_v={b.id: b.nominal_voltage for b in grid.buses},
         slack_elements=tuple(slack_elements),
     )
 
@@ -448,12 +444,15 @@ def solve_dc_balance(grid: GridModel) -> DcBalanceSolution:
     )
 
 
-def prefault_operating_point(sol: PowerflowSolution, machine_id: str) -> OperatingPoint:
-    """Terminal voltage, current and power-factor angle of a solved machine."""
-    if machine_id not in sol.injections_kw or machine_id not in sol.element_bus:
-        raise PowerflowError(f"machine {machine_id!r} absent from solution")
-    bus = sol.element_bus[machine_id]
-    u0 = sol.v_pu[bus] * sol.bus_nominal_v[bus]
+def prefault_operating_point(grid: GridModel, sol: PowerflowSolution,
+                             machine_id: str) -> OperatingPoint:
+    """Terminal voltage, current and power-factor angle of generator
+    `machine_id` of `grid` in `sol`: an unknown id is a `GridLookupError`,
+    one offline in the solution an `InputError`."""
+    bus = grid.generator(machine_id).bus
+    if machine_id not in sol.injections_kw:
+        raise InputError(f"machine {machine_id!r} is offline in the solution")
+    u0 = sol.v_pu[bus] * grid.bus(bus).nominal_voltage
     p, q = sol.injections_kw[machine_id]
     s_kva = math.hypot(p, q)
     if s_kva < 1e-9:

@@ -6,19 +6,20 @@ times come from parameterized long-time/short-time curves with
 no instantaneous element; selectivity relies on zone-selective interlocking
 instead: the breakers nearest a fault emit lock signals that push every
 other fault-carrying breaker onto its extended delay, while the backup
-obligation (locked breakers still trip) is preserved.  Fuses clear when the
-integrated let-through energy of the fault waveform reaches their total
-clearing I^2t.
+obligation (locked breakers still trip) is preserved.  A fuse clears when
+the integrated let-through energy of the fault waveform reaches its total
+clearing I^2t, the one fuse datum `fuse_i2t_clearing` takes.
 """
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import FuseSpec, GridModel, InputError, TccCurve
+from .grid import GridModel, InputError, TccCurve
 from .sc_ac import FaultSummary
 from .sc_dc import DcScTrace
 
@@ -230,12 +231,11 @@ def apply_zsi(graph: BreakerGraph) -> ZsiResult:
     hops: list[tuple[str, str]] = []
     for path in graph.paths.values():
         # path is ordered source -> fault; locks propagate fault -> source
-        chain = [b for b in path]
-        for i, b in enumerate(chain):
+        for b, downstream in zip(path, path[1:] + (None,)):
             if b in nearest:
                 continue
-            downstream = next((c for c in chain[i + 1:]), None)
-            emitter = downstream if downstream is not None else min(nearest) if nearest else None
+            emitter = (downstream if downstream is not None
+                       else min(nearest, default=None))
             if emitter is not None and (emitter, b) not in hops:
                 hops.append((emitter, b))
     return ZsiResult(nearest=nearest, locked=locked, trace=tuple(hops))
@@ -320,15 +320,18 @@ def let_through(trace: DcScTrace) -> np.ndarray:
     return e
 
 
-def fuse_i2t_clearing(trace: DcScTrace, fuse: FuseSpec) -> float | None:
-    """Time at which the waveform's let-through reaches the fuse rating.
+def fuse_i2t_clearing(trace: DcScTrace, rating: float) -> float | None:
+    """Time at which the waveform's let-through reaches `rating`, the
+    fuse's total clearing I^2t in A^2 s, which must be finite and > 0.
 
     Returns None when the waveform has decayed without ever accumulating
     the rating (the fuse never clears); raises TraceTooShortError when the
     grid ends while the let-through is still rising short of the rating.
     """
+    if not (math.isfinite(rating) and rating > 0):
+        raise ProtectionError(
+            f"fuse I^2t rating {rating!r} A^2s is not finite and > 0")
     e = let_through(trace)
-    rating = fuse.i2t_total_clearing
     if e[-1] >= rating:
         k = int(np.searchsorted(e, rating))
         if k == 0:

@@ -6,7 +6,9 @@ and time constants; motor groups contribute a single-exponential decrement,
 and drives/inverters a constant current capped by their limiter.  Fault
 currents at a bus are the sum of all contributions reachable through closed
 breakers, with the peak composed at the first half cycle:
-``ip = sqrt(2)*Iac(T/2) + idc(T/2)``.
+``ip = sqrt(2)*Iac(T/2) + idc(T/2)``.  The island frequency sets T and the
+estimated DC time constants; the traces and the summary keep what it
+shaped, not the frequency itself.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ class AcScTrace:
     i_kd: float                    # Ikd
     iac_half: float                # Iac(T/2)
     idc_half: float                # idc(T/2)
-    frequency: float
     ikd_source: str = "datasheet"  # datasheet | estimated | none
     tdc_source: str = "datasheet"
 
@@ -73,7 +74,6 @@ class AcScTrace:
 @dataclass
 class FaultSummary:
     bus: str
-    frequency: float
     traces: dict[str, AcScTrace]
     iac_half_cycle: float
     idc_half_cycle: float
@@ -170,7 +170,7 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
     half = 1.0 / (2.0 * frequency)
     return _compose(
         tgrid, iac(tgrid), idc(tgrid), half, iac, idc,
-        i_kd_st=i_st, i_kd_t=i_t, i_kd=ikd, frequency=frequency,
+        i_kd_st=i_st, i_kd_t=i_t, i_kd=ikd,
         ikd_source=ikd_source, tdc_source=tdc_source)
 
 
@@ -199,7 +199,7 @@ def motor_group_sc_trace(load: LoadSpec, bus_voltage: float,
     half = 1.0 / (2.0 * frequency)
     return _compose(
         tgrid, iac(tgrid), idc(tgrid), half, iac, idc,
-        i_kd_st=i_lr, i_kd_t=0.0, i_kd=0.0, frequency=frequency,
+        i_kd_st=i_lr, i_kd_t=0.0, i_kd=0.0,
         ikd_source="none", tdc_source="xr_ratio")
 
 
@@ -221,7 +221,7 @@ def vfd_contribution(conv: ConverterSpec, tgrid: np.ndarray,
     return _compose(
         tgrid, iac(tgrid), idc(tgrid), half,
         lambda t: level, lambda t: 0.0,
-        i_kd_st=level, i_kd_t=level, i_kd=level, frequency=frequency,
+        i_kd_st=level, i_kd_t=level, i_kd=level,
         ikd_source="none", tdc_source="none")
 
 
@@ -246,7 +246,7 @@ def fault_summary(grid: GridModel, bus_id: str,
     traces: dict[str, AcScTrace] = {}
 
     for g in on.generators:
-        op = prefault_operating_point(sol, g.id)
+        op = prefault_operating_point(grid, sol, g.id)
         tr = machine_sc_trace(g, op, tgrid, f)
         traces[g.id] = tr.scaled(grid.bus(g.bus).nominal_voltage / v_fault)
     for l in on.loads:
@@ -267,7 +267,6 @@ def fault_summary(grid: GridModel, bus_id: str,
     idc_half = sum(tr.idc_half for tr in traces.values())
     return FaultSummary(
         bus=bus_id,
-        frequency=f,
         traces=traces,
         iac_half_cycle=iac_half,
         idc_half_cycle=idc_half,

@@ -46,7 +46,6 @@ class DcScTrace:
 
 @dataclass
 class DcFaultSummary:
-    bus: str
     traces: dict[str, DcScTrace]
     total: DcScTrace
 
@@ -155,4 +154,4 @@ def dc_fault_summary(grid: GridModel, bus_id: str) -> DcFaultSummary:
         regime=AGGREGATE,
         sustained=sum(tr.sustained for tr in traces.values()),
     )
-    return DcFaultSummary(bus=bus_id, traces=traces, total=total)
+    return DcFaultSummary(traces=traces, total=total)

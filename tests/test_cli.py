@@ -140,6 +140,42 @@ def test_i2t_subcommand(tmp_path, capsys):
     assert float(line.split("=")[1]) == pytest.approx(1.94017e-4, rel=0.005)
 
 
+@pytest.mark.parametrize("rating, message", [
+    # these used to clear at t = 0.0 (exit 0)
+    ("-5", "fuse I^2t rating -5.0 A^2s is not finite and > 0"),
+    ("0", "fuse I^2t rating 0.0 A^2s is not finite and > 0"),
+    # and these to report a let-through still rising "of nan A^2s"
+    ("nan", "fuse I^2t rating nan A^2s is not finite and > 0"),
+    ("inf", "fuse I^2t rating inf A^2s is not finite and > 0"),
+    # a finite rating the trace cannot reach is a trace too short
+    ("1e30", "let-through still rising at trace end"),
+])
+def test_i2t_refuses_a_bad_fuse_rating(tmp_path, capsys, rating, message):
+    out = tmp_path / "out"
+    main(["sc-dc", "--grid", "builtin:dc_vessel", "--bus", "DC_PS",
+          "--out", str(out)])
+    capsys.readouterr()
+    rc = main(["i2t", "--trace", str(out / "trace_BAT_PS.csv"),
+               "--fuse-i2t", rating, "--out", str(tmp_path / "i2t")])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert not (tmp_path / "i2t").exists()
+
+
+def test_i2t_not_cleared_fails_only_under_strict(tmp_path, capsys):
+    # a pulse that decays to zero long before reaching the rating
+    trace = tmp_path / "pulse.csv"
+    trace.write_text("t_s,i_a\n0,100\n0.001,0\n")
+    argv = ["i2t", "--trace", str(trace), "--fuse-i2t", "9350"]
+    assert main(argv + ["--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().out == "t_clear_s = NOT_CLEARED\n"
+    assert (tmp_path / "o" / "i2t.csv").read_text().splitlines()[1] \
+        == "fuse,9350.0,NOT_CLEARED"
+    assert main(argv + ["--strict"]) == 4
+    assert capsys.readouterr().out == "t_clear_s = NOT_CLEARED\n"
+
+
 @pytest.mark.parametrize("fault", [None, "fault_bus = AC_PS"])
 def test_protect_strict_exit_code(tmp_path, fault):
     study = PROTECT_STUDY
@@ -816,6 +852,18 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
      "dp_failover: p_threshold_kw applies only to peak_shave"),
     ("tdsim", None, TDSIM_HEAD + CONTROLLER + "dp_delay_s = 0.2\n",
      "peak_shave: dp_delay applies only to dp_failover"),
+    # a study kind that needs its section, run without it
+    ("cct", None, "", "cct study requires a [cct] section"),
+    ("protect", None, "", "protect study requires a [protect] section"),
+    ("powerflow", ("[bus AC_MID]", "[bus]"), "",
+     "line 9: [bus] section requires an id"),
+    ("powerflow", ("kind = ac", "kind = hvdc"), "",
+     "AC_PS: bus kind: unknown bus kind 'hvdc'"),
+    ("tdsim", None, TDSIM_HEAD + DP_CONTROLLER.format("dp") + "dp_delay_s = 0\n",
+     "dp_delay must be > 0"),
+    # a datasheet Ikd above the machine's own I'kd
+    ("sc-ac --bus AC_PS", ("td0_t_s = 3.50", "ikd_a = 100000\ntd0_t_s = 3.50"),
+     "", "DG#01: decrement ordering violated"),
     # and a DP-failover trip before dp_delay_s of output was recorded
     ("tdsim", None, TDSIM_HEAD + DP_CONTROLLER.format("dp").replace(
         "DG#02", "DG#01") + "dp_delay_s = 0.1\n[event o]\ntime_s = 0.05\n"

@@ -146,6 +146,17 @@ class TestValidate:
         found = [(v.element_id, v.rule) for v in validate(grid)]
         assert found == [(branch_id, "duplicate id")]
 
+    def test_fuse_on_an_undeclared_element_is_a_dangling_reference(
+            self, dc_vessel):
+        # the grid parser refuses it first; a model built in code is
+        # refused here
+        from dataclasses import replace
+        fuse = replace(dc_vessel.fuses[0], element="NOPE")
+        grid = replace(dc_vessel, fuses=(fuse, *dc_vessel.fuses[1:]))
+        found = [(v.element_id, v.rule, v.message) for v in validate(grid)]
+        assert found == [(fuse.id, "dangling reference",
+                          "element 'NOPE' not declared")]
+
 
 class TestFixtures:
     def test_ac_vessel_generator_set(self, ac_vessel):
@@ -349,21 +360,54 @@ UNREAD = {
 }
 
 
+# a field of a dataclass outside grid.py whose name another dataclass in src/
+# also uses -> the function in src/ (module.name or module.Class.method) whose
+# body loads it: there a `.field` read is this class's, not the other's
+SHARED_READERS = {
+    ("AcNetwork", "frequency"): "tdsim._Engine._build",
+    ("AcScTrace", "t"): "cli._run_sc_ac",
+    ("BreakerFlow", "breaker_id"): "protection.build_breaker_graph",
+    ("CctFaultSpec", "location"): "tdsim.find_cct",
+    ("DcFaultSummary", "traces"): "cli._run_sc_dc",
+    ("DcScTrace", "t"): "protection.let_through",
+    ("Event", "location"): "tdsim._Engine._island_y",
+    ("FaultSummary", "bus"): "protection.build_breaker_graph",
+    ("FaultSummary", "traces"): "protection.build_breaker_graph",
+    ("TimeSeries", "t"): "cli._run_tdsim",
+    ("TripEvent", "breaker_id"): "report.trip_rows",
+    ("TripEvent", "locked"): "protection.selectivity_check",
+    ("ZsiResult", "locked"): "protection.sequence_of_operations",
+    ("_Machines", "damping"): "tdsim._Engine._derivatives",
+}
+
+
 def _is_dataclass(node):
     return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
                == "dataclass" for d in node.decorator_list)
+
+
+def _trees() -> dict[Path, ast.Module]:
+    return {path: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+
+
+def _dataclasses(trees) -> list[tuple[Path, ast.ClassDef]]:
+    return [(path, n) for path, tree in trees.items() for n in tree.body
+            if isinstance(n, ast.ClassDef) and _is_dataclass(n)]
+
+
+def _fields(cls: ast.ClassDef) -> list[str]:
+    return [s.target.id for s in cls.body if isinstance(s, ast.AnnAssign)]
 
 
 def test_every_model_field_has_a_reader():
     """A field of a dataclass in src/ counts as read where some `.field` is
     loaded in src/ outside the writers and the dataclass bodies, or in
     demos/; a field nothing reads is dead weight in every grid file and
-    every result."""
-    trees = {path: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    classes = [n for tree in trees.values() for n in tree.body
-               if isinstance(n, ast.ClassDef) and _is_dataclass(n)]
-    fields = {(c.name, s.target.id) for c in classes for s in c.body
-              if isinstance(s, ast.AnnAssign)}
+    every result.  The load may be another class's field of the same name:
+    `test_every_shared_field_name_has_its_reader` pins those."""
+    trees = _trees()
+    classes = [c for _, c in _dataclasses(trees)]
+    fields = {(c.name, f) for c in classes for f in _fields(c)}
     in_bodies = {id(n) for c in classes for n in ast.walk(c)}
     read = set()
     for path in [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py")]:
@@ -375,3 +419,100 @@ def test_every_model_field_has_a_reader():
                  and id(n) not in in_bodies}
     assert len(fields) > 150
     assert sorted(f for f in fields if f[1] not in read) == sorted(UNREAD)
+
+
+def test_every_shared_field_name_has_its_reader():
+    """A field of a dataclass outside grid.py whose name another dataclass
+    in src/ also uses counts as read only in the function SHARED_READERS
+    names for it: the guard above takes a load of `.bus` on a generator
+    for a read of `FaultSummary.bus`.  That function, outside the writers,
+    must load `.field` in its body; every such field needs an entry, and
+    every entry such a field."""
+    trees = _trees()
+    classes = _dataclasses(trees)
+    owners: dict[str, set[str]] = {}
+    for _, c in classes:
+        for f in _fields(c):
+            owners.setdefault(f, set()).add(c.name)
+    shared = {(c.name, f) for path, c in classes if path.name != "grid.py"
+              for f in _fields(c) if len(owners[f]) > 1}
+    missing = sorted(shared - set(SHARED_READERS))
+    stale = sorted(set(SHARED_READERS) - shared)
+    assert (missing, stale) == ([], [])
+    for (cls, field), where in sorted(SHARED_READERS.items()):
+        module, *names = where.split(".")
+        assert f"{module}.py" not in WRITERS, where
+        node = trees[SRC / f"{module}.py"]
+        for name in names:
+            node = next((n for n in node.body if getattr(n, "name", None) == name
+                         and isinstance(n, (ast.ClassDef, ast.FunctionDef))),
+                        None)
+            assert node is not None, f"{where}: no such function in src/"
+        assert isinstance(node, ast.FunctionDef), where
+        assert any(isinstance(n, ast.Attribute) and n.attr == field
+                   and isinstance(n.ctx, ast.Load) for n in ast.walk(node)), \
+            f"{cls}.{field}: {where} does not read .{field}"
+
+
+# ---- every defaulted parameter has a setter ----------------------------------
+
+
+def _call_sites() -> dict[str, list[tuple[int | None, set[str] | None]]]:
+    """callee name -> (positional count, keyword names) of each call in
+    src/, demos/ and perfbench/; None where a `*args` or `**kwargs` may
+    pass anything.  A call of `f` or of `x.f` is a call of every def `f`."""
+    calls: dict[str, list] = {}
+    for path in [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py"),
+                 *(ROOT / "perfbench").glob("*.py")]:
+        for n in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(n, ast.Call):
+                continue
+            name = getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+            npos = (None if any(isinstance(a, ast.Starred) for a in n.args)
+                    else len(n.args))
+            kws = (None if any(k.arg is None for k in n.keywords)
+                   else {k.arg for k in n.keywords})
+            calls.setdefault(name, []).append((npos, kws))
+    return calls
+
+
+def _defaulted_params(node, owner: str | None = None):
+    """(def name as called, param, positional index or None) of every
+    defaulted parameter of the defs under `node`; a method's index leaves
+    out `self`, and a class's `__init__` is called by the class's name."""
+    for n in ast.iter_child_nodes(node):
+        if isinstance(n, ast.ClassDef):
+            yield from _defaulted_params(n, n.name)
+        elif isinstance(n, ast.FunctionDef):
+            name = owner if owner and n.name == "__init__" else n.name
+            bound = owner is not None and not any(
+                getattr(d, "id", None) == "staticmethod"
+                for d in n.decorator_list)
+            a = n.args
+            positional = [*a.posonlyargs, *a.args][bound:]
+            first = len(positional) - len(a.defaults)
+            for i, arg in enumerate(positional[first:], start=first):
+                yield name, arg.arg, i
+            for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                if default is not None:
+                    yield name, arg.arg, None
+            yield from _defaulted_params(n)
+        else:
+            yield from _defaulted_params(n, owner)
+
+
+def test_every_defaulted_parameter_is_set_by_a_caller():
+    """A defaulted parameter of a def in src/ is set where some call in
+    src/, demos/ or perfbench/ of a def of that name passes it, by keyword
+    or by position; one that only the tests set is a knob no study
+    turns."""
+    calls = _call_sites()
+    unset = []
+    for path, tree in sorted(_trees().items()):
+        for fn, param, index in _defaulted_params(tree):
+            if not any(
+                    kws is None or param in kws
+                    or (index is not None and (npos is None or npos > index))
+                    for npos, kws in calls.get(fn, ())):
+                unset.append(f"{path.stem}.{fn}({param})")
+    assert unset == []

@@ -13,12 +13,13 @@ from vesselstudy.grid import (
     Bus,
     ConverterSpec,
     GeneratorSpec,
+    GridLookupError,
     GridModel,
     InputError,
     LoadSpec,
     validate,
 )
-from vesselstudy.powerflow import CapacityError, ConvergenceError, PowerflowError
+from vesselstudy.powerflow import CapacityError, ConvergenceError
 
 from helpers import (gauss_seidel_two_bus, ps_island, single_gen_grid,
                      split_frequency_grid, two_bus_grid)
@@ -196,30 +197,31 @@ def _dc_pair_grid(load_kw: float, single: bool = False,
 
 class TestOperatingPoint:
     def test_no_load(self):
-        sol = solve_ac_powerflow(single_gen_grid())
-        op = prefault_operating_point(sol, "G1")
+        grid = single_gen_grid()
+        op = prefault_operating_point(grid, solve_ac_powerflow(grid), "G1")
         assert op.i0 == 0.0
         assert op.u0 == 690.0
 
     def test_rated_point_of_main_generator(self):
         # 1916 kW + 1437 kvar at 690 V is the DG#01 nameplate point
-        sol = solve_ac_powerflow(single_gen_grid(1916.0, 1437.0))
-        op = prefault_operating_point(sol, "G1")
+        grid = single_gen_grid(1916.0, 1437.0)
+        op = prefault_operating_point(grid, solve_ac_powerflow(grid), "G1")
         assert op.i0 == pytest.approx(2004.0, rel=2e-3)
         assert op.phi0 == pytest.approx(math.acos(0.80), rel=1e-3)
 
     def test_ninety_percent_dispatch(self):
-        sol = solve_ac_powerflow(single_gen_grid(0.9 * 1916.0, 0.9 * 1437.0))
-        op = prefault_operating_point(sol, "G1")
+        grid = single_gen_grid(0.9 * 1916.0, 0.9 * 1437.0)
+        op = prefault_operating_point(grid, solve_ac_powerflow(grid), "G1")
         assert op.i0 == pytest.approx(0.9 * 2004.0, rel=5e-3)
 
     def test_offline_machine_rejected(self, ac_vessel):
         grid = ac_vessel.with_breaker_states({"CB_DG01": False})
         sol = solve_ac_powerflow(grid)
-        with pytest.raises(PowerflowError, match="offline|absent"):
-            prefault_operating_point(sol, "DG#01")
+        with pytest.raises(InputError, match="'DG#01' is offline") as exc:
+            prefault_operating_point(grid, sol, "DG#01")
+        assert not isinstance(exc.value, GridLookupError)
 
     def test_absent_machine_rejected(self):
-        sol = solve_ac_powerflow(single_gen_grid())
-        with pytest.raises(PowerflowError):
-            prefault_operating_point(sol, "DG#99")
+        grid = single_gen_grid()
+        with pytest.raises(GridLookupError, match="DG#99"):
+            prefault_operating_point(grid, solve_ac_powerflow(grid), "DG#99")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -19,7 +20,6 @@ from vesselstudy import (
 from vesselstudy.grid import (
     BatterySource,
     CapacitorBranch,
-    FuseSpec,
     InputError,
     LongTimeElement,
     ShortTimeElement,
@@ -88,7 +88,36 @@ def gen_terminal_fault(ac_vessel):
     return ac_vessel, summ
 
 
+# the hop trace, frozen: at DG#01's terminal every lock comes from the
+# breaker downstream on its path; at the AC_PS bus the LV load breaker's
+# path ends away from the fault, so the lowest-id nearest breaker emits it
+DG01_HOPS = (
+    ("CB_DG01", "CB_DG02"), ("CB_TIE_MID_SB", "CB_DG03"),
+    ("CB_TIE_PS_MID", "CB_TIE_MID_SB"), ("CB_DG01", "CB_TIE_PS_MID"),
+    ("CB_TIE_MID_SB", "CB_DG04"), ("CB_TIE_PS_MID", "CB_DG05"),
+    ("CB_DG01", "CB_CRANE_PS"), ("CB_TIE_MID_SB", "CB_CRANE_SB"),
+    ("CB_DG01", "CB_LOAD440_PS"), ("CB_TIE_MID_SB", "CB_LOAD440_SB"),
+    ("CB_DG01", "CB_INV_PS"), ("CB_TIE_MID_SB", "CB_INV_SB"),
+    ("CB_DG01", "CB_THR_BOW1"), ("CB_TIE_PS_MID", "CB_THR_BOW2"),
+    ("CB_TIE_MID_SB", "CB_THR_BOW3"), ("CB_DG01", "CB_THR_PROP_PS"),
+    ("CB_TIE_MID_SB", "CB_THR_PROP_SB"))
+BUS_HOPS = (
+    ("CB_TIE_MID_SB", "CB_DG03"), ("CB_TIE_PS_MID", "CB_TIE_MID_SB"),
+    ("CB_TIE_MID_SB", "CB_DG04"), ("CB_TIE_PS_MID", "CB_DG05"),
+    ("CB_TIE_MID_SB", "CB_CRANE_SB"), ("CB_CRANE_PS", "CB_LOAD440_PS"),
+    ("CB_TIE_MID_SB", "CB_LOAD440_SB"), ("CB_TIE_MID_SB", "CB_INV_SB"),
+    ("CB_TIE_PS_MID", "CB_THR_BOW2"), ("CB_TIE_MID_SB", "CB_THR_BOW3"),
+    ("CB_TIE_MID_SB", "CB_THR_PROP_SB"))
+
+
 class TestZsi:
+    @pytest.mark.parametrize("fault_element, hops", [("DG#01", DG01_HOPS),
+                                                     (None, BUS_HOPS)])
+    def test_hop_trace(self, gen_terminal_fault, fault_element, hops):
+        grid, summ = gen_terminal_fault
+        assert apply_zsi(build_breaker_graph(grid, summ, fault_element)
+                         ).trace == hops
+
     def test_nearest_is_the_generator_breaker(self, gen_terminal_fault):
         grid, summ = gen_terminal_fault
         zsi = apply_zsi(build_breaker_graph(grid, summ, "DG#01"))
@@ -157,6 +186,18 @@ class TestSequenceOfOperations:
         assert all(e.breaker_id != "CB_DG01" for e in events)
         assert all(math.isfinite(e.time_s) for e in events)
 
+    def test_breaker_without_trip_curve_never_trips(self, gen_terminal_fault):
+        grid, summ = gen_terminal_fault
+        bare = dataclasses.replace(grid, breakers=tuple(
+            dataclasses.replace(b, tcc=None) if b.id == "CB_DG02" else b
+            for b in grid.breakers))
+        assert build_breaker_graph(bare, summ, "DG#01").flows[
+            "CB_DG02"].current_a > 0
+        full = sequence_of_operations(grid, summ, "DG#01")
+        assert "CB_DG02" in [e.breaker_id for e in full]
+        assert sequence_of_operations(bare, summ, "DG#01") == [
+            e for e in full if e.breaker_id != "CB_DG02"]
+
     def test_unknown_failed_breaker_rejected(self, gen_terminal_fault):
         grid, summ = gen_terminal_fault
         with pytest.raises(InputError, match="unknown breaker 'CB_NOPE'"):
@@ -221,21 +262,25 @@ class TestFuseClearing:
     def test_battery_trace_against_closed_form(self):
         bat = BatterySource("BAT", "DCB", 14900.0, 0.16e-3)
         trace = battery_sc_trace(bat, TGRID)
-        fuse = FuseSpec("F", "BAT", 9350.0)
-        t = fuse_i2t_clearing(trace, fuse)
+        t = fuse_i2t_clearing(trace, 9350.0)
         assert t == pytest.approx(BATTERY_CLEAR_S, rel=0.005)
 
     def test_rating_above_available_energy_never_clears(self):
         trace = capacitor_sc_trace(FIG6, TGRID)
-        fuse = FuseSpec("F", "CAP", 1e6)
-        assert fuse_i2t_clearing(trace, fuse) is None
+        assert fuse_i2t_clearing(trace, 1e6) is None
+
+    @pytest.mark.parametrize("rating", [-5.0, 0.0, math.nan, math.inf])
+    def test_rating_not_finite_and_positive_refused(self, rating):
+        trace = capacitor_sc_trace(FIG6, TGRID)
+        with pytest.raises(ProtectionError, match="rating .* not finite and > 0"):
+            fuse_i2t_clearing(trace, rating)
 
     def test_trace_too_short_to_decide(self):
         t = np.linspace(0.0, 1e-4, 101)
         trace = DcScTrace(t=t, i=np.full_like(t, 1275.0), peak_current=1275.0,
                           time_to_peak=0.0, regime="constant", sustained=1275.0)
         with pytest.raises(TraceTooShortError):
-            fuse_i2t_clearing(trace, FuseSpec("F", "CH", 9350.0))
+            fuse_i2t_clearing(trace, 9350.0)
 
     def test_let_through_monotone(self):
         trace = capacitor_sc_trace(FIG6, TGRID)
@@ -245,11 +290,10 @@ class TestFuseClearing:
     def test_clearing_time_monotone_in_scale(self):
         bat = BatterySource("BAT", "DCB", 14900.0, 0.16e-3)
         trace = battery_sc_trace(bat, TGRID)
-        fuse = FuseSpec("F", "BAT", 9350.0)
-        t1 = fuse_i2t_clearing(trace, fuse)
+        t1 = fuse_i2t_clearing(trace, 9350.0)
         scaled = DcScTrace(t=trace.t, i=trace.i * 1.5,
                            peak_current=trace.peak_current * 1.5,
                            time_to_peak=trace.time_to_peak,
                            regime=trace.regime, sustained=trace.sustained)
-        t2 = fuse_i2t_clearing(scaled, fuse)
+        t2 = fuse_i2t_clearing(scaled, 9350.0)
         assert t2 < t1

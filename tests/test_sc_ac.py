@@ -250,7 +250,10 @@ class TestFaultSummary:
     def test_half_cycle_at_sixty_hertz(self, ac_vessel):
         sol = solve_ac_powerflow(ac_vessel)
         summ = fault_summary(ac_vessel, "AC_PS", sol)
-        assert summ.frequency == 60.0
+        crane = ac_vessel.load("CRANE_PS")   # on the 690 V fault bus
+        at = {f: motor_group_sc_trace(crane, 690.0, TGRID, f).iac_half
+              for f in (50.0, 60.0)}
+        assert summ.traces["CRANE_PS"].iac_half == at[60.0] != at[50.0]
 
     def test_a_bus_without_frequency_takes_its_islands(self, ac_vessel):
         """The fault bus used to run at 60 Hz, whatever its island's
@@ -260,7 +263,11 @@ class TestFaultSummary:
             dataclasses.replace(b, frequency=None) if b.id == "LV_SB" else b
             for b in grid.buses))
         summ = fault_summary(grid, "LV_SB", solve_ac_powerflow(grid))
-        assert summ.frequency == 50.0
+        load = grid.load("LOAD440_SB")
+        v = grid.bus("LV_SB").nominal_voltage
+        at = {f: motor_group_sc_trace(load, v, TGRID, f).iac_half
+              for f in (50.0, 60.0)}
+        assert summ.traces["LOAD440_SB"].iac_half == at[50.0] != at[60.0]
 
     def test_voltage_referral_of_lv_motor_group(self, ac_vessel):
         sol = solve_ac_powerflow(ac_vessel)
