@@ -13,7 +13,8 @@ the fault bus of sc-ac and sc-dc.  Every kind but tdsim, whose
 timeseries.csv has no text form, takes `--format` (i2t only with `--out`,
 the artifact it formats); only protect and i2t, the kinds with a verdict
 to fail, take `--strict`; a kind refuses a flag it does not take (exit 2).  The CLI is a thin shell over the library: it
-loads the grid and study files, applies the study's breaker states,
+loads the grid and study files (a grid file is read on every call, and each
+distinct text parsed once per process), applies the study's breaker states,
 validates that topology, calls the corresponding engine and writes the
 artifacts.  A study file holds only sections its kind reads (`_RUNNERS`);
 only `[event <id>]` and `[controller <id>]` take ids, and appear any number
@@ -170,7 +171,15 @@ def _read_text(path: str) -> str:
 def _load_grid(spec: str) -> GridModel:
     if spec.startswith("builtin:"):
         return fixtures.builtin_fixture(spec.split(":", 1)[1])
-    return parse_grid(_read_text(spec))
+    return _parsed(_read_text(spec))
+
+
+# the model of each distinct grid text, parsed once per process and shared
+# (frozen); keyed on the text, so an edited file parses afresh, and an error
+# is raised on every call, never kept
+@functools.lru_cache(maxsize=8)
+def _parsed(text: str) -> GridModel:
+    return parse_grid(text)
 
 
 def _emit(args, name: str, header, rows) -> None:

@@ -343,5 +343,5 @@ def fuse_i2t_clearing(trace: DcScTrace, rating: float) -> float | None:
     if peak > 0 and abs(float(trace.i[-1])) > 1e-3 * peak:
         raise TraceTooShortError(
             f"let-through still rising at trace end "
-            f"({e[-1]:.1f} of {rating:.1f} A^2s)")
+            f"({float(e[-1])!r} of {rating!r} A^2s)")
     return None

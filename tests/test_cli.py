@@ -5,7 +5,9 @@ import pytest
 
 from vesselstudy import (
     builtin_fixture,
+    cli,
     dc_fault_summary,
+    parse_grid,
     serialize_grid,
     solve_ac_powerflow,
 )
@@ -147,8 +149,10 @@ def test_i2t_subcommand(tmp_path, capsys):
     # and these to report a let-through still rising "of nan A^2s"
     ("nan", "fuse I^2t rating nan A^2s is not finite and > 0"),
     ("inf", "fuse I^2t rating inf A^2s is not finite and > 0"),
-    # a finite rating the trace cannot reach is a trace too short
-    ("1e30", "let-through still rising at trace end"),
+    # a finite rating the trace cannot reach is a trace too short; both
+    # energies print as repr, not every digit of the rating's binary value
+    ("1e30", "let-through still rising at trace end "
+             "(1056767.599999977 of 1e+30 A^2s)"),
 ])
 def test_i2t_refuses_a_bad_fuse_rating(tmp_path, capsys, rating, message):
     out = tmp_path / "out"
@@ -221,11 +225,89 @@ def test_sc_ac_summary_schema(tmp_path):
     assert header == "contributor,ikd_st_a,ikd_t_a,ikd_a,iac_half_a,idc_half_a,ip_a"
 
 
-def test_grid_file_path_accepted(tmp_path):
+TIE_CLOSED = "[breaker CB_TIE_PS_MID]\nclosed = true\n"
+
+
+def _vessel_grid_file(tmp_path) -> Path:
     path = tmp_path / "vessel.grid"
     path.write_text(serialize_grid(builtin_fixture("ac_vessel")))
+    return path
+
+
+def test_grid_file_path_accepted(tmp_path):
+    path = _vessel_grid_file(tmp_path)
     rc = main(["powerflow", "--grid", str(path), "--out", str(tmp_path / "o")])
     assert rc == 0
+
+
+def _cold_run_hash(argv, out: Path) -> str:
+    """The artifacts of `argv` run with no parsed grid kept."""
+    cli._parsed.cache_clear()
+    assert main(argv + ["--out", str(out)]) == 0
+    return _dir_hash(out)
+
+
+@pytest.fixture
+def parsed_texts(monkeypatch) -> list[str]:
+    """The grid texts `cli` parses, from an empty cache on."""
+    texts = []
+
+    def counting(text):
+        texts.append(text)
+        return parse_grid(text)
+
+    monkeypatch.setattr(cli, "parse_grid", counting)
+    cli._parsed.cache_clear()
+    return texts
+
+
+def test_a_grid_text_is_parsed_once_per_process(tmp_path, parsed_texts):
+    grid = str(_vessel_grid_file(tmp_path))
+    assert main(["powerflow", "--grid", grid,
+                 "--out", str(tmp_path / "pf")]) == 0
+    assert main(["sc-ac", "--grid", grid, "--bus", "AC_PS",
+                 "--out", str(tmp_path / "sc")]) == 0
+    assert len(parsed_texts) == 1
+
+
+def test_an_edited_grid_file_is_parsed_afresh(tmp_path):
+    path = _vessel_grid_file(tmp_path)
+    argv = ["powerflow", "--grid", str(path)]
+    before = _cold_run_hash(argv, tmp_path / "before")
+    text = path.read_text()
+    assert TIE_CLOSED in text
+    path.write_text(text.replace(TIE_CLOSED, TIE_CLOSED.replace("true",
+                                                                "false")))
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+    warm = _dir_hash(tmp_path / "warm")
+    assert warm != before
+    assert warm == _cold_run_hash(argv, tmp_path / "cold")
+
+
+def test_a_study_breaker_state_does_not_reach_the_kept_grid(tmp_path):
+    study = tmp_path / "open.study"
+    study.write_text("[breakers]\nCB_TIE_PS_MID = false\n")
+    argv = ["powerflow", "--grid", str(_vessel_grid_file(tmp_path))]
+    opened = _cold_run_hash(argv + ["--study", str(study)], tmp_path / "open")
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+    warm = _dir_hash(tmp_path / "warm")
+    assert warm != opened
+    assert warm == _cold_run_hash(argv, tmp_path / "cold")
+
+
+def test_a_bad_grid_file_is_refused_on_every_call(tmp_path, capsys,
+                                                  parsed_texts):
+    bad = _vessel_grid_file(tmp_path)
+    bad.write_text(bad.read_text().replace(TIE_CLOSED, TIE_CLOSED.replace(
+        "true", "open")))
+    argv = ["powerflow", "--grid", str(bad), "--out", str(tmp_path / "o")]
+    errors = []
+    for _ in range(2):
+        assert main(argv) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and "closed = " in errors[0]
+    assert len(parsed_texts) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_text_format(tmp_path):

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import math
 from pathlib import Path
 
@@ -223,6 +224,27 @@ class TestRoundTrip:
         back = parse_grid(serialize_grid(grid))
         assert not back.breaker("CB_TIE_PS_MID").closed
         assert back == grid
+
+
+def _assert_deeply_frozen(value, where: str) -> None:
+    if dataclasses.is_dataclass(value):
+        assert type(value).__dataclass_params__.frozen, where
+        for f in dataclasses.fields(value):
+            _assert_deeply_frozen(getattr(value, f.name), f"{where}.{f.name}")
+    elif isinstance(value, tuple):
+        for k, item in enumerate(value):
+            _assert_deeply_frozen(item, f"{where}[{k}]")
+    else:
+        assert value is None or type(value) in (str, float, int, bool), \
+            f"{where}: {type(value).__name__}"
+
+
+@pytest.mark.parametrize("name", ["ac_vessel", "dc_vessel"])
+def test_a_parsed_grid_is_deeply_frozen(name):
+    """The CLI shares one parsed model across the studies of a process,
+    so nothing reachable through its fields may be mutable."""
+    grid = parse_grid(serialize_grid(builtin_fixture(name)))
+    _assert_deeply_frozen(grid, name)
 
 
 def test_with_breaker_states_rejects_unknown(ac_vessel):
