@@ -244,20 +244,26 @@ def solve_ac_powerflow(
     island load shared in proportion to machine rating).  `load_scale` and
     `converter_draws` adjust the consumed powers for scenario studies.
     The `dispatch` and `slack` ids must name generators, the slack an
-    online one, and the `load_scale` ids loads.
+    online one, and the `load_scale` ids loads.  A dispatch and a load
+    scale must be >= 0: a generator does not motor, a load does not
+    generate.
     """
     if max_iter < 0:
         raise InputError(f"need max_iter >= 0, got max_iter = {max_iter}")
     if not tol >= 0:
         raise InputError(f"need tol >= 0, got tol = {tol}")
-    for gen_id in dispatch or ():
+    for gen_id, p_kw in (dispatch or {}).items():
         grid.generator(gen_id)
+        if not p_kw >= 0:   # a motoring generator: reverse power
+            raise InputError(f"dispatch {gen_id}: need >= 0 kW, got {p_kw}")
     if slack is not None:
         grid.generator(slack)
         if not grid.element_online(slack):
             raise InputError(f"slack generator {slack!r} is offline")
-    for load_id in load_scale or ():
+    for load_id, scale in (load_scale or {}).items():
         grid.load(load_id)
+        if not scale >= 0:
+            raise InputError(f"load_scale {load_id}: need >= 0, got {scale}")
     dispatch = dict(dispatch or {})
     load_scale = dict(load_scale or {})
     converter_draws = dict(converter_draws or {})

@@ -9,11 +9,17 @@ breakers, with the peak composed at the first half cycle:
 ``ip = sqrt(2)*Iac(T/2) + idc(T/2)``.  The island frequency sets T and the
 estimated DC time constants; the traces and the summary keep what it
 shaped, not the frequency itself.
+
+All three kinds share one closed-form curve.  The summary and protection
+read only its closed-form values; a trace's sampled arrays are computed on
+first read, so only a study that writes trace files samples them.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -35,27 +41,33 @@ class NoContributorsError(ShortCircuitError):
     pass
 
 
+@functools.cache
 def default_time_grid() -> np.ndarray:
-    """0-1 s: 10 us steps through the subtransient window, 1 ms after."""
+    """0-1 s: 10 us steps through the subtransient window, 1 ms after.
+
+    Built once per process and read-only: every trace shares it.
+    """
     fine = np.arange(0.0, 0.05, 10e-6)
     coarse = np.arange(0.05, 1.0 + 1e-12, 1e-3)
-    return np.concatenate([fine, coarse])
+    grid = np.concatenate([fine, coarse])
+    grid.setflags(write=False)
+    return grid
 
 
 @dataclass
 class AcScTrace:
-    """Sampled fault-current contribution of one element.
+    """Fault-current contribution of one element, referred to the fault bus.
 
     `iac` is the RMS AC component, `idc` the aperiodic component and
-    `envelope` the composed upper envelope sqrt(2)*iac + idc.  The
-    half-cycle values are evaluated in closed form (not read off the grid)
-    so the composition identity holds to machine precision.
+    `envelope` the composed upper envelope sqrt(2)*iac + idc, sampled on
+    `t`.  The three arrays are computed on first read and kept (read-only):
+    a study that writes no trace samples nothing.  The half-cycle values
+    are evaluated in closed form (not read off the grid) so the composition
+    identity holds to machine precision.
     """
 
     t: np.ndarray
-    iac: np.ndarray
-    idc: np.ndarray
-    envelope: np.ndarray
+    curve: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]  # unreferred
     i_kd_st: float                 # I''kd
     i_kd_t: float                  # I'kd
     i_kd: float                    # Ikd
@@ -63,12 +75,31 @@ class AcScTrace:
     idc_half: float                # idc(T/2)
     ikd_source: str = "datasheet"  # datasheet | estimated | none
     tdc_source: str = "datasheet"
+    referral: float = 1.0          # factor on `curve`, to the fault bus
+
+    @functools.cached_property
+    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return _sample(self)
+
+    iac = property(lambda self: self._arrays[0])
+    idc = property(lambda self: self._arrays[1])
+    envelope = property(lambda self: self._arrays[2])
 
     def scaled(self, k: float) -> "AcScTrace":
         return replace(
-            self, iac=self.iac * k, idc=self.idc * k, envelope=self.envelope * k,
+            self, referral=self.referral * k,
             i_kd_st=self.i_kd_st * k, i_kd_t=self.i_kd_t * k, i_kd=self.i_kd * k,
             iac_half=self.iac_half * k, idc_half=self.idc_half * k)
+
+
+def _sample(trace: AcScTrace) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(iac, idc, envelope) on `trace.t`: the envelope is composed from the
+    unreferred curve, then all three are referred."""
+    iac, idc = trace.curve(trace.t)
+    arrays = tuple(a * trace.referral for a in (iac, idc, SQRT2 * iac + idc))
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 @dataclass
@@ -103,11 +134,25 @@ def _check_reactances(xd, xd_t, xd_st):
         raise InputError(f"need 0 < xd_st < xd_t < xd, got {xd_st}, {xd_t}, {xd}")
 
 
-def _compose(t, iac, idc, half_t, iac_half_fn, idc_half_fn, **kw) -> AcScTrace:
-    return AcScTrace(
-        t=t, iac=iac, idc=idc, envelope=SQRT2 * iac + idc,
-        iac_half=float(iac_half_fn(half_t)), idc_half=float(idc_half_fn(half_t)),
-        **kw)
+def _decrement(tgrid, frequency, i_st, i_t, ikd, td_st, td_t, idc0, tdc,
+               **sources) -> AcScTrace:
+    """The one curve form of every contributor:
+
+        Iac(t) = (I''kd - I'kd) e^(-t/T''d) + (I'kd - Ikd) e^(-t/T'd) + Ikd
+        idc(t) = idc0 e^(-t/Tdc)
+
+    A term whose current is zero, or whose time constant is infinite, adds
+    exactly nothing or exactly its constant.
+    """
+    def curve(t):
+        return ((i_st - i_t) * np.exp(-t / td_st)
+                + (i_t - ikd) * np.exp(-t / td_t) + ikd,
+                idc0 * np.exp(-t / tdc))
+
+    iac_half, idc_half = curve(1.0 / (2.0 * frequency))
+    return AcScTrace(t=tgrid, curve=curve, i_kd_st=i_st, i_kd_t=i_t, i_kd=ikd,
+                     iac_half=float(iac_half), idc_half=float(idc_half),
+                     **sources)
 
 
 def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
@@ -126,8 +171,8 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
 
     with the short-circuit constants T'd = T'd0 X'd/Xd, T''d = T''d0 X''d/X'd.
     A datasheet Ikd is preferred; otherwise Ikd = E'q0/Xd is used and the
-    trace labelled "estimated".  The trace is sampled on `tgrid` at the
-    faulted network's `frequency`.
+    trace labelled "estimated".  The faulted network's `frequency` sets the
+    half cycle; the arrays are sampled on `tgrid` when first read.
     """
     d = gen.dynamics
     if d is None:
@@ -160,17 +205,9 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
             f"{gen.id}: decrement ordering violated "
             f"(I''kd={i_st:.0f}, I'kd={i_t:.0f}, Ikd={ikd:.0f} A)")
 
-    def iac(t):
-        return ((i_st - i_t) * np.exp(-t / td_st)
-                + (i_t - ikd) * np.exp(-t / td_t) + ikd)
-
-    def idc(t):
-        return SQRT2 * (i_st - op.i0 * sin_phi) * np.exp(-t / tdc)
-
-    half = 1.0 / (2.0 * frequency)
-    return _compose(
-        tgrid, iac(tgrid), idc(tgrid), half, iac, idc,
-        i_kd_st=i_st, i_kd_t=i_t, i_kd=ikd,
+    return _decrement(
+        tgrid, frequency, i_st, i_t, ikd, td_st, td_t,
+        SQRT2 * (i_st - op.i0 * sin_phi), tdc,
         ikd_source=ikd_source, tdc_source=tdc_source)
 
 
@@ -180,7 +217,8 @@ def motor_group_sc_trace(load: LoadSpec, bus_voltage: float,
 
     The initial symmetrical contribution is the locked-rotor multiple of the
     motor-rated current; the AC component decays with MOTOR_AC_DECAY and
-    the DC component with Tdc = (X/R)/(2 pi f).
+    the DC component with Tdc = (X/R)/(2 pi f): the machine form with
+    I'kd = Ikd = 0.
     """
     if load.motor_fraction <= 0:
         raise ShortCircuitError(f"{load.id}: motor fraction is zero")
@@ -190,39 +228,23 @@ def motor_group_sc_trace(load: LoadSpec, bus_voltage: float,
     i_lr = load.locked_rotor_multiplier * i_rated
     tdc = load.xr_ratio / (2 * math.pi * frequency)
 
-    def iac(t):
-        return i_lr * np.exp(-t / MOTOR_AC_DECAY)
-
-    def idc(t):
-        return SQRT2 * i_lr * np.exp(-t / tdc)
-
-    half = 1.0 / (2.0 * frequency)
-    return _compose(
-        tgrid, iac(tgrid), idc(tgrid), half, iac, idc,
-        i_kd_st=i_lr, i_kd_t=0.0, i_kd=0.0,
-        ikd_source="none", tdc_source="xr_ratio")
+    return _decrement(
+        tgrid, frequency, i_lr, 0.0, 0.0, MOTOR_AC_DECAY, math.inf,
+        SQRT2 * i_lr, tdc, ikd_source="none", tdc_source="xr_ratio")
 
 
 def vfd_contribution(conv: ConverterSpec, tgrid: np.ndarray,
                      frequency: float) -> AcScTrace:
-    """Constant limiter-bound contribution of an AC-coupled drive/inverter."""
+    """Constant limiter-bound contribution of an AC-coupled drive/inverter:
+    I''kd = I'kd = Ikd at the limit and no DC component."""
     if conv.kind not in ("inverter", "grid_inverter"):
         raise ShortCircuitError(
             f"{conv.id}: {conv.kind} is not an AC-coupled drive/inverter")
     level = conv.sc_contribution_factor * conv.rated_current
 
-    def iac(t):
-        return np.full_like(np.asarray(t, dtype=float), level)
-
-    def idc(t):
-        return np.zeros_like(np.asarray(t, dtype=float))
-
-    half = 1.0 / (2.0 * frequency)
-    return _compose(
-        tgrid, iac(tgrid), idc(tgrid), half,
-        lambda t: level, lambda t: 0.0,
-        i_kd_st=level, i_kd_t=level, i_kd=level,
-        ikd_source="none", tdc_source="none")
+    return _decrement(
+        tgrid, frequency, level, level, level, math.inf, math.inf,
+        0.0, math.inf, ikd_source="none", tdc_source="none")
 
 
 def fault_summary(grid: GridModel, bus_id: str,
@@ -237,7 +259,7 @@ def fault_summary(grid: GridModel, bus_id: str,
     fault_bus = grid.bus(bus_id)
     if fault_bus.kind != AC:
         raise ShortCircuitError(f"{bus_id} is a DC bus; use the DC fault engine")
-    tgrid = default_time_grid()
+    tgrid = default_time_grid()   # sampled only if a trace is read
     island = grid.island_of(bus_id)
     on = grid.online_elements(island)
     f = island_frequency(grid, island)

@@ -119,6 +119,9 @@ class Event:
         _refuse_unread(self, self.action, EVENT_FIELDS)
         if self.action == "load_step" and self.scale is None:
             raise InputError(f"load_step {self.target}: scale required")
+        if self.scale is not None and not self.scale >= 0:
+            raise InputError(f"{self.action} {self.target}: scale must be "
+                             f">= 0, got {self.scale}")
         if self.ramp < 0:
             raise InputError(f"{self.action} {self.target}: ramp_s must be "
                              f">= 0, got {self.ramp}")
@@ -968,8 +971,14 @@ def simulate(grid: GridModel, schedule: EventSchedule,
     flow that the keywords `steady` of `solve_ac_powerflow` set, such as
     `dispatch`, `load_scale` and `slack`.  With `_trunk` the run is a CCT probe
     (see `_Engine.run`) that branches from the trunk's last step before
-    its clearing, whose engine stands in for grid and options.
+    its clearing, whose engine stands in for grid and options.  An event
+    before 0 or after `cfg.end` could change no recorded row: it is an
+    input error.
     """
+    for ev in schedule.events:
+        if not 0.0 <= ev.time <= cfg.end:
+            raise InputError(f"{ev.action} at time_s = {ev.time}: need "
+                             f"0 <= time_s <= end_s = {cfg.end}")
     start = None if _trunk is None else _branch_point(
         _trunk, schedule.events[-1].time)
     engine = start.engine if start else _Engine(

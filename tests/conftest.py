@@ -17,7 +17,7 @@ with warnings.catch_warnings():
     except ImportError:
         pass
 
-from vesselstudy import builtin_fixture
+from vesselstudy import builtin_fixture, sc_ac
 
 
 @pytest.fixture(scope="session")
@@ -28,3 +28,17 @@ def ac_vessel():
 @pytest.fixture(scope="session")
 def dc_vessel():
     return builtin_fixture("dc_vessel")
+
+
+@pytest.fixture
+def samples(monkeypatch) -> list:
+    """The AC traces whose arrays `sc_ac` samples, one entry per sampling."""
+    sampled = []
+    original = sc_ac._sample
+
+    def counting(trace):
+        sampled.append(trace)
+        return original(trace)
+
+    monkeypatch.setattr(sc_ac, "_sample", counting)
+    return sampled

@@ -1,4 +1,7 @@
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -308,6 +311,39 @@ def test_a_bad_grid_file_is_refused_on_every_call(tmp_path, capsys,
     assert errors[0] == errors[1] and "closed = " in errors[0]
     assert len(parsed_texts) == 2
     assert not (tmp_path / "o").exists()
+
+
+def test_protect_and_text_sc_ac_sample_no_trace(tmp_path, samples):
+    study = tmp_path / "p.study"
+    study.write_text(PROTECT_STUDY.format(zsi="true"))
+    assert main(["protect", "--grid", "builtin:ac_vessel", "--study",
+                 str(study), "--out", str(tmp_path / "p")]) == 0
+    assert main(["sc-ac", "--grid", "builtin:ac_vessel", "--bus", "AC_PS",
+                 "--out", str(tmp_path / "t"), "--format", "text"]) == 0
+    assert samples == []
+    assert [p.name for p in tmp_path.rglob("trace_*")] == []
+
+
+def test_sc_ac_traces_equal_a_fresh_process_run(tmp_path, samples):
+    """Traces written after other studies in one process are the bytes of
+    a run in a fresh process."""
+    argv = ["sc-ac", "--grid", "builtin:ac_vessel", "--bus", "AC_PS"]
+    scaled = tmp_path / "scaled.study"
+    scaled.write_text("[load_scale]\nLOAD440_PS = 0.5\n")
+    assert main(argv + ["--out", str(tmp_path / "text"),
+                        "--format", "text"]) == 0
+    assert main(argv + ["--study", str(scaled),
+                        "--out", str(tmp_path / "scaled")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+    assert samples and len(list((tmp_path / "warm").glob("trace_*.csv"))) > 1
+    src = Path(cli.__file__).resolve().parent.parent
+    subprocess.run([sys.executable, "-m", "vesselstudy.cli", *argv,
+                    "--out", str(tmp_path / "cold")], check=True,
+                   env={**os.environ, "PYTHONPATH": str(src)},
+                   stdout=subprocess.DEVNULL)
+    warm = _dir_hash(tmp_path / "warm")
+    assert warm != _dir_hash(tmp_path / "scaled")
+    assert warm == _dir_hash(tmp_path / "cold")
 
 
 def test_text_format(tmp_path):
@@ -952,6 +988,27 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
      "action = breaker_open\ntarget = CB_DG01\n",
      "dp_failover controller on INV_PS: DG#01 lost at t=0.050 s, before "
      "dp_delay_s = 0.1"),
+    # a negative load scale used to turn the load into a generator
+    ("tdsim", None, TDSIM_HEAD + "[event s]\ntime_s = 0.05\naction = load_step\n"
+     "target = LOAD440_PS\nscale = -2.0\n",
+     "load_step LOAD440_PS: scale must be >= 0, got -2.0"),
+    ("powerflow", None, "[load_scale]\nLOAD440_PS = -1.0\n",
+     "load_scale LOAD440_PS: need >= 0, got -1.0"),
+    ("sc-ac --bus AC_PS", None, "[load_scale]\nLOAD440_PS = -1.0\n",
+     "load_scale LOAD440_PS: need >= 0, got -1.0"),
+    # and a negative dispatch to run a diesel as a motor, on reverse power
+    ("powerflow", None, "[dispatch]\nDG#01 = -300.0\n",
+     "dispatch DG#01: need >= 0 kW, got -300.0"),
+    ("tdsim", None, TDSIM_HEAD + "[dispatch]\nDG#01 = -300.0\n",
+     "dispatch DG#01: need >= 0 kW, got -300.0"),
+    # an event after the end was never applied, and one before 0 was
+    # applied at 0
+    ("tdsim", None, TDSIM_HEAD + "[event s]\ntime_s = 0.5\naction = load_step\n"
+     "target = LOAD440_PS\nscale = 1.2\n",
+     "load_step at time_s = 0.5: need 0 <= time_s <= end_s = 0.1"),
+    ("tdsim", None, TDSIM_HEAD + "[event s]\ntime_s = -0.5\naction = load_step\n"
+     "target = LOAD440_PS\nscale = 1.2\n",
+     "load_step at time_s = -0.5: need 0 <= time_s <= end_s = 0.1"),
 ])
 def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
                                         study_text, message):

@@ -20,6 +20,7 @@ from vesselstudy.grid import (
     LoadSpec,
 )
 from vesselstudy.powerflow import OperatingPoint
+from vesselstudy.report import ac_summary_rows
 from vesselstudy.sc_ac import (
     MissingDynamicsError,
     NoContributorsError,
@@ -288,6 +289,48 @@ class TestFaultSummary:
         sol = solve_ac_powerflow(dc_vessel)
         with pytest.raises(ShortCircuitError):
             fault_summary(dc_vessel, "DC_PS", sol)
+
+
+class TestLazyTraces:
+    """A trace samples its arrays on first read, once, and only then."""
+
+    def test_summary_rows_sample_nothing(self, ac_vessel, samples):
+        summ = fault_summary(ac_vessel, "AC_PS", solve_ac_powerflow(ac_vessel))
+        ac_summary_rows(summ)
+        assert samples == []
+        assert [c for c, tr in summ.traces.items() if "_arrays" in vars(tr)] == []
+
+    def test_a_read_samples_once_and_keeps_the_arrays(self, ac_vessel, samples):
+        summ = fault_summary(ac_vessel, "AC_PS", solve_ac_powerflow(ac_vessel))
+        tr = summ.traces["DG#01"]
+        first = tr.iac
+        assert tr.iac is first
+        assert tr.idc is tr.idc and tr.envelope is tr.envelope
+        assert samples == [tr]
+        with pytest.raises(AttributeError):
+            tr.iac = first.copy()
+        with pytest.raises(ValueError):
+            first[0] = 0.0
+
+    def test_every_trace_shares_one_read_only_time_grid(self, ac_vessel):
+        summ = fault_summary(ac_vessel, "AC_PS", solve_ac_powerflow(ac_vessel))
+        assert all(tr.t is default_time_grid() for tr in summ.traces.values())
+        assert not default_time_grid().flags.writeable
+        with pytest.raises(ValueError):
+            default_time_grid()[0] = 1.0
+
+    def test_arrays_are_the_unreferred_curve_times_the_referral(self, ac_vessel):
+        """The envelope is composed before the referral: the bits of
+        sampling a contributor on its own bus, then referring it."""
+        summ = fault_summary(ac_vessel, "AC_PS", solve_ac_powerflow(ac_vessel))
+        assert {tr.referral for tr in summ.traces.values()} > {1.0}
+        for cid, tr in summ.traces.items():
+            iac, idc = tr.curve(tr.t)
+            expected = {"iac": iac * tr.referral, "idc": idc * tr.referral,
+                        "envelope": (SQRT2 * iac + idc) * tr.referral}
+            for name, values in expected.items():
+                assert getattr(tr, name).tobytes() == values.tobytes(), \
+                    (cid, name)
 
 
 @pytest.mark.parametrize("iac,idc,ip", [
