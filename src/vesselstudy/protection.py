@@ -333,9 +333,7 @@ def fuse_i2t_clearing(trace: DcScTrace, rating: float) -> float | None:
             f"fuse I^2t rating {rating!r} A^2s is not finite and > 0")
     e = let_through(trace)
     if e[-1] >= rating:
-        k = int(np.searchsorted(e, rating))
-        if k == 0:
-            return float(trace.t[0])
+        k = int(np.searchsorted(e, rating))   # >= 1, since e[0] = 0
         t0, t1 = trace.t[k - 1], trace.t[k]
         e0, e1 = e[k - 1], e[k]
         return float(t0 + (rating - e0) / (e1 - e0) * (t1 - t0))

@@ -20,15 +20,13 @@ recording solve: the peak-shave mode caps watched generators at a power
 threshold by supplying the surplus, and the DP-failover mode latches the
 delayed pre-trip output of a lost generator.  A run without controllers
 whose islands are all linear solves each recording step once, since
-nothing can change the network between the two solves; once an event-free
-step there leaves the state bitwise unchanged at zero derivatives, the
-event-free steps after it copy its recording without integrating, since
-nothing they compute reads the time.  A bisection
+nothing can change the network between the two solves.  A bisection
 search over fault clearing time gives the critical clearing time against
-a first-swing stability criterion.  Its probes share one engine: the
-pre-fault and fault-on trajectory is integrated once, and each probe
-branches from the last recorded step before its clearing; an unstable
-probe stops as soon as its spread reaches pi.  On a lone two-machine
+a first-swing stability criterion.  Its probes share one engine: each
+applies its fault at t = 0 to the trimmed equilibrium, the fault-on
+trajectory is integrated once, and each probe branches from the last
+recorded step before its clearing; an unstable probe stops as soon as
+its spread reaches pi.  On a lone two-machine
 island that qualifies (see `_Engine._swing_certificate`) a probe stops
 at the first recording step after its clearing where the energy function
 proves its verdict (Kundur 1994, ch. 13; Pai 1989): stable when a
@@ -60,7 +58,6 @@ GOV_DROOP = 0.05    # pu speed / pu power
 GOV_T = 0.5         # s, governor time constant
 AVR_GAIN = 20.0     # pu EMF / pu voltage error
 AVR_T = 0.5         # s, voltage-regulator time constant
-FAULT_START = 0.25  # s, fault application time of a CCT probe
 SWING_SLIP = 1.0    # rad past pi that an unstable verdict's path runs
 SWING_PIECES = 32   # pieces of its time-to-pi bound
 MACHINE_CHANNELS = ("p_kw", "q_kvar", "pm_kw", "delta_rad", "freq_hz")
@@ -117,6 +114,7 @@ class Event:
         if self.action not in EVENT_FIELDS:
             raise InputError(f"unknown event action {self.action!r}")
         _refuse_unread(self, self.action, EVENT_FIELDS)
+        _check_finite(time_s=self.time, scale=self.scale, ramp_s=self.ramp)
         if self.action == "load_step" and self.scale is None:
             raise InputError(f"load_step {self.target}: scale required")
         if self.scale is not None and not self.scale >= 0:
@@ -133,9 +131,10 @@ def _check_location(location: float | None) -> None:
         raise InputError(f"fault location {location} outside [0, 1]")
 
 
-def _check_finite(**values: float) -> None:
+def _check_finite(**values: float | None) -> None:
+    """Raise InputError for a value that is set but not finite."""
     for name, value in values.items():
-        if not math.isfinite(value):
+        if value is not None and not math.isfinite(value):
             raise InputError(f"need a finite {name}, got {name} = {value}")
 
 
@@ -216,6 +215,11 @@ class ControllerConfig:
             raise InputError(f"controller on {self.inverter}: unknown mode "
                              f"{self.mode!r}")
         _refuse_unread(self, self.mode, CONTROLLER_FIELDS)
+        _check_finite(p_rating_kw=self.p_rating_kw,
+                      q_rating_kvar=self.q_rating_kvar,
+                      p_threshold_kw=self.p_threshold_kw,
+                      q_threshold_kvar=self.q_threshold_kvar,
+                      dp_delay_s=self.dp_delay)
         if self.p_rating_kw <= 0 or self.q_rating_kvar <= 0:
             raise InputError("inverter ratings must be > 0")
         if self.dp_delay <= 0:
@@ -346,11 +350,10 @@ class _Engine:
                  controllers, cfg: SimConfig, **steady):
         """`steady`: the keywords of the initial power flow."""
         schedule.validated(grid)
-        self.grid0 = grid
+        self.grid = grid                    # with the breaker states in force
         self.branches = {br.id: br for br in grid.branches}
         self.cfg = cfg
         self.base_scale = dict(steady.get("load_scale") or {})
-        self.breaker_states = {b.id: b.closed for b in grid.breakers}
         self.ramps: dict[str, tuple[float, float, float, float]] = {}
         self.fault: Event | None = None     # the fault_apply in force
         self.events = schedule.events
@@ -377,9 +380,6 @@ class _Engine:
         self._index_channels()
 
     # -- model (re)construction ------------------------------------------
-
-    def _current_grid(self) -> GridModel:
-        return self.grid0.with_breaker_states(self.breaker_states)
 
     def _build(self, grid: GridModel, sol=None) -> None:
         """Islands and machine arrays for a new topology, then `_factor`;
@@ -652,8 +652,8 @@ class _Engine:
             current = self._load_factor(ev.target, t)
             self.ramps[ev.target] = (t, current, float(ev.scale), ev.ramp)
         elif ev.action in ("breaker_open", "breaker_close"):
-            self.breaker_states[ev.target] = ev.action == "breaker_close"
-            grid = self._current_grid()
+            self.grid = grid = self.grid.with_breaker_states(
+                {ev.target: ev.action == "breaker_close"})
             lost = [mid for mid in self.m.ids if not grid.element_online(mid)]
             self._build(grid)
             for gen_id in lost:
@@ -839,10 +839,9 @@ class _Engine:
             start: _Snapshot | None = None) -> TimeSeries:
         """Integrate to `cfg.end`, recording every step.
 
-        While the run has no controllers and only linear islands, a step
-        with no event inside it or at its end, after one whose RK4 result
-        was bitwise its start at zero derivatives, keeps the state and
-        copies the previous recording column.
+        An event due at a recording step is applied before that step's
+        recording solve, except at t = 0: the first recording is the
+        initial state, and events due at 0 are applied right after it.
 
         With a `trunk` the run is a CCT probe whose last event is its
         clearing: it stops at the first recording step at or after that
@@ -868,7 +867,7 @@ class _Engine:
             """Controllers, then the recording solve of step k.  Without
             controllers a linear network's first solve is that solve."""
             out = self._solve(self.x, t)
-            if not autonomous:
+            if not self._autonomous():
                 self._update_controllers(t, out)
                 out = self._solve(self.x, t)
             pe, qe, _ = out
@@ -890,11 +889,15 @@ class _Engine:
                 p_loss += (pe[isl.mach].sum() + p_inv - p.sum()) * S_BASE_KVA
             rec[row["sys.p_loss_kw"], k] = p_loss
 
+        def apply_due(t: float) -> None:
+            while pending and pending[0].time <= t + 1e-12:
+                self._apply_event(pending.popleft(), t)
+
         pending = deque(self.events[-1:] if start else self.events)
-        autonomous = self._autonomous()
         if start is None:
             k0, t = 0, 0.0
             observe(0, t)
+            apply_due(t)
         else:
             k0, t, self.x, self.fault = start.k, start.t, start.x, start.fault
             for isl, (z, src, inc, v) in zip(self.islands, start.islands):
@@ -903,37 +906,18 @@ class _Engine:
         last = n_steps
         certify = None      # built once no event pends
         stable = None if trunk is None else True
-        still = False       # a plain step left the state at rest
         for k in range(k0, n_steps + 1):
             if k > k0:
                 t_target = float(t_rec[k])
-                # plain: no event is applied inside the step or at its end
-                plain = not (pending and pending[0].time <= t_target + 1e-12)
-                if still and plain:
-                    # the step would repeat its bits, and so would the
-                    # recording solve
-                    t = t_target
-                    rec[:, k] = rec[:, k - 1]
-                else:
-                    x0 = self.x
-                    while t < t_target - 1e-12:
-                        t_next = t_target
-                        while pending and pending[0].time <= t + 1e-12:
-                            self._apply_event(pending.popleft(), t)
-                        if pending and pending[0].time < t_target - 1e-12:
-                            t_next = pending[0].time
-                        # k1 iterates from the recording solve's voltages
-                        self.x = self._step(self.x, t, t_next - t)
-                        t = t_next
-                    while pending and pending[0].time <= t + 1e-12:
-                        self._apply_event(pending.popleft(), t)
-                    if not plain:
-                        autonomous = self._autonomous()
-                    # zero derivatives keep the state for every step length
-                    still = (plain and autonomous
-                             and self.x.tobytes() == x0.tobytes()
-                             and not self._derivatives(self.x, t).any())
-                    observe(k, t)
+                while t < t_target - 1e-12:
+                    t_next = t_target
+                    if pending and pending[0].time < t_target - 1e-12:
+                        t_next = pending[0].time
+                    # k1 iterates from the recording solve's voltages
+                    self.x = self._step(self.x, t, t_next - t)
+                    t = t_next
+                    apply_due(t)
+                observe(k, t)
             if trunk is None:
                 continue
             if len(pending) == 1 and (not trunk or k == trunk[-1].k + 1):
@@ -972,9 +956,13 @@ def simulate(grid: GridModel, schedule: EventSchedule,
     `dispatch`, `load_scale` and `slack`.  With `_trunk` the run is a CCT probe
     (see `_Engine.run`) that branches from the trunk's last step before
     its clearing, whose engine stands in for grid and options.  An event
-    before 0 or after `cfg.end` could change no recorded row: it is an
+    before 0 or after `cfg.end` could change no recorded row, and an `end`
+    that is not a whole number of steps would not be reached: each is an
     input error.
     """
+    if abs(cfg.end / cfg.step - round(cfg.end / cfg.step)) > 1e-9:
+        raise InputError(f"end_s = {cfg.end} is not a whole number of "
+                         f"steps of step_s = {cfg.step}")
     for ev in schedule.events:
         if not 0.0 <= ev.time <= cfg.end:
             raise InputError(f"{ev.action} at time_s = {ev.time}: need "
@@ -1025,13 +1013,14 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
     The machine must be online; it runs at `loading` times its rated kW,
     and the power flow's slack is the largest other online generator of
     its island, by `island_slack`'s rule.  Each probe applies the fault
-    at FAULT_START.  A probe is stable when
+    at t = 0 to the trimmed power-flow equilibrium and clears it at
+    `t_clear`.  A probe is stable when
     the largest pairwise rotor-angle separation stays below 180 degrees
     within `window` after the fault clears.  The bracket must straddle the
     boundary: `t_lo` >= 0 stable and `t_hi` unstable; every argument must
-    be finite.  Each probe runs to its clearing plus `window`, so `cfg`
-    gives the step, governor and AVR, and an `end` other than SimConfig's
-    default is an input error.  An unstable probe ends at the step its
+    be finite.  Each probe runs to the recording step nearest its
+    clearing plus `window`, so `cfg` gives the step, governor and AVR,
+    and an `end` other than SimConfig's default is an input error.  An unstable probe ends at the step its
     spread reaches 180 degrees.  On a lone two-machine island that
     qualifies (see `_Engine._swing_certificate`) a probe may end at its
     clearing, stable or unstable, once the energy function proves how its
@@ -1081,12 +1070,12 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
     def stable(t_clear: float) -> bool:
         if t_clear <= 0:
             return True   # zero-duration fault: no disturbance
-        t_end = FAULT_START + t_clear
         events = EventSchedule((
-            Event(FAULT_START, "fault_apply", target, location=location),
-            Event(t_end, "fault_clear"),
+            Event(0.0, "fault_apply", target, location=location),
+            Event(t_clear, "fault_clear"),
         ))
-        probe_cfg = replace(cfg, end=t_end + window)
+        probe_cfg = replace(
+            cfg, end=round((t_clear + window) / cfg.step) * cfg.step)
         return simulate(grid, events, (), probe_cfg, dispatch=dispatch,
                         slack=slack, _trunk=trunk).stable
 

@@ -144,10 +144,13 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
                   t_hi: float, tol: float, cfg, window: float) -> CctResult:
     """`find_cct`'s bisection on smib_grid, every probe a plain `simulate`
     from t = 0 over its whole window, judged by the largest rotor-angle
-    spread from the clearing on.  A probe whose run raises
-    `SimulationError` is unstable: a pole slip held for many seconds
-    drives the speed past `_step`'s sanity bound.  A `location` of 0
-    faults the machine bus, any other one LINE at that fraction from it."""
+    spread from the clearing on.  Its faults start at 0.25 s, after a
+    rest that `find_cct` does not integrate, so the search also checks
+    that a fault's verdicts do not depend on when it starts.  A probe
+    whose run raises `SimulationError` is unstable: a pole slip held for
+    many seconds drives the speed past `_step`'s sanity bound.  A
+    `location` of 0 faults the machine bus, any other one LINE at that
+    fraction from it."""
     gen = grid.generator(fault.machine)
     dispatch = {fault.machine: fault.loading * gen.rated_kw}
     apply = (Event(0.25, "fault_apply", gen.bus) if fault.location == 0 else
@@ -158,7 +161,9 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
             return True
         t_end = 0.25 + t_clear
         sched = EventSchedule((apply, Event(t_end, "fault_clear")))
-        probe_cfg = dataclasses.replace(cfg, end=t_end + window)
+        # the recording step nearest the window's end, as `find_cct` ends it
+        probe_cfg = dataclasses.replace(
+            cfg, end=round((t_end + window) / cfg.step) * cfg.step)
         try:
             ts = simulate(grid, sched, (), probe_cfg, dispatch=dispatch)
         except SimulationError:

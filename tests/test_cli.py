@@ -1009,6 +1009,11 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
     ("tdsim", None, TDSIM_HEAD + "[event s]\ntime_s = -0.5\naction = load_step\n"
      "target = LOAD440_PS\nscale = 1.2\n",
      "load_step at time_s = -0.5: need 0 <= time_s <= end_s = 0.1"),
+    # an end that is not a whole number of steps stopped at 0.09 s, and
+    # never applied this event
+    ("tdsim", None, "[sim]\nstep_s = 0.03\nend_s = 0.1\n[event s]\n"
+     "time_s = 0.095\naction = load_step\ntarget = LOAD440_PS\nscale = 1.2\n",
+     "end_s = 0.1 is not a whole number of steps of step_s = 0.03"),
 ])
 def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
                                         study_text, message):

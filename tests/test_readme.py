@@ -1,0 +1,61 @@
+"""README's tables of the sections each study kind reads, and of the keys
+each event action and controller mode reads, match the tables the code
+keeps, so the docs cannot drift from them."""
+
+import re
+from pathlib import Path
+
+from vesselstudy import cli, tdsim
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def _rows(header: str) -> list[list[str]]:
+    """The cells of each body row of the README table under `header`."""
+    lines = README.splitlines()
+    rows = []
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    return rows
+
+
+def _quoted(cell: str) -> list[str]:
+    return re.findall(r"`([^`]+)`", cell)
+
+
+def _keys(cell: str) -> set[str]:
+    """The field names of a cell's study-file keys: `ramp_s` is `ramp`."""
+    return {key.removesuffix("_s") for key in _quoted(cell)}
+
+
+def test_study_kind_table_matches_the_runners():
+    """A row lists `[section]`s, and may take over those of a kind
+    above it."""
+    documented = {}
+    for kinds, cell in _rows("| study kind | sections it reads |"):
+        reads = set()
+        for name in _quoted(cell):
+            reads |= ({re.match(r"\[(\w+)", name)[1]} if name.startswith("[")
+                      else documented[name])
+        documented.update(dict.fromkeys(_quoted(kinds), reads))
+    assert documented == {kind: set(sections)
+                          for kind, (_, sections) in cli._RUNNERS.items()}
+
+
+def test_event_action_table_matches_event_fields():
+    documented = {}
+    for actions, keys in _rows("| `action` | also reads |"):
+        documented.update(dict.fromkeys(_quoted(actions), _keys(keys)))
+    assert documented == {action: set(names)
+                          for action, names in tdsim.EVENT_FIELDS.items()}
+
+
+def test_controller_mode_table_matches_controller_fields():
+    documented = {}
+    for modes, keys, _ in _rows(
+            "| `mode` | also reads | the inverter's setpoint |"):
+        documented.update(dict.fromkeys(_quoted(modes), _keys(keys)))
+    assert documented == {mode: set(names) for mode, names in
+                          tdsim.CONTROLLER_FIELDS.items()}

@@ -126,6 +126,23 @@ class TestControllerConfig:
             ControllerConfig(mode=mode, inverter="INV_PS", p_rating_kw=1500.0,
                              q_rating_kvar=1500.0, **{key: value})
 
+    @pytest.mark.parametrize("mode, key, name, value", [
+        # a nan threshold made the peak-shave setpoint the full rating,
+        # since min(1500.0, nan) is 1500.0
+        ("peak_shave", "p_threshold_kw", "p_threshold_kw", math.nan),
+        ("peak_shave", "q_threshold_kvar", "q_threshold_kvar", math.inf),
+        ("peak_shave", "p_rating_kw", "p_rating_kw", math.inf),
+        ("dp_failover", "q_rating_kvar", "q_rating_kvar", math.nan),
+        ("dp_failover", "dp_delay", "dp_delay_s", math.inf),
+    ])
+    def test_non_finite_values_are_refused(self, mode, key, name, value):
+        args = dict(mode=mode, inverter="INV_PS", p_rating_kw=1500.0,
+                    q_rating_kvar=1500.0)
+        args[key] = value
+        with pytest.raises(InputError, match=f"need a finite {name}, "
+                                             f"got {name} = {value}"):
+            ControllerConfig(**args)
+
     @pytest.mark.parametrize("first_mode", ["peak_shave", "dp_failover"])
     def test_one_controller_per_inverter(self, ac_vessel, first_mode):
         pair = (_peak_cfg(), _dp_cfg())
@@ -153,6 +170,31 @@ class TestScheduleValidation:
         # a bad action is bad input
         with pytest.raises(ValueError, match="unknown event action 'explode'"):
             Event(1.0, "explode", "AC_PS")
+
+    @pytest.mark.parametrize("key, name, value", [
+        ("scale", "scale", math.inf),
+        # a nan ramp used to end the run in a network solve error
+        ("ramp", "ramp_s", math.nan),
+        ("time", "time_s", math.nan),
+    ])
+    def test_non_finite_values_are_refused(self, key, name, value):
+        args = dict(time=0.1, action="load_step", target="LOAD440_PS",
+                    scale=1.1)
+        args[key] = value
+        with pytest.raises(InputError, match=f"need a finite {name}, "
+                                             f"got {name} = {value}"):
+            Event(**args)
+
+
+def test_end_off_the_step_grid_is_refused(ac_vessel):
+    """An `end` that is not a whole number of steps used to stop at the
+    last whole step before it, and skip an event after that step."""
+    sched = EventSchedule((Event(0.095, "load_step", "LOAD440_PS",
+                                 scale=1.2),))
+    with pytest.raises(InputError, match="end_s = 0.1 is not a whole number "
+                                         "of steps of step_s = 0.03"):
+        simulate(ps_island(ac_vessel), sched, (), SimConfig(step=0.03,
+                                                            end=0.1))
 
 
 def test_unknown_dispatch_id_rejected(ac_vessel):
@@ -352,18 +394,22 @@ def test_bus_fault_after_load_step_converges(ac_vessel):
     simulate(grid, sched, (), SimConfig(step=0.005, end=1.0))
 
 
-def _probe_events(t_clear, target="B_M", location=None):
+def _probe_events(t_clear, target="B_M", location=None, t_fault=0.25):
     return EventSchedule((
-        Event(0.25, "fault_apply", target, location=location),
-        Event(0.25 + t_clear, "fault_clear")))
+        Event(t_fault, "fault_apply", target, location=location),
+        Event(t_fault + t_clear, "fault_clear")))
 
 
-def _probe(grid, t_clear, window=2.0, target="B_M", location=None, **kw):
-    """One `find_cct` probe: bolted fault at `target` (the machine bus by
-    default) from 0.25 s."""
-    cfg = dataclasses.replace(BARE_SMIB, end=0.25 + t_clear + window)
-    return simulate(grid, _probe_events(t_clear, target, location), (), cfg,
-                    dispatch={"G1": 900.0}, **kw)
+def _probe(grid, t_clear, window=2.0, target="B_M", location=None,
+           t_fault=0.25, **kw):
+    """One `find_cct` probe, shifted to start at `t_fault`: bolted fault at
+    `target` (the machine bus by default) from then, to the recording
+    step nearest its clearing plus `window`."""
+    step = BARE_SMIB.step
+    cfg = dataclasses.replace(
+        BARE_SMIB, end=round((t_fault + t_clear + window) / step) * step)
+    return simulate(grid, _probe_events(t_clear, target, location, t_fault),
+                    (), cfg, dispatch={"G1": 900.0}, **kw)
 
 
 @pytest.mark.parametrize("governor", [True, False])
@@ -428,6 +474,26 @@ def test_branched_probe_matches_run_from_start(target, location):
         for name, values in full.channels.items():
             np.testing.assert_array_equal(branched[name], values[k:],
                                           err_msg=f"{t_clear}: {name}")
+
+
+def test_trunk_of_a_fault_at_0_starts_at_step_0():
+    """A fault at t = 0 is applied right after the first recording, so the
+    trunk starts at step 0, and a probe that clears inside the first step
+    branches from it, bit-identical to the probe run from t = 0."""
+    grid = smib_grid()
+    trunk = []
+    _probe(grid, 0.05, t_fault=0.0, _trunk=trunk)
+    assert [s.k for s in trunk] == list(range(10))
+    start = tdsim._branch_point(trunk, 0.001)
+    assert start.k == 0
+    full = _probe(grid, 0.001, t_fault=0.0)
+    eng = start.engine
+    eng.cfg = dataclasses.replace(BARE_SMIB, end=2.0)
+    eng.events = _probe_events(0.001, t_fault=0.0).events
+    branched = eng.run(start=start)
+    np.testing.assert_array_equal(branched.t, full.t)
+    for name, values in full.channels.items():
+        np.testing.assert_array_equal(branched[name], values, err_msg=name)
 
 
 @pytest.mark.parametrize("location, bus", [(0.0, "B_M"), (1.0, "B_INF")])
@@ -509,6 +575,20 @@ def test_cct_loading_holds_on_the_default_slack_machine(monkeypatch,
         pytest.approx(0.5 * rated), pytest.approx(rated)]
 
 
+def test_vessel_cct_keeps_its_transcript(ac_vessel):
+    """The paper's own setting: the CCT of DG#03 on the AC vessel at 0.9
+    loading, for a bolted fault at its bus, with governor and AVR on."""
+    res = find_cct(ac_vessel, CctFaultSpec("DG#03", loading=0.9,
+                                           location=0.0),
+                   0.0, 0.4, 1e-3, SimConfig(step=0.005), window=2.0)
+    assert res.transcript == (
+        (0.0, True), (0.4, False), (0.2, False), (0.1, False), (0.05, True),
+        (0.07500000000000001, True), (0.08750000000000001, False),
+        (0.08125000000000002, True), (0.084375, True), (0.0859375, False),
+        (0.08515625, False))
+    assert res.cct == 0.084375
+
+
 @pytest.mark.parametrize("x_col, value", [(0, np.nan), (2, np.inf)])
 def test_linear_island_with_non_finite_source_raises(x_col, value):
     """The closed form keeps the fixed point's finiteness check."""
@@ -559,8 +639,7 @@ _SMIB_SHAVE = ControllerConfig(mode="peak_shave", inverter="INV",
 
 @pytest.mark.parametrize("grid, controllers, load_scale, t_fault, per_step", [
     # linear islands only, no controller: the first solve is the recording
-    # one; the fault applied inside the first step keeps every step moving,
-    # so none is repeated without a solve
+    # one
     (smib_grid(), (), None, 0.005, 1),
     # a load at scale 0 is a demand all the same
     (_smib_plus(loads=(LoadSpec("LM", "B_M", 100.0, 0.9, 0.0),)), (),
@@ -649,21 +728,16 @@ def _count_steps(monkeypatch):
 
 @pytest.mark.parametrize("cfg", [BARE_SMIB, SimConfig(step=0.005)],
                          ids=["bare", "governor-avr"])
-def test_still_steps_match_an_every_step_reference(monkeypatch, cfg):
+def test_run_matches_an_every_step_reference(cfg):
     """SMIB at rest up to a fault applied inside a step, its clearing, and
-    a quiet tail: the steps `run` repeats without integrating give the
-    bits of integrating every step."""
+    a quiet tail: `run` gives the bits of integrating every step."""
     events = (Event(0.1234, "fault_apply", "B_M"),
               Event(0.2234, "fault_clear"))
     cfg = dataclasses.replace(cfg, end=0.5)
     ref = _every_step(smib_grid(), events, cfg, dispatch={"G1": 900.0})
-    calls = _count_steps(monkeypatch)
     ts = simulate(smib_grid(), EventSchedule(events), (), cfg,
                   dispatch={"G1": 900.0})
-    # 100 steps, the fault and its clearing each split one in two, and
-    # steps 2 to 24 repeat the first one
     assert len(ts.t) == 101
-    assert len(calls) == 100 + 2 - 23
     assert set(ref) == {name for name in ts.channels
                         if not name.endswith("_loss_kw")}
     for name, values in ref.items():
@@ -671,47 +745,10 @@ def test_still_steps_match_an_every_step_reference(monkeypatch, cfg):
 
 
 def test_find_cct_integrates_no_pre_fault_step_twice(monkeypatch):
-    """The trunk's first pre-fault step finds the trimmed equilibrium; the
-    other 48 before the fault repeat it.  Integrating every step would
-    make this search 144 steps."""
+    """The trunk starts at the fault, applied at t = 0 to the trimmed
+    equilibrium, and every later probe branches from it: the search
+    integrates 94 steps."""
     calls = _count_steps(monkeypatch)
     find_cct(smib_grid(), CctFaultSpec("G1", loading=0.9, location=0.0),
              0.0, 0.4, 1e-3, BARE_SMIB, window=2.0)
-    assert len(calls) == 96
-
-
-@pytest.mark.parametrize("grid, controllers, load_scale, integrated", [
-    (smib_grid(), (), None, 1),
-    # an island with demands (here at scale 0) warm-starts its sweeps
-    (_smib_plus(loads=(LoadSpec("LM", "B_M", 100.0, 0.9, 0.0),)), (),
-     {"LM": 0.0}, 10),
-    (_smib_plus(**_SECOND_ISLAND), (), None, 10),
-    # a controller may move its setpoint at a recording step
-    (_smib_plus(**_DC_INVERTER), (_SMIB_SHAVE,), None, 10),
-], ids=["smib", "zero-load", "two-islands", "controller"])
-def test_only_autonomous_runs_repeat_steps(monkeypatch, grid, controllers,
-                                           load_scale, integrated):
-    """With no event, a run without controllers whose islands are all
-    linear integrates its first step only; any other integrates all ten."""
-    calls = _count_steps(monkeypatch)
-    ts = simulate(grid, EventSchedule(()), controllers,
-                  SimConfig(step=0.01, end=0.1), load_scale=load_scale)
-    assert len(ts.t) == 11
-    assert len(calls) == integrated
-
-
-def test_only_zero_derivatives_repeat_a_step(monkeypatch):
-    """Steps start at k * step, so their lengths differ in the last bits,
-    and a state whose tiny derivatives round away at one length might not
-    at another.  Such a state is integrated at every step, though none
-    moves it."""
-    cfg = dataclasses.replace(BARE_SMIB, end=0.05)
-    eng = tdsim._Engine(smib_grid(), EventSchedule(()), (), cfg,
-                        dispatch={"G1": 900.0})
-    eng.x[:, 1] = 1e-300
-    x0 = eng.x.copy()
-    calls = _count_steps(monkeypatch)
-    eng.run()
-    assert eng.x.tobytes() == x0.tobytes()
-    assert eng._derivatives(eng.x, 0.0).any()
-    assert len(calls) == 10
+    assert len(calls) == 94
