@@ -255,7 +255,7 @@ class GridModel:
         for b in self.breakers:
             if b.to_element in bus_ids:
                 index.setdefault(b.from_element, b)
-            if b.from_element in bus_ids and b.to_element != b.from_element:
+            if b.from_element in bus_ids:
                 index.setdefault(b.to_element, b)
         return index
 
@@ -454,6 +454,8 @@ def validate(grid: GridModel) -> ValidationReport:
             add(b.id, "voltage", f"nominal voltage {b.nominal_voltage} not > 0")
         if b.kind == AC and b.frequency not in (50.0, 60.0):
             add(b.id, "frequency", f"AC bus frequency {b.frequency} not 50 or 60 Hz")
+        if b.kind == DC and b.frequency is not None:
+            add(b.id, "frequency", f"DC bus with a frequency of {b.frequency} Hz")
         if b.kind not in (AC, DC):
             add(b.id, "bus kind", f"unknown bus kind {b.kind!r}")
 
@@ -518,6 +520,9 @@ def validate(grid: GridModel) -> ValidationReport:
         if (c.kind == "grid_inverter" and c.ac_bus is None
                 and bus_kind(c.bus) == DC):
             add(c.id, "ac bus", "a grid_inverter on a DC bus needs an ac_bus")
+        if c.kind == "grid_inverter" and c.p_set_kw != 0:
+            add(c.id, "set-point", f"a grid_inverter draws nothing, got "
+                f"p_set_kw = {c.p_set_kw}")
         if c.dc_link is not None:
             cap = c.dc_link
             for name, val in (("capacitance", cap.capacitance),
@@ -536,7 +541,24 @@ def validate(grid: GridModel) -> ValidationReport:
         if l.rated_kva <= 0:
             add(l.id, "positive", "rated_kva must be > 0")
 
+    # a breaker joins two buses, or an element to a bus it sits on, and is
+    # then the element's only breaker
+    elements = grid._index["element"]
     for bk in grid.breakers:
+        a, b = bk.from_element, bk.to_element
+        if a not in bus_ids and b not in bus_ids:
+            add(bk.id, "breaker ends", f"neither {a} nor {b} is a bus")
+        elif a == b:
+            add(bk.id, "breaker ends", f"both ends are bus {a}")
+        elif a not in bus_ids or b not in bus_ids:
+            el_id, bus = (a, b) if b in bus_ids else (b, a)
+            el, first = elements.get(el_id), grid.element_breaker(el_id)
+            if el is not None and bus not in (el.bus,
+                                              getattr(el, "ac_bus", None)):
+                add(bk.id, "breaker ends", f"{el_id} does not sit on bus {bus}")
+            if first is not bk:
+                add(bk.id, "breaker ends",
+                    f"{el_id} already has breaker {first.id}")
         if bk.tcc is not None:
             t = bk.tcc
             if t.long_time.kind not in LONG_TIME_KINDS:

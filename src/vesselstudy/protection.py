@@ -145,10 +145,8 @@ def _connectivity(grid: GridModel):
 
 def _breaker_voltage(grid: GridModel, breaker_id: str) -> float:
     bk = grid.breaker(breaker_id)
-    for end in (bk.to_element, bk.from_element):
-        if end in grid.bus_ids():
-            return grid.bus(end).nominal_voltage
-    return grid.bus(grid.element(bk.from_element).bus).nominal_voltage
+    end = bk.to_element if bk.to_element in grid.bus_ids() else bk.from_element
+    return grid.bus(end).nominal_voltage
 
 
 def build_breaker_graph(grid: GridModel, summary: FaultSummary,

@@ -23,10 +23,10 @@ whose islands are all linear solves each recording step once, since
 nothing can change the network between the two solves.  A bisection
 search over fault clearing time gives the critical clearing time against
 a first-swing stability criterion.  Its probes share one engine: each
-applies its fault at t = 0 to the trimmed equilibrium, the fault-on
-trajectory is integrated once, and each probe branches from the last
-recorded step before its clearing; an unstable probe stops as soon as
-its spread reaches pi.  On a lone two-machine
+applies its fault at t = 0 to the trimmed equilibrium, the first probe,
+the latest clearing, records the fault-on steps, and each later one
+starts at the last of them before its clearing; an unstable probe stops
+as soon as its spread reaches pi.  On a lone two-machine
 island that qualifies (see `_Engine._swing_certificate`) a probe stops
 at the first recording step after its clearing where the energy function
 proves its verdict (Kundur 1994, ch. 13; Pai 1989): stable when a
@@ -334,14 +334,12 @@ class _Island:
 
 
 class _Snapshot(NamedTuple):
-    """An engine's state after the recording solve of step k."""
+    """A CCT search's state after the recording solve of fault-on step k."""
 
-    engine: "_Engine"
     k: int
     t: float
     x: np.ndarray
-    fault: Event | None
-    islands: list            # (z, src, inc, warm-start v) of each island
+    v: list                  # each island's warm-start voltages
     col: np.ndarray          # column k of the recording table
 
 
@@ -357,6 +355,7 @@ class _Engine:
         self.ramps: dict[str, tuple[float, float, float, float]] = {}
         self.fault: Event | None = None     # the fault_apply in force
         self.events = schedule.events
+        self.trunk: list[_Snapshot] | None = None   # a CCT search's, see run
         self.controllers: dict[str, ControllerState] = {}   # by inverter
         for c in controllers:
             grid.converter(c.inverter)          # both raise on unknown ids
@@ -785,8 +784,6 @@ class _Engine:
         def verdict(x: np.ndarray, t_left: float) -> bool | None:
             (d0, w0, *_), (d1, w1, *_) = x.tolist()
             d, v = d0 - d1, ws * (w0 - w1)
-            if not -math.pi < d < math.pi:
-                return None
             energy = 0.5 * v ** 2 + u(d)
             top = energy + eps
 
@@ -835,24 +832,22 @@ class _Engine:
         solve read nothing but the state, not even the time."""
         return not self.controllers and all(i.linear for i in self.islands)
 
-    def run(self, trunk: list | None = None,
-            start: _Snapshot | None = None) -> TimeSeries:
+    def run(self) -> TimeSeries:
         """Integrate to `cfg.end`, recording every step.
 
         An event due at a recording step is applied before that step's
         recording solve, except at t = 0: the first recording is the
         initial state, and events due at 0 are applied right after it.
 
-        With a `trunk` the run is a CCT probe whose last event is its
-        clearing: it stops at the first recording step at or after that
-        event where the rotor-angle spread reaches pi, or where, with no
-        event pending, `_swing_certificate` proves whether it will before
-        the end; the series then ends there, and its `stable` is the
-        verdict that stopped it, True if none did.  `trunk` holds
-        snapshots of consecutive steps; the run appends each later step it
-        records while only its last event pends.  From a `start` snapshot
-        the series begins at its step with that event pending: exact if
-        the engine's topology and the events before it are the snapshot's.
+        With a `trunk` the engine is a CCT search's and the run a probe, a
+        fault and its clearing: it stops at the first recording step at or
+        after the clearing where the rotor-angle spread reaches pi, or
+        where `_swing_certificate` proves whether it will before the end;
+        the series then ends there, and its `stable` is the verdict that
+        stopped it, True if none did.  A probe on an empty trunk runs from
+        t = 0 and records there each step before its clearing.  Every later
+        probe must clear earlier: its series begins at the last of those
+        steps before its clearing, with its fault re-applied.
         """
         cfg = self.cfg
         n_steps = int(round(cfg.end / cfg.step))
@@ -893,16 +888,20 @@ class _Engine:
             while pending and pending[0].time <= t + 1e-12:
                 self._apply_event(pending.popleft(), t)
 
-        pending = deque(self.events[-1:] if start else self.events)
-        if start is None:
+        pending = deque(self.events)
+        trunk, start = self.trunk, None
+        if trunk:
+            start = next(s for s in reversed(trunk)
+                         if pending[-1].time > s.t + 1e-12)
+            k0, t, self.x = start.k, start.t, start.x
+            self._apply_event(pending.popleft(), t)
+            for isl, v in zip(self.islands, start.v):
+                isl.v = v.copy()
+            rec[:, k0] = start.col
+        else:
             k0, t = 0, 0.0
             observe(0, t)
             apply_due(t)
-        else:
-            k0, t, self.x, self.fault = start.k, start.t, start.x, start.fault
-            for isl, (z, src, inc, v) in zip(self.islands, start.islands):
-                isl.z, isl.src, isl.inc, isl.v = z, src, inc, v.copy()
-            rec[:, k0] = start.col
         last = n_steps
         certify = None      # built once no event pends
         stable = None if trunk is None else True
@@ -920,11 +919,10 @@ class _Engine:
                 observe(k, t)
             if trunk is None:
                 continue
-            if len(pending) == 1 and (not trunk or k == trunk[-1].k + 1):
-                trunk.append(_Snapshot(
-                    self, k, t, self.x, self.fault,
-                    [(i.z, i.src, i.inc, i.v.copy()) for i in self.islands],
-                    rec[:, k].copy()))
+            if start is None and len(pending) == 1:
+                trunk.append(_Snapshot(k, t, self.x,
+                                       [i.v.copy() for i in self.islands],
+                                       rec[:, k].copy()))
             if len(self.mach_ids) > 1 and t_rec[k] >= self.events[-1].time - 1e-9:
                 delta = rec[delta_rows, k]
                 if delta.max() - delta.min() >= math.pi:
@@ -944,7 +942,7 @@ class _Engine:
 
 def simulate(grid: GridModel, schedule: EventSchedule,
              controllers=(), cfg: SimConfig = SimConfig(),
-             *, _trunk: list | None = None,   # for find_cct
+             *, _engine: _Engine | None = None,   # find_cct's
              **steady) -> TimeSeries:
     """Integrate the grid's AC islands through the scripted events.
 
@@ -953,12 +951,11 @@ def simulate(grid: GridModel, schedule: EventSchedule,
     ``.delta_rad``, ``.freq_hz``), per controller inverter, per bus voltage,
     per load, and the system losses.  The machines start from the power
     flow that the keywords `steady` of `solve_ac_powerflow` set, such as
-    `dispatch`, `load_scale` and `slack`.  With `_trunk` the run is a CCT probe
-    (see `_Engine.run`) that branches from the trunk's last step before
-    its clearing, whose engine stands in for grid and options.  An event
-    before 0 or after `cfg.end` could change no recorded row, and an `end`
-    that is not a whole number of steps would not be reached: each is an
-    input error.
+    `dispatch`, `load_scale` and `slack`.  With `_engine` the run is a
+    probe of that CCT search (see `_Engine.run`), whose engine stands in
+    for grid, controllers and power flow.  An event before 0 or after
+    `cfg.end` could change no recorded row, and an `end` that is not a
+    whole number of steps would not be reached: each is an input error.
     """
     if abs(cfg.end / cfg.step - round(cfg.end / cfg.step)) > 1e-9:
         raise InputError(f"end_s = {cfg.end} is not a whole number of "
@@ -967,12 +964,9 @@ def simulate(grid: GridModel, schedule: EventSchedule,
         if not 0.0 <= ev.time <= cfg.end:
             raise InputError(f"{ev.action} at time_s = {ev.time}: need "
                              f"0 <= time_s <= end_s = {cfg.end}")
-    start = None if _trunk is None else _branch_point(
-        _trunk, schedule.events[-1].time)
-    engine = start.engine if start else _Engine(
-        grid, schedule, controllers, cfg, **steady)
+    engine = _engine or _Engine(grid, schedule, controllers, cfg, **steady)
     engine.cfg, engine.events = cfg, schedule.events
-    return engine.run(_trunk, start)
+    return engine.run()
 
 
 # ---------------------------------------------------------------------------
@@ -1000,27 +994,26 @@ class CctResult:
     transcript: tuple[tuple[float, bool], ...]
 
 
-def _branch_point(trunk: list[_Snapshot], t_end: float) -> _Snapshot | None:
-    """The last shared step a clearing at `t_end` does not reach; it
-    reaches a step within 1e-12 s, as `_Engine.run` applies events."""
-    return next((s for s in trunk[::-1] if t_end > s.t + 1e-12), None)
-
-
 def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
              tol: float, cfg: SimConfig, window: float = 3.0) -> CctResult:
     """Bisect the fault clearing time against first-swing stability.
 
     The machine must be online; it runs at `loading` times its rated kW,
     and the power flow's slack is the largest other online generator of
-    its island, by `island_slack`'s rule.  Each probe applies the fault
-    at t = 0 to the trimmed power-flow equilibrium and clears it at
-    `t_clear`.  A probe is stable when
+    its island, by `island_slack`'s rule; the search solves it once, in
+    the one engine of all its probes.  Each probe applies the fault at
+    t = 0 to the trimmed power-flow equilibrium and clears it at
+    `t_clear`; a clearing within 1e-12 s of the fault is no disturbance.
+    A probe is stable when
     the largest pairwise rotor-angle separation stays below 180 degrees
     within `window` after the fault clears.  The bracket must straddle the
     boundary: `t_lo` >= 0 stable and `t_hi` unstable; every argument must
-    be finite.  Each probe runs to the recording step nearest its
-    clearing plus `window`, so `cfg` gives the step, governor and AVR,
-    and an `end` other than SimConfig's default is an input error.  An unstable probe ends at the step its
+    be finite.  The `t_hi` probe runs first and records the fault-on
+    steps; every later probe starts at the last of them before its
+    clearing, bit-identical to a run from t = 0.  Each probe runs to the
+    recording step nearest its clearing plus `window`, so `cfg` gives the
+    step, governor and AVR, and an `end` other than SimConfig's default is
+    an input error.  An unstable probe ends at the step its
     spread reaches 180 degrees.  On a lone two-machine island that
     qualifies (see `_Engine._swing_certificate`) a probe may end at its
     clearing, stable or unstable, once the energy function proves how its
@@ -1065,21 +1058,23 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
         frac = fault.location if br.from_bus == gen.bus else 1.0 - fault.location
         target, location = br.id, frac
 
-    trunk: list[_Snapshot] = []   # the probes' shared fault-on steps
+    engine = _Engine(grid, EventSchedule(), (), cfg, dispatch=dispatch,
+                     slack=slack)
+    engine.trunk = []
 
     def stable(t_clear: float) -> bool:
-        if t_clear <= 0:
-            return True   # zero-duration fault: no disturbance
+        if t_clear <= 1e-12:
+            return True   # a clearing at its fault: no disturbance
         events = EventSchedule((
             Event(0.0, "fault_apply", target, location=location),
             Event(t_clear, "fault_clear"),
         ))
         probe_cfg = replace(
             cfg, end=round((t_clear + window) / cfg.step) * cfg.step)
-        return simulate(grid, events, (), probe_cfg, dispatch=dispatch,
-                        slack=slack, _trunk=trunk).stable
+        return simulate(grid, events, (), probe_cfg, _engine=engine).stable
 
-    lo_ok, hi_ok = stable(t_lo), stable(t_hi)
+    hi_ok = stable(t_hi)   # first: it records the shared fault-on steps
+    lo_ok = stable(t_lo)
     transcript = [(t_lo, lo_ok), (t_hi, hi_ok)]
     if not lo_ok or hi_ok:
         raise BracketError(

@@ -71,8 +71,8 @@ def _probe_runs(monkeypatch, grid, cfg, window=1.0, location=0.0):
     runs = []
     run = tdsim._Engine.run
 
-    def recorded(self, trunk=None, start=None):
-        ts = run(self, trunk, start)
+    def recorded(self):
+        ts = run(self)
         deltas = [v[-1] for name, v in ts.channels.items()
                   if name.endswith(".delta_rad")]
         runs.append((self.events[-1].time, float(ts.t[-1]), ts.stable,

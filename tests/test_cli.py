@@ -1014,6 +1014,26 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
     ("tdsim", None, "[sim]\nstep_s = 0.03\nend_s = 0.1\n[event s]\n"
      "time_s = 0.095\naction = load_step\ntarget = LOAD440_PS\nscale = 1.2\n",
      "end_s = 0.1 is not a whole number of steps of step_s = 0.03"),
+    # breakers that engines read differently, or not at all, used to run
+    ("powerflow", ("[breaker CB_TIE_MID_SB]", "[breaker CB_X]\nfrom = DG#01\n"
+                   "to = DG#02\n\n[breaker CB_TIE_MID_SB]"), "",
+     "error: CB_X: breaker ends: neither DG#01 nor DG#02 is a bus"),
+    ("powerflow", ("[breaker CB_TIE_MID_SB]", "[breaker CB_X]\nfrom = AC_PS\n"
+                   "to = AC_PS\n\n[breaker CB_TIE_MID_SB]"), "",
+     "error: CB_X: breaker ends: both ends are bus AC_PS"),
+    ("powerflow", ("to = AC_PS\nzsi", "to = AC_SB\nzsi"), "",
+     "error: CB_DG01: breaker ends: DG#01 does not sit on bus AC_SB"),
+    ("powerflow", ("[breaker CB_TIE_MID_SB]", "[breaker CB_DG01B]\n"
+                   "from = DG#01\nto = AC_PS\n\n[breaker CB_TIE_MID_SB]"), "",
+     "error: CB_DG01B: breaker ends: DG#01 already has breaker CB_DG01"),
+    # and so did inputs no engine read
+    ("powerflow", ("[bus BATDC_PS]\nkind = dc",
+                   "[bus BATDC_PS]\nfrequency_hz = 60\nkind = dc"), "",
+     "error: BATDC_PS: frequency: DC bus with a frequency of 60.0 Hz"),
+    ("powerflow", ("kind = inverter\np_set_kw = 0.00",
+                   "kind = grid_inverter\np_set_kw = 50"), "",
+     "error: INV_PS: set-point: a grid_inverter draws nothing, got "
+     "p_set_kw = 50.0"),
 ])
 def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
                                         study_text, message):

@@ -14,7 +14,7 @@ from vesselstudy import (
     validate,
 )
 from vesselstudy.cli import _Study
-from vesselstudy.grid import GridLookupError
+from vesselstudy.grid import BreakerSpec, GridLookupError
 
 DG01_SECTION = """
 [bus MAIN]
@@ -157,6 +157,62 @@ class TestValidate:
         found = [(v.element_id, v.rule, v.message) for v in validate(grid)]
         assert found == [(fuse.id, "dangling reference",
                           "element 'NOPE' not declared")]
+
+    def test_zero_rating_fails_every_rule_it_enters(self):
+        # an expected value of 0 is an infinite relative deviation
+        g = parse_grid(DG01_SECTION).generators[0]
+        grid = dataclasses.replace(parse_grid(DG01_SECTION), generators=(
+            dataclasses.replace(g, rated_kva=0.0),))
+        assert [(v.element_id, v.rule) for v in validate(grid)] == [
+            ("DG#01", "positive"), ("DG#01", "kw/kva/pf mismatch"),
+            ("DG#01", "current/kva/voltage mismatch")]
+
+    @pytest.mark.parametrize("fixture, breakers, found", [
+        # no engine read a breaker without a bus end, or with one bus at
+        # both ends: every study gave the same artifacts with or without it
+        ("dc_vessel", [BreakerSpec("CB_X", "CH#01", "INV_BOW1")],
+         [("CB_X", "neither CH#01 nor INV_BOW1 is a bus")]),
+        ("dc_vessel", [BreakerSpec("CB_X", "DC_PS", "DC_PS")],
+         [("CB_X", "both ends are bus DC_PS")]),
+        # protect tripped this breaker for a fault on AC_SB, while every
+        # other engine kept DG#01 on AC_PS
+        ("ac_vessel", [BreakerSpec("CB_DG01", "DG#01", "AC_SB")],
+         [("CB_DG01", "DG#01 does not sit on bus AC_SB")]),
+        # a converter sits on both its buses
+        ("dc_vessel", [BreakerSpec("CB_X", "CH#01", "GEN1_AC")], []),
+        # the first breaker declared decided whether CH#01 was online
+        ("dc_vessel", [BreakerSpec("CB_CH1_DC", "CH#01", "DC_PS"),
+                       BreakerSpec("CB_CH1_AC", "GEN1_AC", "CH#01",
+                                   closed=False)],
+         [("CB_CH1_AC", "CH#01 already has breaker CB_CH1_DC")]),
+        ("dc_vessel", [BreakerSpec("CB_CH1_AC", "CH#01", "GEN1_AC",
+                                   closed=False),
+                       BreakerSpec("CB_CH1_DC", "CH#01", "DC_PS")],
+         [("CB_CH1_DC", "CH#01 already has breaker CB_CH1_AC")]),
+    ])
+    def test_breaker_ends(self, fixture, breakers, found):
+        """A breaker joins two buses, or an element to a bus it sits on,
+        and is that element's only breaker."""
+        grid = builtin_fixture(fixture)
+        ids = {b.id for b in breakers}
+        grid = dataclasses.replace(grid, breakers=tuple(
+            b for b in grid.breakers if b.id not in ids) + tuple(breakers))
+        assert [(v.element_id, v.message) for v in validate(grid)
+                if v.rule == "breaker ends"] == found
+        assert validate(grid).ok() == (not found)
+
+    def test_dc_bus_frequency_and_grid_inverter_set_point_are_refused(
+            self, dc_vessel):
+        # no engine read either: the artifacts were the same without them
+        grid = dataclasses.replace(dc_vessel, buses=tuple(
+            dataclasses.replace(b, frequency=50.0) if b.id == "DC_PS" else b
+            for b in dc_vessel.buses), converters=tuple(
+            dataclasses.replace(c, p_set_kw=120.0) if c.id == "GINV_SB" else c
+            for c in dc_vessel.converters))
+        assert [(v.element_id, v.rule, v.message) for v in validate(grid)] == [
+            ("DC_PS", "frequency", "DC bus with a frequency of 50.0 Hz"),
+            ("GINV_SB", "set-point",
+             "a grid_inverter draws nothing, got p_set_kw = 120.0")]
 
 
 class TestFixtures:

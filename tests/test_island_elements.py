@@ -50,7 +50,8 @@ def test_converters_couple_by_the_kind_of_the_island():
 
 
 def test_grid_inverter_is_not_a_draw():
-    """The inverter feeds B1; its set-point is no load on G1."""
+    """The inverter feeds B1; its set-point is no load on G1.  `validate`
+    refuses such a set-point, and the engines ignore it all the same."""
     grid = GRIDS["grid_inverter"]
     sol = solve_ac_powerflow(grid)
     ts = simulate(grid, EventSchedule(), cfg=SimConfig(step=0.005, end=0.01))

@@ -17,6 +17,7 @@ from vesselstudy.grid import (
     ConverterSpec,
     GeneratorDynamicParams,
     GeneratorSpec,
+    InputError,
     LoadSpec,
 )
 from vesselstudy.powerflow import OperatingPoint
@@ -54,6 +55,11 @@ class TestTimeConstantConversion:
             convert_time_constants(0.3, 0.3, 0.2, 0.75, 0.02)
         with pytest.raises(ValueError):
             convert_time_constants(2.0, 0.3, 0.2, -1.0, 0.02)
+
+    @pytest.mark.parametrize("td0", [(0.0, 0.03), (5.0, -0.03)])
+    def test_short_circuit_rejects_a_non_positive_constant(self, td0):
+        with pytest.raises(InputError, match="time constants must be > 0"):
+            short_circuit_time_constants(2.0, 0.3, 0.2, *td0)
 
     def test_round_trip_is_exact(self):
         rng = np.random.RandomState(7)

@@ -125,6 +125,12 @@ class TestBattery:
         assert tr.i[-1] == pytest.approx(14900.0 * (1 - math.exp(-1)), rel=1e-12)
         assert tr.i[-1] == pytest.approx(9418.6, rel=1e-4)
 
+    def test_without_datasheet_data_is_refused(self):
+        bat = BatterySource("BAT", "DCB", None, 0.16e-3)
+        with pytest.raises(DcFaultError,
+                           match="BAT: missing datasheet short-circuit data"):
+            battery_sc_trace(bat, TGRID)
+
     def test_strictly_increasing_and_bounded(self):
         rng = np.random.RandomState(5)
         for _ in range(20):

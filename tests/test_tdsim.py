@@ -401,15 +401,34 @@ def _probe_events(t_clear, target="B_M", location=None, t_fault=0.25):
 
 
 def _probe(grid, t_clear, window=2.0, target="B_M", location=None,
-           t_fault=0.25, **kw):
+           t_fault=0.25, cfg=BARE_SMIB, **kw):
     """One `find_cct` probe, shifted to start at `t_fault`: bolted fault at
     `target` (the machine bus by default) from then, to the recording
     step nearest its clearing plus `window`."""
-    step = BARE_SMIB.step
+    step = cfg.step
     cfg = dataclasses.replace(
-        BARE_SMIB, end=round((t_fault + t_clear + window) / step) * step)
+        cfg, end=round((t_fault + t_clear + window) / step) * step)
     return simulate(grid, _probe_events(t_clear, target, location, t_fault),
                     (), cfg, dispatch={"G1": 900.0}, **kw)
+
+
+def _search_engine(grid, cfg=BARE_SMIB):
+    """An engine as `find_cct` builds it for `_probe`'s power flow, with
+    an empty trunk: pass it to `_probe` as `_engine`."""
+    engine = tdsim._Engine(grid, EventSchedule(), (), cfg,
+                           dispatch={"G1": 900.0})
+    engine.trunk = []
+    return engine
+
+
+def _assert_part_of(part, full, k, label=""):
+    """`part` is bit for bit the rows of `full` from step `k` on."""
+    n = len(part.t)
+    np.testing.assert_array_equal(part.t, full.t[k:k + n])
+    assert part.channels.keys() == full.channels.keys()
+    for name, values in full.channels.items():
+        np.testing.assert_array_equal(part[name], values[k:k + n],
+                                      err_msg=f"{label}: {name}")
 
 
 @pytest.mark.parametrize("governor", [True, False])
@@ -432,13 +451,11 @@ def test_stopped_probe_is_prefix_of_full_run():
     run, whose spread reaches pi after the stop."""
     grid = smib_grid()
     full = _probe(grid, 0.3)
-    stopped = _probe(grid, 0.3, _trunk=[])
+    stopped = _probe(grid, 0.3, _engine=_search_engine(grid))
     n = len(stopped.t)
     assert n < len(full.t)
     assert stopped.stable is False and full.stable is None
-    np.testing.assert_array_equal(stopped.t, full.t[:n])
-    for name, values in stopped.channels.items():
-        np.testing.assert_array_equal(values, full[name][:n], err_msg=name)
+    _assert_part_of(stopped, full, 0)
     spread = np.abs(full["G1.delta_rad"] - full["IB.delta_rad"])
     assert spread[:n].max() < np.pi <= spread.max()
 
@@ -449,31 +466,36 @@ def test_branched_probe_matches_run_from_start(target, location):
     its branch step on, to the same probe run from t = 0."""
     grid = smib_grid()
     fault = dict(target=target, location=location)
-    trunk = []
-    _probe(grid, 0.05, _trunk=trunk, **fault)
-    # a later probe branches from the trunk's last step and extends it up
-    # to its own clearing
-    _probe(grid, 0.4, _trunk=trunk, **fault)
-    # the fault is on from step 50 (0.25 s); 0.65 s is step 130
-    assert [s.k for s in trunk] == list(range(50, 130))
+    engine = _search_engine(grid)
+    # the first probe, t_hi, records the fault-on steps: from step 50
+    # (0.25 s) to step 129, the last before its clearing at 0.65 s
+    _probe(grid, 0.4, _engine=engine, **fault)
+    assert [s.k for s in engine.trunk] == list(range(50, 130))
     # inside a step; on a step (0.35 s lands just below step 70 and 0.42 s
     # just above step 84, and a clearing within 1e-12 s of a step is
     # applied at it); shorter than one step; t_hi itself
     for t_clear, k in ((0.1234, 74), (0.1, 69), (0.17, 83), (0.001, 50),
                        (0.4, 129)):
-        start = tdsim._branch_point(trunk, 0.25 + t_clear)
-        assert start.k == k
-        full = _probe(grid, t_clear, **fault)
-        # the whole window on from the branch step, with no stop rule
-        eng = start.engine
-        eng.cfg = dataclasses.replace(BARE_SMIB, end=0.25 + t_clear + 2.0)
-        eng.events = _probe_events(t_clear, **fault).events
-        branched = eng.run(start=start)
-        np.testing.assert_array_equal(branched.t, full.t[k:])
-        assert branched.channels.keys() == full.channels.keys()
-        for name, values in full.channels.items():
-            np.testing.assert_array_equal(branched[name], values[k:],
-                                          err_msg=f"{t_clear}: {name}")
+        branched = _probe(grid, t_clear, _engine=engine, **fault)
+        assert branched.t[0] == engine.trunk[k - 50].t
+        _assert_part_of(branched, _probe(grid, t_clear, **fault), k, t_clear)
+    assert [s.k for s in engine.trunk] == list(range(50, 130))
+
+
+def test_branched_probe_runs_its_whole_window_bit_identically():
+    """With governor and AVR no certificate applies, so a stable branched
+    probe runs its whole window: all of it is the plain run's from the
+    branch step on.  A load behind a mid-line fault makes the network
+    solve iterate from its warm start, which the branch restores."""
+    grid = _smib_plus(loads=(LoadSpec("LM", "B_M", 100.0, 0.9, 0.0),))
+    probe = dict(target="LINE", location=0.5, cfg=SimConfig(step=0.005))
+    engine = _search_engine(grid, probe["cfg"])
+    _probe(grid, 0.4, _engine=engine, **probe)
+    branched = _probe(grid, 0.1234, _engine=engine, **probe)
+    full = _probe(grid, 0.1234, **probe)
+    assert branched.stable is True
+    assert len(branched.t) == len(full.t) - 74
+    _assert_part_of(branched, full, 74)
 
 
 def test_trunk_of_a_fault_at_0_starts_at_step_0():
@@ -481,19 +503,11 @@ def test_trunk_of_a_fault_at_0_starts_at_step_0():
     trunk starts at step 0, and a probe that clears inside the first step
     branches from it, bit-identical to the probe run from t = 0."""
     grid = smib_grid()
-    trunk = []
-    _probe(grid, 0.05, t_fault=0.0, _trunk=trunk)
-    assert [s.k for s in trunk] == list(range(10))
-    start = tdsim._branch_point(trunk, 0.001)
-    assert start.k == 0
-    full = _probe(grid, 0.001, t_fault=0.0)
-    eng = start.engine
-    eng.cfg = dataclasses.replace(BARE_SMIB, end=2.0)
-    eng.events = _probe_events(0.001, t_fault=0.0).events
-    branched = eng.run(start=start)
-    np.testing.assert_array_equal(branched.t, full.t)
-    for name, values in full.channels.items():
-        np.testing.assert_array_equal(branched[name], values, err_msg=name)
+    engine = _search_engine(grid)
+    _probe(grid, 0.05, t_fault=0.0, _engine=engine)
+    assert [s.k for s in engine.trunk] == list(range(10))
+    branched = _probe(grid, 0.001, t_fault=0.0, _engine=engine)
+    _assert_part_of(branched, _probe(grid, 0.001, t_fault=0.0), 0)
 
 
 @pytest.mark.parametrize("location, bus", [(0.0, "B_M"), (1.0, "B_INF")])
@@ -527,9 +541,9 @@ def test_cct_verdicts_are_plain_bools():
     assert all(type(ok) is bool for _, ok in res.transcript)
 
 
-def test_cct_trunk_grows_from_a_stable_lower_bracket():
-    """With t_lo > 0 the first probe's trunk stops at its clearing and the
-    t_hi probe extends it; the search still matches full probes."""
+def test_cct_trunk_from_t_hi_serves_a_stable_lower_bracket():
+    """With t_lo > 0 the t_hi probe still records the trunk, and the t_lo
+    probe branches from it; the search matches full probes."""
     grid = smib_grid()
     spec = CctFaultSpec("G1", loading=0.8, location=0.3, branch="LINE")
     res = find_cct(grid, spec, 0.05, 0.4, 5e-3, BARE_SMIB, window=1.0)
@@ -746,8 +760,8 @@ def test_run_matches_an_every_step_reference(cfg):
 
 def test_find_cct_integrates_no_pre_fault_step_twice(monkeypatch):
     """The trunk starts at the fault, applied at t = 0 to the trimmed
-    equilibrium, and every later probe branches from it: the search
-    integrates 94 steps."""
+    equilibrium; the t_hi probe records it and every later probe branches
+    from it: the search integrates 94 steps."""
     calls = _count_steps(monkeypatch)
     find_cct(smib_grid(), CctFaultSpec("G1", loading=0.9, location=0.0),
              0.0, 0.4, 1e-3, BARE_SMIB, window=2.0)
