@@ -340,8 +340,8 @@ def _run_protect(args, grid: GridModel, study: _Study) -> int:
     events = sequence_of_operations(grid, summ, keys["fault_element"],
                                     zsi_enabled=keys["zsi"],
                                     failed_breakers=set(keys["failed_breakers"]))
-    _emit(args, "trips.csv", *report.trip_rows(events))
     rep = selectivity_check(events, keys["cct_budget_s"])
+    _emit(args, "trips.csv", *report.trip_rows(events))
     report.write_artifact(args.out, "selectivity.txt",
                           report.selectivity_text(rep))
     print(f"first trip {events[0].breaker_id} at "

@@ -418,6 +418,21 @@ def _non_finite(spec, prefix: str = ""):
             yield from _non_finite(val, f"{prefix}{name}.")
 
 
+def check_domains(domains: dict[str, str], **values) -> None:
+    """Raise InputError for a value outside the interval that `domains`, an
+    engine's table, declares for its key: "(lo, hi)", with "[" or "]" at a
+    closed end.  An infinite end is open, so nan and +-inf are outside.
+    None passes; a dict holds an id-keyed section's values, named by id."""
+    for key, value in values.items():
+        interval = domains[key]
+        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        for item, x in value.items() if isinstance(value, dict) else [("", value)]:
+            if x is not None and not ((x > lo if interval[0] == "(" else x >= lo)
+                                      and (x < hi if interval[-1] == ")" else x <= hi)):
+                got = f"{key} {item}".strip()
+                raise InputError(f"need {key} in {interval}, got {got} = {x}")
+
+
 def island_frequency(grid: GridModel, island) -> float:
     """The frequency set on an AC island's buses, 60 Hz when none is; an
     island that mixes frequencies is an input error."""
@@ -503,10 +518,10 @@ def validate(grid: GridModel) -> ValidationReport:
     for bat in grid.batteries:
         if bus_kind(bat.bus) == AC:
             add(bat.id, "bus kind", "battery placed on an AC bus")
-        if bat.sc_peak_current <= 0:
-            add(bat.id, "positive", "sc_peak_current must be > 0")
-        if bat.sc_time_constant <= 0:
-            add(bat.id, "positive", "sc_time_constant must be > 0")
+        for name in ("sc_peak_current", "sc_time_constant"):
+            val = getattr(bat, name)
+            if val is None or val <= 0:   # None: no datasheet value
+                add(bat.id, "positive", f"{name} must be > 0, got {val}")
 
     for c in grid.converters:
         if c.kind not in CONVERTER_KINDS:

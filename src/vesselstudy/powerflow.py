@@ -20,10 +20,15 @@ import numpy as np
 
 from .grid import (AC, DC, CableBranch, ConverterSpec, GridModel,
                    InputError, IslandElements, NumericalError,
-                   connected_groups, island_frequency)
+                   check_domains, connected_groups, island_frequency)
 
 S_BASE_KVA = 1000.0
 DC_EFFICIENCY = 0.97   # per converter stage, in the DC balance
+
+# each [powerflow] key, and each value of [dispatch] and [load_scale] -> the
+# interval `solve_ac_powerflow` checks it against (`grid.check_domains`)
+DOMAINS = {"tol": "[0, inf)", "max_iter": "[0, inf)",
+           "dispatch": "[0, inf)", "load_scale": "[0, inf)"}
 
 
 class PowerflowError(NumericalError):
@@ -244,26 +249,19 @@ def solve_ac_powerflow(
     island load shared in proportion to machine rating).  `load_scale` and
     `converter_draws` adjust the consumed powers for scenario studies.
     The `dispatch` and `slack` ids must name generators, the slack an
-    online one, and the `load_scale` ids loads.  A dispatch and a load
-    scale must be >= 0: a generator does not motor, a load does not
-    generate.
+    online one, and the `load_scale` ids loads.  No value lies outside its
+    `DOMAINS` interval: a generator does not motor, a load does not generate.
     """
-    if max_iter < 0:
-        raise InputError(f"need max_iter >= 0, got max_iter = {max_iter}")
-    if not tol >= 0:
-        raise InputError(f"need tol >= 0, got tol = {tol}")
-    for gen_id, p_kw in (dispatch or {}).items():
+    for gen_id in dispatch or {}:
         grid.generator(gen_id)
-        if not p_kw >= 0:   # a motoring generator: reverse power
-            raise InputError(f"dispatch {gen_id}: need >= 0 kW, got {p_kw}")
     if slack is not None:
         grid.generator(slack)
         if not grid.element_online(slack):
             raise InputError(f"slack generator {slack!r} is offline")
-    for load_id, scale in (load_scale or {}).items():
+    for load_id in load_scale or {}:
         grid.load(load_id)
-        if not scale >= 0:
-            raise InputError(f"load_scale {load_id}: need >= 0, got {scale}")
+    check_domains(DOMAINS, tol=tol, max_iter=max_iter, dispatch=dispatch,
+                  load_scale=load_scale)
     dispatch = dict(dispatch or {})
     load_scale = dict(load_scale or {})
     converter_draws = dict(converter_draws or {})

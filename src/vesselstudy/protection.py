@@ -13,15 +13,19 @@ clearing I^2t, the one fuse datum `fuse_i2t_clearing` takes.
 
 from __future__ import annotations
 
-import math
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridModel, InputError, TccCurve
+from .grid import GridModel, InputError, TccCurve, check_domains
 from .sc_ac import FaultSummary
 from .sc_dc import DcScTrace
+
+# each input -> its interval (`grid.check_domains`): [protect] cct_budget_s,
+# i2t's --fuse-i2t rating and `trip_time`'s current
+DOMAINS = {"cct_budget_s": "(0, inf)", "fuse_i2t": "(0, inf)",
+           "current": "[0, inf)"}
 
 
 class ProtectionError(InputError):
@@ -83,8 +87,7 @@ def trip_time(curve: TccCurve, current: float) -> tuple[float, str] | None:
     element is ``"short_time"`` or ``"long_time"``; on a tie it is the
     short-time element.
     """
-    if current < 0:
-        raise InputError("current must be >= 0")
+    check_domains(DOMAINS, current=current)
     st, lt = curve.short_time, curve.long_time
     best = (st.delay, "short_time") if current > st.pickup else None
     if current > lt.pickup:
@@ -281,8 +284,9 @@ def selectivity_check(events: list[TripEvent], cct_budget: float) -> Selectivity
     Intended breakers are the unlocked ones.  With backups present the trip
     order must put every intended breaker strictly first; without any
     backup structure, more than one breaker tripping means the fault takes
-    out more than the intended zone.
+    out more than the intended zone.  `cct_budget`: `DOMAINS["cct_budget_s"]`.
     """
+    check_domains(DOMAINS, cct_budget_s=cct_budget)
     if not events:
         raise ProtectionError("empty trip sequence")
     intended = [e for e in events if not e.locked]
@@ -320,15 +324,13 @@ def let_through(trace: DcScTrace) -> np.ndarray:
 
 def fuse_i2t_clearing(trace: DcScTrace, rating: float) -> float | None:
     """Time at which the waveform's let-through reaches `rating`, the
-    fuse's total clearing I^2t in A^2 s, which must be finite and > 0.
+    fuse's total clearing I^2t in A^2 s, in its `DOMAINS` interval.
 
     Returns None when the waveform has decayed without ever accumulating
     the rating (the fuse never clears); raises TraceTooShortError when the
     grid ends while the let-through is still rising short of the rating.
     """
-    if not (math.isfinite(rating) and rating > 0):
-        raise ProtectionError(
-            f"fuse I^2t rating {rating!r} A^2s is not finite and > 0")
+    check_domains(DOMAINS, fuse_i2t=rating)
     e = let_through(trace)
     if e[-1] >= rating:
         k = int(np.searchsorted(e, rating))   # >= 1, since e[0] = 0

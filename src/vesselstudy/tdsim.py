@@ -47,7 +47,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import (GridLookupError, GridModel, InputError, MissingDynamicsError,
-                   NumericalError)
+                   NumericalError, check_domains)
 from .powerflow import (S_BASE_KVA, AcNetwork, branch_z_pu, build_ac_networks,
                         converter_draw_kw, island_slack, load_pq_kw,
                         solve_ac_powerflow)
@@ -79,26 +79,47 @@ class BracketError(SimulationError):
 # configuration and events
 
 
-# each event action -> the optional fields it reads; setting another (giving
-# it a value other than its default) is an input error, see `_refuse_unread`
+# each event action -> the study-file keys of the optional fields it reads;
+# setting another (giving it a value other than its default) is an input
+# error, see `_check_fields`
 EVENT_FIELDS = {
-    "load_step": ("target", "scale", "ramp"),
+    "load_step": ("target", "scale", "ramp_s"),
     "breaker_open": ("target",),
     "breaker_close": ("target",),
     "fault_apply": ("target", "location"),
     "fault_clear": (),
 }
 
+# each study-file key -> the interval of its value (`grid.check_domains`),
+# checked by `_check_fields` and `find_cct`
+DOMAINS = {
+    "time_s": "[0, inf)", "scale": "[0, inf)", "ramp_s": "[0, inf)",
+    "location": "[0, 1]", "step_s": "(0, inf)", "end_s": "(0, inf)",
+    "p_rating_kw": "(0, inf)", "q_rating_kvar": "(0, inf)",
+    "p_threshold_kw": "[0, inf)", "q_threshold_kvar": "(-inf, inf)",
+    "dp_delay_s": "(0, inf)", "loading": "(0, inf)", "t_lo_s": "[0, inf)",
+    "t_hi_s": "(0, inf)", "tol_s": "(0, inf)", "window_s": "(0, inf)"}
 
-def _refuse_unread(spec, kind: str,
-                   readers: dict[str, tuple[str, ...]]) -> None:
-    """Raise InputError for a field of `spec` that some kind of `readers`
-    reads, but not `kind`, and that differs from its default."""
+# the study-file key of each field named otherwise
+_FIELD_KEYS = {"time": "time_s", "ramp": "ramp_s", "dp_delay": "dp_delay_s",
+               "step": "step_s", "end": "end_s"}
+
+
+def _check_fields(spec, kind: str = "",
+                  readers: dict[str, tuple[str, ...]] | None = None) -> None:
+    """Raise InputError, naming the study-file key, for a field of `spec`
+    that some kind of `readers` reads, but not `kind`, and that differs
+    from its default, then for a value outside its DOMAINS interval."""
+    values = {}
     for f in fields(spec):
-        owners = [k for k, names in readers.items() if f.name in names]
-        if owners and kind not in owners and getattr(spec, f.name) != f.default:
-            raise InputError(f"{kind}: {f.name} applies only to "
+        key, value = _FIELD_KEYS.get(f.name, f.name), getattr(spec, f.name)
+        owners = [k for k, keys in (readers or {}).items() if key in keys]
+        if owners and kind not in owners and value != f.default:
+            raise InputError(f"{kind}: {key} applies only to "
                              f"{', '.join(owners)}")
+        if key in DOMAINS:
+            values[key] = value
+    check_domains(DOMAINS, **values)
 
 
 @dataclass(frozen=True)
@@ -113,42 +134,27 @@ class Event:
     def __post_init__(self):
         if self.action not in EVENT_FIELDS:
             raise InputError(f"unknown event action {self.action!r}")
-        _refuse_unread(self, self.action, EVENT_FIELDS)
-        _check_finite(time_s=self.time, scale=self.scale, ramp_s=self.ramp)
+        _check_fields(self, self.action, EVENT_FIELDS)
         if self.action == "load_step" and self.scale is None:
             raise InputError(f"load_step {self.target}: scale required")
-        if self.scale is not None and not self.scale >= 0:
-            raise InputError(f"{self.action} {self.target}: scale must be "
-                             f">= 0, got {self.scale}")
-        if self.ramp < 0:
-            raise InputError(f"{self.action} {self.target}: ramp_s must be "
-                             f">= 0, got {self.ramp}")
-        _check_location(self.location)
-
-
-def _check_location(location: float | None) -> None:
-    if location is not None and not 0.0 <= location <= 1.0:
-        raise InputError(f"fault location {location} outside [0, 1]")
-
-
-def _check_finite(**values: float | None) -> None:
-    """Raise InputError for a value that is set but not finite."""
-    for name, value in values.items():
-        if value is not None and not math.isfinite(value):
-            raise InputError(f"need a finite {name}, got {name} = {value}")
 
 
 @dataclass(frozen=True)
 class EventSchedule:
     events: tuple[Event, ...] = ()
 
-    def validated(self, grid: GridModel) -> "EventSchedule":
+    def validated(self, grid: GridModel, end: float) -> "EventSchedule":
+        """Refuse events out of time order or after `end`, where they could
+        change no recorded row, and ids that `grid` does not hold."""
         last = -math.inf
         branch_ids = {br.id for br in grid.branches}
         for ev in self.events:
             if ev.time < last:
                 raise InputError(f"event times must be non-decreasing: "
                                  f"{ev.action} at {ev.time} after {last}")
+            if ev.time > end:
+                raise InputError(f"{ev.action} at time_s = {ev.time}: need "
+                                 f"time_s <= end_s = {end}")
             last = ev.time
             if ev.action == "load_step":
                 grid.load(ev.target)
@@ -170,9 +176,10 @@ class SimConfig:
     avr: bool = True               # every machine's voltage regulator
 
     def __post_init__(self):
-        _check_finite(step=self.step, end=self.end)
-        if self.step <= 0 or self.end <= self.step:
-            raise InputError("need step > 0 and end > step")
+        _check_fields(self)
+        if self.end <= self.step:
+            raise InputError(f"need end_s > step_s = {self.step}, "
+                             f"got end_s = {self.end}")
 
 
 @dataclass
@@ -189,11 +196,11 @@ class TimeSeries:
 # controllers
 
 
-# each controller mode -> the optional fields it reads; setting another is
-# an input error, as for events
+# each controller mode -> the study-file keys of the optional fields it
+# reads; setting another is an input error, as for events
 CONTROLLER_FIELDS = {
     "peak_shave": ("watched", "p_threshold_kw", "q_threshold_kvar"),
-    "dp_failover": ("watched", "dp_delay"),
+    "dp_failover": ("watched", "dp_delay_s"),
 }
 
 
@@ -214,16 +221,7 @@ class ControllerConfig:
         if self.mode not in CONTROLLER_FIELDS:
             raise InputError(f"controller on {self.inverter}: unknown mode "
                              f"{self.mode!r}")
-        _refuse_unread(self, self.mode, CONTROLLER_FIELDS)
-        _check_finite(p_rating_kw=self.p_rating_kw,
-                      q_rating_kvar=self.q_rating_kvar,
-                      p_threshold_kw=self.p_threshold_kw,
-                      q_threshold_kvar=self.q_threshold_kvar,
-                      dp_delay_s=self.dp_delay)
-        if self.p_rating_kw <= 0 or self.q_rating_kvar <= 0:
-            raise InputError("inverter ratings must be > 0")
-        if self.dp_delay <= 0:
-            raise InputError("dp_delay must be > 0")
+        _check_fields(self, self.mode, CONTROLLER_FIELDS)
 
 
 class ControllerState:
@@ -344,17 +342,14 @@ class _Snapshot(NamedTuple):
 
 
 class _Engine:
-    def __init__(self, grid: GridModel, schedule: EventSchedule,
-                 controllers, cfg: SimConfig, **steady):
+    def __init__(self, grid: GridModel, controllers, cfg: SimConfig, **steady):
         """`steady`: the keywords of the initial power flow."""
-        schedule.validated(grid)
         self.grid = grid                    # with the breaker states in force
         self.branches = {br.id: br for br in grid.branches}
         self.cfg = cfg
         self.base_scale = dict(steady.get("load_scale") or {})
         self.ramps: dict[str, tuple[float, float, float, float]] = {}
         self.fault: Event | None = None     # the fault_apply in force
-        self.events = schedule.events
         self.trunk: list[_Snapshot] | None = None   # a CCT search's, see run
         self.controllers: dict[str, ControllerState] = {}   # by inverter
         for c in controllers:
@@ -832,8 +827,8 @@ class _Engine:
         solve read nothing but the state, not even the time."""
         return not self.controllers and all(i.linear for i in self.islands)
 
-    def run(self) -> TimeSeries:
-        """Integrate to `cfg.end`, recording every step.
+    def run(self, events: tuple[Event, ...]) -> TimeSeries:
+        """Integrate to `cfg.end` through `events`, recording every step.
 
         An event due at a recording step is applied before that step's
         recording solve, except at t = 0: the first recording is the
@@ -888,7 +883,7 @@ class _Engine:
             while pending and pending[0].time <= t + 1e-12:
                 self._apply_event(pending.popleft(), t)
 
-        pending = deque(self.events)
+        pending = deque(events)
         trunk, start = self.trunk, None
         if trunk:
             start = next(s for s in reversed(trunk)
@@ -923,7 +918,7 @@ class _Engine:
                 trunk.append(_Snapshot(k, t, self.x,
                                        [i.v.copy() for i in self.islands],
                                        rec[:, k].copy()))
-            if len(self.mach_ids) > 1 and t_rec[k] >= self.events[-1].time - 1e-9:
+            if len(self.mach_ids) > 1 and t_rec[k] >= events[-1].time - 1e-9:
                 delta = rec[delta_rows, k]
                 if delta.max() - delta.min() >= math.pi:
                     stable, last = False, k
@@ -953,20 +948,16 @@ def simulate(grid: GridModel, schedule: EventSchedule,
     flow that the keywords `steady` of `solve_ac_powerflow` set, such as
     `dispatch`, `load_scale` and `slack`.  With `_engine` the run is a
     probe of that CCT search (see `_Engine.run`), whose engine stands in
-    for grid, controllers and power flow.  An event before 0 or after
-    `cfg.end` could change no recorded row, and an `end` that is not a
-    whole number of steps would not be reached: each is an input error.
+    for grid, controllers and power flow.  The schedule must pass
+    `EventSchedule.validated`, and `end` be a whole number of steps.
     """
     if abs(cfg.end / cfg.step - round(cfg.end / cfg.step)) > 1e-9:
         raise InputError(f"end_s = {cfg.end} is not a whole number of "
                          f"steps of step_s = {cfg.step}")
-    for ev in schedule.events:
-        if not 0.0 <= ev.time <= cfg.end:
-            raise InputError(f"{ev.action} at time_s = {ev.time}: need "
-                             f"0 <= time_s <= end_s = {cfg.end}")
-    engine = _engine or _Engine(grid, schedule, controllers, cfg, **steady)
-    engine.cfg, engine.events = cfg, schedule.events
-    return engine.run()
+    events = schedule.validated(grid, cfg.end).events
+    engine = _engine or _Engine(grid, controllers, cfg, **steady)
+    engine.cfg = cfg
+    return engine.run(events)
 
 
 # ---------------------------------------------------------------------------
@@ -981,10 +972,7 @@ class CctFaultSpec:
     branch: str | None = None     # a cable at the machine bus; required if >1
 
     def __post_init__(self):
-        _check_location(self.location)
-        _check_finite(loading=self.loading)
-        if not self.loading > 0:
-            raise InputError(f"need loading > 0, got loading = {self.loading}")
+        _check_fields(self)
 
 
 @dataclass(frozen=True)
@@ -998,33 +986,30 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
              tol: float, cfg: SimConfig, window: float = 3.0) -> CctResult:
     """Bisect the fault clearing time against first-swing stability.
 
-    The machine must be online; it runs at `loading` times its rated kW,
-    and the power flow's slack is the largest other online generator of
-    its island, by `island_slack`'s rule; the search solves it once, in
-    the one engine of all its probes.  Each probe applies the fault at
-    t = 0 to the trimmed power-flow equilibrium and clears it at
-    `t_clear`; a clearing within 1e-12 s of the fault is no disturbance.
-    A probe is stable when
+    The machine must be online; it runs at `loading` times its rated kW, and
+    the power flow's slack is the largest other online generator of its
+    island, by `island_slack`'s rule; the search solves it once, in the one
+    engine of all its probes.  Each probe applies the fault at t = 0 to the
+    trimmed power-flow equilibrium and clears it at `t_clear`; a clearing
+    within 1e-12 s of the fault is no disturbance.  A probe is stable when
     the largest pairwise rotor-angle separation stays below 180 degrees
     within `window` after the fault clears.  The bracket must straddle the
-    boundary: `t_lo` >= 0 stable and `t_hi` unstable; every argument must
-    be finite.  The `t_hi` probe runs first and records the fault-on
-    steps; every later probe starts at the last of them before its
-    clearing, bit-identical to a run from t = 0.  Each probe runs to the
-    recording step nearest its clearing plus `window`, so `cfg` gives the
-    step, governor and AVR, and an `end` other than SimConfig's default is
-    an input error.  An unstable probe ends at the step its
-    spread reaches 180 degrees.  On a lone two-machine island that
-    qualifies (see `_Engine._swing_certificate`) a probe may end at its
-    clearing, stable or unstable, once the energy function proves how its
-    first swing ends; the verdict, which the engine returns, is that of a
-    full-window probe.
+    boundary: `t_lo` stable and `t_hi` unstable; `t_lo`, `t_hi`, `tol` and
+    `window` lie in their `DOMAINS` intervals.  The `t_hi` probe runs first
+    and records the fault-on steps; every later probe starts at the last of
+    them before its clearing, bit-identical to a run from t = 0.  Each probe
+    runs to the recording step nearest its clearing plus `window`, so `cfg`
+    gives the step, governor and AVR, and an `end` other than SimConfig's
+    default is an input error.  An unstable probe ends at the step its
+    spread reaches 180 degrees.  On a lone two-machine island that qualifies
+    (see `_Engine._swing_certificate`) a probe may end at its clearing,
+    stable or unstable, once the energy function proves how its first swing
+    ends; the verdict, which the engine returns, is that of a full-window
+    probe.
     """
-    _check_finite(t_lo=t_lo, t_hi=t_hi, tol=tol, window=window)
-    if tol <= 0 or t_hi <= t_lo:
-        raise InputError("need tol > 0 and t_hi > t_lo")
-    if t_lo < 0:
-        raise InputError(f"need t_lo_s >= 0, got t_lo_s = {t_lo}")
+    check_domains(DOMAINS, t_lo_s=t_lo, t_hi_s=t_hi, tol_s=tol, window_s=window)
+    if t_hi <= t_lo:
+        raise InputError(f"need t_hi_s > t_lo_s = {t_lo}, got t_hi_s = {t_hi}")
     if window < cfg.step:
         raise InputError(f"need window_s >= step_s, got window_s = {window}")
     if cfg.end != SimConfig.end:
@@ -1058,8 +1043,7 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
         frac = fault.location if br.from_bus == gen.bus else 1.0 - fault.location
         target, location = br.id, frac
 
-    engine = _Engine(grid, EventSchedule(), (), cfg, dispatch=dispatch,
-                     slack=slack)
+    engine = _Engine(grid, (), cfg, dispatch=dispatch, slack=slack)
     engine.trunk = []
 
     def stable(t_clear: float) -> bool:

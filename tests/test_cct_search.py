@@ -71,11 +71,11 @@ def _probe_runs(monkeypatch, grid, cfg, window=1.0, location=0.0):
     runs = []
     run = tdsim._Engine.run
 
-    def recorded(self):
-        ts = run(self)
+    def recorded(self, events):
+        ts = run(self, events)
         deltas = [v[-1] for name, v in ts.channels.items()
                   if name.endswith(".delta_rad")]
-        runs.append((self.events[-1].time, float(ts.t[-1]), ts.stable,
+        runs.append((events[-1].time, float(ts.t[-1]), ts.stable,
                      max(deltas) - min(deltas)))
         return ts
 
@@ -169,7 +169,7 @@ def test_certificate_bounds_the_speed_over_the_time_left():
     longer one, over which the centre-of-inertia speed bound of a lossy
     island could pass the sanity bound."""
     grid = two_machine_grid(h_ratio=2.0, r_pu=0.05)
-    eng = tdsim._Engine(grid, tdsim.EventSchedule(()), (), BARE_SMIB,
+    eng = tdsim._Engine(grid, (), BARE_SMIB,
                         dispatch={"G1": 810.0})
     certify = eng._swing_certificate()
     assert certify(eng.x, 2.0) is True
@@ -184,7 +184,7 @@ def test_certificate_bounds_the_speed_over_the_time_left():
 def test_certificate_needs_a_swing_that_cannot_gain_energy(grid, certified):
     """Negative damping feeds the swing and a negative inertia voids the
     speed bounds, so neither steady state gets a verdict."""
-    eng = tdsim._Engine(grid, tdsim.EventSchedule(()), (), BARE_SMIB,
+    eng = tdsim._Engine(grid, (), BARE_SMIB,
                         dispatch={"G1": 810.0})
     assert eng._swing_certificate()(eng.x, 2.0) is certified
 
@@ -226,12 +226,12 @@ def test_least_unstable_state_reaches_pi_in_time(grid, angle, t_left):
     swing the potential of the whole path, its peak at the saddle too
     (from -0.113 rad the saddle lies halfway along a piece of the path),
     and what damping takes."""
-    eng = tdsim._Engine(grid, tdsim.EventSchedule(()), (), BARE_SMIB,
+    eng = tdsim._Engine(grid, (), BARE_SMIB,
                         dispatch={"G1": 810.0})
     certify = eng._swing_certificate()
     eng.x = _g1_speed_state(
         eng, _least_unstable_speed(certify, eng, t_left, angle), angle=angle)
-    ts = eng.run()
+    ts = eng.run(())
     spread = np.abs(ts["G1.delta_rad"] - ts[f"{eng.mach_ids[1]}.delta_rad"])
     assert spread[ts.t <= t_left].max() >= math.pi
 
@@ -241,7 +241,7 @@ def test_fast_swing_at_a_coarse_step_gets_no_verdict():
     recording steps, so it is not certified unstable; at 5 ms it is."""
     for step, verdict in ((0.05, None), (0.005, False)):
         cfg = dataclasses.replace(BARE_SMIB, step=step)
-        eng = tdsim._Engine(smib_grid(), tdsim.EventSchedule(()), (), cfg,
+        eng = tdsim._Engine(smib_grid(), (), cfg,
                             dispatch={"G1": 810.0})
         x = _g1_speed_state(eng, 30.0 / (2 * math.pi * 60.0))
         assert eng._swing_certificate()(x, 2.0) is verdict
@@ -252,7 +252,7 @@ def test_near_critical_state_needs_time_and_speed_margins():
     a state is certified unstable only when its time bound fits in the
     time left, and only when the speed bounds keep every |dw| clear of
     the sanity bound up to the crossing."""
-    eng = tdsim._Engine(smib_grid(), tdsim.EventSchedule(()), (), BARE_SMIB,
+    eng = tdsim._Engine(smib_grid(), (), BARE_SMIB,
                         dispatch={"G1": 810.0})
     certify = eng._swing_certificate()
     hi = _least_unstable_speed(certify, eng, 1e3)

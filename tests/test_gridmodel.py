@@ -167,6 +167,16 @@ class TestValidate:
             ("DG#01", "positive"), ("DG#01", "kw/kva/pf mismatch"),
             ("DG#01", "current/kva/voltage mismatch")]
 
+    @pytest.mark.parametrize("field", ["sc_peak_current", "sc_time_constant"])
+    def test_a_battery_without_datasheet_data_is_a_violation(self, dc_vessel,
+                                                             field):
+        # validate used to raise TypeError comparing None with 0
+        grid = dataclasses.replace(dc_vessel, batteries=tuple(
+            dataclasses.replace(b, **{field: None}) if b.id == "BAT_PS" else b
+            for b in dc_vessel.batteries))
+        assert [(v.element_id, v.rule, v.message) for v in validate(grid)] == [
+            ("BAT_PS", "positive", f"{field} must be > 0, got None")]
+
     @pytest.mark.parametrize("fixture, breakers, found", [
         # no engine read a breaker without a bus end, or with one bus at
         # both ends: every study gave the same artifacts with or without it

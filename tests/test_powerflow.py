@@ -99,8 +99,8 @@ def test_dispatch_override(ac_vessel):
     ({"dispatch": {"LOAD440_PS": 100.0}}, "unknown generator 'LOAD440_PS'"),
     ({"load_scale": {"NOPE2": 3.0}}, "unknown load 'NOPE2'"),
     ({"slack": "NOPE3"}, "unknown generator 'NOPE3'"),
-    ({"tol": -1e-8}, "need tol >= 0, got tol = -1e-08"),
-    ({"tol": math.nan}, "need tol >= 0, got tol = nan"),
+    ({"tol": -1e-8}, r"need tol in \[0, inf\), got tol = -1e-08"),
+    ({"tol": math.nan}, r"need tol in \[0, inf\), got tol = nan"),
 ])
 def test_refuses_bad_study_values(ac_vessel, kwargs, message):
     """Each id the solve is given must name an element of its kind, and

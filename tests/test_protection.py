@@ -272,7 +272,8 @@ class TestFuseClearing:
     @pytest.mark.parametrize("rating", [-5.0, 0.0, math.nan, math.inf])
     def test_rating_not_finite_and_positive_refused(self, rating):
         trace = capacitor_sc_trace(FIG6, TGRID)
-        with pytest.raises(ProtectionError, match="rating .* not finite and > 0"):
+        with pytest.raises(InputError, match=r"need fuse_i2t in \(0, inf\), "
+                                             f"got fuse_i2t = {rating}"):
             fuse_i2t_clearing(trace, rating)
 
     def test_trace_too_short_to_decide(self):

@@ -1,11 +1,12 @@
-"""README's tables of the sections each study kind reads, and of the keys
-each event action and controller mode reads, match the tables the code
-keeps, so the docs cannot drift from them."""
+"""README's tables of the sections each study kind reads, of the keys
+each event action and controller mode reads, and of the domain of every
+study value, match the tables the code keeps, so the docs cannot drift
+from them."""
 
 import re
 from pathlib import Path
 
-from vesselstudy import cli, tdsim
+from vesselstudy import cli, powerflow, protection, tdsim
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -25,9 +26,6 @@ def _quoted(cell: str) -> list[str]:
     return re.findall(r"`([^`]+)`", cell)
 
 
-def _keys(cell: str) -> set[str]:
-    """The field names of a cell's study-file keys: `ramp_s` is `ramp`."""
-    return {key.removesuffix("_s") for key in _quoted(cell)}
 
 
 def test_study_kind_table_matches_the_runners():
@@ -47,7 +45,7 @@ def test_study_kind_table_matches_the_runners():
 def test_event_action_table_matches_event_fields():
     documented = {}
     for actions, keys in _rows("| `action` | also reads |"):
-        documented.update(dict.fromkeys(_quoted(actions), _keys(keys)))
+        documented.update(dict.fromkeys(_quoted(actions), set(_quoted(keys))))
     assert documented == {action: set(names)
                           for action, names in tdsim.EVENT_FIELDS.items()}
 
@@ -56,6 +54,16 @@ def test_controller_mode_table_matches_controller_fields():
     documented = {}
     for modes, keys, _ in _rows(
             "| `mode` | also reads | the inverter's setpoint |"):
-        documented.update(dict.fromkeys(_quoted(modes), _keys(keys)))
+        documented.update(dict.fromkeys(_quoted(modes), set(_quoted(keys))))
     assert documented == {mode: set(names) for mode, names in
                           tdsim.CONTROLLER_FIELDS.items()}
+
+
+def test_domain_table_matches_the_engines_tables():
+    documented = {}
+    for engine, keys, _, domain in _rows("| engine | key | given as | domain |"):
+        (engine,), (domain,) = _quoted(engine), _quoted(domain)
+        documented.update({(engine, key): domain for key in _quoted(keys)})
+    assert documented == {(m.__name__.rsplit(".", 1)[1], key): domain
+                          for m in (tdsim, powerflow, protection)
+                          for key, domain in m.DOMAINS.items()}
