@@ -10,8 +10,9 @@ study runs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+import operator
+from dataclasses import dataclass, fields, replace
+from functools import cache, cached_property
 from typing import NamedTuple
 
 AC = "ac"
@@ -378,12 +379,6 @@ class ValidationReport:
         return iter(self.violations)
 
 
-def _rel_dev(actual: float, expected: float) -> float:
-    if expected == 0:
-        return math.inf if actual != 0 else 0.0
-    return abs(actual - expected) / abs(expected)
-
-
 def dangling_references(grid: GridModel):
     """(referrer id, what it names) for every reference to a bus or an
     endpoint the grid does not declare."""
@@ -408,29 +403,76 @@ def dangling_references(grid: GridModel):
             yield f.id, f"element {f.element!r}"
 
 
-def _non_finite(spec, prefix: str = ""):
-    """(dotted field name, value) of every non-finite float in a spec."""
-    for name, val in vars(spec).items():
-        if isinstance(val, float):
-            if not math.isfinite(val):
-                yield prefix + name, val
-        elif hasattr(val, "__dataclass_fields__"):
-            yield from _non_finite(val, f"{prefix}{name}.")
+# spec class -> field -> the interval `validate` checks it against, in the
+# notation of `check_domains`; a number field without one need only be
+# finite, and None passes only where the field's default is None
+DOMAINS = {
+    Bus: {"nominal_voltage": "(0, inf)"},
+    GeneratorSpec: {"power_factor": "(0, 1]", **dict.fromkeys((
+        "rated_kva", "rated_kw", "voltage", "rated_current", "speed_rpm",
+        "winding_resistance_mohm"), "(0, inf)")},
+    GeneratorDynamicParams: {"damping": "[0, inf)", **dict.fromkeys(
+        ("td0_t", "td0_st", "tdc", "ikd", "inertia_h"), "(0, inf)")},
+    BatterySource: dict.fromkeys(("sc_peak_current", "sc_time_constant"), "(0, inf)"),
+    CapacitorBranch: dict.fromkeys(("capacitance", "series_resistance",
+                                    "series_inductance", "initial_voltage"), "(0, inf)"),
+    ConverterSpec: {"rated_current": "(0, inf)", "rated_kw": "(0, inf)",
+                    "sc_contribution_factor": "[1, inf)"},
+    LoadSpec: {"rated_kva": "(0, inf)", "power_factor": "(0, 1]", "motor_fraction": "[0, 1]",
+               "locked_rotor_multiplier": "(0, inf)", "xr_ratio": "(0, inf)"},
+    CableBranch: {"resistance_ohm": "[0, inf)", "reactance_ohm": "(0, inf)"},
+    LongTimeElement: {"pickup": "(0, inf)", "delay": "(0, inf)"},
+    ShortTimeElement: {"pickup": "(0, inf)", "delay": "(0, inf)"},
+    TccCurve: {"zsi_extended_delay": "[0, inf)"},
+    FuseSpec: {"i2t_total_clearing": "(0, inf)"},
+}
+
+
+@cache
+def _inside(interval: str):
+    """The test of membership in `interval`, "(lo, hi)" with "[" or "]" at
+    a closed end.  An infinite end is open, so nan and +-inf fail it."""
+    lo, hi = (float(end) for end in interval[1:-1].split(","))
+    above = operator.le if interval[0] == "[" else operator.lt
+    below = operator.le if interval[-1] == "]" else operator.lt
+    return lambda x: above(lo, x) and below(x, hi)
 
 
 def check_domains(domains: dict[str, str], **values) -> None:
     """Raise InputError for a value outside the interval that `domains`, an
-    engine's table, declares for its key: "(lo, hi)", with "[" or "]" at a
-    closed end.  An infinite end is open, so nan and +-inf are outside.
-    None passes; a dict holds an id-keyed section's values, named by id."""
+    engine's table, declares for its key (see `_inside`).  None passes; a
+    dict holds an id-keyed section's values, named by id."""
     for key, value in values.items():
         interval = domains[key]
-        lo, hi = (float(end) for end in interval[1:-1].split(","))
+        inside = _inside(interval)
         for item, x in value.items() if isinstance(value, dict) else [("", value)]:
-            if x is not None and not ((x > lo if interval[0] == "(" else x >= lo)
-                                      and (x < hi if interval[-1] == ")" else x <= hi)):
+            if x is not None and not inside(x):
                 got = f"{key} {item}".strip()
                 raise InputError(f"need {key} in {interval}, got {got} = {x}")
+
+
+@cache
+def _spec_fields(cls) -> tuple[tuple, tuple]:
+    """(field, interval, its test, None passes) of each number field of a
+    spec class, and the fields that hold a nested spec."""
+    domains, specs = DOMAINS.get(cls, {}), {c.__name__ for c in DOMAINS}
+    return (tuple((f.name, interval, _inside(interval), f.default is None)
+                  for f in fields(cls) if "float" in f.type
+                  for interval in [domains.get(f.name, "(-inf, inf)")]),
+            tuple(f.name for f in fields(cls) if f.type.split(" | ")[0] in specs))
+
+
+def _outside(spec, prefix: str = ""):
+    """The message, in `check_domains`' words, of each number of a spec and
+    of its nested specs that lies outside its field's `DOMAINS` interval."""
+    numbers, nested = _spec_fields(type(spec))
+    for name, interval, inside, none_passes in numbers:
+        x = getattr(spec, name)
+        if (not none_passes) if x is None else not inside(x):
+            yield f"need {prefix}{name} in {interval}, got {prefix}{name} = {x}"
+    for name in nested:
+        if (sub := getattr(spec, name)) is not None:
+            yield from _outside(sub, f"{prefix}{name}.")
 
 
 def island_frequency(grid: GridModel, island) -> float:
@@ -452,21 +494,22 @@ def validate(grid: GridModel) -> ValidationReport:
         return ValidationReport(tuple(v))
 
     # ids share one namespace: an event target names a bus, branch, load or
-    # breaker by its id alone
+    # breaker by its id alone.  The rules below that compare ratings,
+    # reactances or pickups skip a spec with a number outside its domain
     seen: set[str] = set()
+    bad: set[int] = set()
     for group in (grid.buses, grid.generators, grid.batteries, grid.converters,
                   grid.loads, grid.branches, grid.breakers, grid.fuses):
         for spec in group:
             if spec.id in seen:
                 add(spec.id, "duplicate id", "id declared twice")
             seen.add(spec.id)
-            for name, val in _non_finite(spec):
-                add(spec.id, "non-finite", f"{name} = {val} is not finite")
+            for message in _outside(spec):
+                add(spec.id, "domain", message)
+                bad.add(id(spec))
 
     bus_ids = grid.bus_ids()
     for b in grid.buses:
-        if b.nominal_voltage <= 0:
-            add(b.id, "voltage", f"nominal voltage {b.nominal_voltage} not > 0")
         if b.kind == AC and b.frequency not in (50.0, 60.0):
             add(b.id, "frequency", f"AC bus frequency {b.frequency} not 50 or 60 Hz")
         if b.kind == DC and b.frequency is not None:
@@ -477,9 +520,7 @@ def validate(grid: GridModel) -> ValidationReport:
     for referrer, what in dangling_references(grid):
         add(referrer, "dangling reference", f"{what} not declared")
 
-    def bus_kind(bus_id):
-        return grid.bus(bus_id).kind if bus_id in bus_ids else None
-
+    bus_kind = lambda bus_id: grid.bus(bus_id).kind if bus_id in bus_ids else None
     for g in grid.generators:
         if bus_kind(g.bus) == DC:
             add(g.id, "bus kind", "generator placed on a DC bus")
@@ -487,49 +528,27 @@ def validate(grid: GridModel) -> ValidationReport:
             add(g.id, "frequency",
                 f"frequency {g.frequency} Hz differs from bus {g.bus} "
                 f"at {grid.bus(g.bus).frequency} Hz")
-        for name, val in (("rated_kva", g.rated_kva), ("rated_kw", g.rated_kw),
-                          ("voltage", g.voltage), ("rated_current", g.rated_current)):
-            if val <= 0:
-                add(g.id, "positive", f"{name} must be > 0")
-        if not 0 < g.power_factor <= 1:
-            add(g.id, "power factor", f"pf {g.power_factor} outside (0, 1]")
-        if _rel_dev(g.rated_kw, g.rated_kva * g.power_factor) > 0.01:
-            add(g.id, "kw/kva/pf mismatch",
-                f"rated_kw {g.rated_kw} vs kva*pf {g.rated_kva * g.power_factor:.1f}")
-        if g.voltage:                           # zero is reported above
-            expect_i = g.rated_kva * 1e3 / (math.sqrt(3) * g.voltage)
-            if _rel_dev(g.rated_current, expect_i) > 0.01:
-                add(g.id, "current/kva/voltage mismatch",
-                    f"rated_current {g.rated_current} vs kva/(sqrt3*V) "
-                    f"{expect_i:.1f}")
+        if id(g) in bad:
+            continue
+        kw = g.rated_kva * g.power_factor
+        if abs(g.rated_kw - kw) / kw > 0.01:
+            add(g.id, "kw/kva/pf mismatch", f"rated_kw {g.rated_kw} vs kva*pf {kw:.1f}")
+        expect_i = g.rated_kva * 1e3 / (math.sqrt(3) * g.voltage)
+        if abs(g.rated_current - expect_i) / expect_i > 0.01:
+            add(g.id, "current/kva/voltage mismatch",
+                f"rated_current {g.rated_current} vs kva/(sqrt3*V) {expect_i:.1f}")
         d = g.dynamics
-        if d is not None:
-            if not 0 < d.xd_st < d.xd_t < d.xd:
-                add(g.id, "reactance ordering",
-                    f"need 0 < xd_st < xd_t < xd, got {d.xd_st}, {d.xd_t}, {d.xd}")
-            for name, val in (("td0_t", d.td0_t), ("td0_st", d.td0_st), ("tdc", d.tdc)):
-                if val is not None and val <= 0:
-                    add(g.id, "time constant", f"{name} must be > 0")
-            if d.inertia_h <= 0:
-                add(g.id, "inertia", f"inertia_h_s {d.inertia_h} must be > 0")
-            if d.damping < 0:
-                add(g.id, "damping", f"damping_pu {d.damping} must be >= 0")
+        if d is not None and not 0 < d.xd_st < d.xd_t < d.xd:
+            add(g.id, "reactance ordering",
+                f"need 0 < xd_st < xd_t < xd, got {d.xd_st}, {d.xd_t}, {d.xd}")
 
     for bat in grid.batteries:
         if bus_kind(bat.bus) == AC:
             add(bat.id, "bus kind", "battery placed on an AC bus")
-        for name in ("sc_peak_current", "sc_time_constant"):
-            val = getattr(bat, name)
-            if val is None or val <= 0:   # None: no datasheet value
-                add(bat.id, "positive", f"{name} must be > 0, got {val}")
 
     for c in grid.converters:
         if c.kind not in CONVERTER_KINDS:
             add(c.id, "converter kind", f"unknown kind {c.kind!r}")
-        if c.rated_current <= 0:
-            add(c.id, "positive", "rated_current must be > 0")
-        if c.sc_contribution_factor < 1:
-            add(c.id, "sc factor", "sc_contribution_factor must be >= 1")
         if c.ac_bus in bus_ids and bus_kind(c.ac_bus) != AC:
             add(c.id, "bus kind", "ac_bus must reference an AC bus")
         if (c.kind == "grid_inverter" and c.ac_bus is None
@@ -538,23 +557,6 @@ def validate(grid: GridModel) -> ValidationReport:
         if c.kind == "grid_inverter" and c.p_set_kw != 0:
             add(c.id, "set-point", f"a grid_inverter draws nothing, got "
                 f"p_set_kw = {c.p_set_kw}")
-        if c.dc_link is not None:
-            cap = c.dc_link
-            for name, val in (("capacitance", cap.capacitance),
-                              ("series_resistance", cap.series_resistance),
-                              ("series_inductance", cap.series_inductance),
-                              ("initial_voltage", cap.initial_voltage)):
-                if val <= 0:
-                    add(c.id, "dc link", f"{name} must be > 0")
-
-    for l in grid.loads:
-        if not 0 <= l.motor_fraction <= 1:
-            add(l.id, "motor fraction",
-                f"motor_fraction {l.motor_fraction} outside [0, 1]")
-        if not 0 < l.power_factor <= 1:
-            add(l.id, "power factor", f"pf {l.power_factor} outside (0, 1]")
-        if l.rated_kva <= 0:
-            add(l.id, "positive", "rated_kva must be > 0")
 
     # a breaker joins two buses, or an element to a bus it sits on, and is
     # then the element's only breaker
@@ -578,15 +580,9 @@ def validate(grid: GridModel) -> ValidationReport:
             t = bk.tcc
             if t.long_time.kind not in LONG_TIME_KINDS:
                 add(bk.id, "long-time kind", f"unknown kind {t.long_time.kind!r}")
-            if t.short_time.pickup <= t.long_time.pickup:
+            if id(bk) not in bad and t.short_time.pickup <= t.long_time.pickup:
                 add(bk.id, "pickup ordering",
                     "short-time pickup must exceed long-time pickup")
-            if t.short_time.delay <= 0 or t.long_time.delay <= 0:
-                add(bk.id, "delay", "element delays must be > 0")
-
-    for f in grid.fuses:
-        if f.i2t_total_clearing <= 0:
-            add(f.id, "i2t", "i2t_total_clearing must be > 0")
 
     for isl in grid.islands(AC):
         try:

@@ -251,6 +251,7 @@ def solve_ac_powerflow(
     The `dispatch` and `slack` ids must name generators, the slack an
     online one, and the `load_scale` ids loads.  No value lies outside its
     `DOMAINS` interval: a generator does not motor, a load does not generate.
+    An integral float `max_iter` runs as its int.
     """
     for gen_id in dispatch or {}:
         grid.generator(gen_id)
@@ -262,6 +263,8 @@ def solve_ac_powerflow(
         grid.load(load_id)
     check_domains(DOMAINS, tol=tol, max_iter=max_iter, dispatch=dispatch,
                   load_scale=load_scale)
+    if max_iter != int(max_iter):
+        raise InputError(f"need an integral max_iter, got max_iter = {max_iter}")
     dispatch = dict(dispatch or {})
     load_scale = dict(load_scale or {})
     converter_draws = dict(converter_draws or {})
@@ -322,7 +325,7 @@ def solve_ac_powerflow(
 
         pv_nodes = {net.node_of[g.bus] for g in others} - {slack_node}
         vc, iters, mism = _newton_raphson(
-            net.ybus, s_spec, slack_node, pv_nodes, tol, max_iter)
+            net.ybus, s_spec, slack_node, pv_nodes, tol, int(max_iter))
         total_iter = max(total_iter, iters)
         worst = max(worst, mism)
 

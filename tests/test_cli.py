@@ -819,7 +819,8 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
                    "[branch FDR_LV_PS]"),
      "", "[fuse F] unknown key(s): rated_current_a"),
     ("powerflow", ("motor_fraction = 0.80", "motor_fraction = 1.20"), "",
-     "CRANE_PS: motor fraction: motor_fraction 1.2 outside [0, 1]"),
+     "error: CRANE_PS: domain: need motor_fraction in [0, 1], got "
+     "motor_fraction = 1.2"),
     # a 50 Hz machine on a 60 Hz bus used to run at 60 Hz
     ("powerflow", ("damping_pu = 2.00\nfrequency_hz = 60.00",
                    "damping_pu = 2.00\nfrequency_hz = 50.00"), "",
@@ -912,9 +913,11 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
     ("sc-ac --bus AC_PS", NO_DG01_DYNAMICS, "", "DG#01: no dynamics block"),
     # a machine that feeds its own swing, or has no rotor, used to validate
     ("tdsim", ("damping_pu = 2.00", "damping_pu = -5.00"), TDSIM_HEAD,
-     "damping: damping_pu -5.0 must be >= 0"),
+     "error: DG#01: domain: need dynamics.damping in [0, inf), got "
+     "dynamics.damping = -5.0"),
     ("cct", ("inertia_h_s = 1.20", "inertia_h_s = 0.00"), SHORT_CCT,
-     "inertia: inertia_h_s 0.0 must be > 0"),
+     "error: DG#01: domain: need dynamics.inertia_h in (0, inf), got "
+     "dynamics.inertia_h = 0.0"),
     # such an id parsed, but no key could name it
     ("powerflow", ("[bus AC_PS]", "[bus Inf]"), "", "non-finite number 'Inf' as id"),
     # a cable away from the machine's bus used to be faulted, its location
@@ -1038,6 +1041,25 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
                    "kind = grid_inverter\np_set_kw = 50"), "",
      "error: INV_PS: set-point: a grid_inverter draws nothing, got "
      "p_set_kw = 50.0"),
+    # grid values that validated and then crashed an engine with a
+    # ZeroDivisionError traceback
+    ("sc-ac --bus AC_PS", ("xr_ratio = 10.00", "xr_ratio = 0"), "",
+     "error: CRANE_PS: domain: need xr_ratio in (0, inf), got xr_ratio = 0.0"),
+    ("sc-ac --bus AC_PS", ("tdc_s = 0.15\nvoltage_v = 690.00\n"
+                           "winding_resistance_mohm = 1.02",
+                           "voltage_v = 690.00\nwinding_resistance_mohm = 0"), "",
+     "error: DG#01: domain: need winding_resistance_mohm in (0, inf), got "
+     "winding_resistance_mohm = 0.0"),
+    ("powerflow", ("from = AC_PS\nreactance_ohm = 0.03\nresistance_ohm = 0.005",
+                   "from = AC_PS\nreactance_ohm = 0\nresistance_ohm = 0"), "",
+     "error: FDR_LV_PS: domain: need reactance_ohm in (0, inf), got "
+     "reactance_ohm = 0.0"),
+    # and a negative ZSI delay tripped every locked backup before the
+    # intended breakers
+    ("protect", ("zsi_delay_s = 0.10", "zsi_delay_s = -0.2"),
+     PROTECT_STUDY.format(zsi="true"),
+     "error: CB_DG01: domain: need tcc.zsi_extended_delay in [0, inf), got "
+     "tcc.zsi_extended_delay = -0.2"),
 ])
 def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
                                         study_text, message):

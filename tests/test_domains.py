@@ -2,19 +2,29 @@
 `powerflow.DOMAINS`, `protection.DOMAINS`) is enforced by the public
 constructor or function that owns it: a value just outside a finite end,
 nan, inf and -inf each raise an `InputError` naming the key, and the
-value at a closed end passes the key's check."""
+value at a closed end passes the key's check.  Every entry of the grid's
+table, `grid.DOMAINS`, is enforced the same way by `validate`, as one
+`domain` violation naming the field."""
 
+import dataclasses
+import importlib
 import math
+import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import vesselstudy
 from vesselstudy import powerflow, protection, tdsim
 from vesselstudy.fixtures import builtin_fixture
-from vesselstudy.grid import (InputError, LongTimeElement, NumericalError,
-                              ShortTimeElement, TccCurve)
+from vesselstudy.grid import (DOMAINS, CapacitorBranch, InputError,
+                              LongTimeElement, NumericalError,
+                              ShortTimeElement, TccCurve, Violation, validate)
 from vesselstudy.protection import TripEvent
 from vesselstudy.sc_dc import DcScTrace
+
+from helpers import smib_grid
 
 AC = builtin_fixture("ac_vessel")
 ENGINES = (tdsim, powerflow, protection)
@@ -59,9 +69,8 @@ OWNERS = {
     ("tdsim", "tol_s"): [lambda v: _cct(tol=v)],
     ("tdsim", "window_s"): [lambda v: _cct(window=v)],
     ("powerflow", "tol"): [lambda v: powerflow.solve_ac_powerflow(AC, tol=v)],
-    # an integral max_iter as the int that the CLI's `integer` converter makes
-    ("powerflow", "max_iter"): [lambda v: powerflow.solve_ac_powerflow(
-        AC, max_iter=int(v) if v.is_integer() else v)],
+    ("powerflow", "max_iter"): [
+        lambda v: powerflow.solve_ac_powerflow(AC, max_iter=v)],
     ("powerflow", "dispatch"): [
         lambda v: powerflow.solve_ac_powerflow(AC, dispatch={"DG#01": v})],
     ("powerflow", "load_scale"): [
@@ -129,3 +138,114 @@ def test_a_closed_end_is_accepted(engine, key, domain, k, value):
         assert f"need {key} in" not in str(exc)
     except NumericalError:
         pass   # tol = 0 or max_iter = 0 may leave the power flow unconverged
+
+
+# ---- grid values: grid.DOMAINS through validate ----------------------------
+
+ROOT = Path(__file__).resolve().parents[1]
+DC = builtin_fixture("dc_vessel")
+# no fixture converter has a DC link: the DC vessel's first gets the Fig. 6 one
+DC_LINKED = dataclasses.replace(DC, converters=(dataclasses.replace(
+    DC.converters[0], dc_link=CapacitorBranch(2400e-6, 54.7e-3, 5.5e-6, 650.0)),
+    *DC.converters[1:]))
+GROUPS = ("buses", "generators", "batteries", "converters", "loads",
+          "branches", "breakers", "fuses")
+
+
+def _sites() -> dict:
+    """(spec class, number field) of every spec of the two fixtures, itself
+    or nested -> (grid, group, index, path to the nested spec, default) at
+    its first spec."""
+    sites = {}
+
+    def visit(spec, site):
+        for f in dataclasses.fields(spec):
+            value = getattr(spec, f.name)
+            if dataclasses.is_dataclass(value):
+                visit(value, (*site[:3], (*site[3], f.name)))
+            elif "float" in f.type:
+                sites.setdefault((type(spec), f.name), (*site, f.default))
+
+    for grid in (AC, DC_LINKED):
+        for group in GROUPS:
+            for k, spec in enumerate(getattr(grid, group)):
+                visit(spec, (grid, group, k, ()))
+    return sites
+
+
+SITES = _sites()
+
+
+def _set(spec, path, field, value):
+    if path:
+        return dataclasses.replace(spec, **{path[0]: _set(
+            getattr(spec, path[0]), path[1:], field, value)})
+    return dataclasses.replace(spec, **{field: value})
+
+
+def _validate_with(cls, field: str, value):
+    """validate on the fixture site of `cls.field` set to `value`: the
+    spec's id, the dotted field and the violations."""
+    grid, group, k, path, _ = SITES[(cls, field)]
+    specs = list(getattr(grid, group))
+    specs[k] = _set(specs[k], path, field, value)
+    report = validate(dataclasses.replace(grid, **{group: tuple(specs)}))
+    return specs[k].id, ".".join((*path, field)), list(report)
+
+
+def _grid_cases(pick: int):
+    return [pytest.param(cls, field, domain, value,
+                         id=f"{cls.__name__}.{field}-{value!r}")
+            for cls, table in DOMAINS.items()
+            for field, domain in table.items()
+            for value in _values(domain)[pick]]
+
+
+def test_every_grid_entry_names_a_number_field_of_a_fixture():
+    assert {(cls, f) for cls, table in DOMAINS.items() for f in table} <= set(SITES)
+
+
+@pytest.mark.parametrize("cls, field, domain, value", _grid_cases(0))
+def test_a_grid_value_outside_the_domain_is_one_violation(cls, field, domain,
+                                                          value):
+    spec_id, name, found = _validate_with(cls, field, value)
+    assert found == [Violation(spec_id, "domain",
+                               f"need {name} in {domain}, got {name} = {value}")]
+
+
+@pytest.mark.parametrize("cls, field, domain, value", _grid_cases(1))
+def test_a_grid_value_at_a_closed_end_is_accepted(cls, field, domain, value):
+    assert [v for v in _validate_with(cls, field, value)[2]
+            if v.rule == "domain"] == []
+
+
+@pytest.mark.parametrize("cls, field", sorted(SITES, key=lambda s: (
+    s[0].__name__, s[1])), ids=lambda x: getattr(x, "__name__", x))
+def test_every_number_field_is_checked_and_none_only_where_it_may_be(cls,
+                                                                      field):
+    """Each number field, with or without a domain, must be finite; None is
+    one violation in a field whose default is not None and passes where it
+    is; and None, nan, +-inf, 0 and -1 never make validate raise."""
+    domain = DOMAINS.get(cls, {}).get(field, "(-inf, inf)")
+    for value in (None, math.nan, math.inf, -math.inf, 0.0, -1.0):
+        spec_id, name, found = _validate_with(cls, field, value)
+        refused = [v for v in found if v.rule == "domain"]
+        if value is None and SITES[(cls, field)][4] is None:
+            assert refused == []
+        elif value is None or not math.isfinite(value):
+            assert refused == [Violation(
+                spec_id, "domain", f"need {name} in {domain}, got {name} = {value}")]
+
+
+@pytest.mark.parametrize("grid", ["ac_vessel", "dc_vessel", "smib_grid",
+                                  "ac_vessel_s9"])
+def test_every_grid_value_lies_in_its_domain(grid, monkeypatch):
+    if grid == "smib_grid":
+        model = smib_grid()
+    elif grid == "ac_vessel_s9":
+        monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+        model = importlib.import_module("workloads").sectioned_ac_vessel(
+            vesselstudy, 9, random.Random(1))
+    else:
+        model = builtin_fixture(grid)
+    assert validate(model).ok()

@@ -127,7 +127,7 @@ RUN_LENGTH = ("end_s", "window_s", "t_hi_s", "max_iter", "time_s")
 def _mutate(text: str, k: int, op: str) -> str:
     """`text` with line k (counted among its mutable lines) changed by
     `op`: its key dropped or misspelled, its value made non-numeric,
-    negative or out of range.  In a trace, a row's k % 2 cell changes."""
+    negative, zero or out of range.  In a trace, a row's k % 2 cell changes."""
     lines = text.splitlines()
     rows = [j for j, line in enumerate(lines)
             if "=" in line or "," in line]
@@ -141,7 +141,7 @@ def _mutate(text: str, k: int, op: str) -> str:
         op = "negative"
     new = {"non-numeric": "abc",
            "negative": value[1:] if value.startswith("-") else "-" + value,
-           "out of range": "1e12"}.get(op)
+           "zero": "0", "out of range": "1e12"}.get(op)
     if op == "drop":
         del lines[j]
     elif op == "misspell":
@@ -183,10 +183,10 @@ def test_every_base_run_succeeds(tmp_path, base):
        st.sampled_from(("grid", "study")),
        st.integers(0, 10_000),
        st.sampled_from(("drop", "misspell", "non-numeric", "negative",
-                        "out of range")))
+                        "zero", "out of range")))
 def test_one_key_defects_exit_with_one_error_line(base, which, k, op):
     """A valid run with one key of its grid, study or trace file dropped,
-    misspelled, non-numeric, negative or out of range exits 0, 2 or 3,
+    misspelled, non-numeric, negative, zero or out of range exits 0, 2 or 3,
     with `error:` lines only on failure (one, or one per violation of an
     invalid grid) and no traceback."""
     def edit(files):

@@ -642,9 +642,10 @@ def test_validate_reports_non_finite_fields():
     bad = replace(grid, loads=(load,) + grid.loads[1:],
                   generators=(gen,) + grid.generators[1:])
     found = {(v.element_id, v.message) for v in validate(bad)
-             if v.rule == "non-finite"}
-    assert found == {(load.id, "rated_kva = nan is not finite"),
-                     (gen.id, "dynamics.xd = inf is not finite")}
+             if v.rule == "domain"}
+    assert found == {
+        (load.id, "need rated_kva in (0, inf), got rated_kva = nan"),
+        (gen.id, "need dynamics.xd in (-inf, inf), got dynamics.xd = inf")}
 
 
 # ---- indexed lookups ------------------------------------------------------

@@ -101,12 +101,21 @@ def test_dispatch_override(ac_vessel):
     ({"slack": "NOPE3"}, "unknown generator 'NOPE3'"),
     ({"tol": -1e-8}, r"need tol in \[0, inf\), got tol = -1e-08"),
     ({"tol": math.nan}, r"need tol in \[0, inf\), got tol = nan"),
+    # a float max_iter used to raise TypeError from range()
+    ({"max_iter": 2.5}, "need an integral max_iter, got max_iter = 2.5"),
 ])
 def test_refuses_bad_study_values(ac_vessel, kwargs, message):
     """Each id the solve is given must name an element of its kind, and
     the tolerance must be >= 0: the library refuses what the CLI does."""
     with pytest.raises(InputError, match=message):
         solve_ac_powerflow(ac_vessel, **kwargs)
+
+
+def test_an_integral_float_max_iter_runs_as_its_int(ac_vessel):
+    assert (solve_ac_powerflow(ac_vessel, max_iter=4.0)
+            == solve_ac_powerflow(ac_vessel, max_iter=4))
+    with pytest.raises(ConvergenceError, match="after 1 iterations"):
+        solve_ac_powerflow(ac_vessel, max_iter=1.0)
 
 
 def test_refuses_an_offline_slack(ac_vessel):

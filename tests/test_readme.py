@@ -1,12 +1,12 @@
 """README's tables of the sections each study kind reads, of the keys
 each event action and controller mode reads, and of the domain of every
-study value, match the tables the code keeps, so the docs cannot drift
-from them."""
+study value and grid value, match the tables the code keeps, so the docs
+cannot drift from them."""
 
 import re
 from pathlib import Path
 
-from vesselstudy import cli, powerflow, protection, tdsim
+from vesselstudy import cli, grid, gridfile, powerflow, protection, tdsim
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
 
@@ -67,3 +67,30 @@ def test_domain_table_matches_the_engines_tables():
     assert documented == {(m.__name__.rsplit(".", 1)[1], key): domain
                           for m in (tdsim, powerflow, protection)
                           for key, domain in m.DOMAINS.items()}
+
+
+def _grid_keys(kind: str, table) -> dict:
+    """(class name, field) -> "[kind] key" over a section table and the
+    tables nested in it."""
+    keys = {(table.cls.__name__, k.field): f"[{kind}] {k.name}"
+            for k in table.keys}
+    for group in table.groups.values():
+        keys.update(_grid_keys(kind, group))
+    return keys
+
+
+def test_grid_domain_table_matches_grid_domains():
+    """Each row names a `Class.field`, the grid-file key that sets it and
+    the field's `grid.DOMAINS` interval."""
+    keys = {}
+    for kind, (_, table) in gridfile._SECTIONS.items():
+        keys.update(_grid_keys(kind, table))
+    documented = {}
+    for field, key, domain in _rows("| field | grid-file key | domain |"):
+        (field,), (key,), (domain,) = _quoted(field), _quoted(key), _quoted(domain)
+        cls, name = field.split(".")
+        assert keys[(cls, name)] == key, field
+        documented[(cls, name)] = domain
+    assert documented == {(cls.__name__, name): domain
+                          for cls, table in grid.DOMAINS.items()
+                          for name, domain in table.items()}
