@@ -501,12 +501,17 @@ def validate(grid: GridModel) -> ValidationReport:
     for group in (grid.buses, grid.generators, grid.batteries, grid.converters,
                   grid.loads, grid.branches, grid.breakers, grid.fuses):
         for spec in group:
+            if not isinstance(spec.id, str):
+                add(spec.id, "id", f"id {spec.id!r} is not text")
             if spec.id in seen:
                 add(spec.id, "duplicate id", "id declared twice")
             seen.add(spec.id)
             for message in _outside(spec):
                 add(spec.id, "domain", message)
                 bad.add(id(spec))
+    # the topology rules below sort and compare ids as text
+    if any(x.rule == "id" for x in v):
+        return ValidationReport(tuple(v))
 
     bus_ids = grid.bus_ids()
     for b in grid.buses:

@@ -8,7 +8,11 @@ constant-PQ inverter injections, by a fixed-point iteration on the
 inverted network matrix.  That matrix (branches, machine shunts and any
 bolted fault) changes only at a topology change, a fault application or a
 fault clearing, so it is assembled and inverted once per such epoch and
-reused by every stage in between (the alternating-solution scheme).  An
+reused by every stage in between (the alternating-solution scheme).  Each
+island also keeps its demand matrix, built from its load factors and
+inverter set-points, for as long as both hold: a load step clears the
+factors, which are then read afresh at every stage until the last ramp
+has ended, and a changed factor or set-point rebuilds the matrix.  An
 island without demands (no load, converter draw or controller inverter)
 is linear: its voltages are v = Z i_src directly, with no iteration.
 Scripted events (load ramps, breaker switching, faults) are applied at
@@ -54,7 +58,8 @@ from .powerflow import (S_BASE_KVA, AcNetwork, branch_z_pu, build_ac_networks,
 
 V_FLOOR = 0.3       # below this voltage, constant-power loads turn constant-Z
 FAULT_G = 1e6       # pu fault conductance for a bolted fault
-GOV_DROOP = 0.05    # pu speed / pu power
+GOV_DROOP = 0.05    # pu speed / pu power, power on the S_BASE_KVA system
+                    # base for every machine, not on its own rating
 GOV_T = 0.5         # s, governor time constant
 AVR_GAIN = 20.0     # pu EMF / pu voltage error
 AVR_T = 0.5         # s, voltage-regulator time constant
@@ -170,6 +175,12 @@ class EventSchedule:
 
 @dataclass(frozen=True)
 class SimConfig:
+    """Integration step and run length, s, and whether every machine runs
+    its droop governor and its voltage regulator.  The governor droop
+    GOV_DROOP is on the S_BASE_KVA (1000 kVA) system base, so after a
+    load step every machine takes the same -dw * S_BASE_KVA / GOV_DROOP
+    kW, whatever its rating."""
+
     step: float = 0.005
     end: float = 10.0
     governor: bool = True          # every machine's droop governor
@@ -293,6 +304,7 @@ class _Machines:
     two_h: np.ndarray        # 2H, s (system base)
     damping: np.ndarray      # pu (system base)
     omega_s: np.ndarray      # rad/s
+    f_s: np.ndarray          # omega_s / 2 pi, Hz
     pm_ref: np.ndarray
     e_ref: np.ndarray
     v_ref: np.ndarray
@@ -303,8 +315,11 @@ class _Island:
     """One energised AC island of the current topology.
 
     `_build` sets the topology part; `_factor` sets the fault-epoch part
-    (`z`, `src`, `inc`), and every solve updates the warm start `v` and
-    the demand scale factors `lf` it used.
+    (`z`, `src`, `inc`) and clears the demand matrix `m`.  Every solve
+    updates the warm start `v`; it reads the demand scale factors `lf`
+    afresh after `_apply_event` clears them and while a ramp may move
+    them, and builds `m` afresh when `key`, the factors and inverter
+    set-points it was built from, changes.
     """
 
     net: AcNetwork
@@ -318,6 +333,9 @@ class _Island:
     inv_node: np.ndarray
     v: np.ndarray
     lf: np.ndarray = None
+    lf_t: float = None       # the time `lf` was read at
+    m: np.ndarray = None     # Z diag(conj(demand)), see `_solve`
+    key: tuple = None        # (lf bytes, inverter set-points) of `m`
     z: np.ndarray = None     # inverse of Y with shunts and fault, splice node last
     src: np.ndarray = None   # z times the machine source admittances
     inc: np.ndarray = None   # node incidence of the demands, then the inverters
@@ -349,6 +367,7 @@ class _Engine:
         self.cfg = cfg
         self.base_scale = dict(steady.get("load_scale") or {})
         self.ramps: dict[str, tuple[float, float, float, float]] = {}
+        self.ramp_end = -math.inf           # no load factor moves from then on
         self.fault: Event | None = None     # the fault_apply in force
         self.trunk: list[_Snapshot] | None = None   # a CCT search's, see run
         self.controllers: dict[str, ControllerState] = {}   # by inverter
@@ -450,11 +469,13 @@ class _Engine:
             refs.append((float(s.real), float(abs(e)), float(abs(vb))))
 
         pm_ref, e_ref, v_ref = np.array(refs, dtype=float).reshape(-1, 3).T.copy()
+        omega = np.array(omega)
         self.m = _Machines(
             ids=ids, row={mid: r for r, mid in enumerate(ids)},
             jxdp=1j * np.array(xdp), two_h=np.array(two_h),
-            damping=np.array(damping), omega_s=np.array(omega),
-            pm_ref=pm_ref, e_ref=e_ref, v_ref=v_ref)
+            damping=np.array(damping), omega_s=omega,
+            f_s=omega / (2 * math.pi), pm_ref=pm_ref, e_ref=e_ref,
+            v_ref=v_ref)
         self.x = np.array(states, dtype=float).reshape(-1, 4)
         self.islands = islands
         self._factor()
@@ -528,6 +549,7 @@ class _Engine:
             isl.inc[isl.cons_node, np.arange(n_cons)] = 1.0
             isl.inc[isl.inv_node, n_cons + np.arange(len(isl.inv_ids))] = 1.0
             isl.v = np.concatenate((isl.v[:n], np.ones(size - n)))
+            isl.m = isl.key = None
 
     def _index_channels(self) -> None:
         """Recording rows of the current machines, buses and demands; ones
@@ -567,38 +589,49 @@ class _Engine:
         last voltages.  A linear island has no M: its voltages are w,
         with no iteration and no warm start.  Returns the machines'
         electrical power, reactive power and terminal voltage.
+
+        Z and the source matrix come from `_factor`, once per epoch.  The
+        load factors are read afresh only after a load step and until the
+        last ramp has ended; M is built afresh only when those factors or
+        an inverter set-point differ from the ones it was built from.
         """
         e = x[:, 2] * np.exp(1j * x[:, 0])
         if not np.isfinite(e).all():
             raise NetworkSolveError("network solve produced non-finite V")
         vb = np.empty(len(x), dtype=complex)
+        # a 0-d array, not a float: no scalar conversion at every sweep
+        peak, floor = np.maximum.reduce, np.array(V_FLOOR ** 2)
         for isl in self.islands:
-            if isl.linear:
-                v = isl.src @ e
-                isl.lf, isl.v = np.ones(0), v
-                vb[isl.mach] = v[isl.mach_node]
-                continue
-            lf = np.ones(len(isl.cons_ids))
-            for j, lid in enumerate(isl.load_ids):
-                lf[j] = self._load_factor(lid, t)
-            isl.lf = lf
-            inj = -isl.cons_s * lf
-            if isl.inv_ids:
-                inj = np.concatenate((inj, [
-                    complex(*self.controllers[c].setpoint) / S_BASE_KVA
-                    for c in isl.inv_ids]))
-            m = isl.z * np.conj(isl.inc @ inj)
+            if isl.lf is None or isl.lf_t < self.ramp_end:
+                lf = np.ones(len(isl.cons_ids))
+                for j, lid in enumerate(isl.load_ids):
+                    lf[j] = self._load_factor(lid, t)
+                isl.lf, isl.lf_t = lf, t
             w = isl.src @ e
-            v = isl.v
-            v[len(isl.net.nodes):] = 1.0    # the splice node starts afresh
+            if isl.linear:
+                isl.v = w
+                vb[isl.mach] = w[isl.mach_node]
+                continue
+            key = (isl.lf.tobytes(), tuple(self.controllers[c].setpoint
+                                           for c in isl.inv_ids))
+            if key != isl.key:
+                inj = -isl.cons_s * isl.lf
+                if isl.inv_ids:
+                    inj = np.concatenate((inj, [complex(*sp) / S_BASE_KVA
+                                                for sp in key[1]]))
+                isl.m, isl.key = isl.z * np.conj(isl.inc @ inj), key
+            m, v, n = isl.m, isl.v, len(isl.net.nodes)
+            if len(v) > n:
+                v[n:] = 1.0     # the splice node starts afresh
             for _ in range(400):
-                v_new = w + m @ (v / np.maximum(np.abs(v) ** 2, V_FLOOR ** 2))
-                err = float(np.abs(v_new - v).max())
-                if not math.isfinite(err):
-                    raise NetworkSolveError("network solve produced non-finite V")
+                a = np.abs(v)
+                v_new = w + m.dot(v / np.maximum(a * a, floor))
+                err = peak(np.abs(v_new - v))
                 v = v_new
                 if err <= 1e-10:
                     break
+                if not math.isfinite(err):
+                    raise NetworkSolveError("network solve produced non-finite V")
             else:
                 raise NetworkSolveError(
                     f"network fixed point not converged at t={t:.4f} s")
@@ -625,10 +658,10 @@ class _Engine:
         return dx
 
     def _step(self, x: np.ndarray, t: float, dt: float) -> np.ndarray:
-        f = self._derivatives
+        f, h = self._derivatives, dt / 2.0
         k1 = f(x, t)
-        k2 = f(x + dt / 2.0 * k1, t + dt / 2.0)
-        k3 = f(x + dt / 2.0 * k2, t + dt / 2.0)
+        k2 = f(x + h * k1, t + h)
+        k3 = f(x + h * k2, t + h)
         k4 = f(x + dt * k3, t + dt)
         out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(out).all():
@@ -645,6 +678,9 @@ class _Engine:
         if ev.action == "load_step":
             current = self._load_factor(ev.target, t)
             self.ramps[ev.target] = (t, current, float(ev.scale), ev.ramp)
+            self.ramp_end = max(self.ramp_end, t + ev.ramp)
+            for isl in self.islands:
+                isl.lf = None
         elif ev.action in ("breaker_open", "breaker_close"):
             self.grid = grid = self.grid.with_breaker_states(
                 {ev.target: ev.action == "breaker_close"})
@@ -864,7 +900,7 @@ class _Engine:
             x, m = self.x, self.m
             rec[self.mach_rows, k] = (pe * S_BASE_KVA, qe * S_BASE_KVA,
                                       x[:, 3] * S_BASE_KVA, x[:, 0],
-                                      m.omega_s / (2 * math.pi) * (1 + x[:, 1]))
+                                      m.f_s * (1 + x[:, 1]))
             rec[inv_rows, k] = [v for c in self.inv_ids
                                 for v in self.controllers[c].setpoint]
             p_loss = 0.0

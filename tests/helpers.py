@@ -184,8 +184,10 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
 
 
 def reference_solve(engine, x: np.ndarray, t: float):
-    """`_Engine._solve` before linear islands were solved in closed form:
-    every island, with or without demands, takes the fixed point."""
+    """`_Engine._solve` as it was before linear islands were solved in
+    closed form and before islands kept their demand matrix: every
+    solve reads the load factors, assembles M and takes the fixed point
+    on every island, with or without demands."""
     e = x[:, 2] * np.exp(1j * x[:, 0])
     vb = np.empty(len(x), dtype=complex)
     for isl in engine.islands:

@@ -211,6 +211,15 @@ class TestValidate:
                 if v.rule == "breaker ends"] == found
         assert validate(grid).ok() == (not found)
 
+    @pytest.mark.parametrize("bus_id", [0, None])
+    def test_an_id_that_is_not_text_is_a_violation(self, ac_vessel, bus_id):
+        # validate used to raise TypeError sorting the islands by least id
+        first = ac_vessel.buses[0]
+        grid = dataclasses.replace(ac_vessel, buses=(
+            dataclasses.replace(first, id=bus_id), *ac_vessel.buses[1:]))
+        assert [(v.element_id, v.rule, v.message) for v in validate(grid)] == [
+            (bus_id, "id", f"id {bus_id!r} is not text")]
+
     def test_dc_bus_frequency_and_grid_inverter_set_point_are_refused(
             self, dc_vessel):
         # no engine read either: the artifacts were the same without them

@@ -450,6 +450,23 @@ def test_governor_switch(governor):
         assert np.all(pm == pm[0])
 
 
+def test_governor_droop_is_on_the_system_base(ac_vessel):
+    """Settled after a load step, every genset, whatever its rating, takes
+    the same -dw * S_BASE_KVA / GOV_DROOP: the droop is on the 1000 kVA
+    system base, not on each machine's rating."""
+    sched = EventSchedule((Event(0.1, "load_step", "LOAD440_PS", scale=1.3),))
+    ts = simulate(ac_vessel, sched, (), SimConfig(step=0.02, end=30.0))
+    gens = [g.id for g in ac_vessel.generators]
+    assert len({g.rated_kva for g in ac_vessel.generators}) > 1
+    for gen in gens:
+        pm, f = ts[f"{gen}.pm_kw"], ts[f"{gen}.freq_hz"]
+        dw = f[-1] / f[0] - 1.0
+        assert pm[-1] - pm[0] == pytest.approx(
+            -dw * S_BASE_KVA / tdsim.GOV_DROOP, rel=1e-6)
+        assert pm[-1] - pm[0] == pytest.approx(53.5, abs=0.05)
+        assert f[-1] - f[0] == pytest.approx(-0.1605, abs=5e-4)
+
+
 def test_stopped_probe_is_prefix_of_full_run():
     """A probe stopped at its unstable verdict is a prefix of the full
     run, whose spread reaches pi after the stop."""
