@@ -20,8 +20,8 @@ from .grid import (
     ConverterSpec,
     GeneratorDynamicParams,
     GeneratorSpec,
-    GridLookupError,
     GridModel,
+    InputError,
     LoadSpec,
     LongTimeElement,
     FuseSpec,
@@ -45,7 +45,7 @@ def builtin_fixture(name: str) -> GridModel:
         return _ac_vessel()
     if name == "dc_vessel":
         return _dc_vessel()
-    raise GridLookupError(f"unknown fixture {name!r} (have {FIXTURE_NAMES})")
+    raise InputError(f"unknown fixture {name!r} (have {FIXTURE_NAMES})")
 
 
 def _tcc(rated_a: float, st_mult: float) -> TccCurve:

@@ -34,14 +34,6 @@ class NumericalError(GridError):
     """A valid input on which an engine's numerical method failed."""
 
 
-class GridLookupError(InputError):
-    """Unknown element, bus or fixture name."""
-
-
-class MissingDynamicsError(InputError):
-    """A study needs a generator's dynamics block and the grid has none."""
-
-
 @dataclass(frozen=True)
 class Bus:
     id: str
@@ -264,7 +256,7 @@ class GridModel:
         try:
             return self._index[kind][item_id]
         except KeyError:
-            raise GridLookupError(f"unknown {kind} {item_id!r}") from None
+            raise InputError(f"unknown {kind} {item_id!r}") from None
 
     def bus(self, bus_id: str) -> Bus:
         return self._lookup("bus", bus_id)
@@ -349,7 +341,7 @@ class GridModel:
         """Functional update: a copy with the given breakers set open/closed."""
         unknown = set(states) - self._index["breaker"].keys()
         if unknown:
-            raise GridLookupError(f"unknown breakers {sorted(unknown)}")
+            raise InputError(f"unknown breakers {sorted(unknown)}")
         new = tuple(
             b if states.get(b.id, b.closed) == b.closed
             else replace(b, closed=states[b.id]) for b in self.breakers

@@ -31,22 +31,6 @@ DOMAINS = {"tol": "[0, inf)", "max_iter": "[0, inf)",
            "dispatch": "[0, inf)", "load_scale": "[0, inf)"}
 
 
-class PowerflowError(NumericalError):
-    """Base class for steady-state solve failures."""
-
-
-class ConvergenceError(PowerflowError):
-    pass
-
-
-class IslandError(PowerflowError):
-    """AC island without a usable slack source."""
-
-
-class CapacityError(PowerflowError):
-    """DC island load exceeds what the online sources can supply."""
-
-
 @dataclass(frozen=True)
 class OperatingPoint:
     """Pre-fault machine terminal state for the decrement formulas."""
@@ -124,8 +108,15 @@ class AcNetwork:
 
 def branch_z_pu(br: CableBranch, vbase: float) -> complex:
     """Series impedance of a cable, per unit on the system base at `vbase`."""
-    zb = vbase ** 2 / (S_BASE_KVA * 1e3)
-    return complex(br.resistance_ohm / zb, br.reactance_ohm / zb)
+    try:
+        zb = vbase ** 2 / (S_BASE_KVA * 1e3)
+        z = complex(br.resistance_ohm / zb, br.reactance_ohm / zb)
+    except (OverflowError, ZeroDivisionError):
+        z = 0j
+    if not z:   # an admittance 1 / z
+        raise NumericalError(f"{br.id}: base voltage {vbase!r} V puts its "
+                             "per-unit impedance out of float range")
+    return z
 
 
 def build_ac_networks(grid: GridModel) -> list[AcNetwork]:
@@ -211,7 +202,7 @@ def _newton_raphson(ybus, s_spec, slack, pv, tol, max_iter):
         if mism <= tol:
             return vc, it, mism
         if it == max_iter:
-            raise ConvergenceError(
+            raise NumericalError(
                 f"power flow not converged after {max_iter} iterations "
                 f"(mismatch {mism:.3e} pu)")
 
@@ -219,13 +210,13 @@ def _newton_raphson(ybus, s_spec, slack, pv, tol, max_iter):
         try:
             dx = np.linalg.solve(jac, mismatch)
         except np.linalg.LinAlgError as exc:
-            raise ConvergenceError(f"singular Jacobian: {exc}") from None
+            raise NumericalError(f"singular Jacobian: {exc}") from None
         if not np.all(np.isfinite(dx)):
-            raise ConvergenceError("diverged: non-finite Newton step")
+            raise NumericalError("diverged: non-finite Newton step")
         theta[nonslack] += dx[:nns]
         v[pq] += dx[nns:]
         if np.any(v <= 0) or np.any(v > 10):
-            raise ConvergenceError("diverged: voltage left (0, 10] pu")
+            raise NumericalError("diverged: voltage left (0, 10] pu")
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +287,7 @@ def solve_ac_powerflow(
                     angle[bus_id] = 0.0
             continue
         else:
-            raise IslandError(
+            raise NumericalError(
                 f"AC island {sorted(min(net.nodes, key=lambda s: sorted(s)[0]))} "
                 "has no online generator or grid inverter to act as slack")
         slack_elements.append(slack_element)
@@ -431,7 +422,7 @@ def solve_dc_balance(grid: GridModel) -> DcBalanceSolution:
             continue
         total_cap = sum(cap for _, _, cap in chargers)
         if demand > total_cap:
-            raise CapacityError(
+            raise NumericalError(
                 f"DC island {sorted(island)}: load {demand:.1f} kW exceeds "
                 f"online source capability {total_cap:.1f} kW")
         for c, gen, cap in chargers:
@@ -454,8 +445,8 @@ def solve_dc_balance(grid: GridModel) -> DcBalanceSolution:
 def prefault_operating_point(grid: GridModel, sol: PowerflowSolution,
                              machine_id: str) -> OperatingPoint:
     """Terminal voltage, current and power-factor angle of generator
-    `machine_id` of `grid` in `sol`: an unknown id is a `GridLookupError`,
-    one offline in the solution an `InputError`."""
+    `machine_id` of `grid` in `sol`: an unknown id, or one offline in the
+    solution, is an `InputError`."""
     bus = grid.generator(machine_id).bus
     if machine_id not in sol.injections_kw:
         raise InputError(f"machine {machine_id!r} is offline in the solution")

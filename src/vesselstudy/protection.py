@@ -28,18 +28,6 @@ DOMAINS = {"cct_budget_s": "(0, inf)", "fuse_i2t": "(0, inf)",
            "current": "[0, inf)"}
 
 
-class ProtectionError(InputError):
-    pass
-
-
-class NoDetectionError(ProtectionError):
-    pass
-
-
-class TraceTooShortError(ProtectionError):
-    """Let-through still rising at the end of the trace, below the rating."""
-
-
 @dataclass(frozen=True)
 class TripEvent:
     breaker_id: str
@@ -167,13 +155,13 @@ def build_breaker_graph(grid: GridModel, summary: FaultSummary,
     if fault_element is not None:
         on_bus = grid.element(fault_element).bus
         if on_bus != summary.bus:
-            raise ProtectionError(
+            raise InputError(
                 f"fault element {fault_element!r} sits on bus {on_bus!r}, "
                 f"not on the fault summary's bus {summary.bus!r}")
         target, fault_node = fault_element, _stub(fault_element)
     adj = _connectivity(grid)
     if fault_node not in adj:
-        raise ProtectionError(f"fault location {target!r} unreachable")
+        raise InputError(f"fault location {target!r} unreachable")
 
     # BFS tree rooted at the fault: parent pointers give each path.
     # Stub nodes are terminal (no transit through elements).
@@ -272,7 +260,7 @@ def sequence_of_operations(grid: GridModel, summary: FaultSummary,
         else:
             events.append(TripEvent(breaker_id, t, element, False))
     if not events:
-        raise NoDetectionError(
+        raise InputError(
             f"no breaker detects the fault at "
             f"{fault_element or summary.bus!r}")
     return sorted(events, key=lambda e: (e.time_s, e.breaker_id))
@@ -288,7 +276,7 @@ def selectivity_check(events: list[TripEvent], cct_budget: float) -> Selectivity
     """
     check_domains(DOMAINS, cct_budget_s=cct_budget)
     if not events:
-        raise ProtectionError("empty trip sequence")
+        raise InputError("empty trip sequence")
     intended = [e for e in events if not e.locked]
     backups = [e for e in events if e.locked]
     if not intended:
@@ -327,11 +315,15 @@ def fuse_i2t_clearing(trace: DcScTrace, rating: float) -> float | None:
     fuse's total clearing I^2t in A^2 s, in its `DOMAINS` interval.
 
     Returns None when the waveform has decayed without ever accumulating
-    the rating (the fuse never clears); raises TraceTooShortError when the
+    the rating (the fuse never clears); raises InputError when the
     grid ends while the let-through is still rising short of the rating.
     """
     check_domains(DOMAINS, fuse_i2t=rating)
-    e = let_through(trace)
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = let_through(trace)
+    if not np.isfinite(e[-1]):
+        raise InputError(f"let-through {float(e[-1])!r} A^2s of the trace "
+                         "is not finite")
     if e[-1] >= rating:
         k = int(np.searchsorted(e, rating))   # >= 1, since e[0] = 0
         t0, t1 = trace.t[k - 1], trace.t[k]
@@ -339,7 +331,7 @@ def fuse_i2t_clearing(trace: DcScTrace, rating: float) -> float | None:
         return float(t0 + (rating - e0) / (e1 - e0) * (t1 - t0))
     peak = float(np.max(np.abs(trace.i))) if trace.i.size else 0.0
     if peak > 0 and abs(float(trace.i[-1])) > 1e-3 * peak:
-        raise TraceTooShortError(
+        raise InputError(
             f"let-through still rising at trace end "
             f"({float(e[-1])!r} of {rating!r} A^2s)")
     return None

@@ -25,20 +25,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .grid import (AC, ConverterSpec, GeneratorSpec, GridModel, InputError,
-                   LoadSpec, MissingDynamicsError, island_frequency)
+                   LoadSpec, island_frequency)
 from .powerflow import OperatingPoint, PowerflowSolution, prefault_operating_point
 
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 MOTOR_AC_DECAY = 0.04   # s; motor-group AC decay, not part of the load data
-
-
-class ShortCircuitError(InputError):
-    pass
-
-
-class NoContributorsError(ShortCircuitError):
-    pass
 
 
 @functools.cache
@@ -176,7 +168,7 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
     """
     d = gen.dynamics
     if d is None:
-        raise MissingDynamicsError(f"{gen.id}: no dynamics block")
+        raise InputError(f"{gen.id}: no dynamics block")
     td_t, td_st = short_circuit_time_constants(d.xd, d.xd_t, d.xd_st,
                                                d.td0_t, d.td0_st)
 
@@ -201,7 +193,7 @@ def machine_sc_trace(gen: GeneratorSpec, op: OperatingPoint,
         ra = gen.winding_resistance_mohm * 1e-3
         tdc, tdc_source = xd_st / (2 * math.pi * frequency * ra), "estimated"
     if not i_st >= i_t >= ikd:
-        raise ShortCircuitError(
+        raise InputError(
             f"{gen.id}: decrement ordering violated "
             f"(I''kd={i_st:.0f}, I'kd={i_t:.0f}, Ikd={ikd:.0f} A)")
 
@@ -221,9 +213,9 @@ def motor_group_sc_trace(load: LoadSpec, bus_voltage: float,
     I'kd = Ikd = 0.
     """
     if load.motor_fraction <= 0:
-        raise ShortCircuitError(f"{load.id}: motor fraction is zero")
+        raise InputError(f"{load.id}: motor fraction is zero")
     if load.xr_ratio is None:
-        raise ShortCircuitError(f"{load.id}: xr_ratio required for DC component")
+        raise InputError(f"{load.id}: xr_ratio required for DC component")
     i_rated = load.motor_fraction * load.rated_kva * 1e3 / (SQRT3 * bus_voltage)
     i_lr = load.locked_rotor_multiplier * i_rated
     tdc = load.xr_ratio / (2 * math.pi * frequency)
@@ -238,7 +230,7 @@ def vfd_contribution(conv: ConverterSpec, tgrid: np.ndarray,
     """Constant limiter-bound contribution of an AC-coupled drive/inverter:
     I''kd = I'kd = Ikd at the limit and no DC component."""
     if conv.kind not in ("inverter", "grid_inverter"):
-        raise ShortCircuitError(
+        raise InputError(
             f"{conv.id}: {conv.kind} is not an AC-coupled drive/inverter")
     level = conv.sc_contribution_factor * conv.rated_current
 
@@ -258,7 +250,7 @@ def fault_summary(grid: GridModel, bus_id: str,
     """
     fault_bus = grid.bus(bus_id)
     if fault_bus.kind != AC:
-        raise ShortCircuitError(f"{bus_id} is a DC bus; use the DC fault engine")
+        raise InputError(f"{bus_id} is a DC bus; use the DC fault engine")
     tgrid = default_time_grid()   # sampled only if a trace is read
     island = grid.island_of(bus_id)
     on = grid.online_elements(island)
@@ -283,7 +275,7 @@ def fault_summary(grid: GridModel, bus_id: str,
             traces[c.id] = tr.scaled(v_conv / v_fault)
 
     if not traces:
-        raise NoContributorsError(f"no contributors reachable from {bus_id}")
+        raise InputError(f"no contributors reachable from {bus_id}")
 
     iac_half = sum(tr.iac_half for tr in traces.values())
     idc_half = sum(tr.idc_half for tr in traces.values())

@@ -25,10 +25,6 @@ AGGREGATE = "aggregate"
 _CRITICAL_RTOL = 1e-9
 
 
-class DcFaultError(InputError):
-    pass
-
-
 def default_time_grid() -> np.ndarray:
     """0-5 ms at 0.5 us: resolves sub-millisecond DC-link dynamics."""
     return np.arange(0.0, 5e-3 + 0.25e-6, 0.5e-6)
@@ -106,7 +102,7 @@ def battery_sc_trace(bat: BatterySource, tgrid: np.ndarray) -> DcScTrace:
     state of charge.
     """
     if bat.sc_peak_current is None or bat.sc_time_constant is None:
-        raise DcFaultError(f"{bat.id}: missing datasheet short-circuit data")
+        raise InputError(f"{bat.id}: missing datasheet short-circuit data")
     i = bat.sc_peak_current * (1.0 - np.exp(-tgrid / bat.sc_time_constant))
     return DcScTrace(t=tgrid, i=i, peak_current=float(i[-1]),
                      time_to_peak=float(tgrid[-1]), regime=EXPONENTIAL_RISE,
@@ -129,7 +125,7 @@ def dc_fault_summary(grid: GridModel, bus_id: str) -> DcFaultSummary:
     """Pointwise sum of every DC contribution on the faulted island."""
     bus = grid.bus(bus_id)
     if bus.kind != DC:
-        raise DcFaultError(f"{bus_id} is an AC bus; use the AC fault engine")
+        raise InputError(f"{bus_id} is an AC bus; use the AC fault engine")
     tgrid = default_time_grid()
     on = grid.online_elements(grid.island_of(bus_id))
 
@@ -142,7 +138,7 @@ def dc_fault_summary(grid: GridModel, bus_id: str) -> DcFaultSummary:
             traces[f"{conv.id}:dclink"] = capacitor_sc_trace(conv.dc_link, tgrid)
 
     if not traces:
-        raise DcFaultError(f"no contributors reachable from {bus_id}")
+        raise InputError(f"no contributors reachable from {bus_id}")
 
     i_total = np.zeros_like(tgrid)
     for tr in traces.values():

@@ -50,8 +50,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid import (GridLookupError, GridModel, InputError, MissingDynamicsError,
-                   NumericalError, check_domains)
+from .grid import GridModel, InputError, NumericalError, check_domains
 from .powerflow import (S_BASE_KVA, AcNetwork, branch_z_pu, build_ac_networks,
                         converter_draw_kw, island_slack, load_pq_kw,
                         solve_ac_powerflow)
@@ -66,18 +65,6 @@ AVR_T = 0.5         # s, voltage-regulator time constant
 SWING_SLIP = 1.0    # rad past pi that an unstable verdict's path runs
 SWING_PIECES = 32   # pieces of its time-to-pi bound
 MACHINE_CHANNELS = ("p_kw", "q_kvar", "pm_kw", "delta_rad", "freq_hz")
-
-
-class SimulationError(NumericalError):
-    pass
-
-
-class NetworkSolveError(SimulationError):
-    pass
-
-
-class BracketError(SimulationError):
-    """Both CCT bracket ends stable, or both unstable."""
 
 
 # ---------------------------------------------------------------------------
@@ -443,7 +430,7 @@ class _Engine:
         for g, _, _, omega_s in placed:
             d = g.dynamics
             if d is None:
-                raise MissingDynamicsError(f"{g.id}: no dynamics block")
+                raise InputError(f"{g.id}: no dynamics block")
             ids.append(g.id)
             xdp.append(d.xd_t * S_BASE_KVA / g.rated_kva)
             two_h.append(2.0 * d.inertia_h * g.rated_kva / S_BASE_KVA)
@@ -539,7 +526,7 @@ class _Engine:
             try:
                 isl.z = z = np.linalg.inv(self._island_y(isl))
             except np.linalg.LinAlgError as exc:
-                raise NetworkSolveError(str(exc)) from None
+                raise NumericalError(str(exc)) from None
             size = len(z)
             c = np.zeros((size, n_mach), dtype=complex)
             c[isl.mach_node, isl.mach] = 1.0 / self.m.jxdp[isl.mach]
@@ -597,7 +584,7 @@ class _Engine:
         """
         e = x[:, 2] * np.exp(1j * x[:, 0])
         if not np.isfinite(e).all():
-            raise NetworkSolveError("network solve produced non-finite V")
+            raise NumericalError("network solve produced non-finite V")
         vb = np.empty(len(x), dtype=complex)
         # a 0-d array, not a float: no scalar conversion at every sweep
         peak, floor = np.maximum.reduce, np.array(V_FLOOR ** 2)
@@ -631,9 +618,9 @@ class _Engine:
                 if err <= 1e-10:
                     break
                 if not math.isfinite(err):
-                    raise NetworkSolveError("network solve produced non-finite V")
+                    raise NumericalError("network solve produced non-finite V")
             else:
-                raise NetworkSolveError(
+                raise NumericalError(
                     f"network fixed point not converged at t={t:.4f} s")
             isl.v = v
             vb[isl.mach] = v[isl.mach_node]
@@ -665,9 +652,9 @@ class _Engine:
         k4 = f(x + dt * k3, t + dt)
         out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(out).all():
-            raise SimulationError(f"integration diverged at t={t:.4f} s")
+            raise NumericalError(f"integration diverged at t={t:.4f} s")
         if (np.abs(out[:, 1]) > 2.0).any():
-            raise SimulationError(
+            raise NumericalError(
                 f"integration diverged: speed deviation beyond sanity "
                 f"bound at t={t:.4f} s")
         return out
@@ -987,13 +974,19 @@ def simulate(grid: GridModel, schedule: EventSchedule,
     for grid, controllers and power flow.  The schedule must pass
     `EventSchedule.validated`, and `end` be a whole number of steps.
     """
-    if abs(cfg.end / cfg.step - round(cfg.end / cfg.step)) > 1e-9:
+    steps = cfg.end / cfg.step
+    if steps >= np.iinfo(np.intp).max:   # so round(steps) + 1 rows overflow
+        raise InputError(f"step_s = {cfg.step} cuts end_s = {cfg.end} into "
+                         "more steps than an array can index")
+    if abs(steps - round(steps)) > 1e-9:
         raise InputError(f"end_s = {cfg.end} is not a whole number of "
                          f"steps of step_s = {cfg.step}")
     events = schedule.validated(grid, cfg.end).events
-    engine = _engine or _Engine(grid, controllers, cfg, **steady)
-    engine.cfg = cfg
-    return engine.run(events)
+    # a state that overflows ends in the finiteness checks' NumericalError
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        engine = _engine or _Engine(grid, controllers, cfg, **steady)
+        engine.cfg = cfg
+        return engine.run(events)
 
 
 # ---------------------------------------------------------------------------
@@ -1066,7 +1059,7 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
     cables = [b for b in grid.branches if gen.bus in (b.from_bus, b.to_bus)]
     if fault.branch is not None:
         if not any(b.id == fault.branch for b in grid.branches):
-            raise GridLookupError(f"unknown branch {fault.branch!r}")
+            raise InputError(f"unknown branch {fault.branch!r}")
         cables = [b for b in cables if b.id == fault.branch]
     if len(cables) != 1 and (fault.branch is not None or fault.location > 1e-9):
         named = "" if fault.branch is None else f" named {fault.branch!r}"
@@ -1079,7 +1072,8 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
         frac = fault.location if br.from_bus == gen.bus else 1.0 - fault.location
         target, location = br.id, frac
 
-    engine = _Engine(grid, (), cfg, dispatch=dispatch, slack=slack)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        engine = _Engine(grid, (), cfg, dispatch=dispatch, slack=slack)
     engine.trunk = []
 
     def stable(t_clear: float) -> bool:
@@ -1097,11 +1091,13 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
     lo_ok = stable(t_lo)
     transcript = [(t_lo, lo_ok), (t_hi, hi_ok)]
     if not lo_ok or hi_ok:
-        raise BracketError(
+        raise NumericalError(
             f"invalid bracket: stable({t_lo})={lo_ok}, stable({t_hi})={hi_ok}")
     lo, hi = t_lo, t_hi
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break   # lo and hi are adjacent floats: no tol can shrink them
         ok = stable(mid)
         transcript.append((mid, ok))
         if ok:

@@ -18,11 +18,12 @@ from vesselstudy.grid import (
     GeneratorSpec,
     GridModel,
     LoadSpec,
+    NumericalError,
 )
+from vesselstudy import tdsim
 from vesselstudy.powerflow import S_BASE_KVA
 from vesselstudy.tdsim import (V_FLOOR, CctFaultSpec, CctResult, Event,
-                               EventSchedule, NetworkSolveError,
-                               SimulationError, simulate)
+                               EventSchedule, simulate)
 
 # breakers that leave only the port-side section of the AC vessel energized
 PS_ISLAND_OPEN = (
@@ -140,6 +141,20 @@ def equal_area_cct(loading: float, h: float = 3.5, xdp: float = 0.3,
     return math.sqrt(4.0 * h * (dc - d0) / (2.0 * math.pi * f * pm))
 
 
+def cap_probes(monkeypatch, cap: int) -> list:
+    """Count `find_cct`'s probes in the returned list, and fail past `cap`
+    of them, so that a search that never ends fails instead."""
+    probes, run = [], tdsim.simulate
+
+    def counted(*args, **kwargs):
+        probes.append(args)
+        assert len(probes) <= cap, f"still bisecting after {cap} probes"
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(tdsim, "simulate", counted)
+    return probes
+
+
 def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
                   t_hi: float, tol: float, cfg, window: float) -> CctResult:
     """`find_cct`'s bisection on smib_grid, every probe a plain `simulate`
@@ -147,7 +162,7 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
     spread from the clearing on.  Its faults start at 0.25 s, after a
     rest that `find_cct` does not integrate, so the search also checks
     that a fault's verdicts do not depend on when it starts.  A probe
-    whose run raises `SimulationError` is unstable: a pole slip held for
+    whose run raises `NumericalError` is unstable: a pole slip held for
     many seconds drives the speed past `_step`'s sanity bound.  A
     `location` of 0 faults the machine bus, any other one LINE at that
     fraction from it."""
@@ -166,7 +181,7 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
             cfg, end=round((t_end + window) / cfg.step) * cfg.step)
         try:
             ts = simulate(grid, sched, (), probe_cfg, dispatch=dispatch)
-        except SimulationError:
+        except NumericalError:
             return False
         deltas = np.vstack([ts[name] for name in ts.channels
                             if name.endswith(".delta_rad")])
@@ -208,12 +223,12 @@ def reference_solve(engine, x: np.ndarray, t: float):
             v_new = w + m @ (v / np.maximum(np.abs(v) ** 2, V_FLOOR ** 2))
             err = float(np.abs(v_new - v).max())
             if not math.isfinite(err):
-                raise NetworkSolveError("network solve produced non-finite V")
+                raise NumericalError("network solve produced non-finite V")
             v = v_new
             if err <= 1e-10:
                 break
         else:
-            raise NetworkSolveError(
+            raise NumericalError(
                 f"network fixed point not converged at t={t:.4f} s")
         isl.v = v
         vb[isl.mach] = v[isl.mach_node]

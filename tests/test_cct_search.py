@@ -14,7 +14,7 @@ from vesselstudy import SimConfig, find_cct, tdsim  # noqa: E402
 from vesselstudy.grid import Bus, CableBranch  # noqa: E402
 from vesselstudy.tdsim import CctFaultSpec  # noqa: E402
 
-from helpers import reference_cct, smib_grid  # noqa: E402
+from helpers import cap_probes, reference_cct, smib_grid  # noqa: E402
 
 BARE_SMIB = SimConfig(step=0.005, governor=False, avr=False)
 ZBASE = 690.0 ** 2 / 1e6
@@ -260,3 +260,17 @@ def test_near_critical_state_needs_time_and_speed_margins():
     assert certify(_g1_speed_state(eng, 1.2 * hi), 2.0) is False
     # the stiff source's speed is the centre of inertia's
     assert certify(_g1_speed_state(eng, 1.2 * hi, coi=0.99), 2.0) is None
+
+
+def test_a_tolerance_below_the_float_spacing_ends_one_ulp_wide(monkeypatch):
+    """Once lo and hi are adjacent floats their midpoint is one of them, so
+    a `tol` below that spacing used to bisect forever on the same probe."""
+    probes = cap_probes(monkeypatch, 100)
+    res = find_cct(smib_grid(), CctFaultSpec("G1", loading=0.8, location=0.0),
+                   0.0, 0.4, 1e-300, SimConfig(step=0.02, governor=False,
+                                               avr=False), window=1.0)
+    lo, hi = res.interval
+    assert hi == np.nextafter(lo, math.inf)
+    times = [t for t, _ in res.transcript]
+    # each probe clears at a new time, and t_lo = 0 is stable unprobed
+    assert len(set(times)) == len(times) == len(probes) + 1

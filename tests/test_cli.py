@@ -1,7 +1,9 @@
 import hashlib
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -16,7 +18,8 @@ from vesselstudy import (
 )
 from vesselstudy.cli import main
 
-from helpers import PS_ISLAND_OPEN, split_frequency_grid
+from helpers import (PS_ISLAND_OPEN, cap_probes, smib_grid,
+                     split_frequency_grid)
 
 PEAK_STUDY = """
 [breakers]
@@ -1021,6 +1024,13 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
     ("tdsim", None, "[sim]\nstep_s = 0.03\nend_s = 0.1\n[event s]\n"
      "time_s = 0.095\naction = load_step\ntarget = LOAD440_PS\nscale = 1.2\n",
      "end_s = 0.1 is not a whole number of steps of step_s = 0.03"),
+    # a step count numpy cannot index used to end in numpy's ValueError
+    ("tdsim", None, "[sim]\nstep_s = 1e-300\nend_s = 0.1\n",
+     "step_s = 1e-300 cuts end_s = 0.1 into more steps than an array can "
+     "index"),
+    ("cct", None, SHORT_CCT.replace("0.01", "1e-300"),
+     "step_s = 1e-300 cuts end_s = 0.4 into more steps than an array can "
+     "index"),
     # breakers that engines read differently, or not at all, used to run
     ("powerflow", ("[breaker CB_TIE_MID_SB]", "[breaker CB_X]\nfrom = DG#01\n"
                    "to = DG#02\n\n[breaker CB_TIE_MID_SB]"), "",
@@ -1088,3 +1098,45 @@ def test_numeric_ids_are_ids(tmp_path):
     assert rc == 0
     total = _read_csv(tmp_path / "o" / "summary.csv")[-1]
     assert float(total["sustained_a"]) == 16175.0
+
+
+@pytest.mark.parametrize("kind, study_text, rc, message", [
+    ("cct", "[cct]\nmachine = DG#01\nloading = 1e300\n", 3,
+     "network solve produced non-finite V"),
+    ("tdsim", "[sim]\nend_s = 0.05\nstep_s = 0.01\n[event a]\ntime_s = 0\n"
+     "action = load_step\ntarget = LOAD440_PS\nscale = 1e300\n", 3,
+     "network fixed point not converged at t=0.0000 s"),
+    ("i2t", "t_s,i_a\n0,1e200\n1,1e200\n", 2,
+     "let-through inf A^2s of the trace is not finite"),
+])
+def test_an_overflow_is_an_error_line_not_a_warning(tmp_path, capsys, kind,
+                                                    study_text, rc, message):
+    """Values this large used to overflow in numpy: a RuntimeWarning, or an
+    exit 1 when warnings are errors, and i2t cleared its fuse at 0 s."""
+    path = tmp_path / "input"
+    path.write_text(study_text)
+    argv = (["i2t", "--trace", str(path), "--fuse-i2t", "5000"]
+            if kind == "i2t" else
+            [kind, "--grid", "builtin:ac_vessel", "--study", str(path)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(tmp_path / "o")]) == rc
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cct_tolerance_below_the_float_spacing(tmp_path, monkeypatch, capsys):
+    """The search ends once its bracket is two adjacent floats."""
+    grid = tmp_path / "smib.grid"
+    grid.write_text(serialize_grid(smib_grid()))
+    study = tmp_path / "s.study"
+    study.write_text("[cct]\nmachine = G1\nloading = 0.8\nlocation = 0\n"
+                     "t_hi_s = 0.4\ntol_s = 1e-300\nwindow_s = 1.0\n"
+                     "step_s = 0.02\ngovernor = off\navr = off\n")
+    cap_probes(monkeypatch, 100)
+    assert main(["cct", "--grid", str(grid), "--study", str(study),
+                 "--out", str(tmp_path / "o")]) == 0
+    rows = _read_csv(tmp_path / "o" / "cct.csv")
+    lo = max(float(r["t_clear_s"]) for r in rows if r["stable"] == "true")
+    hi = min(float(r["t_clear_s"]) for r in rows if r["stable"] == "false")
+    assert hi == math.nextafter(lo, math.inf)
+    assert capsys.readouterr().out == f"cct_s = {lo!r}\n"

@@ -3,6 +3,7 @@
 internal error that keeps its traceback."""
 
 import ast
+import builtins
 import contextlib
 import importlib
 import io
@@ -20,11 +21,6 @@ from vesselstudy import builtin_fixture, serialize_grid  # noqa: E402
 from vesselstudy.cli import main  # noqa: E402
 from vesselstudy.grid import GridError, InputError, NumericalError  # noqa: E402
 from vesselstudy.gridfile import GridParseError  # noqa: E402
-from vesselstudy.powerflow import PowerflowError  # noqa: E402
-from vesselstudy.protection import ProtectionError  # noqa: E402
-from vesselstudy.sc_ac import ShortCircuitError  # noqa: E402
-from vesselstudy.sc_dc import DcFaultError  # noqa: E402
-from vesselstudy.tdsim import BracketError, SimulationError  # noqa: E402
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "vesselstudy"
 ENGINES = {"powerflow", "sc_ac", "sc_dc", "tdsim", "protection"}
@@ -62,13 +58,64 @@ def test_two_base_classes():
     assert vesselstudy.NumericalError is NumericalError
     assert issubclass(InputError, GridError) and issubclass(InputError,
                                                             ValueError)
-    for cls in (GridParseError, ShortCircuitError, DcFaultError,
-                ProtectionError):
-        assert issubclass(cls, InputError)
-        assert not issubclass(cls, NumericalError)
-    for cls in (PowerflowError, SimulationError, BracketError):
-        assert issubclass(cls, NumericalError)
-        assert not issubclass(cls, InputError)
+    assert issubclass(NumericalError, GridError)
+    assert not issubclass(NumericalError, InputError)
+    assert issubclass(GridParseError, InputError)
+
+
+# the base, its two kinds, and GridParseError, which builds the `line N:`
+# prefix of a grid file's errors and carries `.line`
+KEPT = {"GridError", "InputError", "NumericalError", "GridParseError"}
+
+
+def _names(node) -> list[str]:
+    """The class names an `except` clause or a class's base list names."""
+    if isinstance(node, ast.Tuple):
+        return [name for elt in node.elts for name in _names(elt)]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    return [node.id] if isinstance(node, ast.Name) else []
+
+
+def _error_classes(sources) -> tuple[set[str], set[str]]:
+    """The exception classes that `sources` define, and the names their
+    `except` clauses catch."""
+    bases, caught = {}, set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [n for b in node.bases for n in _names(b)]
+            elif isinstance(node, ast.ExceptHandler) and node.type:
+                caught.update(_names(node.type))
+
+    def is_error(name):
+        if name in bases:
+            return any(is_error(base) for base in bases[name])
+        cls = getattr(builtins, name, None)
+        return isinstance(cls, type) and issubclass(cls, BaseException)
+
+    return {name for name in bases if is_error(name)}, caught
+
+
+def test_src_defines_no_error_class_nothing_catches():
+    """An exception class beyond KEPT earns its place only if some
+    `except` in src/ catches it: the CLI maps the two kinds alone to its
+    exit codes, so any other class is a name that nothing reads."""
+    defined, caught = _error_classes(
+        p.read_text() for p in sorted(SRC.glob("*.py")))
+    assert KEPT <= defined
+    assert defined - caught - KEPT == set()
+
+
+def test_error_class_guard_allows_a_caught_class():
+    src = ("class GridError(Exception): pass\n"
+           "class Stray(GridError): pass\n"
+           "class Caught(GridError): pass\n"
+           "class Plain: pass\n"
+           "try:\n    pass\nexcept (KeyError, Caught):\n    pass\n")
+    defined, caught = _error_classes([src])
+    assert defined == {"GridError", "Stray", "Caught"}
+    assert defined - caught - KEPT == {"Stray"}
 
 
 def test_an_internal_error_keeps_its_traceback(tmp_path, monkeypatch):
@@ -122,15 +169,28 @@ BASES = {
 # keys whose value sets how long a run goes on: made out of range, they make
 # a valid study that runs for hours, not a defect
 RUN_LENGTH = ("end_s", "window_s", "t_hi_s", "max_iter", "time_s")
+# ops that set a number, to one near each end of the float range
+EXTREMES = ("1e300", "1e-300")
+
+
+def _numbers(line: str) -> bool:
+    """Whether every value of a `key = value` line or trace row is a number."""
+    try:
+        [float(v) for v in line.split("=", 1)[1:] or line.split(",")]
+    except ValueError:
+        return False
+    return True
 
 
 def _mutate(text: str, k: int, op: str) -> str:
-    """`text` with line k (counted among its mutable lines) changed by
-    `op`: its key dropped or misspelled, its value made non-numeric,
-    negative, zero or out of range.  In a trace, a row's k % 2 cell changes."""
+    """`text` with line k (counted among its mutable lines, or for EXTREMES
+    among its numeric ones) changed by `op`: its key dropped or misspelled,
+    its value made non-numeric, negative, zero, out of range, 1e300 or
+    1e-300.  In a trace, a row's k % 2 cell changes."""
     lines = text.splitlines()
-    rows = [j for j, line in enumerate(lines)
-            if "=" in line or "," in line]
+    rows = [j for j, line in enumerate(lines) if "=" in line or "," in line]
+    if op in EXTREMES:
+        rows = [j for j in rows if _numbers(lines[j])] or rows
     j = rows[k % len(rows)]
     if "=" in lines[j]:
         key, value = (s.strip() for s in lines[j].split("=", 1))
@@ -141,7 +201,7 @@ def _mutate(text: str, k: int, op: str) -> str:
         op = "negative"
     new = {"non-numeric": "abc",
            "negative": value[1:] if value.startswith("-") else "-" + value,
-           "zero": "0", "out of range": "1e12"}.get(op)
+           "zero": "0", "out of range": "1e12"}.get(op, op)
     if op == "drop":
         del lines[j]
     elif op == "misspell":
@@ -183,12 +243,12 @@ def test_every_base_run_succeeds(tmp_path, base):
        st.sampled_from(("grid", "study")),
        st.integers(0, 10_000),
        st.sampled_from(("drop", "misspell", "non-numeric", "negative",
-                        "zero", "out of range")))
+                        "zero", "out of range") + EXTREMES))
 def test_one_key_defects_exit_with_one_error_line(base, which, k, op):
     """A valid run with one key of its grid, study or trace file dropped,
-    misspelled, non-numeric, negative, zero or out of range exits 0, 2 or 3,
-    with `error:` lines only on failure (one, or one per violation of an
-    invalid grid) and no traceback."""
+    misspelled, non-numeric, negative, zero, out of range, 1e300 or 1e-300
+    exits 0, 2 or 3, with `error:` lines only on failure (one, or one per
+    violation of an invalid grid) and no traceback."""
     def edit(files):
         name = "trace" if "trace" in files else which
         files[name] = _mutate(files[name], k, op)

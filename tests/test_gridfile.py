@@ -45,7 +45,6 @@ from vesselstudy.grid import (
     FuseSpec,
     GeneratorDynamicParams,
     GeneratorSpec,
-    GridLookupError,
     GridModel,
     InputError,
     LoadSpec,
@@ -379,7 +378,7 @@ def reference_find(items, item_id, kind):
     for x in items:
         if x.id == item_id:
             return x
-    raise GridLookupError(f"unknown {kind} {item_id!r}")
+    raise InputError(f"unknown {kind} {item_id!r}")
 
 
 def reference_element_breaker(grid, element_id):
@@ -394,7 +393,7 @@ def reference_element_breaker(grid, element_id):
 def reference_with_breaker_states(grid, states):
     unknown = set(states) - {b.id for b in grid.breakers}
     if unknown:
-        raise GridLookupError(f"unknown breakers {sorted(unknown)}")
+        raise InputError(f"unknown breakers {sorted(unknown)}")
     new = tuple(
         replace(b, closed=states.get(b.id, b.closed)) for b in grid.breakers
     )
@@ -432,7 +431,7 @@ def reference_island_of(grid, bus_id):
     for isl in reference_islands(grid, kind):
         if bus_id in isl:
             return isl
-    raise GridLookupError(f"bus {bus_id!r} not in any island")
+    raise InputError(f"bus {bus_id!r} not in any island")
 
 
 def reference_build_ac_networks(grid):
@@ -680,7 +679,7 @@ def grids(draw):
 def _lookup(find, *args):
     try:
         return ("ok", id(find(*args)))
-    except GridLookupError as exc:
+    except InputError as exc:
         return ("error", str(exc))
 
 
@@ -704,8 +703,8 @@ def test_indexed_lookups_match_linear_scans(grid):
 def test_with_breaker_states_matches_reference(grid, states):
     try:
         expected = reference_with_breaker_states(grid, states)
-    except GridLookupError as exc:
-        with pytest.raises(GridLookupError) as raised:
+    except InputError as exc:
+        with pytest.raises(InputError, match="^unknown breakers") as raised:
             grid.with_breaker_states(states)
         assert str(raised.value) == str(exc)
         return
@@ -745,11 +744,11 @@ def test_islands_and_networks_match_reference(grid):
     for bus_id in POOL + ["missing"]:
         try:
             expected = ("ok", reference_island_of(grid, bus_id))
-        except GridLookupError as exc:
+        except InputError as exc:
             expected = ("error", str(exc))
         try:
             got = ("ok", set(grid.island_of(bus_id)))
-        except GridLookupError as exc:
+        except InputError as exc:
             got = ("error", str(exc))
         assert got == expected, bus_id
     try:

@@ -14,7 +14,7 @@ from vesselstudy import (
     validate,
 )
 from vesselstudy.cli import _Study
-from vesselstudy.grid import BreakerSpec, GridLookupError
+from vesselstudy.grid import BreakerSpec, InputError
 
 DG01_SECTION = """
 [bus MAIN]
@@ -270,7 +270,7 @@ class TestFixtures:
             assert bat.sc_time_constant == pytest.approx(0.16e-3)
 
     def test_unknown_fixture_name(self):
-        with pytest.raises(GridLookupError):
+        with pytest.raises(InputError, match="unknown fixture 'battleship'"):
             builtin_fixture("battleship")
 
     def test_rated_current_consistency(self, ac_vessel, dc_vessel):
@@ -323,7 +323,7 @@ def test_a_parsed_grid_is_deeply_frozen(name):
 
 
 def test_with_breaker_states_rejects_unknown(ac_vessel):
-    with pytest.raises(GridLookupError):
+    with pytest.raises(InputError, match=r"unknown breakers \['CB_NOPE'\]"):
         ac_vessel.with_breaker_states({"CB_NOPE": False})
 
 

@@ -15,8 +15,9 @@ from vesselstudy.grid import (
     CapacitorBranch,
     ConverterSpec,
     GridModel,
+    InputError,
 )
-from vesselstudy.sc_dc import DcFaultError, default_time_grid
+from vesselstudy.sc_dc import default_time_grid
 
 TGRID = default_time_grid()
 
@@ -127,7 +128,7 @@ class TestBattery:
 
     def test_without_datasheet_data_is_refused(self):
         bat = BatterySource("BAT", "DCB", None, 0.16e-3)
-        with pytest.raises(DcFaultError,
+        with pytest.raises(InputError,
                            match="BAT: missing datasheet short-circuit data"):
             battery_sc_trace(bat, TGRID)
 
@@ -199,10 +200,12 @@ class TestDcFaultSummary:
         assert np.allclose(summ.total.i, stack)
 
     def test_ac_bus_rejected(self, dc_vessel):
-        with pytest.raises(DcFaultError):
+        with pytest.raises(InputError, match="GEN1_AC is an AC bus; use the "
+                           "AC fault engine"):
             dc_fault_summary(dc_vessel, "GEN1_AC")
 
     def test_isolated_bus_rejected(self):
         grid = GridModel("empty", buses=(Bus("DCB", "dc", 650.0),))
-        with pytest.raises(DcFaultError):
+        with pytest.raises(InputError,
+                           match="no contributors reachable from DCB"):
             dc_fault_summary(grid, "DCB")

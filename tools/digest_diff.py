@@ -6,8 +6,11 @@ Each argument is a `.perfbench/results/<workload>-seed<N>-trace<T>.json`
 record written by `perfbench/run.py`.  Prints every study id (`sid`)
 whose exit code (`rc`) or artifact digest differs between the two, or
 that only one record ran, and every change in the `attempted`, `failed`
-and `correct` totals.  Exits 0 when the two agree on all of these, 1 on
-any difference, 2 when a record cannot be read.
+and `correct` totals.  A failed study's `reason` (the CLI's `error:`
+line, or the check that failed) must match too, unless its `rc` is None
+in either record: then the reason is a traceback, which names lines of
+code.  Exits 0 when the two agree on all of these, 1 on any difference,
+2 when a record cannot be read.
 
 With `--regressions` (OLD from the parent commit, NEW from the change)
 it prints and fails on two things only: a study that was `ok` in OLD
@@ -35,7 +38,10 @@ def differences(old: dict, new: dict) -> list[str]:
         if a is None or b is None:
             lines.append(f"{sid}: only in {'new' if a is None else 'old'}")
             continue
-        for key in ("rc", "digest"):
+        keys = ("rc", "digest")
+        if a.get("rc") is not None and b.get("rc") is not None:
+            keys += ("reason",)
+        for key in keys:
             if a.get(key) != b.get(key):
                 lines.append(f"{sid}: {key} {a.get(key)} -> {b.get(key)}")
     for key in TOTALS:
@@ -45,12 +51,13 @@ def differences(old: dict, new: dict) -> list[str]:
 
 
 def regressions(old: dict, new: dict) -> list[str]:
-    """The lines of `differences` about studies that were ok in `old`
-    (each such line starts with the study's sid), and one for a rise in
-    `failed`."""
+    """The lines of `differences` about the `rc` and digest of studies
+    that were ok in `old` (each such line starts with the study's sid),
+    and one for a rise in `failed`."""
     ok = {s["sid"] for s in old["studies"] if s["ok"]}
     lines = [line for line in differences(old, new)
-             if line.split(": ", 1)[0] in ok]
+             if line.split(": ", 1)[0] in ok
+             and not line.split(": ", 1)[1].startswith("reason ")]
     if new["result"]["failed"] > old["result"]["failed"]:
         lines.append(f"failed: {old['result']['failed']} -> "
                      f"{new['result']['failed']}")
