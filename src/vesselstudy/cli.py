@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .protection import (fuse_i2t_clearing, selectivity_check,
 from .sc_ac import fault_summary
 from .sc_dc import DcScTrace, dc_fault_summary
 from .tdsim import (
+    FIELD_KEYS,
     CctFaultSpec,
     ControllerConfig,
     Event,
@@ -68,38 +70,44 @@ def _id_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
+def _keys(cls, **converters) -> dict:
+    """The key table of a section that builds `cls`: each field's study-file
+    key -> its converter and the field's default, ... where it has none."""
+    default = {f.name: ... if f.default is MISSING else f.default
+               for f in fields(cls)}
+    return {FIELD_KEYS.get(name, name): (conv, default[name])
+            for name, conv in converters.items()}
+
+
+def _spec(cls, keys: dict):
+    """`cls` built from a section's {study-file key: value}."""
+    return cls(**{f.name: keys[key] for f in fields(cls)
+                  if (key := FIELD_KEYS.get(f.name, f.name)) in keys})
+
+
 # each study section kind: for a keyed section, key -> (converter, default),
 # where a missing key takes its default and one whose default is ... is an
-# input error, and a key that maps to a library field takes that field's
-# default ([powerflow]: a missing key is not passed, see `_steady_state`); for an id-keyed section, the converter of its values (breaker ->
-# true/false, generator -> kW, load -> scale factor), whose ids the engines
-# check against the grid
+# input error ([powerflow]: a missing key is not passed, see
+# `_steady_state`); for an id-keyed section, the converter of its values
+# (breaker -> true/false, generator -> kW, load -> scale factor), whose ids
+# the engines check against the grid
 _STUDY_SECTIONS = {
     "breakers": boolean, "dispatch": float, "load_scale": float,
-    "sim": {"step_s": (float, SimConfig.step), "end_s": (float, SimConfig.end)},
-    "cct": {"machine": (str, ...), "loading": (float, CctFaultSpec.loading),
-            "location": (float, CctFaultSpec.location),
-            "branch": (str, CctFaultSpec.branch),
-            "t_lo_s": (float, 0.0), "t_hi_s": (float, 0.5),
-            "tol_s": (float, 1e-3), "step_s": (float, 0.002),
-            "window_s": (float, 3.0), "governor": (_on_off, SimConfig.governor),
-            "avr": (_on_off, SimConfig.avr)},
+    "sim": _keys(SimConfig, step=float, end=float),
+    "cct": _keys(CctFaultSpec, machine=str, loading=float, location=float,
+                 branch=str, t_lo=float, t_hi=float, tol=float, step=float,
+                 window=float, governor=_on_off, avr=_on_off),
     "protect": {"fault_element": (str, None), "fault_bus": (str, None),
                 "failed_breakers": (_id_list, ()), "zsi": (boolean, True),
                 "cct_budget_s": (float, 0.542)},
     "powerflow": {"slack": (str, None), "tol": (float, None),
                   "max_iter": (integer, None)},
-    "event": {"time_s": (float, ...), "action": (str, ...),
-              "target": (str, Event.target), "scale": (float, Event.scale),
-              "ramp_s": (float, Event.ramp),
-              "location": (float, Event.location)},
-    "controller": {"mode": (str, ...), "inverter": (str, ...),
-                   "watched": (_id_list, ControllerConfig.watched),
-                   "p_threshold_kw": (float, ControllerConfig.p_threshold_kw),
-                   "q_threshold_kvar": (float,
-                                        ControllerConfig.q_threshold_kvar),
-                   "p_rating_kw": (float, ...), "q_rating_kvar": (float, ...),
-                   "dp_delay_s": (float, ControllerConfig.dp_delay)}}
+    "event": _keys(Event, time=float, action=str, target=str, scale=float,
+                   ramp=float, location=float),
+    "controller": _keys(ControllerConfig, mode=str, inverter=str,
+                        watched=_id_list, p_threshold_kw=float,
+                        q_threshold_kvar=float, p_rating_kw=float,
+                        q_rating_kvar=float, dp_delay=float)}
 # the kinds that take an id and may appear any number of times; every other
 # kind takes none and may appear once
 _WITH_ID = ("event", "controller")
@@ -287,41 +295,21 @@ def _run_sc_dc(args, grid: GridModel, study: _Study) -> int:
     return EXIT_OK
 
 
-def _controllers(study: _Study) -> list[ControllerConfig]:
-    # every [controller] key but dp_delay_s names its ControllerConfig field
-    return [ControllerConfig(dp_delay=keys["dp_delay_s"], **{
-                k: v for k, v in keys.items() if k != "dp_delay_s"})
-            for _, keys in sorted(study.many("controller").items())]
-
-
-def _events(study: _Study) -> EventSchedule:
-    evs = [Event(time=keys["time_s"], action=keys["action"],
-                 target=keys["target"], scale=keys["scale"],
-                 ramp=keys["ramp_s"], location=keys["location"])
-           for keys in study.many("event").values()]
-    evs.sort(key=lambda e: e.time)
-    return EventSchedule(tuple(evs))
-
-
 def _run_tdsim(args, grid: GridModel, study: _Study) -> int:
-    keys = study.one("sim")
-    ts = simulate(grid, _events(study), _controllers(study),
-                  SimConfig(step=keys["step_s"], end=keys["end_s"]),
-                  **_steady_state(study))
+    events = sorted((_spec(Event, k) for k in study.many("event").values()),
+                    key=lambda e: e.time)
+    controllers = [_spec(ControllerConfig, keys)
+                   for _, keys in sorted(study.many("controller").items())]
+    ts = simulate(grid, EventSchedule(tuple(events)), controllers,
+                  _spec(SimConfig, study.one("sim")), **_steady_state(study))
     report.write_artifact(args.out, "timeseries.csv", report.timeseries_csv(ts))
     print(f"simulated {ts.t[-1]:g} s, {len(ts.channels)} channels")
     return EXIT_OK
 
 
 def _run_cct(args, grid: GridModel, study: _Study) -> int:
-    keys = study.one("cct", required=True)
-    spec = CctFaultSpec(machine=keys["machine"], loading=keys["loading"],
-                        location=keys["location"], branch=keys["branch"])
-    result = find_cct(
-        grid, spec, t_lo=keys["t_lo_s"], t_hi=keys["t_hi_s"],
-        tol=keys["tol_s"], window=keys["window_s"],
-        cfg=SimConfig(step=keys["step_s"], governor=keys["governor"],
-                      avr=keys["avr"]))
+    result = find_cct(grid, _spec(CctFaultSpec,
+                                  study.one("cct", required=True)))
     _emit(args, "cct.csv", *report.cct_rows(result))
     print(f"cct_s = {report.fmt(result.cct)}")
     return EXIT_OK

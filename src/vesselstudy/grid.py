@@ -432,13 +432,13 @@ def _inside(interval: str):
 
 def check_domains(domains: dict[str, str], **values) -> None:
     """Raise InputError for a value outside the interval that `domains`, an
-    engine's table, declares for its key (see `_inside`).  None passes; a
+    engine's table, declares for its key (see `_inside`), None included; a
     dict holds an id-keyed section's values, named by id."""
     for key, value in values.items():
         interval = domains[key]
         inside = _inside(interval)
         for item, x in value.items() if isinstance(value, dict) else [("", value)]:
-            if x is not None and not inside(x):
+            if x is None or not inside(x):
                 got = f"{key} {item}".strip()
                 raise InputError(f"need {key} in {interval}, got {got} = {x}")
 

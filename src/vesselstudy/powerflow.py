@@ -244,20 +244,20 @@ def solve_ac_powerflow(
     `DOMAINS` interval: a generator does not motor, a load does not generate.
     An integral float `max_iter` runs as its int.
     """
-    for gen_id in dispatch or {}:
+    dispatch = dict(dispatch or {})
+    load_scale = dict(load_scale or {})
+    for gen_id in dispatch:
         grid.generator(gen_id)
     if slack is not None:
         grid.generator(slack)
         if not grid.element_online(slack):
             raise InputError(f"slack generator {slack!r} is offline")
-    for load_id in load_scale or {}:
+    for load_id in load_scale:
         grid.load(load_id)
     check_domains(DOMAINS, tol=tol, max_iter=max_iter, dispatch=dispatch,
                   load_scale=load_scale)
     if max_iter != int(max_iter):
         raise InputError(f"need an integral max_iter, got max_iter = {max_iter}")
-    dispatch = dict(dispatch or {})
-    load_scale = dict(load_scale or {})
     converter_draws = dict(converter_draws or {})
 
     v_pu: dict[str, float] = {}

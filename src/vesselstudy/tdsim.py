@@ -25,27 +25,19 @@ threshold by supplying the surplus, and the DP-failover mode latches the
 delayed pre-trip output of a lost generator.  A run without controllers
 whose islands are all linear solves each recording step once, since
 nothing can change the network between the two solves.  A bisection
-search over fault clearing time gives the critical clearing time against
-a first-swing stability criterion.  Its probes share one engine: each
-applies its fault at t = 0 to the trimmed equilibrium, the first probe,
-the latest clearing, records the fault-on steps, and each later one
-starts at the last of them before its clearing; an unstable probe stops
-as soon as its spread reaches pi.  On a lone two-machine
-island that qualifies (see `_Engine._swing_certificate`) a probe stops
-at the first recording step after its clearing where the energy function
-proves its verdict (Kundur 1994, ch. 13; Pai 1989): stable when a
-potential-energy barrier on each side keeps the spread below pi,
-unstable when no barrier on its way lets the spread reach pi at a
-recording step inside the window, before any speed could pass the
-sanity bound.  Either verdict is that of a full-window probe; every
-other probe integrates its whole window, or until its spread reaches pi.
+search over fault clearing time, `find_cct`, gives the critical clearing
+time against a first-swing stability criterion.  Its probes share one
+engine and one fault-on trajectory, and stop once their verdict is
+known: at a rotor-angle spread of pi or, on a lone two-machine island
+that qualifies, where the energy function proves it (Kundur 1994, ch. 13;
+Pai 1989; see `_Engine._swing_certificate`).
 """
 
 from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -83,7 +75,7 @@ EVENT_FIELDS = {
 }
 
 # each study-file key -> the interval of its value (`grid.check_domains`),
-# checked by `_check_fields` and `find_cct`
+# checked by `_check_fields`
 DOMAINS = {
     "time_s": "[0, inf)", "scale": "[0, inf)", "ramp_s": "[0, inf)",
     "location": "[0, 1]", "step_s": "(0, inf)", "end_s": "(0, inf)",
@@ -92,24 +84,27 @@ DOMAINS = {
     "dp_delay_s": "(0, inf)", "loading": "(0, inf)", "t_lo_s": "[0, inf)",
     "t_hi_s": "(0, inf)", "tol_s": "(0, inf)", "window_s": "(0, inf)"}
 
-# the study-file key of each field named otherwise
-_FIELD_KEYS = {"time": "time_s", "ramp": "ramp_s", "dp_delay": "dp_delay_s",
-               "step": "step_s", "end": "end_s"}
+# the study-file key of each field of SimConfig, Event, ControllerConfig and
+# CctFaultSpec named otherwise; every other field is its own key
+FIELD_KEYS = {"time": "time_s", "ramp": "ramp_s", "dp_delay": "dp_delay_s",
+              "step": "step_s", "end": "end_s", "t_lo": "t_lo_s",
+              "t_hi": "t_hi_s", "tol": "tol_s", "window": "window_s"}
 
 
 def _check_fields(spec, kind: str = "",
                   readers: dict[str, tuple[str, ...]] | None = None) -> None:
     """Raise InputError, naming the study-file key, for a field of `spec`
     that some kind of `readers` reads, but not `kind`, and that differs
-    from its default, then for a value outside its DOMAINS interval."""
+    from its default, then for a value outside its DOMAINS interval; None
+    passes only in a field whose default is None."""
     values = {}
     for f in fields(spec):
-        key, value = _FIELD_KEYS.get(f.name, f.name), getattr(spec, f.name)
+        key, value = FIELD_KEYS.get(f.name, f.name), getattr(spec, f.name)
         owners = [k for k, keys in (readers or {}).items() if key in keys]
         if owners and kind not in owners and value != f.default:
             raise InputError(f"{kind}: {key} applies only to "
                              f"{', '.join(owners)}")
-        if key in DOMAINS:
+        if key in DOMAINS and not (value is None and f.default is None):
             values[key] = value
     check_domains(DOMAINS, **values)
 
@@ -995,13 +990,35 @@ def simulate(grid: GridModel, schedule: EventSchedule,
 
 @dataclass(frozen=True)
 class CctFaultSpec:
+    """A CCT search, as a `[cct]` section gives it (see `find_cct`)."""
+
     machine: str
     loading: float = 0.9          # fraction of rated kW
     location: float = 0.01        # fraction along the cable from the machine
     branch: str | None = None     # a cable at the machine bus; required if >1
+    step: float = 0.002           # each probe's recording step, s
+    governor: bool = True
+    avr: bool = True
+    t_lo: float = 0.0             # a stable clearing time, s
+    t_hi: float = 0.5             # an unstable one, s
+    tol: float = 1e-3             # the bracket width that ends the search, s
+    window: float = 3.0           # s that a probe watches after its clearing
 
     def __post_init__(self):
         _check_fields(self)
+        if self.t_hi <= self.t_lo:
+            raise InputError(f"need t_hi_s > t_lo_s = {self.t_lo}, "
+                             f"got t_hi_s = {self.t_hi}")
+        if self.window < self.step:
+            raise InputError(f"need window_s >= step_s, got window_s = "
+                             f"{self.window}")
+        # the t_hi probe, the longest, ends near t_hi + window and runs two
+        # steps at least: a finite end, in a step count an array can index
+        steps = (self.t_hi + self.window + 2 * self.step) / self.step
+        if not steps < np.iinfo(np.intp).max:
+            raise InputError(f"step_s = {self.step} cuts t_hi_s = {self.t_hi} "
+                             f"plus window_s = {self.window} into more steps "
+                             "than an array can index")
 
 
 @dataclass(frozen=True)
@@ -1011,9 +1028,8 @@ class CctResult:
     transcript: tuple[tuple[float, bool], ...]
 
 
-def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
-             tol: float, cfg: SimConfig, window: float = 3.0) -> CctResult:
-    """Bisect the fault clearing time against first-swing stability.
+def find_cct(grid: GridModel, spec: CctFaultSpec) -> CctResult:
+    """Bisect `spec`'s fault clearing time against first-swing stability.
 
     The machine must be online; it runs at `loading` times its rated kW, and
     the power flow's slack is the largest other online generator of its
@@ -1023,57 +1039,52 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
     within 1e-12 s of the fault is no disturbance.  A probe is stable when
     the largest pairwise rotor-angle separation stays below 180 degrees
     within `window` after the fault clears.  The bracket must straddle the
-    boundary: `t_lo` stable and `t_hi` unstable; `t_lo`, `t_hi`, `tol` and
-    `window` lie in their `DOMAINS` intervals.  The `t_hi` probe runs first
-    and records the fault-on steps; every later probe starts at the last of
-    them before its clearing, bit-identical to a run from t = 0.  Each probe
-    runs to the recording step nearest its clearing plus `window`, so `cfg`
-    gives the step, governor and AVR, and an `end` other than SimConfig's
-    default is an input error.  An unstable probe ends at the step its
-    spread reaches 180 degrees.  On a lone two-machine island that qualifies
-    (see `_Engine._swing_certificate`) a probe may end at its clearing,
-    stable or unstable, once the energy function proves how its first swing
-    ends; the verdict, which the engine returns, is that of a full-window
-    probe.
+    boundary: `t_lo` stable and `t_hi` unstable.  The `t_hi` probe runs
+    first and records the fault-on steps; every later probe starts at the
+    last of them before its clearing, bit-identical to a run from t = 0.
+    Each probe runs at `step`, with `governor` and `avr`, to the recording
+    step nearest its clearing plus `window`, and two steps at least.  An
+    unstable probe ends at the step its spread reaches 180 degrees.  On a
+    lone two-machine island that qualifies (`_Engine._swing_certificate`)
+    a probe may end at its clearing, stable or unstable, once the energy
+    function proves how its first swing ends; the verdict, which the engine
+    returns, is that of a full-window probe.
     """
-    check_domains(DOMAINS, t_lo_s=t_lo, t_hi_s=t_hi, tol_s=tol, window_s=window)
-    if t_hi <= t_lo:
-        raise InputError(f"need t_hi_s > t_lo_s = {t_lo}, got t_hi_s = {t_hi}")
-    if window < cfg.step:
-        raise InputError(f"need window_s >= step_s, got window_s = {window}")
-    if cfg.end != SimConfig.end:
-        raise InputError(f"find_cct ends each probe at its clearing plus "
-                         f"window; leave end at {SimConfig.end:g}, got "
-                         f"end = {cfg.end:g}")
-    gen = grid.generator(fault.machine)
-    if not grid.element_online(fault.machine):
-        raise InputError(f"cct machine {fault.machine!r} is offline")
+    gen = grid.generator(spec.machine)
+    if not grid.element_online(spec.machine):
+        raise InputError(f"cct machine {spec.machine!r} is offline")
     on = grid.online_elements(grid.island_of(gen.bus))
-    others = tuple(g for g in on.generators if g.id != fault.machine)
+    others = tuple(g for g in on.generators if g.id != spec.machine)
     if not others:
-        raise InputError(f"cct machine {fault.machine!r}: no other online "
+        raise InputError(f"cct machine {spec.machine!r}: no other online "
                          "generator in its island to act as slack")
     slack = island_slack(on._replace(generators=others)).id
-    dispatch = {fault.machine: fault.loading * gen.rated_kw}
+    dispatch = {spec.machine: spec.loading * gen.rated_kw}
 
     cables = [b for b in grid.branches if gen.bus in (b.from_bus, b.to_bus)]
-    if fault.branch is not None:
-        if not any(b.id == fault.branch for b in grid.branches):
-            raise InputError(f"unknown branch {fault.branch!r}")
-        cables = [b for b in cables if b.id == fault.branch]
-    if len(cables) != 1 and (fault.branch is not None or fault.location > 1e-9):
-        named = "" if fault.branch is None else f" named {fault.branch!r}"
-        raise InputError(f"{fault.machine}: need one cable at {gen.bus}"
+    if spec.branch is not None:
+        if not any(b.id == spec.branch for b in grid.branches):
+            raise InputError(f"unknown branch {spec.branch!r}")
+        cables = [b for b in cables if b.id == spec.branch]
+    if len(cables) != 1 and (spec.branch is not None or spec.location > 1e-9):
+        named = "" if spec.branch is None else f" named {spec.branch!r}"
+        raise InputError(f"{spec.machine}: need one cable at {gen.bus}"
                          f"{named} to fault, found {len(cables)}")
-    if fault.location <= 1e-9:
+    if spec.location <= 1e-9:
         target, location = gen.bus, None
     else:
         br = cables[0]
-        frac = fault.location if br.from_bus == gen.bus else 1.0 - fault.location
+        frac = spec.location if br.from_bus == gen.bus else 1.0 - spec.location
         target, location = br.id, frac
 
+    def probe_cfg(t_clear: float) -> SimConfig:
+        # to the recording step nearest the window's end, two at least
+        steps = max(2, round((t_clear + spec.window) / spec.step))
+        return SimConfig(spec.step, steps * spec.step, spec.governor, spec.avr)
+
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        engine = _Engine(grid, (), cfg, dispatch=dispatch, slack=slack)
+        engine = _Engine(grid, (), probe_cfg(spec.t_hi), dispatch=dispatch,
+                         slack=slack)
     engine.trunk = []
 
     def stable(t_clear: float) -> bool:
@@ -1083,18 +1094,17 @@ def find_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float, t_hi: float,
             Event(0.0, "fault_apply", target, location=location),
             Event(t_clear, "fault_clear"),
         ))
-        probe_cfg = replace(
-            cfg, end=round((t_clear + window) / cfg.step) * cfg.step)
-        return simulate(grid, events, (), probe_cfg, _engine=engine).stable
+        return simulate(grid, events, (), probe_cfg(t_clear),
+                        _engine=engine).stable
 
-    hi_ok = stable(t_hi)   # first: it records the shared fault-on steps
-    lo_ok = stable(t_lo)
-    transcript = [(t_lo, lo_ok), (t_hi, hi_ok)]
+    lo, hi = spec.t_lo, spec.t_hi
+    hi_ok = stable(hi)   # first: it records the shared fault-on steps
+    lo_ok = stable(lo)
+    transcript = [(lo, lo_ok), (hi, hi_ok)]
     if not lo_ok or hi_ok:
         raise NumericalError(
-            f"invalid bracket: stable({t_lo})={lo_ok}, stable({t_hi})={hi_ok}")
-    lo, hi = t_lo, t_hi
-    while hi - lo > tol:
+            f"invalid bracket: stable({lo})={lo_ok}, stable({hi})={hi_ok}")
+    while hi - lo > spec.tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break   # lo and hi are adjacent floats: no tol can shrink them

@@ -23,7 +23,7 @@ from vesselstudy.grid import (
 from vesselstudy import tdsim
 from vesselstudy.powerflow import S_BASE_KVA
 from vesselstudy.tdsim import (V_FLOOR, CctFaultSpec, CctResult, Event,
-                               EventSchedule, simulate)
+                               EventSchedule, SimConfig, simulate)
 
 # breakers that leave only the port-side section of the AC vessel energized
 PS_ISLAND_OPEN = (
@@ -155,8 +155,13 @@ def cap_probes(monkeypatch, cap: int) -> list:
     return probes
 
 
-def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
-                  t_hi: float, tol: float, cfg, window: float) -> CctResult:
+# a search of G1's CCT on smib_grid for a bolted fault at its bus, without
+# governors and voltage regulators; tests replace its tol and window
+SMIB_CCT = CctFaultSpec("G1", location=0.0, step=0.005, governor=False,
+                        avr=False, t_hi=0.4)
+
+
+def reference_cct(grid: GridModel, fault: CctFaultSpec) -> CctResult:
     """`find_cct`'s bisection on smib_grid, every probe a plain `simulate`
     from t = 0 over its whole window, judged by the largest rotor-angle
     spread from the clearing on.  Its faults start at 0.25 s, after a
@@ -177,8 +182,9 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
         t_end = 0.25 + t_clear
         sched = EventSchedule((apply, Event(t_end, "fault_clear")))
         # the recording step nearest the window's end, as `find_cct` ends it
-        probe_cfg = dataclasses.replace(
-            cfg, end=round((t_end + window) / cfg.step) * cfg.step)
+        step = fault.step
+        probe_cfg = SimConfig(step, round((t_end + fault.window) / step) * step,
+                              fault.governor, fault.avr)
         try:
             ts = simulate(grid, sched, (), probe_cfg, dispatch=dispatch)
         except NumericalError:
@@ -188,9 +194,9 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec, t_lo: float,
         spread = deltas.max(axis=0) - deltas.min(axis=0)
         return spread[ts.t >= t_end - 1e-9].max() < math.pi
 
-    transcript = [(t_lo, stable(t_lo)), (t_hi, stable(t_hi))]
-    lo, hi = t_lo, t_hi
-    while hi - lo > tol:
+    lo, hi = fault.t_lo, fault.t_hi
+    transcript = [(lo, stable(lo)), (hi, stable(hi))]
+    while hi - lo > fault.tol:
         mid = 0.5 * (lo + hi)
         ok = stable(mid)
         transcript.append((mid, ok))

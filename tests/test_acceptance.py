@@ -212,9 +212,9 @@ def test_criterion_08_cct_machinery():
     grid = smib_grid()
     results = {}
     for loading in (0.90, 0.95):
-        res = find_cct(grid, CctFaultSpec("G1", loading=loading, location=0.0),
-                       0.0, 0.4, 1e-3, window=2.0,
-                       cfg=SimConfig(step=0.005, governor=False, avr=False))
+        res = find_cct(grid, CctFaultSpec(
+            "G1", loading=loading, location=0.0, step=0.005, governor=False,
+            avr=False, t_lo=0.0, t_hi=0.4, tol=1e-3, window=2.0))
         assert res.interval[1] - res.interval[0] <= 1e-3
         # stability is monotone in clearing time across the whole transcript
         stable_ts = [t for t, ok in res.transcript if ok]

@@ -12,11 +12,13 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from vesselstudy import SimConfig, find_cct, tdsim  # noqa: E402
 from vesselstudy.grid import Bus, CableBranch  # noqa: E402
-from vesselstudy.tdsim import CctFaultSpec  # noqa: E402
 
-from helpers import cap_probes, reference_cct, smib_grid  # noqa: E402
+from helpers import (SMIB_CCT, cap_probes, reference_cct,  # noqa: E402
+                     smib_grid)
 
 BARE_SMIB = SimConfig(step=0.005, governor=False, avr=False)
+# the searches whose probes `_probe_runs` records
+PROBED = dataclasses.replace(SMIB_CCT, tol=0.02, window=1.0)
 ZBASE = 690.0 ** 2 / 1e6
 
 
@@ -55,19 +57,19 @@ def test_search_matches_reference_bisection(loading, location, h_ratio, r_pu,
     bus or a line fault, a stiff source or a finite second machine listed
     before or after G1, lossy lines and equal D/2H damping of either sign,
     down to clearing times within 1e-4 s of the CCT."""
-    spec = CctFaultSpec("G1", loading=loading, location=location)
+    spec = dataclasses.replace(SMIB_CCT, loading=loading, location=location,
+                               tol=1e-4, window=1.0)
     for ib_id in ("IB", "A_SOURCE"):
         grid = two_machine_grid(h_ratio, r_pu, d_per_h, ib_id=ib_id)
-        res = find_cct(grid, spec, 0.0, 0.4, 1e-4, BARE_SMIB, window=1.0)
+        res = find_cct(grid, spec)
         assert res.interval[1] - res.interval[0] <= 1e-4
-        assert res == reference_cct(grid, spec, 0.0, 0.4, 1e-4, BARE_SMIB,
-                                    1.0)
+        assert res == reference_cct(grid, spec)
 
 
-def _probe_runs(monkeypatch, grid, cfg, window=1.0, location=0.0):
-    """Search G1's CCT; return (clearing time, last recorded time, the
-    engine's verdict, rotor-angle spread at the last step) of every
-    probe."""
+def _probe_runs(monkeypatch, grid, spec):
+    """Search G1's CCT by `spec`; return (clearing time, last recorded
+    time, the engine's verdict, rotor-angle spread at the last step) of
+    every probe."""
     runs = []
     run = tdsim._Engine.run
 
@@ -80,8 +82,7 @@ def _probe_runs(monkeypatch, grid, cfg, window=1.0, location=0.0):
         return ts
 
     monkeypatch.setattr(tdsim._Engine, "run", recorded)
-    spec = CctFaultSpec("G1", loading=0.9, location=location)
-    find_cct(grid, spec, 0.0, 0.4, 0.02, cfg, window=window)
+    find_cct(grid, spec)
     assert any(stable for _, _, stable, _ in runs)
     assert any(not stable for _, _, stable, _ in runs)
     return runs
@@ -96,21 +97,21 @@ def _three_machines():
         generators=grid.generators + (g2,), branches=grid.branches + (line,))
 
 
-@pytest.mark.parametrize("grid, cfg", [
-    (_three_machines(), BARE_SMIB),
-    (smib_grid(), dataclasses.replace(BARE_SMIB, governor=True)),
-    (smib_grid(), dataclasses.replace(BARE_SMIB, avr=True)),
-    (two_machine_grid(d_per_h=1.0, d_ib=0.0), BARE_SMIB),
-    (two_machine_grid(h_ratio=2.0, d_per_h=-0.5), BARE_SMIB),
+@pytest.mark.parametrize("grid, spec", [
+    (_three_machines(), PROBED),
+    (smib_grid(), dataclasses.replace(PROBED, governor=True)),
+    (smib_grid(), dataclasses.replace(PROBED, avr=True)),
+    (two_machine_grid(d_per_h=1.0, d_ib=0.0), PROBED),
+    (two_machine_grid(h_ratio=2.0, d_per_h=-0.5), PROBED),
 ], ids=["three-machines", "governor", "avr", "unequal-damping",
         "negative-damping"])
-def test_ineligible_stable_probes_run_the_whole_window(monkeypatch, grid, cfg):
+def test_ineligible_stable_probes_run_the_whole_window(monkeypatch, grid, spec):
     """Without the two-machine energy certificate a stable probe still
     integrates every step of its window, and an unstable one runs until
     its spread reaches pi."""
-    for t_end, last, stable, spread in _probe_runs(monkeypatch, grid, cfg):
+    for t_end, last, stable, spread in _probe_runs(monkeypatch, grid, spec):
         if stable:
-            assert last >= t_end + 1.0 - cfg.step, t_end
+            assert last >= t_end + spec.window - spec.step, t_end
         else:
             assert spread >= math.pi, t_end
 
@@ -127,10 +128,10 @@ def test_eligible_stable_probes_end_after_clearing(monkeypatch, grid,
                                                    location):
     """On a lone two-machine linear island a stable probe ends within a
     few steps after its clearing."""
-    for t_end, last, stable, _ in _probe_runs(monkeypatch, grid, BARE_SMIB,
-                                              location=location):
+    spec = dataclasses.replace(PROBED, location=location)
+    for t_end, last, stable, _ in _probe_runs(monkeypatch, grid, spec):
         if stable:
-            assert t_end - 1e-9 <= last <= t_end + 3 * BARE_SMIB.step, t_end
+            assert t_end - 1e-9 <= last <= t_end + 3 * spec.step, t_end
 
 
 @ELIGIBLE
@@ -139,11 +140,11 @@ def test_eligible_unstable_probes_end_after_clearing(monkeypatch, grid,
     """On a lone two-machine linear island an unstable probe, too, ends
     within a few steps after its clearing, if need be before its spread
     reaches pi."""
+    spec = dataclasses.replace(PROBED, location=location)
     unstable = [(t_end, last, spread) for t_end, last, stable, spread
-                in _probe_runs(monkeypatch, grid, BARE_SMIB,
-                               location=location) if not stable]
+                in _probe_runs(monkeypatch, grid, spec) if not stable]
     for t_end, last, _ in unstable:
-        assert t_end - 1e-9 <= last <= t_end + 3 * BARE_SMIB.step, t_end
+        assert t_end - 1e-9 <= last <= t_end + 3 * spec.step, t_end
     assert any(spread < math.pi for *_, spread in unstable)
 
 
@@ -155,13 +156,11 @@ def test_long_window_search_matches_reference(monkeypatch, grid, step):
     """Over a 20 s window at a coarse step, where an energy drift that
     grew with the window would show, probes that end early still give the
     CctResult of full-window probes."""
-    cfg = dataclasses.replace(BARE_SMIB, step=step)
-    runs = _probe_runs(monkeypatch, grid, cfg, window=20.0, location=0.5)
+    spec = dataclasses.replace(PROBED, location=0.5, step=step, window=20.0)
+    runs = _probe_runs(monkeypatch, grid, spec)
     assert any(stable and last < t_end + 20.0 - step
                for t_end, last, stable, _ in runs)
-    spec = CctFaultSpec("G1", loading=0.9, location=0.5)
-    assert (find_cct(grid, spec, 0.0, 0.4, 0.02, cfg, window=20.0)
-            == reference_cct(grid, spec, 0.0, 0.4, 0.02, cfg, 20.0))
+    assert find_cct(grid, spec) == reference_cct(grid, spec)
 
 
 def test_certificate_bounds_the_speed_over_the_time_left():
@@ -266,9 +265,8 @@ def test_a_tolerance_below_the_float_spacing_ends_one_ulp_wide(monkeypatch):
     """Once lo and hi are adjacent floats their midpoint is one of them, so
     a `tol` below that spacing used to bisect forever on the same probe."""
     probes = cap_probes(monkeypatch, 100)
-    res = find_cct(smib_grid(), CctFaultSpec("G1", loading=0.8, location=0.0),
-                   0.0, 0.4, 1e-300, SimConfig(step=0.02, governor=False,
-                                               avr=False), window=1.0)
+    res = find_cct(smib_grid(), dataclasses.replace(
+        SMIB_CCT, loading=0.8, step=0.02, tol=1e-300, window=1.0))
     lo, hi = res.interval
     assert hi == np.nextafter(lo, math.inf)
     times = [t for t, _ in res.transcript]

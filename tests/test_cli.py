@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -9,12 +10,17 @@ from pathlib import Path
 import pytest
 
 from vesselstudy import (
+    CctFaultSpec,
+    ControllerConfig,
+    Event,
+    SimConfig,
     builtin_fixture,
     cli,
     dc_fault_summary,
     parse_grid,
     serialize_grid,
     solve_ac_powerflow,
+    tdsim,
 )
 from vesselstudy.cli import main
 
@@ -1029,8 +1035,10 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
      "step_s = 1e-300 cuts end_s = 0.1 into more steps than an array can "
      "index"),
     ("cct", None, SHORT_CCT.replace("0.01", "1e-300"),
-     "step_s = 1e-300 cuts end_s = 0.4 into more steps than an array can "
-     "index"),
+     "step_s = 1e-300 cuts t_hi_s = 0.1 plus window_s = 0.3 into more steps "
+     "than an array can index"),
+    ("tdsim", None, "[sim]\nstep_s = 0.1\nend_s = 0.1\n",
+     "need end_s > step_s = 0.1, got end_s = 0.1"),
     # breakers that engines read differently, or not at all, used to run
     ("powerflow", ("[breaker CB_TIE_MID_SB]", "[breaker CB_X]\nfrom = DG#01\n"
                    "to = DG#02\n\n[breaker CB_TIE_MID_SB]"), "",
@@ -1140,3 +1148,71 @@ def test_cct_tolerance_below_the_float_spacing(tmp_path, monkeypatch, capsys):
     hi = min(float(r["t_clear_s"]) for r in rows if r["stable"] == "false")
     assert hi == math.nextafter(lo, math.inf)
     assert capsys.readouterr().out == f"cct_s = {lo!r}\n"
+
+
+# a probe's length used to be checked only by the SimConfig of each probe:
+# an OverflowError traceback (exit 1), or an input error naming end_s,
+# which no [cct] section sets
+@pytest.mark.parametrize("keys, rc, message", [
+    ("step_s = 1e-310\n", 2, "step_s = 1e-310 cuts t_hi_s = 0.5 plus "
+     "window_s = 3.0 into more steps than an array can index"),
+    ("t_hi_s = 1e308\n", 2, "step_s = 0.002 cuts t_hi_s = 1e+308 plus "
+     "window_s = 3.0 into more steps than an array can index"),
+    ("window_s = 1e308\n", 2, "step_s = 0.002 cuts t_hi_s = 0.5 plus "
+     "window_s = 1e+308 into more steps than an array can index"),
+    # the t_hi probe's end rounded to one step, and now runs two
+    ("step_s = 0.01\nwindow_s = 0.01\nt_hi_s = 0.004\n", 3,
+     "invalid bracket: stable(0.0)=True, stable(0.004)=True"),
+    # SimConfig's default end_s = 10 used to refuse any step above it
+    ("step_s = 15\nwindow_s = 20\nt_hi_s = 30\n", 3,
+     "integration diverged: speed deviation beyond sanity bound at "
+     "t=0.0000 s"),
+])
+def test_a_cct_probe_length_is_checked_with_the_search_keys(
+        tmp_path, capsys, monkeypatch, keys, rc, message):
+    """A refused search builds no engine, and so allocates no array."""
+    if rc == 2:
+        monkeypatch.setattr(tdsim, "_Engine", None)
+    study = tmp_path / "s.study"
+    study.write_text("[cct]\nmachine = DG#01\n" + keys)
+    assert main(["cct", "--grid", "builtin:ac_vessel", "--study", str(study),
+                 "--out", str(tmp_path / "o")]) == rc
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# each section that builds a library class -> that class
+SECTION_CLASSES = {"sim": SimConfig, "event": Event,
+                   "controller": ControllerConfig, "cct": CctFaultSpec}
+
+
+@pytest.mark.parametrize("kind", SECTION_CLASSES)
+def test_every_section_key_names_a_field_of_its_class(kind):
+    """`tdsim.FIELD_KEYS` is the one map from a study key to its field:
+    every key of the section names a field of the class it builds, and
+    every field of Event, ControllerConfig and CctFaultSpec is a key
+    ([sim] leaves SimConfig's governor and avr to [cct])."""
+    cls = SECTION_CLASSES[kind]
+    names = {tdsim.FIELD_KEYS.get(f.name, f.name): f.name
+             for f in dataclasses.fields(cls)}
+    keys = set(cli._STUDY_SECTIONS[kind])
+    assert keys <= set(names)
+    if cls is not SimConfig:
+        assert keys == set(names)
+    assert set(tdsim.FIELD_KEYS) <= {f.name for c in SECTION_CLASSES.values()
+                                     for f in dataclasses.fields(c)}
+
+
+@pytest.mark.xfail(strict=True, reason="known defect: solve_dc_balance "
+                   "takes no load scale, so a grid inverter draws the DC "
+                   "power of its AC island's load at scale 1")
+def test_dc_balance_honours_the_load_scale(tmp_path):
+    study = tmp_path / "s.study"
+    study.write_text("[load_scale]\nLOAD400_PS = 0.5\n")
+    assert main(["powerflow", "--grid", "builtin:dc_vessel", "--study",
+                 str(study), "--out", str(tmp_path / "o")]) == 0
+    sol = solve_ac_powerflow(builtin_fixture("dc_vessel"),
+                             load_scale={"LOAD400_PS": 0.5})
+    assert sol.injections_kw["GINV_PS"][0] == pytest.approx(170.0)
+    rows = {r["element"]: float(r["p_kw"])
+            for r in _read_csv(tmp_path / "o" / "dcbalance.csv")}
+    assert rows["GINV_PS:ac"] == pytest.approx(170.0)

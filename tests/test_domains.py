@@ -1,8 +1,9 @@
 """Every entry of the engines' domain tables (`tdsim.DOMAINS`,
 `powerflow.DOMAINS`, `protection.DOMAINS`) is enforced by the public
 constructor or function that owns it: a value just outside a finite end,
-nan, inf and -inf each raise an `InputError` naming the key, and the
-value at a closed end passes the key's check.  Every entry of the grid's
+nan, inf, -inf and None each raise an `InputError` naming the key, and
+the value at a closed end passes the key's check, as None does in a
+field whose default is None.  Every entry of the grid's
 table, `grid.DOMAINS`, is enforced the same way by `validate`, as one
 `domain` violation naming the field."""
 
@@ -36,13 +37,6 @@ def _controller(**kw):
                                      **kw})
 
 
-def _cct(**kw):
-    # an unknown machine: every value check passes before its lookup fails
-    args = {"t_lo": 0.0, "t_hi": 0.4, "tol": 0.01, "window": 1.0, **kw}
-    return tdsim.find_cct(AC, tdsim.CctFaultSpec("NOPE"),
-                          cfg=tdsim.SimConfig(step=0.01), **args)
-
-
 # each table entry -> the public calls that own it, each given the value
 OWNERS = {
     ("tdsim", "time_s"): [
@@ -55,7 +49,8 @@ OWNERS = {
     ("tdsim", "location"): [
         lambda v: tdsim.Event(0.0, "fault_apply", "FDR_LV_PS", location=v),
         lambda v: tdsim.CctFaultSpec("DG#01", location=v)],
-    ("tdsim", "step_s"): [lambda v: tdsim.SimConfig(step=v)],
+    ("tdsim", "step_s"): [lambda v: tdsim.SimConfig(step=v),
+                          lambda v: tdsim.CctFaultSpec("DG#01", step=v)],
     ("tdsim", "end_s"): [lambda v: tdsim.SimConfig(end=v)],
     ("tdsim", "p_rating_kw"): [lambda v: _controller(p_rating_kw=v)],
     ("tdsim", "q_rating_kvar"): [lambda v: _controller(q_rating_kvar=v)],
@@ -64,10 +59,10 @@ OWNERS = {
     ("tdsim", "dp_delay_s"): [
         lambda v: _controller(mode="dp_failover", dp_delay=v)],
     ("tdsim", "loading"): [lambda v: tdsim.CctFaultSpec("DG#01", loading=v)],
-    ("tdsim", "t_lo_s"): [lambda v: _cct(t_lo=v)],
-    ("tdsim", "t_hi_s"): [lambda v: _cct(t_hi=v)],
-    ("tdsim", "tol_s"): [lambda v: _cct(tol=v)],
-    ("tdsim", "window_s"): [lambda v: _cct(window=v)],
+    ("tdsim", "t_lo_s"): [lambda v: tdsim.CctFaultSpec("DG#01", t_lo=v)],
+    ("tdsim", "t_hi_s"): [lambda v: tdsim.CctFaultSpec("DG#01", t_hi=v)],
+    ("tdsim", "tol_s"): [lambda v: tdsim.CctFaultSpec("DG#01", tol=v)],
+    ("tdsim", "window_s"): [lambda v: tdsim.CctFaultSpec("DG#01", window=v)],
     ("powerflow", "tol"): [lambda v: powerflow.solve_ac_powerflow(AC, tol=v)],
     ("powerflow", "max_iter"): [
         lambda v: powerflow.solve_ac_powerflow(AC, max_iter=v)],
@@ -86,6 +81,8 @@ OWNERS = {
         lambda v: protection.trip_time(TccCurve(LongTimeElement(1000.0),
                                                 ShortTimeElement(5000.0)), v)],
 }
+# the owners whose field defaults to None, which there means unset
+NONE_PASSES = {("tdsim", "scale", 0), ("tdsim", "location", 0)}
 
 
 def _entries():
@@ -111,12 +108,19 @@ def _values(domain: str) -> tuple[list[float], list[float]]:
     return outside, closed
 
 
+def _owner_values(engine: str, key: str, domain: str, k: int):
+    """`_values`, with None outside too, or passing for NONE_PASSES."""
+    outside, closed = _values(domain)
+    (closed if (engine, key, k) in NONE_PASSES else outside).append(None)
+    return outside, closed
+
+
 def _cases(pick: int):
     return [pytest.param(engine, key, domain, k, value,
                          id=f"{engine}.{key}-{k}-{value!r}")
             for engine, key, domain in _entries()
             for k in range(len(OWNERS[(engine, key)]))
-            for value in _values(domain)[pick]]
+            for value in _owner_values(engine, key, domain, k)[pick]]
 
 
 def test_every_entry_has_an_owner():

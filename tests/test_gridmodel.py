@@ -466,12 +466,18 @@ SHARED_READERS = {
     ("AcNetwork", "frequency"): "tdsim._Engine._build",
     ("AcScTrace", "t"): "cli._run_sc_ac",
     ("BreakerFlow", "breaker_id"): "protection.build_breaker_graph",
+    ("CctFaultSpec", "avr"): "tdsim.find_cct",
+    ("CctFaultSpec", "governor"): "tdsim.find_cct",
     ("CctFaultSpec", "location"): "tdsim.find_cct",
+    ("CctFaultSpec", "step"): "tdsim.find_cct",
     ("DcFaultSummary", "traces"): "cli._run_sc_dc",
     ("DcScTrace", "t"): "protection.let_through",
     ("Event", "location"): "tdsim._Engine._island_y",
     ("FaultSummary", "bus"): "protection.build_breaker_graph",
     ("FaultSummary", "traces"): "protection.build_breaker_graph",
+    ("SimConfig", "avr"): "tdsim._Engine._derivatives",
+    ("SimConfig", "governor"): "tdsim._Engine._derivatives",
+    ("SimConfig", "step"): "tdsim._Engine.run",
     ("TimeSeries", "t"): "cli._run_tdsim",
     ("TripEvent", "breaker_id"): "report.trip_rows",
     ("TripEvent", "locked"): "protection.selectivity_check",

@@ -23,8 +23,8 @@ from vesselstudy.grid import (Bus, ConverterSpec, InputError, LoadSpec,
                               NumericalError)
 from vesselstudy.powerflow import S_BASE_KVA
 
-from helpers import (dp_island, ps_island, reference_cct, single_gen_grid,
-                     smib_grid)
+from helpers import (SMIB_CCT, dp_island, ps_island, reference_cct,
+                     single_gen_grid, smib_grid)
 
 # the SMIB runs without governors and voltage regulators
 BARE_SMIB = SimConfig(step=0.005, governor=False, avr=False)
@@ -342,8 +342,8 @@ def test_cct_bracket_must_straddle():
     grid = smib_grid()
     with pytest.raises(NumericalError, match=r"invalid bracket: "
                        r"stable\(0.0\)=True, stable\(0.01\)=True"):
-        find_cct(grid, CctFaultSpec("G1", loading=0.9, location=0.0),
-                 0.0, 0.01, 0.005, BARE_SMIB, window=1.0)
+        find_cct(grid, dataclasses.replace(SMIB_CCT, t_hi=0.01, tol=0.005,
+                                           window=1.0))
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -364,21 +364,10 @@ def test_cct_fault_spec_rejects_non_finite_loading(value):
 def test_find_cct_rejects_non_finite(name, value):
     """Unchecked, a NaN tolerance would end the search at once with
     cct = 0, and an infinite window would overflow."""
-    args = dict(t_lo=0.0, t_hi=0.4, tol=5e-3, window=1.0)
+    args = dict(tol=5e-3, window=1.0)
     args[name] = value
     with pytest.raises(ValueError, match=f"need {name}_s in "):
-        find_cct(smib_grid(), CctFaultSpec("G1", loading=0.9, location=0.0),
-                 cfg=BARE_SMIB, **args)
-
-
-@pytest.mark.parametrize("end", [0.02, 500.0])
-def test_find_cct_refuses_an_end(end):
-    """Each probe runs to its clearing plus the window, so an `end` would
-    change no CCT."""
-    cfg = dataclasses.replace(BARE_SMIB, end=end)
-    with pytest.raises(InputError, match=f"got end = {end:g}"):
-        find_cct(smib_grid(), CctFaultSpec("G1", loading=0.9, location=0.0),
-                 0.0, 0.4, 0.01, cfg, window=2.0)
+        find_cct(smib_grid(), dataclasses.replace(SMIB_CCT, **args))
 
 
 @pytest.mark.xfail(strict=True, raises=NumericalError,
@@ -548,9 +537,9 @@ def test_cable_fault_at_an_end_faults_its_bus(location, bus):
 def test_cct_early_stop_keeps_transcript():
     """Branched, early-stopped probes give the search of full probes."""
     grid = smib_grid()
-    spec = CctFaultSpec("G1", loading=0.9, location=0.0)
-    res = find_cct(grid, spec, 0.0, 0.4, 5e-3, BARE_SMIB, window=2.0)
-    ref = reference_cct(grid, spec, 0.0, 0.4, 5e-3, BARE_SMIB, 2.0)
+    spec = dataclasses.replace(SMIB_CCT, tol=5e-3, window=2.0)
+    res = find_cct(grid, spec)
+    ref = reference_cct(grid, spec)
     assert any(not ok for _, ok in ref.transcript[2:])
     assert res == ref
 
@@ -558,8 +547,8 @@ def test_cct_early_stop_keeps_transcript():
 def test_cct_verdicts_are_plain_bools():
     """Simulated probes give `bool` verdicts like the zero-clearing one, so
     a transcript prints as ((0.0, True), (0.4, False), ...)."""
-    spec = CctFaultSpec("G1", loading=0.9, location=0.0)
-    res = find_cct(smib_grid(), spec, 0.0, 0.4, 5e-3, BARE_SMIB, window=2.0)
+    spec = dataclasses.replace(SMIB_CCT, tol=5e-3, window=2.0)
+    res = find_cct(smib_grid(), spec)
     assert {ok for _, ok in res.transcript} == {True, False}
     assert all(type(ok) is bool for _, ok in res.transcript)
 
@@ -568,9 +557,9 @@ def test_cct_trunk_from_t_hi_serves_a_stable_lower_bracket():
     """With t_lo > 0 the t_hi probe still records the trunk, and the t_lo
     probe branches from it; the search matches full probes."""
     grid = smib_grid()
-    spec = CctFaultSpec("G1", loading=0.8, location=0.3, branch="LINE")
-    res = find_cct(grid, spec, 0.05, 0.4, 5e-3, BARE_SMIB, window=1.0)
-    assert res == reference_cct(grid, spec, 0.05, 0.4, 5e-3, BARE_SMIB, 1.0)
+    spec = dataclasses.replace(SMIB_CCT, loading=0.8, location=0.3,
+                               branch="LINE", t_lo=0.05, tol=5e-3, window=1.0)
+    assert find_cct(grid, spec) == reference_cct(grid, spec)
 
 
 def test_cct_unstable_probe_stops_before_divergence():
@@ -583,8 +572,8 @@ def test_cct_unstable_probe_stops_before_divergence():
     grid = dataclasses.replace(grid, generators=(g1, grid.generator("IB")))
     with pytest.raises(NumericalError, match="speed deviation"):
         _probe(grid, 0.2, window=3.0)
-    res = find_cct(grid, CctFaultSpec("G1", loading=0.9, location=0.0),
-                   0.0, 0.2, 5e-3, BARE_SMIB, window=3.0)
+    res = find_cct(grid, dataclasses.replace(SMIB_CCT, t_hi=0.2, tol=5e-3,
+                                             window=3.0))
     assert res.transcript[1] == (0.2, False)
     assert res.interval[1] - res.interval[0] <= 5e-3
 
@@ -605,8 +594,8 @@ def test_cct_loading_holds_on_the_default_slack_machine(monkeypatch,
     for loading in (0.5, 1.0):
         # t_lo = 0 needs no probe and the tolerance ends the search at t_hi
         find_cct(ac_vessel, CctFaultSpec("DG#03", loading=loading,
-                                         location=0.0),
-                 0.0, 0.4, 0.5, SimConfig(step=0.02), window=1.0)
+                                         location=0.0, step=0.02, t_hi=0.4,
+                                         tol=0.5, window=1.0))
     rated = ac_vessel.generator("DG#03").rated_kw
     assert [p["DG#03.p_kw"][0] for p in probes] == [
         pytest.approx(0.5 * rated), pytest.approx(rated)]
@@ -616,8 +605,8 @@ def test_vessel_cct_keeps_its_transcript(ac_vessel):
     """The paper's own setting: the CCT of DG#03 on the AC vessel at 0.9
     loading, for a bolted fault at its bus, with governor and AVR on."""
     res = find_cct(ac_vessel, CctFaultSpec("DG#03", loading=0.9,
-                                           location=0.0),
-                   0.0, 0.4, 1e-3, SimConfig(step=0.005), window=2.0)
+                                           location=0.0, step=0.005, t_hi=0.4,
+                                           tol=1e-3, window=2.0))
     assert res.transcript == (
         (0.0, True), (0.4, False), (0.2, False), (0.1, False), (0.05, True),
         (0.07500000000000001, True), (0.08750000000000001, False),
@@ -786,8 +775,7 @@ def test_find_cct_integrates_no_pre_fault_step_twice(monkeypatch):
     equilibrium; the t_hi probe records it and every later probe branches
     from it: the search integrates 94 steps."""
     calls = _count_steps(monkeypatch)
-    find_cct(smib_grid(), CctFaultSpec("G1", loading=0.9, location=0.0),
-             0.0, 0.4, 1e-3, BARE_SMIB, window=2.0)
+    find_cct(smib_grid(), dataclasses.replace(SMIB_CCT, tol=1e-3, window=2.0))
     assert len(calls) == 94
 
 
@@ -817,5 +805,6 @@ def test_an_overflowing_state_is_a_numerical_error(ac_vessel):
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(NumericalError,
                            match="network solve produced non-finite V"):
-            find_cct(ac_vessel, CctFaultSpec("DG#01", loading=1e300),
-                     0.0, 0.5, 0.01, SimConfig(step=0.02), window=0.5)
+            find_cct(ac_vessel, CctFaultSpec("DG#01", loading=1e300,
+                                             step=0.02, t_hi=0.5, tol=0.01,
+                                             window=0.5))
