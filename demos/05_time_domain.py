@@ -16,6 +16,7 @@ from vesselstudy import (
     Event,
     EventSchedule,
     SimConfig,
+    SteadyState,
     builtin_fixture,
     simulate,
 )
@@ -54,7 +55,7 @@ failover = ControllerConfig(mode="dp_failover", inverter="INV_PS",
                             q_rating_kvar=1500.0)
 trip = EventSchedule((Event(2.0, "breaker_open", "CB_DG02"),))
 ts2 = simulate(grid2, trip, (failover,), SimConfig(step=0.01, end=8.0),
-               dispatch={"DG#01": 1200.0})
+               SteadyState(dispatch={"DG#01": 1200.0}))
 pre = ts2["DG#02.p_kw"][ts2.t < 2.0][-1]
 print("\nDP failover (DG#02 trips at t = 2 s):")
 print(f"  inverter latches {ts2['INV_PS.p_kw'][-1]:.1f} kW "

@@ -40,6 +40,7 @@ from .powerflow import (
     DcBalanceSolution,
     OperatingPoint,
     PowerflowSolution,
+    SteadyState,
     prefault_operating_point,
     solve_ac_powerflow,
     solve_dc_balance,

@@ -38,7 +38,7 @@ from . import fixtures, report
 from .grid import GridModel, InputError, NumericalError, validate
 from .gridfile import (GridParseError, boolean, check_declared, convert,
                        integer, parse_grid, read_sections)
-from .powerflow import solve_ac_powerflow, solve_dc_balance
+from .powerflow import SteadyState, solve_ac_powerflow, solve_dc_balance
 from .protection import (fuse_i2t_clearing, selectivity_check,
                          sequence_of_operations)
 from .sc_ac import fault_summary
@@ -58,6 +58,8 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_STRICT = 4
+# each study-file key named otherwise than its field -> that field
+_FIELD_OF = {key: name for name, key in FIELD_KEYS.items()}
 
 
 def _on_off(text: str) -> bool:
@@ -71,43 +73,40 @@ def _id_list(text: str) -> tuple[str, ...]:
 
 
 def _keys(cls, **converters) -> dict:
-    """The key table of a section that builds `cls`: each field's study-file
-    key -> its converter and the field's default, ... where it has none."""
+    """The key table of a section that builds `cls`: each study-file key ->
+    its converter and its field's default, ... where it has none."""
     default = {f.name: ... if f.default is MISSING else f.default
                for f in fields(cls)}
-    return {FIELD_KEYS.get(name, name): (conv, default[name])
-            for name, conv in converters.items()}
+    return {key: (conv, default[_FIELD_OF.get(key, key)])
+            for key, conv in converters.items()}
 
 
 def _spec(cls, keys: dict):
     """`cls` built from a section's {study-file key: value}."""
-    return cls(**{f.name: keys[key] for f in fields(cls)
-                  if (key := FIELD_KEYS.get(f.name, f.name)) in keys})
+    return cls(**{_FIELD_OF.get(key, key): v for key, v in keys.items()})
 
 
 # each study section kind: for a keyed section, key -> (converter, default),
 # where a missing key takes its default and one whose default is ... is an
-# input error ([powerflow]: a missing key is not passed, see
-# `_steady_state`); for an id-keyed section, the converter of its values
+# input error; for an id-keyed section, the converter of its values
 # (breaker -> true/false, generator -> kW, load -> scale factor), whose ids
 # the engines check against the grid
 _STUDY_SECTIONS = {
     "breakers": boolean, "dispatch": float, "load_scale": float,
-    "sim": _keys(SimConfig, step=float, end=float),
+    "sim": _keys(SimConfig, step_s=float, end_s=float),
     "cct": _keys(CctFaultSpec, machine=str, loading=float, location=float,
-                 branch=str, t_lo=float, t_hi=float, tol=float, step=float,
-                 window=float, governor=_on_off, avr=_on_off),
+                 branch=str, t_lo_s=float, t_hi_s=float, tol_s=float,
+                 step_s=float, window_s=float, governor=_on_off, avr=_on_off),
     "protect": {"fault_element": (str, None), "fault_bus": (str, None),
                 "failed_breakers": (_id_list, ()), "zsi": (boolean, True),
                 "cct_budget_s": (float, 0.542)},
-    "powerflow": {"slack": (str, None), "tol": (float, None),
-                  "max_iter": (integer, None)},
-    "event": _keys(Event, time=float, action=str, target=str, scale=float,
-                   ramp=float, location=float),
+    "powerflow": _keys(SteadyState, slack=str, tol=float, max_iter=integer),
+    "event": _keys(Event, time_s=float, action=str, target=str, scale=float,
+                   ramp_s=float, location=float),
     "controller": _keys(ControllerConfig, mode=str, inverter=str,
                         watched=_id_list, p_threshold_kw=float,
                         q_threshold_kvar=float, p_rating_kw=float,
-                        q_rating_kvar=float, dp_delay=float)}
+                        q_rating_kvar=float, dp_delay_s=float)}
 # the kinds that take an id and may appear any number of times; every other
 # kind takes none and may appear once
 _WITH_ID = ("event", "controller")
@@ -199,13 +198,11 @@ def _emit(args, name: str, header, rows) -> None:
     report.write_artifact(args.out, name, content)
 
 
-def _steady_state(study: _Study) -> dict:
-    """The study's [powerflow] keys, dispatch and load_scale, as keywords;
-    a [powerflow] key the study leaves out keeps `solve_ac_powerflow`'s
-    default."""
-    given = {k: v for k, v in study.one("powerflow").items() if v is not None}
-    return {**given, "dispatch": study.one("dispatch"),
-            "load_scale": study.one("load_scale")}
+def _steady_state(study: _Study) -> SteadyState:
+    """The operating point of the study's [powerflow], [dispatch] and
+    [load_scale] sections."""
+    return SteadyState(**study.one("powerflow"), dispatch=study.one("dispatch"),
+                       load_scale=study.one("load_scale"))
 
 
 # ---- study runners ----------------------------------------------------------
@@ -217,8 +214,7 @@ def _run_powerflow(args, grid: GridModel, study: _Study) -> int:
         bal = solve_dc_balance(grid)
         draws = {cid: (p, 0.0) for cid, p in bal.transfers_kw.items()
                  if grid.converter(cid).kind == "charger"}
-    sol = solve_ac_powerflow(grid, converter_draws=draws,
-                             **_steady_state(study))
+    sol = solve_ac_powerflow(grid, _steady_state(study), converter_draws=draws)
     if bal is not None:   # written once both solves have passed
         _emit(args, "dcbalance.csv", *report.dc_balance_rows(bal))
     _emit(args, "buses.csv", *report.powerflow_rows(sol))
@@ -268,7 +264,7 @@ def _write_traces(out: str, traces: dict, fields: tuple[str, ...],
 
 
 def _run_sc_ac(args, grid: GridModel, study: _Study) -> int:
-    sol = solve_ac_powerflow(grid, **_steady_state(study))
+    sol = solve_ac_powerflow(grid, _steady_state(study))
     summ = fault_summary(grid, args.bus, sol)
     if args.format == "csv":
         t_cells = report.format_column(next(iter(summ.traces.values())).t)
@@ -301,7 +297,7 @@ def _run_tdsim(args, grid: GridModel, study: _Study) -> int:
     controllers = [_spec(ControllerConfig, keys)
                    for _, keys in sorted(study.many("controller").items())]
     ts = simulate(grid, EventSchedule(tuple(events)), controllers,
-                  _spec(SimConfig, study.one("sim")), **_steady_state(study))
+                  _spec(SimConfig, study.one("sim")), _steady_state(study))
     report.write_artifact(args.out, "timeseries.csv", report.timeseries_csv(ts))
     print(f"simulated {ts.t[-1]:g} s, {len(ts.channels)} channels")
     return EXIT_OK
@@ -323,7 +319,7 @@ def _run_protect(args, grid: GridModel, study: _Study) -> int:
     fault_bus = keys["fault_bus"]
     if keys["fault_element"] is not None:
         fault_bus = grid.element(keys["fault_element"]).bus
-    sol = solve_ac_powerflow(grid, **_steady_state(study))
+    sol = solve_ac_powerflow(grid, _steady_state(study))
     summ = fault_summary(grid, fault_bus, sol)
     events = sequence_of_operations(grid, summ, keys["fault_element"],
                                     zsi_enabled=keys["zsi"],

@@ -14,7 +14,9 @@ pre-fault terminal state.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
+from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -26,9 +28,35 @@ S_BASE_KVA = 1000.0
 DC_EFFICIENCY = 0.97   # per converter stage, in the DC balance
 
 # each [powerflow] key, and each value of [dispatch] and [load_scale] -> the
-# interval `solve_ac_powerflow` checks it against (`grid.check_domains`)
+# interval `SteadyState` checks it against (`grid.check_domains`)
 DOMAINS = {"tol": "[0, inf)", "max_iter": "[0, inf)",
            "dispatch": "[0, inf)", "load_scale": "[0, inf)"}
+
+
+@dataclass(frozen=True)
+class SteadyState:
+    """A study's operating point: its `[powerflow]` keys, `[dispatch]` (kW
+    of non-slack generators, else island load shared by rating) and
+    `[load_scale]`.  The default `slack` is each island's largest online
+    machine, else its grid inverter.  The maps are read-only copies; each
+    value lies in its `DOMAINS` interval (a generator does not motor, a
+    load does not generate); an integral float `max_iter` runs as its int."""
+
+    slack: str | None = None
+    tol: float = 1e-8
+    max_iter: int = 20
+    dispatch: Mapping[str, float] = field(default_factory=dict)
+    load_scale: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        maps = {"dispatch": dict(self.dispatch),
+                "load_scale": dict(self.load_scale)}
+        check_domains(DOMAINS, tol=self.tol, max_iter=self.max_iter, **maps)
+        if self.max_iter != int(self.max_iter):
+            raise InputError(f"need an integral max_iter, got max_iter = "
+                             f"{self.max_iter}")
+        for name, values in maps.items():   # read-only: they stay checked
+            object.__setattr__(self, name, MappingProxyType(values))
 
 
 @dataclass(frozen=True)
@@ -224,41 +252,23 @@ def _newton_raphson(ybus, s_spec, slack, pv, tol, max_iter):
 
 
 def solve_ac_powerflow(
-    grid: GridModel,
-    tol: float = 1e-8,
-    max_iter: int = 20,
-    slack: str | None = None,
-    dispatch: dict[str, float] | None = None,
-    load_scale: dict[str, float] | None = None,
+    grid: GridModel, steady: SteadyState = SteadyState(),
     converter_draws: dict[str, tuple[float, float]] | None = None,
 ) -> PowerflowSolution:
-    """Newton-Raphson load flow over every AC island of the grid.
-
-    `slack` designates the slack generator (default: largest online machine
-    per island; an online grid inverter serves as slack on inverter-fed
-    islands).  `dispatch` sets non-slack generator P in kW (default:
-    island load shared in proportion to machine rating).  `load_scale` and
-    `converter_draws` adjust the consumed powers for scenario studies.
-    The `dispatch` and `slack` ids must name generators, the slack an
-    online one, and the `load_scale` ids loads.  No value lies outside its
-    `DOMAINS` interval: a generator does not motor, a load does not generate.
-    An integral float `max_iter` runs as its int.
-    """
-    dispatch = dict(dispatch or {})
-    load_scale = dict(load_scale or {})
-    for gen_id in dispatch:
+    """Newton-Raphson load flow over every AC island of the grid, from
+    `steady`, with `converter_draws` in place of converters' draws.  Its
+    `dispatch` and `slack` ids must name online generators, no slack
+    dispatched (the flow sets its P), and its `load_scale` ids loads."""
+    for gen_id in steady.dispatch:
         grid.generator(gen_id)
-    if slack is not None:
-        grid.generator(slack)
-        if not grid.element_online(slack):
-            raise InputError(f"slack generator {slack!r} is offline")
-    for load_id in load_scale:
+        if not grid.element_online(gen_id):
+            raise InputError(f"dispatch generator {gen_id!r} is offline")
+    if steady.slack is not None:
+        grid.generator(steady.slack)
+        if not grid.element_online(steady.slack):
+            raise InputError(f"slack generator {steady.slack!r} is offline")
+    for load_id in steady.load_scale:
         grid.load(load_id)
-    check_domains(DOMAINS, tol=tol, max_iter=max_iter, dispatch=dispatch,
-                  load_scale=load_scale)
-    if max_iter != int(max_iter):
-        raise InputError(f"need an integral max_iter, got max_iter = {max_iter}")
-    converter_draws = dict(converter_draws or {})
 
     v_pu: dict[str, float] = {}
     angle: dict[str, float] = {}
@@ -273,7 +283,7 @@ def solve_ac_powerflow(
         draws = [(c, pq) for c in on.converters
                  if (pq := converter_draw_kw(c, converter_draws)) != (0.0, 0.0)]
 
-        source = island_slack(on, slack)
+        source = island_slack(on, steady.slack)
         if source is not None:
             slack_element = source.id
             slack_node = net.node_of[grid.converter_ac_bus(source)
@@ -290,6 +300,9 @@ def solve_ac_powerflow(
             raise NumericalError(
                 f"AC island {sorted(min(net.nodes, key=lambda s: sorted(s)[0]))} "
                 "has no online generator or grid inverter to act as slack")
+        if slack_element in steady.dispatch:
+            raise InputError(f"dispatch generator {slack_element!r} is its "
+                             "island's slack, whose P the flow sets")
         slack_elements.append(slack_element)
 
         # consumed powers per node (pu)
@@ -297,7 +310,7 @@ def solve_ac_powerflow(
         s_spec = np.zeros(n, dtype=complex)
         consumed: list[tuple[str, int, float, float]] = []
         for l in on.loads:
-            p, q = load_pq_kw(l, load_scale.get(l.id, 1.0))
+            p, q = load_pq_kw(l, steady.load_scale.get(l.id, 1.0))
             consumed.append((l.id, net.node_of[l.bus], p, q))
         consumed += [(c.id, net.node_of[grid.converter_ac_bus(c)], *pq)
                      for c, pq in draws]
@@ -310,13 +323,14 @@ def solve_ac_powerflow(
         total_kva = sum(g.rated_kva for g in gens)
         gen_p: dict[str, float] = {}
         for g in others:
-            gen_p[g.id] = dispatch.get(
+            gen_p[g.id] = steady.dispatch.get(
                 g.id, island_load_p * g.rated_kva / total_kva if total_kva else 0.0)
             s_spec[net.node_of[g.bus]] += gen_p[g.id] / S_BASE_KVA
 
         pv_nodes = {net.node_of[g.bus] for g in others} - {slack_node}
         vc, iters, mism = _newton_raphson(
-            net.ybus, s_spec, slack_node, pv_nodes, tol, int(max_iter))
+            net.ybus, s_spec, slack_node, pv_nodes, steady.tol,
+            int(steady.max_iter))
         total_iter = max(total_iter, iters)
         worst = max(worst, mism)
 

@@ -43,9 +43,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .grid import GridModel, InputError, NumericalError, check_domains
-from .powerflow import (S_BASE_KVA, AcNetwork, branch_z_pu, build_ac_networks,
-                        converter_draw_kw, island_slack, load_pq_kw,
-                        solve_ac_powerflow)
+from .powerflow import (S_BASE_KVA, AcNetwork, SteadyState, branch_z_pu,
+                        build_ac_networks, converter_draw_kw, island_slack,
+                        load_pq_kw, solve_ac_powerflow)
 
 V_FLOOR = 0.3       # below this voltage, constant-power loads turn constant-Z
 FAULT_G = 1e6       # pu fault conductance for a bolted fault
@@ -342,12 +342,11 @@ class _Snapshot(NamedTuple):
 
 
 class _Engine:
-    def __init__(self, grid: GridModel, controllers, cfg: SimConfig, **steady):
-        """`steady`: the keywords of the initial power flow."""
+    def __init__(self, grid: GridModel, controllers, cfg: SimConfig, steady):
         self.grid = grid                    # with the breaker states in force
         self.branches = {br.id: br for br in grid.branches}
         self.cfg = cfg
-        self.base_scale = dict(steady.get("load_scale") or {})
+        self.base_scale = steady.load_scale
         self.ramps: dict[str, tuple[float, float, float, float]] = {}
         self.ramp_end = -math.inf           # no load factor moves from then on
         self.fault: Event | None = None     # the fault_apply in force
@@ -360,7 +359,7 @@ class _Engine:
             if c.inverter in self.controllers:
                 raise InputError(f"two controllers on inverter {c.inverter!r}")
             self.controllers[c.inverter] = ControllerState(c)
-        self._build(grid, solve_ac_powerflow(grid, **steady))
+        self._build(grid, solve_ac_powerflow(grid, steady))
         # the recorded channels and their rows, fixed by the initial topology
         self.mach_ids = list(self.m.ids)
         self.inv_ids = sorted(self.controllers)
@@ -953,20 +952,18 @@ class _Engine:
             name: rec[j, n] for name, j in row.items()})
 
 
-def simulate(grid: GridModel, schedule: EventSchedule,
-             controllers=(), cfg: SimConfig = SimConfig(),
-             *, _engine: _Engine | None = None,   # find_cct's
-             **steady) -> TimeSeries:
+def simulate(grid: GridModel, schedule: EventSchedule, controllers=(),
+             cfg: SimConfig = SimConfig(), steady: SteadyState = SteadyState(),
+             *, _engine: _Engine | None = None) -> TimeSeries:
     """Integrate the grid's AC islands through the scripted events.
 
     Returns a TimeSeries on the uniform recording grid with one channel per
     machine quantity (``<gen>.p_kw``, ``.q_kvar``, ``.pm_kw``,
     ``.delta_rad``, ``.freq_hz``), per controller inverter, per bus voltage,
     per load, and the system losses.  The machines start from the power
-    flow that the keywords `steady` of `solve_ac_powerflow` set, such as
-    `dispatch`, `load_scale` and `slack`.  With `_engine` the run is a
-    probe of that CCT search (see `_Engine.run`), whose engine stands in
-    for grid, controllers and power flow.  The schedule must pass
+    flow of `steady`.  With `_engine` the run is a probe of a `find_cct`
+    search (see `_Engine.run`), whose engine stands in for grid,
+    controllers and power flow.  The schedule must pass
     `EventSchedule.validated`, and `end` be a whole number of steps.
     """
     steps = cfg.end / cfg.step
@@ -979,7 +976,7 @@ def simulate(grid: GridModel, schedule: EventSchedule,
     events = schedule.validated(grid, cfg.end).events
     # a state that overflows ends in the finiteness checks' NumericalError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        engine = _engine or _Engine(grid, controllers, cfg, **steady)
+        engine = _engine or _Engine(grid, controllers, cfg, steady)
         engine.cfg = cfg
         return engine.run(events)
 
@@ -1031,10 +1028,10 @@ class CctResult:
 def find_cct(grid: GridModel, spec: CctFaultSpec) -> CctResult:
     """Bisect `spec`'s fault clearing time against first-swing stability.
 
-    The machine must be online; it runs at `loading` times its rated kW, and
-    the power flow's slack is the largest other online generator of its
-    island, by `island_slack`'s rule; the search solves it once, in the one
-    engine of all its probes.  Each probe applies the fault at t = 0 to the
+    The machine must be online.  The search's one `SteadyState` dispatches
+    it at `loading` times its rated kW, with the largest other online
+    generator of its island as slack, by `island_slack`'s rule, and is
+    solved once, in the one engine of all its probes.  Each probe applies the fault at t = 0 to the
     trimmed power-flow equilibrium and clears it at `t_clear`; a clearing
     within 1e-12 s of the fault is no disturbance.  A probe is stable when
     the largest pairwise rotor-angle separation stays below 180 degrees
@@ -1058,8 +1055,8 @@ def find_cct(grid: GridModel, spec: CctFaultSpec) -> CctResult:
     if not others:
         raise InputError(f"cct machine {spec.machine!r}: no other online "
                          "generator in its island to act as slack")
-    slack = island_slack(on._replace(generators=others)).id
-    dispatch = {spec.machine: spec.loading * gen.rated_kw}
+    steady = SteadyState(island_slack(on._replace(generators=others)).id,
+                         dispatch={spec.machine: spec.loading * gen.rated_kw})
 
     cables = [b for b in grid.branches if gen.bus in (b.from_bus, b.to_bus)]
     if spec.branch is not None:
@@ -1083,8 +1080,7 @@ def find_cct(grid: GridModel, spec: CctFaultSpec) -> CctResult:
         return SimConfig(spec.step, steps * spec.step, spec.governor, spec.avr)
 
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        engine = _Engine(grid, (), probe_cfg(spec.t_hi), dispatch=dispatch,
-                         slack=slack)
+        engine = _Engine(grid, (), probe_cfg(spec.t_hi), steady)
     engine.trunk = []
 
     def stable(t_clear: float) -> bool:

@@ -21,7 +21,7 @@ from vesselstudy.grid import (
     NumericalError,
 )
 from vesselstudy import tdsim
-from vesselstudy.powerflow import S_BASE_KVA
+from vesselstudy.powerflow import S_BASE_KVA, SteadyState
 from vesselstudy.tdsim import (V_FLOOR, CctFaultSpec, CctResult, Event,
                                EventSchedule, SimConfig, simulate)
 
@@ -186,7 +186,8 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec) -> CctResult:
         probe_cfg = SimConfig(step, round((t_end + fault.window) / step) * step,
                               fault.governor, fault.avr)
         try:
-            ts = simulate(grid, sched, (), probe_cfg, dispatch=dispatch)
+            ts = simulate(grid, sched, (), probe_cfg,
+                          SteadyState(dispatch=dispatch))
         except NumericalError:
             return False
         deltas = np.vstack([ts[name] for name in ts.channels

@@ -20,6 +20,7 @@ from vesselstudy import (
     Event,
     EventSchedule,
     SimConfig,
+    SteadyState,
     battery_sc_trace,
     builtin_fixture,
     capacitor_sc_trace,
@@ -175,7 +176,7 @@ def dp_run():
                            q_rating_kvar=1500.0)
     sched = EventSchedule((Event(2.0, "breaker_open", "CB_DG02"),))
     ts = simulate(grid, sched, (ctl,), SimConfig(step=0.01, end=7.5),
-                  dispatch={"DG#01": 1200.0})
+                  SteadyState(dispatch={"DG#01": 1200.0}))
     return ts
 
 
@@ -241,7 +242,7 @@ def test_criterion_09_conservation_suite(peak_shave_run):
 
     # power-flow mismatch on both fixtures
     for name in ("ac_vessel", "dc_vessel"):
-        sol = solve_ac_powerflow(builtin_fixture(name), tol=1e-8)
+        sol = solve_ac_powerflow(builtin_fixture(name), SteadyState(tol=1e-8))
         assert sol.max_mismatch <= 1e-8
 
     # time-domain per-step balance from the recorded channels

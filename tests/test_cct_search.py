@@ -10,7 +10,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from vesselstudy import SimConfig, find_cct, tdsim  # noqa: E402
+from vesselstudy import SimConfig, SteadyState, find_cct, tdsim  # noqa: E402
 from vesselstudy.grid import Bus, CableBranch  # noqa: E402
 
 from helpers import (SMIB_CCT, cap_probes, reference_cct,  # noqa: E402
@@ -169,7 +169,7 @@ def test_certificate_bounds_the_speed_over_the_time_left():
     island could pass the sanity bound."""
     grid = two_machine_grid(h_ratio=2.0, r_pu=0.05)
     eng = tdsim._Engine(grid, (), BARE_SMIB,
-                        dispatch={"G1": 810.0})
+                        SteadyState(dispatch={"G1": 810.0}))
     certify = eng._swing_certificate()
     assert certify(eng.x, 2.0) is True
     assert certify(eng.x, 1e9) is None
@@ -184,7 +184,7 @@ def test_certificate_needs_a_swing_that_cannot_gain_energy(grid, certified):
     """Negative damping feeds the swing and a negative inertia voids the
     speed bounds, so neither steady state gets a verdict."""
     eng = tdsim._Engine(grid, (), BARE_SMIB,
-                        dispatch={"G1": 810.0})
+                        SteadyState(dispatch={"G1": 810.0}))
     assert eng._swing_certificate()(eng.x, 2.0) is certified
 
 
@@ -226,7 +226,7 @@ def test_least_unstable_state_reaches_pi_in_time(grid, angle, t_left):
     (from -0.113 rad the saddle lies halfway along a piece of the path),
     and what damping takes."""
     eng = tdsim._Engine(grid, (), BARE_SMIB,
-                        dispatch={"G1": 810.0})
+                        SteadyState(dispatch={"G1": 810.0}))
     certify = eng._swing_certificate()
     eng.x = _g1_speed_state(
         eng, _least_unstable_speed(certify, eng, t_left, angle), angle=angle)
@@ -241,7 +241,7 @@ def test_fast_swing_at_a_coarse_step_gets_no_verdict():
     for step, verdict in ((0.05, None), (0.005, False)):
         cfg = dataclasses.replace(BARE_SMIB, step=step)
         eng = tdsim._Engine(smib_grid(), (), cfg,
-                            dispatch={"G1": 810.0})
+                            SteadyState(dispatch={"G1": 810.0}))
         x = _g1_speed_state(eng, 30.0 / (2 * math.pi * 60.0))
         assert eng._swing_certificate()(x, 2.0) is verdict
 
@@ -252,7 +252,7 @@ def test_near_critical_state_needs_time_and_speed_margins():
     time left, and only when the speed bounds keep every |dw| clear of
     the sanity bound up to the crossing."""
     eng = tdsim._Engine(smib_grid(), (), BARE_SMIB,
-                        dispatch={"G1": 810.0})
+                        SteadyState(dispatch={"G1": 810.0}))
     certify = eng._swing_certificate()
     hi = _least_unstable_speed(certify, eng, 1e3)
     assert certify(_g1_speed_state(eng, hi), 2.0) is None

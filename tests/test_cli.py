@@ -14,6 +14,7 @@ from vesselstudy import (
     ControllerConfig,
     Event,
     SimConfig,
+    SteadyState,
     builtin_fixture,
     cli,
     dc_fault_summary,
@@ -682,6 +683,34 @@ def test_fault_studies_honour_the_powerflow_section(tmp_path, kind):
     assert rc == 3
 
 
+def test_every_kind_starts_from_one_steady_state(tmp_path, monkeypatch):
+    """powerflow, sc-ac, protect and tdsim hand their power flow the one
+    SteadyState that the study's [powerflow], [dispatch] and [load_scale]
+    give."""
+    specs = {}
+
+    def recording(grid, steady, *args, **kwargs):
+        specs.setdefault(kind, []).append(steady)
+        return solve_ac_powerflow(grid, steady, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "solve_ac_powerflow", recording)
+    monkeypatch.setattr(tdsim, "solve_ac_powerflow", recording)
+    steady = ("[dispatch]\nDG#01 = 500\n[load_scale]\nLOAD440_PS = 0.8\n"
+              "[powerflow]\nslack = DG#02\ntol = 1e-9\nmax_iter = 15\n")
+    for kind, extra in (("powerflow", ""), ("sc-ac", ""),
+                        ("protect", PROTECT_STUDY.format(zsi="true")),
+                        ("tdsim", TDSIM_HEAD)):
+        study = tmp_path / f"{kind}.study"
+        study.write_text(steady + extra)
+        argv = [kind, "--grid", "builtin:ac_vessel", "--study", str(study),
+                "--out", str(tmp_path / kind)]
+        assert main(argv + ["--bus", "AC_PS"] * (kind == "sc-ac")) == 0
+    assert specs == dict.fromkeys(
+        ("powerflow", "sc-ac", "protect", "tdsim"),
+        [SteadyState("DG#02", 1e-9, 15, {"DG#01": 500.0},
+                     {"LOAD440_PS": 0.8})])
+
+
 @pytest.mark.parametrize("argv", [
     ["i2t", "--trace", "t.csv", "--fuse-i2t", "9350", "--study", "s.study"],
     ["sc-ac", "--grid", "builtin:ac_vessel", "--out", "o"],
@@ -847,6 +876,12 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
      "'tol' repeated from line 2"),
     ("powerflow", None, "[breakers]\nCB_DG01 = false\n[powerflow]\nslack = DG#01\n",
      "slack generator 'DG#01' is offline"),
+    # a dispatch the power flow cannot honour used to be dropped: the flow
+    # sets the slack's P, and an offline generator never comes online
+    ("powerflow", None, "[dispatch]\nDG#03 = 100\n",
+     "dispatch generator 'DG#03' is its island's slack, whose P the flow sets"),
+    ("powerflow", None, "[breakers]\nCB_DG01 = false\n[dispatch]\nDG#01 = 500\n",
+     "dispatch generator 'DG#01' is offline"),
     ("protect", None, PROTECT_STUDY.format(zsi="true") + "failed_breakers = CB_NOPE\n",
      "unknown breaker 'CB_NOPE'"),
     # a fault_bus beside a fault_element used to be dropped
@@ -1182,22 +1217,31 @@ def test_a_cct_probe_length_is_checked_with_the_search_keys(
 
 # each section that builds a library class -> that class
 SECTION_CLASSES = {"sim": SimConfig, "event": Event,
-                   "controller": ControllerConfig, "cct": CctFaultSpec}
+                   "controller": ControllerConfig, "cct": CctFaultSpec,
+                   "powerflow": SteadyState}
+# the fields of a class that another section sets, or none
+UNKEYED = {SimConfig: {"governor", "avr"},
+           SteadyState: {"dispatch", "load_scale"}}
 
 
 @pytest.mark.parametrize("kind", SECTION_CLASSES)
 def test_every_section_key_names_a_field_of_its_class(kind):
-    """`tdsim.FIELD_KEYS` is the one map from a study key to its field:
-    every key of the section names a field of the class it builds, and
-    every field of Event, ControllerConfig and CctFaultSpec is a key
-    ([sim] leaves SimConfig's governor and avr to [cct])."""
+    """`tdsim.FIELD_KEYS` is the one map between a field and its study
+    key, and the keys it names are distinct, so the CLI finds a key's field
+    by its inverse: every key of the section names a field of the class it
+    builds, and takes that field's default, and every field is a key but
+    those another section sets ([cct] sets SimConfig's governor and avr,
+    and [dispatch] and [load_scale] SteadyState's maps)."""
     cls = SECTION_CLASSES[kind]
-    names = {tdsim.FIELD_KEYS.get(f.name, f.name): f.name
-             for f in dataclasses.fields(cls)}
-    keys = set(cli._STUDY_SECTIONS[kind])
-    assert keys <= set(names)
-    if cls is not SimConfig:
-        assert keys == set(names)
+    field_of = {key: name for name, key in tdsim.FIELD_KEYS.items()}
+    assert len(field_of) == len(tdsim.FIELD_KEYS)
+    default = {f.name: ... if f.default is dataclasses.MISSING else f.default
+               for f in dataclasses.fields(cls)}
+    table = cli._STUDY_SECTIONS[kind]
+    assert {key: default.get(field_of.get(key, key), "no such field")
+            for key in table} == {key: d for key, (_, d) in table.items()}
+    assert {field_of.get(key, key) for key in table} == (
+        set(default) - UNKEYED.get(cls, set()))
     assert set(tdsim.FIELD_KEYS) <= {f.name for c in SECTION_CLASSES.values()
                                      for f in dataclasses.fields(c)}
 
@@ -1211,7 +1255,7 @@ def test_dc_balance_honours_the_load_scale(tmp_path):
     assert main(["powerflow", "--grid", "builtin:dc_vessel", "--study",
                  str(study), "--out", str(tmp_path / "o")]) == 0
     sol = solve_ac_powerflow(builtin_fixture("dc_vessel"),
-                             load_scale={"LOAD400_PS": 0.5})
+                             SteadyState(load_scale={"LOAD400_PS": 0.5}))
     assert sol.injections_kw["GINV_PS"][0] == pytest.approx(170.0)
     rows = {r["element"]: float(r["p_kw"])
             for r in _read_csv(tmp_path / "o" / "dcbalance.csv")}

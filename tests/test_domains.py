@@ -63,13 +63,12 @@ OWNERS = {
     ("tdsim", "t_hi_s"): [lambda v: tdsim.CctFaultSpec("DG#01", t_hi=v)],
     ("tdsim", "tol_s"): [lambda v: tdsim.CctFaultSpec("DG#01", tol=v)],
     ("tdsim", "window_s"): [lambda v: tdsim.CctFaultSpec("DG#01", window=v)],
-    ("powerflow", "tol"): [lambda v: powerflow.solve_ac_powerflow(AC, tol=v)],
-    ("powerflow", "max_iter"): [
-        lambda v: powerflow.solve_ac_powerflow(AC, max_iter=v)],
+    ("powerflow", "tol"): [lambda v: powerflow.SteadyState(tol=v)],
+    ("powerflow", "max_iter"): [lambda v: powerflow.SteadyState(max_iter=v)],
     ("powerflow", "dispatch"): [
-        lambda v: powerflow.solve_ac_powerflow(AC, dispatch={"DG#01": v})],
+        lambda v: powerflow.SteadyState(dispatch={"DG#01": v})],
     ("powerflow", "load_scale"): [
-        lambda v: powerflow.solve_ac_powerflow(AC, load_scale={"LOAD440_PS": v})],
+        lambda v: powerflow.SteadyState(load_scale={"LOAD440_PS": v})],
     ("protection", "cct_budget_s"): [
         lambda v: protection.selectivity_check(
             [TripEvent("CB_DG01", 0.216, "short_time", False)], v)],

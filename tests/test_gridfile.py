@@ -929,7 +929,7 @@ def test_engines_raise_only_grid_errors(case):
     for run in (lambda: solve_dc_balance(grid),
                 lambda: dc_fault_summary(grid, bus.id) if bus.kind == "dc"
                 else fault_summary(grid, bus.id, solve_ac_powerflow(
-                    grid, load_scale=scale)),
+                    grid, powerflow.SteadyState(load_scale=scale))),
                 lambda: sequence_of_operations(
                     grid, fault_summary(grid, grid.element(element).bus,
                                         solve_ac_powerflow(grid)),

@@ -470,6 +470,7 @@ SHARED_READERS = {
     ("CctFaultSpec", "governor"): "tdsim.find_cct",
     ("CctFaultSpec", "location"): "tdsim.find_cct",
     ("CctFaultSpec", "step"): "tdsim.find_cct",
+    ("CctFaultSpec", "tol"): "tdsim.find_cct",
     ("DcFaultSummary", "traces"): "cli._run_sc_dc",
     ("DcScTrace", "t"): "protection.let_through",
     ("Event", "location"): "tdsim._Engine._island_y",
@@ -478,6 +479,7 @@ SHARED_READERS = {
     ("SimConfig", "avr"): "tdsim._Engine._derivatives",
     ("SimConfig", "governor"): "tdsim._Engine._derivatives",
     ("SimConfig", "step"): "tdsim._Engine.run",
+    ("SteadyState", "tol"): "powerflow.solve_ac_powerflow",
     ("TimeSeries", "t"): "cli._run_tdsim",
     ("TripEvent", "breaker_id"): "report.trip_rows",
     ("TripEvent", "locked"): "protection.selectivity_check",

@@ -6,7 +6,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from vesselstudy import SimConfig, tdsim  # noqa: E402
+from vesselstudy import SimConfig, SteadyState, tdsim  # noqa: E402
 from vesselstudy.tdsim import Event  # noqa: E402
 
 from helpers import reference_solve, smib_grid  # noqa: E402
@@ -40,7 +40,7 @@ def test_smib_closed_form_matches_fixed_point(loading, fault, delta, speed,
     point's (pe, qe, vt) and voltages bit for bit, at any machine state,
     warm start and fault, a line fault at a splice node included."""
     eng = tdsim._Engine(smib_grid(), (), BARE_SMIB,
-                        dispatch={"G1": loading * 900.0})
+                        SteadyState(dispatch={"G1": loading * 900.0}))
     eng.fault = fault
     eng._factor()
     (isl,) = eng.islands

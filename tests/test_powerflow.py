@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vesselstudy import (
+    SteadyState,
     prefault_operating_point,
     solve_ac_powerflow,
     solve_dc_balance,
@@ -38,7 +39,7 @@ def test_single_bus_no_load_identity():
 
 
 def test_two_bus_against_independent_oracle():
-    sol = solve_ac_powerflow(two_bus_grid(1.0, 0.5), tol=1e-10)
+    sol = solve_ac_powerflow(two_bus_grid(1.0, 0.5), SteadyState(tol=1e-10))
     v2 = sol.v_pu["B2"] * np.exp(1j * sol.angle_rad["B2"])
     oracle = gauss_seidel_two_bus(1.0, 0.5)
     assert oracle == pytest.approx(TWO_BUS_V2, abs=1e-12)
@@ -90,8 +91,23 @@ def test_dead_islands_report_zero_voltage(ac_vessel):
 
 
 def test_dispatch_override(ac_vessel):
-    sol = solve_ac_powerflow(ac_vessel, dispatch={"DG#01": 1200.0})
+    sol = solve_ac_powerflow(ac_vessel, SteadyState(dispatch={"DG#01": 1200.0}))
     assert sol.injections_kw["DG#01"][0] == pytest.approx(1200.0)
+
+
+def test_a_steady_state_keeps_its_own_maps(ac_vessel):
+    """Mutating the dicts a SteadyState was built from changes neither the
+    spec nor its power flow, and its own maps are read-only, so their
+    checked values hold."""
+    dispatch, scale = {"DG#01": 1200.0}, {"LOAD440_PS": 0.5}
+    steady = SteadyState(dispatch=dispatch, load_scale=scale)
+    before = solve_ac_powerflow(ac_vessel, steady)
+    dispatch["DG#01"], scale["LOAD440_PS"] = 300.0, 2.0
+    assert steady == SteadyState(dispatch={"DG#01": 1200.0},
+                                 load_scale={"LOAD440_PS": 0.5})
+    assert solve_ac_powerflow(ac_vessel, steady) == before
+    with pytest.raises(TypeError):
+        steady.dispatch["DG#01"] = -300.0
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -108,20 +124,20 @@ def test_refuses_bad_study_values(ac_vessel, kwargs, message):
     """Each id the solve is given must name an element of its kind, and
     the tolerance must be >= 0: the library refuses what the CLI does."""
     with pytest.raises(InputError, match=message):
-        solve_ac_powerflow(ac_vessel, **kwargs)
+        solve_ac_powerflow(ac_vessel, SteadyState(**kwargs))
 
 
 def test_an_integral_float_max_iter_runs_as_its_int(ac_vessel):
-    assert (solve_ac_powerflow(ac_vessel, max_iter=4.0)
-            == solve_ac_powerflow(ac_vessel, max_iter=4))
+    assert (solve_ac_powerflow(ac_vessel, SteadyState(max_iter=4.0))
+            == solve_ac_powerflow(ac_vessel, SteadyState(max_iter=4)))
     with pytest.raises(NumericalError, match="not converged after 1 iter"):
-        solve_ac_powerflow(ac_vessel, max_iter=1.0)
+        solve_ac_powerflow(ac_vessel, SteadyState(max_iter=1.0))
 
 
 def test_refuses_an_offline_slack(ac_vessel):
     grid = ac_vessel.with_breaker_states({"CB_DG01": False})
     with pytest.raises(InputError, match="slack generator 'DG#01' is offline"):
-        solve_ac_powerflow(grid, slack="DG#01")
+        solve_ac_powerflow(grid, SteadyState(slack="DG#01"))
 
 
 def test_refuses_an_island_that_mixes_frequencies(ac_vessel):

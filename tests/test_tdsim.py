@@ -21,7 +21,7 @@ from vesselstudy.tdsim import CctFaultSpec, ControllerState
 
 from vesselstudy.grid import (Bus, ConverterSpec, InputError, LoadSpec,
                               NumericalError)
-from vesselstudy.powerflow import S_BASE_KVA
+from vesselstudy.powerflow import S_BASE_KVA, SteadyState
 
 from helpers import (SMIB_CCT, dp_island, ps_island, reference_cct,
                      single_gen_grid, smib_grid)
@@ -201,7 +201,7 @@ def test_unknown_dispatch_id_rejected(ac_vessel):
     """The run's one power flow checks the ids it is given."""
     with pytest.raises(InputError, match="unknown generator 'NOPE'"):
         simulate(ac_vessel, EventSchedule(), (), SimConfig(step=0.02, end=0.1),
-                 dispatch={"NOPE": 100.0})
+                 SteadyState(dispatch={"NOPE": 100.0}))
 
 
 class TestEquilibrium:
@@ -248,7 +248,7 @@ def dp_run(ac_vessel):
     ctl = _dp_cfg()
     sched = EventSchedule((Event(2.0, "breaker_open", "CB_DG02"),))
     return simulate(grid, sched, (ctl,), SimConfig(step=0.01, end=7.5),
-                    dispatch={"DG#01": 1200.0})
+                    SteadyState(dispatch={"DG#01": 1200.0}))
 
 
 class TestPeakShaveScenario:
@@ -404,14 +404,14 @@ def _probe(grid, t_clear, window=2.0, target="B_M", location=None,
     cfg = dataclasses.replace(
         cfg, end=round((t_fault + t_clear + window) / step) * step)
     return simulate(grid, _probe_events(t_clear, target, location, t_fault),
-                    (), cfg, dispatch={"G1": 900.0}, **kw)
+                    (), cfg, SteadyState(dispatch={"G1": 900.0}), **kw)
 
 
 def _search_engine(grid, cfg=BARE_SMIB):
     """An engine as `find_cct` builds it for `_probe`'s power flow, with
     an empty trunk: pass it to `_probe` as `_engine`."""
     engine = tdsim._Engine(grid, (), cfg,
-                           dispatch={"G1": 900.0})
+                           SteadyState(dispatch={"G1": 900.0}))
     engine.trunk = []
     return engine
 
@@ -433,7 +433,8 @@ def test_governor_switch(governor):
     sched = EventSchedule((Event(0.25, "fault_apply", "B_M"),
                            Event(0.35, "fault_clear")))
     cfg = SimConfig(step=0.005, end=1.0, governor=governor)
-    pm = simulate(smib_grid(), sched, (), cfg, dispatch={"G1": 900.0})["G1.pm_kw"]
+    pm = simulate(smib_grid(), sched, (), cfg,
+                  SteadyState(dispatch={"G1": 900.0}))["G1.pm_kw"]
     assert pm[0] == pytest.approx(900.0, rel=1e-6)
     if governor:
         assert np.ptp(pm) > 10.0
@@ -619,7 +620,7 @@ def test_vessel_cct_keeps_its_transcript(ac_vessel):
 def test_linear_island_with_non_finite_source_raises(x_col, value):
     """The closed form keeps the fixed point's finiteness check."""
     eng = tdsim._Engine(smib_grid(), (), BARE_SMIB,
-                        dispatch={"G1": 900.0})
+                        SteadyState(dispatch={"G1": 900.0}))
     assert all(isl.linear for isl in eng.islands)
     x = eng.x.copy()
     x[0, x_col] = value
@@ -631,7 +632,7 @@ def test_linear_island_with_non_finite_source_raises(x_col, value):
 def test_island_with_demands_and_non_finite_source_raises(x_col, value):
     """The fixed point rejects a non-finite EMF before numpy can warn."""
     eng = tdsim._Engine(single_gen_grid(load_kw=300.0, load_kvar=100.0),
-                        (), BARE_SMIB)
+                        (), BARE_SMIB, SteadyState())
     assert not any(isl.linear for isl in eng.islands)
     x = eng.x.copy()
     x[0, x_col] = value
@@ -696,16 +697,16 @@ def test_recording_solves_per_step(monkeypatch, grid, controllers, load_scale,
     sched = EventSchedule((Event(t_fault, "fault_apply", grid.buses[0].id),
                            Event(t_fault + 0.02, "fault_clear")))
     ts = simulate(grid, sched, controllers, SimConfig(step=0.01, end=0.1),
-                  load_scale=load_scale)
+                  SteadyState(load_scale=load_scale or {}))
     # one trimming solve when the engine is built, one per derivative
     assert calls["solve"] - calls["deriv"] - 1 == per_step * len(ts.t)
 
 
-def _every_step(grid, events, cfg, **steady):
+def _every_step(grid, events, cfg, steady):
     """`simulate`'s machine and bus channels, from an `_Engine` that calls
     `_step` on every step (split at the event times, as `run` splits it),
     `_apply_event` at those times, and `_solve` to record each step."""
-    eng = tdsim._Engine(grid, (), cfg, **steady)
+    eng = tdsim._Engine(grid, (), cfg, steady)
     t_rec = np.arange(round(cfg.end / cfg.step) + 1) * cfg.step
     pending = list(events)
     rec = {}
@@ -760,9 +761,10 @@ def test_run_matches_an_every_step_reference(cfg):
     events = (Event(0.1234, "fault_apply", "B_M"),
               Event(0.2234, "fault_clear"))
     cfg = dataclasses.replace(cfg, end=0.5)
-    ref = _every_step(smib_grid(), events, cfg, dispatch={"G1": 900.0})
+    ref = _every_step(smib_grid(), events, cfg,
+                      SteadyState(dispatch={"G1": 900.0}))
     ts = simulate(smib_grid(), EventSchedule(events), (), cfg,
-                  dispatch={"G1": 900.0})
+                  SteadyState(dispatch={"G1": 900.0}))
     assert len(ts.t) == 101
     assert set(ref) == {name for name in ts.channels
                         if not name.endswith("_loss_kw")}
