@@ -201,8 +201,8 @@ def _emit(args, name: str, header, rows) -> None:
 def _steady_state(study: _Study) -> SteadyState:
     """The operating point of the study's [powerflow], [dispatch] and
     [load_scale] sections."""
-    return SteadyState(**study.one("powerflow"), dispatch=study.one("dispatch"),
-                       load_scale=study.one("load_scale"))
+    return _spec(SteadyState, study.one("powerflow") | {
+        kind: study.one(kind) for kind in ("dispatch", "load_scale")})
 
 
 # ---- study runners ----------------------------------------------------------

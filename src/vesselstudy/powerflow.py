@@ -14,9 +14,7 @@ pre-fault terminal state.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -38,25 +36,25 @@ class SteadyState:
     """A study's operating point: its `[powerflow]` keys, `[dispatch]` (kW
     of non-slack generators, else island load shared by rating) and
     `[load_scale]`.  The default `slack` is each island's largest online
-    machine, else its grid inverter.  The maps are read-only copies; each
-    value lies in its `DOMAINS` interval (a generator does not motor, a
-    load does not generate); an integral float `max_iter` runs as its int."""
+    machine, else its grid inverter.  The maps are copies of those given;
+    each value lies in its `DOMAINS` interval (a generator does not motor,
+    a load does not generate); an integral float `max_iter` runs as its int."""
 
     slack: str | None = None
     tol: float = 1e-8
     max_iter: int = 20
-    dispatch: Mapping[str, float] = field(default_factory=dict)
-    load_scale: Mapping[str, float] = field(default_factory=dict)
+    dispatch: dict[str, float] = field(default_factory=dict)
+    load_scale: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        maps = {"dispatch": dict(self.dispatch),
-                "load_scale": dict(self.load_scale)}
-        check_domains(DOMAINS, tol=self.tol, max_iter=self.max_iter, **maps)
+        for name in ("dispatch", "load_scale"):   # None is refused below
+            if (values := getattr(self, name)) is not None:
+                object.__setattr__(self, name, dict(values))
+        check_domains(DOMAINS, tol=self.tol, max_iter=self.max_iter,
+                      dispatch=self.dispatch, load_scale=self.load_scale)
         if self.max_iter != int(self.max_iter):
             raise InputError(f"need an integral max_iter, got max_iter = "
                              f"{self.max_iter}")
-        for name, values in maps.items():   # read-only: they stay checked
-            object.__setattr__(self, name, MappingProxyType(values))
 
 
 @dataclass(frozen=True)

@@ -1028,10 +1028,10 @@ class CctResult:
 def find_cct(grid: GridModel, spec: CctFaultSpec) -> CctResult:
     """Bisect `spec`'s fault clearing time against first-swing stability.
 
-    The machine must be online.  The search's one `SteadyState` dispatches
-    it at `loading` times its rated kW, with the largest other online
-    generator of its island as slack, by `island_slack`'s rule, and is
-    solved once, in the one engine of all its probes.  Each probe applies the fault at t = 0 to the
+    The machine must be online.  One `SteadyState` dispatches it at `loading`
+    times its rated kW, with the largest other online generator of its island
+    as slack (`island_slack`'s rule); the search solves it once, in the one
+    engine of all its probes.  Each probe applies the fault at t = 0 to the
     trimmed power-flow equilibrium and clears it at `t_clear`; a clearing
     within 1e-12 s of the fault is no disturbance.  A probe is stable when
     the largest pairwise rotor-angle separation stays below 180 degrees

@@ -1,5 +1,7 @@
+import copy
 import dataclasses
 import math
+import pickle
 import re
 
 import numpy as np
@@ -97,8 +99,7 @@ def test_dispatch_override(ac_vessel):
 
 def test_a_steady_state_keeps_its_own_maps(ac_vessel):
     """Mutating the dicts a SteadyState was built from changes neither the
-    spec nor its power flow, and its own maps are read-only, so their
-    checked values hold."""
+    spec nor its power flow; a pickled or deep-copied spec is equal to it."""
     dispatch, scale = {"DG#01": 1200.0}, {"LOAD440_PS": 0.5}
     steady = SteadyState(dispatch=dispatch, load_scale=scale)
     before = solve_ac_powerflow(ac_vessel, steady)
@@ -106,8 +107,8 @@ def test_a_steady_state_keeps_its_own_maps(ac_vessel):
     assert steady == SteadyState(dispatch={"DG#01": 1200.0},
                                  load_scale={"LOAD440_PS": 0.5})
     assert solve_ac_powerflow(ac_vessel, steady) == before
-    with pytest.raises(TypeError):
-        steady.dispatch["DG#01"] = -300.0
+    assert pickle.loads(pickle.dumps(steady)) == steady
+    assert copy.deepcopy(steady) == steady
 
 
 @pytest.mark.parametrize("kwargs, message", [
@@ -117,6 +118,10 @@ def test_a_steady_state_keeps_its_own_maps(ac_vessel):
     ({"slack": "NOPE3"}, "unknown generator 'NOPE3'"),
     ({"tol": -1e-8}, r"need tol in \[0, inf\), got tol = -1e-08"),
     ({"tol": math.nan}, r"need tol in \[0, inf\), got tol = nan"),
+    # a None map used to mean "none given"; an empty map is the default
+    ({"dispatch": None}, r"need dispatch in \[0, inf\), got dispatch = None"),
+    ({"load_scale": None},
+     r"need load_scale in \[0, inf\), got load_scale = None"),
     # a float max_iter used to raise TypeError from range()
     ({"max_iter": 2.5}, "need an integral max_iter, got max_iter = 2.5"),
 ])
