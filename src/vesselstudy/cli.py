@@ -18,7 +18,9 @@ distinct text parsed once per process), applies the study's breaker states,
 validates that topology, calls the corresponding engine and writes the
 artifacts.  A study file holds only sections its kind reads (`_RUNNERS`);
 only `[event <id>]` and `[controller <id>]` take ids, and appear any number
-of times; any other section appears at most once.
+of times; any other section appears at most once.  Each keyed section is
+read into its spec by a `gridfile.Table`, so its own defects are refused
+as the study is read, before the grid's.
 Exit codes: 0 success, 2 input error, 3 numerical failure, 4 negative study
 result under ``--strict``.  A `NumericalError` is 3, an `InputError` or an
 unreadable file 2; any other exception is a bug, shown with its traceback
@@ -30,14 +32,15 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import fixtures, report
 from .grid import GridModel, InputError, NumericalError, validate
-from .gridfile import (GridParseError, boolean, check_declared, convert,
-                       integer, parse_grid, read_sections)
+from .gridfile import (GridParseError, Key, Table, boolean, build,
+                       check_declared, convert, integer, parse_grid,
+                       read_sections)
 from .powerflow import SteadyState, solve_ac_powerflow, solve_dc_balance
 from .protection import (fuse_i2t_clearing, selectivity_check,
                          sequence_of_operations)
@@ -58,8 +61,6 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_NUMERIC = 3
 EXIT_STRICT = 4
-# each study-file key named otherwise than its field -> that field
-_FIELD_OF = {key: name for name, key in FIELD_KEYS.items()}
 
 
 def _on_off(text: str) -> bool:
@@ -72,54 +73,64 @@ def _id_list(text: str) -> tuple[str, ...]:
     return tuple(s.strip() for s in text.split(",") if s.strip())
 
 
-def _keys(cls, **converters) -> dict:
-    """The key table of a section that builds `cls`: each study-file key ->
-    its converter and its field's default, ... where it has none."""
-    default = {f.name: ... if f.default is MISSING else f.default
-               for f in fields(cls)}
-    return {key: (conv, default[_FIELD_OF.get(key, key)])
-            for key, conv in converters.items()}
+def _table(cls, **converters) -> Table:
+    """The table of a section that builds `cls`: each study-file key, with
+    its converter, fills its own field or the one `FIELD_KEYS` maps to it."""
+    field_of = {key: name for name, key in FIELD_KEYS.items()}
+    return Table(cls, [Key(key, field_of.get(key, key), conv)
+                       for key, conv in converters.items()])
 
 
-def _spec(cls, keys: dict):
-    """`cls` built from a section's {study-file key: value}."""
-    return cls(**{_FIELD_OF.get(key, key): v for key, v in keys.items()})
+@dataclass(frozen=True)
+class _Protect:
+    """A `[protect]` section: the fault, at an element's terminal or on a
+    bus, and how the protection answers it."""
+
+    fault_element: str | None = None
+    fault_bus: str | None = None
+    failed_breakers: tuple[str, ...] = ()
+    zsi: bool = True
+    cct_budget_s: float = 0.542
+
+    def __post_init__(self):
+        if (self.fault_element is None) == (self.fault_bus is None):
+            raise InputError(
+                "[protect] needs exactly one of fault_element and fault_bus")
 
 
-# each study section kind: for a keyed section, key -> (converter, default),
-# where a missing key takes its default and one whose default is ... is an
-# input error; for an id-keyed section, the converter of its values
-# (breaker -> true/false, generator -> kW, load -> scale factor), whose ids
-# the engines check against the grid
+# each study section kind: a keyed section's table, which builds its spec
+# (a missing key takes the field's default), or an id-keyed section's value
+# converter (breaker -> true/false, generator -> kW, load -> scale factor),
+# whose ids the engines check against the grid
 _STUDY_SECTIONS = {
     "breakers": boolean, "dispatch": float, "load_scale": float,
-    "sim": _keys(SimConfig, step_s=float, end_s=float),
-    "cct": _keys(CctFaultSpec, machine=str, loading=float, location=float,
-                 branch=str, t_lo_s=float, t_hi_s=float, tol_s=float,
-                 step_s=float, window_s=float, governor=_on_off, avr=_on_off),
-    "protect": {"fault_element": (str, None), "fault_bus": (str, None),
-                "failed_breakers": (_id_list, ()), "zsi": (boolean, True),
-                "cct_budget_s": (float, 0.542)},
-    "powerflow": _keys(SteadyState, slack=str, tol=float, max_iter=integer),
-    "event": _keys(Event, time_s=float, action=str, target=str, scale=float,
-                   ramp_s=float, location=float),
-    "controller": _keys(ControllerConfig, mode=str, inverter=str,
-                        watched=_id_list, p_threshold_kw=float,
-                        q_threshold_kvar=float, p_rating_kw=float,
-                        q_rating_kvar=float, dp_delay_s=float)}
+    "sim": _table(SimConfig, step_s=float, end_s=float),
+    "cct": _table(CctFaultSpec, machine=str, loading=float, location=float,
+                  branch=str, t_lo_s=float, t_hi_s=float, tol_s=float,
+                  step_s=float, window_s=float, governor=_on_off, avr=_on_off),
+    "protect": _table(_Protect, fault_element=str, fault_bus=str,
+                      failed_breakers=_id_list, zsi=boolean,
+                      cct_budget_s=float),
+    "powerflow": _table(SteadyState, slack=str, tol=float, max_iter=integer),
+    "event": _table(Event, time_s=float, action=str, target=str, scale=float,
+                    ramp_s=float, location=float),
+    "controller": _table(ControllerConfig, mode=str, inverter=str,
+                         watched=_id_list, p_threshold_kw=float,
+                         q_threshold_kvar=float, p_rating_kw=float,
+                         q_rating_kvar=float, dp_delay_s=float)}
 # the kinds that take an id and may appear any number of times; every other
 # kind takes none and may appear once
 _WITH_ID = ("event", "controller")
 
 
 class _Study:
-    """Parsed study file: {section kind: {id: {key: typed value}}}, of the
-    kinds the study kind reads (`_RUNNERS`); any other section is an input
-    error."""
+    """Parsed study file: {section kind: {id: its spec, or its {id: typed
+    value} map}}, of the kinds the study kind reads (`_RUNNERS`); any other
+    section, and a section its spec refuses, is an input error."""
 
     def __init__(self, text: str, study_kind: str):
         reads = _RUNNERS[study_kind][1]
-        self.sections: dict[str, dict[str, dict]] = {}
+        self.sections: dict[str, dict] = {}
         for kind, sid, line, keys in read_sections(text):
             where = f"[{kind} {sid}]" if sid else f"[{kind}]"
             table = _STUDY_SECTIONS.get(kind)
@@ -132,39 +143,28 @@ class _Study:
             if bool(sid) != (kind in _WITH_ID):
                 raise GridParseError(f"{where} needs an id" if not sid
                                      else f"{where} takes no id", line)
-            values = _section_values(table, keys, where, line)
+            if isinstance(table, Table):
+                check_declared(where, line, keys, table.names)
+                value = build(table, keys, where, line)
+            else:
+                value = {k: convert(where, line, k, v, table)
+                         for k, v in keys.items()}
             if sid in self.sections.setdefault(kind, {}):
                 raise GridParseError(f"{where} repeated", line)
-            self.sections[kind][sid] = values
+            self.sections[kind][sid] = value
 
-    def one(self, kind: str, required: bool = False) -> dict:
+    def one(self, kind: str, required: bool = False):
         """The section of `kind`, a kind without ids, or its defaults when
         there is none and the study does not require one."""
         if "" in self.sections.get(kind, {}):
             return self.sections[kind][""]
         if required:
             raise InputError(f"{kind} study requires a [{kind}] section")
-        return _section_values(_STUDY_SECTIONS[kind], {}, f"[{kind}]", None)
+        table = _STUDY_SECTIONS[kind]
+        return table.cls() if isinstance(table, Table) else {}
 
-    def many(self, kind: str) -> dict[str, dict]:
+    def many(self, kind: str) -> dict:
         return self.sections.get(kind, {})
-
-
-def _section_values(table, keys: dict, where: str, line: int | None) -> dict:
-    """{key: typed value} of one section; `table` is its key table or, for
-    an id-keyed section, the converter of every value."""
-    if callable(table):
-        return {k: convert(where, line, k, v, table) for k, v in keys.items()}
-    check_declared(where, line, keys, table.keys())
-    values = {}
-    for key, (conv, default) in table.items():
-        if key in keys:
-            values[key] = convert(where, line, key, keys[key], conv)
-        elif default is ...:
-            raise GridParseError(f"{where} missing required key {key!r}", line)
-        else:
-            values[key] = default
-    return values
 
 
 def _read_text(path: str) -> str:
@@ -201,8 +201,8 @@ def _emit(args, name: str, header, rows) -> None:
 def _steady_state(study: _Study) -> SteadyState:
     """The operating point of the study's [powerflow], [dispatch] and
     [load_scale] sections."""
-    return _spec(SteadyState, study.one("powerflow") | {
-        kind: study.one(kind) for kind in ("dispatch", "load_scale")})
+    return replace(study.one("powerflow"), dispatch=study.one("dispatch"),
+                   load_scale=study.one("load_scale"))
 
 
 # ---- study runners ----------------------------------------------------------
@@ -292,39 +292,31 @@ def _run_sc_dc(args, grid: GridModel, study: _Study) -> int:
 
 
 def _run_tdsim(args, grid: GridModel, study: _Study) -> int:
-    events = sorted((_spec(Event, k) for k in study.many("event").values()),
-                    key=lambda e: e.time)
-    controllers = [_spec(ControllerConfig, keys)
-                   for _, keys in sorted(study.many("controller").items())]
+    events = sorted(study.many("event").values(), key=lambda e: e.time)
+    controllers = [c for _, c in sorted(study.many("controller").items())]
     ts = simulate(grid, EventSchedule(tuple(events)), controllers,
-                  _spec(SimConfig, study.one("sim")), _steady_state(study))
+                  study.one("sim"), _steady_state(study))
     report.write_artifact(args.out, "timeseries.csv", report.timeseries_csv(ts))
     print(f"simulated {ts.t[-1]:g} s, {len(ts.channels)} channels")
     return EXIT_OK
 
 
 def _run_cct(args, grid: GridModel, study: _Study) -> int:
-    result = find_cct(grid, _spec(CctFaultSpec,
-                                  study.one("cct", required=True)))
+    result = find_cct(grid, study.one("cct", required=True))
     _emit(args, "cct.csv", *report.cct_rows(result))
     print(f"cct_s = {report.fmt(result.cct)}")
     return EXIT_OK
 
 
 def _run_protect(args, grid: GridModel, study: _Study) -> int:
-    keys = study.one("protect", required=True)
-    if (keys["fault_element"] is None) == (keys["fault_bus"] is None):
-        raise InputError(
-            "[protect] needs exactly one of fault_element and fault_bus")
-    fault_bus = keys["fault_bus"]
-    if keys["fault_element"] is not None:
-        fault_bus = grid.element(keys["fault_element"]).bus
+    spec = study.one("protect", required=True)   # names exactly one
+    fault_bus = spec.fault_bus or grid.element(spec.fault_element).bus
     sol = solve_ac_powerflow(grid, _steady_state(study))
     summ = fault_summary(grid, fault_bus, sol)
-    events = sequence_of_operations(grid, summ, keys["fault_element"],
-                                    zsi_enabled=keys["zsi"],
-                                    failed_breakers=set(keys["failed_breakers"]))
-    rep = selectivity_check(events, keys["cct_budget_s"])
+    events = sequence_of_operations(grid, summ, spec.fault_element,
+                                    zsi_enabled=spec.zsi,
+                                    failed_breakers=set(spec.failed_breakers))
+    rep = selectivity_check(events, spec.cct_budget_s)
     _emit(args, "trips.csv", *report.trip_rows(events))
     report.write_artifact(args.out, "selectivity.txt",
                           report.selectivity_text(rep))

@@ -5,7 +5,8 @@ Keys carry unit suffixes (``voltage_v``, ``rated_kva``, ``resistance_mohm``)
 so a file is unambiguous without a schema at hand.  One table per section
 kind, `_SECTIONS`, names each key, the dataclass field it fills, its
 converter and any unit scale; parsing, the key checks and serialization all
-read it, and every default comes from the dataclass itself.  Values stay
+read it (and the CLI's study sections are `Table`s too, read by `build`),
+and every default comes from the dataclass itself.  Values stay
 text until the table converts them, so ids keep their text exactly
 (``bus = 12`` names ``[bus 12]``).  Nested tables are all-or-nothing
 groups: the trip curve, the dynamics block and the DC link (``dclink_*``,
@@ -156,23 +157,23 @@ def check_declared(where: str, line: int, keys: dict, declared) -> None:
 # ---- section tables ---------------------------------------------------------
 
 
-class _Key(NamedTuple):
+class Key(NamedTuple):
     name: str                     # the file key
     field: str                    # the dataclass field it fills
     conv: Callable = float
     scale: float | None = None    # field value = file value * scale
 
 
-class _Table:
+class Table:
     """How one dataclass is written in a section.  `groups` fill
     dataclass-typed fields from nested tables; one whose field defaults to
     None is built when any of its keys is given.  `finish` may rewrite the
     converted values before the required fields are checked."""
 
-    def __init__(self, cls, keys: list[_Key], groups=None, finish=None):
+    def __init__(self, cls, keys: list[Key], groups=None, finish=None):
         self.cls = cls
         self.keys = keys
-        self.groups: dict[str, _Table] = groups or {}
+        self.groups: dict[str, Table] = groups or {}
         self.finish = finish
         self.defaults = {f.name: f.default for f in fields(cls)}
         self.required = {k.field: k.name for k in keys
@@ -195,97 +196,97 @@ def _open_circuit_constants(values: dict) -> None:
             values["xd"], values["xd_t"], values["xd_st"], *quoted)
 
 
-_DYNAMICS = _Table(GeneratorDynamicParams, [
-    _Key("xd_pu", "xd"),
-    _Key("xd_t_pu", "xd_t"),
-    _Key("xd_st_pu", "xd_st"),
-    _Key("td0_t_s", "td0_t"),
-    _Key("td0_st_s", "td0_st"),
-    _Key("tdc_s", "tdc"),
-    _Key("ikd_a", "ikd"),
-    _Key("inertia_h_s", "inertia_h"),
-    _Key("damping_pu", "damping"),
-    _Key("synthetic_dynamics", "synthetic", boolean),
+_DYNAMICS = Table(GeneratorDynamicParams, [
+    Key("xd_pu", "xd"),
+    Key("xd_t_pu", "xd_t"),
+    Key("xd_st_pu", "xd_st"),
+    Key("td0_t_s", "td0_t"),
+    Key("td0_st_s", "td0_st"),
+    Key("tdc_s", "tdc"),
+    Key("ikd_a", "ikd"),
+    Key("inertia_h_s", "inertia_h"),
+    Key("damping_pu", "damping"),
+    Key("synthetic_dynamics", "synthetic", boolean),
     # read only: fields the class lacks, replaced by _open_circuit_constants
-    _Key("td_t_s", "td_t"),
-    _Key("td_st_s", "td_st"),
+    Key("td_t_s", "td_t"),
+    Key("td_st_s", "td_st"),
 ], finish=_open_circuit_constants)
 
-_DC_LINK = _Table(CapacitorBranch, [
-    _Key("dclink_capacitance_uf", "capacitance", scale=1e-6),
-    _Key("dclink_resistance_mohm", "series_resistance", scale=1e-3),
-    _Key("dclink_inductance_uh", "series_inductance", scale=1e-6),
-    _Key("dclink_voltage_v", "initial_voltage"),
+_DC_LINK = Table(CapacitorBranch, [
+    Key("dclink_capacitance_uf", "capacitance", scale=1e-6),
+    Key("dclink_resistance_mohm", "series_resistance", scale=1e-3),
+    Key("dclink_inductance_uh", "series_inductance", scale=1e-6),
+    Key("dclink_voltage_v", "initial_voltage"),
 ])
 
-_TRIP_CURVE = _Table(TccCurve, [_Key("zsi_delay_s", "zsi_extended_delay")], {
-    "long_time": _Table(LongTimeElement, [
-        _Key("lt_pickup_a", "pickup"),
-        _Key("lt_kind", "kind", str),
-        _Key("lt_delay_s", "delay"),
+_TRIP_CURVE = Table(TccCurve, [Key("zsi_delay_s", "zsi_extended_delay")], {
+    "long_time": Table(LongTimeElement, [
+        Key("lt_pickup_a", "pickup"),
+        Key("lt_kind", "kind", str),
+        Key("lt_delay_s", "delay"),
     ]),
-    "short_time": _Table(ShortTimeElement, [
-        _Key("st_pickup_a", "pickup"),
-        _Key("st_delay_s", "delay"),
+    "short_time": Table(ShortTimeElement, [
+        Key("st_pickup_a", "pickup"),
+        Key("st_delay_s", "delay"),
     ]),
 })
 
 # kind -> (GridModel field, table), in the order serialize_grid writes them
 _SECTIONS = {
-    "grid": (None, _Table(GridModel, [_Key("name", "name", str)])),
-    "bus": ("buses", _Table(Bus, [
-        _Key("kind", "kind", str),
-        _Key("voltage_v", "nominal_voltage"),
-        _Key("frequency_hz", "frequency"),
+    "grid": (None, Table(GridModel, [Key("name", "name", str)])),
+    "bus": ("buses", Table(Bus, [
+        Key("kind", "kind", str),
+        Key("voltage_v", "nominal_voltage"),
+        Key("frequency_hz", "frequency"),
     ])),
-    "generator": ("generators", _Table(GeneratorSpec, [
-        _Key("bus", "bus", str),
-        _Key("rated_kva", "rated_kva"),
-        _Key("rated_kw", "rated_kw"),
-        _Key("voltage_v", "voltage"),
-        _Key("current_a", "rated_current"),
-        _Key("frequency_hz", "frequency"),
-        _Key("pf", "power_factor"),
-        _Key("rpm", "speed_rpm"),
-        _Key("winding_resistance_mohm", "winding_resistance_mohm"),
+    "generator": ("generators", Table(GeneratorSpec, [
+        Key("bus", "bus", str),
+        Key("rated_kva", "rated_kva"),
+        Key("rated_kw", "rated_kw"),
+        Key("voltage_v", "voltage"),
+        Key("current_a", "rated_current"),
+        Key("frequency_hz", "frequency"),
+        Key("pf", "power_factor"),
+        Key("rpm", "speed_rpm"),
+        Key("winding_resistance_mohm", "winding_resistance_mohm"),
     ], {"dynamics": _DYNAMICS})),
-    "battery": ("batteries", _Table(BatterySource, [
-        _Key("bus", "bus", str),
-        _Key("sc_peak_current_a", "sc_peak_current"),
-        _Key("sc_time_constant_s", "sc_time_constant"),
+    "battery": ("batteries", Table(BatterySource, [
+        Key("bus", "bus", str),
+        Key("sc_peak_current_a", "sc_peak_current"),
+        Key("sc_time_constant_s", "sc_time_constant"),
     ])),
-    "converter": ("converters", _Table(ConverterSpec, [
-        _Key("bus", "bus", str),
-        _Key("kind", "kind", str),
-        _Key("rated_current_a", "rated_current"),
-        _Key("rated_kw", "rated_kw"),
-        _Key("sc_factor", "sc_contribution_factor"),
-        _Key("ac_bus", "ac_bus", str),
-        _Key("p_set_kw", "p_set_kw"),
+    "converter": ("converters", Table(ConverterSpec, [
+        Key("bus", "bus", str),
+        Key("kind", "kind", str),
+        Key("rated_current_a", "rated_current"),
+        Key("rated_kw", "rated_kw"),
+        Key("sc_factor", "sc_contribution_factor"),
+        Key("ac_bus", "ac_bus", str),
+        Key("p_set_kw", "p_set_kw"),
     ], {"dc_link": _DC_LINK})),
-    "load": ("loads", _Table(LoadSpec, [
-        _Key("bus", "bus", str),
-        _Key("rated_kva", "rated_kva"),
-        _Key("pf", "power_factor"),
-        _Key("motor_fraction", "motor_fraction"),
-        _Key("locked_rotor_multiplier", "locked_rotor_multiplier"),
-        _Key("xr_ratio", "xr_ratio"),
+    "load": ("loads", Table(LoadSpec, [
+        Key("bus", "bus", str),
+        Key("rated_kva", "rated_kva"),
+        Key("pf", "power_factor"),
+        Key("motor_fraction", "motor_fraction"),
+        Key("locked_rotor_multiplier", "locked_rotor_multiplier"),
+        Key("xr_ratio", "xr_ratio"),
     ])),
-    "branch": ("branches", _Table(CableBranch, [
-        _Key("from", "from_bus", str),
-        _Key("to", "to_bus", str),
-        _Key("resistance_ohm", "resistance_ohm"),
-        _Key("reactance_ohm", "reactance_ohm"),
-        _Key("synthetic", "synthetic", boolean),
+    "branch": ("branches", Table(CableBranch, [
+        Key("from", "from_bus", str),
+        Key("to", "to_bus", str),
+        Key("resistance_ohm", "resistance_ohm"),
+        Key("reactance_ohm", "reactance_ohm"),
+        Key("synthetic", "synthetic", boolean),
     ])),
-    "breaker": ("breakers", _Table(BreakerSpec, [
-        _Key("from", "from_element", str),
-        _Key("to", "to_element", str),
-        _Key("closed", "closed", boolean),
+    "breaker": ("breakers", Table(BreakerSpec, [
+        Key("from", "from_element", str),
+        Key("to", "to_element", str),
+        Key("closed", "closed", boolean),
     ], {"tcc": _TRIP_CURVE})),
-    "fuse": ("fuses", _Table(FuseSpec, [
-        _Key("element", "element", str),
-        _Key("i2t_total_clearing", "i2t_total_clearing"),
+    "fuse": ("fuses", Table(FuseSpec, [
+        Key("element", "element", str),
+        Key("i2t_total_clearing", "i2t_total_clearing"),
     ])),
 }
 
@@ -306,7 +307,7 @@ def parse_grid(text: str) -> GridModel:
         where = f"[{kind} {sid}]" if sid else f"[{kind}]"
         check_declared(where, line, keys, table.names)
         if attr:
-            specs[attr].append(_build(table, keys, where, line, id=sid))
+            specs[attr].append(build(table, keys, where, line, id=sid))
         else:
             name = keys.get("name", sid or "grid")
     grid = GridModel(name, **{attr: tuple(s) for attr, s in specs.items()})
@@ -315,7 +316,8 @@ def parse_grid(text: str) -> GridModel:
     return grid
 
 
-def _build(table: _Table, keys: dict, where: str, line: int, **values):
+def build(table: Table, keys: dict, where: str, line: int, **values):
+    """`table.cls` from a section's {key: value text}, given `values`."""
     get = keys.get
     try:
         for name, field, conv, scale in table.keys:
@@ -327,7 +329,7 @@ def _build(table: _Table, keys: dict, where: str, line: int, **values):
         convert(where, line, name, text, conv)     # raises, naming the key
     for field, group in table.groups.items():
         if table.defaults[field] is MISSING or not group.names.isdisjoint(keys):
-            values[field] = _build(group, keys, where, line)
+            values[field] = build(group, keys, where, line)
     if table.finish:
         try:
             table.finish(values)
@@ -354,7 +356,7 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _written(table: _Table, spec):
+def _written(table: Table, spec):
     """(file key, value) of every field of `spec` its section spells out."""
     for key in table.keys:
         if key.field not in table.defaults:

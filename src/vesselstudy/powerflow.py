@@ -256,7 +256,11 @@ def solve_ac_powerflow(
     """Newton-Raphson load flow over every AC island of the grid, from
     `steady`, with `converter_draws` in place of converters' draws.  Its
     `dispatch` and `slack` ids must name online generators, no slack
-    dispatched (the flow sets its P), and its `load_scale` ids loads."""
+    dispatched (the flow sets its P), and its `load_scale` ids loads.  The
+    maps are checked again here, since a spec's dicts may change after it
+    is built."""
+    check_domains(DOMAINS, dispatch=steady.dispatch,
+                  load_scale=steady.load_scale)
     for gen_id in steady.dispatch:
         grid.generator(gen_id)
         if not grid.element_online(gen_id):

@@ -95,8 +95,9 @@ def _check_fields(spec, kind: str = "",
                   readers: dict[str, tuple[str, ...]] | None = None) -> None:
     """Raise InputError, naming the study-file key, for a field of `spec`
     that some kind of `readers` reads, but not `kind`, and that differs
-    from its default, then for a value outside its DOMAINS interval; None
-    passes only in a field whose default is None."""
+    from its default, for a field whose default is a bool that holds no
+    bool, then for a value outside its DOMAINS interval; None passes only
+    in a field whose default is None."""
     values = {}
     for f in fields(spec):
         key, value = FIELD_KEYS.get(f.name, f.name), getattr(spec, f.name)
@@ -104,6 +105,9 @@ def _check_fields(spec, kind: str = "",
         if owners and kind not in owners and value != f.default:
             raise InputError(f"{kind}: {key} applies only to "
                              f"{', '.join(owners)}")
+        if isinstance(f.default, bool) and not isinstance(value, bool):
+            raise InputError(f"need {key} true or false, got {key} = "
+                             f"{value!r}")
         if key in DOMAINS and not (value is None and f.default is None):
             values[key] = value
     check_domains(DOMAINS, **values)
@@ -157,8 +161,9 @@ class EventSchedule:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Integration step and run length, s, and whether every machine runs
-    its droop governor and its voltage regulator.  The governor droop
+    """Integration step and run length, s, `end` a whole number of steps
+    (more than one, and countable), and whether every machine runs its
+    droop governor and its voltage regulator.  The governor droop
     GOV_DROOP is on the S_BASE_KVA (1000 kVA) system base, so after a
     load step every machine takes the same -dw * S_BASE_KVA / GOV_DROOP
     kW, whatever its rating."""
@@ -173,6 +178,13 @@ class SimConfig:
         if self.end <= self.step:
             raise InputError(f"need end_s > step_s = {self.step}, "
                              f"got end_s = {self.end}")
+        steps = self.end / self.step
+        if steps >= np.iinfo(np.intp).max:   # so round(steps) + 1 rows overflow
+            raise InputError(f"step_s = {self.step} cuts end_s = {self.end} "
+                             "into more steps than an array can index")
+        if abs(steps - round(steps)) > 1e-9:
+            raise InputError(f"end_s = {self.end} is not a whole number of "
+                             f"steps of step_s = {self.step}")
 
 
 @dataclass
@@ -192,20 +204,21 @@ class TimeSeries:
 # each controller mode -> the study-file keys of the optional fields it
 # reads; setting another is an input error, as for events
 CONTROLLER_FIELDS = {
-    "peak_shave": ("watched", "p_threshold_kw", "q_threshold_kvar"),
-    "dp_failover": ("watched", "dp_delay_s"),
+    "peak_shave": ("p_threshold_kw", "q_threshold_kvar"),
+    "dp_failover": ("dp_delay_s",),
 }
 
 
 @dataclass(frozen=True, kw_only=True)
 class ControllerConfig:
-    """One battery-inverter controller, the only one on its inverter."""
+    """One battery-inverter controller, the only one on its inverter; it
+    watches one generator at least, since with none it never acts."""
 
     mode: str                            # a key of CONTROLLER_FIELDS
     inverter: str                        # converter id injecting P/Q
+    watched: tuple[str, ...]             # generator ids
     p_rating_kw: float
     q_rating_kvar: float
-    watched: tuple[str, ...] = ()        # generator ids
     p_threshold_kw: float = 0.0          # peak_shave, per watched generator
     q_threshold_kvar: float = 0.0
     dp_delay: float = 0.1                # dp_failover, s
@@ -215,6 +228,9 @@ class ControllerConfig:
             raise InputError(f"controller on {self.inverter}: unknown mode "
                              f"{self.mode!r}")
         _check_fields(self, self.mode, CONTROLLER_FIELDS)
+        if not self.watched:
+            raise InputError(f"controller on {self.inverter}: watched names "
+                             "no generator")
 
 
 class ControllerState:
@@ -963,16 +979,9 @@ def simulate(grid: GridModel, schedule: EventSchedule, controllers=(),
     per load, and the system losses.  The machines start from the power
     flow of `steady`.  With `_engine` the run is a probe of a `find_cct`
     search (see `_Engine.run`), whose engine stands in for grid,
-    controllers and power flow.  The schedule must pass
-    `EventSchedule.validated`, and `end` be a whole number of steps.
+    controllers and power flow.  `SimConfig` keeps `cfg.end` a whole number
+    of steps; the schedule must pass `EventSchedule.validated` against it.
     """
-    steps = cfg.end / cfg.step
-    if steps >= np.iinfo(np.intp).max:   # so round(steps) + 1 rows overflow
-        raise InputError(f"step_s = {cfg.step} cuts end_s = {cfg.end} into "
-                         "more steps than an array can index")
-    if abs(steps - round(steps)) > 1e-9:
-        raise InputError(f"end_s = {cfg.end} is not a whole number of "
-                         f"steps of step_s = {cfg.step}")
     events = schedule.validated(grid, cfg.end).events
     # a state that overflows ends in the finiteness checks' NumericalError
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):

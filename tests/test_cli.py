@@ -894,6 +894,9 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
         "0.542", "-1"), "need cct_budget_s in (0, inf), got cct_budget_s = -1.0"),
     ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("mode = peak_shave\n", ""),
      "[controller ps] missing required key 'mode'"),
+    # a controller that watched no generator never acted
+    ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("watched = DG#01\n", ""),
+     "line 4: [controller ps] missing required key 'watched'"),
     ("tdsim", None, TDSIM_HEAD + CONTROLLER.replace("INV_PS", "NOPE"),
      "unknown converter 'NOPE'"),
     # a misspelled mode used to leave the inverter idle
@@ -1131,6 +1134,36 @@ def test_input_defects_are_input_errors(tmp_path, capsys, kind, grid_edit,
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("kind, study_text, message", [
+    ("tdsim", "[sim]\nstep_s = 0.03\nend_s = 0.1\n",
+     "end_s = 0.1 is not a whole number of steps of step_s = 0.03"),
+    ("cct", SHORT_CCT + "t_lo_s = 0.2\n",
+     "need t_hi_s > t_lo_s = 0.2, got t_hi_s = 0.1"),
+    ("protect", "[protect]\nfault_element = DG#01\nfault_bus = AC_SB\n",
+     "[protect] needs exactly one of fault_element and fault_bus"),
+    ("tdsim", "[event e]\ntime_s = 0.05\naction = explode\n",
+     "unknown event action 'explode'"),
+    ("tdsim", CONTROLLER.replace("peak_shave", "shave"),
+     "controller on INV_PS: unknown mode 'shave'"),
+    ("powerflow", "[powerflow]\nmax_iter = 2.5\n",
+     "line 3: [powerflow] max_iter = '2.5': not an integer"),
+])
+def test_a_section_is_refused_as_the_study_is_read(
+        tmp_path, capsys, monkeypatch, kind, study_text, message):
+    """Each keyed section is its spec once read, so its own defect is
+    reported before the breaker states apply and the grid is validated,
+    and no engine runs."""
+    def never(*args, **kwargs):
+        raise AssertionError("called after a refused study")
+    for name in ("validate", "solve_ac_powerflow", "simulate", "find_cct"):
+        monkeypatch.setattr(cli, name, never)
+    study = tmp_path / "s.study"
+    study.write_text("[breakers]\nCB_NOPE = false\n" + study_text)
+    assert main([kind, "--grid", "builtin:ac_vessel", "--study", str(study),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_numeric_ids_are_ids(tmp_path):
     grid = builtin_fixture("dc_vessel")
     text = serialize_grid(grid).replace("DC_PS", "12").replace("DC_SB", "007")
@@ -1228,20 +1261,20 @@ UNKEYED = {SimConfig: {"governor", "avr"},
 def test_every_section_key_names_a_field_of_its_class(kind):
     """`tdsim.FIELD_KEYS` is the one map between a field and its study
     key, and the keys it names are distinct, so the CLI finds a key's field
-    by its inverse: every key of the section names a field of the class it
-    builds, and takes that field's default, and every field is a key but
-    those another section sets ([cct] sets SimConfig's governor and avr,
-    and [dispatch] and [load_scale] SteadyState's maps)."""
+    by its inverse: the section's table builds the class, so a missing key
+    takes that field's default, every key fills the field it names, and
+    every field is a key but those another section sets ([cct] sets
+    SimConfig's governor and avr, and [dispatch] and [load_scale]
+    SteadyState's maps)."""
     cls = SECTION_CLASSES[kind]
     field_of = {key: name for name, key in tdsim.FIELD_KEYS.items()}
     assert len(field_of) == len(tdsim.FIELD_KEYS)
-    default = {f.name: ... if f.default is dataclasses.MISSING else f.default
-               for f in dataclasses.fields(cls)}
     table = cli._STUDY_SECTIONS[kind]
-    assert {key: default.get(field_of.get(key, key), "no such field")
-            for key in table} == {key: d for key, (_, d) in table.items()}
-    assert {field_of.get(key, key) for key in table} == (
-        set(default) - UNKEYED.get(cls, set()))
+    assert table.cls is cls and not table.groups
+    assert all(k.field == field_of.get(k.name, k.name) and k.scale is None
+               for k in table.keys)
+    assert {k.field for k in table.keys} == (
+        {f.name for f in dataclasses.fields(cls)} - UNKEYED.get(cls, set()))
     assert set(tdsim.FIELD_KEYS) <= {f.name for c in SECTION_CLASSES.values()
                                      for f in dataclasses.fields(c)}
 

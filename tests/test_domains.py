@@ -33,8 +33,8 @@ ENGINES = (tdsim, powerflow, protection)
 
 def _controller(**kw):
     return tdsim.ControllerConfig(**{"mode": "peak_shave", "inverter": "INV_PS",
-                                     "p_rating_kw": 1.0, "q_rating_kvar": 1.0,
-                                     **kw})
+                                     "watched": ("DG#01",), "p_rating_kw": 1.0,
+                                     "q_rating_kvar": 1.0, **kw})
 
 
 # each table entry -> the public calls that own it, each given the value

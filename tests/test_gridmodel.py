@@ -364,7 +364,7 @@ class TestFileRules:
                                                  ("1_2", 12)])
     def test_integer_keys_read_integral_values(self, value, max_iter):
         study = _Study(self.STUDY.format(value), "powerflow")
-        assert study.one("powerflow")["max_iter"] == max_iter
+        assert study.one("powerflow").max_iter == max_iter
 
     @pytest.mark.parametrize("value", ["4.5", "four", "true"])
     def test_integer_keys_reject_other_values(self, value):

@@ -111,6 +111,16 @@ def test_a_steady_state_keeps_its_own_maps(ac_vessel):
     assert copy.deepcopy(steady) == steady
 
 
+def test_a_map_edited_after_the_spec_is_built_is_checked(ac_vessel):
+    """A spec's dicts are plain ones, so the solve checks their domains
+    again; DG#01 used to solve as a motor."""
+    steady = SteadyState()
+    steady.dispatch["DG#01"] = -300.0
+    with pytest.raises(InputError, match=re.escape(
+            "need dispatch in [0, inf), got dispatch DG#01 = -300.0")):
+        solve_ac_powerflow(ac_vessel, steady)
+
+
 @pytest.mark.parametrize("kwargs, message", [
     ({"dispatch": {"NOPE": 100.0}}, "unknown generator 'NOPE'"),
     ({"dispatch": {"LOAD440_PS": 100.0}}, "unknown generator 'LOAD440_PS'"),

@@ -94,3 +94,10 @@ def test_grid_domain_table_matches_grid_domains():
     assert documented == {(cls.__name__, name): domain
                           for cls, table in grid.DOMAINS.items()
                           for name, domain in table.items()}
+
+
+def test_library_example_runs():
+    """The code block under `## Library` runs as written."""
+    section = README[README.index("## Library\n"):]
+    code = section[section.index("```python\n") + 10:]
+    exec(compile(code[:code.index("```")], "README.md", "exec"), {})

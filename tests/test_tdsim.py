@@ -106,9 +106,22 @@ class TestControllerConfig:
 
     def test_defaults(self):
         cfg = ControllerConfig(mode="dp_failover", inverter="INV_PS",
-                               p_rating_kw=1.0, q_rating_kvar=1.0)
-        assert (cfg.watched, cfg.p_threshold_kw, cfg.q_threshold_kvar,
-                cfg.dp_delay) == ((), 0.0, 0.0, 0.1)
+                               watched=("DG#02",), p_rating_kw=1.0,
+                               q_rating_kvar=1.0)
+        assert (cfg.p_threshold_kw, cfg.q_threshold_kvar,
+                cfg.dp_delay) == (0.0, 0.0, 0.1)
+
+    @pytest.mark.parametrize("mode", ["peak_shave", "dp_failover"])
+    def test_a_controller_watches_a_generator(self, mode):
+        # with no watched generator a controller never acts: a peak-shave
+        # INV_PS under a 1.3 step of LOAD440_PS stayed at 0 kW and 0 kvar
+        args = dict(mode=mode, inverter="INV_PS", p_rating_kw=500.0,
+                    q_rating_kvar=500.0)
+        with pytest.raises(TypeError, match="watched"):
+            ControllerConfig(**args)
+        with pytest.raises(InputError, match="^controller on INV_PS: "
+                           "watched names no generator$"):
+            ControllerConfig(watched=(), **args)
 
     @pytest.mark.parametrize("mode, field, key, value, reader", [
         ("dp_failover", "p_threshold_kw", "p_threshold_kw", 1500.0,
@@ -123,8 +136,9 @@ class TestControllerConfig:
         # the study-file key
         with pytest.raises(InputError, match=f"^{mode}: {key} applies only "
                            f"to {reader}$"):
-            ControllerConfig(mode=mode, inverter="INV_PS", p_rating_kw=1500.0,
-                             q_rating_kvar=1500.0, **{field: value})
+            ControllerConfig(mode=mode, inverter="INV_PS", watched=("DG#01",),
+                             p_rating_kw=1500.0, q_rating_kvar=1500.0,
+                             **{field: value})
 
     @pytest.mark.parametrize("mode, key, name, value", [
         # a nan threshold made the peak-shave setpoint the full rating,
@@ -136,8 +150,8 @@ class TestControllerConfig:
         ("dp_failover", "dp_delay", "dp_delay_s", math.inf),
     ])
     def test_non_finite_values_are_refused(self, mode, key, name, value):
-        args = dict(mode=mode, inverter="INV_PS", p_rating_kw=1500.0,
-                    q_rating_kvar=1500.0)
+        args = dict(mode=mode, inverter="INV_PS", watched=("DG#01",),
+                    p_rating_kw=1500.0, q_rating_kvar=1500.0)
         args[key] = value
         with pytest.raises(InputError, match=f"^need {name} in .*, "
                                              f"got {name} = {value}$"):
@@ -351,6 +365,18 @@ def test_cct_bracket_must_straddle():
 def test_sim_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=f"need {name}_s in "):
         dataclasses.replace(BARE_SMIB, **{name: value})
+
+
+@pytest.mark.parametrize("build, message", [
+    # a governor of "off" used to run with the governor on
+    (lambda: SimConfig(governor="off"),
+     "need governor true or false, got governor = 'off'"),
+    (lambda: CctFaultSpec("G1", avr=0.0),
+     "need avr true or false, got avr = 0.0"),
+])
+def test_a_switch_that_is_not_a_bool_is_refused(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
