@@ -13,6 +13,7 @@ import math
 import operator
 from dataclasses import dataclass, fields, replace
 from functools import cache, cached_property
+from numbers import Real
 from typing import NamedTuple
 
 AC = "ac"
@@ -432,15 +433,20 @@ def _inside(interval: str):
 
 def check_domains(domains: dict[str, str], **values) -> None:
     """Raise InputError for a value outside the interval that `domains`, an
-    engine's table, declares for its key (see `_inside`), None included; a
-    dict holds an id-keyed section's values, named by id."""
+    engine's table, declares for its key (see `_inside`), and for one that
+    is no real number (None, a str or a bool), shown by its repr; a dict
+    holds an id-keyed section's values, named by id."""
     for key, value in values.items():
         interval = domains[key]
         inside = _inside(interval)
         for item, x in value.items() if isinstance(value, dict) else [("", value)]:
-            if x is None or not inside(x):
+            # float and int before the Real ABC, whose check is slow
+            number = (not isinstance(x, bool)
+                      and isinstance(x, (float, int, Real)))
+            if not number or not inside(x):
                 got = f"{key} {item}".strip()
-                raise InputError(f"need {key} in {interval}, got {got} = {x}")
+                raise InputError(f"need {key} in {interval}, got {got} = "
+                                 f"{x if number else repr(x)}")
 
 
 @cache

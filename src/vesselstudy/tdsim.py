@@ -12,7 +12,10 @@ reused by every stage in between (the alternating-solution scheme).  Each
 island also keeps its demand matrix, built from its load factors and
 inverter set-points, for as long as both hold: a load step clears the
 factors, which are then read afresh at every stage until the last ramp
-has ended, and a changed factor or set-point rebuilds the matrix.  An
+has ended, and a changed factor or set-point rebuilds the matrix.  The
+machine EMFs and the source voltages they drive are evaluated once per
+machine state and epoch, so a solve at the state the last one saw reuses
+them, with the same bits.  An
 island without demands (no load, converter draw or controller inverter)
 is linear: its voltages are v = Z i_src directly, with no iteration.
 Scripted events (load ramps, breaker switching, faults) are applied at
@@ -57,6 +60,8 @@ AVR_T = 0.5         # s, voltage-regulator time constant
 SWING_SLIP = 1.0    # rad past pi that an unstable verdict's path runs
 SWING_PIECES = 32   # pieces of its time-to-pi bound
 MACHINE_CHANNELS = ("p_kw", "q_kvar", "pm_kw", "delta_rad", "freq_hz")
+# a 0-d array, not a float: no scalar conversion at every sweep
+_V_FLOOR_SQ = np.array(V_FLOOR ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +233,9 @@ class ControllerConfig:
             raise InputError(f"controller on {self.inverter}: unknown mode "
                              f"{self.mode!r}")
         _check_fields(self, self.mode, CONTROLLER_FIELDS)
+        if isinstance(self.watched, str):
+            raise InputError(f"controller on {self.inverter}: watched is a "
+                             f"tuple of generator ids, got {self.watched!r}")
         if not self.watched:
             raise InputError(f"controller on {self.inverter}: watched names "
                              "no generator")
@@ -334,6 +342,7 @@ class _Island:
     lf_t: float = None       # the time `lf` was read at
     m: np.ndarray = None     # Z diag(conj(demand)), see `_solve`
     key: tuple = None        # (lf bytes, inverter set-points) of `m`
+    w: np.ndarray = None     # src @ e at the engine's kept machine state
     z: np.ndarray = None     # inverse of Y with shunts and fault, splice node last
     src: np.ndarray = None   # z times the machine source admittances
     inc: np.ndarray = None   # node incidence of the demands, then the inverters
@@ -531,6 +540,7 @@ class _Engine:
         solves of the epoch in between reuse the inverse.
         """
         n_mach = len(self.m.ids)
+        self.x_bytes = None     # `src` changes: no kept sources hold
         for isl in self.islands:
             n = len(isl.net.nodes)
             try:
@@ -587,24 +597,30 @@ class _Engine:
         with no iteration and no warm start.  Returns the machines'
         electrical power, reactive power and terminal voltage.
 
-        Z and the source matrix come from `_factor`, once per epoch.  The
+        Z and the source matrix come from `_factor`, once per epoch; the
+        EMFs e and the source voltages w once per machine state and epoch,
+        kept with the bytes of `x` until the next state or `_factor`.  The
         load factors are read afresh only after a load step and until the
         last ramp has ended; M is built afresh only when those factors or
         an inverter set-point differ from the ones it was built from.
         """
-        e = x[:, 2] * np.exp(1j * x[:, 0])
-        if not np.isfinite(e).all():
-            raise NumericalError("network solve produced non-finite V")
+        x_bytes = x.tobytes()   # not identity: `_build` writes x in place
+        if x_bytes != self.x_bytes:
+            e = x[:, 2] * np.exp(1j * x[:, 0])
+            if not np.isfinite(e).all():
+                raise NumericalError("network solve produced non-finite V")
+            for isl in self.islands:
+                isl.w = isl.src @ e
+            self.x_bytes, self.e = x_bytes, e
+        e = self.e
         vb = np.empty(len(x), dtype=complex)
-        # a 0-d array, not a float: no scalar conversion at every sweep
-        peak, floor = np.maximum.reduce, np.array(V_FLOOR ** 2)
         for isl in self.islands:
             if isl.lf is None or isl.lf_t < self.ramp_end:
                 lf = np.ones(len(isl.cons_ids))
                 for j, lid in enumerate(isl.load_ids):
                     lf[j] = self._load_factor(lid, t)
                 isl.lf, isl.lf_t = lf, t
-            w = isl.src @ e
+            w = isl.w
             if isl.linear:
                 isl.v = w
                 vb[isl.mach] = w[isl.mach_node]
@@ -622,8 +638,9 @@ class _Engine:
                 v[n:] = 1.0     # the splice node starts afresh
             for _ in range(400):
                 a = np.abs(v)
-                v_new = w + m.dot(v / np.maximum(a * a, floor))
-                err = peak(np.abs(v_new - v))
+                v_new = w + m.dot(v / np.maximum(a * a, _V_FLOOR_SQ))
+                d = np.abs(v_new - v)
+                err = d.item(d.argmax())    # argmax stops at the first nan
                 v = v_new
                 if err <= 1e-10:
                     break

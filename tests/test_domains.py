@@ -1,8 +1,9 @@
 """Every entry of the engines' domain tables (`tdsim.DOMAINS`,
 `powerflow.DOMAINS`, `protection.DOMAINS`) is enforced by the public
 constructor or function that owns it: a value just outside a finite end,
-nan, inf, -inf and None each raise an `InputError` naming the key, and
-the value at a closed end passes the key's check, as None does in a
+nan, inf, -inf, None, a str and a bool each raise an `InputError` naming
+the key and showing the value's repr, and the value at a closed end, or
+a numpy number inside, passes the key's check, as None does in a
 field whose default is None.  Every entry of the grid's
 table, `grid.DOMAINS`, is enforced the same way by `validate`, as one
 `domain` violation naming the field."""
@@ -108,8 +109,10 @@ def _values(domain: str) -> tuple[list[float], list[float]]:
 
 
 def _owner_values(engine: str, key: str, domain: str, k: int):
-    """`_values`, with None outside too, or passing for NONE_PASSES."""
+    """`_values`, with a str and a bool outside too, as no numbers, and
+    None, which passes for NONE_PASSES."""
     outside, closed = _values(domain)
+    outside += ["1", True]
     (closed if (engine, key, k) in NONE_PASSES else outside).append(None)
     return outside, closed
 
@@ -131,6 +134,31 @@ def test_a_value_outside_the_domain_is_refused(engine, key, domain, k, value):
     with pytest.raises(InputError) as exc:
         OWNERS[(engine, key)][k](value)
     assert str(exc.value).startswith(f"need {key} in {domain}, got {key}")
+    assert str(exc.value).endswith(f" = {value!r}")
+
+
+@pytest.mark.parametrize("build, message", [
+    # a bare TypeError, or, for the bool, which passed as 1, no error
+    (lambda: tdsim.SimConfig(step="0.01"),
+     "need step_s in (0, inf), got step_s = '0.01'"),
+    (lambda: tdsim.SimConfig(step=True, end=2.0),
+     "need step_s in (0, inf), got step_s = True"),
+    (lambda: tdsim.Event(time="0.1", action="fault_clear"),
+     "need time_s in [0, inf), got time_s = '0.1'"),
+    (lambda: tdsim.CctFaultSpec("G1", loading="0.9"),
+     "need loading in (0, inf), got loading = '0.9'"),
+], ids=["str-step", "bool-step", "str-time", "str-loading"])
+def test_a_value_that_is_no_number_is_refused(build, message):
+    with pytest.raises(InputError) as exc:
+        build()
+    assert str(exc.value) == message
+
+
+def test_numpy_numbers_are_numbers():
+    cfg = tdsim.SimConfig(step=np.float64(0.01), end=np.int64(2))
+    assert (cfg.step, cfg.end) == (0.01, 2)
+    assert powerflow.SteadyState(
+        dispatch={"DG#01": np.float32(100.0)}).dispatch == {"DG#01": 100.0}
 
 
 @pytest.mark.parametrize("engine, key, domain, k, value", _cases(1))

@@ -19,12 +19,12 @@ from vesselstudy import (
 )
 from vesselstudy.tdsim import CctFaultSpec, ControllerState
 
-from vesselstudy.grid import (Bus, ConverterSpec, InputError, LoadSpec,
-                              NumericalError)
+from vesselstudy.grid import (Bus, CableBranch, ConverterSpec, InputError,
+                              LoadSpec, NumericalError)
 from vesselstudy.powerflow import S_BASE_KVA, SteadyState
 
 from helpers import (SMIB_CCT, dp_island, ps_island, reference_cct,
-                     single_gen_grid, smib_grid)
+                     reference_solve, single_gen_grid, smib_grid)
 
 # the SMIB runs without governors and voltage regulators
 BARE_SMIB = SimConfig(step=0.005, governor=False, avr=False)
@@ -122,6 +122,11 @@ class TestControllerConfig:
         with pytest.raises(InputError, match="^controller on INV_PS: "
                            "watched names no generator$"):
             ControllerConfig(watched=(), **args)
+        # a bare str used to be taken as its characters: 'D', '#', ...
+        with pytest.raises(InputError, match="^controller on INV_PS: "
+                           "watched is a tuple of generator ids, "
+                           "got 'DG#01'$"):
+            ControllerConfig(watched="DG#01", **args)
 
     @pytest.mark.parametrize("mode, field, key, value, reader", [
         ("dp_failover", "p_threshold_kw", "p_threshold_kw", 1500.0,
@@ -688,6 +693,52 @@ _SMIB_SHAVE = ControllerConfig(mode="peak_shave", inverter="INV",
                                watched=("G1",), p_threshold_kw=500.0,
                                q_threshold_kvar=500.0, p_rating_kw=70.0,
                                q_rating_kvar=70.0)
+# a third node: a load on a cable from the machine bus
+_THIRD_NODE = dict(
+    buses=(Bus("B3", "ac", 690.0, 60.0),),
+    branches=(CableBranch("L3", "B_M", "B3", 0.005, 0.05),),
+    loads=(LoadSpec("LD3", "B3", 300.0, 0.9, 0.0),))
+
+
+@pytest.mark.parametrize("node", [0, 1, 2])
+def test_a_nan_at_any_node_ends_the_solve_that_meets_it(node):
+    """The sweep error is the largest difference, nan if any is nan: from
+    a converged warm start every other node moves by less than the
+    tolerance, so only the nan can stop the sweeps, at their first."""
+    eng = tdsim._Engine(_smib_plus(**_THIRD_NODE), (), BARE_SMIB,
+                        SteadyState(dispatch={"G1": 600.0}))
+    (isl,) = eng.islands
+    assert len(isl.v) == 3 and not isl.linear
+    eng._solve(eng.x, 0.0)      # converges, and keeps M under its key
+    isl.m = isl.m.copy()
+    isl.m[node] = np.nan
+    with pytest.raises(NumericalError,
+                       match="^network solve produced non-finite V$"):
+        eng._solve(eng.x, 0.0)
+
+
+@pytest.mark.parametrize("fault", [
+    Event(0.0, "fault_apply", "B_M"),           # on the linear island
+    Event(0.0, "fault_apply", "B2"),            # on the one with demands
+    Event(0.0, "fault_apply", "LINE", location=0.5),   # adds a splice node
+], ids=["linear", "demands", "splice"])
+def test_a_fault_at_an_unchanged_state_refreshes_the_sources(fault):
+    """The solve keeps the EMFs and source voltages of the last state it
+    saw; a fault changes the source matrix, so the next solve at the
+    same state computes them afresh."""
+    eng = tdsim._Engine(_smib_plus(**_SECOND_ISLAND), (), BARE_SMIB,
+                        SteadyState(dispatch={"G1": 600.0}))
+    eng._solve(eng.x, 0.0)
+    eng._apply_event(fault, 0.0)
+    warm = [isl.v.copy() for isl in eng.islands]
+    got = eng._solve(eng.x, 0.0)
+    v_got = [isl.v for isl in eng.islands]
+    for isl, v in zip(eng.islands, warm):
+        isl.v = v
+    ref = reference_solve(eng, eng.x, 0.0)
+    for a, b in zip(got + tuple(v_got),
+                    ref + tuple(isl.v for isl in eng.islands)):
+        np.testing.assert_array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 @pytest.mark.parametrize("grid, controllers, load_scale, t_fault, per_step", [
