@@ -71,6 +71,18 @@ def test_a_gain_inside_the_base_spread_is_no_claim():
     assert m["wins"] == 10 and not m["gain"]
 
 
+@pytest.mark.parametrize("change, within", [
+    ([1.1, 1.3, 0.9, 1.2, 1.0, 1.1, 1.3, 0.9, 1.2, 1.0], None),
+    ([2.0] * 10, True),     # every change run beats every base run
+], ids=["overlapping", "separated"])
+def test_a_base_spread_wider_than_the_bound_leaves_the_bound_unresolved(
+        change, within):
+    base = [1.0, 1.5, 0.6, 1.3, 0.8, 1.0, 1.5, 0.6, 1.3, 0.8]
+    m = ab.compare_metric(base, change, "higher", 0.25)
+    assert m["base"]["iqr"] > 0.25 * m["base"]["median"]
+    assert m["within_bound"] is within
+
+
 def test_nine_wins_of_ten_are_needed():
     base = [1.0] * 10
     change = [1.5] * 8 + [0.9] * 2

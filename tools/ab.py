@@ -1,15 +1,16 @@
 """Paired A/B timing of two source trees on one perfbench workload.
 
     python3 tools/ab.py --base ../parent --change . --workload transient \
-        --pairs 10 [--seed 1] [--seconds 20] [--out AB_41.json]
+        --pairs 10 [--seed 1] [--out AB.json]
 
 Runs `perfbench/run.py --trace 0` of each tree, from that tree's own
-checkout, `--pairs` times each, in ABBA order: even pairs run the base
-first, odd pairs the change first, so a drift of the host's speed within
-the session falls on both sides alike (Kalibera and Jones, *Rigorous
-Benchmarking in Reasonable Time*, ISMM 2013).  After every pair it runs
-`digest_diff.py --regressions` on the two records, so a timing is never
-taken from a change whose studies changed.
+checkout, for BENCHMARK.json's `run_seconds`, `--pairs` times each, in
+ABBA order: even pairs run the base first, odd pairs the change first,
+so a drift of the host's speed within the session falls on both sides
+alike (Kalibera and Jones, *Rigorous Benchmarking in Reasonable Time*,
+ISMM 2013).  After every pair it runs `digest_diff.py --regressions` on
+the two records, so a timing is never taken from a change whose studies
+changed.
 
 For each end-to-end metric that BENCHMARK.json declares, the output
 holds both sides' median, quartiles and IQR, the median over the pairs
@@ -19,8 +20,10 @@ an exact two-sided sign-test p over the pairs that are not ties, and
 two verdicts: `gain`, the change wins at least nine tenths of all pairs
 and its median is better than the base's by more than the base's IQR;
 and `within_bound`, its median is no worse than the base's by more than
-the metric's bound.  Each run adds its comparison, keyed
-`<workload>/seed<N>`, to the JSON file `--out`, keeping the others.
+the metric's bound, or null, unresolved, when the base's IQR is wider
+than the bound and not every change run is better than every base run.
+Each run adds its comparison, keyed `<workload>/seed<N>`, to the JSON
+file `--out`, keeping the others.
 
 Exits 0 when every pair ran and agreed, 1 when some pair's studies
 regressed, 2 when a run failed.  Uses the standard library only.
@@ -63,16 +66,15 @@ def sign_test_p(wins: int, losses: int) -> float:
     return min(1.0, 2 * tail / 2 ** n)
 
 
-def ratio_interval(base: list[float], change: list[float],
-                   resamples: int = BOOTSTRAP) -> dict:
+def ratio_interval(base: list[float], change: list[float]) -> dict:
     """Median over the pairs of change / base, with the 2.5 and 97.5
-    percentiles of that median over `resamples` resamplings of the pairs
+    percentiles of that median over BOOTSTRAP resamplings of the pairs
     (a fixed generator, so a record always gives the same interval)."""
     ratios = [c / b for b, c in zip(base, change)]
     rng = random.Random(0)
     boot = sorted(statistics.median(rng.choices(ratios, k=len(ratios)))
-                  for _ in range(resamples))
-    lo, hi = boot[int(0.025 * resamples)], boot[int(0.975 * resamples) - 1]
+                  for _ in range(BOOTSTRAP))
+    lo, hi = boot[int(0.025 * BOOTSTRAP)], boot[int(0.975 * BOOTSTRAP) - 1]
     return {"median": statistics.median(ratios), "ci95": [lo, hi]}
 
 
@@ -87,6 +89,8 @@ def compare_metric(base: list[float], change: list[float], better: str,
         q = bench_summary.quartiles(values)
         sides[name] = {**q, "iqr": q["q3"] - q["q1"], "runs": values}
     b, c = sides["base"]["median"], sides["change"]["median"]
+    settled = (sides["base"]["iqr"] <= bound * abs(b)
+               or min(sign * v for v in change) > max(sign * v for v in base))
     return {
         **sides,
         "ratio": ratio_interval(base, change),
@@ -94,7 +98,8 @@ def compare_metric(base: list[float], change: list[float], better: str,
         "sign_p": sign_test_p(wins, losses),
         "gain": (wins >= GAIN_WINS * len(base)
                  and sign * (c - b) > sides["base"]["iqr"]),
-        "within_bound": sign * (c - b) >= -bound * abs(b),
+        "within_bound": (sign * (c - b) >= -bound * abs(b)
+                         if settled else None),
     }
 
 
@@ -139,8 +144,6 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", required=True)
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--seconds", type=float,
-                    default=benchmark["run_seconds"])
     ap.add_argument("--out", type=Path, default=ROOT / "AB.json")
     args = ap.parse_args(argv)
     trees = {"base": args.base.resolve(), "change": args.change.resolve()}
@@ -151,7 +154,7 @@ def main(argv=None) -> int:
         try:
             for side in order(k):
                 records[side] = run_tree(trees[side], args.workload,
-                                         args.seed, args.seconds)
+                                         args.seed, benchmark["run_seconds"])
         except (subprocess.CalledProcessError, OSError, ValueError) as exc:
             print(f"error: pair {k}: {exc}", file=sys.stderr)
             return 2
@@ -168,18 +171,19 @@ def main(argv=None) -> int:
     result = {
         "base": str(args.base), "change": str(args.change),
         "workload": args.workload, "seed": args.seed,
-        "seconds": args.seconds,
+        "seconds": benchmark["run_seconds"],
         "environment": {k: pairs[0][0]["environment"].get(k) for k in ENV},
         "src_sha256": {side: rec["environment"].get("src_sha256")
                        for side, rec in zip(("base", "change"), pairs[0])},
         **compare(pairs, benchmark)}
     for name, m in result["metrics"].items():
+        bound = "unresolved" if m["within_bound"] is None else m["within_bound"]
         print(f"{name}: {m['base']['median']:.4g} -> "
               f"{m['change']['median']:.4g} {m['unit']} (ratio "
               f"{m['ratio']['median']:.4f}, 95 % {m['ratio']['ci95'][0]:.4f}"
               f"-{m['ratio']['ci95'][1]:.4f}; base IQR {m['base']['iqr']:.4g};"
               f" wins {m['wins']}/{args.pairs}, p {m['sign_p']:.3g}; gain "
-              f"{m['gain']}, within bound {m['within_bound']})")
+              f"{m['gain']}, within bound {bound})")
     out = json.loads(args.out.read_text()) if args.out.is_file() else {}
     out[f"{args.workload}/seed{args.seed}"] = result
     args.out.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
