@@ -462,11 +462,17 @@ def _spec_fields(cls) -> tuple[tuple, tuple]:
 
 def _outside(spec, prefix: str = ""):
     """The message, in `check_domains`' words, of each number of a spec and
-    of its nested specs that lies outside its field's `DOMAINS` interval."""
+    of its nested specs that lies outside its field's `DOMAINS` interval,
+    or that is no real number (a str or a bool), shown by its repr."""
     numbers, nested = _spec_fields(type(spec))
     for name, interval, inside, none_passes in numbers:
         x = getattr(spec, name)
-        if (not none_passes) if x is None else not inside(x):
+        if x is None:
+            if not none_passes:
+                yield f"need {prefix}{name} in {interval}, got {prefix}{name} = {x}"
+        elif isinstance(x, bool) or not isinstance(x, (float, int, Real)):
+            yield f"need {prefix}{name} in {interval}, got {prefix}{name} = {x!r}"
+        elif not inside(x):
             yield f"need {prefix}{name} in {interval}, got {prefix}{name} = {x}"
     for name in nested:
         if (sub := getattr(spec, name)) is not None:

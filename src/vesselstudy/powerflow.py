@@ -50,6 +50,8 @@ class SteadyState:
         for name in ("dispatch", "load_scale"):   # None is refused below
             if (values := getattr(self, name)) is not None:
                 object.__setattr__(self, name, dict(values))
+        if not isinstance(self.slack, (str, type(None))):
+            raise InputError(f"need slack as text, got slack = {self.slack!r}")
         check_domains(DOMAINS, tol=self.tol, max_iter=self.max_iter,
                       dispatch=self.dispatch, load_scale=self.load_scale)
         if self.max_iter != int(self.max_iter):

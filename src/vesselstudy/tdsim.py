@@ -15,7 +15,11 @@ factors, which are then read afresh at every stage until the last ramp
 has ended, and a changed factor or set-point rebuilds the matrix.  The
 machine EMFs and the source voltages they drive are evaluated once per
 machine state and epoch, so a solve at the state the last one saw reuses
-them, with the same bits.  An
+them, with the same bits.  A sweep writes |v|^2 into a complex buffer of
+its island, imaginary part 0, so its division is complex by complex
+with no cast; the machine derivatives are taken in Python floats, by
+the same operations in the same order as on arrays, so with the same
+bits.  An
 island without demands (no load, converter draw or controller inverter)
 is linear: its voltages are v = Z i_src directly, with no iteration.
 Scripted events (load ramps, breaker switching, faults) are applied at
@@ -100,9 +104,10 @@ def _check_fields(spec, kind: str = "",
                   readers: dict[str, tuple[str, ...]] | None = None) -> None:
     """Raise InputError, naming the study-file key, for a field of `spec`
     that some kind of `readers` reads, but not `kind`, and that differs
-    from its default, for a field whose default is a bool that holds no
-    bool, then for a value outside its DOMAINS interval; None passes only
-    in a field whose default is None."""
+    from its default, for a field annotated `str` that holds no str, for
+    a field whose default is a bool that holds no bool, then for a value
+    outside its DOMAINS interval; None passes only in a field whose
+    default is None."""
     values = {}
     for f in fields(spec):
         key, value = FIELD_KEYS.get(f.name, f.name), getattr(spec, f.name)
@@ -110,6 +115,9 @@ def _check_fields(spec, kind: str = "",
         if owners and kind not in owners and value != f.default:
             raise InputError(f"{kind}: {key} applies only to "
                              f"{', '.join(owners)}")
+        if f.type in ("str", "str | None") and not isinstance(value, str) \
+                and not (value is None and f.default is None):
+            raise InputError(f"need {key} as text, got {key} = {value!r}")
         if isinstance(f.default, bool) and not isinstance(value, bool):
             raise InputError(f"need {key} true or false, got {key} = "
                              f"{value!r}")
@@ -321,7 +329,8 @@ class _Island:
     """One energised AC island of the current topology.
 
     `_build` sets the topology part; `_factor` sets the fault-epoch part
-    (`z`, `src`, `inc`) and clears the demand matrix `m`.  Every solve
+    (`z`, `src`, `inc`, `linear`, `ctls`, the sweep buffer `den`) and
+    clears the demand matrix `m`.  Every solve
     updates the warm start `v`; it reads the demand scale factors `lf`
     afresh after `_apply_event` clears them and while a ramp may move
     them, and builds `m` afresh when `key`, the factors and inverter
@@ -346,14 +355,12 @@ class _Island:
     z: np.ndarray = None     # inverse of Y with shunts and fault, splice node last
     src: np.ndarray = None   # z times the machine source admittances
     inc: np.ndarray = None   # node incidence of the demands, then the inverters
+    linear: bool = None      # no demand columns: v = Z i_src, whatever the scales
+    ctls: list = None        # the inverters' ControllerStates
+    den: np.ndarray = None   # a sweep's max(|v|^2, V_FLOOR^2), complex, imag 0
     bus_rows: np.ndarray = None   # recording rows of the island's buses
     bus_node: np.ndarray = None
     cons_rows: np.ndarray = None  # recording rows of its demands
-
-    @property
-    def linear(self) -> bool:
-        """No demand columns: v = Z i_src, whatever the load scales."""
-        return self.inc.shape[1] == 0
 
 
 class _Snapshot(NamedTuple):
@@ -484,6 +491,7 @@ class _Engine:
             v_ref=v_ref)
         self.x = np.array(states, dtype=float).reshape(-1, 4)
         self.islands = islands
+        self.params = None      # `_derivatives` reads them after the trim
         self._factor()
         if initial:
             # trim references so the initial state is an exact equilibrium
@@ -557,6 +565,9 @@ class _Engine:
             isl.inc[isl.inv_node, n_cons + np.arange(len(isl.inv_ids))] = 1.0
             isl.v = np.concatenate((isl.v[:n], np.ones(size - n)))
             isl.m = isl.key = None
+            isl.linear = not isl.inc.shape[1]
+            isl.ctls = [self.controllers[c] for c in isl.inv_ids]
+            isl.den = np.zeros(size, dtype=complex)
 
     def _index_channels(self) -> None:
         """Recording rows of the current machines, buses and demands; ones
@@ -603,6 +614,12 @@ class _Engine:
         load factors are read afresh only after a load step and until the
         last ramp has ended; M is built afresh only when those factors or
         an inverter set-point differ from the ones it was built from.
+        Each sweep writes max(|v|^2, V_FLOOR^2) into the real part of the
+        island's complex buffer `den`, which `_factor` sizes, so v / den
+        divides complex by complex, the loop numpy's float divisor would
+        be cast to, with the same bits and no cast.  On a lone island the
+        machine rows are all the rows, in order, so the terminal voltages
+        are gathered from v directly.
         """
         x_bytes = x.tobytes()   # not identity: `_build` writes x in place
         if x_bytes != self.x_bytes:
@@ -612,45 +629,50 @@ class _Engine:
             for isl in self.islands:
                 isl.w = isl.src @ e
             self.x_bytes, self.e = x_bytes, e
-        e = self.e
-        vb = np.empty(len(x), dtype=complex)
-        for isl in self.islands:
+        e, islands = self.e, self.islands
+        lone = len(islands) == 1    # its machine rows are all, in order
+        vb = None if lone else np.empty(len(x), dtype=complex)
+        np_abs, multiply, maximum = np.abs, np.multiply, np.maximum
+        for isl in islands:
             if isl.lf is None or isl.lf_t < self.ramp_end:
                 lf = np.ones(len(isl.cons_ids))
                 for j, lid in enumerate(isl.load_ids):
                     lf[j] = self._load_factor(lid, t)
                 isl.lf, isl.lf_t = lf, t
-            w = isl.w
-            if isl.linear:
-                isl.v = w
-                vb[isl.mach] = w[isl.mach_node]
-                continue
-            key = (isl.lf.tobytes(), tuple(self.controllers[c].setpoint
-                                           for c in isl.inv_ids))
-            if key != isl.key:
-                inj = -isl.cons_s * isl.lf
-                if isl.inv_ids:
-                    inj = np.concatenate((inj, [complex(*sp) / S_BASE_KVA
-                                                for sp in key[1]]))
-                isl.m, isl.key = isl.z * np.conj(isl.inc @ inj), key
-            m, v, n = isl.m, isl.v, len(isl.net.nodes)
-            if len(v) > n:
-                v[n:] = 1.0     # the splice node starts afresh
-            for _ in range(400):
-                a = np.abs(v)
-                v_new = w + m.dot(v / np.maximum(a * a, _V_FLOOR_SQ))
-                d = np.abs(v_new - v)
-                err = d.item(d.argmax())    # argmax stops at the first nan
-                v = v_new
-                if err <= 1e-10:
-                    break
-                if not math.isfinite(err):
-                    raise NumericalError("network solve produced non-finite V")
-            else:
-                raise NumericalError(
-                    f"network fixed point not converged at t={t:.4f} s")
+            v = w = isl.w
+            if not isl.linear:
+                key = (isl.lf.tobytes(), tuple(c.setpoint for c in isl.ctls))
+                if key != isl.key:
+                    inj = -isl.cons_s * isl.lf
+                    if isl.ctls:
+                        inj = np.concatenate((inj, [complex(*sp) / S_BASE_KVA
+                                                    for sp in key[1]]))
+                    isl.m, isl.key = isl.z * np.conj(isl.inc @ inj), key
+                dot, v, n = isl.m.dot, isl.v, len(isl.net.nodes)
+                den, den_re = isl.den, isl.den.real
+                if len(v) > n:
+                    v[n:] = 1.0     # the splice node starts afresh
+                for _ in range(400):
+                    a = np_abs(v)
+                    multiply(a, a, out=den_re)
+                    maximum(den_re, _V_FLOOR_SQ, out=den_re)
+                    v_new = w + dot(v / den)
+                    d = np_abs(v_new - v)
+                    err = d.item(d.argmax())    # argmax stops at the first nan
+                    v = v_new
+                    if err <= 1e-10:
+                        break
+                    if not math.isfinite(err):
+                        raise NumericalError(
+                            "network solve produced non-finite V")
+                else:
+                    raise NumericalError(
+                        f"network fixed point not converged at t={t:.4f} s")
             isl.v = v
-            vb[isl.mach] = v[isl.mach_node]
+            if lone:
+                vb = v[isl.mach_node]
+            else:
+                vb[isl.mach] = v[isl.mach_node]
         # terminal power; P equals the internal electrical power because
         # the transient reactance is lossless
         s = vb * np.conj((e - vb) / self.m.jxdp)
@@ -659,17 +681,29 @@ class _Engine:
     # -- derivatives -------------------------------------------------------
 
     def _derivatives(self, x: np.ndarray, t: float) -> np.ndarray:
+        """dx/dt at `x`, one row per machine, in Python floats: the same
+        operations in the same order as on arrays, so the same bits."""
         pe, _, vt = self._solve(x, t)
+        if self.params is None:
+            self.params = self._machine_params()
+        avr, governor = self.cfg.avr, self.cfg.governor
+        rows = [(omega_s * dw, (pm - p - damping * dw) / two_h,
+                 (e_ref + AVR_GAIN * (v_ref - v) - e) / AVR_T if avr else 0.0,
+                 (pm_ref - dw / GOV_DROOP - pm) / GOV_T if governor else 0.0)
+                for (_, dw, e, pm), p, v, (omega_s, damping, two_h, e_ref,
+                                           v_ref, pm_ref)
+                in zip(x.tolist(), pe.tolist(), vt.tolist(), self.params)]
+        return np.array(rows).reshape(x.shape)
+
+    def _machine_params(self) -> list[tuple]:
+        """Each machine's omega_s, damping, 2H and references as Python
+        floats; a zero 2H stays a numpy float, so that dividing by it
+        gives numpy's inf or nan, as on arrays, not ZeroDivisionError."""
         m = self.m
-        dw = x[:, 1]
-        dx = np.empty_like(x)
-        dx[:, 0] = m.omega_s * dw
-        dx[:, 1] = (x[:, 3] - pe - m.damping * dw) / m.two_h
-        dx[:, 2] = ((m.e_ref + AVR_GAIN * (m.v_ref - vt) - x[:, 2]) / AVR_T
-                    if self.cfg.avr else 0.0)
-        dx[:, 3] = ((m.pm_ref - dw / GOV_DROOP - x[:, 3]) / GOV_T
-                    if self.cfg.governor else 0.0)
-        return dx
+        two_h = [h if h else np.float64(h) for h in m.two_h.tolist()]
+        return list(zip(m.omega_s.tolist(), m.damping.tolist(), two_h,
+                        m.e_ref.tolist(), m.v_ref.tolist(),
+                        m.pm_ref.tolist()))
 
     def _step(self, x: np.ndarray, t: float, dt: float) -> np.ndarray:
         f, h = self._derivatives, dt / 2.0

@@ -108,3 +108,16 @@ def test_compare_reads_every_declared_metric_and_each_pair():
     assert all(not p["regressions"] for k, p in enumerate(got["pairs"])
                if k != 3)
     assert math.isclose(sps["base"]["median"], 1.945)
+
+
+@pytest.mark.parametrize("base, change, warned", [
+    ("/w/base", "/w/head", False),
+    ("/w/base", "/w/a-much-longer-checkout-path", True),
+], ids=["equal", "longer"])
+def test_trees_at_paths_of_different_length_are_warned_of(base, change,
+                                                          warned):
+    """Peak RSS follows the length of the checkout's path."""
+    got = ab.path_warning(Path(base), Path(change))
+    assert (got is not None) == warned
+    if warned:
+        assert "peak_rss_mb" in got

@@ -208,11 +208,12 @@ def _validate_with(cls, field: str, value):
 
 
 def _grid_cases(pick: int):
+    """`_values` of each grid field, with a str and a bool outside too."""
     return [pytest.param(cls, field, domain, value,
                          id=f"{cls.__name__}.{field}-{value!r}")
             for cls, table in DOMAINS.items()
             for field, domain in table.items()
-            for value in _values(domain)[pick]]
+            for value in _values(domain)[pick] + [["400", True], []][pick]]
 
 
 def test_every_grid_entry_names_a_number_field_of_a_fixture():
@@ -223,8 +224,9 @@ def test_every_grid_entry_names_a_number_field_of_a_fixture():
 def test_a_grid_value_outside_the_domain_is_one_violation(cls, field, domain,
                                                           value):
     spec_id, name, found = _validate_with(cls, field, value)
+    shown = value if isinstance(value, float) else repr(value)
     assert found == [Violation(spec_id, "domain",
-                               f"need {name} in {domain}, got {name} = {value}")]
+                               f"need {name} in {domain}, got {name} = {shown}")]
 
 
 @pytest.mark.parametrize("cls, field, domain, value", _grid_cases(1))

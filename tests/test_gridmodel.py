@@ -484,7 +484,7 @@ SHARED_READERS = {
     ("TripEvent", "breaker_id"): "report.trip_rows",
     ("TripEvent", "locked"): "protection.selectivity_check",
     ("ZsiResult", "locked"): "protection.sequence_of_operations",
-    ("_Machines", "damping"): "tdsim._Engine._derivatives",
+    ("_Machines", "damping"): "tdsim._Engine._machine_params",
 }
 
 

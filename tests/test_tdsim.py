@@ -17,7 +17,8 @@ from vesselstudy import (
     simulate,
     tdsim,
 )
-from vesselstudy.tdsim import CctFaultSpec, ControllerState
+from vesselstudy.tdsim import (AVR_GAIN, AVR_T, GOV_DROOP, GOV_T,
+                               CctFaultSpec, ControllerState)
 
 from vesselstudy.grid import (Bus, CableBranch, ConverterSpec, InputError,
                               LoadSpec, NumericalError)
@@ -380,6 +381,18 @@ def test_sim_config_rejects_non_finite(name, value):
      "need avr true or false, got avr = 0.0"),
 ])
 def test_a_switch_that_is_not_a_bool_is_refused(build, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        build()
+
+
+@pytest.mark.parametrize("build, message", [
+    # each used to build, then fail later as an unknown id
+    (lambda: CctFaultSpec(machine=3), "need machine as text, got machine = 3"),
+    (lambda: SteadyState(slack=7), "need slack as text, got slack = 7"),
+    (lambda: Event(0.0, "fault_apply", 5),
+     "need target as text, got target = 5"),
+])
+def test_an_id_that_is_not_text_is_refused(build, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         build()
 
@@ -887,3 +900,102 @@ def test_an_overflowing_state_is_a_numerical_error(ac_vessel):
             find_cct(ac_vessel, CctFaultSpec("DG#01", loading=1e300,
                                              step=0.02, t_hi=0.5, tol=0.01,
                                              window=0.5))
+
+
+def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
+    """Equal shapes, nan where nan, and the same bits elsewhere."""
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(np.isnan(got), np.isnan(want))
+    keep = ~np.isnan(want)
+    np.testing.assert_array_equal(got[keep].view(np.uint64),
+                                  want[keep].view(np.uint64))
+
+
+def _array_derivatives(eng, x, t):
+    """`_Engine._derivatives` as numpy expressions on whole columns."""
+    pe, _, vt = eng._solve(x, t)
+    m, dw = eng.m, x[:, 1]
+    dx = np.empty_like(x)
+    dx[:, 0] = m.omega_s * dw
+    dx[:, 1] = (x[:, 3] - pe - m.damping * dw) / m.two_h
+    dx[:, 2] = ((m.e_ref + AVR_GAIN * (m.v_ref - vt) - x[:, 2]) / AVR_T
+                if eng.cfg.avr else 0.0)
+    dx[:, 3] = ((m.pm_ref - dw / GOV_DROOP - x[:, 3]) / GOV_T
+                if eng.cfg.governor else 0.0)
+    return dx
+
+
+@pytest.mark.parametrize("cell, value", [
+    (None, None), ((0, 1), np.nan), ((1, 3), np.inf)],
+    ids=["finite", "nan-dw", "inf-pm"])
+@pytest.mark.parametrize("governor, avr", [
+    (True, True), (True, False), (False, True), (False, False)])
+def test_float_derivatives_are_the_array_expression(governor, avr, cell,
+                                                    value):
+    """Python floats, operation for operation, give numpy's bits."""
+    eng = tdsim._Engine(dp_island(builtin_fixture("ac_vessel")), (),
+                        SimConfig(step=0.01, end=0.1, governor=governor,
+                                  avr=avr), SteadyState())
+    rng = np.random.default_rng(7)
+    x = eng.x * (1 + 1e-3 * rng.standard_normal(eng.x.shape))
+    x[:, 1] += 1e-3 * rng.standard_normal(len(x))
+    if cell is not None:
+        x[cell] = value
+    warm = [isl.v.copy() for isl in eng.islands]
+    with np.errstate(invalid="ignore"):
+        got = eng._derivatives(x, 0.0)
+        for isl, v in zip(eng.islands, warm):
+            isl.v = v      # the second solve starts where the first did
+        want = _array_derivatives(eng, x, 0.0)
+    _same_bits(got, want)
+
+
+def test_a_zero_inertia_is_a_numerical_error_not_a_zero_division():
+    """A 2H of 0 set on a built engine: dividing by it gives numpy's inf
+    or nan, as on arrays, and the run ends in a finiteness check."""
+    eng = tdsim._Engine(smib_grid(), (), BARE_SMIB,
+                        SteadyState(dispatch={"G1": 900.0}))
+    eng.m.two_h[0] = 0.0
+    x = eng.x.copy()
+    x[0, 3] += 0.1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _same_bits(eng._derivatives(x, 0.0), _array_derivatives(eng, x, 0.0))
+    sched = EventSchedule((Event(0.0, "fault_apply", "B_M"),))
+    with pytest.raises(NumericalError):
+        simulate(smib_grid(), sched, (), BARE_SMIB, _engine=eng)
+
+
+def test_an_engine_without_machines_keeps_four_state_columns():
+    eng = tdsim._Engine(single_gen_grid(), (),
+                        BARE_SMIB, SteadyState())
+    eng.m = dataclasses.replace(eng.m, **{
+        f.name: getattr(eng.m, f.name)[:0] for f in dataclasses.fields(eng.m)
+        if isinstance(getattr(eng.m, f.name), np.ndarray)})
+    eng.params, eng.islands = None, []
+    x = eng.x[:0]
+    assert eng._derivatives(x, 0.0).shape == (0, 4)
+
+
+def test_the_sweep_through_a_mid_cable_fault_is_the_reference():
+    """A splice node grows the island, and with it the sweep's buffer, at
+    the fault and shrinks it at the clearing: every solve keeps the
+    reference's bits."""
+    eng = tdsim._Engine(_smib_plus(**_THIRD_NODE), (), BARE_SMIB,
+                        SteadyState(dispatch={"G1": 600.0}))
+    (isl,) = eng.islands
+    x = eng.x.copy()
+    sizes = []
+    for ev in (None, Event(0.0, "fault_apply", "LINE", location=0.5),
+               Event(0.0, "fault_clear")):
+        if ev is not None:
+            eng._apply_event(ev, 0.0)
+        for k in range(3):
+            x[:, 0] += 0.01
+            warm = isl.v.copy()
+            got = eng._solve(x, 0.0) + (isl.v.copy(),)
+            isl.v = warm
+            ref = reference_solve(eng, x, 0.0) + (isl.v,)
+            for a, b in zip(got, ref):
+                _same_bits(a, b)
+        sizes.append(len(isl.den))
+    assert sizes == [3, 4, 3]
