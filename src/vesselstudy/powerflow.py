@@ -258,15 +258,18 @@ def solve_ac_powerflow(
     """Newton-Raphson load flow over every AC island of the grid, from
     `steady`, with `converter_draws` in place of converters' draws.  Its
     `dispatch` and `slack` ids must name online generators, no slack
-    dispatched (the flow sets its P), and its `load_scale` ids loads.  The
-    maps are checked again here, since a spec's dicts may change after it
-    is built."""
+    dispatched (the flow sets its P) and no dispatch above its generator's
+    `rated_kw`, and its `load_scale` ids loads.  The maps are checked
+    again here, since a spec's dicts may change after it is built."""
     check_domains(DOMAINS, dispatch=steady.dispatch,
                   load_scale=steady.load_scale)
-    for gen_id in steady.dispatch:
-        grid.generator(gen_id)
+    for gen_id, p_kw in steady.dispatch.items():
+        rated = grid.generator(gen_id).rated_kw
         if not grid.element_online(gen_id):
             raise InputError(f"dispatch generator {gen_id!r} is offline")
+        if p_kw > rated:
+            raise InputError(f"need dispatch {gen_id} <= its rated_kw = "
+                             f"{rated!r}, got dispatch {gen_id} = {p_kw!r}")
     if steady.slack is not None:
         grid.generator(steady.slack)
         if not grid.element_online(steady.slack):

@@ -8,7 +8,9 @@ constant-PQ inverter injections, by a fixed-point iteration on the
 inverted network matrix.  That matrix (branches, machine shunts and any
 bolted fault) changes only at a topology change, a fault application or a
 fault clearing, so it is assembled and inverted once per such epoch and
-reused by every stage in between (the alternating-solution scheme).  Each
+reused by every stage in between (the alternating-solution scheme); the
+inverse of each fault state is kept until the next topology change, so
+a clearing, or a fault applied again, inverts nothing.  Each
 island also keeps its demand matrix, built from its load factors and
 inverter set-points, for as long as both hold: a load step clears the
 factors, which are then read afresh at every stage until the last ramp
@@ -17,9 +19,12 @@ machine EMFs and the source voltages they drive are evaluated once per
 machine state and epoch, so a solve at the state the last one saw reuses
 them, with the same bits.  A sweep writes |v|^2 into a complex buffer of
 its island, imaginary part 0, so its division is complex by complex
-with no cast; the machine derivatives are taken in Python floats, by
-the same operations in the same order as on arrays, so with the same
-bits.  An
+with no cast.  An integration step keeps the machine state in Python
+floats through its four RK4 stages: the stage states, the derivatives,
+the EMFs (by the formula of numpy's complex exp and product) and the
+step's finiteness and speed checks take the same operations in the same
+order as on arrays, so the same bits; numpy keeps the network's complex
+algebra and one state array per step.  An
 island without demands (no load, converter draw or controller inverter)
 is linear: its voltages are v = Z i_src directly, with no iteration.
 Scripted events (load ramps, breaker switching, faults) are applied at
@@ -34,7 +39,8 @@ whose islands are all linear solves each recording step once, since
 nothing can change the network between the two solves.  A bisection
 search over fault clearing time, `find_cct`, gives the critical clearing
 time against a first-swing stability criterion.  Its probes share one
-engine and one fault-on trajectory, and stop once their verdict is
+engine, one fault-on trajectory, the two inverted networks (fault on
+and cleared) and one energy certificate, and stop once their verdict is
 known: at a rotor-angle spread of pi or, on a lone two-machine island
 that qualifies, where the energy function proves it (Kundur 1994, ch. 13;
 Pai 1989; see `_Engine._swing_certificate`).
@@ -90,7 +96,7 @@ DOMAINS = {
     "location": "[0, 1]", "step_s": "(0, inf)", "end_s": "(0, inf)",
     "p_rating_kw": "(0, inf)", "q_rating_kvar": "(0, inf)",
     "p_threshold_kw": "[0, inf)", "q_threshold_kvar": "(-inf, inf)",
-    "dp_delay_s": "(0, inf)", "loading": "(0, inf)", "t_lo_s": "[0, inf)",
+    "dp_delay_s": "(0, inf)", "loading": "(0, 1]", "t_lo_s": "[0, inf)",
     "t_hi_s": "(0, inf)", "tol_s": "(0, inf)", "window_s": "(0, inf)"}
 
 # the study-file key of each field of SimConfig, Event, ControllerConfig and
@@ -492,10 +498,11 @@ class _Engine:
         self.x = np.array(states, dtype=float).reshape(-1, 4)
         self.islands = islands
         self.params = None      # `_derivatives` reads them after the trim
+        self.networks = {}      # `_factor`'s, for this topology
         self._factor()
         if initial:
             # trim references so the initial state is an exact equilibrium
-            pe, _, vt = self._solve(self.x, 0.0)
+            pe, _, vt = self._solve(self.x.ravel().tolist(), 0.0)
             self.x[:, 3] = pe
             self.m.pm_ref = pe.copy()
             self.m.v_ref = vt
@@ -542,23 +549,32 @@ class _Engine:
         return y
 
     def _factor(self) -> None:
-        """Invert each island's network for the current topology and fault.
+        """Set each island's network for the current topology and fault.
 
         Called at every rebuild, fault application and clearing; the
-        solves of the epoch in between reuse the inverse.
+        solves of the epoch in between reuse the inverse.  The inverse and
+        the source matrix of each fault state (none, or a target and
+        location) are kept, with the swing certificates of that network,
+        until the next `_build`, so a CCT search inverts its fault-on and
+        its post-clearing network once each.
         """
-        n_mach = len(self.m.ids)
-        self.x_bytes = None     # `src` changes: no kept sources hold
-        for isl in self.islands:
-            n = len(isl.net.nodes)
-            try:
-                isl.z = z = np.linalg.inv(self._island_y(isl))
-            except np.linalg.LinAlgError as exc:
-                raise NumericalError(str(exc)) from None
-            size = len(z)
-            c = np.zeros((size, n_mach), dtype=complex)
-            c[isl.mach_node, isl.mach] = 1.0 / self.m.jxdp[isl.mach]
-            isl.src = z @ c
+        self.x_kept = None      # `src` changes: no kept sources hold
+        fault = self.fault and (self.fault.target, self.fault.location)
+        if fault not in self.networks:
+            n_mach, nets = len(self.m.ids), []
+            for isl in self.islands:
+                try:
+                    z = np.linalg.inv(self._island_y(isl))
+                except np.linalg.LinAlgError as exc:
+                    raise NumericalError(str(exc)) from None
+                c = np.zeros((len(z), n_mach), dtype=complex)
+                c[isl.mach_node, isl.mach] = 1.0 / self.m.jxdp[isl.mach]
+                nets.append((z, z @ c))
+            self.networks[fault] = nets, {}
+        nets, self.certificates = self.networks[fault]
+        for isl, (z, src) in zip(self.islands, nets):
+            isl.z, isl.src = z, src
+            n, size = len(isl.net.nodes), len(z)
             n_cons = len(isl.cons_ids)
             isl.inc = np.zeros((size, n_cons + len(isl.inv_ids)))
             isl.inc[isl.cons_node, np.arange(n_cons)] = 1.0
@@ -596,8 +612,10 @@ class _Engine:
             return s_from
         return s_from + (s_to - s_from) * (t - t0) / ramp
 
-    def _solve(self, x: np.ndarray, t: float):
-        """Quasi-static solve of every island at machine states `x`.
+    def _solve(self, x: list, t: float):
+        """Quasi-static solve of every island at machine states `x`, a
+        flat list of Python floats: delta, dw, e and pm of each machine
+        in turn, as `ravel().tolist()` of the state array gives them.
 
         Loads and converter draws are constant power above V_FLOOR and
         constant impedance below it, so their current at node voltage v is
@@ -610,28 +628,38 @@ class _Engine:
 
         Z and the source matrix come from `_factor`, once per epoch; the
         EMFs e and the source voltages w once per machine state and epoch,
-        kept with the bytes of `x` until the next state or `_factor`.  The
-        load factors are read afresh only after a load step and until the
-        last ramp has ended; M is built afresh only when those factors or
-        an inverter set-point differ from the ones it was built from.
-        Each sweep writes max(|v|^2, V_FLOOR^2) into the real part of the
+        kept with `x` until a state of other values or `_factor`.
+        Each EMF is numpy's e * exp(1j * delta), taken in floats by the
+        formula of numpy's complex exp and product: with c, s the cosine
+        and sine of 0.0 + delta, it is (e c - 0.0 s) + (e s + 0.0 c) j,
+        the same bits; it is finite exactly when delta and e are.  States
+        of equal values give the same EMFs, unless an e is 0 and only its
+        sign differs, so a state with a zero e is not kept.  The load
+        factors are read afresh only after a load step and until the last
+        ramp has ended; M is built afresh only when those factors or an
+        inverter set-point differ from the ones it was built from.  Each
+        sweep writes max(|v|^2, V_FLOOR^2) into the real part of the
         island's complex buffer `den`, which `_factor` sizes, so v / den
         divides complex by complex, the loop numpy's float divisor would
         be cast to, with the same bits and no cast.  On a lone island the
         machine rows are all the rows, in order, so the terminal voltages
         are gathered from v directly.
         """
-        x_bytes = x.tobytes()   # not identity: `_build` writes x in place
-        if x_bytes != self.x_bytes:
-            e = x[:, 2] * np.exp(1j * x[:, 0])
-            if not np.isfinite(e).all():
-                raise NumericalError("network solve produced non-finite V")
+        if x != self.x_kept:
+            e, cos, sin, isfinite = [], math.cos, math.sin, math.isfinite
+            for delta, mag in zip(x[::4], x[2::4]):
+                if not (isfinite(delta) and isfinite(mag)):
+                    raise NumericalError("network solve produced non-finite V")
+                delta += 0.0        # as 1j * delta turns a -0.0 into +0.0
+                c, s = cos(delta), sin(delta)
+                e.append(complex(mag * c - 0.0 * s, mag * s + 0.0 * c))
+            self.e = e = np.array(e, dtype=complex)
             for isl in self.islands:
                 isl.w = isl.src @ e
-            self.x_bytes, self.e = x_bytes, e
+            self.x_kept = x if all(x[2::4]) else None
         e, islands = self.e, self.islands
         lone = len(islands) == 1    # its machine rows are all, in order
-        vb = None if lone else np.empty(len(x), dtype=complex)
+        vb = None if lone else np.empty(len(e), dtype=complex)
         np_abs, multiply, maximum = np.abs, np.multiply, np.maximum
         for isl in islands:
             if isl.lf is None or isl.lf_t < self.ramp_end:
@@ -680,20 +708,25 @@ class _Engine:
 
     # -- derivatives -------------------------------------------------------
 
-    def _derivatives(self, x: np.ndarray, t: float) -> np.ndarray:
-        """dx/dt at `x`, one row per machine, in Python floats: the same
-        operations in the same order as on arrays, so the same bits."""
+    def _derivatives(self, x: list, t: float) -> list:
+        """dx/dt at the flat float state `x` (see `_solve`), flat alike,
+        in Python floats: the same operations in the same order as on
+        arrays, so the same bits."""
         pe, _, vt = self._solve(x, t)
         if self.params is None:
             self.params = self._machine_params()
         avr, governor = self.cfg.avr, self.cfg.governor
-        rows = [(omega_s * dw, (pm - p - damping * dw) / two_h,
-                 (e_ref + AVR_GAIN * (v_ref - v) - e) / AVR_T if avr else 0.0,
-                 (pm_ref - dw / GOV_DROOP - pm) / GOV_T if governor else 0.0)
-                for (_, dw, e, pm), p, v, (omega_s, damping, two_h, e_ref,
-                                           v_ref, pm_ref)
-                in zip(x.tolist(), pe.tolist(), vt.tolist(), self.params)]
-        return np.array(rows).reshape(x.shape)
+        dx = []
+        for dw, e, pm, p, v, (omega_s, damping, two_h, e_ref, v_ref,
+                              pm_ref) in zip(x[1::4], x[2::4], x[3::4],
+                                             pe.tolist(), vt.tolist(),
+                                             self.params):
+            dx += (omega_s * dw, (pm - p - damping * dw) / two_h,
+                   (e_ref + AVR_GAIN * (v_ref - v) - e) / AVR_T if avr
+                   else 0.0,
+                   (pm_ref - dw / GOV_DROOP - pm) / GOV_T if governor
+                   else 0.0)
+        return dx
 
     def _machine_params(self) -> list[tuple]:
         """Each machine's omega_s, damping, 2H and references as Python
@@ -706,19 +739,24 @@ class _Engine:
                         m.pm_ref.tolist()))
 
     def _step(self, x: np.ndarray, t: float, dt: float) -> np.ndarray:
-        f, h = self._derivatives, dt / 2.0
+        """One RK4 step from the state array `x`, taken in Python floats
+        by the operations of x + dt / 6 (k1 + 2 k2 + 2 k3 + k4) on arrays,
+        in their order, so with their bits; the new state is an array."""
+        f, h, x = self._derivatives, dt / 2.0, x.ravel().tolist()
         k1 = f(x, t)
-        k2 = f(x + h * k1, t + h)
-        k3 = f(x + h * k2, t + h)
-        k4 = f(x + dt * k3, t + dt)
-        out = x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(out).all():
+        k2 = f([a + h * b for a, b in zip(x, k1)], t + h)
+        k3 = f([a + h * b for a, b in zip(x, k2)], t + h)
+        k4 = f([a + dt * b for a, b in zip(x, k3)], t + dt)
+        c = dt / 6.0
+        out = [a + c * (p + 2 * q + 2 * r + s)
+               for a, p, q, r, s in zip(x, k1, k2, k3, k4)]
+        if not all(map(math.isfinite, out)):
             raise NumericalError(f"integration diverged at t={t:.4f} s")
-        if (np.abs(out[:, 1]) > 2.0).any():
+        if any(abs(dw) > 2.0 for dw in out[1::4]):
             raise NumericalError(
                 f"integration diverged: speed deviation beyond sanity "
                 f"bound at t={t:.4f} s")
-        return out
+        return np.array(out).reshape(-1, 4)
 
     # -- events ------------------------------------------------------------
 
@@ -762,12 +800,25 @@ class _Engine:
 
     # -- early verdicts ----------------------------------------------------------
 
+    def _kept_certificate(self):
+        """`_swing_certificate` of the network in force, built once for
+        each machine EMFs and mechanical powers, step and switches: the
+        inputs it reads that a run may change."""
+        cfg = self.cfg
+        key = (self.x[:, 2:].tobytes(), cfg.step, cfg.governor, cfg.avr)
+        if key not in self.certificates:
+            self.certificates[key] = self._swing_certificate()
+        return self.certificates[key]
+
     def _swing_certificate(self):
         """A verdict `(x, t_left) -> True | False | None` on the first
         swing of the rest of the run: True when the rotor-angle spread
         provably stays below pi, False when it provably reaches pi at a
         recording step within `t_left`, None when only integrating on
-        can tell.
+        can tell.  It reads the network in force, the machine EMFs and
+        mechanical powers of the engine's state, and the step and
+        switches of `cfg`; `_kept_certificate` builds it once for each,
+        so a CCT search builds one for all its probes.
 
         Only a lone linear island of exactly two machines with positive
         inertia qualifies, run without controllers, governor or AVR, with
@@ -792,7 +843,12 @@ class _Engine:
         and that least speed bounds the time to reach +-pi, which must be
         at most `t_left` less one step.  With step v_max < SWING_SLIP, v_max
         the largest speed bound, the first recording step after the
-        crossing still reads a spread >= pi.  Either verdict also needs
+        crossing still reads a spread >= pi.  The walk meets a floor at or
+        below U at the first piece end where U >= W - eps, and d, +-pi and
+        the roots of f between them are piece ends, so when U's largest
+        value on [d, +-pi] toward v is at least W - eps, which the stable
+        test has just taken, the verdict is None at once, with no walk:
+        the same verdict.  Either verdict also needs
         closed-form bounds on the relative and the centre-of-inertia
         speed to keep every |dw| below half the sanity bound of `_step`
         (over `t_left`, or up to that recording step), so a full run
@@ -873,11 +929,14 @@ class _Engine:
                 coi = (abs(h0 * w0 + h1 * w1) + t * p_coi) / m_sum
                 return coi + max(h0, h1) / m_sum * rel <= 1.0
 
-            if u_span(-math.pi, d)[1] > top and u_span(d, math.pi)[1] > top:
+            below, above = u_span(-math.pi, d)[1], u_span(d, math.pi)[1]
+            if below > top and above > top:
                 rel = math.sqrt(2.0 * (top - u_min)) / ws
                 return True if speeds_within(rel, t_left) else None
-            # the path's piece ends, in the direction of travel
             s = math.copysign(1.0, v)
+            if (above if s > 0 else below) >= energy - eps:
+                return None     # the walk's gap <= 0 at that piece end
+            # the path's piece ends, in the direction of travel
             ends = sorted([d + (s * math.pi - d) * j / SWING_PIECES
                            for j in range(1, SWING_PIECES)]
                           + [r for r in roots if s * r > s * d]
@@ -939,22 +998,29 @@ class _Engine:
 
         def observe(k: int, t: float):
             """Controllers, then the recording solve of step k.  Without
-            controllers a linear network's first solve is that solve."""
-            out = self._solve(self.x, t)
+            controllers a linear network's first solve is that solve.  A
+            linear island has no demand to record, and its loss is its
+            machines' power: the general sum's + 0 - 0.0 keep its bits."""
+            state = self.x.ravel().tolist()
+            out = self._solve(state, t)
             if not self._autonomous():
                 self._update_controllers(t, out)
-                out = self._solve(self.x, t)
+                out = self._solve(state, t)
             pe, qe, _ = out
             x, m = self.x, self.m
             rec[self.mach_rows, k] = (pe * S_BASE_KVA, qe * S_BASE_KVA,
                                       x[:, 3] * S_BASE_KVA, x[:, 0],
                                       m.f_s * (1 + x[:, 1]))
-            rec[inv_rows, k] = [v for c in self.inv_ids
-                                for v in self.controllers[c].setpoint]
+            if inv_rows:
+                rec[inv_rows, k] = [v for c in self.inv_ids
+                                    for v in self.controllers[c].setpoint]
             p_loss = 0.0
             for isl in self.islands:
                 vm = np.abs(isl.v[:len(isl.net.nodes)])
                 rec[isl.bus_rows, k] = vm[isl.bus_node]
+                if isl.linear:
+                    p_loss += pe[isl.mach].sum() * S_BASE_KVA
+                    continue
                 factor = np.minimum(1.0, (vm[isl.cons_node] / V_FLOOR) ** 2)
                 p = isl.cons_s.real * isl.lf * factor
                 rec[isl.cons_rows, k] = p * S_BASE_KVA
@@ -1008,7 +1074,7 @@ class _Engine:
                     stable, last = False, k
                     break
                 if not pending:
-                    certify = certify or self._swing_certificate()
+                    certify = certify or self._kept_certificate()
                     proven = certify(self.x, t_rec[-1] - t)
                     if proven is not None:
                         stable, last = proven, k
@@ -1105,7 +1171,11 @@ def find_cct(grid: GridModel, spec: CctFaultSpec) -> CctResult:
     lone two-machine island that qualifies (`_Engine._swing_certificate`)
     a probe may end at its clearing, stable or unstable, once the energy
     function proves how its first swing ends; the verdict, which the engine
-    returns, is that of a full-window probe.
+    returns, is that of a full-window probe.  The probes share what does
+    not depend on their clearing time: the engine inverts the fault-on and
+    the post-clearing network once each, and builds the certificate of the
+    post-clearing network once, for the search's machine EMFs, mechanical
+    powers and step.
     """
     gen = grid.generator(spec.machine)
     if not grid.element_online(spec.machine):
@@ -1143,13 +1213,12 @@ def find_cct(grid: GridModel, spec: CctFaultSpec) -> CctResult:
         engine = _Engine(grid, (), probe_cfg(spec.t_hi), steady)
     engine.trunk = []
 
+    apply = Event(0.0, "fault_apply", target, location=location)
+
     def stable(t_clear: float) -> bool:
         if t_clear <= 1e-12:
             return True   # a clearing at its fault: no disturbance
-        events = EventSchedule((
-            Event(0.0, "fault_apply", target, location=location),
-            Event(t_clear, "fault_clear"),
-        ))
+        events = EventSchedule((apply, Event(t_clear, "fault_clear")))
         return simulate(grid, events, (), probe_cfg(t_clear),
                         _engine=engine).stable
 

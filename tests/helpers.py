@@ -205,11 +205,14 @@ def reference_cct(grid: GridModel, fault: CctFaultSpec) -> CctResult:
     return CctResult(cct=lo, interval=(lo, hi), transcript=tuple(transcript))
 
 
-def reference_solve(engine, x: np.ndarray, t: float):
+def reference_solve(engine, x, t: float):
     """`_Engine._solve` as it was before linear islands were solved in
-    closed form and before islands kept their demand matrix: every
-    solve reads the load factors, assembles M and takes the fixed point
-    on every island, with or without demands."""
+    closed form, before islands kept their demand matrix and before the
+    EMFs were taken in Python floats: every solve reads the load factors,
+    assembles M and takes the fixed point on every island, with or
+    without demands, from the EMFs of numpy's complex exp.  `x` is the
+    machine states, an array or `_solve`'s float rows."""
+    x = np.array(x, dtype=float).reshape(-1, 4)
     e = x[:, 2] * np.exp(1j * x[:, 0])
     vb = np.empty(len(x), dtype=complex)
     for isl in engine.islands:

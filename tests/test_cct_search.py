@@ -2,6 +2,7 @@
 probes that may end early with a stable or an unstable verdict."""
 
 import dataclasses
+import inspect
 import math
 
 import numpy as np
@@ -272,3 +273,141 @@ def test_a_tolerance_below_the_float_spacing_ends_one_ulp_wide(monkeypatch):
     times = [t for t, _ in res.transcript]
     # each probe clears at a new time, and t_lo = 0 is stable unprobed
     assert len(set(times)) == len(times) == len(probes) + 1
+
+
+def test_a_search_inverts_two_networks_and_builds_one_certificate(
+        monkeypatch):
+    """Whatever its probe count, a search inverts its fault-on and its
+    post-clearing network once each, and builds the swing certificate of
+    the post-clearing network once."""
+    inv, certificate = np.linalg.inv, tdsim._Engine._swing_certificate
+    counts = {}
+
+    def counted_inv(a):
+        counts["inv"] += 1
+        return inv(a)
+
+    def counted_certificate(self):
+        counts["certificate"] += 1
+        return certificate(self)
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(tdsim._Engine, "_swing_certificate",
+                        counted_certificate)
+    probes = set()
+    for location in (0.0, 0.5):
+        for tol in (0.1, 1e-3, 1e-6):
+            counts.update(inv=0, certificate=0)
+            res = find_cct(smib_grid(), dataclasses.replace(
+                PROBED, location=location, tol=tol))
+            assert counts == {"inv": 2, "certificate": 1}, (location, tol)
+            probes.add(len(res.transcript))
+    assert sorted(probes) == [4, 11, 21]
+
+
+def _walk_verdict(certify, x, t_left):
+    """`certify(x, t_left)` with no early None, from the certificate's
+    own constants: its stable test, then the whole walk of the unstable
+    path; and whether the early None would apply, the largest U toward
+    the direction of travel at least W - eps."""
+    c = inspect.getclosurevars(certify).nonlocals
+    ws, u, u_span, eps, lam, step = (c[k] for k in (
+        "ws", "u", "u_span", "eps", "lam", "step"))
+    (d0, w0, *_), (d1, w1, *_) = x.tolist()
+    d, v = d0 - d1, ws * (w0 - w1)
+    energy = 0.5 * v ** 2 + u(d)
+    top = energy + eps
+
+    def speeds_within(rel, t):
+        coi = (abs(c["h0"] * w0 + c["h1"] * w1) + t * c["p_coi"]) / c["m_sum"]
+        return coi + max(c["h0"], c["h1"]) / c["m_sum"] * rel <= 1.0
+
+    below, above = u_span(-math.pi, d)[1], u_span(d, math.pi)[1]
+    if below > top and above > top:
+        rel = math.sqrt(2.0 * (top - c["u_min"])) / ws
+        return (True if speeds_within(rel, t_left) else None), False
+    s = math.copysign(1.0, v)
+    early = (above if s > 0 else below) >= energy - eps
+    ends = sorted([d + (s * math.pi - d) * j / tdsim.SWING_PIECES
+                   for j in range(1, tdsim.SWING_PIECES)]
+                  + [r for r in c["roots"] if s * r > s * d]
+                  + [s * math.pi, s * (math.pi + tdsim.SWING_SLIP)],
+                  reverse=s < 0)
+    loss = t_cross = v_max = 0.0
+    p, u_p = d, u(d)
+    for q in ends:
+        u_q = u(q)
+        v_hi = math.sqrt(2.0 * (top - min(u_p, u_q)))
+        v_max = max(v_max, v_hi)
+        loss += lam * v_hi * abs(q - p)
+        gap = energy - eps - loss - max(u_p, u_q)
+        if gap <= 0.0:
+            return None, early
+        if s * q <= math.pi:
+            t_cross += abs(q - p) / math.sqrt(2.0 * gap)
+            if t_cross > t_left - step:
+                return None, early
+        p, u_p = q, u_q
+    if step * v_max >= tdsim.SWING_SLIP:
+        return None, early
+    return (False if speeds_within(v_max / ws, t_cross + step) else None,
+            early)
+
+
+def test_the_early_none_is_the_whole_walks_verdict(monkeypatch):
+    """At every state the SMIB searches give the certificate, its verdict
+    is that of the whole walk; the early None decides many of them."""
+    kept = tdsim._Engine._kept_certificate
+    verdicts = []
+
+    def checked(self):
+        certify = kept(self)
+
+        def verdict(x, t_left):
+            got = certify(x, t_left)
+            want, early = _walk_verdict(certify, x, t_left)
+            assert got is want
+            verdicts.append((got, early))
+            return got
+        return verdict
+
+    monkeypatch.setattr(tdsim._Engine, "_kept_certificate", checked)
+    for grid in (smib_grid(), two_machine_grid(h_ratio=2.0, r_pu=0.05,
+                                               d_per_h=0.5)):
+        for loading in (0.7, 0.85, 1.0):
+            for location in (0.0, 0.3):
+                find_cct(grid, dataclasses.replace(
+                    PROBED, loading=loading, location=location, tol=1e-4))
+    assert sum(early for _, early in verdicts) > 1000
+    assert {got for got, _ in verdicts} == {True, False, None}
+
+
+def test_a_kept_certificate_follows_its_network_and_state():
+    """`_kept_certificate` returns the certificate it built while the
+    network, the machine EMFs and mechanical powers and the step are
+    those it was built for, and builds another for any other; each gives
+    the verdicts of one built afresh."""
+    eng = tdsim._Engine(smib_grid(), (), BARE_SMIB,
+                        SteadyState(dispatch={"G1": 810.0}))
+    x0 = eng.x.copy()
+    first = eng._kept_certificate()
+    assert eng._kept_certificate() is first
+    built = [first]
+    for change in ("emf", "pm", "fault", "step"):
+        if change in ("emf", "pm"):
+            eng.x[0, 2 if change == "emf" else 3] *= 1.01
+        elif change == "fault":
+            eng._apply_event(tdsim.Event(0.0, "fault_apply", "B_M"), 0.0)
+        else:
+            eng.cfg = dataclasses.replace(BARE_SMIB, step=0.01)
+        certify = eng._kept_certificate()
+        assert all(certify is not other for other in built), change
+        built.append(certify)
+        for dw in (0.0, 0.005, 0.02):
+            x = _g1_speed_state(eng, dw)
+            assert certify(x, 2.0) is eng._swing_certificate()(x, 2.0)
+        eng.x = x0.copy()
+        eng.cfg = BARE_SMIB
+        if change == "fault":
+            eng._apply_event(tdsim.Event(0.0, "fault_clear"), 0.0)
+        assert eng._kept_certificate() is first

@@ -942,7 +942,14 @@ DP_CONTROLLER = ("[controller {}]\nmode = dp_failover\ninverter = INV_PS\n"
      "need t_lo_s in [0, inf), got t_lo_s = -0.1"),
     # a negative loading used to simulate a motoring machine
     ("cct", None, SHORT_CCT + "loading = -0.5\n",
-     "need loading in (0, inf), got loading = -0.5"),
+     "need loading in (0, 1], got loading = -0.5"),
+    # a loading above 1 dispatched the machine above its rating
+    ("cct", None, SHORT_CCT + "loading = 1.5\n",
+     "need loading in (0, 1], got loading = 1.5"),
+    # a dispatch of 1e308 converged, with the slack motoring at -1e308 kW
+    ("powerflow", None, "[dispatch]\nDG#02 = 1e308\n",
+     "need dispatch DG#02 <= its rated_kw = 2570.0, got dispatch DG#02 = "
+     "1e+308"),
     # a negative window used to fail in numpy with an empty reduction
     ("cct", None, SHORT_CCT.replace("0.3", "-0.2"),
      "need window_s in (0, inf), got window_s = -0.2"),
@@ -1177,8 +1184,9 @@ def test_numeric_ids_are_ids(tmp_path):
 
 
 @pytest.mark.parametrize("kind, study_text, rc, message", [
-    ("cct", "[cct]\nmachine = DG#01\nloading = 1e300\n", 3,
-     "network solve produced non-finite V"),
+    # a loading above 1 is refused before it can overflow the solve
+    ("cct", "[cct]\nmachine = DG#01\nloading = 1e300\n", 2,
+     "need loading in (0, 1], got loading = 1e+300"),
     ("tdsim", "[sim]\nend_s = 0.05\nstep_s = 0.01\n[event a]\ntime_s = 0\n"
      "action = load_step\ntarget = LOAD440_PS\nscale = 1e300\n", 3,
      "network fixed point not converged at t=0.0000 s"),

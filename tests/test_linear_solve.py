@@ -49,7 +49,7 @@ def test_smib_closed_form_matches_fixed_point(loading, fault, delta, speed,
     v0 = np.array(warm[:len(isl.v)], dtype=complex)
 
     isl.v = v0.copy()
-    got = eng._solve(x, 0.3)
+    got = eng._solve(x.ravel().tolist(), 0.3)
     v_got = isl.v
     isl.v = v0.copy()
     ref = reference_solve(eng, x, 0.3)

@@ -142,6 +142,19 @@ def test_refuses_bad_study_values(ac_vessel, kwargs, message):
         solve_ac_powerflow(ac_vessel, SteadyState(**kwargs))
 
 
+def test_a_dispatch_above_the_rating_is_refused(ac_vessel):
+    """A dispatch may reach its generator's rated kW but not pass it: a
+    dispatch of 1e308 used to converge, with the slack at -1e308 kW."""
+    sol = solve_ac_powerflow(ac_vessel, SteadyState(dispatch={"DG#02": 2570.0}))
+    assert sol.injections_kw["DG#02"][0] == pytest.approx(2570.0)
+    for p_kw in (math.nextafter(2570.0, math.inf), 1e308):
+        with pytest.raises(InputError, match=re.escape(
+                f"need dispatch DG#02 <= its rated_kw = 2570.0, got "
+                f"dispatch DG#02 = {p_kw!r}")):
+            solve_ac_powerflow(ac_vessel,
+                               SteadyState(dispatch={"DG#02": p_kw}))
+
+
 def test_an_integral_float_max_iter_runs_as_its_int(ac_vessel):
     assert (solve_ac_powerflow(ac_vessel, SteadyState(max_iter=4.0))
             == solve_ac_powerflow(ac_vessel, SteadyState(max_iter=4)))

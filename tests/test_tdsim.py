@@ -660,19 +660,29 @@ def test_vessel_cct_keeps_its_transcript(ac_vessel):
     assert res.cct == 0.084375
 
 
-@pytest.mark.parametrize("x_col, value", [(0, np.nan), (2, np.inf)])
+# a non-finite angle (column 0) or EMF (column 2)
+NON_FINITE_SOURCES = [(col, value) for col in (0, 2)
+                      for value in (np.nan, np.inf, -np.inf)]
+
+
+@pytest.mark.parametrize("x_col, value", NON_FINITE_SOURCES)
 def test_linear_island_with_non_finite_source_raises(x_col, value):
-    """The closed form keeps the fixed point's finiteness check."""
+    """The closed form keeps the fixed point's finiteness check: a
+    non-finite angle never reaches `math.cos`, whose ValueError it would
+    raise, and no numpy call warns."""
     eng = tdsim._Engine(smib_grid(), (), BARE_SMIB,
                         SteadyState(dispatch={"G1": 900.0}))
     assert all(isl.linear for isl in eng.islands)
     x = eng.x.copy()
     x[0, x_col] = value
-    with pytest.raises(NumericalError, match="non-finite V"):
-        eng._solve(x, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NumericalError,
+                           match="^network solve produced non-finite V$"):
+            eng._solve(x.ravel().tolist(), 0.0)
 
 
-@pytest.mark.parametrize("x_col, value", [(0, np.nan), (2, np.inf)])
+@pytest.mark.parametrize("x_col, value", NON_FINITE_SOURCES)
 def test_island_with_demands_and_non_finite_source_raises(x_col, value):
     """The fixed point rejects a non-finite EMF before numpy can warn."""
     eng = tdsim._Engine(single_gen_grid(load_kw=300.0, load_kvar=100.0),
@@ -682,8 +692,9 @@ def test_island_with_demands_and_non_finite_source_raises(x_col, value):
     x[0, x_col] = value
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalError, match="non-finite V"):
-            eng._solve(x, 0.0)
+        with pytest.raises(NumericalError,
+                           match="^network solve produced non-finite V$"):
+            eng._solve(x.ravel().tolist(), 0.0)
 
 
 def _smib_plus(**extra):
@@ -722,12 +733,12 @@ def test_a_nan_at_any_node_ends_the_solve_that_meets_it(node):
                         SteadyState(dispatch={"G1": 600.0}))
     (isl,) = eng.islands
     assert len(isl.v) == 3 and not isl.linear
-    eng._solve(eng.x, 0.0)      # converges, and keeps M under its key
+    eng._solve(eng.x.ravel().tolist(), 0.0)   # converges, keeps M and its key
     isl.m = isl.m.copy()
     isl.m[node] = np.nan
     with pytest.raises(NumericalError,
                        match="^network solve produced non-finite V$"):
-        eng._solve(eng.x, 0.0)
+        eng._solve(eng.x.ravel().tolist(), 0.0)
 
 
 @pytest.mark.parametrize("fault", [
@@ -741,10 +752,10 @@ def test_a_fault_at_an_unchanged_state_refreshes_the_sources(fault):
     same state computes them afresh."""
     eng = tdsim._Engine(_smib_plus(**_SECOND_ISLAND), (), BARE_SMIB,
                         SteadyState(dispatch={"G1": 600.0}))
-    eng._solve(eng.x, 0.0)
+    eng._solve(eng.x.ravel().tolist(), 0.0)
     eng._apply_event(fault, 0.0)
     warm = [isl.v.copy() for isl in eng.islands]
-    got = eng._solve(eng.x, 0.0)
+    got = eng._solve(eng.x.ravel().tolist(), 0.0)
     v_got = [isl.v for isl in eng.islands]
     for isl, v in zip(eng.islands, warm):
         isl.v = v
@@ -802,7 +813,7 @@ def _every_step(grid, events, cfg, steady):
     rec = {}
 
     def record(t):
-        pe, qe, _ = eng._solve(eng.x, t)
+        pe, qe, _ = eng._solve(eng.x.ravel().tolist(), t)
         x, m = eng.x, eng.m
         for q, col in zip(tdsim.MACHINE_CHANNELS, (
                 pe * S_BASE_KVA, qe * S_BASE_KVA, x[:, 3] * S_BASE_KVA,
@@ -885,7 +896,10 @@ def test_a_step_count_no_array_can_index_is_refused(step, end, monkeypatch):
 
 def test_an_overflowing_state_is_a_numerical_error(ac_vessel):
     """A load scaled to 1e300 overflows the network solve: with numpy's
-    warnings silenced for the run, its finiteness check fails."""
+    warnings silenced for the run, its finiteness check fails.  A CCT
+    search at a loading of 1e300, which overflowed its solve the same
+    way, is refused before it starts, as a dispatch above the machine's
+    rated kW."""
     sched = EventSchedule((Event(0.0, "load_step", "LOAD440_PS",
                                  scale=1e300),))
     with warnings.catch_warnings():
@@ -893,13 +907,10 @@ def test_an_overflowing_state_is_a_numerical_error(ac_vessel):
         with pytest.raises(NumericalError, match="network fixed point not "
                            "converged at t=0.0000 s"):
             simulate(ac_vessel, sched, (), SimConfig(step=0.01, end=0.05))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(NumericalError,
-                           match="network solve produced non-finite V"):
-            find_cct(ac_vessel, CctFaultSpec("DG#01", loading=1e300,
-                                             step=0.02, t_hi=0.5, tol=0.01,
-                                             window=0.5))
+    with pytest.raises(InputError, match=re.escape(
+            "need loading in (0, 1], got loading = 1e+300")):
+        CctFaultSpec("DG#01", loading=1e300, step=0.02, t_hi=0.5, tol=0.01,
+                     window=0.5)
 
 
 def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
@@ -913,7 +924,7 @@ def _same_bits(got: np.ndarray, want: np.ndarray) -> None:
 
 def _array_derivatives(eng, x, t):
     """`_Engine._derivatives` as numpy expressions on whole columns."""
-    pe, _, vt = eng._solve(x, t)
+    pe, _, vt = eng._solve(x.ravel().tolist(), t)
     m, dw = eng.m, x[:, 1]
     dx = np.empty_like(x)
     dx[:, 0] = m.omega_s * dw
@@ -943,7 +954,7 @@ def test_float_derivatives_are_the_array_expression(governor, avr, cell,
         x[cell] = value
     warm = [isl.v.copy() for isl in eng.islands]
     with np.errstate(invalid="ignore"):
-        got = eng._derivatives(x, 0.0)
+        got = np.reshape(eng._derivatives(x.ravel().tolist(), 0.0), x.shape)
         for isl, v in zip(eng.islands, warm):
             isl.v = v      # the second solve starts where the first did
         want = _array_derivatives(eng, x, 0.0)
@@ -959,7 +970,8 @@ def test_a_zero_inertia_is_a_numerical_error_not_a_zero_division():
     x = eng.x.copy()
     x[0, 3] += 0.1
     with np.errstate(divide="ignore", invalid="ignore"):
-        _same_bits(eng._derivatives(x, 0.0), _array_derivatives(eng, x, 0.0))
+        _same_bits(np.reshape(eng._derivatives(x.ravel().tolist(), 0.0),
+                              x.shape), _array_derivatives(eng, x, 0.0))
     sched = EventSchedule((Event(0.0, "fault_apply", "B_M"),))
     with pytest.raises(NumericalError):
         simulate(smib_grid(), sched, (), BARE_SMIB, _engine=eng)
@@ -973,7 +985,8 @@ def test_an_engine_without_machines_keeps_four_state_columns():
         if isinstance(getattr(eng.m, f.name), np.ndarray)})
     eng.params, eng.islands = None, []
     x = eng.x[:0]
-    assert eng._derivatives(x, 0.0).shape == (0, 4)
+    assert eng._derivatives(x.ravel().tolist(), 0.0) == []
+    assert eng._step(x, 0.0, 0.005).shape == (0, 4)
 
 
 def test_the_sweep_through_a_mid_cable_fault_is_the_reference():
@@ -992,10 +1005,108 @@ def test_the_sweep_through_a_mid_cable_fault_is_the_reference():
         for k in range(3):
             x[:, 0] += 0.01
             warm = isl.v.copy()
-            got = eng._solve(x, 0.0) + (isl.v.copy(),)
+            got = eng._solve(x.ravel().tolist(), 0.0) + (isl.v.copy(),)
             isl.v = warm
             ref = reference_solve(eng, x, 0.0) + (isl.v,)
             for a, b in zip(got, ref):
                 _same_bits(a, b)
         sizes.append(len(isl.den))
     assert sizes == [3, 4, 3]
+
+
+def test_float_emfs_are_numpys_complex_exp():
+    """`_solve` takes each EMF in Python floats by numpy's own formula:
+    random states, angles and EMFs of either zero sign, and angles up to
+    1e6 in magnitude give the bits of x[:, 2] * np.exp(1j * x[:, 0]),
+    also where only the sign of a zero EMF differs from the last state."""
+    eng = tdsim._Engine(smib_grid(), (), BARE_SMIB,
+                        SteadyState(dispatch={"G1": 900.0}))
+    rng = np.random.default_rng(43)
+    edges = [0.0, -0.0, 5e-324, -5e-324, math.pi, -math.pi, 1e6, -1e6]
+    states = [(d, e) for d in edges for e in (0.0, -0.0, 1.0, -0.0)]
+    states += zip(rng.uniform(-4.0, 4.0, 300), rng.uniform(0.5, 1.5, 300))
+    states += zip(rng.uniform(-1e6, 1e6, 300), rng.uniform(0.0, 2.0, 300))
+    x = eng.x.copy()
+    for delta, emf in states:
+        x[0, 0], x[0, 2] = delta, emf
+        x[1, 0], x[1, 2] = -delta, -emf
+        eng._solve(x.ravel().tolist(), 0.0)
+        want = x[:, 2] * np.exp(1j * x[:, 0])
+        _same_bits(eng.e.view(float), want.view(float))
+
+
+def _array_step(eng, x, t, dt):
+    """`_Engine._step` as the RK4 expression on whole arrays."""
+    h = dt / 2.0
+    k1 = _array_derivatives(eng, x, t)
+    k2 = _array_derivatives(eng, x + h * k1, t + h)
+    k3 = _array_derivatives(eng, x + h * k2, t + h)
+    k4 = _array_derivatives(eng, x + dt * k3, t + dt)
+    return x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
+
+
+@pytest.mark.parametrize("grid, cfg, steady", [
+    (smib_grid(), BARE_SMIB, SteadyState(dispatch={"G1": 900.0})),
+    (dp_island(builtin_fixture("ac_vessel")), SimConfig(step=0.01, end=0.1),
+     SteadyState()),
+    (_smib_plus(**_SECOND_ISLAND), SimConfig(step=0.005),
+     SteadyState(dispatch={"G1": 600.0})),
+], ids=["smib", "dp-governor-avr", "two-islands"])
+def test_a_float_step_is_the_array_expression(grid, cfg, steady):
+    """One RK4 step in Python floats has the bits of the array RK4
+    expression, solved from the same warm starts, at 20 states about the
+    equilibrium."""
+    eng = tdsim._Engine(grid, (), cfg, steady)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = eng.x * (1 + 1e-2 * rng.standard_normal(eng.x.shape))
+        x[:, 1] += 1e-2 * rng.standard_normal(len(x))
+        warm = [isl.v.copy() for isl in eng.islands]
+        got = eng._step(x, 0.0, cfg.step)
+        for isl, v in zip(eng.islands, warm):
+            isl.v = v
+        _same_bits(got, _array_step(eng, x, 0.0, cfg.step))
+
+
+def test_kept_networks_are_dropped_at_a_topology_change(monkeypatch):
+    """A fault state's inverse is kept until the next rebuild: a clearing
+    inverts nothing, while the generator trip's rebuild and the second
+    fault, on the same bus as the first, invert afresh; every solve has
+    the bits of `helpers.reference_solve`."""
+    inv, solve, apply = (np.linalg.inv, tdsim._Engine._solve,
+                         tdsim._Engine._apply_event)
+    inversions = [0]        # the initial build's, then each event's
+
+    def counted_inv(a):
+        inversions[-1] += 1
+        return inv(a)
+
+    def counted_apply(self, ev, t):
+        inversions.append(0)
+        apply(self, ev, t)
+
+    def checked_solve(self, x, t):
+        warm = [(isl.v.copy(), isl.lf) for isl in self.islands]
+        got = solve(self, x, t)
+        kept = [(isl.v, isl.lf) for isl in self.islands]
+        for isl, (v, lf) in zip(self.islands, warm):
+            isl.v, isl.lf = v.copy(), lf
+        want = reference_solve(self, x, t)
+        for a, b in zip(got + tuple(v for v, _ in kept),
+                        want + tuple(isl.v for isl in self.islands)):
+            _same_bits(a.view(float), b.view(float))
+        for isl, (v, lf) in zip(self.islands, kept):
+            isl.v, isl.lf = v, lf
+        return got
+
+    monkeypatch.setattr(np.linalg, "inv", counted_inv)
+    monkeypatch.setattr(tdsim._Engine, "_apply_event", counted_apply)
+    monkeypatch.setattr(tdsim._Engine, "_solve", checked_solve)
+    events = EventSchedule((
+        Event(0.02, "fault_apply", "LV_PS"), Event(0.05, "fault_clear"),
+        Event(0.08, "breaker_open", "CB_DG02"),
+        Event(0.11, "fault_apply", "LV_PS"), Event(0.14, "fault_clear")))
+    ts = simulate(dp_island(builtin_fixture("ac_vessel")), events, (),
+                  SimConfig(step=0.01, end=0.2))
+    assert inversions == [1, 1, 0, 1, 1, 0]
+    assert ts["DG#02.p_kw"][-1] == 0.0
